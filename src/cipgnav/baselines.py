@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .preintegration import GravityModel, ImuBiases, NavState, preintegrate_burst
+from .preintegration import GravityModel, ImuBiases, NavState, _check_dt
+from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
     quat_from_rotvec,
     quat_multiply,
@@ -155,17 +156,24 @@ def kalman_update(P, H, R, innovation):
 def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) -> EkfState:
     """Propagate mean and covariance through an IMU burst.
 
-    Per sample: F = [[I, dt I, 0], [0, I, -dt R [a]x], [0, 0, I - dt [w]x]]
+    The mean follows ``preintegrate_burst`` step for step: position,
+    velocity and orientation are each updated from the state at the start of
+    the sample interval.  Per sample:
+    F = [[I, dt I, 0], [0, I, -dt R [a]x], [0, 0, I - dt [w]x]]
     on the (dp, dv, dtheta) error, plus diagonal process noise scaled by dt.
     """
+    p = state.nav.position
+    v = state.nav.velocity
     q = state.nav.orientation
     P = state.cov
+    g = config.gravity.vector
     Qc = np.diag(config.q_diag())
     t_prev = float(t_start)
     for sample in burst:
         dt = sample.t - t_prev
         if dt <= 0.0:
             raise ValueError(f"non-positive IMU dt at t={sample.t!r}")
+        dt = _check_dt(dt)
         R = quat_to_rotation(q)
         a = np.asarray(sample.accel, dtype=float) - config.biases.accel
         w = np.asarray(sample.gyro, dtype=float) - config.biases.gyro
@@ -175,9 +183,9 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
         F[6:9, 6:9] = np.eye(3) - dt * _skew(w)
         P = F @ P @ F.T + Qc * dt
         inc = np.concatenate(([1.0], 0.5 * dt * w))
-        q = quat_normalize(quat_product(q, inc))
+        p, v, q = p + dt * v, v + dt * (R @ a + g), quat_normalize(quat_product(q, inc))
         t_prev = sample.t
-    nav = preintegrate_burst(state.nav, burst, config.biases, config.gravity, t_start)
+    nav = NavState(p, v, q)
     if config.validate:
         P = _check_cov(P, config.psd_tol, "ekf_predict")
     else:

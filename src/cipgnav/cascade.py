@@ -4,11 +4,14 @@ Stage 1 estimates orientation: the window dynamics integrate gyro bursts and
 the measurements are AHRS quaternions (identity measurement map, hemisphere
 aligned to the prediction, renormalized after every inner iteration).
 
-Stage 2 estimates velocity: the window dynamics integrate specific force
-along the orientation trajectory re-propagated from stage 1's window-start
-estimate, and the measurements are DVL velocities.  Because the velocity
-dynamics do not depend on the velocity state itself, each burst contributes
-a precomputed increment and the stacked Jacobian is a stack of identities.
+Stage 2 estimates velocity: the measurements are DVL velocities and each
+burst is preintegrated once, when it arrives, into a rotation increment and
+a body-frame velocity increment.  Every epoch rotates each burst's body-frame
+increment by stage 1's orientation at the start of that burst, which gives
+the burst's navigation-frame velocity increment in O(1).  The velocity
+dynamics do not depend on the velocity state, so the stacked Jacobian is a
+stack of identities, the preconditioner stays a scaled identity k*I, and the
+inner iterations reduce to an exact scalar-gain recursion in closed form.
 
 Position is not windowed: it integrates the stage-2 velocity estimate over
 the epoch period.  The first N-1 epochs are emitted as dead-reckoned warmup
@@ -24,13 +27,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .ipg import IpgParams, IpgWindow, WindowModel, ipg_step, slide_window
+from .ipg import IpgParams, IpgWindow, WindowModel, ipg_step, slide_window, stacked_map
 from .preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
+    _check_dt,
     preintegrate_burst,
-    propagate_orientation,
+    propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
 )
 from .quat import normalize_jacobian, quat_normalize, quat_product, quat_right_matrix
 from .sensors import initial_nav_from_epochs
@@ -38,7 +42,6 @@ from .trajectory import TrajectoryPoint
 
 __all__ = [
     "BurstInput",
-    "VelocityInput",
     "CascadeConfig",
     "CascadeState",
     "cascade_step",
@@ -50,40 +53,46 @@ FALLBACK_MODES = ("abort", "deadreckon")
 
 @dataclass(frozen=True)
 class BurstInput:
-    """IMU burst unpacked into arrays; the window input between two epochs.
+    """IMU burst unpacked into arrays and preintegrated; the window input between two epochs.
 
     ``rot_increment`` is the Hamilton product of the per-sample orientation
     increments (1, dt_i/2 * (gyro_i - bias)).  Because per-step quaternion
     renormalization only rescales, ``normalize(q * rot_increment)`` equals
     the sample-by-sample propagation of ``q`` through the whole burst, so
     the window dynamics and their Jacobian cost O(1) per burst.
+
+    ``body_dv`` is sum_i dt_i * R(P_{i-1}) @ (accel_i - accel_bias), where
+    P_{i-1} is the normalized product of the increments before sample i, and
+    ``duration`` is sum_i dt_i.  For the same reason as above, the velocity
+    gained over the burst from orientation ``q`` is
+    ``R(q) @ body_dv + duration * g``.
     """
 
     dts: np.ndarray            # (M,)
     gyro: np.ndarray           # (M, 3)
     accel: np.ndarray          # (M, 3)
     rot_increment: np.ndarray  # (4,)
+    body_dv: np.ndarray        # (3,)
+    duration: float
 
 
-@dataclass(frozen=True)
-class VelocityInput:
-    """Velocity increment of one burst along a fixed orientation trajectory."""
-
-    delta_v: np.ndarray  # (3,)
-
-
-def _make_burst(epoch, gyro_bias) -> BurstInput:
+def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
     ts = np.array([s.t for s in epoch.imu_burst])
     dts = np.diff(np.concatenate(([epoch.t_prev], ts)))
     if np.any(dts <= 0.0):
         raise ValueError(f"non-positive IMU sample spacing in epoch at t={epoch.t!r}")
+    _check_dt(dts.max())  # one large-step warning per burst
     gyro = np.vstack([s.gyro for s in epoch.imu_burst])
     accel = np.vstack([s.accel for s in epoch.imu_burst])
+    prefixes = np.empty((len(dts), 4))
     increment = np.array([1.0, 0.0, 0.0, 0.0])
     for i in range(len(dts)):
+        prefixes[i] = increment
         step = np.concatenate(([1.0], 0.5 * dts[i] * (gyro[i] - gyro_bias)))
         increment = quat_product(increment, step)
-    return BurstInput(dts, gyro, accel, increment)
+    prefixes /= np.linalg.norm(prefixes, axis=1, keepdims=True)
+    body_dv = dts @ _rotate_rows(prefixes, accel - accel_bias)
+    return BurstInput(dts, gyro, accel, increment, body_dv, float(dts.sum()))
 
 
 def _rotate_rows(quats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -95,10 +104,13 @@ def _rotate_rows(quats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 class _OrientationStage:
-    """Window model for the orientation observer (state: quaternion)."""
+    """Window model for the orientation observer (state: quaternion).
+
+    The gyro bias in ``biases`` is already folded into each burst's
+    ``rot_increment`` by ``_make_burst``.
+    """
 
     def __init__(self, biases: ImuBiases):
-        self._gyro_bias = biases.gyro
         self.model = WindowModel(
             state_dim=4,
             meas_dim=4,
@@ -117,18 +129,6 @@ class _OrientationStage:
         raw = quat_product(np.asarray(q, dtype=float), burst.rot_increment)
         return normalize_jacobian(raw) @ quat_right_matrix(burst.rot_increment)
 
-    def window_trajectory(self, q_start, bursts):
-        """Per-burst arrays of sample-interval start orientations, plus the endpoint."""
-        q = quat_normalize(np.asarray(q_start, dtype=float))
-        per_burst = []
-        for burst in bursts:
-            quats = np.empty((len(burst.dts), 4))
-            for i in range(len(burst.dts)):
-                quats[i] = q
-                q = propagate_orientation(q, burst.gyro[i], self._gyro_bias, burst.dts[i])
-            per_burst.append(quats)
-        return per_burst, q
-
 
 def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Flip each measured quaternion block onto the predicted hemisphere."""
@@ -139,23 +139,26 @@ def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return Zb.reshape(-1)
 
 
-_VELOCITY_MODEL = WindowModel(
-    state_dim=3,
-    meas_dim=3,
-    dynamics=lambda v, u: v + u.delta_v,
-    measurement=lambda v: v,
-    dynamics_jacobian=lambda v, u: np.eye(3),
-    measurement_jacobian=lambda v: np.eye(3),
-)
+def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
+    """``ipg_step`` of the velocity stage, with preconditioner k*I, in closed form.
 
-
-def _velocity_inputs(bursts, per_burst_quats, biases: ImuBiases, gravity: GravityModel):
-    """Precompute each burst's velocity increment along the stage-1 trajectory."""
-    out = []
-    for burst, quats in zip(bursts, per_burst_quats):
-        force = _rotate_rows(quats, burst.accel - biases.accel) + gravity.vector
-        out.append(VelocityInput(delta_v=burst.dts @ force))
-    return tuple(out)
+    The stage is linear with identity maps, so J = [I; ...; I] and K = k*I
+    stays a scaled identity.  With c_i the sum of the first i velocity
+    increments (c_0 = 0), the inner iterations reduce exactly to
+    k' = k - alpha * (N k - 1) and zeta' = zeta - delta * k * sum_i (zeta + c_i - z_i).
+    Returns the current-epoch estimate zeta + c_{N-1}, the warm-started
+    iterate zeta + increments[0] and k; raises DivergenceError as ipg_step does.
+    """
+    n = len(dvl)
+    offsets = np.vstack([np.zeros(3), np.cumsum(increments, axis=0)])
+    misfit = np.sum(offsets - dvl, axis=0)
+    for i in range(params.iterations):
+        k_next = k - params.alpha_at(i) * (n * k - 1.0)
+        zeta_next = zeta - params.delta_at(i) * k * (n * zeta + misfit)
+        if not (np.all(np.isfinite(zeta_next)) and np.isfinite(k_next)):
+            raise DivergenceError("window solver produced a non-finite value", iteration=i)
+        zeta, k = zeta_next, k_next
+    return zeta + offsets[-1], zeta + increments[0], k
 
 
 @dataclass(frozen=True)
@@ -196,10 +199,11 @@ class CascadeState:
     pending_dvl: list = field(default_factory=list)
     window_start_seed: Optional[NavState] = None
     q_window: Optional[IpgWindow] = None
-    v_window: Optional[IpgWindow] = None
+    dvl_window: Optional[np.ndarray] = None  # (N, 3), oldest first
+    v_iterate: Optional[np.ndarray] = None  # velocity at the window start
+    v_gain: float = 0.0  # the velocity preconditioner is v_gain * I
     needs_reseed: bool = False
     fallback_count: int = 0
-    last_orientation_traj: Optional[list] = None
     _stage1: _OrientationStage = None
 
     def __post_init__(self):
@@ -227,7 +231,7 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
     """
     config = config if config is not None else state.config
     n = config.params.horizon
-    burst = _make_burst(epoch, config.biases.gyro)
+    burst = _make_burst(epoch, config.biases.gyro, accel_bias=config.biases.accel)
     dt_epoch = epoch.t - state.t_prev
     state.k += 1
 
@@ -246,26 +250,16 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
     if state.k == n:
         q_inputs = tuple(state.pending_bursts) + (burst,)
         q_meas = tuple(state.pending_ahrs) + (epoch.ahrs,)
-        v_meas = tuple(state.pending_dvl) + (epoch.dvl,)
         seed = state.window_start_seed
         state.q_window = IpgWindow.initial(q_inputs, q_meas, seed.orientation, config.params.k0_scale)
-        state.v_window = IpgWindow.initial(
-            tuple(VelocityInput(np.zeros(3)) for _ in q_inputs),
-            v_meas,
-            seed.velocity,
-            config.velocity_params.k0_scale,
-        )
+        state.dvl_window = np.array(state.pending_dvl + [epoch.dvl], dtype=float)
+        state.v_iterate, state.v_gain = seed.velocity, config.velocity_params.k0_scale
         state.pending_bursts = []
         state.pending_ahrs = []
         state.pending_dvl = []
     else:
         state.q_window = slide_window(state.q_window, burst, epoch.ahrs)
-        state.v_window = IpgWindow(
-            inputs=state.v_window.inputs[1:] + (VelocityInput(np.zeros(3)),),
-            measurements=state.v_window.measurements[1:] + (np.asarray(epoch.dvl, dtype=float),),
-            iterate=state.v_window.iterate,
-            precond=state.v_window.precond,
-        )
+        state.dvl_window = np.vstack([state.dvl_window[1:], epoch.dvl])
         if state.needs_reseed:
             # After a fallback epoch, restart both iterates from the direct
             # measurements of the new window start (identity measurement maps).
@@ -275,31 +269,22 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
                 quat_normalize(state.q_window.measurements[0]),
                 config.params.k0_scale,
             )
-            state.v_window = IpgWindow.initial(
-                state.v_window.inputs,
-                state.v_window.measurements,
-                state.v_window.measurements[0],
-                config.velocity_params.k0_scale,
-            )
+            state.v_iterate, state.v_gain = state.dvl_window[0], config.velocity_params.k0_scale
             state.needs_reseed = False
 
     stage = "orientation"
     try:
         res_q = ipg_step(state._stage1.model, config.params, state.q_window)
-        per_burst_quats, q_end = state._stage1.window_trajectory(
-            res_q.window_start, state.q_window.inputs
-        )
-        vel_inputs = _velocity_inputs(
-            state.q_window.inputs, per_burst_quats, config.biases, config.gravity
-        )
-        state.v_window = IpgWindow(
-            inputs=vel_inputs,
-            measurements=state.v_window.measurements,
-            iterate=state.v_window.iterate,
-            precond=state.v_window.precond,
-        )
+        bursts = state.q_window.inputs
+        # With an identity measurement map the stacked map is the orientation
+        # at each window epoch, so row j is where burst j starts.
+        quats = stacked_map(state._stage1.model, bursts, res_q.window_start).reshape(-1, 4)
+        increments = (_rotate_rows(quats[:-1], np.array([b.body_dv for b in bursts]))
+                      + np.outer([b.duration for b in bursts], config.gravity.vector))
         stage = "velocity"
-        res_v = ipg_step(_VELOCITY_MODEL, config.velocity_params, state.v_window)
+        velocity, v_iterate, v_gain = _velocity_step(
+            config.velocity_params, state.dvl_window, state.v_iterate, state.v_gain, increments
+        )
     except DivergenceError as exc:
         if config.fallback == "abort":
             raise DivergenceError(
@@ -312,13 +297,11 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
         state.fallback_count += 1
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
-    velocity = res_v.estimate
     position = state.nav.position + velocity * dt_epoch
-    nav = NavState(position, velocity, q_end)
+    nav = NavState(position, velocity, res_q.estimate)
 
     state.q_window = res_q.window
-    state.v_window = res_v.window
-    state.last_orientation_traj = per_burst_quats
+    state.v_iterate, state.v_gain = v_iterate, v_gain
     state.nav = nav
     state.t_prev = epoch.t
     return state, TrajectoryPoint(epoch.t, nav, "ok")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +13,15 @@ from cipgnav.cascade import (
     CascadeConfig,
     CascadeState,
     _make_burst,
+    _velocity_step,
     cascade_step,
     run_cascade,
 )
 from cipgnav.errors import DivergenceError
-from cipgnav.ipg import IpgParams
-from cipgnav.preintegration import ImuBiases, propagate_orientation
-from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product
+from cipgnav.ipg import IpgParams, IpgWindow, WindowModel, ipg_step
+from cipgnav.preintegration import GravityModel, ImuBiases, propagate_orientation
+from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product, quat_to_rotation
+from cipgnav.sensors import ImuSample, SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import random_unit_quat
 
@@ -63,6 +66,56 @@ class TestBurst:
         bad = replace(e, t_prev=e.imu_burst[3].t)
         with pytest.raises(ValueError, match="spacing"):
             _make_burst(bad, np.zeros(3))
+
+    def test_preintegrated_velocity_matches_stepwise_sum(self, rng):
+        gravity = GravityModel()
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            ts = rng.uniform(0.0, 10.0) + np.cumsum(rng.uniform(0.002, 0.02, n + 1))
+            burst = tuple(
+                ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 2.0), rng.normal(scale=0.8, size=3))
+                for t in ts[1:]
+            )
+            epoch = SyncedEpoch(t=float(ts[-1]), t_prev=float(ts[0]), imu_burst=burst,
+                                dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
+            gyro_bias = rng.normal(scale=0.01, size=3)
+            accel_bias = rng.normal(scale=0.2, size=3)
+            q0 = random_unit_quat(rng)
+            # Reference: integrate specific force sample by sample along the
+            # propagated orientation.
+            expected = np.zeros(3)
+            q = q0
+            t_prev = epoch.t_prev
+            for s in burst:
+                dt = s.t - t_prev
+                expected += dt * (quat_to_rotation(q) @ (s.accel - accel_bias) + gravity.vector)
+                q = propagate_orientation(q, s.gyro, gyro_bias, dt)
+                t_prev = s.t
+            b = _make_burst(epoch, gyro_bias, accel_bias=accel_bias)
+            got = quat_to_rotation(q0) @ b.body_dv + b.duration * gravity.vector
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_large_step_warns_once_per_burst(self):
+        # One 0.1 s gap in a burst that stays in the window for N-1 epochs.
+        _, epochs = circle_run(duration=10.0)
+        horizon = IpgParams().horizon
+        k = horizon + 1
+        burst = epochs[k].imu_burst
+        epochs[k] = replace(epochs[k], imu_burst=burst[:1] + burst[10:])
+        assert burst[10].t - burst[0].t == pytest.approx(0.1)
+        state = CascadeState.start(CascadeConfig(), epochs)
+        for epoch in epochs[:k]:
+            state, _ = cascade_step(state, epoch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flags = []
+            for epoch in epochs[k:]:
+                state, point = cascade_step(state, epoch)
+                flags.append(point.flag)
+        assert set(flags) == {"ok"}
+        large = [w for w in caught
+                 if issubclass(w.category, UserWarning) and "is large" in str(w.message)]
+        assert len(large) == 1
 
 
 class TestConfig:
@@ -184,3 +237,52 @@ class TestFallback:
         assert set(flags[horizon + 2 :]) == {"ok"}
         truth = {p.t: p.nav for p in run.truth}
         assert np.linalg.norm(state.nav.position - truth[epochs[-1].t].position) < 0.5
+
+
+def identity_velocity_model():
+    """The velocity stage as a generic window model: J = [I; ...; I]."""
+    return WindowModel(
+        state_dim=3,
+        meas_dim=3,
+        dynamics=lambda v, u: v + u,
+        measurement=lambda v: v,
+        dynamics_jacobian=lambda v, u: np.eye(3),
+        measurement_jacobian=lambda v: np.eye(3),
+    )
+
+
+class TestVelocityStage:
+    def random_window(self, rng, horizon, k0):
+        """(dvl, iterate, k0, increments) and the same window for ipg_step."""
+        dvl = rng.normal(size=(horizon, 3))
+        increments = rng.normal(scale=0.1, size=(horizon - 1, 3))
+        iterate = rng.normal(size=3)
+        generic = IpgWindow(tuple(increments), tuple(dvl), iterate, k0 * np.eye(3))
+        return (dvl, iterate, k0, increments), generic
+
+    def test_closed_form_matches_ipg_step(self, rng):
+        model = identity_velocity_model()
+        for _ in range(100):
+            horizon = int(rng.integers(2, 9))
+            params = IpgParams(
+                horizon=horizon,
+                iterations=int(rng.integers(1, 6)),
+                alpha=tuple(rng.uniform(0.01, 0.9 / horizon, int(rng.integers(1, 4)))),
+                delta=tuple(rng.uniform(0.1, 1.5, int(rng.integers(1, 4)))),
+            )
+            args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3))
+            estimate, warm, gain = _velocity_step(params, *args)
+            ref = ipg_step(model, params, generic)
+            np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(gain * np.eye(3), ref.window.precond, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_at_same_iteration_as_ipg_step(self, rng):
+        params = IpgParams(alpha=1e200)
+        args, generic = self.random_window(rng, params.horizon, params.k0_scale)
+        with pytest.raises(DivergenceError) as closed:
+            _velocity_step(params, *args)
+        with pytest.raises(DivergenceError) as generic_exc:
+            ipg_step(identity_velocity_model(), params, generic)
+        assert closed.value.iteration == generic_exc.value.iteration
