@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Compare the trajectories of two source trees of cipgnav.
+
+Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
+contains ``cipgnav/``), runs cipg, EKF and InEKF on ``benchmark_scenario``
+for each seed in two configurations, and prints per estimator and
+configuration the max |difference| of position, velocity and quaternion over
+all seeds and epochs, and whether the per-epoch flags are equal.
+
+Configurations:
+    survey       100 Hz IMU, window N=5, 3 inner iterations
+    long-window   25 Hz IMU, window N=10, 10 inner iterations
+
+Exits 1 if any flag (or epoch timestamp) differs, 0 otherwise.
+
+Example:
+    python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import sys
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+DURATION = 100.0  # seconds of each benchmark scenario
+CONFIGS = {
+    "survey": dict(imu_rate=100.0, horizon=5, iterations=3),
+    "long-window": dict(imu_rate=25.0, horizon=10, iterations=10),
+}
+ESTIMATORS = ("cipg", "ekf", "inekf")
+
+
+def parse_seeds(text: str) -> list:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def import_tree(src: Path) -> dict:
+    """Import cipgnav from ``src`` alone, dropping any copy imported before."""
+    for name in [m for m in sys.modules if m == "cipgnav" or m.startswith("cipgnav.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        mods = {name: importlib.import_module(f"cipgnav.{name}")
+                for name in ("baselines", "cascade", "ipg", "sim")}
+    finally:
+        sys.path.remove(str(src))
+    origin = Path(mods["cascade"].__file__).resolve()
+    if src.resolve() not in origin.parents:
+        raise SystemExit(f"imported cipgnav from {origin}, not from {src}")
+    return mods
+
+
+def run_tree(src: Path, seeds) -> dict:
+    """{(config, estimator, seed): (t, position, velocity, quaternion, flags)}."""
+    m = import_tree(src)
+    out = {}
+    for config, c in CONFIGS.items():
+        params = m["ipg"].IpgParams(horizon=c["horizon"], iterations=c["iterations"])
+        for seed in seeds:
+            spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"])
+            run = m["sim"].generate(spec)
+            epochs = run.epochs()
+            initial = run.initial_nav()
+            runners = {
+                "cipg": lambda: m["cascade"].run_cascade(
+                    epochs, m["cascade"].CascadeConfig(params=params, initial=initial)),
+                "ekf": lambda: m["baselines"].run_ekf(
+                    epochs, m["baselines"].FilterConfig(), initial=initial),
+                "inekf": lambda: m["baselines"].run_inekf(
+                    epochs, m["baselines"].FilterConfig(), initial=initial),
+            }
+            for name, runner in runners.items():
+                points = runner()
+                out[config, name, seed] = (
+                    np.array([p.t for p in points]),
+                    np.array([p.nav.position for p in points]),
+                    np.array([p.nav.velocity for p in points]),
+                    np.array([p.nav.orientation for p in points]),
+                    [p.flag for p in points],
+                )
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old_src", type=Path, help="source tree of the reference version")
+    parser.add_argument("new_src", type=Path, help="source tree of the changed version")
+    parser.add_argument("--seeds", default="0-19", help="seed list such as 0-19 or 0,3,5-7")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        old = run_tree(args.old_src, seeds)
+        new = run_tree(args.new_src, seeds)
+
+    print(f"seeds {args.seeds}, {DURATION:g} s each")
+    print(f"{'config':12s} {'estimator':9s} {'max|dp| m':>10s} {'max|dv| m/s':>11s} "
+          f"{'max|dq|':>10s}  flags")
+    same = True
+    for config in CONFIGS:
+        for name in ESTIMATORS:
+            dev = np.zeros(3)
+            flags_equal = True
+            counts = {}
+            for seed in seeds:
+                a, b = old[config, name, seed], new[config, name, seed]
+                if not np.array_equal(a[0], b[0]):  # different epochs: nothing to compare
+                    flags_equal = False
+                    continue
+                flags_equal &= a[4] == b[4]
+                for k in range(3):
+                    dev[k] = max(dev[k], float(np.max(np.abs(a[k + 1] - b[k + 1]))))
+                for flag in b[4]:
+                    counts[flag] = counts.get(flag, 0) + 1
+            same &= flags_equal
+            summary = ", ".join(f"{n} {f}" for f, n in sorted(counts.items()))
+            verdict = f"equal ({summary})" if flags_equal else "DIFFER"
+            print(f"{config:12s} {name:9s} {dev[0]:10.3g} {dev[1]:11.3g} {dev[2]:10.3g}  {verdict}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,7 +2,15 @@
 
 Stage 1 estimates orientation: the window dynamics integrate gyro bursts and
 the measurements are AHRS quaternions (identity measurement map, hemisphere
-aligned to the prediction, renormalized after every inner iteration).
+aligned to the prediction, renormalized after every inner iteration).  Each
+burst is one preintegrated rotation increment r_j, and normalization only
+rescales, so window row j is normalize(zeta * U_j) with the cumulative
+increment U_j = r_1 * ... * r_j: a fixed 4x4 linear map M_j of the
+window-start iterate zeta followed by row normalization.  Each epoch builds
+the M_j once and runs the inner iterations on the whole window in a few
+batched array operations (``_orientation_step``).  ``_OrientationStage.model``
+states the same stage as a generic ``WindowModel`` for ``ipg_step``; it is
+the reference the batched form is tested against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated once, when it arrives, into a rotation increment and
@@ -26,8 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError
-from .ipg import IpgParams, IpgWindow, WindowModel, ipg_step, slide_window, stacked_map
+from .errors import DegenerateQuaternionError, DivergenceError, NumericalError
+from .ipg import IpgParams, WindowModel
+from .ipg import ipg_step  # noqa: F401  kept as a module attribute: perfbench wraps it by name
+from .ipg import slide_window  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .preintegration import (
     GravityModel,
     ImuBiases,
@@ -36,7 +46,7 @@ from .preintegration import (
     preintegrate_burst,
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
 )
-from .quat import normalize_jacobian, quat_normalize, quat_product, quat_right_matrix
+from .quat import _NORM_EPS, normalize_jacobian, quat_normalize, quat_product, quat_right_matrix
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
 
@@ -84,23 +94,35 @@ def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
     _check_dt(dts.max())  # one large-step warning per burst
     gyro = np.vstack([s.gyro for s in epoch.imu_burst])
     accel = np.vstack([s.accel for s in epoch.imu_burst])
-    prefixes = np.empty((len(dts), 4))
-    increment = np.array([1.0, 0.0, 0.0, 0.0])
-    for i in range(len(dts)):
-        prefixes[i] = increment
-        step = np.concatenate(([1.0], 0.5 * dts[i] * (gyro[i] - gyro_bias)))
-        increment = quat_product(increment, step)
+    # The running product q * (1, h) with h = dt/2 * (gyro - bias), on Python
+    # floats: the same operations as quat_product, without per-sample arrays.
+    prefixes = []
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    for hx, hy, hz in (0.5 * dts[:, None] * (gyro - gyro_bias)).tolist():
+        prefixes.append((w, x, y, z))
+        w, x, y, z = (w - x * hx - y * hy - z * hz,
+                      w * hx + x + y * hz - z * hy,
+                      w * hy - x * hz + y + z * hx,
+                      w * hz + x * hy - y * hx + z)
+    prefixes = np.array(prefixes)
     prefixes /= np.linalg.norm(prefixes, axis=1, keepdims=True)
     body_dv = dts @ _rotate_rows(prefixes, accel - accel_bias)
-    return BurstInput(dts, gyro, accel, increment, body_dv, float(dts.sum()))
+    return BurstInput(dts, gyro, accel, np.array([w, x, y, z]), body_dv, float(dts.sum()))
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) for (M, 3) rows, by the same expressions, without its overhead."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.column_stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
 def _rotate_rows(quats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Rotate vecs[i] by quats[i] (body -> nav), vectorized over rows."""
     w = quats[:, :1]
     qv = quats[:, 1:]
-    t = 2.0 * np.cross(qv, vecs)
-    return vecs + w * t + np.cross(qv, t)
+    t = 2.0 * _cross_rows(qv, vecs)
+    return vecs + w * t + _cross_rows(qv, t)
 
 
 class _OrientationStage:
@@ -137,6 +159,62 @@ def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
     flip = np.sum(Zb * Pb, axis=1) < 0.0
     Zb[flip] *= -1.0
     return Zb.reshape(-1)
+
+
+# quats[:, _RIGHT_INDEX] * _RIGHT_SIGN stacks quat_right_matrix over rows.
+_RIGHT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
+                        [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+
+
+def _propagate_rows(M: np.ndarray, zeta: np.ndarray):
+    """Rows Y_j = M_j @ zeta, their norms, and Y_j / |Y_j|; guarded like quat_normalize."""
+    Y = M @ zeta
+    norms = np.sqrt((Y * Y).sum(axis=1))
+    if not (norms > _NORM_EPS).all():  # also catches NaN
+        raise DegenerateQuaternionError(
+            f"cannot normalize window orientation with norm {norms.min():.3e}")
+    return Y / norms[:, None], norms
+
+
+def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
+    """``ipg_step`` of the orientation stage, batched over the window.
+
+    With U_0 = 1 and U_j = U_{j-1} * rot_increments[j-1], row j >= 1 of the
+    stacked map is P_j = Y_j / |Y_j| with Y_j = M_j zeta, M_j the
+    right-multiplication matrix of U_j, and its Jacobian block is
+    (M_j - P_j P_j^T M_j) / |Y_j|: normalize(normalize(y) * u) equals
+    normalize(y * u), so this is the chain-rule product exactly.  Row 0 is
+    the raw iterate zeta with an identity block.  Each AHRS block is flipped
+    onto the hemisphere of its prediction.
+
+    Returns the current-epoch estimate, the warm-started iterate, K, and the
+    orientations at the start of each burst (rows 0..N-2 of the stacked
+    map); raises DivergenceError, NumericalError and
+    DegenerateQuaternionError where ipg_step does.
+    """
+    # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
+    M = np.asarray(rot_increments)[:, _RIGHT_INDEX] * _RIGHT_SIGN  # (N-1, 4, 4)
+    for j in range(1, len(M)):
+        M[j] = M[j] @ M[j - 1]
+    z0, Z = ahrs[0], ahrs[1:]
+    eye = np.eye(4)
+    for i in range(params.iterations):
+        P, norms = _propagate_rows(M, zeta)
+        J = (M - P[:, :, None] * (P[:, None, :] @ M)) / norms[:, None, None]
+        if not np.isfinite(J).all():
+            raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
+        J = J.reshape(-1, 4)
+        flip = np.where((Z * P).sum(axis=1) < 0.0, -1.0, 1.0)
+        residual = (P - flip[:, None] * Z).reshape(-1)
+        r0 = zeta + z0 if z0 @ zeta < 0.0 else zeta - z0
+        K_next = K - params.alpha_at(i) * (K + J.T @ (J @ K) - eye)
+        zeta_next = zeta - params.delta_at(i) * (K @ (r0 + J.T @ residual))
+        if not (np.isfinite(zeta_next).all() and np.isfinite(K_next).all()):
+            raise DivergenceError("window solver produced a non-finite value", iteration=i)
+        zeta, K = quat_normalize(zeta_next), K_next
+    P, _ = _propagate_rows(M, zeta)
+    return P[-1], quat_normalize(P[0]), K, np.vstack([zeta, P[:-1]])
 
 
 def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
@@ -198,17 +276,15 @@ class CascadeState:
     pending_ahrs: list = field(default_factory=list)
     pending_dvl: list = field(default_factory=list)
     window_start_seed: Optional[NavState] = None
-    q_window: Optional[IpgWindow] = None
+    bursts: tuple = ()  # the window's N-1 bursts, oldest first
+    ahrs_window: Optional[np.ndarray] = None  # (N, 4), oldest first
+    q_iterate: Optional[np.ndarray] = None  # orientation at the window start
+    q_precond: Optional[np.ndarray] = None  # the 4x4 orientation preconditioner
     dvl_window: Optional[np.ndarray] = None  # (N, 3), oldest first
     v_iterate: Optional[np.ndarray] = None  # velocity at the window start
     v_gain: float = 0.0  # the velocity preconditioner is v_gain * I
     needs_reseed: bool = False
     fallback_count: int = 0
-    _stage1: _OrientationStage = None
-
-    def __post_init__(self):
-        if self._stage1 is None:
-            self._stage1 = _OrientationStage(self.config.biases)
 
     @classmethod
     def start(cls, config: CascadeConfig, epochs) -> "CascadeState":
@@ -248,39 +324,36 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
     if state.k == n:
-        q_inputs = tuple(state.pending_bursts) + (burst,)
-        q_meas = tuple(state.pending_ahrs) + (epoch.ahrs,)
         seed = state.window_start_seed
-        state.q_window = IpgWindow.initial(q_inputs, q_meas, seed.orientation, config.params.k0_scale)
+        state.bursts = tuple(state.pending_bursts) + (burst,)
+        state.ahrs_window = np.array(state.pending_ahrs + [epoch.ahrs], dtype=float)
+        state.q_iterate, state.q_precond = seed.orientation, config.params.k0_scale * np.eye(4)
         state.dvl_window = np.array(state.pending_dvl + [epoch.dvl], dtype=float)
         state.v_iterate, state.v_gain = seed.velocity, config.velocity_params.k0_scale
         state.pending_bursts = []
         state.pending_ahrs = []
         state.pending_dvl = []
     else:
-        state.q_window = slide_window(state.q_window, burst, epoch.ahrs)
+        state.bursts = state.bursts[1:] + (burst,)
+        state.ahrs_window = np.vstack([state.ahrs_window[1:], epoch.ahrs])
         state.dvl_window = np.vstack([state.dvl_window[1:], epoch.dvl])
         if state.needs_reseed:
             # After a fallback epoch, restart both iterates from the direct
             # measurements of the new window start (identity measurement maps).
-            state.q_window = IpgWindow.initial(
-                state.q_window.inputs,
-                state.q_window.measurements,
-                quat_normalize(state.q_window.measurements[0]),
-                config.params.k0_scale,
-            )
+            state.q_iterate = quat_normalize(state.ahrs_window[0])
+            state.q_precond = config.params.k0_scale * np.eye(4)
             state.v_iterate, state.v_gain = state.dvl_window[0], config.velocity_params.k0_scale
             state.needs_reseed = False
 
     stage = "orientation"
     try:
-        res_q = ipg_step(state._stage1.model, config.params, state.q_window)
-        bursts = state.q_window.inputs
-        # With an identity measurement map the stacked map is the orientation
-        # at each window epoch, so row j is where burst j starts.
-        quats = stacked_map(state._stage1.model, bursts, res_q.window_start).reshape(-1, 4)
-        increments = (_rotate_rows(quats[:-1], np.array([b.body_dv for b in bursts]))
-                      + np.outer([b.duration for b in bursts], config.gravity.vector))
+        orientation, q_iterate, q_precond, quats = _orientation_step(
+            config.params, state.ahrs_window, state.q_iterate, state.q_precond,
+            [b.rot_increment for b in state.bursts],
+        )
+        # quats[j] is the orientation where burst j starts.
+        increments = (_rotate_rows(quats, np.array([b.body_dv for b in state.bursts]))
+                      + np.outer([b.duration for b in state.bursts], config.gravity.vector))
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
             config.velocity_params, state.dvl_window, state.v_iterate, state.v_gain, increments
@@ -298,9 +371,9 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
     position = state.nav.position + velocity * dt_epoch
-    nav = NavState(position, velocity, res_q.estimate)
+    nav = NavState(position, velocity, orientation)
 
-    state.q_window = res_q.window
+    state.q_iterate, state.q_precond = q_iterate, q_precond
     state.v_iterate, state.v_gain = v_iterate, v_gain
     state.nav = nav
     state.t_prev = epoch.t

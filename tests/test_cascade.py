@@ -13,12 +13,14 @@ from cipgnav.cascade import (
     CascadeConfig,
     CascadeState,
     _make_burst,
+    _OrientationStage,
+    _orientation_step,
     _velocity_step,
     cascade_step,
     run_cascade,
 )
 from cipgnav.errors import DivergenceError
-from cipgnav.ipg import IpgParams, IpgWindow, WindowModel, ipg_step
+from cipgnav.ipg import IpgParams, IpgWindow, WindowModel, ipg_step, stacked_map
 from cipgnav.preintegration import GravityModel, ImuBiases, propagate_orientation
 from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product, quat_to_rotation
 from cipgnav.sensors import ImuSample, SyncedEpoch
@@ -239,6 +241,68 @@ class TestFallback:
         assert np.linalg.norm(state.nav.position - truth[epochs[-1].t].position) < 0.5
 
 
+def diverging_orientation_config(**kwargs):
+    return CascadeConfig(
+        params=IpgParams(alpha=1e200),
+        params_velocity=IpgParams(),
+        **kwargs,
+    )
+
+
+class TestOrientationFallback:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_abort_raises_with_stage_and_epoch(self):
+        _, epochs = circle_run(duration=10.0)
+        with pytest.raises(DivergenceError) as exc_info:
+            run_cascade(epochs, diverging_orientation_config(fallback="abort"))
+        assert exc_info.value.stage == "orientation"
+        assert exc_info.value.epoch == epochs[IpgParams().horizon - 1].t
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_deadreckon_flags_and_completes(self):
+        run, epochs = circle_run(duration=10.0)
+        points = run_cascade(
+            epochs,
+            diverging_orientation_config(fallback="deadreckon", initial=run.initial_nav()),
+        )
+        flags = [p.flag for p in points]
+        horizon = IpgParams().horizon
+        assert len(points) == len(epochs)
+        assert set(flags[horizon - 1 :]) == {"fallback"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reseeds_from_window_start_ahrs_after_single_bad_epoch(self):
+        run, epochs = circle_run(duration=20.0)
+        good = CascadeConfig(fallback="deadreckon", initial=run.initial_nav())
+        bad = diverging_orientation_config(fallback="deadreckon", initial=run.initial_nav())
+        horizon = good.params.horizon
+        state = CascadeState.start(good, epochs)
+        for k, epoch in enumerate(epochs[: horizon + 2]):
+            state, point = cascade_step(state, epoch, bad if k == horizon + 1 else None)
+        assert point.flag == "fallback"
+        assert state.needs_reseed
+        # The next epoch restarts stage 1 from the AHRS measurement at the
+        # start of the slid window, with a fresh preconditioner.
+        nxt = epochs[horizon + 2]
+        ahrs = np.vstack([state.ahrs_window[1:], nxt.ahrs])
+        bursts = state.bursts[1:] + (_make_burst(nxt, good.biases.gyro, good.biases.accel),)
+        expected = _orientation_step(
+            good.params, ahrs, quat_normalize(ahrs[0]), good.params.k0_scale * np.eye(4),
+            [b.rot_increment for b in bursts],
+        )[0]
+        state, point = cascade_step(state, nxt)
+        assert point.flag == "ok"
+        assert not state.needs_reseed
+        np.testing.assert_array_equal(point.nav.orientation, quat_normalize(expected))
+        for epoch in epochs[horizon + 3 :]:
+            state, point = cascade_step(state, epoch)
+            assert point.flag == "ok"
+        assert state.fallback_count == 1
+        truth = {p.t: p.nav for p in run.truth}
+        assert quat_angular_distance(state.nav.orientation, truth[epochs[-1].t].orientation) < 1e-6
+        assert np.linalg.norm(state.nav.position - truth[epochs[-1].t].position) < 0.5
+
+
 def identity_velocity_model():
     """The velocity stage as a generic window model: J = [I; ...; I]."""
     return WindowModel(
@@ -286,3 +350,72 @@ class TestVelocityStage:
         with pytest.raises(DivergenceError) as generic_exc:
             ipg_step(identity_velocity_model(), params, generic)
         assert closed.value.iteration == generic_exc.value.iteration
+
+
+def random_epoch(rng, t_prev, n_samples):
+    """A synced epoch whose burst has random spacing, specific force and rates."""
+    ts = t_prev + np.cumsum(rng.uniform(0.005, 0.02, n_samples))
+    burst = tuple(
+        ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 1.0), rng.normal(scale=0.8, size=3))
+        for t in ts
+    )
+    return SyncedEpoch(t=float(ts[-1]), t_prev=float(t_prev), imu_burst=burst,
+                       dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+class TestOrientationStage:
+    """The batched stage-1 step against ipg_step on the generic model."""
+
+    GYRO_BIAS = np.array([0.001, -0.002, 0.0005])
+
+    def random_window(self, rng, horizon, k0):
+        """(ahrs, iterate, K, increments) and the same window for ipg_step."""
+        bursts, t = [], 0.0
+        for _ in range(horizon - 1):
+            epoch = random_epoch(rng, t, int(rng.integers(1, 25)))
+            bursts.append(_make_burst(epoch, self.GYRO_BIAS))
+            t = epoch.t
+        # AHRS near the trajectory from a random start, and an iterate near
+        # that start; the iterate and random AHRS blocks are negated so that
+        # the hemisphere alignment of every row, row 0 included, matters.
+        q = random_unit_quat(rng)
+        iterate = quat_normalize(q + rng.normal(scale=0.3, size=4)) * rng.choice([-1.0, 1.0])
+        ahrs = [q]
+        for b in bursts:
+            q = quat_normalize(quat_product(q, b.rot_increment))
+            ahrs.append(q)
+        ahrs = np.array([quat_normalize(a + rng.normal(scale=0.05, size=4)) for a in ahrs])
+        ahrs *= rng.choice([-1.0, 1.0], size=(horizon, 1))
+        K = k0 * np.eye(4)
+        generic = IpgWindow(tuple(bursts), tuple(ahrs), iterate, K)
+        args = (ahrs, iterate, K, [b.rot_increment for b in bursts])
+        return args, generic
+
+    def test_batched_step_matches_ipg_step(self, rng):
+        model = _OrientationStage(ImuBiases()).model
+        for _ in range(100):
+            horizon = int(rng.integers(2, 9))
+            params = IpgParams(
+                horizon=horizon,
+                iterations=int(rng.integers(1, 11)),
+                alpha=tuple(rng.uniform(0.01, 0.9 / horizon, int(rng.integers(1, 4)))),
+                delta=tuple(rng.uniform(0.1, 1.5, int(rng.integers(1, 4)))),
+            )
+            args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3))
+            estimate, warm, K, quats = _orientation_step(params, *args)
+            ref = ipg_step(model, params, generic)
+            np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(K, ref.window.precond, rtol=0.0, atol=1e-12)
+            expected = stacked_map(model, generic.inputs, ref.window_start).reshape(-1, 4)[:-1]
+            np.testing.assert_allclose(quats, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_at_same_iteration_as_ipg_step(self, rng):
+        params = IpgParams(alpha=1e200)
+        args, generic = self.random_window(rng, params.horizon, params.k0_scale)
+        with pytest.raises(DivergenceError) as batched:
+            _orientation_step(params, *args)
+        with pytest.raises(DivergenceError) as generic_exc:
+            ipg_step(_OrientationStage(ImuBiases()).model, params, generic)
+        assert batched.value.iteration == generic_exc.value.iteration
