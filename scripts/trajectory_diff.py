@@ -5,13 +5,15 @@ Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
 contains ``cipgnav/``), runs cipg, EKF and InEKF on ``benchmark_scenario``
 for each seed in two configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
-all seeds and epochs, and whether the per-epoch flags are equal.
+all seeds and epochs, and whether the per-epoch flags are equal.  The two
+trees must agree to within TOLERANCE (1e-12) in every quantity.
 
 Configurations:
     survey       100 Hz IMU, window N=5, 3 inner iterations
     long-window   25 Hz IMU, window N=10, 10 inner iterations
 
-Exits 1 if any flag (or epoch timestamp) differs, 0 otherwise.
+Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or any flag (or
+epoch timestamp) differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 DURATION = 100.0  # seconds of each benchmark scenario
+TOLERANCE = 1e-12  # largest accepted max |difference| of any quantity
 CONFIGS = {
     "survey": dict(imu_rate=100.0, horizon=5, iterations=3),
     "long-window": dict(imu_rate=25.0, horizon=10, iterations=10),
@@ -105,7 +108,7 @@ def main(argv=None) -> int:
         old = run_tree(args.old_src, seeds)
         new = run_tree(args.new_src, seeds)
 
-    print(f"seeds {args.seeds}, {DURATION:g} s each")
+    print(f"seeds {args.seeds}, {DURATION:g} s each, tolerance {TOLERANCE:g}")
     print(f"{'config':12s} {'estimator':9s} {'max|dp| m':>10s} {'max|dv| m/s':>11s} "
           f"{'max|dq|':>10s}  flags")
     same = True
@@ -124,10 +127,13 @@ def main(argv=None) -> int:
                     dev[k] = max(dev[k], float(np.max(np.abs(a[k + 1] - b[k + 1]))))
                 for flag in b[4]:
                     counts[flag] = counts.get(flag, 0) + 1
-            same &= flags_equal
+            within = bool(np.all(dev <= TOLERANCE))
+            same &= flags_equal and within
             summary = ", ".join(f"{n} {f}" for f, n in sorted(counts.items()))
             verdict = f"equal ({summary})" if flags_equal else "DIFFER"
-            print(f"{config:12s} {name:9s} {dev[0]:10.3g} {dev[1]:11.3g} {dev[2]:10.3g}  {verdict}")
+            excess = "" if within else "  OVER TOLERANCE"
+            print(f"{config:12s} {name:9s} {dev[0]:10.3g} {dev[1]:11.3g} {dev[2]:10.3g}  "
+                  f"{verdict}{excess}")
     return 0 if same else 1
 
 

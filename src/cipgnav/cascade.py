@@ -42,9 +42,10 @@ from .preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
-    _check_dt,
     preintegrate_burst,
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
+    running_product,
+    unpack_burst,
 )
 from .quat import _NORM_EPS, normalize_jacobian, quat_normalize, quat_product, quat_right_matrix
 from .sensors import initial_nav_from_epochs
@@ -63,7 +64,7 @@ FALLBACK_MODES = ("abort", "deadreckon")
 
 @dataclass(frozen=True)
 class BurstInput:
-    """IMU burst unpacked into arrays and preintegrated; the window input between two epochs.
+    """IMU burst preintegrated once; the window input between two epochs.
 
     ``rot_increment`` is the Hamilton product of the per-sample orientation
     increments (1, dt_i/2 * (gyro_i - bias)).  Because per-step quaternion
@@ -78,36 +79,18 @@ class BurstInput:
     ``R(q) @ body_dv + duration * g``.
     """
 
-    dts: np.ndarray            # (M,)
-    gyro: np.ndarray           # (M, 3)
-    accel: np.ndarray          # (M, 3)
     rot_increment: np.ndarray  # (4,)
     body_dv: np.ndarray        # (3,)
     duration: float
 
 
 def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
-    ts = np.array([s.t for s in epoch.imu_burst])
-    dts = np.diff(np.concatenate(([epoch.t_prev], ts)))
-    if np.any(dts <= 0.0):
-        raise ValueError(f"non-positive IMU sample spacing in epoch at t={epoch.t!r}")
-    _check_dt(dts.max())  # one large-step warning per burst
-    gyro = np.vstack([s.gyro for s in epoch.imu_burst])
-    accel = np.vstack([s.accel for s in epoch.imu_burst])
-    # The running product q * (1, h) with h = dt/2 * (gyro - bias), on Python
-    # floats: the same operations as quat_product, without per-sample arrays.
-    prefixes = []
-    w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    for hx, hy, hz in (0.5 * dts[:, None] * (gyro - gyro_bias)).tolist():
-        prefixes.append((w, x, y, z))
-        w, x, y, z = (w - x * hx - y * hy - z * hz,
-                      w * hx + x + y * hz - z * hy,
-                      w * hy - x * hz + y + z * hx,
-                      w * hz + x * hy - y * hx + z)
-    prefixes = np.array(prefixes)
+    dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, gyro_bias, accel_bias)
+    products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
+    prefixes = products[:-1]
     prefixes /= np.linalg.norm(prefixes, axis=1, keepdims=True)
-    body_dv = dts @ _rotate_rows(prefixes, accel - accel_bias)
-    return BurstInput(dts, gyro, accel, np.array([w, x, y, z]), body_dv, float(dts.sum()))
+    body_dv = dts @ _rotate_rows(prefixes, accel)
+    return BurstInput(products[-1], body_dv, float(dts.sum()))
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,11 +111,11 @@ def _rotate_rows(quats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 class _OrientationStage:
     """Window model for the orientation observer (state: quaternion).
 
-    The gyro bias in ``biases`` is already folded into each burst's
-    ``rot_increment`` by ``_make_burst``.
+    The gyro bias is already folded into each burst's ``rot_increment`` by
+    ``_make_burst``.
     """
 
-    def __init__(self, biases: ImuBiases):
+    def __init__(self):
         self.model = WindowModel(
             state_dim=4,
             meas_dim=4,

@@ -36,6 +36,8 @@ __all__ = [
     "propagate_velocity",
     "propagate_position",
     "preintegrate_burst",
+    "unpack_burst",
+    "running_product",
 ]
 
 _DT_WARN = 0.05
@@ -101,7 +103,12 @@ class NavState:
         self.orientation = quat_normalize(self.orientation)
 
     def copy(self) -> "NavState":
-        return NavState(self.position.copy(), self.velocity.copy(), self.orientation.copy())
+        """Independent copy, bit for bit: the orientation is not normalized again."""
+        new = object.__new__(NavState)
+        new.position = self.position.copy()
+        new.velocity = self.velocity.copy()
+        new.orientation = self.orientation.copy()
+        return new
 
 
 def _check_dt(dt: float) -> float:
@@ -112,6 +119,45 @@ def _check_dt(dt: float) -> float:
         warnings.warn(f"IMU step dt={dt:.3f} s is large; integration error grows with dt",
                       stacklevel=3)
     return dt
+
+
+def unpack_burst(burst, t_start: float, gyro_bias, accel_bias):
+    """Arrays of an ordered IMU burst: spacings and bias-corrected readings.
+
+    Returns ``(dts, accel, gyro)`` with shapes (M,), (M, 3) and (M, 3); the
+    first spacing is measured from ``t_start``.  Raises ValueError on a
+    non-positive spacing and warns once per burst, through ``_check_dt``,
+    when the largest spacing is large.
+    """
+    ts = np.array([s.t for s in burst], dtype=float)
+    dts = np.diff(ts, prepend=float(t_start))
+    bad = np.flatnonzero(dts <= 0.0)
+    if bad.size:
+        raise ValueError(f"non-positive IMU sample spacing at t={burst[bad[0]].t!r}")
+    if dts.size:
+        _check_dt(dts.max())
+    accel = np.array([s.accel for s in burst], dtype=float).reshape(-1, 3) - accel_bias
+    gyro = np.array([s.gyro for s in burst], dtype=float).reshape(-1, 3) - gyro_bias
+    return dts, accel, gyro
+
+
+def running_product(q0, dts: np.ndarray, gyro: np.ndarray) -> np.ndarray:
+    """Unnormalized products q0 * r_1 * ... * r_k, k = 0..M, as an (M+1, 4) array.
+
+    r_i = (1, dt_i/2 * gyro_i) is the Euler increment of ``propagate_orientation``
+    before its renormalization, which only rescales, so row k normalized is
+    the orientation after k samples.  The product runs on Python floats with
+    the operations of ``quat_product``, without per-sample arrays.
+    """
+    w, x, y, z = (float(c) for c in q0)
+    rows = [(w, x, y, z)]
+    for hx, hy, hz in (0.5 * dts[:, None] * gyro).tolist():
+        w, x, y, z = (w - x * hx - y * hy - z * hz,
+                      w * hx + x + y * hz - z * hy,
+                      w * hy - x * hz + y + z * hx,
+                      w * hz + x * hy - y * hx + z)
+        rows.append((w, x, y, z))
+    return np.array(rows)
 
 
 def propagate_orientation(q, gyro, gyro_bias, dt) -> np.ndarray:
@@ -160,18 +206,23 @@ def preintegrate_burst(state: NavState, burst, biases: ImuBiases, gravity: Gravi
     """Propagate a NavState through an ordered IMU burst.
 
     Per-sample dt comes from timestamp differences; the first sample's dt is
-    measured from ``t_start`` (the preceding epoch boundary).  Empty bursts
-    return a copy of the input state.
+    measured from ``t_start`` (the preceding epoch boundary).  Each sample
+    applies the expressions of ``propagate_position``, ``propagate_velocity``
+    and ``propagate_orientation`` with one ``_check_dt`` per sample.  Empty
+    bursts return a copy of the input state.
     """
     q = state.orientation.copy()
     v = state.velocity.copy()
     p = state.position.copy()
+    g = gravity.vector
     t_prev = float(t_start)
     for sample in burst:
-        dt = sample.t - t_prev
-        p_next = propagate_position(p, v, dt)
-        v_next = propagate_velocity(v, q, sample.accel, biases.accel, gravity, dt)
-        q_next = propagate_orientation(q, sample.gyro, biases.gyro, dt)
-        p, v, q = p_next, v_next, q_next
+        dt = _check_dt(sample.t - t_prev)
+        specific_force = np.asarray(sample.accel, dtype=float) - biases.accel
+        rate = np.asarray(sample.gyro, dtype=float) - biases.gyro
+        increment = np.concatenate(([1.0], 0.5 * dt * rate))
+        p, v, q = (p + dt * v,
+                   v + dt * (quat_to_rotation(q) @ specific_force + g),
+                   quat_normalize(quat_product(q, increment)))
         t_prev = sample.t
     return NavState(p, v, q)

@@ -35,6 +35,8 @@ __all__ = [
 QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 _NORM_EPS = 1e-12
+_EYE3 = np.eye(3)
+_ORTHO_TOL = 1e-6 + 1e-5 * _EYE3
 
 
 def _as_finite(q, name):
@@ -98,7 +100,8 @@ def rotation_to_quat(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected 3x3 rotation matrix, got shape {R.shape}")
-    if not np.allclose(R @ R.T, np.eye(3), atol=1e-6) or np.linalg.det(R) < 0.0:
+    # |R R^T - I| <= 1e-6 + 1e-5 |I| elementwise, as np.allclose tests it (NaN fails).
+    if not (np.abs(R @ R.T - _EYE3) <= _ORTHO_TOL).all() or np.linalg.det(R) < 0.0:
         raise ValueError("matrix is not a rotation: R @ R.T != I or det(R) < 0")
     tr = R[0, 0] + R[1, 1] + R[2, 2]
     if tr > 0.0:

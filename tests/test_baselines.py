@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +15,7 @@ from cipgnav.baselines import (
     InekfState,
     _attitude_innovation,
     _check_cov,
+    ekf_predict,
     inekf_predict,
     inekf_update,
     kalman_update,
@@ -20,15 +24,18 @@ from cipgnav.baselines import (
     se23_exp,
 )
 from cipgnav.errors import NumericalError
-from cipgnav.preintegration import NavState
+from cipgnav.preintegration import ImuBiases, NavState
 from cipgnav.quat import (
     quat_angular_distance,
     quat_from_rotvec,
     quat_from_yaw,
+    quat_normalize,
     quat_product,
     quat_to_rotation,
 )
+from cipgnav.sensors import ImuSample
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
+from tests.conftest import random_unit_quat
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -42,6 +49,130 @@ def circle_epochs(duration=20.0, noise=QUIET, seed=0, radius=10.0):
                         circle_radius=radius, noise=noise, seed=seed)
     run = generate(spec)
     return run, run.epochs()
+
+
+def reference_ekf_predict(state, burst, config, t_start):
+    """ekf_predict sample by sample: per-sample F, noise and mean update."""
+    p, v, q, P = state.nav.position, state.nav.velocity, state.nav.orientation, state.cov
+    g = config.gravity.vector
+    Qc = np.diag(config.q_diag())
+    t_prev = t_start
+    for sample in burst:
+        dt = sample.t - t_prev
+        R = quat_to_rotation(q)
+        a = sample.accel - config.biases.accel
+        w = sample.gyro - config.biases.gyro
+        F = np.eye(9)
+        F[0:3, 3:6] = dt * np.eye(3)
+        F[3:6, 6:9] = -dt * (R @ skew(a))
+        F[6:9, 6:9] = np.eye(3) - dt * skew(w)
+        P = F @ P @ F.T + Qc * dt
+        inc = np.concatenate(([1.0], 0.5 * dt * w))
+        p, v, q = p + dt * v, v + dt * (R @ a + g), quat_normalize(quat_product(q, inc))
+        t_prev = sample.t
+    return p, v, q, 0.5 * (P + P.T)
+
+
+def reference_inekf_predict(state, burst, config, t_start):
+    """inekf_predict sample by sample: per-sample F, Ad-mapped noise and mean update."""
+    R, v, p, P = state.rotation, state.velocity, state.position, state.cov
+    g = config.gravity.vector
+    Qb = np.diag(np.concatenate([np.full(3, config.q_att), np.full(3, config.q_vel),
+                                 np.full(3, config.q_pos)]))
+    t_prev = t_start
+    for sample in burst:
+        dt = sample.t - t_prev
+        a = sample.accel - config.biases.accel
+        w = sample.gyro - config.biases.gyro
+        F = np.eye(9)
+        F[3:6, 0:3] = dt * skew(g)
+        F[6:9, 3:6] = dt * np.eye(3)
+        Ad = np.zeros((9, 9))
+        Ad[0:3, 0:3] = R
+        Ad[3:6, 0:3] = skew(v) @ R
+        Ad[3:6, 3:6] = R
+        Ad[6:9, 0:3] = skew(p) @ R
+        Ad[6:9, 6:9] = R
+        P = F @ P @ F.T + (Ad @ Qb @ Ad.T) * dt
+        inc = quat_normalize(np.concatenate(([1.0], 0.5 * dt * w)))
+        p, v, R = p + dt * v, v + dt * (R @ a + g), R @ quat_to_rotation(inc)
+        t_prev = sample.t
+    return R, v, p, 0.5 * (P + P.T)
+
+
+def random_burst(rng, t_start, n):
+    """n IMU samples after t_start with non-uniform spacing below 0.05 s."""
+    ts = t_start + np.cumsum(rng.uniform(0.001, 0.03, n))
+    return tuple(
+        ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 2.0), rng.normal(scale=0.8, size=3))
+        for t in ts
+    )
+
+
+def random_config(rng, validate=False):
+    biases = ImuBiases(accel=rng.normal(scale=0.2, size=3), gyro=rng.normal(scale=0.01, size=3))
+    return FilterConfig(biases=biases, validate=validate)
+
+
+def random_cov(rng):
+    A = rng.normal(size=(9, 9))
+    return A @ A.T / 9.0 + 0.1 * np.eye(9)
+
+
+class TestBatchedPredict:
+    """ekf_predict and inekf_predict against their sample-by-sample loops."""
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_ekf_matches_per_sample_loop(self, rng, validate):
+        for _ in range(50):
+            config = random_config(rng, validate)
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+            state = EkfState(nav, random_cov(rng))
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, int(rng.integers(1, 26)))
+            out = ekf_predict(state, burst, config, t0)
+            p, v, q, P = reference_ekf_predict(state, burst, config, t0)
+            np.testing.assert_allclose(out.nav.position, p, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.nav.velocity, v, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.nav.orientation, q, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.cov, P, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_inekf_matches_per_sample_loop(self, rng, validate):
+        for _ in range(50):
+            config = random_config(rng, validate)
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+            state = replace(InekfState.start(nav, config), cov=random_cov(rng))
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, int(rng.integers(1, 26)))
+            out = inekf_predict(state, burst, config, t0)
+            R, v, p, P = reference_inekf_predict(state, burst, config, t0)
+            np.testing.assert_allclose(out.rotation, R, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.velocity, v, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.position, p, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.cov, P, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_zero_spacing_raises(self, rng, predict):
+        config = FilterConfig()
+        start = EkfState.start if predict is ekf_predict else InekfState.start
+        burst = random_burst(rng, 0.0, 5)
+        burst = burst[:2] + (replace(burst[2], t=burst[1].t),) + burst[3:]
+        with pytest.raises(ValueError, match="spacing"):
+            predict(start(NavState(), config), burst, config, 0.0)
+
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_large_spacing_warns_once(self, rng, predict):
+        config = FilterConfig()
+        start = EkfState.start if predict is ekf_predict else InekfState.start
+        burst = random_burst(rng, 0.0, 10)
+        shifted = tuple(replace(s, t=s.t + 0.1) for s in burst[4:])
+        burst = burst[:4] + shifted
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            predict(start(NavState(), config), burst, config, 0.0)
+        large = [w for w in caught if "is large" in str(w.message)]
+        assert len(large) == 1
 
 
 class TestKalmanUpdate:

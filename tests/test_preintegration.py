@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ class TestNavState:
         c = s.copy()
         c.position[0] = 5.0
         assert s.position[0] == 0.0
+
+    def test_copy_is_bitwise_equal(self, rng):
+        for _ in range(2000):
+            s = NavState(rng.normal(size=3), rng.normal(size=3), random_unit_quat(rng))
+            c = s.copy()
+            assert c.position.tobytes() == s.position.tobytes()
+            assert c.velocity.tobytes() == s.velocity.tobytes()
+            assert c.orientation.tobytes() == s.orientation.tobytes()
 
 
 class TestKernels:
@@ -148,6 +158,14 @@ class TestBurst:
         np.testing.assert_allclose(out.position, state.position)
         out.position[0] = -1.0
         assert state.position[0] == 1.0
+
+    def test_large_step_warns_once(self, rng):
+        burst = self.make_burst(rng, n=5) + self.make_burst(rng, n=5, t0=0.2)
+        assert burst[5].t - burst[4].t == pytest.approx(0.16)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            preintegrate_burst(NavState(), burst, NO_BIAS, G, t_start=0.0)
+        assert len([w for w in caught if "is large" in str(w.message)]) == 1
 
     def test_free_fall(self):
         # Zero specific force: velocity accumulates exactly g per second.

@@ -122,6 +122,12 @@ class TestRotation:
         with pytest.raises(ValueError):
             rotation_to_quat(2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("R", [np.full((3, 3), np.nan), np.diag([1.0, 1.0, -1.0])],
+                             ids=["nan", "reflection"])
+    def test_rejects_nan_and_reflection(self, R):
+        with pytest.raises(ValueError):
+            rotation_to_quat(R)
+
 
 class TestRotvec:
     def test_round_trip(self, rng):
