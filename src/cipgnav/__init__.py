@@ -21,7 +21,6 @@ from .baselines import FilterConfig, run_ekf, run_inekf
 from .sensors import (
     AhrsSample,
     DvlSample,
-    GpsFix,
     GroundTruthSample,
     ImuSample,
     SyncedEpoch,
@@ -68,7 +67,6 @@ __all__ = [
     "DvlSample",
     "AhrsSample",
     "GroundTruthSample",
-    "GpsFix",
     "SyncedEpoch",
     "load_stream",
     "save_stream",

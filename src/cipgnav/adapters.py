@@ -23,9 +23,7 @@ columns to read and how to convert them:
                     order; "order" says whether that order means wxyz or
                     xyzw.  Or mode "euler" with columns roll/pitch/yaw and
                     "angle_unit": "deg",
-        "gt":   {... like ahrs columns plus px/py/pz, orientation optional},
-        "gps":  {"file": "...", "time": {...},
-                 "columns": {"lat": ..., "lon": ...}}
+        "gt":   {... like ahrs columns plus px/py/pz, orientation optional}
       }
     }
 
@@ -52,7 +50,6 @@ from .quat import quat_from_euler, quat_normalize
 from .sensors import (
     AhrsSample,
     DvlSample,
-    GpsFix,
     GroundTruthSample,
     ImuSample,
     dvl_body_to_nav,
@@ -74,7 +71,7 @@ GYRO_UNITS = {"rad/s": 1.0, "deg/s": math.pi / 180.0}
 VELOCITY_UNITS = {"m/s": 1.0, "mm/s": 1e-3, "cm/s": 1e-2}
 ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 
-_STREAM_KINDS = ("imu", "dvl", "ahrs", "gt", "gps")
+_STREAM_KINDS = ("imu", "dvl", "ahrs", "gt")
 _REQUIRED_STREAMS = ("imu", "dvl", "ahrs")
 
 
@@ -179,7 +176,7 @@ def load_adapter(source) -> dict:
             _check_unit(cfg.get("velocity_unit", "m/s"), VELOCITY_UNITS, "velocity unit")
             _require(cfg.get("frame", "nav") in ("nav", "body"),
                      f"dvl: frame must be 'nav' or 'body', got {cfg.get('frame')!r}")
-        elif kind in ("ahrs", "gt"):
+        else:  # ahrs, gt
             mode = cfg.get("mode", "quaternion")
             _require(mode in ("quaternion", "euler"), f"{kind}: mode must be quaternion or euler")
             needed = set()
@@ -197,8 +194,6 @@ def load_adapter(source) -> dict:
                     needed |= {"roll", "pitch", "yaw"}
                     _check_unit(cfg.get("angle_unit", "rad"), ANGLE_UNITS, "angle unit")
             _require(set(cols) >= needed, f"{kind}: columns must map {sorted(needed)}")
-        elif kind == "gps":
-            _require(set(cols) >= {"lat", "lon"}, "gps: columns must map lat and lon")
     missing = [k for k in _REQUIRED_STREAMS if k not in streams]
     _require(not missing, f"missing required streams {missing} (needed to build epochs)")
     return spec
@@ -345,17 +340,12 @@ def _convert_gt(path, cfg, log: StreamLog):
     return out
 
 
-def _convert_gps(path, cfg, log: StreamLog):
-    rows = _read_rows(path, cfg, ["lat", "lon"], log)
-    return [GpsFix(t, v["lat"], v["lon"]) for t, v in rows]
-
-
 def adapt(adapter, src_dir, out_dir) -> ConversionLog:
     """Convert a dataset directory to canonical CSVs.
 
     ``adapter`` is a builtin adapter name, a JSON file path, or a dict (see
     module docs).  Reads source files relative to ``src_dir`` and writes ``imu.csv``,
-    ``dvl.csv``, ``ahrs.csv`` (plus ``gt.csv`` / ``gps.csv`` when described)
+    ``dvl.csv``, ``ahrs.csv`` (plus ``gt.csv`` when described)
     into ``out_dir``.
     """
     if not isinstance(adapter, dict):
@@ -385,10 +375,8 @@ def adapt(adapter, src_dir, out_dir) -> ConversionLog:
             converted[kind] = _convert_dvl(path, cfg, slog)
         elif kind == "ahrs":
             converted[kind] = _convert_ahrs(path, cfg, slog)
-        elif kind == "gt":
-            converted[kind] = _convert_gt(path, cfg, slog)
         else:
-            converted[kind] = _convert_gps(path, cfg, slog)
+            converted[kind] = _convert_gt(path, cfg, slog)
         if not converted[kind]:
             raise ParseError(f"stream {kind!r}: no usable rows after conversion", path=path)
         clog.streams[kind] = slog

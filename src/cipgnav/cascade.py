@@ -25,6 +25,7 @@ Position is not windowed: it integrates the stage-2 velocity estimate over
 the epoch period.  The first N-1 epochs are emitted as dead-reckoned warmup
 rows; on divergence the estimator aborts (default) or falls back to dead
 reckoning for the epoch and reseeds the windows from direct measurements.
+Dead reckoning runs from the same preintegrated bursts.
 """
 
 from __future__ import annotations
@@ -42,12 +43,19 @@ from .preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
-    preintegrate_burst,
+    preintegrate_burst,  # noqa: F401  kept as a module attribute: perfbench wraps it by name
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
     running_product,
     unpack_burst,
 )
-from .quat import _NORM_EPS, normalize_jacobian, quat_normalize, quat_product, quat_right_matrix
+from .quat import (
+    _NORM_EPS,
+    normalize_jacobian,
+    quat_normalize,
+    quat_product,
+    quat_right_matrix,
+    quat_to_rotation,
+)
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
 
@@ -77,11 +85,17 @@ class BurstInput:
     ``duration`` is sum_i dt_i.  For the same reason as above, the velocity
     gained over the burst from orientation ``q`` is
     ``R(q) @ body_dv + duration * g``.
+
+    ``dts`` holds the dt_i and ``body_accel`` the rows
+    R(P_{i-1}) @ (accel_i - accel_bias), from which ``_dead_reckon`` forms
+    the position increment only for the epochs that dead-reckon.
     """
 
     rot_increment: np.ndarray  # (4,)
     body_dv: np.ndarray        # (3,)
     duration: float
+    dts: np.ndarray            # (M,)
+    body_accel: np.ndarray     # (M, 3)
 
 
 def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
@@ -89,8 +103,8 @@ def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
     products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
     prefixes = products[:-1]
     prefixes /= np.linalg.norm(prefixes, axis=1, keepdims=True)
-    body_dv = dts @ _rotate_rows(prefixes, accel)
-    return BurstInput(products[-1], body_dv, float(dts.sum()))
+    body_accel = _rotate_rows(prefixes, accel)
+    return BurstInput(products[-1], dts @ body_accel, float(dts.sum()), dts, body_accel)
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -275,9 +289,20 @@ class CascadeState:
         return cls(config=config, nav=nav, t_prev=epochs[0].t_prev)
 
 
-def _dead_reckon(state: CascadeState, epoch) -> NavState:
-    return preintegrate_burst(
-        state.nav, epoch.imu_burst, state.config.biases, state.config.gravity, state.t_prev
+def _dead_reckon(nav: NavState, burst: BurstInput, g: np.ndarray) -> NavState:
+    """``preintegrate_burst`` of ``nav`` over one burst, from its preintegrated terms.
+
+    The Euler position update p_i = p_{i-1} + dt_i * v_{i-1} sums to
+    duration * v + sum_i w_i * (R(q) @ body_accel_i + g) with
+    w_i = dt_i * (duration - t_i), t_i the time from the burst start to sample i.
+    """
+    weights = burst.dts * (burst.duration - np.cumsum(burst.dts))
+    R = quat_to_rotation(nav.orientation)
+    return NavState(
+        nav.position + burst.duration * nav.velocity
+        + R @ (weights @ burst.body_accel) + weights.sum() * g,
+        nav.velocity + R @ burst.body_dv + burst.duration * g,
+        quat_product(nav.orientation, burst.rot_increment),
     )
 
 
@@ -295,7 +320,7 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
     state.k += 1
 
     if state.k < n:
-        nav = _dead_reckon(state, epoch)
+        nav = _dead_reckon(state.nav, burst, config.gravity.vector)
         if state.k == 1:
             state.window_start_seed = nav.copy()
         else:
@@ -346,7 +371,7 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
             raise DivergenceError(
                 "cascade stage diverged", iteration=exc.iteration, stage=stage, epoch=epoch.t
             ) from exc
-        nav = _dead_reckon(state, epoch)
+        nav = _dead_reckon(state.nav, burst, config.gravity.vector)
         state.nav = nav
         state.t_prev = epoch.t
         state.needs_reseed = True

@@ -104,7 +104,6 @@ SCENARIO_OPTS = {
     "speed": ("float", 0.5, "cruise speed m/s"),
     "imu_rate": ("float", 100.0, "IMU rate Hz"),
     "meas_rate": ("float", 5.0, "DVL/AHRS rate Hz"),
-    "gps_rate": ("float", 2.0, "synthetic GPS rate Hz (0 disables)"),
     "circle_radius": ("float", 100.0, "circle radius m"),
     "lawnmower_leg": ("float", 40.0, "lawnmower leg length m"),
     "lawnmower_spacing": ("float", 10.0, "lawnmower track spacing m"),
@@ -214,7 +213,6 @@ def build_scenario(cfg: dict) -> ScenarioSpec:
         speed=cfg["speed"],
         imu_rate=cfg["imu_rate"],
         meas_rate=cfg["meas_rate"],
-        gps_rate=cfg["gps_rate"],
         circle_radius=cfg["circle_radius"],
         lawnmower_leg=cfg["lawnmower_leg"],
         lawnmower_spacing=cfg["lawnmower_spacing"],
@@ -366,14 +364,9 @@ def _prepare_input(args, cfg):
         provenance = {"mode": "files", "dir": str(input_dir.resolve()),
                       "dvl_frame": cfg.get("dvl_frame", "nav")}
         return epochs, initial, truth, provenance
-    spec = build_scenario(cfg)
-    run = generate(spec)
-    dvl = run.dvl
-    if spec.dvl_frame == "body":
-        dvl = dvl_body_to_nav(dvl, run.ahrs)
-    epochs = synchronize(run.imu, dvl, run.ahrs)
-    provenance = {"mode": "scenario", "scenario": spec.to_dict()}
-    return epochs, run.initial_nav(), (run.truth, True), provenance
+    run = generate(build_scenario(cfg))
+    provenance = {"mode": "scenario", "scenario": run.spec.to_dict()}
+    return run.epochs(), run.initial_nav(), (run.truth, True), provenance
 
 
 def _ensure_parent(path) -> Path:
@@ -454,12 +447,7 @@ def _estimate_from_metadata(args) -> int:
     if provenance["mode"] == "files":
         epochs = _load_epoch_dir(Path(provenance["dir"]), provenance.get("dvl_frame", "nav"))
     else:
-        spec = ScenarioSpec.from_dict(provenance["scenario"])
-        run = generate(spec)
-        dvl = run.dvl
-        if spec.dvl_frame == "body":
-            dvl = dvl_body_to_nav(dvl, run.ahrs)
-        epochs = synchronize(run.imu, dvl, run.ahrs)
+        epochs = generate(ScenarioSpec.from_dict(provenance["scenario"])).epochs()
     digest = hash_epochs(epochs)
     if digest != meta["epoch_hash"]:
         raise SpecError(

@@ -3,7 +3,7 @@
 Estimates and ground truth arrive as TrajectoryPoint sequences on their own
 clocks.  This module resamples truth onto the estimate timestamps, optionally
 aligns the estimate to truth with a yaw-plus-translation fit over the first
-GPS-style fixes, and reports:
+few samples, and reports:
 
 * per-axis mean absolute error for position / velocity / orientation,
 * a scalar total error (RMS of the per-axis MAEs) and total variance
@@ -17,7 +17,7 @@ summary numbers share units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -331,7 +331,6 @@ class TrajectoryReport:
     n_samples: int
     n_outliers: int
     lever_arm: float = DEFAULT_LEVER_ARM_M
-    extras: dict = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, float]]:
         return [

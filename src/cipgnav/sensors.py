@@ -6,7 +6,6 @@ Canonical CSV schemas (header row required, strictly increasing ``t``):
     dvl.csv   t,vx,vy,vz              velocity m/s, navigation frame
     ahrs.csv  t,qw,qx,qy,qz           unit quaternion, scalar first
     gt.csv    t,px,py,pz[,qw,qx,qy,qz]
-    gps.csv   t,lat,lon               degrees; NaN rows are skipped downstream
 
 Synchronization produces one epoch per DVL sample: the epoch carries the DVL
 velocity, the nearest AHRS quaternion (within a tolerance), and the burst of
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,27 +30,20 @@ __all__ = [
     "DvlSample",
     "AhrsSample",
     "GroundTruthSample",
-    "GpsFix",
     "SyncedEpoch",
     "SCHEMAS",
     "load_stream",
     "save_stream",
     "synchronize",
-    "gps_to_local",
-    "local_to_gps",
     "dvl_body_to_nav",
     "initial_nav_from_epochs",
-    "EARTH_RADIUS_M",
 ]
-
-EARTH_RADIUS_M = 6371000.0
 
 SCHEMAS = {
     "imu": ("t", "ax", "ay", "az", "gx", "gy", "gz"),
     "dvl": ("t", "vx", "vy", "vz"),
     "ahrs": ("t", "qw", "qx", "qy", "qz"),
     "gt": ("t", "px", "py", "pz", "qw", "qx", "qy", "qz"),
-    "gps": ("t", "lat", "lon"),
 }
 
 
@@ -79,13 +71,6 @@ class GroundTruthSample:
     t: float
     position: np.ndarray
     orientation: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class GpsFix:
-    t: float
-    lat: float
-    lon: float
 
 
 @dataclass(frozen=True)
@@ -165,7 +150,7 @@ def load_stream(path, kind: str):
                     q = -q
                 prev_quat = q
                 samples.append(AhrsSample(t, q))
-            elif kind == "gt":
+            else:  # gt
                 q = None
                 if len(expected) == 8:
                     q = quat_normalize(np.array(values[4:8]))
@@ -173,8 +158,6 @@ def load_stream(path, kind: str):
                         q = -q
                     prev_quat = q
                 samples.append(GroundTruthSample(t, np.array(values[1:4]), q))
-            else:  # gps; leniency for NaN handled by the caller
-                samples.append(GpsFix(t, values[1], values[2]))
     return samples
 
 
@@ -198,13 +181,11 @@ def save_stream(samples, path, kind: str) -> None:
             rows.append([s.t, *s.velocity])
         elif kind == "ahrs":
             rows.append([s.t, *s.orientation])
-        elif kind == "gt":
+        else:  # gt
             row = [s.t, *s.position]
             if len(expected) == 8:
                 row += list(s.orientation)
             rows.append(row)
-        else:
-            rows.append([s.t, s.lat, s.lon])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(expected)
@@ -216,6 +197,26 @@ def _median_dt(times) -> float:
     if len(times) < 2:
         raise ValueError("need at least two samples to infer a rate")
     return float(np.median(np.diff(times)))
+
+
+def _nearest_ahrs(dvl_t, ahrs_t, tolerance):
+    """Pair each DVL time with the nearest AHRS sample.
+
+    Returns the tolerance (as given, else half the median DVL period) and,
+    per DVL time, the index into sorted ``ahrs_t`` of the nearest AHRS sample
+    (the earlier one on a tie), or -1 when none lies within the tolerance.
+    """
+    if tolerance is None:
+        tolerance = 0.5 * _median_dt(dvl_t) if len(dvl_t) >= 2 else 0.1
+    tolerance = float(tolerance)
+    j = np.searchsorted(ahrs_t, dvl_t)
+    before = np.maximum(j - 1, 0)
+    after = np.minimum(j, len(ahrs_t) - 1)
+    d_before = np.abs(ahrs_t[before] - dvl_t)
+    d_after = np.abs(ahrs_t[after] - dvl_t)
+    nearest = np.where(d_after < d_before, after, before)
+    nearest[np.minimum(d_before, d_after) > tolerance] = -1
+    return tolerance, nearest
 
 
 def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
@@ -232,9 +233,7 @@ def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
     imu_t = np.array([s.t for s in imu])
     dvl_t = np.array([s.t for s in dvl])
     ahrs_t = np.array([s.t for s in ahrs])
-    if tolerance is None:
-        tolerance = 0.5 * _median_dt(dvl_t) if len(dvl_t) >= 2 else 0.1
-    tolerance = float(tolerance)
+    tolerance, nearest = _nearest_ahrs(dvl_t, ahrs_t, tolerance)
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
@@ -249,14 +248,8 @@ def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
         burst = tuple(imu[burst_start_idx:hi])
         if not burst:
             raise SyncGapError(f"no IMU samples cover the epoch at t={s.t!r}")
-        j = int(np.searchsorted(ahrs_t, s.t))
-        best = None
-        for jj in (j - 1, j):
-            if 0 <= jj < len(ahrs_t):
-                d = abs(ahrs_t[jj] - s.t)
-                if best is None or d < best[0]:
-                    best = (d, jj)
-        if best is None or best[0] > tolerance:
+        j = nearest[k]
+        if j < 0:
             raise SyncGapError(
                 f"no AHRS sample within {tolerance} s of the epoch at t={s.t!r}"
             )
@@ -267,7 +260,7 @@ def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
                 t_prev=t_prev,
                 imu_burst=burst,
                 dvl=np.asarray(s.velocity, dtype=float),
-                ahrs=np.asarray(ahrs[best[1]].orientation, dtype=float),
+                ahrs=np.asarray(ahrs[j].orientation, dtype=float),
             )
         )
         prev_t = s.t
@@ -275,39 +268,6 @@ def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
     if not epochs:
         raise SyncGapError("streams do not overlap: no DVL epoch is covered by IMU data")
     return epochs
-
-
-def gps_to_local(fixes, origin: tuple[float, float] | None = None):
-    """Project lat/lon fixes to local metric north/east coordinates.
-
-    Uses the equirectangular approximation about the origin (default: the
-    first finite fix): north = dlat * R, east = dlon * R * cos(lat0).
-    Returns ``(samples, skipped)`` where non-finite fixes are counted in
-    ``skipped`` and omitted; z is set to 0.
-    """
-    finite = [f for f in fixes if math.isfinite(f.lat) and math.isfinite(f.lon)]
-    skipped = len(fixes) - len(finite)
-    if not finite:
-        raise ValueError("no finite GPS fixes to project")
-    if origin is None:
-        origin = (finite[0].lat, finite[0].lon)
-    lat0, lon0 = float(origin[0]), float(origin[1])
-    cos_lat0 = math.cos(math.radians(lat0))
-    out = []
-    for f in finite:
-        north = math.radians(f.lat - lat0) * EARTH_RADIUS_M
-        east = math.radians(f.lon - lon0) * EARTH_RADIUS_M * cos_lat0
-        out.append(GroundTruthSample(f.t, np.array([north, east, 0.0])))
-    return out, skipped
-
-
-def local_to_gps(t, position, origin: tuple[float, float]):
-    """Inverse of gps_to_local for synthetic fix generation (north, east -> lat, lon)."""
-    lat0, lon0 = float(origin[0]), float(origin[1])
-    cos_lat0 = math.cos(math.radians(lat0))
-    lat = lat0 + math.degrees(position[0] / EARTH_RADIUS_M)
-    lon = lon0 + math.degrees(position[1] / (EARTH_RADIUS_M * cos_lat0))
-    return GpsFix(float(t), lat, lon)
 
 
 def dvl_body_to_nav(dvl, ahrs, tolerance: float | None = None):
@@ -320,20 +280,12 @@ def dvl_body_to_nav(dvl, ahrs, tolerance: float | None = None):
         raise ValueError("dvl_body_to_nav requires non-empty dvl and ahrs streams")
     dvl_t = np.array([s.t for s in dvl])
     ahrs_t = np.array([s.t for s in ahrs])
-    if tolerance is None:
-        tolerance = 0.5 * _median_dt(dvl_t) if len(dvl_t) >= 2 else 0.1
+    tolerance, nearest = _nearest_ahrs(dvl_t, ahrs_t, tolerance)
     out = []
-    for s in dvl:
-        j = int(np.searchsorted(ahrs_t, s.t))
-        best = None
-        for jj in (j - 1, j):
-            if 0 <= jj < len(ahrs_t):
-                d = abs(ahrs_t[jj] - s.t)
-                if best is None or d < best[0]:
-                    best = (d, jj)
-        if best is None or best[0] > tolerance:
+    for s, j in zip(dvl, nearest):
+        if j < 0:
             raise SyncGapError(f"no AHRS sample within {tolerance} s of DVL sample at t={s.t!r}")
-        out.append(DvlSample(s.t, rotate_vector(ahrs[best[1]].orientation, s.velocity)))
+        out.append(DvlSample(s.t, rotate_vector(ahrs[j].orientation, s.velocity)))
     return out
 
 

@@ -31,7 +31,7 @@ from .sensors import (
     DvlSample,
     GroundTruthSample,
     ImuSample,
-    local_to_gps,
+    dvl_body_to_nav,
     save_stream,
     synchronize,
 )
@@ -45,11 +45,12 @@ __all__ = [
     "generate",
     "with_seed",
     "benchmark_scenario",
-    "DEFAULT_GPS_ORIGIN",
 ]
 
 KINDS = ("stationary", "line", "circle", "lawnmower", "waypoints")
-DEFAULT_GPS_ORIGIN = (42.0, 3.0)
+# Keys that scenario files written by earlier versions may carry; they never
+# changed the generated IMU, DVL or AHRS streams.
+_RETIRED_KEYS = ("gps_rate", "gps_origin")
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,6 @@ class ScenarioSpec:
     speed: float = 0.5
     imu_rate: float = 100.0
     meas_rate: float = 5.0
-    gps_rate: float = 2.0
     circle_radius: float = 100.0
     lawnmower_leg: float = 40.0
     lawnmower_spacing: float = 10.0
@@ -104,7 +104,6 @@ class ScenarioSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     biases: ImuBiases = field(default_factory=ImuBiases)
     gravity: GravityModel = field(default_factory=GravityModel)
-    gps_origin: tuple = DEFAULT_GPS_ORIGIN
     seed: int = 0
 
     def __post_init__(self):
@@ -115,11 +114,10 @@ class ScenarioSpec:
             if not math.isfinite(v) or v <= 0.0:
                 raise SpecError(f"{name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, v)
-        for name in ("speed", "gps_rate"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise SpecError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
+        v = float(self.speed)
+        if not math.isfinite(v) or v < 0.0:
+            raise SpecError(f"speed must be finite and >= 0, got {v!r}")
+        object.__setattr__(self, "speed", v)
         for name in ("circle_radius", "lawnmower_leg", "lawnmower_spacing"):
             v = float(getattr(self, name))
             if v <= 0.0:
@@ -155,7 +153,6 @@ class ScenarioSpec:
             "speed": self.speed,
             "imu_rate": self.imu_rate,
             "meas_rate": self.meas_rate,
-            "gps_rate": self.gps_rate,
             "circle_radius": self.circle_radius,
             "lawnmower_leg": self.lawnmower_leg,
             "lawnmower_spacing": self.lawnmower_spacing,
@@ -173,13 +170,12 @@ class ScenarioSpec:
                 "gyro": [float(v) for v in self.biases.gyro],
             },
             "gravity": [float(v) for v in self.gravity.vector],
-            "gps_origin": [float(v) for v in self.gps_origin],
             "seed": int(self.seed),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        data = dict(data)
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         noise = NoiseSpec(**data.pop("noise", {}))
         b = data.pop("biases", {})
         biases = ImuBiases(np.asarray(b.get("accel", np.zeros(3))),
@@ -187,13 +183,11 @@ class ScenarioSpec:
         g = data.pop("gravity", [0.0, 0.0, 9.81])
         gravity = GravityModel(np.asarray(g, dtype=float), allow_nonstandard=True)
         wp = data.pop("waypoints", None)
-        origin = tuple(data.pop("gps_origin", DEFAULT_GPS_ORIGIN))
         return cls(
             noise=noise,
             biases=biases,
             gravity=gravity,
             waypoints=None if wp is None else tuple(tuple(w) for w in wp),
-            gps_origin=origin,
             **data,
         )
 
@@ -357,16 +351,19 @@ class SyntheticRun:
     imu: list
     dvl: list
     ahrs: list
-    gps: list
 
     def epochs(self):
-        return synchronize(self.imu, self.dvl, self.ahrs)
+        """The synchronized epoch stream, with the DVL in the navigation frame."""
+        dvl = self.dvl
+        if self.spec.dvl_frame == "body":
+            dvl = dvl_body_to_nav(dvl, self.ahrs)
+        return synchronize(self.imu, dvl, self.ahrs)
 
     def initial_nav(self) -> NavState:
         return self.truth[0].nav.copy()
 
     def write(self, out_dir) -> dict:
-        """Write imu/dvl/ahrs/gt/gps CSVs into a directory; returns the paths."""
+        """Write imu/dvl/ahrs/gt CSVs into a directory; returns the paths."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         gt = [
@@ -379,7 +376,6 @@ class SyntheticRun:
             ("dvl", self.dvl),
             ("ahrs", self.ahrs),
             ("gt", gt),
-            ("gps", self.gps),
         ):
             path = out_dir / f"{kind}.csv"
             save_stream(samples, path, kind)
@@ -387,10 +383,9 @@ class SyntheticRun:
         return paths
 
 
-def _timestamps(rate: float, duration: float, include_zero: bool) -> np.ndarray:
+def _timestamps(rate: float, duration: float) -> np.ndarray:
     n = int(math.floor(duration * rate + 1e-9))
-    first = 0 if include_zero else 1
-    return np.arange(first, n + 1, dtype=float) / rate
+    return np.arange(1, n + 1, dtype=float) / rate
 
 
 def generate(spec: ScenarioSpec) -> SyntheticRun:
@@ -410,7 +405,7 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
     imu = []
     sigma_a = spec.noise.accel_density * math.sqrt(spec.imu_rate)
     sigma_w = spec.noise.gyro_density * math.sqrt(spec.imu_rate)
-    for t in _timestamps(spec.imu_rate, duration, include_zero=False):
+    for t in _timestamps(spec.imu_rate, duration):
         _, _, a_nav, yaw, yaw_rate = model.state(t)
         R = quat_to_rotation(quat_from_yaw(yaw))
         accel = R.T @ (a_nav - g) + spec.biases.accel + sigma_a * rng_accel.standard_normal(3)
@@ -420,7 +415,7 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
     dvl = []
     ahrs = []
     truth = [TrajectoryPoint(0.0, model.nav(0.0), "ok")]
-    for t in _timestamps(spec.meas_rate, duration, include_zero=False):
+    for t in _timestamps(spec.meas_rate, duration):
         p, v, _, yaw, _ = model.state(t)
         q = quat_from_yaw(yaw)
         v_meas = v + spec.noise.dvl_std * rng_dvl.standard_normal(3)
@@ -435,13 +430,7 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
         ahrs.append(AhrsSample(float(t), q_meas))
         truth.append(TrajectoryPoint(float(t), NavState(p, v, q), "ok"))
 
-    gps = []
-    if spec.gps_rate > 0.0:
-        for t in _timestamps(spec.gps_rate, duration, include_zero=True):
-            p, _, _, _, _ = model.state(t)
-            gps.append(local_to_gps(float(t), p, spec.gps_origin))
-
-    return SyntheticRun(spec, truth, imu, dvl, ahrs, gps)
+    return SyntheticRun(spec, truth, imu, dvl, ahrs)
 
 
 def with_seed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:

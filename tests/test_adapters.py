@@ -44,9 +44,6 @@ def write_girona_sources(src, n=30, dt=0.1):
     (src / "ahrs_xsens.csv").write_text("\n".join(ahrs) + "\n")
     (src / "odometry.csv").write_text("\n".join(gt) + "\n")
 
-    gps = ["stamp,latitude,longitude"] + [f"{(i + 1) * 0.5},42.0,3.0" for i in range(n // 5)]
-    (src / "gps.csv").write_text("\n".join(gps) + "\n")
-
 
 def write_bluerov2_sources(src, n=20):
     imu = ["time_us,accX,accY,accZ,gyrX,gyrY,gyrZ"]
@@ -115,9 +112,6 @@ class TestGironaAdapter:
         gt = load_stream(out / "gt.csv", "gt")
         np.testing.assert_allclose(gt[0].orientation, quat_from_yaw(yaw), atol=1e-12)
         np.testing.assert_allclose(gt[0].position, [0.05, 0.0, 1.5], atol=1e-12)
-
-        gps = load_stream(out / "gps.csv", "gps")
-        assert gps[0].lat == pytest.approx(42.0)
 
     def test_dropped_rows_counted(self, tmp_path):
         src = tmp_path / "src"

@@ -13,6 +13,7 @@ from cipgnav.cascade import (
     CascadeConfig,
     CascadeState,
     _make_burst,
+    _dead_reckon,
     _OrientationStage,
     _orientation_step,
     _velocity_step,
@@ -21,7 +22,13 @@ from cipgnav.cascade import (
 )
 from cipgnav.errors import DivergenceError
 from cipgnav.ipg import IpgParams, IpgWindow, WindowModel, ipg_step, stacked_map
-from cipgnav.preintegration import GravityModel, propagate_orientation
+from cipgnav.preintegration import (
+    GravityModel,
+    ImuBiases,
+    NavState,
+    preintegrate_burst,
+    propagate_orientation,
+)
 from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product, quat_to_rotation
 from cipgnav.sensors import ImuSample, SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
@@ -114,6 +121,42 @@ class TestBurst:
                 state, point = cascade_step(state, epoch)
                 flags.append(point.flag)
         assert set(flags) == {"ok"}
+        large = [w for w in caught
+                 if issubclass(w.category, UserWarning) and "is large" in str(w.message)]
+        assert len(large) == 1
+
+
+    def test_dead_reckoning_matches_preintegrate_burst(self, rng):
+        gravity = GravityModel()
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            ts = rng.uniform(0.0, 10.0) + np.cumsum(rng.uniform(0.002, 0.02, n + 1))
+            burst = tuple(
+                ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 2.0), rng.normal(scale=0.8, size=3))
+                for t in ts[1:]
+            )
+            epoch = SyncedEpoch(t=float(ts[-1]), t_prev=float(ts[0]), imu_burst=burst,
+                                dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
+            biases = ImuBiases(rng.normal(scale=0.2, size=3), rng.normal(scale=0.01, size=3))
+            nav = NavState(rng.normal(scale=50.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+            expected = preintegrate_burst(nav, burst, biases, gravity, epoch.t_prev)
+            got = _dead_reckon(nav, _make_burst(epoch, biases.gyro, accel_bias=biases.accel),
+                               gravity.vector)
+            np.testing.assert_allclose(got.position, expected.position, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.velocity, expected.velocity, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.orientation, expected.orientation, rtol=0.0, atol=1e-12)
+
+    def test_large_step_in_warmup_epoch_warns_once(self):
+        _, epochs = circle_run(duration=10.0)
+        burst = epochs[1].imu_burst
+        epochs[1] = replace(epochs[1], imu_burst=burst[:1] + burst[11:])
+        assert burst[11].t - burst[0].t == pytest.approx(0.11)
+        state = CascadeState.start(CascadeConfig(), epochs)
+        state, _ = cascade_step(state, epochs[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state, point = cascade_step(state, epochs[1])
+        assert point.flag == "warmup"
         large = [w for w in caught
                  if issubclass(w.category, UserWarning) and "is large" in str(w.message)]
         assert len(large) == 1

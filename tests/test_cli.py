@@ -26,7 +26,7 @@ def simulate_into(tmp_path, extra=()):
 class TestSimulate:
     def test_writes_streams_and_manifest(self, tmp_path):
         out = simulate_into(tmp_path)
-        for name in ("imu.csv", "dvl.csv", "ahrs.csv", "gt.csv", "gps.csv", "scenario.json"):
+        for name in ("imu.csv", "dvl.csv", "ahrs.csv", "gt.csv", "scenario.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "scenario.json").read_text())
         assert manifest["kind"] == "circle"
@@ -57,6 +57,16 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "durattion" in capsys.readouterr().err
+
+    def test_removed_gps_rate_option_rejected(self, tmp_path, capsys):
+        config = tmp_path / "opts.cfg"
+        config.write_text("gps_rate = 2\n")
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "gps_rate" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--gps-rate", "2", "--out", str(tmp_path / "x")])
+        assert exc_info.value.code == 2
 
     def test_malformed_config_line_names_line(self, tmp_path, capsys):
         config = tmp_path / "opts.cfg"
@@ -135,6 +145,20 @@ class TestEstimate:
         replay = tmp_path / "replay.csv"
         rc = main(["estimate", "--from-metadata", str(tmp_path / "traj.meta.json"),
                    "--out", str(replay)])
+        assert rc == 0
+        assert replay.read_bytes() == traj.read_bytes()
+
+    def test_replay_of_scenario_metadata_with_gps_keys_is_bitwise(self, tmp_path):
+        # Scenario metadata of earlier versions records gps_rate and
+        # gps_origin, which never changed the epoch stream.
+        traj = tmp_path / "traj.csv"
+        assert main(["estimate", *SHORT_SIM, "--dvl-frame", "body", "--out", str(traj)]) == 0
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        meta["input"]["scenario"].update(gps_rate=2.0, gps_origin=[42.0, 3.0])
+        old_meta = tmp_path / "old.meta.json"
+        old_meta.write_text(json.dumps(meta, indent=2))
+        replay = tmp_path / "replay.csv"
+        rc = main(["estimate", "--from-metadata", str(old_meta), "--out", str(replay)])
         assert rc == 0
         assert replay.read_bytes() == traj.read_bytes()
 

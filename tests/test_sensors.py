@@ -10,13 +10,10 @@ from cipgnav.quat import quat_from_yaw
 from cipgnav.sensors import (
     AhrsSample,
     DvlSample,
-    GpsFix,
     ImuSample,
     dvl_body_to_nav,
-    gps_to_local,
     initial_nav_from_epochs,
     load_stream,
-    local_to_gps,
     save_stream,
     synchronize,
 )
@@ -122,25 +119,6 @@ class TestSynchronize:
 
 
 class TestFrames:
-    def test_gps_round_trip(self, rng):
-        origin = (42.0, 3.0)
-        for _ in range(10):
-            p = rng.uniform(-500, 500, size=3)
-            fix = local_to_gps(0.0, p, origin)
-            back, skipped = gps_to_local([fix], origin)
-            assert skipped == 0
-            np.testing.assert_allclose(back[0].position[:2], p[:2], atol=1e-6)
-
-    def test_gps_origin_defaults_to_first_fix(self):
-        fixes = [GpsFix(t=0.0, lat=42.0, lon=3.0),
-                 GpsFix(t=1.0, lat=42.0001, lon=3.0),
-                 GpsFix(t=2.0, lat=float("nan"), lon=3.0)]
-        pts, skipped = gps_to_local(fixes)
-        assert skipped == 1
-        np.testing.assert_allclose(pts[0].position, [0.0, 0.0, 0.0], atol=1e-12)
-        # ~11.1 m north per 1e-4 degree of latitude.
-        assert pts[1].position[0] == pytest.approx(11.1, abs=0.2)
-
     def test_dvl_body_to_nav_quarter_turn(self):
         # Heading 90 deg: body-forward becomes nav +y.
         dvl = [DvlSample(t=1.0, velocity=np.array([1.0, 0.0, 0.0]))]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,7 +163,6 @@ class TestGenerate:
         assert run.imu[-1].t == pytest.approx(2.0)
         assert run.dvl[0].t == pytest.approx(0.2)
         assert run.truth[0].t == 0.0
-        assert run.gps[0].t == 0.0
 
     def test_biases_added_to_imu(self):
         biases = ImuBiases(accel=np.array([0.1, 0.0, 0.0]), gyro=np.array([0.0, 0.01, 0.0]))
@@ -212,7 +213,7 @@ class TestGenerate:
     def test_write_round_trip(self, tmp_path):
         run = generate(ScenarioSpec(kind="circle", duration=4.0, noise=NoiseSpec.bluerov2()))
         paths = run.write(tmp_path)
-        assert set(paths) == {"imu", "dvl", "ahrs", "gt", "gps"}
+        assert set(paths) == {"imu", "dvl", "ahrs", "gt"}
         imu = load_stream(paths["imu"], "imu")
         assert len(imu) == len(run.imu)
         np.testing.assert_array_equal(imu[5].accel, run.imu[5].accel)
@@ -226,6 +227,15 @@ class TestGenerate:
         assert len(epochs) == 20
         nav = run.initial_nav()
         np.testing.assert_allclose(nav.position, [0.0, 0.0, 0.0], atol=1e-12)
+
+    def test_epochs_rotate_body_frame_dvl(self):
+        nav_frame = ScenarioSpec(kind="circle", duration=10.0, speed=1.0, circle_radius=10.0,
+                                 noise=NoiseSpec(2e-3, 1e-4, 0.02, 0.0), seed=2)
+        nav_epochs = generate(nav_frame).epochs()
+        body_epochs = generate(replace(nav_frame, dvl_frame="body")).epochs()
+        assert len(body_epochs) == len(nav_epochs)
+        for nav_epoch, body_epoch in zip(nav_epochs, body_epochs):
+            np.testing.assert_allclose(body_epoch.dvl, nav_epoch.dvl, rtol=0.0, atol=1e-12)
 
 
 class TestBenchmarkScenario:
