@@ -19,10 +19,8 @@ from .ipg import IpgParams, IpgStepResult, IpgWindow, WindowModel, ipg_step, sli
 from .cascade import CascadeConfig, CascadeState, cascade_step, run_cascade
 from .baselines import FilterConfig, run_ekf, run_inekf
 from .sensors import (
-    AhrsSample,
-    DvlSample,
+    SCHEMAS,
     GroundTruthSample,
-    ImuSample,
     SyncedEpoch,
     load_stream,
     save_stream,
@@ -63,9 +61,7 @@ __all__ = [
     "FilterConfig",
     "run_ekf",
     "run_inekf",
-    "ImuSample",
-    "DvlSample",
-    "AhrsSample",
+    "SCHEMAS",
     "GroundTruthSample",
     "SyncedEpoch",
     "load_stream",

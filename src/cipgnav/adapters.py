@@ -46,15 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SpecError
-from .quat import quat_from_euler, quat_normalize
-from .sensors import (
-    AhrsSample,
-    DvlSample,
-    GroundTruthSample,
-    ImuSample,
-    dvl_body_to_nav,
-    save_stream,
-)
+from .quat import hemisphere_align, quat_from_euler, quat_normalize
+from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream
 
 __all__ = [
     "StreamLog",
@@ -200,7 +193,7 @@ def load_adapter(source) -> dict:
 
 
 def _read_rows(path: Path, cfg: dict, wanted: list, log: StreamLog):
-    """Yield (t_seconds, {name: value}) rows; drop and count unusable ones."""
+    """Return sorted (t_seconds, {name: value}) rows; drop and count unusable ones."""
     tcol = cfg["time"]["column"]
     tscale = TIME_UNITS[cfg["time"].get("unit", "s")]
     toffset = float(cfg["time"].get("offset", 0.0))
@@ -246,17 +239,11 @@ def _convert_imu(path, cfg, log: StreamLog, warnings: list):
         log.conversions.append(f"accel {cfg['accel_unit']} -> m/s^2 (x{a_scale:g})")
     if g_scale != 1.0:
         log.conversions.append(f"gyro {cfg['gyro_unit']} -> rad/s (x{g_scale:g})")
-    rows = _read_rows(path, cfg, ["ax", "ay", "az", "gx", "gy", "gz"], log)
-    samples = [
-        ImuSample(
-            t,
-            a_scale * np.array([v["ax"], v["ay"], v["az"]]),
-            g_scale * np.array([v["gx"], v["gy"], v["gz"]]),
-        )
-        for t, v in rows
-    ]
-    if samples:
-        norms = [float(np.linalg.norm(s.accel)) for s in samples[: min(len(samples), 200)]]
+    imu = _table(_read_rows(path, cfg, ["ax", "ay", "az", "gx", "gy", "gz"], log), 6)
+    imu[:, 1:4] *= a_scale
+    imu[:, 4:7] *= g_scale
+    if len(imu):
+        norms = np.linalg.norm(imu[:200, 1:4], axis=1)
         mean_norm = float(np.mean(norms))
         if mean_norm < 5.0:
             warnings.append(
@@ -269,15 +256,21 @@ def _convert_imu(path, cfg, log: StreamLog, warnings: list):
                 f"imu: mean |accel| over the first {len(norms)} samples is "
                 f"{mean_norm:.2f} m/s^2, far above gravity; check accel_unit"
             )
-    return samples
+    return imu
+
+
+def _table(rows, n_values):
+    """(n, 1 + n_values) array of ``_read_rows`` output: time, then values in wanted order."""
+    return np.array([[t, *v.values()] for t, v in rows], dtype=float).reshape(-1, 1 + n_values)
 
 
 def _convert_dvl(path, cfg, log: StreamLog):
     scale = VELOCITY_UNITS[cfg.get("velocity_unit", "m/s")]
     if scale != 1.0:
         log.conversions.append(f"velocity {cfg['velocity_unit']} -> m/s (x{scale:g})")
-    rows = _read_rows(path, cfg, ["vx", "vy", "vz"], log)
-    return [DvlSample(t, scale * np.array([v["vx"], v["vy"], v["vz"]])) for t, v in rows]
+    dvl = _table(_read_rows(path, cfg, ["vx", "vy", "vz"], log), 3)
+    dvl[:, 1:] *= scale
+    return dvl
 
 
 def _orientation_from_row(cfg, values):
@@ -302,15 +295,11 @@ def _convert_ahrs(path, cfg, log: StreamLog):
         if cfg.get("order", "wxyz") == "xyzw":
             log.conversions.append("quaternion order xyzw -> wxyz")
     rows = _read_rows(path, cfg, wanted, log)
-    out = []
-    prev = None
-    for t, v in rows:
-        q = _orientation_from_row(cfg, v)
-        if prev is not None and float(q @ prev) < 0.0:
-            q = -q
-        prev = q
-        out.append(AhrsSample(t, q))
-    return out
+    ahrs = np.empty((len(rows), 5))
+    ahrs[:, 0] = [t for t, _ in rows]
+    if rows:
+        ahrs[:, 1:] = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
+    return ahrs
 
 
 def _convert_gt(path, cfg, log: StreamLog):
@@ -327,17 +316,11 @@ def _convert_gt(path, cfg, log: StreamLog):
     else:
         with_orientation = False
     rows = _read_rows(path, cfg, wanted, log)
-    out = []
-    prev = None
-    for t, v in rows:
-        q = None
-        if with_orientation:
-            q = _orientation_from_row(cfg, v)
-            if prev is not None and float(q @ prev) < 0.0:
-                q = -q
-            prev = q
-        out.append(GroundTruthSample(t, np.array([v["px"], v["py"], v["pz"]]), q))
-    return out
+    quats = [None] * len(rows)
+    if with_orientation and rows:
+        quats = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
+    return [GroundTruthSample(t, np.array([v["px"], v["py"], v["pz"]]), q)
+            for (t, v), q in zip(rows, quats)]
 
 
 def adapt(adapter, src_dir, out_dir) -> ConversionLog:
@@ -377,7 +360,7 @@ def adapt(adapter, src_dir, out_dir) -> ConversionLog:
             converted[kind] = _convert_ahrs(path, cfg, slog)
         else:
             converted[kind] = _convert_gt(path, cfg, slog)
-        if not converted[kind]:
+        if not len(converted[kind]):
             raise ParseError(f"stream {kind!r}: no usable rows after conversion", path=path)
         clog.streams[kind] = slog
 
@@ -385,7 +368,7 @@ def adapt(adapter, src_dir, out_dir) -> ConversionLog:
         clog.streams["dvl"].conversions.append("body-frame velocity -> navigation frame (via AHRS)")
         converted["dvl"] = dvl_body_to_nav(converted["dvl"], converted["ahrs"])
 
-    for kind, samples in converted.items():
-        save_stream(samples, out_dir / f"{kind}.csv", kind)
-        clog.streams[kind].rows_written = len(samples)
+    for kind, stream in converted.items():
+        save_stream(stream, out_dir / f"{kind}.csv", kind)
+        clog.streams[kind].rows_written = len(stream)
     return clog

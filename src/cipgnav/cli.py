@@ -273,19 +273,10 @@ def run_estimator(name: str, epochs, cfg: dict, initial: NavState | None):
 def hash_epochs(epochs) -> str:
     """Order- and value-exact SHA-256 of a synchronized epoch stream."""
     h = hashlib.sha256()
-
-    def put(*values):
-        for v in values:
-            h.update(repr(float(v)).encode())
-            h.update(b",")
-
     for e in epochs:
-        put(e.t, e.t_prev)
-        for s in e.imu_burst:
-            put(s.t, *s.accel, *s.gyro)
-        put(*e.dvl)
-        put(*e.ahrs)
-        h.update(b";")
+        values = [float(e.t), float(e.t_prev), *e.imu_burst.ravel().tolist(),
+                  *e.dvl.tolist(), *e.ahrs.tolist()]
+        h.update((",".join(map(repr, values)) + ",;").encode())
     return "sha256:" + h.hexdigest()
 
 
@@ -298,11 +289,7 @@ def _load_epoch_dir(input_dir: Path, dvl_frame: str):
     return synchronize(imu, dvl, ahrs)
 
 
-def _initial_from_gt(input_dir: Path, epochs):
-    gt_path = input_dir / "gt.csv"
-    if not gt_path.exists():
-        return None
-    gt = load_stream(gt_path, "gt")
+def _initial_from_gt(gt, epochs):
     if not gt or gt[0].t > epochs[0].t:
         return None
     first = gt[0]
@@ -356,11 +343,12 @@ def _prepare_input(args, cfg):
         if not input_dir.is_dir():
             raise FileNotFoundError(f"input directory {input_dir} not found")
         epochs = _load_epoch_dir(input_dir, cfg.get("dvl_frame", "nav"))
-        initial = _initial_from_gt(input_dir, epochs)
-        truth = None
+        initial = truth = None
         gt_path = input_dir / "gt.csv"
         if gt_path.exists():
-            truth = truth_from_gt(load_stream(gt_path, "gt"))
+            gt = load_stream(gt_path, "gt")
+            initial = _initial_from_gt(gt, epochs)
+            truth = truth_from_gt(gt)
         provenance = {"mode": "files", "dir": str(input_dir.resolve()),
                       "dvl_frame": cfg.get("dvl_frame", "nav")}
         return epochs, initial, truth, provenance

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import AlignmentError
 from .preintegration import NavState
 from .quat import (
+    hemisphere_align,
     quat_angular_distance,
     quat_from_yaw,
     quat_multiply,
@@ -124,11 +125,7 @@ def _interp_rows(t_new, t_src, rows):
 
 
 def _interp_quats(t_new, t_src, quats):
-    quats = np.array(quats, dtype=float)
-    for i in range(1, len(quats)):
-        if float(quats[i] @ quats[i - 1]) < 0.0:
-            quats[i] = -quats[i]
-    raw = _interp_rows(t_new, t_src, quats)
+    raw = _interp_rows(t_new, t_src, hemisphere_align(quats))
     return np.array([quat_normalize(q) for q in raw])
 
 

@@ -122,23 +122,20 @@ def _check_dt(dt: float) -> float:
 
 
 def unpack_burst(burst, t_start: float, gyro_bias, accel_bias):
-    """Arrays of an ordered IMU burst: spacings and bias-corrected readings.
+    """Columns of an ordered (M, 7) IMU burst: spacings and bias-corrected readings.
 
     Returns ``(dts, accel, gyro)`` with shapes (M,), (M, 3) and (M, 3); the
     first spacing is measured from ``t_start``.  Raises ValueError on a
     non-positive spacing and warns once per burst, through ``_check_dt``,
     when the largest spacing is large.
     """
-    ts = np.array([s.t for s in burst], dtype=float)
-    dts = np.diff(ts, prepend=float(t_start))
+    dts = np.diff(burst[:, 0], prepend=float(t_start))
     bad = np.flatnonzero(dts <= 0.0)
     if bad.size:
-        raise ValueError(f"non-positive IMU sample spacing at t={burst[bad[0]].t!r}")
+        raise ValueError(f"non-positive IMU sample spacing at t={float(burst[bad[0], 0])!r}")
     if dts.size:
         _check_dt(dts.max())
-    accel = np.array([s.accel for s in burst], dtype=float).reshape(-1, 3) - accel_bias
-    gyro = np.array([s.gyro for s in burst], dtype=float).reshape(-1, 3) - gyro_bias
-    return dts, accel, gyro
+    return dts, burst[:, 1:4] - accel_bias, burst[:, 4:7] - gyro_bias
 
 
 def running_product(q0, dts: np.ndarray, gyro: np.ndarray) -> np.ndarray:
@@ -203,12 +200,12 @@ def propagate_position(p, v, dt) -> np.ndarray:
 
 def preintegrate_burst(state: NavState, burst, biases: ImuBiases, gravity: GravityModel,
                        t_start: float) -> NavState:
-    """Propagate a NavState through an ordered IMU burst.
+    """Propagate a NavState through an ordered (M, 7) IMU burst.
 
-    Per-sample dt comes from timestamp differences; the first sample's dt is
-    measured from ``t_start`` (the preceding epoch boundary).  Each sample
+    Per-row dt comes from timestamp differences; the first row's dt is
+    measured from ``t_start`` (the preceding epoch boundary).  Each row
     applies the expressions of ``propagate_position``, ``propagate_velocity``
-    and ``propagate_orientation`` with one ``_check_dt`` per sample.  Empty
+    and ``propagate_orientation`` with one ``_check_dt`` per row.  Empty
     bursts return a copy of the input state.
     """
     q = state.orientation.copy()
@@ -216,13 +213,13 @@ def preintegrate_burst(state: NavState, burst, biases: ImuBiases, gravity: Gravi
     p = state.position.copy()
     g = gravity.vector
     t_prev = float(t_start)
-    for sample in burst:
-        dt = _check_dt(sample.t - t_prev)
-        specific_force = np.asarray(sample.accel, dtype=float) - biases.accel
-        rate = np.asarray(sample.gyro, dtype=float) - biases.gyro
+    for row in burst:
+        dt = _check_dt(row[0] - t_prev)
+        specific_force = row[1:4] - biases.accel
+        rate = row[4:7] - biases.gyro
         increment = np.concatenate(([1.0], 0.5 * dt * rate))
         p, v, q = (p + dt * v,
                    v + dt * (quat_to_rotation(q) @ specific_force + g),
                    quat_normalize(quat_product(q, increment)))
-        t_prev = sample.t
+        t_prev = row[0]
     return NavState(p, v, q)

@@ -211,7 +211,7 @@ def hemisphere_align(quats) -> np.ndarray:
     The first quaternion keeps its sign; every later one is flipped when its
     dot product with the (already fixed) predecessor is negative.
     """
-    out = np.array([np.asarray(q, dtype=float) for q in quats])
+    out = np.array(quats, dtype=float)
     for k in range(1, len(out)):
         if float(out[k] @ out[k - 1]) < 0.0:
             out[k] = -out[k]

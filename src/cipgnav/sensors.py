@@ -1,4 +1,4 @@
-"""Sensor sample types, CSV stream I/O, and epoch synchronization.
+"""Sensor streams, CSV stream I/O, and epoch synchronization.
 
 Canonical CSV schemas (header row required, strictly increasing ``t``):
 
@@ -7,9 +7,13 @@ Canonical CSV schemas (header row required, strictly increasing ``t``):
     ahrs.csv  t,qw,qx,qy,qz           unit quaternion, scalar first
     gt.csv    t,px,py,pz[,qw,qx,qy,qz]
 
+In memory the IMU, DVL and AHRS streams are float arrays with one row per
+sample and the columns of ``SCHEMAS[kind]``: (n, 7), (n, 4) and (n, 5).
+Ground truth, whose orientation is optional, is a list of GroundTruthSample.
+
 Synchronization produces one epoch per DVL sample: the epoch carries the DVL
 velocity, the nearest AHRS quaternion (within a tolerance), and the burst of
-IMU samples since the previous epoch.
+IMU rows since the previous epoch.
 """
 
 from __future__ import annotations
@@ -23,12 +27,9 @@ import numpy as np
 
 from .errors import ParseError, StreamOrderError, SyncGapError
 from .preintegration import NavState
-from .quat import quat_normalize, rotate_vector
+from .quat import hemisphere_align, quat_normalize, rotate_vector
 
 __all__ = [
-    "ImuSample",
-    "DvlSample",
-    "AhrsSample",
     "GroundTruthSample",
     "SyncedEpoch",
     "SCHEMAS",
@@ -48,25 +49,6 @@ SCHEMAS = {
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    t: float
-    accel: np.ndarray
-    gyro: np.ndarray
-
-
-@dataclass(frozen=True)
-class DvlSample:
-    t: float
-    velocity: np.ndarray
-
-
-@dataclass(frozen=True)
-class AhrsSample:
-    t: float
-    orientation: np.ndarray
-
-
-@dataclass(frozen=True)
 class GroundTruthSample:
     t: float
     position: np.ndarray
@@ -77,14 +59,14 @@ class GroundTruthSample:
 class SyncedEpoch:
     """One fused measurement epoch.
 
-    ``imu_burst`` holds every IMU sample in ``(t_prev, t]``; ``t_prev`` is
-    the previous epoch's timestamp (for the first epoch, one nominal IMU
-    period before its first sample).
+    ``imu_burst`` holds the IMU rows (columns of ``SCHEMAS["imu"]``) in
+    ``(t_prev, t]``; ``t_prev`` is the previous epoch's timestamp (for the
+    first epoch, one nominal IMU period before its first sample).
     """
 
     t: float
     t_prev: float
-    imu_burst: tuple
+    imu_burst: np.ndarray
     dvl: np.ndarray
     ahrs: np.ndarray
 
@@ -93,10 +75,10 @@ def _parse_floats(row, n_expected, line, path):
     if len(row) != n_expected:
         raise ParseError(f"expected {n_expected} columns, got {len(row)}", line=line, path=path)
     try:
-        values = [float(v) for v in row]
+        values = list(map(float, row))
     except ValueError as exc:
         raise ParseError(f"non-numeric value ({exc})", line=line, path=path) from None
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ParseError(f"non-finite value in row {row}", line=line, path=path)
     return values
 
@@ -104,17 +86,18 @@ def _parse_floats(row, n_expected, line, path):
 def load_stream(path, kind: str):
     """Load a canonical CSV stream, validating schema and time ordering.
 
-    AHRS quaternions are normalized and hemisphere sign-fixed against their
-    predecessor.  Ground-truth files may carry 4 or 8 columns (orientation
-    optional).  Raises ParseError / StreamOrderError with the offending line.
+    IMU, DVL and AHRS streams load as arrays with the columns of
+    ``SCHEMAS[kind]``; ground truth loads as a list of GroundTruthSample, from
+    4 or 8 columns (orientation optional).  Quaternions are normalized and
+    hemisphere sign-fixed against their predecessor.  Raises ParseError /
+    StreamOrderError with the offending line.
     """
     if kind not in SCHEMAS:
         raise ValueError(f"unknown stream kind {kind!r}; expected one of {sorted(SCHEMAS)}")
     path = Path(path)
     expected = SCHEMAS[kind]
-    samples = []
+    rows = []
     prev_t = None
-    prev_quat = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -140,57 +123,34 @@ def load_stream(path, kind: str):
                     f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})"
                 )
             prev_t = t
-            if kind == "imu":
-                samples.append(ImuSample(t, np.array(values[1:4]), np.array(values[4:7])))
-            elif kind == "dvl":
-                samples.append(DvlSample(t, np.array(values[1:4])))
-            elif kind == "ahrs":
-                q = quat_normalize(np.array(values[1:5]))
-                if prev_quat is not None and float(q @ prev_quat) < 0.0:
-                    q = -q
-                prev_quat = q
-                samples.append(AhrsSample(t, q))
-            else:  # gt
-                q = None
-                if len(expected) == 8:
-                    q = quat_normalize(np.array(values[4:8]))
-                    if prev_quat is not None and float(q @ prev_quat) < 0.0:
-                        q = -q
-                    prev_quat = q
-                samples.append(GroundTruthSample(t, np.array(values[1:4]), q))
-    return samples
-
-
-def _format(x: float) -> str:
-    return repr(float(x))
+            rows.append(values)
+    data = np.array(rows, dtype=float).reshape(len(rows), len(expected))
+    if expected[-4:] == ("qw", "qx", "qy", "qz") and rows:
+        data[:, -4:] = hemisphere_align([quat_normalize(q) for q in data[:, -4:]])
+    if kind != "gt":
+        return data
+    quats = data[:, 4:] if len(expected) == 8 else [None] * len(rows)
+    return [GroundTruthSample(t, p, q)
+            for t, p, q in zip(data[:, 0].tolist(), data[:, 1:4], quats)]
 
 
 def save_stream(samples, path, kind: str) -> None:
-    """Write samples back to the canonical CSV schema (round-trip safe)."""
+    """Write a stream back to the canonical CSV schema (round-trip safe)."""
     if kind not in SCHEMAS:
         raise ValueError(f"unknown stream kind {kind!r}")
     path = Path(path)
     expected = SCHEMAS[kind]
-    if kind == "gt" and samples and samples[0].orientation is None:
-        expected = expected[:4]
-    rows = []
-    for s in samples:
-        if kind == "imu":
-            rows.append([s.t, *s.accel, *s.gyro])
-        elif kind == "dvl":
-            rows.append([s.t, *s.velocity])
-        elif kind == "ahrs":
-            rows.append([s.t, *s.orientation])
-        else:  # gt
-            row = [s.t, *s.position]
-            if len(expected) == 8:
-                row += list(s.orientation)
-            rows.append(row)
+    rows = samples
+    if kind == "gt":
+        if samples and samples[0].orientation is None:
+            expected = expected[:4]
+        rows = [[s.t, *s.position, *(s.orientation if len(expected) == 8 else ())]
+                for s in samples]
+    table = np.reshape(np.asarray(rows, dtype=float), (len(rows), len(expected))).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(expected)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
+        writer.writerows([repr(v) for v in row] for row in table)
 
 
 def _median_dt(times) -> float:
@@ -220,72 +180,62 @@ def _nearest_ahrs(dvl_t, ahrs_t, tolerance):
 
 
 def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
-    """Fuse raw streams into a list of SyncedEpoch, one per covered DVL sample.
+    """Fuse raw stream arrays into a list of SyncedEpoch, one per covered DVL sample.
 
     Epochs are the DVL timestamps that fall inside the IMU coverage.  Each
-    epoch takes the IMU samples since the previous epoch (the first epoch
-    takes everything up to its timestamp) and the nearest AHRS sample within
+    epoch takes the IMU rows since the previous epoch (the first epoch takes
+    everything up to its timestamp) and the nearest AHRS sample within
     ``tolerance`` (default: half the median DVL period).  An empty IMU burst
-    or an uncovered AHRS pairing raises SyncGapError naming the epoch.
+    or an uncovered AHRS pairing raises SyncGapError naming the first such
+    epoch.
     """
-    if not imu or not dvl or not ahrs:
+    if not len(imu) or not len(dvl) or not len(ahrs):
         raise ValueError("synchronize requires non-empty imu, dvl and ahrs streams")
-    imu_t = np.array([s.t for s in imu])
-    dvl_t = np.array([s.t for s in dvl])
-    ahrs_t = np.array([s.t for s in ahrs])
-    tolerance, nearest = _nearest_ahrs(dvl_t, ahrs_t, tolerance)
+    imu_t = imu[:, 0]
+    tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0], tolerance)
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
     imu_dt = _median_dt(imu_t) if len(imu_t) >= 2 else tolerance
-    epochs = []
-    prev_t = None
-    burst_start_idx = 0
-    for k, s in enumerate(dvl):
-        if s.t < imu_t[0] or s.t > imu_t[-1]:
-            continue
-        hi = int(np.searchsorted(imu_t, s.t, side="right"))
-        burst = tuple(imu[burst_start_idx:hi])
-        if not burst:
-            raise SyncGapError(f"no IMU samples cover the epoch at t={s.t!r}")
-        j = nearest[k]
-        if j < 0:
-            raise SyncGapError(
-                f"no AHRS sample within {tolerance} s of the epoch at t={s.t!r}"
-            )
-        t_prev = prev_t if prev_t is not None else burst[0].t - imu_dt
-        epochs.append(
-            SyncedEpoch(
-                t=s.t,
-                t_prev=t_prev,
-                imu_burst=burst,
-                dvl=np.asarray(s.velocity, dtype=float),
-                ahrs=np.asarray(ahrs[j].orientation, dtype=float),
-            )
-        )
-        prev_t = s.t
-        burst_start_idx = hi
-    if not epochs:
+    covered = np.flatnonzero((dvl[:, 0] >= imu_t[0]) & (dvl[:, 0] <= imu_t[-1]))
+    if not covered.size:
         raise SyncGapError("streams do not overlap: no DVL epoch is covered by IMU data")
-    return epochs
+    ts = dvl[covered, 0].tolist()
+    his = np.searchsorted(imu_t, ts, side="right")
+    los = np.concatenate(([0], his[:-1]))
+    ahrs_idx = nearest[covered]
+    gaps = np.flatnonzero((his == los) | (ahrs_idx < 0))
+    if gaps.size:
+        k = gaps[0]
+        if his[k] == los[k]:
+            raise SyncGapError(f"no IMU samples cover the epoch at t={ts[k]!r}")
+        raise SyncGapError(f"no AHRS sample within {tolerance} s of the epoch at t={ts[k]!r}")
+    t_prevs = [float(imu_t[0]) - imu_dt] + ts[:-1]
+    velocities = dvl[covered, 1:]
+    attitudes = ahrs[ahrs_idx, 1:]
+    return [
+        SyncedEpoch(t, t_prev, imu[lo:hi], v, q)
+        for t, t_prev, lo, hi, v, q in zip(ts, t_prevs, los.tolist(), his.tolist(),
+                                           velocities, attitudes)
+    ]
 
 
 def dvl_body_to_nav(dvl, ahrs, tolerance: float | None = None):
-    """Rotate body-frame DVL velocities into the navigation frame.
+    """Rotate a body-frame DVL array into the navigation frame.
 
-    Each DVL sample is rotated by the time-nearest AHRS quaternion (within
+    Each DVL row is rotated by the time-nearest AHRS quaternion (within
     ``tolerance``, default half the median DVL period).
     """
-    if not dvl or not ahrs:
+    if not len(dvl) or not len(ahrs):
         raise ValueError("dvl_body_to_nav requires non-empty dvl and ahrs streams")
-    dvl_t = np.array([s.t for s in dvl])
-    ahrs_t = np.array([s.t for s in ahrs])
-    tolerance, nearest = _nearest_ahrs(dvl_t, ahrs_t, tolerance)
-    out = []
-    for s, j in zip(dvl, nearest):
-        if j < 0:
-            raise SyncGapError(f"no AHRS sample within {tolerance} s of DVL sample at t={s.t!r}")
-        out.append(DvlSample(s.t, rotate_vector(ahrs[j].orientation, s.velocity)))
+    tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0], tolerance)
+    missing = np.flatnonzero(nearest < 0)
+    if missing.size:
+        t = float(dvl[missing[0], 0])
+        raise SyncGapError(f"no AHRS sample within {tolerance} s of DVL sample at t={t!r}")
+    out = np.array(dvl, dtype=float)
+    for row, q in zip(out, ahrs[nearest, 1:]):
+        row[1:] = rotate_vector(q, row[1:])
     return out
 
 

@@ -26,15 +26,7 @@ import numpy as np
 from .errors import SpecError
 from .preintegration import GravityModel, ImuBiases, NavState
 from .quat import quat_from_rotvec, quat_from_yaw, quat_multiply, quat_to_rotation
-from .sensors import (
-    AhrsSample,
-    DvlSample,
-    GroundTruthSample,
-    ImuSample,
-    dvl_body_to_nav,
-    save_stream,
-    synchronize,
-)
+from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream, synchronize
 from .trajectory import TrajectoryPoint
 
 __all__ = [
@@ -344,13 +336,17 @@ def _make_model(spec: ScenarioSpec) -> _Model:
 
 @dataclass
 class SyntheticRun:
-    """Generated truth plus sensor streams for one scenario."""
+    """Generated truth plus sensor streams for one scenario.
+
+    ``imu``, ``dvl`` and ``ahrs`` are arrays with the columns of
+    ``sensors.SCHEMAS``; ``truth`` is a list of TrajectoryPoint.
+    """
 
     spec: ScenarioSpec
     truth: list
-    imu: list
-    dvl: list
-    ahrs: list
+    imu: np.ndarray
+    dvl: np.ndarray
+    ahrs: np.ndarray
 
     def epochs(self):
         """The synchronized epoch stream, with the DVL in the navigation frame."""
@@ -367,7 +363,7 @@ class SyntheticRun:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         gt = [
-            GroundTruthSample(p.t, p.nav.position.copy(), p.nav.orientation.copy())
+            GroundTruthSample(p.t, p.nav.position, p.nav.orientation)
             for p in self.truth
         ]
         paths = {}
@@ -402,32 +398,36 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
     )
     g = spec.gravity.vector
 
-    imu = []
     sigma_a = spec.noise.accel_density * math.sqrt(spec.imu_rate)
     sigma_w = spec.noise.gyro_density * math.sqrt(spec.imu_rate)
-    for t in _timestamps(spec.imu_rate, duration):
+    imu_t = _timestamps(spec.imu_rate, duration)
+    imu = np.empty((len(imu_t), 7))
+    imu[:, 0] = imu_t
+    for row, t in zip(imu, imu_t):
         _, _, a_nav, yaw, yaw_rate = model.state(t)
         R = quat_to_rotation(quat_from_yaw(yaw))
-        accel = R.T @ (a_nav - g) + spec.biases.accel + sigma_a * rng_accel.standard_normal(3)
-        gyro = np.array([0.0, 0.0, yaw_rate]) + spec.biases.gyro + sigma_w * rng_gyro.standard_normal(3)
-        imu.append(ImuSample(float(t), accel, gyro))
+        row[1:4] = R.T @ (a_nav - g) + spec.biases.accel + sigma_a * rng_accel.standard_normal(3)
+        row[4:7] = (np.array([0.0, 0.0, yaw_rate]) + spec.biases.gyro
+                    + sigma_w * rng_gyro.standard_normal(3))
 
-    dvl = []
-    ahrs = []
+    meas_t = _timestamps(spec.meas_rate, duration)
+    dvl = np.empty((len(meas_t), 4))
+    ahrs = np.empty((len(meas_t), 5))
+    dvl[:, 0] = ahrs[:, 0] = meas_t
     truth = [TrajectoryPoint(0.0, model.nav(0.0), "ok")]
-    for t in _timestamps(spec.meas_rate, duration):
+    for dvl_row, ahrs_row, t in zip(dvl, ahrs, meas_t):
         p, v, _, yaw, _ = model.state(t)
         q = quat_from_yaw(yaw)
         v_meas = v + spec.noise.dvl_std * rng_dvl.standard_normal(3)
         if spec.dvl_frame == "body":
             v_meas = quat_to_rotation(q).T @ v_meas
-        dvl.append(DvlSample(float(t), v_meas))
+        dvl_row[1:] = v_meas
         q_meas = q
         if spec.noise.ahrs_std > 0.0:
             q_meas = quat_multiply(
                 q, quat_from_rotvec(spec.noise.ahrs_std * rng_ahrs.standard_normal(3))
             )
-        ahrs.append(AhrsSample(float(t), q_meas))
+        ahrs_row[1:] = q_meas
         truth.append(TrajectoryPoint(float(t), NavState(p, v, q), "ok"))
 
     return SyntheticRun(spec, truth, imu, dvl, ahrs)

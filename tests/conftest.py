@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cipgnav.sensors import AhrsSample, DvlSample, ImuSample
-
 
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit quaternion (scalar-first)."""
@@ -28,21 +26,13 @@ def central_difference(fun, x, eps: float = 1e-6) -> np.ndarray:
 
 def make_streams(duration=2.0, imu_rate=100.0, meas_rate=5.0, accel=(0.0, 0.0, -9.81),
                  gyro=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0)):
-    """Constant-reading IMU/DVL/AHRS streams for synchronization tests."""
+    """Constant-reading IMU/DVL/AHRS stream arrays for synchronization tests."""
     n_imu = int(round(duration * imu_rate))
-    imu = [
-        ImuSample(t=(i + 1) / imu_rate, accel=np.array(accel), gyro=np.array(gyro))
-        for i in range(n_imu)
-    ]
+    imu = np.array([[(i + 1) / imu_rate, *accel, *gyro] for i in range(n_imu)])
     n_meas = int(round(duration * meas_rate))
-    dvl = [
-        DvlSample(t=(k + 1) / meas_rate, velocity=np.array(velocity))
-        for k in range(n_meas)
-    ]
-    ahrs = [
-        AhrsSample(t=(k + 1) / meas_rate, orientation=np.array([1.0, 0.0, 0.0, 0.0]))
-        for k in range(n_meas)
-    ]
+    meas_t = [(k + 1) / meas_rate for k in range(n_meas)]
+    dvl = np.array([[t, *velocity] for t in meas_t])
+    ahrs = np.array([[t, 1.0, 0.0, 0.0, 0.0] for t in meas_t])
     return imu, dvl, ahrs
 
 

@@ -55,7 +55,7 @@ from cipgnav.quat import (
     quat_product,
     quat_to_rotation,
 )
-from cipgnav.sensors import ImuSample, SyncedEpoch
+from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from cipgnav.trajectory import TrajectoryPoint
 
@@ -191,10 +191,7 @@ class TestCascadeJacobiansMatchFiniteDifferences:
     def random_epoch(self, rng, t_prev, n_samples=4):
         dts = rng.uniform(0.005, 0.02, n_samples)
         ts = t_prev + np.cumsum(dts)
-        burst = tuple(
-            ImuSample(float(t), rng.normal(size=3), rng.normal(scale=0.8, size=3))
-            for t in ts
-        )
+        burst = np.array([[t, *rng.normal(size=3), *rng.normal(scale=0.8, size=3)] for t in ts])
         return SyncedEpoch(t=float(ts[-1]), t_prev=float(t_prev), imu_burst=burst,
                            dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
 

@@ -91,21 +91,21 @@ class TestGironaAdapter:
 
         imu = load_stream(out / "imu.csv", "imu")
         # deg/s gyro converted to rad/s.
-        assert imu[0].gyro[2] == pytest.approx(math.radians(2.0), abs=1e-12)
-        np.testing.assert_allclose(imu[0].accel, [0.0, 0.0, -9.81], atol=1e-12)
+        assert imu[0, 6] == pytest.approx(math.radians(2.0), abs=1e-12)
+        np.testing.assert_allclose(imu[0, 1:4], [0.0, 0.0, -9.81], atol=1e-12)
 
         # Body-frame DVL rotated into the navigation frame by the AHRS yaw.
         dvl = load_stream(out / "dvl.csv", "dvl")
         yaw = math.radians(30.0)
         np.testing.assert_allclose(
-            dvl[0].velocity, [0.5 * math.cos(yaw), 0.5 * math.sin(yaw), 0.0], atol=1e-9
+            dvl[0, 1:], [0.5 * math.cos(yaw), 0.5 * math.sin(yaw), 0.0], atol=1e-9
         )
         assert "navigation frame" in " ".join(log.streams["dvl"].conversions)
 
         # Euler degrees to quaternion.
         ahrs = load_stream(out / "ahrs.csv", "ahrs")
         np.testing.assert_allclose(
-            euler_from_quat(ahrs[0].orientation), [0.0, 0.0, yaw], atol=1e-12
+            euler_from_quat(ahrs[0, 1:]), [0.0, 0.0, yaw], atol=1e-12
         )
 
         # xyzw ground-truth quaternion reordered to scalar-first.
@@ -139,7 +139,7 @@ class TestGironaAdapter:
         path.write_text("\n".join(lines) + "\n")
         adapt("girona_csv", src, out)
         ahrs = load_stream(out / "ahrs.csv", "ahrs")
-        ts = [s.t for s in ahrs]
+        ts = ahrs[:, 0].tolist()
         assert ts == sorted(ts)
 
     def test_missing_source_file(self, tmp_path):
@@ -160,13 +160,13 @@ class TestBluerov2Adapter:
 
         imu = load_stream(out / "imu.csv", "imu")
         # Microseconds to seconds, g to m/s^2.
-        assert imu[0].t == pytest.approx(0.01, abs=1e-12)
-        assert imu[0].accel[2] == pytest.approx(-G0, abs=1e-12)
+        assert imu[0, 0] == pytest.approx(0.01, abs=1e-12)
+        assert imu[0, 3] == pytest.approx(-G0, abs=1e-12)
 
         dvl = load_stream(out / "dvl.csv", "dvl")
         # Milliseconds to seconds, mm/s to m/s; frame already navigation.
-        assert dvl[0].t == pytest.approx(0.1, abs=1e-12)
-        np.testing.assert_allclose(dvl[0].velocity, [0.25, -0.1, 0.0], atol=1e-12)
+        assert dvl[0, 0] == pytest.approx(0.1, abs=1e-12)
+        np.testing.assert_allclose(dvl[0, 1:], [0.25, -0.1, 0.0], atol=1e-12)
 
         summary = log.summary()
         assert "imu" in summary

@@ -33,7 +33,6 @@ from cipgnav.quat import (
     quat_product,
     quat_to_rotation,
 )
-from cipgnav.sensors import ImuSample
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import random_unit_quat
 
@@ -57,11 +56,11 @@ def reference_ekf_predict(state, burst, config, t_start):
     g = config.gravity.vector
     Qc = np.diag(config.q_diag())
     t_prev = t_start
-    for sample in burst:
-        dt = sample.t - t_prev
+    for row in burst:
+        dt = row[0] - t_prev
         R = quat_to_rotation(q)
-        a = sample.accel - config.biases.accel
-        w = sample.gyro - config.biases.gyro
+        a = row[1:4] - config.biases.accel
+        w = row[4:7] - config.biases.gyro
         F = np.eye(9)
         F[0:3, 3:6] = dt * np.eye(3)
         F[3:6, 6:9] = -dt * (R @ skew(a))
@@ -69,7 +68,7 @@ def reference_ekf_predict(state, burst, config, t_start):
         P = F @ P @ F.T + Qc * dt
         inc = np.concatenate(([1.0], 0.5 * dt * w))
         p, v, q = p + dt * v, v + dt * (R @ a + g), quat_normalize(quat_product(q, inc))
-        t_prev = sample.t
+        t_prev = row[0]
     return p, v, q, 0.5 * (P + P.T)
 
 
@@ -80,10 +79,10 @@ def reference_inekf_predict(state, burst, config, t_start):
     Qb = np.diag(np.concatenate([np.full(3, config.q_att), np.full(3, config.q_vel),
                                  np.full(3, config.q_pos)]))
     t_prev = t_start
-    for sample in burst:
-        dt = sample.t - t_prev
-        a = sample.accel - config.biases.accel
-        w = sample.gyro - config.biases.gyro
+    for row in burst:
+        dt = row[0] - t_prev
+        a = row[1:4] - config.biases.accel
+        w = row[4:7] - config.biases.gyro
         F = np.eye(9)
         F[3:6, 0:3] = dt * skew(g)
         F[6:9, 3:6] = dt * np.eye(3)
@@ -96,17 +95,16 @@ def reference_inekf_predict(state, burst, config, t_start):
         P = F @ P @ F.T + (Ad @ Qb @ Ad.T) * dt
         inc = quat_normalize(np.concatenate(([1.0], 0.5 * dt * w)))
         p, v, R = p + dt * v, v + dt * (R @ a + g), R @ quat_to_rotation(inc)
-        t_prev = sample.t
+        t_prev = row[0]
     return R, v, p, 0.5 * (P + P.T)
 
 
 def random_burst(rng, t_start, n):
-    """n IMU samples after t_start with non-uniform spacing below 0.05 s."""
+    """(n, 7) IMU rows after t_start with non-uniform spacing below 0.05 s."""
     ts = t_start + np.cumsum(rng.uniform(0.001, 0.03, n))
-    return tuple(
-        ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 2.0), rng.normal(scale=0.8, size=3))
-        for t in ts
-    )
+    return np.array([
+        [t, *rng.normal([0.0, 0.0, -9.81], 2.0), *rng.normal(scale=0.8, size=3)] for t in ts
+    ])
 
 
 def random_config(rng, validate=False):
@@ -157,7 +155,7 @@ class TestBatchedPredict:
         config = FilterConfig()
         start = EkfState.start if predict is ekf_predict else InekfState.start
         burst = random_burst(rng, 0.0, 5)
-        burst = burst[:2] + (replace(burst[2], t=burst[1].t),) + burst[3:]
+        burst[2, 0] = burst[1, 0]
         with pytest.raises(ValueError, match="spacing"):
             predict(start(NavState(), config), burst, config, 0.0)
 
@@ -166,8 +164,7 @@ class TestBatchedPredict:
         config = FilterConfig()
         start = EkfState.start if predict is ekf_predict else InekfState.start
         burst = random_burst(rng, 0.0, 10)
-        shifted = tuple(replace(s, t=s.t + 0.1) for s in burst[4:])
-        burst = burst[:4] + shifted
+        burst[4:, 0] += 0.1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             predict(start(NavState(), config), burst, config, 0.0)

@@ -30,7 +30,7 @@ from cipgnav.preintegration import (
     propagate_orientation,
 )
 from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product, quat_to_rotation
-from cipgnav.sensors import ImuSample, SyncedEpoch
+from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import random_unit_quat
 
@@ -56,9 +56,9 @@ class TestBurst:
             # ...equals integrating sample by sample.
             q_slow = q0
             t_prev = epoch.t_prev
-            for s in epoch.imu_burst:
-                q_slow = propagate_orientation(q_slow, s.gyro, bias, s.t - t_prev)
-                t_prev = s.t
+            for row in epoch.imu_burst:
+                q_slow = propagate_orientation(q_slow, row[4:7], bias, row[0] - t_prev)
+                t_prev = row[0]
             assert quat_angular_distance(q_fast, q_slow) < 1e-12
 
     def test_burst_spans_epoch_interval(self):
@@ -71,7 +71,7 @@ class TestBurst:
     def test_burst_rejects_bad_spacing(self):
         _, epochs = circle_run(duration=5.0)
         e = epochs[0]
-        bad = replace(e, t_prev=e.imu_burst[3].t)
+        bad = replace(e, t_prev=e.imu_burst[3, 0])
         with pytest.raises(ValueError, match="spacing"):
             _make_burst(bad, np.zeros(3))
 
@@ -80,10 +80,10 @@ class TestBurst:
         for _ in range(50):
             n = int(rng.integers(1, 30))
             ts = rng.uniform(0.0, 10.0) + np.cumsum(rng.uniform(0.002, 0.02, n + 1))
-            burst = tuple(
-                ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 2.0), rng.normal(scale=0.8, size=3))
+            burst = np.array([
+                [t, *rng.normal([0.0, 0.0, -9.81], 2.0), *rng.normal(scale=0.8, size=3)]
                 for t in ts[1:]
-            )
+            ])
             epoch = SyncedEpoch(t=float(ts[-1]), t_prev=float(ts[0]), imu_burst=burst,
                                 dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
             gyro_bias = rng.normal(scale=0.01, size=3)
@@ -94,11 +94,11 @@ class TestBurst:
             expected = np.zeros(3)
             q = q0
             t_prev = epoch.t_prev
-            for s in burst:
-                dt = s.t - t_prev
-                expected += dt * (quat_to_rotation(q) @ (s.accel - accel_bias) + gravity.vector)
-                q = propagate_orientation(q, s.gyro, gyro_bias, dt)
-                t_prev = s.t
+            for row in burst:
+                dt = row[0] - t_prev
+                expected += dt * (quat_to_rotation(q) @ (row[1:4] - accel_bias) + gravity.vector)
+                q = propagate_orientation(q, row[4:7], gyro_bias, dt)
+                t_prev = row[0]
             b = _make_burst(epoch, gyro_bias, accel_bias=accel_bias)
             got = quat_to_rotation(q0) @ b.body_dv + b.duration * gravity.vector
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
@@ -109,8 +109,8 @@ class TestBurst:
         horizon = IpgParams().horizon
         k = horizon + 1
         burst = epochs[k].imu_burst
-        epochs[k] = replace(epochs[k], imu_burst=burst[:1] + burst[10:])
-        assert burst[10].t - burst[0].t == pytest.approx(0.1)
+        epochs[k] = replace(epochs[k], imu_burst=np.concatenate([burst[:1], burst[10:]]))
+        assert burst[10, 0] - burst[0, 0] == pytest.approx(0.1)
         state = CascadeState.start(CascadeConfig(), epochs)
         for epoch in epochs[:k]:
             state, _ = cascade_step(state, epoch)
@@ -131,10 +131,10 @@ class TestBurst:
         for _ in range(100):
             n = int(rng.integers(1, 30))
             ts = rng.uniform(0.0, 10.0) + np.cumsum(rng.uniform(0.002, 0.02, n + 1))
-            burst = tuple(
-                ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 2.0), rng.normal(scale=0.8, size=3))
+            burst = np.array([
+                [t, *rng.normal([0.0, 0.0, -9.81], 2.0), *rng.normal(scale=0.8, size=3)]
                 for t in ts[1:]
-            )
+            ])
             epoch = SyncedEpoch(t=float(ts[-1]), t_prev=float(ts[0]), imu_burst=burst,
                                 dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
             biases = ImuBiases(rng.normal(scale=0.2, size=3), rng.normal(scale=0.01, size=3))
@@ -149,8 +149,8 @@ class TestBurst:
     def test_large_step_in_warmup_epoch_warns_once(self):
         _, epochs = circle_run(duration=10.0)
         burst = epochs[1].imu_burst
-        epochs[1] = replace(epochs[1], imu_burst=burst[:1] + burst[11:])
-        assert burst[11].t - burst[0].t == pytest.approx(0.11)
+        epochs[1] = replace(epochs[1], imu_burst=np.concatenate([burst[:1], burst[11:]]))
+        assert burst[11, 0] - burst[0, 0] == pytest.approx(0.11)
         state = CascadeState.start(CascadeConfig(), epochs)
         state, _ = cascade_step(state, epochs[0])
         with warnings.catch_warnings(record=True) as caught:
@@ -397,10 +397,9 @@ class TestVelocityStage:
 def random_epoch(rng, t_prev, n_samples):
     """A synced epoch whose burst has random spacing, specific force and rates."""
     ts = t_prev + np.cumsum(rng.uniform(0.005, 0.02, n_samples))
-    burst = tuple(
-        ImuSample(float(t), rng.normal([0.0, 0.0, -9.81], 1.0), rng.normal(scale=0.8, size=3))
-        for t in ts
-    )
+    burst = np.array([
+        [t, *rng.normal([0.0, 0.0, -9.81], 1.0), *rng.normal(scale=0.8, size=3)] for t in ts
+    ])
     return SyncedEpoch(t=float(ts[-1]), t_prev=float(t_prev), imu_burst=burst,
                        dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
 

@@ -7,9 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from cipgnav.cli import main
-from cipgnav.sensors import load_stream
+from cipgnav import cli
+from cipgnav.cli import hash_epochs, main
+from cipgnav.sensors import load_stream, synchronize
+from cipgnav.sim import benchmark_scenario, generate
 from cipgnav.trajectory import read_trajectory
+from tests.conftest import make_streams
 from tests.test_adapters import write_bluerov2_sources
 
 SHORT_SIM = ["--scenario", "circle", "--duration", "10", "--circle-radius", "10",
@@ -94,6 +97,22 @@ class TestEstimate:
         assert meta["counts"]["warmup"] == 4
         assert meta["input"]["mode"] == "files"
 
+    @pytest.mark.parametrize("command", [["estimate", "--estimator", "ekf"],
+                                         ["compare", "--estimators", "ekf"]],
+                             ids=["estimate", "compare"])
+    def test_input_streams_loaded_once(self, tmp_path, monkeypatch, command):
+        data = simulate_into(tmp_path)
+        loaded = []
+
+        def counting_load(path, kind):
+            loaded.append(kind)
+            return load_stream(path, kind)
+
+        monkeypatch.setattr(cli, "load_stream", counting_load)
+        rc = main([*command, "--input", str(data), "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert sorted(loaded) == ["ahrs", "dvl", "gt", "imu"]
+
     def test_scenario_source_without_files(self, tmp_path):
         traj = tmp_path / "traj.csv"
         rc = main(["estimate", *SHORT_SIM, "--estimator", "ekf", "--out", str(traj)])
@@ -176,6 +195,18 @@ class TestEstimate:
                    "--out", str(tmp_path / "replay.csv")])
         assert rc == 2
         assert "does not match the metadata" in capsys.readouterr().err
+
+
+class TestHashEpochs:
+    """Recorded metadata replays only while the digest of an epoch stream is unchanged."""
+
+    def test_constant_streams_digest(self):
+        assert hash_epochs(synchronize(*make_streams())) == (
+            "sha256:0776bc804f13d78a44e031cac18c61a066bc913b08fcd421dfc3f8468c4493db")
+
+    def test_benchmark_scenario_digest(self):
+        assert hash_epochs(generate(benchmark_scenario(0, 20.0)).epochs()) == (
+            "sha256:5425a0d8515d981eb6ac61f2fbdeb5e1f951d06ae5191af3cdace42efb1f8512")
 
 
 class TestEvaluate:

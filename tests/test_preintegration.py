@@ -18,7 +18,6 @@ from cipgnav.preintegration import (
     propagate_velocity,
 )
 from cipgnav.quat import quat_angular_distance, quat_from_yaw, quat_to_rotation
-from cipgnav.sensors import ImuSample
 from tests.conftest import central_difference, random_unit_quat
 
 G = GravityModel()
@@ -118,10 +117,9 @@ class TestKernels:
 
 class TestBurst:
     def make_burst(self, rng, n=10, t0=0.0, dt=0.01):
-        return tuple(
-            ImuSample(t=t0 + (i + 1) * dt, accel=rng.normal(size=3), gyro=rng.normal(size=3))
-            for i in range(n)
-        )
+        return np.array([
+            [t0 + (i + 1) * dt, *rng.normal(size=3), *rng.normal(size=3)] for i in range(n)
+        ])
 
     def test_matches_per_sample_kernels(self, rng):
         burst = self.make_burst(rng)
@@ -131,14 +129,14 @@ class TestBurst:
 
         p, v, q = state.position, state.velocity, state.orientation
         t_prev = 0.0
-        for s in burst:
-            dt = s.t - t_prev
+        for row in burst:
+            dt = row[0] - t_prev
             p, v, q = (
                 propagate_position(p, v, dt),
-                propagate_velocity(v, q, s.accel, biases.accel, G, dt),
-                propagate_orientation(q, s.gyro, biases.gyro, dt),
+                propagate_velocity(v, q, row[1:4], biases.accel, G, dt),
+                propagate_orientation(q, row[4:7], biases.gyro, dt),
             )
-            t_prev = s.t
+            t_prev = row[0]
         np.testing.assert_allclose(out.position, p, atol=1e-14)
         np.testing.assert_allclose(out.velocity, v, atol=1e-14)
         np.testing.assert_allclose(out.orientation, q, atol=1e-14)
@@ -147,21 +145,21 @@ class TestBurst:
         # Over a single sample the position must advance with the velocity
         # from before the accelerometer update (rectangle rule).
         state = NavState(velocity=np.array([1.0, 0.0, 0.0]))
-        burst = (ImuSample(t=0.04, accel=np.array([50.0, 0.0, 0.0]), gyro=np.zeros(3)),)
+        burst = np.array([[0.04, 50.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         out = preintegrate_burst(state, burst, NO_BIAS, ZERO_G, t_start=0.0)
         np.testing.assert_allclose(out.position, [0.04, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(out.velocity, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_empty_burst_returns_copy(self):
         state = NavState(position=np.array([1.0, 2.0, 3.0]))
-        out = preintegrate_burst(state, (), NO_BIAS, G, t_start=0.0)
+        out = preintegrate_burst(state, np.empty((0, 7)), NO_BIAS, G, t_start=0.0)
         np.testing.assert_allclose(out.position, state.position)
         out.position[0] = -1.0
         assert state.position[0] == 1.0
 
     def test_large_step_warns_once(self, rng):
-        burst = self.make_burst(rng, n=5) + self.make_burst(rng, n=5, t0=0.2)
-        assert burst[5].t - burst[4].t == pytest.approx(0.16)
+        burst = np.concatenate([self.make_burst(rng, n=5), self.make_burst(rng, n=5, t0=0.2)])
+        assert burst[5, 0] - burst[4, 0] == pytest.approx(0.16)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             preintegrate_burst(NavState(), burst, NO_BIAS, G, t_start=0.0)
@@ -169,8 +167,7 @@ class TestBurst:
 
     def test_free_fall(self):
         # Zero specific force: velocity accumulates exactly g per second.
-        burst = tuple(
-            ImuSample(t=(i + 1) * 0.01, accel=np.zeros(3), gyro=np.zeros(3)) for i in range(100)
-        )
+        burst = np.zeros((100, 7))
+        burst[:, 0] = 0.01 * np.arange(1, 101)
         out = preintegrate_burst(NavState(), burst, NO_BIAS, G, t_start=0.0)
         np.testing.assert_allclose(out.velocity, G.vector * 1.0, atol=1e-12)

@@ -8,9 +8,6 @@ import pytest
 from cipgnav.errors import ParseError, StreamOrderError, SyncGapError
 from cipgnav.quat import quat_from_yaw
 from cipgnav.sensors import (
-    AhrsSample,
-    DvlSample,
-    ImuSample,
     dvl_body_to_nav,
     initial_nav_from_epochs,
     load_stream,
@@ -27,26 +24,23 @@ class TestStreamIo:
         return load_stream(path, kind)
 
     def test_imu_round_trip_bitwise(self, tmp_path, rng):
-        samples = [
-            ImuSample(t=0.01 * (i + 1) + 1e-11 * rng.random(),
-                      accel=rng.normal(size=3), gyro=rng.normal(size=3))
+        samples = np.array([
+            [0.01 * (i + 1) + 1e-11 * rng.random(), *rng.normal(size=3), *rng.normal(size=3)]
             for i in range(20)
-        ]
+        ])
         back = self.roundtrip(tmp_path, samples, "imu")
-        assert len(back) == 20
-        for a, b in zip(samples, back):
-            assert a.t == b.t  # repr round-trip must be exact
-            np.testing.assert_array_equal(a.accel, b.accel)
-            np.testing.assert_array_equal(a.gyro, b.gyro)
+        assert back.shape == (20, 7)
+        # repr round-trip must be exact, timestamps included.
+        np.testing.assert_array_equal(back, samples)
 
     def test_dvl_ahrs_gt_round_trip(self, tmp_path, rng):
-        dvl = [DvlSample(t=0.2 * (i + 1), velocity=rng.normal(size=3)) for i in range(5)]
+        dvl = np.array([[0.2 * (i + 1), *rng.normal(size=3)] for i in range(5)])
         back = self.roundtrip(tmp_path, dvl, "dvl")
-        np.testing.assert_array_equal(back[3].velocity, dvl[3].velocity)
+        np.testing.assert_array_equal(back[3, 1:], dvl[3, 1:])
 
-        ahrs = [AhrsSample(t=0.2 * (i + 1), orientation=random_unit_quat(rng)) for i in range(5)]
+        ahrs = np.array([[0.2 * (i + 1), *random_unit_quat(rng)] for i in range(5)])
         back = self.roundtrip(tmp_path, ahrs, "ahrs")
-        np.testing.assert_array_equal(back[2].orientation, ahrs[2].orientation)
+        np.testing.assert_array_equal(back[2, 1:], ahrs[2, 1:])
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "imu.csv"
@@ -79,8 +73,7 @@ class TestSynchronize:
         assert len(epochs) == 10
         assert all(len(e.imu_burst) == 20 for e in epochs)
         # Bursts partition the IMU stream in order.
-        flat = [s.t for e in epochs for s in e.imu_burst]
-        assert flat == [s.t for s in imu]
+        np.testing.assert_array_equal(np.concatenate([e.imu_burst for e in epochs]), imu)
         # t_prev chains epoch timestamps; the first reaches one IMU period
         # before the first sample.
         assert epochs[0].t_prev == pytest.approx(0.0, abs=1e-12)
@@ -89,8 +82,8 @@ class TestSynchronize:
 
     def test_uncovered_dvl_epochs_are_skipped(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
-        late = [DvlSample(t=5.0, velocity=np.zeros(3))]
-        epochs = synchronize(imu, dvl + late, ahrs)
+        late = np.array([[5.0, 0.0, 0.0, 0.0]])
+        epochs = synchronize(imu, np.concatenate([dvl, late]), ahrs)
         assert len(epochs) == 10
 
     def test_missing_ahrs_raises_gap_error(self):
@@ -101,35 +94,34 @@ class TestSynchronize:
     def test_empty_burst_raises_gap_error(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
         # Two DVL epochs inside one IMU period leave the second without samples.
-        crowded = sorted(dvl + [DvlSample(t=dvl[0].t + 1e-4, velocity=np.zeros(3))],
-                         key=lambda s: s.t)
+        crowded = np.insert(dvl, 1, [dvl[0, 0] + 1e-4, 0.0, 0.0, 0.0], axis=0)
         with pytest.raises(SyncGapError, match="IMU"):
             synchronize(imu, crowded, ahrs)
 
     def test_no_overlap_raises(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
-        shifted = [DvlSample(t=s.t + 100.0, velocity=s.velocity) for s in dvl]
+        shifted = dvl + [100.0, 0.0, 0.0, 0.0]
         with pytest.raises(SyncGapError):
             synchronize(imu, shifted, ahrs)
 
     def test_requires_nonempty_streams(self):
         imu, dvl, ahrs = make_streams(duration=1.0)
         with pytest.raises(ValueError):
-            synchronize([], dvl, ahrs)
+            synchronize(np.empty((0, 7)), dvl, ahrs)
 
 
 class TestFrames:
     def test_dvl_body_to_nav_quarter_turn(self):
         # Heading 90 deg: body-forward becomes nav +y.
-        dvl = [DvlSample(t=1.0, velocity=np.array([1.0, 0.0, 0.0]))]
-        ahrs = [AhrsSample(t=1.0, orientation=quat_from_yaw(np.pi / 2))]
+        dvl = np.array([[1.0, 1.0, 0.0, 0.0]])
+        ahrs = np.array([[1.0, *quat_from_yaw(np.pi / 2)]])
         out = dvl_body_to_nav(dvl, ahrs)
-        np.testing.assert_allclose(out[0].velocity, [0.0, 1.0, 0.0], atol=1e-12)
-        assert out[0].t == 1.0
+        np.testing.assert_allclose(out[0, 1:], [0.0, 1.0, 0.0], atol=1e-12)
+        assert out[0, 0] == 1.0
 
     def test_dvl_body_to_nav_needs_ahrs_coverage(self):
-        dvl = [DvlSample(t=50.0, velocity=np.ones(3))]
-        ahrs = [AhrsSample(t=1.0, orientation=np.array([1.0, 0, 0, 0]))]
+        dvl = np.array([[50.0, 1.0, 1.0, 1.0]])
+        ahrs = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(SyncGapError):
             dvl_body_to_nav(dvl, ahrs)
 

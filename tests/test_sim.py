@@ -132,36 +132,36 @@ class TestGenerate:
                             circle_radius=10.0, noise=QUIET)
         run = generate(spec)
         model = spec.model()
-        for s in run.dvl:
-            np.testing.assert_allclose(s.velocity, model.state(s.t)[1], atol=1e-12)
-        for s in run.ahrs:
-            assert quat_angular_distance(s.orientation, quat_from_yaw(model.state(s.t)[3])) < 1e-12
+        for t, *velocity in run.dvl:
+            np.testing.assert_allclose(velocity, model.state(t)[1], atol=1e-12)
+        for t, *orientation in run.ahrs:
+            assert quat_angular_distance(orientation, quat_from_yaw(model.state(t)[3])) < 1e-12
 
     def test_noiseless_imu_readings(self):
         # Stationary and level: the accelerometer reads the gravity reaction,
         # the gyro reads zero.
         run = generate(ScenarioSpec(kind="stationary", duration=2.0, speed=0.0, noise=QUIET))
         g = run.spec.gravity.vector
-        for s in run.imu:
-            np.testing.assert_allclose(s.accel, -g, atol=1e-12)
-            np.testing.assert_allclose(s.gyro, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(run.imu[:, 1:4], np.tile(-g, (len(run.imu), 1)), atol=1e-12)
+        np.testing.assert_allclose(run.imu[:, 4:7], np.zeros((len(run.imu), 3)), atol=1e-12)
 
     def test_noiseless_circle_imu(self):
         spec = ScenarioSpec(kind="circle", duration=10.0, speed=1.0,
                             circle_radius=20.0, noise=QUIET)
         run = generate(spec)
         model = spec.model()
-        for s in run.imu[::17]:
-            _, _, a_nav, yaw, yaw_rate = model.state(s.t)
+        for t, *reading in run.imu[::17]:
+            _, _, a_nav, yaw, yaw_rate = model.state(t)
             R = quat_to_rotation(quat_from_yaw(yaw))
-            np.testing.assert_allclose(s.accel, R.T @ (a_nav - spec.gravity.vector), atol=1e-12)
-            np.testing.assert_allclose(s.gyro, [0.0, 0.0, yaw_rate], atol=1e-12)
+            np.testing.assert_allclose(reading[:3], R.T @ (a_nav - spec.gravity.vector),
+                                       atol=1e-12)
+            np.testing.assert_allclose(reading[3:], [0.0, 0.0, yaw_rate], atol=1e-12)
 
     def test_timestamp_layout(self):
         run = generate(ScenarioSpec(kind="line", duration=2.0, noise=QUIET))
-        assert run.imu[0].t == pytest.approx(0.01)
-        assert run.imu[-1].t == pytest.approx(2.0)
-        assert run.dvl[0].t == pytest.approx(0.2)
+        assert run.imu[0, 0] == pytest.approx(0.01)
+        assert run.imu[-1, 0] == pytest.approx(2.0)
+        assert run.dvl[0, 0] == pytest.approx(0.2)
         assert run.truth[0].t == 0.0
 
     def test_biases_added_to_imu(self):
@@ -169,34 +169,34 @@ class TestGenerate:
         base = generate(ScenarioSpec(kind="stationary", duration=1.0, speed=0.0, noise=QUIET))
         biased = generate(ScenarioSpec(kind="stationary", duration=1.0, speed=0.0,
                                        noise=QUIET, biases=biases))
-        np.testing.assert_allclose(biased.imu[0].accel - base.imu[0].accel,
+        np.testing.assert_allclose(biased.imu[0, 1:4] - base.imu[0, 1:4],
                                    biases.accel, atol=1e-15)
-        np.testing.assert_allclose(biased.imu[0].gyro - base.imu[0].gyro,
+        np.testing.assert_allclose(biased.imu[0, 4:7] - base.imu[0, 4:7],
                                    biases.gyro, atol=1e-15)
 
     def test_seed_determinism_and_channel_independence(self):
         noisy = ScenarioSpec(kind="circle", duration=5.0, noise=NoiseSpec.bluerov2(), seed=3)
         a = generate(noisy)
         b = generate(noisy)
-        np.testing.assert_array_equal(a.imu[7].accel, b.imu[7].accel)
-        np.testing.assert_array_equal(a.dvl[3].velocity, b.dvl[3].velocity)
+        np.testing.assert_array_equal(a.imu[7, 1:4], b.imu[7, 1:4])
+        np.testing.assert_array_equal(a.dvl[3, 1:], b.dvl[3, 1:])
 
         c = generate(with_seed(noisy, 4))
-        assert not np.array_equal(a.imu[7].accel, c.imu[7].accel)
+        assert not np.array_equal(a.imu[7, 1:4], c.imu[7, 1:4])
 
         # Changing only the DVL noise must not disturb the IMU draw.
         quieter = ScenarioSpec(kind="circle", duration=5.0, seed=3,
                                noise=NoiseSpec(2e-3, 1e-4, 0.5, 0.01))
         d = generate(quieter)
-        np.testing.assert_array_equal(a.imu[7].accel, d.imu[7].accel)
-        np.testing.assert_array_equal(a.imu[7].gyro, d.imu[7].gyro)
-        assert not np.array_equal(a.dvl[3].velocity, d.dvl[3].velocity)
+        np.testing.assert_array_equal(a.imu[7, 1:4], d.imu[7, 1:4])
+        np.testing.assert_array_equal(a.imu[7, 4:7], d.imu[7, 4:7])
+        assert not np.array_equal(a.dvl[3, 1:], d.dvl[3, 1:])
 
     def test_noise_scale_matches_density(self):
         spec = ScenarioSpec(kind="stationary", duration=50.0, speed=0.0,
                             noise=NoiseSpec(2e-3, 1e-4, 0.0, 0.0), seed=9)
         run = generate(spec)
-        accel = np.array([s.accel for s in run.imu]) - (-spec.gravity.vector)
+        accel = run.imu[:, 1:4] - (-spec.gravity.vector)
         sigma = 2e-3 * np.sqrt(100.0)
         assert accel.std() == pytest.approx(sigma, rel=0.05)
 
@@ -205,10 +205,10 @@ class TestGenerate:
                             noise=QUIET, dvl_frame="body")
         run = generate(spec)
         model = spec.model()
-        for s in run.dvl[::3]:
-            _, v_nav, _, yaw, _ = model.state(s.t)
+        for t, *velocity in run.dvl[::3]:
+            _, v_nav, _, yaw, _ = model.state(t)
             R = quat_to_rotation(quat_from_yaw(yaw))
-            np.testing.assert_allclose(s.velocity, R.T @ v_nav, atol=1e-12)
+            np.testing.assert_allclose(velocity, R.T @ v_nav, atol=1e-12)
 
     def test_write_round_trip(self, tmp_path):
         run = generate(ScenarioSpec(kind="circle", duration=4.0, noise=NoiseSpec.bluerov2()))
@@ -216,7 +216,7 @@ class TestGenerate:
         assert set(paths) == {"imu", "dvl", "ahrs", "gt"}
         imu = load_stream(paths["imu"], "imu")
         assert len(imu) == len(run.imu)
-        np.testing.assert_array_equal(imu[5].accel, run.imu[5].accel)
+        np.testing.assert_array_equal(imu[5], run.imu[5])
         gt = load_stream(paths["gt"], "gt")
         assert gt[0].t == 0.0
         assert gt[0].orientation is not None
