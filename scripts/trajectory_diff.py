@@ -12,8 +12,9 @@ Configurations:
     survey       100 Hz IMU, window N=5, 3 inner iterations
     long-window   25 Hz IMU, window N=10, 10 inner iterations
 
-Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or any flag (or
-epoch timestamp) differs, 0 otherwise.
+Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
+(a NaN or infinite difference reads nan or inf), or any flag (or epoch
+timestamp) differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -94,6 +95,16 @@ def run_tree(src: Path, seeds) -> dict:
     return out
 
 
+def max_deviation(pairs) -> float:
+    """Largest |old - new| entry over (old, new) array pairs; 0.0 for none.
+
+    A NaN difference (NaN on either side, or inf - inf) gives NaN and an
+    infinite one inf, so neither can pass a ``<= TOLERANCE`` test.
+    """
+    devs = [np.max(np.abs(np.subtract(old, new)), initial=0.0) for old, new in pairs]
+    return float(np.max(devs, initial=0.0))  # np.max, unlike max(), propagates NaN
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -114,19 +125,19 @@ def main(argv=None) -> int:
     same = True
     for config in CONFIGS:
         for name in ESTIMATORS:
-            dev = np.zeros(3)
             flags_equal = True
             counts = {}
+            compared = []
             for seed in seeds:
                 a, b = old[config, name, seed], new[config, name, seed]
                 if not np.array_equal(a[0], b[0]):  # different epochs: nothing to compare
                     flags_equal = False
                     continue
                 flags_equal &= a[4] == b[4]
-                for k in range(3):
-                    dev[k] = max(dev[k], float(np.max(np.abs(a[k + 1] - b[k + 1]))))
+                compared.append((a, b))
                 for flag in b[4]:
                     counts[flag] = counts.get(flag, 0) + 1
+            dev = np.array([max_deviation((a[k], b[k]) for a, b in compared) for k in (1, 2, 3)])
             within = bool(np.all(dev <= TOLERANCE))
             same &= flags_equal and within
             summary = ", ".join(f"{n} {f}" for f, n in sorted(counts.items()))

@@ -4,13 +4,13 @@ Stage 1 estimates orientation: the window dynamics integrate gyro bursts and
 the measurements are AHRS quaternions (identity measurement map, hemisphere
 aligned to the prediction, renormalized after every inner iteration).  Each
 burst is one preintegrated rotation increment r_j, and normalization only
-rescales, so window row j is normalize(zeta * U_j) with the cumulative
-increment U_j = r_1 * ... * r_j: a fixed 4x4 linear map M_j of the
-window-start iterate zeta followed by row normalization.  Each epoch builds
-the M_j once and runs the inner iterations on the whole window in a few
-batched array operations (``_orientation_step``).  ``_OrientationStage.model``
-states the same stage as a generic ``WindowModel`` for ``ipg_step``; it is
-the reference the batched form is tested against.
+rescales, so window row j is normalize(zeta * U_j) with U_j = r_1 * ... * r_j:
+a fixed 4x4 map M_j of the window-start iterate zeta, with M_j^T M_j =
+|U_j|^2 I, followed by row normalization.  The stage's normal equations are
+therefore closed-form in zeta and a per-epoch (N-1, 4) array, and
+``_orientation_step`` forms no Jacobian.  ``_OrientationStage.model`` states
+the same stage as a generic ``WindowModel`` for ``ipg_step``; it is the
+reference the closed form is tested against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated once, when it arrives, into a rotation increment and
@@ -30,6 +30,7 @@ Dead reckoning runs from the same preintegrated bursts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,9 +165,8 @@ _RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
                         [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
 
 
-def _propagate_rows(M: np.ndarray, zeta: np.ndarray):
-    """Rows Y_j = M_j @ zeta, their norms, and Y_j / |Y_j|; guarded like quat_normalize."""
-    Y = M @ zeta
+def _unit_rows(Y: np.ndarray):
+    """Rows Y_j / |Y_j| and the norms |Y_j|; guarded like quat_normalize."""
     norms = np.sqrt((Y * Y).sum(axis=1))
     if not (norms > _NORM_EPS).all():  # also catches NaN
         raise DegenerateQuaternionError(
@@ -174,44 +174,49 @@ def _propagate_rows(M: np.ndarray, zeta: np.ndarray):
     return Y / norms[:, None], norms
 
 
-def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
-    """``ipg_step`` of the orientation stage, batched over the window.
-
-    With U_0 = 1 and U_j = U_{j-1} * rot_increments[j-1], row j >= 1 of the
-    stacked map is P_j = Y_j / |Y_j| with Y_j = M_j zeta, M_j the
-    right-multiplication matrix of U_j, and its Jacobian block is
-    (M_j - P_j P_j^T M_j) / |Y_j|: normalize(normalize(y) * u) equals
-    normalize(y * u), so this is the chain-rule product exactly.  Row 0 is
-    the raw iterate zeta with an identity block.  Each AHRS block is flipped
-    onto the hemisphere of its prediction.
-
-    Returns the current-epoch estimate, the warm-started iterate, K, and the
-    orientations at the start of each burst (rows 0..N-2 of the stacked
-    map); raises DivergenceError, NumericalError and
-    DegenerateQuaternionError where ipg_step does.
-    """
+def _window_terms(ahrs, rot_increments):
+    """M_j (N-1, 4, 4) and W_j = M_j^T Z_j / |U_j| (N-1, 4) for ``_orientation_step``."""
     # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
-    M = np.asarray(rot_increments)[:, _RIGHT_INDEX] * _RIGHT_SIGN  # (N-1, 4, 4)
+    M = np.asarray(rot_increments)[:, _RIGHT_INDEX] * _RIGHT_SIGN
     for j in range(1, len(M)):
         M[j] = M[j] @ M[j - 1]
-    z0, Z = ahrs[0], ahrs[1:]
-    eye = np.eye(4)
+    _, norms = _unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
+    if not np.isfinite(norms).all():
+        raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
+    return M, (ahrs[1:, None, :] @ M)[:, 0, :] / norms[:, None]
+
+
+def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
+    """``ipg_step`` of the orientation stage, on closed-form normal equations.
+
+    With U_0 = 1 and U_j = U_{j-1} * rot_increments[j-1], row j >= 1 of the
+    stacked map is P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-
+    multiplication matrix of U_j, and its Jacobian block is J_j = (I - P_j
+    P_j^T) M_j / |Y_j|, as normalize(normalize(y) * u) equals normalize(y * u).
+    Row 0 is zeta with an identity block.  As M_j^T M_j = |U_j|^2 I, a unit
+    zeta gives J_j^T J_j = I - zeta zeta^T, and the AHRS block Z_j, flipped
+    onto the hemisphere of P_j by s_j = sign(W_j . zeta), gives J_j^T (P_j -
+    s_j Z_j) = -s_j (I - zeta zeta^T) W_j with W_j = M_j^T Z_j / |U_j|.  So
+    J^T J = I + (N-1)(I - zeta zeta^T) and J^T r = r_0 + zeta (zeta . w) - w,
+    w = sum_j s_j W_j: no Jacobian is formed in the inner iterations.
+
+    Returns the current-epoch estimate as a copy (a view would keep every row
+    alive), the warm-started iterate, K, and the orientations at the start of
+    each burst (rows 0..N-2 of the stacked map); raises DivergenceError,
+    NumericalError and DegenerateQuaternionError where ipg_step does.
+    """
+    M, W = _window_terms(ahrs, rot_increments)
+    z0, rows, eye = ahrs[0], len(W), np.eye(4)
     for i in range(params.iterations):
-        P, norms = _propagate_rows(M, zeta)
-        J = (M - P[:, :, None] * (P[:, None, :] @ M)) / norms[:, None, None]
-        if not np.isfinite(J).all():
-            raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
-        J = J.reshape(-1, 4)
-        flip = np.where((Z * P).sum(axis=1) < 0.0, -1.0, 1.0)
-        residual = (P - flip[:, None] * Z).reshape(-1)
+        w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
         r0 = zeta + z0 if z0 @ zeta < 0.0 else zeta - z0
-        K_next = K - params.alpha_at(i) * (K + J.T @ (J @ K) - eye)
-        zeta_next = zeta - params.delta_at(i) * (K @ (r0 + J.T @ residual))
+        K_next = K - params.alpha_at(i) * (K + rows * (K - np.outer(zeta, zeta @ K)) - eye)
+        zeta_next = zeta - params.delta_at(i) * (K @ (r0 + zeta * (zeta @ w) - w))
         if not (np.isfinite(zeta_next).all() and np.isfinite(K_next).all()):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         zeta, K = quat_normalize(zeta_next), K_next
-    P, _ = _propagate_rows(M, zeta)
-    return P[-1], quat_normalize(P[0]), K, np.vstack([zeta, P[:-1]])
+    P, _ = _unit_rows(M @ zeta)
+    return P[-1].copy(), quat_normalize(P[0]), K, np.vstack([zeta, P[:-1]])
 
 
 def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
@@ -219,20 +224,23 @@ def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
 
     The stage is linear with identity maps, so J = [I; ...; I] and K = k*I
     stays a scaled identity.  With c_i the sum of the first i velocity
-    increments (c_0 = 0), the inner iterations reduce exactly to
+    increments (c_0 = 0), the inner iterations reduce exactly to (on floats)
     k' = k - alpha * (N k - 1) and zeta' = zeta - delta * k * sum_i (zeta + c_i - z_i).
     Returns the current-epoch estimate zeta + c_{N-1}, the warm-started
     iterate zeta + increments[0] and k; raises DivergenceError as ipg_step does.
     """
     n = len(dvl)
     offsets = np.vstack([np.zeros(3), np.cumsum(increments, axis=0)])
-    misfit = np.sum(offsets - dvl, axis=0)
+    misfit = np.sum(offsets - dvl, axis=0).tolist()
+    x = zeta.tolist()
     for i in range(params.iterations):
         k_next = k - params.alpha_at(i) * (n * k - 1.0)
-        zeta_next = zeta - params.delta_at(i) * k * (n * zeta + misfit)
-        if not (np.all(np.isfinite(zeta_next)) and np.isfinite(k_next)):
+        gain = params.delta_at(i) * k
+        x_next = [a - gain * (n * a + m) for a, m in zip(x, misfit)]
+        if not (all(map(math.isfinite, x_next)) and math.isfinite(k_next)):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
-        zeta, k = zeta_next, k_next
+        x, k = x_next, k_next
+    zeta = np.array(x)
     return zeta + offsets[-1], zeta + increments[0], k
 
 
@@ -379,7 +387,7 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
     position = state.nav.position + velocity * dt_epoch
-    nav = NavState(position, velocity, orientation)
+    nav = NavState.exact(position, velocity, orientation)  # stage 1's estimate is unit
 
     state.q_iterate, state.q_precond = q_iterate, q_precond
     state.v_iterate, state.v_gain = v_iterate, v_gain

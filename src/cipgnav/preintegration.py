@@ -19,20 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quat import (
-    normalize_jacobian,
-    quat_normalize,
-    quat_product,
-    quat_right_matrix,
-    quat_to_rotation,
-)
+from .quat import quat_normalize, quat_product, quat_to_rotation
 
 __all__ = [
     "ImuBiases",
     "GravityModel",
     "NavState",
     "propagate_orientation",
-    "orientation_step_jacobian",
     "propagate_velocity",
     "propagate_position",
     "preintegrate_burst",
@@ -102,13 +95,16 @@ class NavState:
         self.velocity = _vec3(self.velocity, "velocity")
         self.orientation = quat_normalize(self.orientation)
 
+    @classmethod
+    def exact(cls, position, velocity, orientation) -> "NavState":
+        """Wrap two float 3-vectors and a unit quaternion as they are, unvalidated and bit for bit."""
+        new = object.__new__(cls)
+        new.position, new.velocity, new.orientation = position, velocity, orientation
+        return new
+
     def copy(self) -> "NavState":
         """Independent copy, bit for bit: the orientation is not normalized again."""
-        new = object.__new__(NavState)
-        new.position = self.position.copy()
-        new.velocity = self.velocity.copy()
-        new.orientation = self.orientation.copy()
-        return new
+        return NavState.exact(self.position.copy(), self.velocity.copy(), self.orientation.copy())
 
 
 def _check_dt(dt: float) -> float:
@@ -166,19 +162,6 @@ def propagate_orientation(q, gyro, gyro_bias, dt) -> np.ndarray:
     rate = np.asarray(gyro, dtype=float) - np.asarray(gyro_bias, dtype=float)
     increment = np.concatenate(([1.0], 0.5 * dt * rate))
     return quat_normalize(quat_product(q, increment))
-
-
-def orientation_step_jacobian(q, gyro, gyro_bias, dt) -> np.ndarray:
-    """4x4 Jacobian of propagate_orientation with respect to q.
-
-    The pre-normalization update is the right product q * (1, dt/2 * rate),
-    which is linear in q; the normalization contributes a radial projection.
-    """
-    dt = float(dt)
-    rate = np.asarray(gyro, dtype=float) - np.asarray(gyro_bias, dtype=float)
-    increment = np.concatenate(([1.0], 0.5 * dt * rate))
-    raw = quat_product(np.asarray(q, dtype=float), increment)
-    return normalize_jacobian(raw) @ quat_right_matrix(increment)
 
 
 def propagate_velocity(v, q, accel, accel_bias, gravity, dt) -> np.ndarray:

@@ -8,6 +8,8 @@ rotation (double cover), so angular distances are computed on the quotient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateQuaternionError
@@ -133,13 +135,13 @@ def rotation_to_quat(R) -> np.ndarray:
 def quat_angular_distance(a, b) -> float:
     """Rotation angle (rad) between two unit quaternions, sign-invariant.
 
-    Returns ``2*acos(|<a, b>|)``, which lives in [0, pi] and treats q and -q
-    as the same attitude.
+    Returns ``2*acos(|<a, b>|)`` in [0, pi], treating q and -q as one attitude,
+    as ``4*atan2(|a - b|, |a + b|)`` with b on a's hemisphere (acos loses digits near 0).
     """
     a = quat_normalize(a)
     b = quat_normalize(b)
-    d = abs(float(a @ b))
-    return 2.0 * np.arccos(min(d, 1.0))
+    b = -b if a @ b < 0.0 else b
+    return 4.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
 
 
 def quat_from_rotvec(v) -> np.ndarray:

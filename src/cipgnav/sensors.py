@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, StreamOrderError, SyncGapError
+from .errors import DegenerateQuaternionError, ParseError, StreamOrderError, SyncGapError
 from .preintegration import NavState
 from .quat import hemisphere_align, quat_normalize, rotate_vector
 
@@ -89,14 +89,14 @@ def load_stream(path, kind: str):
     IMU, DVL and AHRS streams load as arrays with the columns of
     ``SCHEMAS[kind]``; ground truth loads as a list of GroundTruthSample, from
     4 or 8 columns (orientation optional).  Quaternions are normalized and
-    hemisphere sign-fixed against their predecessor.  Raises ParseError /
-    StreamOrderError with the offending line.
+    hemisphere sign-fixed against their predecessor.  Raises ParseError (on
+    a zero quaternion too) / StreamOrderError with the offending line.
     """
     if kind not in SCHEMAS:
         raise ValueError(f"unknown stream kind {kind!r}; expected one of {sorted(SCHEMAS)}")
     path = Path(path)
     expected = SCHEMAS[kind]
-    rows = []
+    rows, unit_quats = [], []
     prev_t = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -113,6 +113,7 @@ def load_stream(path, kind: str):
                 line=1,
                 path=path,
             )
+        has_quat = expected[-4:] == ("qw", "qx", "qy", "qz")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -123,10 +124,15 @@ def load_stream(path, kind: str):
                     f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})"
                 )
             prev_t = t
+            if has_quat:
+                try:
+                    unit_quats.append(quat_normalize(values[-4:]))
+                except DegenerateQuaternionError as exc:
+                    raise ParseError(str(exc), line=line_no, path=path) from None
             rows.append(values)
     data = np.array(rows, dtype=float).reshape(len(rows), len(expected))
-    if expected[-4:] == ("qw", "qx", "qy", "qz") and rows:
-        data[:, -4:] = hemisphere_align([quat_normalize(q) for q in data[:, -4:]])
+    if has_quat and rows:
+        data[:, -4:] = hemisphere_align(unit_quats)
     if kind != "gt":
         return data
     quats = data[:, 4:] if len(expected) == 8 else [None] * len(rows)

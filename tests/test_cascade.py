@@ -17,11 +17,19 @@ from cipgnav.cascade import (
     _OrientationStage,
     _orientation_step,
     _velocity_step,
+    _window_terms,
     cascade_step,
     run_cascade,
 )
-from cipgnav.errors import DivergenceError
-from cipgnav.ipg import IpgParams, IpgWindow, WindowModel, ipg_step, stacked_map
+from cipgnav.errors import DegenerateQuaternionError, DivergenceError, NumericalError
+from cipgnav.ipg import (
+    IpgParams,
+    IpgWindow,
+    WindowModel,
+    ipg_step,
+    stacked_jacobian,
+    stacked_map,
+)
 from cipgnav.preintegration import (
     GravityModel,
     ImuBiases,
@@ -32,7 +40,7 @@ from cipgnav.preintegration import (
 from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product, quat_to_rotation
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
-from tests.conftest import random_unit_quat
+from tests.conftest import central_difference, random_unit_quat
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -335,7 +343,7 @@ class TestOrientationFallback:
         state, point = cascade_step(state, nxt)
         assert point.flag == "ok"
         assert not state.needs_reseed
-        np.testing.assert_array_equal(point.nav.orientation, quat_normalize(expected))
+        np.testing.assert_array_equal(point.nav.orientation, expected)
         for epoch in epochs[horizon + 3 :]:
             state, point = cascade_step(state, epoch)
             assert point.flag == "ok"
@@ -460,3 +468,70 @@ class TestOrientationStage:
         with pytest.raises(DivergenceError) as generic_exc:
             ipg_step(_OrientationStage().model, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration
+
+    def test_dynamics_jacobian_matches_finite_differences(self, rng):
+        stage = _OrientationStage()
+        for _ in range(10):
+            q = random_unit_quat(rng)
+            burst = BurstInput(np.concatenate(([1.0], 0.005 * rng.normal(size=3))), np.zeros(3),
+                               0.0, np.zeros(0), np.zeros((0, 3)))
+            J_fd = central_difference(lambda x: stage._dynamics(x, burst), q)
+            np.testing.assert_allclose(stage._dynamics_jacobian(q, burst), J_fd, atol=1e-8)
+
+    def test_normal_equations_match_stacked_jacobian(self, rng):
+        # Random rotation increments with |U_j| far from 1, randomly negated
+        # AHRS blocks, and the stacked Jacobian and residual of the generic model.
+        model = _OrientationStage().model
+        for _ in range(100):
+            horizon = int(rng.integers(2, 11))
+            bursts = tuple(
+                BurstInput(random_unit_quat(rng) * rng.uniform(0.3, 3.0), np.zeros(3), 0.0,
+                           np.zeros(0), np.zeros((0, 3)))
+                for _ in range(horizon - 1))
+            zeta = random_unit_quat(rng)
+            truth = stacked_map(model, bursts, quat_normalize(zeta + rng.normal(scale=0.3, size=4)))
+            ahrs = truth.reshape(-1, 4) + rng.normal(scale=0.1, size=(horizon, 4))
+            ahrs *= rng.choice([-1.0, 1.0], size=(horizon, 1))
+            predicted = stacked_map(model, bursts, zeta)
+            J = stacked_jacobian(model, bursts, zeta)
+            r = predicted - model.align_measurements(predicted, ahrs.reshape(-1))
+            _, W = _window_terms(ahrs, [b.rot_increment for b in bursts])
+            w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
+            tangent = np.eye(4) - np.outer(zeta, zeta)
+            np.testing.assert_allclose(J.T @ J, np.eye(4) + (horizon - 1) * tangent,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(J.T @ r, r[:4] - tangent @ w, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    def test_degenerate_increment_raises_like_ipg_step(self, rng, bad):
+        params = IpgParams(horizon=6)
+        args, generic = self.random_window(rng, params.horizon, params.k0_scale)
+        ahrs, iterate, K, increments = args
+        increments[2] = np.full(4, bad)
+        generic = replace(generic, inputs=generic.inputs[:2] + (
+            replace(generic.inputs[2], rot_increment=increments[2]),) + generic.inputs[3:])
+        with pytest.raises(DegenerateQuaternionError):
+            _orientation_step(params, ahrs, iterate, K, increments)
+        with pytest.raises(DegenerateQuaternionError):
+            ipg_step(_OrientationStage().model, params, generic)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_increment_raises_numerical_error(self, rng):
+        params = IpgParams()
+        args, _ = self.random_window(rng, params.horizon, params.k0_scale)
+        ahrs, iterate, K, increments = args
+        increments[-1] = np.array([np.inf, 0.0, 0.0, 0.0])
+        with pytest.raises(NumericalError):
+            _orientation_step(params, ahrs, iterate, K, increments)
+
+    def test_non_finite_ahrs_diverges_at_first_iteration_like_ipg_step(self, rng):
+        params = IpgParams()
+        args, generic = self.random_window(rng, params.horizon, params.k0_scale)
+        ahrs = args[0].copy()
+        ahrs[3, 1] = np.nan
+        generic = replace(generic, measurements=tuple(ahrs))
+        with pytest.raises(DivergenceError) as batched:
+            _orientation_step(params, ahrs, *args[1:])
+        with pytest.raises(DivergenceError) as generic_exc:
+            ipg_step(_OrientationStage().model, params, generic)
+        assert batched.value.iteration == generic_exc.value.iteration == 0

@@ -144,6 +144,19 @@ class TestEstimate:
         rc = main(["estimate", "--input", str(data), "--out", str(tmp_path / "t.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("stream", ["ahrs", "gt"])
+    def test_zero_quaternion_is_data_error_with_line(self, tmp_path, capsys, stream):
+        data = simulate_into(tmp_path)
+        path = data / f"{stream}.csv"
+        lines = path.read_text().splitlines()
+        t = lines[5].split(",")
+        lines[5] = ",".join(t[:-4] + ["0.0"] * 4)
+        lines.insert(3, "")  # blank lines are skipped but still counted
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["estimate", "--input", str(data), "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert f"{path}:line 7: cannot normalize quaternion" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_estimation_error(self, tmp_path, capsys):
         data = simulate_into(tmp_path)

@@ -11,14 +11,13 @@ from cipgnav.preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
-    orientation_step_jacobian,
     preintegrate_burst,
     propagate_orientation,
     propagate_position,
     propagate_velocity,
 )
 from cipgnav.quat import quat_angular_distance, quat_from_yaw, quat_to_rotation
-from tests.conftest import central_difference, random_unit_quat
+from tests.conftest import random_unit_quat
 
 G = GravityModel()
 ZERO_G = GravityModel(np.zeros(3), allow_nonstandard=True)
@@ -103,16 +102,6 @@ class TestKernels:
     def test_warns_on_large_dt(self):
         with pytest.warns(UserWarning, match="dt"):
             propagate_position(np.zeros(3), np.zeros(3), 0.5)
-
-    def test_orientation_jacobian_matches_finite_differences(self, rng):
-        for _ in range(10):
-            q = random_unit_quat(rng)
-            gyro = rng.normal(size=3)
-            J = orientation_step_jacobian(q, gyro, np.zeros(3), 0.01)
-            J_fd = central_difference(
-                lambda x: propagate_orientation(x, gyro, np.zeros(3), 0.01), q
-            )
-            np.testing.assert_allclose(J, J_fd, atol=1e-8)
 
 
 class TestBurst:

@@ -171,6 +171,13 @@ class TestAngularDistance:
         q = random_unit_quat(rng)
         assert quat_angular_distance(q, -q) == pytest.approx(0.0, abs=1e-7)
 
+    def test_equal_quaternions_read_exactly_zero(self, rng):
+        # 2*acos(|<q, q>|) reads ~3e-8 rad whenever <q, q> rounds below 1.
+        for _ in range(200):
+            q = random_unit_quat(rng) * rng.uniform(0.5, 2.0)
+            assert quat_angular_distance(q, q) == 0.0
+            assert quat_angular_distance(q, -q) == 0.0
+
     def test_quarter_turn(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])
         b = quat_from_yaw(np.pi / 2)
