@@ -2,15 +2,22 @@
 """Compare the trajectories of two source trees of cipgnav.
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
-contains ``cipgnav/``), runs cipg, EKF and InEKF on ``benchmark_scenario``
-for each seed in two configurations, and prints per estimator and
+contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
+each seed in three configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
-all seeds and epochs, and whether the per-epoch flags are equal.  The two
-trees must agree to within TOLERANCE (1e-12) in every quantity.
+all seeds and epochs, and whether the per-epoch flags are equal, with the
+count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
+every quantity.
 
 Configurations:
-    survey       100 Hz IMU, window N=5, 3 inner iterations
-    long-window   25 Hz IMU, window N=10, 10 inner iterations
+    survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
+    long-window    25 Hz IMU, window N=10, 10 inner iterations; cipg, EKF, InEKF
+    dvl-nan       survey settings with a NaN DVL row at every 50th epoch from
+                  epoch 20; cipg only, with fallback="deadreckon".  Each NaN
+                  row drives the cascade through N fallback epochs, the last
+                  of which reseeds from the NaN row itself, so this is the
+                  configuration that runs the fallback and reseed paths.  The
+                  filters are skipped: a NaN measurement breaks them.
 
 Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
 (a NaN or infinite difference reads nan or inf), or any flag (or epoch
@@ -33,11 +40,13 @@ import numpy as np
 
 DURATION = 100.0  # seconds of each benchmark scenario
 TOLERANCE = 1e-12  # largest accepted max |difference| of any quantity
-CONFIGS = {
-    "survey": dict(imu_rate=100.0, horizon=5, iterations=3),
-    "long-window": dict(imu_rate=25.0, horizon=10, iterations=10),
-}
 ESTIMATORS = ("cipg", "ekf", "inekf")
+CONFIGS = {
+    "survey": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS),
+    "long-window": dict(imu_rate=25.0, horizon=10, iterations=10, estimators=ESTIMATORS),
+    "dvl-nan": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=("cipg",),
+                    nan_dvl=slice(20, None, 50)),
+}
 
 
 def parse_seeds(text: str) -> list:
@@ -75,16 +84,21 @@ def run_tree(src: Path, seeds) -> dict:
             run = m["sim"].generate(spec)
             epochs = run.epochs()
             initial = run.initial_nav()
+            fallback = "abort"
+            if "nan_dvl" in c:
+                fallback = "deadreckon"
+                for k in range(len(epochs))[c["nan_dvl"]]:
+                    epochs[k] = replace(epochs[k], dvl=np.full(3, np.nan))
             runners = {
-                "cipg": lambda: m["cascade"].run_cascade(
-                    epochs, m["cascade"].CascadeConfig(params=params, initial=initial)),
+                "cipg": lambda: m["cascade"].run_cascade(epochs, m["cascade"].CascadeConfig(
+                    params=params, initial=initial, fallback=fallback)),
                 "ekf": lambda: m["baselines"].run_ekf(
                     epochs, m["baselines"].FilterConfig(), initial=initial),
                 "inekf": lambda: m["baselines"].run_inekf(
                     epochs, m["baselines"].FilterConfig(), initial=initial),
             }
-            for name, runner in runners.items():
-                points = runner()
+            for name in c["estimators"]:
+                points = runners[name]()
                 out[config, name, seed] = (
                     np.array([p.t for p in points]),
                     np.array([p.nav.position for p in points]),
@@ -123,8 +137,8 @@ def main(argv=None) -> int:
     print(f"{'config':12s} {'estimator':9s} {'max|dp| m':>10s} {'max|dv| m/s':>11s} "
           f"{'max|dq|':>10s}  flags")
     same = True
-    for config in CONFIGS:
-        for name in ESTIMATORS:
+    for config, c in CONFIGS.items():
+        for name in c["estimators"]:
             flags_equal = True
             counts = {}
             compared = []

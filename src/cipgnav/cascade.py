@@ -8,8 +8,8 @@ rescales, so window row j is normalize(zeta * U_j) with U_j = r_1 * ... * r_j:
 a fixed 4x4 map M_j of the window-start iterate zeta, with M_j^T M_j =
 |U_j|^2 I, followed by row normalization.  The stage's normal equations are
 therefore closed-form in zeta and a per-epoch (N-1, 4) array, and
-``_orientation_step`` forms no Jacobian.  ``_OrientationStage.model`` states
-the same stage as a generic ``WindowModel`` for ``ipg_step``; it is the
+``_orientation_step`` forms no Jacobian.  ``ORIENTATION_MODEL`` states the
+same stage as a generic ``WindowModel`` for ``ipg_step``; it is the
 reference the closed form is tested against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
@@ -21,16 +21,20 @@ dynamics do not depend on the velocity state, so the stacked Jacobian is a
 stack of identities, the preconditioner stays a scaled identity k*I, and the
 inner iterations reduce to an exact scalar-gain recursion in closed form.
 
-Position is not windowed: it integrates the stage-2 velocity estimate over
-the epoch period.  The first N-1 epochs are emitted as dead-reckoned warmup
-rows; on divergence the estimator aborts (default) or falls back to dead
-reckoning for the epoch and reseeds the windows from direct measurements.
-Dead reckoning runs from the same preintegrated bursts.
+Both stages run on one ``IpgParams``.  Position is not windowed: it
+integrates the stage-2 velocity estimate over the epoch period.  The
+windows roll from the first epoch, whose dead-reckoned state seeds both
+iterates, and the first N-1 epochs are emitted as dead-reckoned warmup rows
+while they fill.  On divergence the estimator aborts (default) or falls back
+to dead reckoning for the epoch and clears the iterates; the next epoch
+reseeds them from the direct measurements at its window start.  Dead
+reckoning runs from the same preintegrated bursts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,33 +127,6 @@ def _rotate_rows(quats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs + w * t + _cross_rows(qv, t)
 
 
-class _OrientationStage:
-    """Window model for the orientation observer (state: quaternion).
-
-    The gyro bias is already folded into each burst's ``rot_increment`` by
-    ``_make_burst``.
-    """
-
-    def __init__(self):
-        self.model = WindowModel(
-            state_dim=4,
-            meas_dim=4,
-            dynamics=self._dynamics,
-            measurement=lambda q: q,
-            dynamics_jacobian=self._dynamics_jacobian,
-            measurement_jacobian=lambda q: np.eye(4),
-            post_iterate=quat_normalize,
-            align_measurements=_align_quat_blocks,
-        )
-
-    def _dynamics(self, q, burst: BurstInput):
-        return quat_normalize(quat_product(q, burst.rot_increment))
-
-    def _dynamics_jacobian(self, q, burst: BurstInput):
-        raw = quat_product(np.asarray(q, dtype=float), burst.rot_increment)
-        return normalize_jacobian(raw) @ quat_right_matrix(burst.rot_increment)
-
-
 def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Flip each measured quaternion block onto the predicted hemisphere."""
     Zb = Z.reshape(-1, 4).copy()
@@ -157,6 +134,30 @@ def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
     flip = np.sum(Zb * Pb, axis=1) < 0.0
     Zb[flip] *= -1.0
     return Zb.reshape(-1)
+
+
+def _orientation_dynamics(q, burst: BurstInput):
+    return quat_normalize(quat_product(q, burst.rot_increment))
+
+
+def _orientation_dynamics_jacobian(q, burst: BurstInput):
+    raw = quat_product(np.asarray(q, dtype=float), burst.rot_increment)
+    return normalize_jacobian(raw) @ quat_right_matrix(burst.rot_increment)
+
+
+# The orientation stage as a generic window model (state: quaternion): the
+# reference ``_orientation_step`` is tested against.  The gyro bias is
+# already folded into each burst's ``rot_increment`` by ``_make_burst``.
+ORIENTATION_MODEL = WindowModel(
+    state_dim=4,
+    meas_dim=4,
+    dynamics=_orientation_dynamics,
+    measurement=lambda q: q,
+    dynamics_jacobian=_orientation_dynamics_jacobian,
+    measurement_jacobian=lambda q: np.eye(4),
+    post_iterate=quat_normalize,
+    align_measurements=_align_quat_blocks,
+)
 
 
 # quats[:, _RIGHT_INDEX] * _RIGHT_SIGN stacks quat_right_matrix over rows.
@@ -210,8 +211,8 @@ def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
     for i in range(params.iterations):
         w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
         r0 = zeta + z0 if z0 @ zeta < 0.0 else zeta - z0
-        K_next = K - params.alpha_at(i) * (K + rows * (K - np.outer(zeta, zeta @ K)) - eye)
-        zeta_next = zeta - params.delta_at(i) * (K @ (r0 + zeta * (zeta @ w) - w))
+        K_next = K - params.alpha * (K + rows * (K - np.outer(zeta, zeta @ K)) - eye)
+        zeta_next = zeta - params.delta * (K @ (r0 + zeta * (zeta @ w) - w))
         if not (np.isfinite(zeta_next).all() and np.isfinite(K_next).all()):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         zeta, K = quat_normalize(zeta_next), K_next
@@ -234,8 +235,8 @@ def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
     misfit = np.sum(offsets - dvl, axis=0).tolist()
     x = zeta.tolist()
     for i in range(params.iterations):
-        k_next = k - params.alpha_at(i) * (n * k - 1.0)
-        gain = params.delta_at(i) * k
+        k_next = k - params.alpha * (n * k - 1.0)
+        gain = params.delta * k
         x_next = [a - gain * (n * a + m) for a, m in zip(x, misfit)]
         if not (all(map(math.isfinite, x_next)) and math.isfinite(k_next)):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
@@ -246,10 +247,9 @@ def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    """Cascade parameters; both stages share the window length."""
+    """Cascade parameters; both stages run on ``params``."""
 
     params: IpgParams = field(default_factory=IpgParams)
-    params_velocity: Optional[IpgParams] = None
     biases: ImuBiases = field(default_factory=ImuBiases)
     gravity: GravityModel = field(default_factory=GravityModel)
     initial: Optional[NavState] = None
@@ -258,43 +258,37 @@ class CascadeConfig:
     def __post_init__(self):
         if self.fallback not in FALLBACK_MODES:
             raise ValueError(f"fallback must be one of {FALLBACK_MODES}, got {self.fallback!r}")
-        if self.params_velocity is not None and self.params_velocity.horizon != self.params.horizon:
-            raise ValueError(
-                "orientation and velocity stages must share the window length: "
-                f"{self.params.horizon} != {self.params_velocity.horizon}"
-            )
-
-    @property
-    def velocity_params(self) -> IpgParams:
-        return self.params_velocity if self.params_velocity is not None else self.params
 
 
 @dataclass
 class CascadeState:
-    """Mutable per-run state of the cascade estimator."""
+    """Mutable per-run state of the cascade estimator.
+
+    ``bursts``, ``ahrs`` and ``dvl`` are rolling windows, oldest first, filled
+    from the first epoch; from epoch N on they hold a full window.
+    ``q_iterate`` and ``v_iterate`` estimate the window-start orientation and
+    velocity, and start from the first epoch's dead-reckoned state.  A
+    fallback epoch sets them to None; the next epoch reseeds them from
+    ``ahrs[0]`` and ``dvl[0]`` with fresh preconditioners.
+    """
 
     config: CascadeConfig
     nav: NavState
     t_prev: float
-    k: int = 0
-    pending_bursts: list = field(default_factory=list)
-    pending_ahrs: list = field(default_factory=list)
-    pending_dvl: list = field(default_factory=list)
-    window_start_seed: Optional[NavState] = None
-    bursts: tuple = ()  # the window's N-1 bursts, oldest first
-    ahrs_window: Optional[np.ndarray] = None  # (N, 4), oldest first
-    q_iterate: Optional[np.ndarray] = None  # orientation at the window start
-    q_precond: Optional[np.ndarray] = None  # the 4x4 orientation preconditioner
-    dvl_window: Optional[np.ndarray] = None  # (N, 3), oldest first
-    v_iterate: Optional[np.ndarray] = None  # velocity at the window start
-    v_gain: float = 0.0  # the velocity preconditioner is v_gain * I
-    needs_reseed: bool = False
-    fallback_count: int = 0
+    bursts: deque  # maxlen N-1
+    ahrs: deque  # maxlen N
+    dvl: deque  # maxlen N
+    q_precond: np.ndarray  # the 4x4 orientation preconditioner
+    v_gain: float  # the velocity preconditioner is v_gain * I
+    q_iterate: Optional[np.ndarray] = None
+    v_iterate: Optional[np.ndarray] = None
 
     @classmethod
     def start(cls, config: CascadeConfig, epochs) -> "CascadeState":
         nav = config.initial.copy() if config.initial is not None else initial_nav_from_epochs(epochs)
-        return cls(config=config, nav=nav, t_prev=epochs[0].t_prev)
+        n, k0 = config.params.horizon, config.params.k0_scale
+        return cls(config, nav, epochs[0].t_prev, deque(maxlen=n - 1), deque(maxlen=n),
+                   deque(maxlen=n), k0 * np.eye(4), k0)
 
 
 def _dead_reckon(nav: NavState, burst: BurstInput, g: np.ndarray) -> NavState:
@@ -314,57 +308,41 @@ def _dead_reckon(nav: NavState, burst: BurstInput, g: np.ndarray) -> NavState:
     )
 
 
-def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None):
+def cascade_step(state: CascadeState, epoch):
     """Consume one SyncedEpoch and emit a TrajectoryPoint.
 
     The first N-1 epochs dead-reckon (flag ``warmup``) while the windows
-    fill.  Afterwards each epoch slides both windows, runs stage 1 then
+    fill.  Afterwards each epoch slides the windows, runs stage 1 then
     stage 2, and integrates position over the epoch period.
     """
-    config = config if config is not None else state.config
-    n = config.params.horizon
+    config = state.config
     burst = _make_burst(epoch, config.biases.gyro, accel_bias=config.biases.accel)
     dt_epoch = epoch.t - state.t_prev
-    state.k += 1
+    state.bursts.append(burst)
+    state.ahrs.append(epoch.ahrs)
+    state.dvl.append(epoch.dvl)
 
-    if state.k < n:
+    if len(state.ahrs) < config.params.horizon:
         nav = _dead_reckon(state.nav, burst, config.gravity.vector)
-        if state.k == 1:
-            state.window_start_seed = nav.copy()
-        else:
-            state.pending_bursts.append(burst)
-        state.pending_ahrs.append(epoch.ahrs)
-        state.pending_dvl.append(epoch.dvl)
+        if len(state.ahrs) == 1:  # the window start
+            state.q_iterate, state.v_iterate = nav.orientation.copy(), nav.velocity.copy()
         state.nav = nav
         state.t_prev = epoch.t
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
-    if state.k == n:
-        seed = state.window_start_seed
-        state.bursts = tuple(state.pending_bursts) + (burst,)
-        state.ahrs_window = np.array(state.pending_ahrs + [epoch.ahrs], dtype=float)
-        state.q_iterate, state.q_precond = seed.orientation, config.params.k0_scale * np.eye(4)
-        state.dvl_window = np.array(state.pending_dvl + [epoch.dvl], dtype=float)
-        state.v_iterate, state.v_gain = seed.velocity, config.velocity_params.k0_scale
-        state.pending_bursts = []
-        state.pending_ahrs = []
-        state.pending_dvl = []
-    else:
-        state.bursts = state.bursts[1:] + (burst,)
-        state.ahrs_window = np.vstack([state.ahrs_window[1:], epoch.ahrs])
-        state.dvl_window = np.vstack([state.dvl_window[1:], epoch.dvl])
-        if state.needs_reseed:
-            # After a fallback epoch, restart both iterates from the direct
-            # measurements of the new window start (identity measurement maps).
-            state.q_iterate = quat_normalize(state.ahrs_window[0])
-            state.q_precond = config.params.k0_scale * np.eye(4)
-            state.v_iterate, state.v_gain = state.dvl_window[0], config.velocity_params.k0_scale
-            state.needs_reseed = False
+    ahrs = np.array(state.ahrs, dtype=float)
+    dvl = np.array(state.dvl, dtype=float)
+    if state.q_iterate is None:
+        # After a fallback epoch, restart from the direct measurements of the
+        # window start (identity measurement maps).
+        k0 = config.params.k0_scale
+        state.q_iterate, state.q_precond = quat_normalize(ahrs[0]), k0 * np.eye(4)
+        state.v_iterate, state.v_gain = dvl[0], k0
 
     stage = "orientation"
     try:
         orientation, q_iterate, q_precond, quats = _orientation_step(
-            config.params, state.ahrs_window, state.q_iterate, state.q_precond,
+            config.params, ahrs, state.q_iterate, state.q_precond,
             [b.rot_increment for b in state.bursts],
         )
         # quats[j] is the orientation where burst j starts.
@@ -372,7 +350,7 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
                       + np.outer([b.duration for b in state.bursts], config.gravity.vector))
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
-            config.velocity_params, state.dvl_window, state.v_iterate, state.v_gain, increments
+            config.params, dvl, state.v_iterate, state.v_gain, increments
         )
     except DivergenceError as exc:
         if config.fallback == "abort":
@@ -382,8 +360,7 @@ def cascade_step(state: CascadeState, epoch, config: CascadeConfig | None = None
         nav = _dead_reckon(state.nav, burst, config.gravity.vector)
         state.nav = nav
         state.t_prev = epoch.t
-        state.needs_reseed = True
-        state.fallback_count += 1
+        state.q_iterate = state.v_iterate = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
     position = state.nav.position + velocity * dt_epoch

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,7 +75,10 @@ def _parse_vec3(text: str) -> tuple:
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected three finite numbers, got {text!r}")
+    return values
 
 
 def _parse_waypoints(text: str) -> tuple:
@@ -482,7 +486,7 @@ def cmd_evaluate(args) -> int:
     if args.errors:
         est_used = align_trajectories(est, truth, mcfg.n_align_fixes) if args.align else est
         pair = pair_trajectories(est_used, truth)
-        write_error_series(_ensure_parent(args.errors), pair, mcfg.rpe_delta)
+        write_error_series(_ensure_parent(args.errors), pair)
     return 0
 
 
@@ -609,27 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Most of these classes subclass ValueError, so it comes last.
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, NumericalError, AlignmentError, DegenerateQuaternionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, AlignmentError, DegenerateQuaternionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, StreamOrderError, SyncGapError) as exc:
+    except (ParseError, StreamOrderError, SyncGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ preconditioner is carried over unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,31 +69,18 @@ class WindowModel:
     align_measurements: Optional[Callable] = None
 
 
-def _as_schedule(value, name):
-    if np.isscalar(value):
-        v = float(value)
-        if v <= 0.0:
-            raise ValueError(f"{name} must be positive, got {v}")
-        return (v,)
-    seq = tuple(float(v) for v in value)
-    if not seq or any(v <= 0.0 for v in seq):
-        raise ValueError(f"{name} schedule must be non-empty and positive, got {seq}")
-    return seq
-
-
 @dataclass(frozen=True)
 class IpgParams:
-    """Window length and inner-iteration schedule.
+    """Window length, inner iterations and the constant step sizes.
 
-    ``alpha`` and ``delta`` accept either a constant or a per-iteration
-    sequence (the last entry repeats when the schedule is shorter than
-    ``iterations``).
+    ``alpha`` (preconditioner) and ``delta`` (iterate) are the step sizes of
+    every inner iteration; ``k0_scale * I`` is the initial preconditioner.
     """
 
     horizon: int = 5
     iterations: int = 3
-    alpha: float | Sequence[float] = 0.1
-    delta: float | Sequence[float] = 1.0
+    alpha: float = 0.1
+    delta: float = 1.0
     k0_scale: float = 1e-3
 
     def __post_init__(self):
@@ -101,18 +88,13 @@ class IpgParams:
             raise ValueError(f"horizon must be >= 2, got {self.horizon}")
         if int(self.iterations) < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if float(self.k0_scale) <= 0.0:
-            raise ValueError(f"k0_scale must be positive, got {self.k0_scale}")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "alpha", _as_schedule(self.alpha, "alpha"))
-        object.__setattr__(self, "delta", _as_schedule(self.delta, "delta"))
-
-    def alpha_at(self, i: int) -> float:
-        return self.alpha[min(i, len(self.alpha) - 1)]
-
-    def delta_at(self, i: int) -> float:
-        return self.delta[min(i, len(self.delta) - 1)]
+        for name in ("k0_scale", "alpha", "delta"):
+            value = float(getattr(self, name))
+            if not value > 0.0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -278,8 +260,8 @@ def ipg_step(model: WindowModel, params: IpgParams, window: IpgWindow) -> IpgSte
         if model.align_measurements is not None:
             Z_eff = model.align_measurements(predicted, Z)
         residual = predicted - Z_eff
-        K_next = precondition_update(K, J, params.alpha_at(i))
-        zeta_next = iterate_update(zeta, K, J, residual, params.delta_at(i))
+        K_next = precondition_update(K, J, params.alpha)
+        zeta_next = iterate_update(zeta, K, J, residual, params.delta)
         if not (np.all(np.isfinite(zeta_next)) and np.all(np.isfinite(K_next))):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         if model.post_iterate is not None:

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_LEVER_ARM_M = 1.0
+OUTLIER_SIGMA = 5.0  # an ATE sample this many sigma above the mean is an outlier
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class MetricsConfig:
     rpe_delta: float = 1.0
     lever_arm: float = DEFAULT_LEVER_ARM_M
     mae_variance: bool = False
-    outlier_sigma: float = 5.0
     use_orientation: bool = True
 
 
@@ -327,7 +327,6 @@ class TrajectoryReport:
     rpe_rmse: float
     n_samples: int
     n_outliers: int
-    lever_arm: float = DEFAULT_LEVER_ARM_M
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -378,7 +377,7 @@ def evaluate_trajectories(
     except AlignmentError:
         rpe_rmse = float("nan")
     sigma = float(ate_series.std())
-    n_out = int((ate_series > ate_series.mean() + config.outlier_sigma * sigma).sum()) if sigma > 0 else 0
+    n_out = int((ate_series > ate_series.mean() + OUTLIER_SIGMA * sigma).sum()) if sigma > 0 else 0
     return TrajectoryReport(
         mae_position=maes["position"],
         mae_velocity=maes["velocity"],
@@ -389,7 +388,6 @@ def evaluate_trajectories(
         rpe_rmse=rpe_rmse,
         n_samples=len(pair.t),
         n_outliers=n_out,
-        lever_arm=config.lever_arm,
     )
 
 
@@ -400,7 +398,7 @@ def write_report(path, report: TrajectoryReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_error_series(path, pair: AlignedPair, rpe_delta: float = 1.0) -> None:
+def write_error_series(path, pair: AlignedPair) -> None:
     """Write per-sample signed position errors plus ATE series as CSV."""
     err = pair.est_position - pair.gt_position
     ate_series = np.linalg.norm(err, axis=1)

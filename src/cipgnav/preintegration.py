@@ -44,6 +44,13 @@ def _vec3(v, name):
     return v
 
 
+def _finite_vec3(v, name):
+    v = _vec3(v, name)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    return v
+
+
 @dataclass(frozen=True)
 class ImuBiases:
     """Additive sensor biases, subtracted from raw IMU readings."""
@@ -52,8 +59,8 @@ class ImuBiases:
     gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "accel", _vec3(self.accel, "accel bias"))
-        object.__setattr__(self, "gyro", _vec3(self.gyro, "gyro bias"))
+        object.__setattr__(self, "accel", _finite_vec3(self.accel, "accel bias"))
+        object.__setattr__(self, "gyro", _finite_vec3(self.gyro, "gyro bias"))
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class GravityModel:
     allow_nonstandard: bool = False
 
     def __post_init__(self):
-        v = _vec3(self.vector, "gravity vector")
+        v = _finite_vec3(self.vector, "gravity vector")
         object.__setattr__(self, "vector", v)
         mag = float(np.linalg.norm(v))
         if not self.allow_nonstandard and not (_GRAVITY_RANGE[0] <= mag <= _GRAVITY_RANGE[1]):

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DegenerateQuaternionError
 
 __all__ = [
-    "QUAT_IDENTITY",
     "quat_normalize",
     "quat_product",
     "quat_multiply",
@@ -33,8 +32,6 @@ __all__ = [
     "quat_right_matrix",
     "normalize_jacobian",
 ]
-
-QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 _NORM_EPS = 1e-12
 _EYE3 = np.eye(3)

@@ -165,16 +165,15 @@ def _median_dt(times) -> float:
     return float(np.median(np.diff(times)))
 
 
-def _nearest_ahrs(dvl_t, ahrs_t, tolerance):
+def _nearest_ahrs(dvl_t, ahrs_t):
     """Pair each DVL time with the nearest AHRS sample.
 
-    Returns the tolerance (as given, else half the median DVL period) and,
-    per DVL time, the index into sorted ``ahrs_t`` of the nearest AHRS sample
-    (the earlier one on a tie), or -1 when none lies within the tolerance.
+    Returns the tolerance (half the median DVL period, or 0.1 s for a single
+    DVL sample) and, per DVL time, the index into sorted ``ahrs_t`` of the
+    nearest AHRS sample (the earlier one on a tie), or -1 when none lies
+    within the tolerance.
     """
-    if tolerance is None:
-        tolerance = 0.5 * _median_dt(dvl_t) if len(dvl_t) >= 2 else 0.1
-    tolerance = float(tolerance)
+    tolerance = 0.5 * _median_dt(dvl_t) if len(dvl_t) >= 2 else 0.1
     j = np.searchsorted(ahrs_t, dvl_t)
     before = np.maximum(j - 1, 0)
     after = np.minimum(j, len(ahrs_t) - 1)
@@ -185,21 +184,21 @@ def _nearest_ahrs(dvl_t, ahrs_t, tolerance):
     return tolerance, nearest
 
 
-def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
+def synchronize(imu, dvl, ahrs):
     """Fuse raw stream arrays into a list of SyncedEpoch, one per covered DVL sample.
 
     Epochs are the DVL timestamps that fall inside the IMU coverage.  Each
     epoch takes the IMU rows since the previous epoch (the first epoch takes
-    everything up to its timestamp) and the nearest AHRS sample within
-    ``tolerance`` (default: half the median DVL period).  An empty IMU burst
+    everything up to its timestamp) and the nearest AHRS sample within half
+    the median DVL period (0.1 s for a single DVL sample).  An empty IMU burst
     or an uncovered AHRS pairing raises SyncGapError naming the first such
     epoch.
     """
     if not len(imu) or not len(dvl) or not len(ahrs):
         raise ValueError("synchronize requires non-empty imu, dvl and ahrs streams")
     imu_t = imu[:, 0]
-    tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0], tolerance)
-    if tolerance <= 0.0:
+    tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0])
+    if tolerance <= 0.0:  # DVL times that do not increase
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
     imu_dt = _median_dt(imu_t) if len(imu_t) >= 2 else tolerance
@@ -226,15 +225,15 @@ def synchronize(imu, dvl, ahrs, tolerance: float | None = None):
     ]
 
 
-def dvl_body_to_nav(dvl, ahrs, tolerance: float | None = None):
+def dvl_body_to_nav(dvl, ahrs):
     """Rotate a body-frame DVL array into the navigation frame.
 
-    Each DVL row is rotated by the time-nearest AHRS quaternion (within
-    ``tolerance``, default half the median DVL period).
+    Each DVL row is rotated by the time-nearest AHRS quaternion (within half
+    the median DVL period, 0.1 s for a single DVL sample).
     """
     if not len(dvl) or not len(ahrs):
         raise ValueError("dvl_body_to_nav requires non-empty dvl and ahrs streams")
-    tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0], tolerance)
+    tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0])
     missing = np.flatnonzero(nearest < 0)
     if missing.size:
         t = float(dvl[missing[0], 0])

@@ -18,7 +18,7 @@ shifts another's draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "ScenarioSpec",
     "SyntheticRun",
     "generate",
-    "with_seed",
     "benchmark_scenario",
 ]
 
@@ -431,11 +430,6 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
         truth.append(TrajectoryPoint(float(t), NavState(p, v, q), "ok"))
 
     return SyntheticRun(spec, truth, imu, dvl, ahrs)
-
-
-def with_seed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:
-    """Copy a scenario with a different seed (for multi-seed benchmarks)."""
-    return replace(spec, seed=int(seed))
 
 
 def benchmark_scenario(seed: int, duration: float = 100.0) -> ScenarioSpec:

@@ -30,7 +30,7 @@ from cipgnav.baselines import (
     run_inekf,
 )
 from cipgnav.baselines import EkfState
-from cipgnav.cascade import CascadeConfig, _make_burst, _OrientationStage, run_cascade
+from cipgnav.cascade import ORIENTATION_MODEL, CascadeConfig, _make_burst, run_cascade
 from cipgnav.cli import main
 from cipgnav.ipg import (
     IpgParams,
@@ -197,8 +197,7 @@ class TestCascadeJacobiansMatchFiniteDifferences:
 
     def test_hundred_random_windows(self, rng):
         gyro_bias = np.array([0.001, -0.002, 0.0005])
-        stage = _OrientationStage()
-        model = stage.model
+        model = ORIENTATION_MODEL
         fd_model = WindowModel(
             state_dim=model.state_dim,
             meas_dim=model.meas_dim,

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cipgnav import cascade
 from cipgnav.cascade import (
+    ORIENTATION_MODEL,
     BurstInput,
     CascadeConfig,
     CascadeState,
     _make_burst,
     _dead_reckon,
-    _OrientationStage,
     _orientation_step,
     _velocity_step,
     _window_terms,
@@ -175,15 +177,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="fallback"):
             CascadeConfig(fallback="retry")
 
-    def test_rejects_mismatched_horizons(self):
-        with pytest.raises(ValueError, match="window length"):
-            CascadeConfig(params=IpgParams(horizon=5),
-                          params_velocity=IpgParams(horizon=4))
-
-    def test_velocity_params_default_to_shared(self):
-        cfg = CascadeConfig()
-        assert cfg.velocity_params is cfg.params
-
 
 class TestTracking:
     def test_warmup_then_ok_flags(self):
@@ -222,6 +215,13 @@ class TestTracking:
             np.testing.assert_allclose(pa.nav.position, pb.nav.position, atol=1e-12)
             assert quat_angular_distance(pa.nav.orientation, pb.nav.orientation) < 1e-12
 
+    def test_first_epoch_seeds_the_iterates(self):
+        run, epochs = circle_run(duration=10.0)
+        state = CascadeState.start(CascadeConfig(initial=run.initial_nav()), epochs)
+        state, point = cascade_step(state, epochs[0])
+        np.testing.assert_array_equal(state.q_iterate, point.nav.orientation)
+        np.testing.assert_array_equal(state.v_iterate, point.nav.velocity)
+
     def test_requires_enough_epochs(self):
         _, epochs = circle_run(duration=10.0)
         with pytest.raises(ValueError, match="horizon"):
@@ -239,30 +239,37 @@ class TestTracking:
         assert max(errs) < 1.0
 
 
-def diverging_velocity_config(**kwargs):
-    return CascadeConfig(
-        params=IpgParams(),
-        params_velocity=IpgParams(alpha=1e200),
-        **kwargs,
-    )
+def diverge(monkeypatch, step, epochs=None):
+    """Make the cascade stage function ``step`` raise DivergenceError, as a
+    diverging solver does, at the given 0-based epoch indices (at every epoch
+    when None) and run as usual at the others.  At the default horizon N the
+    stages first run at epoch N-1, then once per epoch."""
+    real = getattr(cascade, step)
+    count = itertools.count(IpgParams().horizon - 1)
+
+    def diverging(*args):
+        k = next(count)
+        if epochs is None or k in epochs:
+            raise DivergenceError("window solver produced a non-finite value", iteration=0)
+        return real(*args)
+
+    monkeypatch.setattr(cascade, step, diverging)
 
 
 class TestFallback:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_abort_raises_with_stage_and_epoch(self):
+    def test_abort_raises_with_stage_and_epoch(self, monkeypatch):
         _, epochs = circle_run(duration=10.0)
+        diverge(monkeypatch, "_velocity_step")
         with pytest.raises(DivergenceError) as exc_info:
-            run_cascade(epochs, diverging_velocity_config(fallback="abort"))
+            run_cascade(epochs, CascadeConfig(fallback="abort"))
         assert exc_info.value.stage == "velocity"
         assert exc_info.value.epoch == epochs[IpgParams().horizon - 1].t
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_deadreckon_flags_and_completes(self):
+    def test_deadreckon_flags_and_completes(self, monkeypatch):
         run, epochs = circle_run(duration=10.0)
+        diverge(monkeypatch, "_velocity_step")
         points = run_cascade(
-            epochs,
-            diverging_velocity_config(fallback="deadreckon", initial=run.initial_nav()),
-        )
+            epochs, CascadeConfig(fallback="deadreckon", initial=run.initial_nav()))
         flags = [p.flag for p in points]
         horizon = IpgParams().horizon
         assert set(flags[horizon - 1 :]) == {"fallback"}
@@ -271,32 +278,58 @@ class TestFallback:
         final = points[-1]
         assert np.linalg.norm(final.nav.position - truth[final.t].position) < 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_recovers_after_single_bad_epoch(self):
+    def test_recovers_after_single_bad_epoch(self, monkeypatch):
         run, epochs = circle_run(duration=20.0)
         good = CascadeConfig(fallback="deadreckon", initial=run.initial_nav())
-        bad = diverging_velocity_config(fallback="deadreckon", initial=run.initial_nav())
         horizon = good.params.horizon
+        diverge(monkeypatch, "_velocity_step", epochs={horizon + 1})
+        seen = []
+        diverging = cascade._velocity_step
+        monkeypatch.setattr(cascade, "_velocity_step",
+                            lambda *args: seen.append(args) or diverging(*args))
         state = CascadeState.start(good, epochs)
         flags = []
-        for k, epoch in enumerate(epochs):
-            use = bad if k == horizon + 1 else None
-            state, point = cascade_step(state, epoch, use)
+        for epoch in epochs:
+            state, point = cascade_step(state, epoch)
             flags.append(point.flag)
         assert flags[horizon + 1] == "fallback"
-        assert state.fallback_count == 1
+        assert flags.count("fallback") == 1
+        # The next epoch, k, restarts stage 2 from the DVL measurement at the
+        # start of its window, with a fresh gain; stage 2 first runs at N-1.
+        k = horizon + 2
+        _, dvl, v_iterate, v_gain, _ = seen[k - (horizon - 1)]
+        start = k - (horizon - 1)
+        np.testing.assert_array_equal(dvl, [e.dvl for e in epochs[start:start + horizon]])
+        np.testing.assert_array_equal(v_iterate, epochs[start].dvl)
+        assert v_gain == good.params.k0_scale
         # The window reseeds from raw measurements and resumes estimating.
         assert set(flags[horizon + 2 :]) == {"ok"}
         truth = {p.t: p.nav for p in run.truth}
         assert np.linalg.norm(state.nav.position - truth[epochs[-1].t].position) < 0.5
 
+    def test_nan_dvl_row_falls_back_while_in_window(self):
+        # The NaN row is at the window start in the last of its N fallback
+        # epochs, so that epoch's reseed from dvl[0] diverges too.
+        run, epochs = circle_run(duration=20.0)
+        horizon = IpgParams().horizon
+        e = horizon + 3
+        epochs[e] = replace(epochs[e], dvl=np.full(3, np.nan))
+        points = run_cascade(
+            epochs, CascadeConfig(fallback="deadreckon", initial=run.initial_nav()))
+        flags = [p.flag for p in points]
+        assert [k for k, f in enumerate(flags) if f == "fallback"] == list(range(e, e + horizon))
+        assert set(flags[e + horizon:]) == {"ok"}
+        truth = {p.t: p.nav for p in run.truth}
+        errors = [np.linalg.norm(p.nav.position - truth[p.t].position) for p in points]
+        assert max(errors) < 0.5
+        with pytest.raises(DivergenceError) as exc_info:
+            run_cascade(epochs, CascadeConfig(fallback="abort"))
+        assert exc_info.value.stage == "velocity"
+        assert exc_info.value.epoch == epochs[e].t
+
 
 def diverging_orientation_config(**kwargs):
-    return CascadeConfig(
-        params=IpgParams(alpha=1e200),
-        params_velocity=IpgParams(),
-        **kwargs,
-    )
+    return CascadeConfig(params=IpgParams(alpha=1e200), **kwargs)
 
 
 class TestOrientationFallback:
@@ -320,34 +353,37 @@ class TestOrientationFallback:
         assert len(points) == len(epochs)
         assert set(flags[horizon - 1 :]) == {"fallback"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_reseeds_from_window_start_ahrs_after_single_bad_epoch(self):
+    def test_reseeds_from_window_start_ahrs_after_single_bad_epoch(self, monkeypatch):
         run, epochs = circle_run(duration=20.0)
         good = CascadeConfig(fallback="deadreckon", initial=run.initial_nav())
-        bad = diverging_orientation_config(fallback="deadreckon", initial=run.initial_nav())
         horizon = good.params.horizon
+        diverge(monkeypatch, "_orientation_step", epochs={horizon + 1})
         state = CascadeState.start(good, epochs)
-        for k, epoch in enumerate(epochs[: horizon + 2]):
-            state, point = cascade_step(state, epoch, bad if k == horizon + 1 else None)
+        flags = []
+        for epoch in epochs[: horizon + 2]:
+            state, point = cascade_step(state, epoch)
+            flags.append(point.flag)
         assert point.flag == "fallback"
-        assert state.needs_reseed
+        assert state.q_iterate is None
         # The next epoch restarts stage 1 from the AHRS measurement at the
         # start of the slid window, with a fresh preconditioner.
         nxt = epochs[horizon + 2]
-        ahrs = np.vstack([state.ahrs_window[1:], nxt.ahrs])
-        bursts = state.bursts[1:] + (_make_burst(nxt, good.biases.gyro, good.biases.accel),)
+        ahrs = np.vstack([list(state.ahrs)[1:], nxt.ahrs])
+        bursts = list(state.bursts)[1:] + [_make_burst(nxt, good.biases.gyro, good.biases.accel)]
         expected = _orientation_step(
             good.params, ahrs, quat_normalize(ahrs[0]), good.params.k0_scale * np.eye(4),
             [b.rot_increment for b in bursts],
         )[0]
         state, point = cascade_step(state, nxt)
         assert point.flag == "ok"
-        assert not state.needs_reseed
+        assert state.q_iterate is not None
         np.testing.assert_array_equal(point.nav.orientation, expected)
+        flags.append(point.flag)
         for epoch in epochs[horizon + 3 :]:
             state, point = cascade_step(state, epoch)
             assert point.flag == "ok"
-        assert state.fallback_count == 1
+            flags.append(point.flag)
+        assert flags.count("fallback") == 1
         truth = {p.t: p.nav for p in run.truth}
         assert quat_angular_distance(state.nav.orientation, truth[epochs[-1].t].orientation) < 1e-6
         assert np.linalg.norm(state.nav.position - truth[epochs[-1].t].position) < 0.5
@@ -381,8 +417,8 @@ class TestVelocityStage:
             params = IpgParams(
                 horizon=horizon,
                 iterations=int(rng.integers(1, 6)),
-                alpha=tuple(rng.uniform(0.01, 0.9 / horizon, int(rng.integers(1, 4)))),
-                delta=tuple(rng.uniform(0.1, 1.5, int(rng.integers(1, 4)))),
+                alpha=rng.uniform(0.01, 0.9 / horizon),
+                delta=rng.uniform(0.1, 1.5),
             )
             args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3))
             estimate, warm, gain = _velocity_step(params, *args)
@@ -441,14 +477,14 @@ class TestOrientationStage:
         return args, generic
 
     def test_batched_step_matches_ipg_step(self, rng):
-        model = _OrientationStage().model
+        model = ORIENTATION_MODEL
         for _ in range(100):
             horizon = int(rng.integers(2, 9))
             params = IpgParams(
                 horizon=horizon,
                 iterations=int(rng.integers(1, 11)),
-                alpha=tuple(rng.uniform(0.01, 0.9 / horizon, int(rng.integers(1, 4)))),
-                delta=tuple(rng.uniform(0.1, 1.5, int(rng.integers(1, 4)))),
+                alpha=rng.uniform(0.01, 0.9 / horizon),
+                delta=rng.uniform(0.1, 1.5),
             )
             args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3))
             estimate, warm, K, quats = _orientation_step(params, *args)
@@ -466,22 +502,22 @@ class TestOrientationStage:
         with pytest.raises(DivergenceError) as batched:
             _orientation_step(params, *args)
         with pytest.raises(DivergenceError) as generic_exc:
-            ipg_step(_OrientationStage().model, params, generic)
+            ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration
 
     def test_dynamics_jacobian_matches_finite_differences(self, rng):
-        stage = _OrientationStage()
         for _ in range(10):
             q = random_unit_quat(rng)
             burst = BurstInput(np.concatenate(([1.0], 0.005 * rng.normal(size=3))), np.zeros(3),
                                0.0, np.zeros(0), np.zeros((0, 3)))
-            J_fd = central_difference(lambda x: stage._dynamics(x, burst), q)
-            np.testing.assert_allclose(stage._dynamics_jacobian(q, burst), J_fd, atol=1e-8)
+            J_fd = central_difference(lambda x: ORIENTATION_MODEL.dynamics(x, burst), q)
+            np.testing.assert_allclose(ORIENTATION_MODEL.dynamics_jacobian(q, burst), J_fd,
+                                       atol=1e-8)
 
     def test_normal_equations_match_stacked_jacobian(self, rng):
         # Random rotation increments with |U_j| far from 1, randomly negated
         # AHRS blocks, and the stacked Jacobian and residual of the generic model.
-        model = _OrientationStage().model
+        model = ORIENTATION_MODEL
         for _ in range(100):
             horizon = int(rng.integers(2, 11))
             bursts = tuple(
@@ -513,7 +549,7 @@ class TestOrientationStage:
         with pytest.raises(DegenerateQuaternionError):
             _orientation_step(params, ahrs, iterate, K, increments)
         with pytest.raises(DegenerateQuaternionError):
-            ipg_step(_OrientationStage().model, params, generic)
+            ipg_step(ORIENTATION_MODEL, params, generic)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_increment_raises_numerical_error(self, rng):
@@ -533,5 +569,5 @@ class TestOrientationStage:
         with pytest.raises(DivergenceError) as batched:
             _orientation_step(params, ahrs, *args[1:])
         with pytest.raises(DivergenceError) as generic_exc:
-            ipg_step(_OrientationStage().model, params, generic)
+            ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration == 0

@@ -9,6 +9,16 @@ import pytest
 
 from cipgnav import cli
 from cipgnav.cli import hash_epochs, main
+from cipgnav.errors import (
+    AlignmentError,
+    DegenerateQuaternionError,
+    DivergenceError,
+    NumericalError,
+    ParseError,
+    SpecError,
+    StreamOrderError,
+    SyncGapError,
+)
 from cipgnav.sensors import load_stream, synchronize
 from cipgnav.sim import benchmark_scenario, generate
 from cipgnav.trajectory import read_trajectory
@@ -301,3 +311,52 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate", "--accel-bias", "inf,0,0"),
+        ("estimate", "--gyro-bias", "nan,0,0"),
+    ])
+    def test_vector_option_rejected_by_parser(self, tmp_path, capsys, command, option, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, *SHORT_SIM, option, value, "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vector_in_config_file_rejected(self, tmp_path, capsys):
+        config = tmp_path / "opts.cfg"
+        config.write_text("gyro_bias = nan,0,0\n")
+        rc = main(["estimate", *SHORT_SIM, "--config", str(config),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "bad value for gyro_bias" in capsys.readouterr().err
+
+    def test_nan_step_size_is_usage_error(self, tmp_path, capsys):
+        rc = main(["estimate", *SHORT_SIM, "--alpha", "nan", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "alpha must be positive, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (DivergenceError("boom"), 1),
+    (NumericalError("boom"), 1),
+    (AlignmentError("boom"), 1),
+    (DegenerateQuaternionError("boom"), 1),
+    (ParseError("boom"), 3),
+    (StreamOrderError("boom"), 3),
+    (SyncGapError("boom"), 3),
+    (FileNotFoundError("boom"), 3),
+    (OSError("boom"), 3),
+    (SpecError("boom"), 2),
+    (ValueError("boom"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_adapt", fail)
+    assert main(["adapt", "--adapter", "a", "--input", "b", "--out", "c"]) == code
+    assert capsys.readouterr().err == "error: boom\n"

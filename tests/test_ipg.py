@@ -223,14 +223,7 @@ class TestWindowBookkeeping:
             IpgParams(horizon=1)
         with pytest.raises(ValueError, match="iterations"):
             IpgParams(iterations=0)
-        with pytest.raises(ValueError, match="k0_scale"):
-            IpgParams(k0_scale=0.0)
-        with pytest.raises(ValueError):
-            IpgParams(alpha=[])
-
-    def test_schedules(self):
-        p = IpgParams(iterations=4, alpha=[0.5, 0.1], delta=2.0)
-        assert p.alpha_at(0) == 0.5
-        assert p.alpha_at(1) == 0.1
-        assert p.alpha_at(3) == 0.1
-        assert p.delta_at(3) == 2.0
+        for name in ("alpha", "delta", "k0_scale"):
+            for bad in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match=name):
+                    IpgParams(**{name: bad})

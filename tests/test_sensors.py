@@ -98,6 +98,11 @@ class TestSynchronize:
         with pytest.raises(SyncGapError, match="IMU"):
             synchronize(imu, crowded, ahrs)
 
+    def test_dvl_times_that_do_not_increase_rejected(self):
+        imu, dvl, ahrs = make_streams(duration=2.0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            synchronize(imu, dvl[::-1], ahrs)
+
     def test_no_overlap_raises(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
         shifted = dvl + [100.0, 0.0, 0.0, 0.0]

@@ -16,7 +16,6 @@ from cipgnav.sim import (
     ScenarioSpec,
     benchmark_scenario,
     generate,
-    with_seed,
 )
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
@@ -181,7 +180,7 @@ class TestGenerate:
         np.testing.assert_array_equal(a.imu[7, 1:4], b.imu[7, 1:4])
         np.testing.assert_array_equal(a.dvl[3, 1:], b.dvl[3, 1:])
 
-        c = generate(with_seed(noisy, 4))
+        c = generate(replace(noisy, seed=4))
         assert not np.array_equal(a.imu[7, 1:4], c.imu[7, 1:4])
 
         # Changing only the DVL noise must not disturb the IMU draw.
