@@ -3,7 +3,7 @@
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
 contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
-each seed in three configurations, and prints per estimator and
+each seed in four configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
 all seeds and epochs, and whether the per-epoch flags are equal, with the
 count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
@@ -17,7 +17,15 @@ Configurations:
                   row drives the cascade through N fallback epochs, the last
                   of which reseeds from the NaN row itself, so this is the
                   configuration that runs the fallback and reseed paths.  The
-                  filters are skipped: a NaN measurement breaks them.
+                  filters are skipped: they refuse a non-finite measurement
+                  with a NumericalError naming the epoch.
+    files         survey settings, cipg, EKF, InEKF, on epochs read back from
+                  CSV files: each tree writes each seed's run to a temporary
+                  directory with its own ``SyntheticRun.write``, loads it with
+                  its own ``sensors.load_stream`` and ``synchronize``, and
+                  starts from the gt.csv pose and the first DVL velocity, as
+                  ``cipgnav estimate --input`` does.  This is the
+                  configuration that covers CSV writing and loading.
 
 Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
 (a NaN or infinite difference reads nan or inf), or any flag (or epoch
@@ -32,6 +40,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +55,8 @@ CONFIGS = {
     "long-window": dict(imu_rate=25.0, horizon=10, iterations=10, estimators=ESTIMATORS),
     "dvl-nan": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=("cipg",),
                     nan_dvl=slice(20, None, 50)),
+    "files": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS,
+                  files=True),
 }
 
 
@@ -64,13 +75,26 @@ def import_tree(src: Path) -> dict:
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"cipgnav.{name}")
-                for name in ("baselines", "cascade", "ipg", "sim")}
+                for name in ("baselines", "cascade", "ipg", "preintegration", "sensors",
+                             "sim")}
     finally:
         sys.path.remove(str(src))
     origin = Path(mods["cascade"].__file__).resolve()
     if src.resolve() not in origin.parents:
         raise SystemExit(f"imported cipgnav from {origin}, not from {src}")
     return mods
+
+
+def read_back(m: dict, run):
+    """Epochs and initial state of ``run`` after a round trip through CSV files."""
+    sensors = m["sensors"]
+    with tempfile.TemporaryDirectory() as tmp:
+        run.write(tmp)
+        imu, dvl, ahrs, gt = (sensors.load_stream(Path(tmp) / f"{kind}.csv", kind)
+                              for kind in ("imu", "dvl", "ahrs", "gt"))
+    epochs = sensors.synchronize(imu, dvl, ahrs)
+    initial = m["preintegration"].NavState(gt[0].position, epochs[0].dvl, gt[0].orientation)
+    return epochs, initial
 
 
 def run_tree(src: Path, seeds) -> dict:
@@ -82,8 +106,10 @@ def run_tree(src: Path, seeds) -> dict:
         for seed in seeds:
             spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"])
             run = m["sim"].generate(spec)
-            epochs = run.epochs()
-            initial = run.initial_nav()
+            if c.get("files"):
+                epochs, initial = read_back(m, run)
+            else:
+                epochs, initial = run.epochs(), run.initial_nav()
             fallback = "abort"
             if "nan_dvl" in c:
                 fallback = "deadreckon"

@@ -381,6 +381,14 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
     return InekfState(rotation, velocity, position, P)
 
 
+def _check_measurements(name: str, k: int, epoch) -> None:
+    """Raise NumericalError naming the filter, epoch and stream of a non-finite measurement."""
+    for stream, values in (("dvl", epoch.dvl), ("ahrs", epoch.ahrs)):
+        if not np.isfinite(values).all():
+            raise NumericalError(f"{name}: non-finite {stream} measurement at epoch {k} "
+                                 f"(t={epoch.t!r}): {values!r}")
+
+
 def run_ekf(epochs, config: FilterConfig, initial: Optional[NavState] = None):
     """EKF over an epoch stream; returns one TrajectoryPoint per epoch."""
     epochs = list(epochs)
@@ -392,7 +400,8 @@ def run_ekf(epochs, config: FilterConfig, initial: Optional[NavState] = None):
     state = EkfState.start(nav0, config)
     t_prev = epochs[0].t_prev
     points = []
-    for epoch in epochs:
+    for k, epoch in enumerate(epochs):
+        _check_measurements("run_ekf", k, epoch)
         state = ekf_predict(state, epoch.imu_burst, config, t_prev)
         state = ekf_update(state, epoch.dvl, epoch.ahrs, config)
         points.append(TrajectoryPoint(epoch.t, state.nav.copy(), "ok"))
@@ -411,7 +420,8 @@ def run_inekf(epochs, config: FilterConfig, initial: Optional[NavState] = None):
     state = InekfState.start(nav0, config)
     t_prev = epochs[0].t_prev
     points = []
-    for epoch in epochs:
+    for k, epoch in enumerate(epochs):
+        _check_measurements("run_inekf", k, epoch)
         state = inekf_predict(state, epoch.imu_burst, config, t_prev)
         state = inekf_update(state, epoch.dvl, epoch.ahrs, config)
         points.append(TrajectoryPoint(epoch.t, state.nav(), "ok"))

@@ -13,10 +13,12 @@ lines, ``#`` comments) > built-in defaults.  ``--print-config`` shows the
 resolved values and exits without running.
 
 ``estimate`` writes a metadata JSON next to the trajectory recording every
-resolved parameter, the input provenance, a SHA-256 hash of the synchronized
-epoch stream, runtime, and warmup/fallback counts.  ``--from-metadata``
-replays such a file and reproduces the trajectory byte for byte (the epoch
-hash is re-checked so silent input changes are caught).
+resolved parameter, the input provenance, a ``sha256-v2:`` digest of the
+synchronized epoch stream (see ``hash_epochs``), runtime, and
+warmup/fallback counts.  ``--from-metadata`` replays such a file and
+reproduces the trajectory byte for byte (the epoch digest is re-checked so
+silent input changes are caught).  Metadata of earlier versions, whose
+``sha256:`` digest hashed the text of the values, is refused.
 
 Exit codes: 0 success; 1 estimation failure (divergence, numerical
 breakdown, impossible alignment); 2 bad usage or configuration; 3 missing
@@ -31,6 +33,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -208,8 +211,6 @@ def build_scenario(cfg: dict) -> ScenarioSpec:
         if cfg.get(k) is not None
     }
     if overrides:
-        from dataclasses import replace
-
         noise = replace(noise, **overrides)
     return ScenarioSpec(
         kind=cfg["scenario"],
@@ -264,24 +265,42 @@ def build_filter_config(cfg: dict) -> FilterConfig:
     )
 
 
-def run_estimator(name: str, epochs, cfg: dict, initial: NavState | None):
+def build_estimator_config(name: str, cfg: dict):
+    """The named estimator's config, without an initial state.
+
+    Built before any input is loaded, so that a bad parameter is reported at
+    once.
+    """
     if name == "cipg":
-        return run_cascade(epochs, build_cascade_config(cfg, initial))
-    if name == "ekf":
-        return run_ekf(epochs, build_filter_config(cfg), initial)
-    if name == "inekf":
-        return run_inekf(epochs, build_filter_config(cfg), initial)
+        return build_cascade_config(cfg, None)
+    if name in ("ekf", "inekf"):
+        return build_filter_config(cfg)
     raise SpecError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
 
 
+def run_estimator(name: str, epochs, config, initial: NavState | None):
+    if name == "cipg":
+        return run_cascade(epochs, replace(config, initial=initial))
+    return {"ekf": run_ekf, "inekf": run_inekf}[name](epochs, config, initial)
+
+
+def _f8_bytes(rows) -> bytes:
+    return np.asarray(rows, dtype="<f8").tobytes()
+
+
 def hash_epochs(epochs) -> str:
-    """Order- and value-exact SHA-256 of a synchronized epoch stream."""
-    h = hashlib.sha256()
+    """Order- and value-exact SHA-256 of a synchronized epoch stream.
+
+    The digest covers the little-endian float64 bytes of each epoch's
+    ``(t, t_prev, burst length)``, then the IMU bursts concatenated, then the
+    DVL rows, then the AHRS rows; the burst lengths pin where each burst ends.
+    """
+    h = hashlib.sha256(_f8_bytes([(e.t, e.t_prev, len(e.imu_burst)) for e in epochs]))
     for e in epochs:
-        values = [float(e.t), float(e.t_prev), *e.imu_burst.ravel().tolist(),
-                  *e.dvl.tolist(), *e.ahrs.tolist()]
-        h.update((",".join(map(repr, values)) + ",;").encode())
-    return "sha256:" + h.hexdigest()
+        h.update(_f8_bytes(e.imu_burst))
+    h.update(_f8_bytes([e.dvl for e in epochs]))
+    h.update(_f8_bytes([e.ahrs for e in epochs]))
+    return "sha256-v2:" + h.hexdigest()
 
 
 def _load_epoch_dir(input_dir: Path, dvl_frame: str):
@@ -382,12 +401,11 @@ def cmd_estimate(args) -> int:
         _print_config(cfg)
         return 0
     estimator = cfg["estimator"]
-    if estimator not in ESTIMATORS:
-        raise SpecError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    config = build_estimator_config(estimator, cfg)
     epochs, initial, _truth, provenance = _prepare_input(args, cfg)
 
     t0 = time.perf_counter()
-    points = run_estimator(estimator, epochs, cfg, initial)
+    points = run_estimator(estimator, epochs, config, initial)
     runtime = time.perf_counter() - t0
 
     out_path = Path(args.out)
@@ -431,10 +449,17 @@ def _estimate_from_metadata(args) -> int:
         meta = json.load(fh)
     if meta.get("command") != "estimate":
         raise SpecError(f"{args.from_metadata}: not an estimate metadata file")
+    if meta["epoch_hash"].startswith("sha256:"):
+        raise SpecError(
+            f"{args.from_metadata}: this metadata was recorded with the text digest "
+            "(sha256:) of an earlier cipgnav, which this version no longer computes; "
+            "re-run `cipgnav estimate` with the same input and options to record a "
+            "sha256-v2 digest"
+        )
     cfg = dict(meta["params"])
-    cfg["estimator"] = meta["estimator"]
     for key in ("accel_bias", "gyro_bias", "gravity"):
         cfg[key] = tuple(cfg[key])
+    config = build_estimator_config(meta["estimator"], cfg)
     provenance = meta["input"]
     if provenance["mode"] == "files":
         epochs = _load_epoch_dir(Path(provenance["dir"]), provenance.get("dvl_frame", "nav"))
@@ -454,7 +479,7 @@ def _estimate_from_metadata(args) -> int:
             np.asarray(meta["initial"]["orientation"], dtype=float),
         )
     t0 = time.perf_counter()
-    points = run_estimator(meta["estimator"], epochs, cfg, initial)
+    points = run_estimator(meta["estimator"], epochs, config, initial)
     runtime = time.perf_counter() - t0
     out_path = Path(args.out) if args.out else Path(meta["output"])
     meta_path = Path(args.metadata) if args.metadata else out_path.with_suffix(".meta.json")
@@ -499,6 +524,7 @@ def cmd_compare(args) -> int:
     bad = [n for n in names if n not in ESTIMATORS]
     if bad:
         raise SpecError(f"unknown estimators {bad}; expected from {ESTIMATORS}")
+    configs = {name: build_estimator_config(name, cfg) for name in names}
     epochs, initial, truth_info, _prov = _prepare_input(args, cfg)
     if truth_info is None:
         raise FileNotFoundError(
@@ -515,7 +541,7 @@ def cmd_compare(args) -> int:
     runtimes = {}
     for name in names:
         t0 = time.perf_counter()
-        points = run_estimator(name, epochs, cfg, initial)
+        points = run_estimator(name, epochs, configs[name], initial)
         runtimes[name] = time.perf_counter() - t0
         columns[name] = evaluate_trajectories(points, truth, mcfg)
 

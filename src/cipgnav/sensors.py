@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateQuaternionError, ParseError, StreamOrderError, SyncGapError
 from .preintegration import NavState
-from .quat import hemisphere_align, quat_normalize, rotate_vector
+from .quat import _NORM_EPS, hemisphere_align, quat_normalize, rotate_vector
 
 __all__ = [
     "GroundTruthSample",
@@ -46,6 +47,7 @@ SCHEMAS = {
     "ahrs": ("t", "qw", "qx", "qy", "qz"),
     "gt": ("t", "px", "py", "pz", "qw", "qx", "qy", "qz"),
 }
+_QUAT_COLUMNS = ("qw", "qx", "qy", "qz")
 
 
 @dataclass(frozen=True)
@@ -83,37 +85,69 @@ def _parse_floats(row, n_expected, line, path):
     return values
 
 
-def load_stream(path, kind: str):
-    """Load a canonical CSV stream, validating schema and time ordering.
-
-    IMU, DVL and AHRS streams load as arrays with the columns of
-    ``SCHEMAS[kind]``; ground truth loads as a list of GroundTruthSample, from
-    4 or 8 columns (orientation optional).  Quaternions are normalized and
-    hemisphere sign-fixed against their predecessor.  Raises ParseError (on
-    a zero quaternion too) / StreamOrderError with the offending line.
-    """
-    if kind not in SCHEMAS:
-        raise ValueError(f"unknown stream kind {kind!r}; expected one of {sorted(SCHEMAS)}")
-    path = Path(path)
+def _read_header(reader, kind, path):
+    """Check a stream's header row; returns the columns it names."""
     expected = SCHEMAS[kind]
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1, path=path) from None
+    header = tuple(h.strip() for h in header)
+    if kind == "gt" and header == expected[:4]:
+        expected = expected[:4]
+    if header != expected:
+        raise ParseError(
+            f"header {','.join(header)!r} does not match schema {','.join(expected)!r}",
+            line=1,
+            path=path,
+        )
+    return expected
+
+
+def _load_bulk(path, kind):
+    """Parse a well-formed stream with one ``np.loadtxt`` call, or return None.
+
+    Returns the same array as ``_load_rows``, or None when the body is
+    anything other than finite rows of the schema's width with strictly
+    increasing ``t`` and quaternions of norm above ``_NORM_EPS``: such a file
+    goes to ``_load_rows``, which decides whether it is accepted and names
+    the offending line.  ``loadtxt`` takes no quoted fields, no ``1_000`` and
+    no non-ASCII digits, which ``float()`` accepts; on every value both
+    accept, they agree bit for bit.
+    """
+    with open(path, newline="") as fh:
+        expected = _read_header(csv.reader(fh), kind, path)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a body with no rows only warns
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except (ValueError, UserWarning):
+            return None
+    if (data.shape[1] != len(expected) or not np.isfinite(data).all()
+            or not (np.diff(data[:, 0]) > 0.0).all()):
+        return None
+    if expected[-4:] == _QUAT_COLUMNS:
+        q = np.ascontiguousarray(data[:, -4:])
+        # (1, 4) @ (4, 1) is the dot product quat_normalize takes per row, bit for bit.
+        norms = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+        if not (norms > _NORM_EPS).all():
+            return None
+        data[:, -4:] = hemisphere_align(q / norms[:, None])
+    return data
+
+
+def _load_rows(path, kind):
+    """Parse a stream one row at a time: the definition of what ``load_stream`` accepts.
+
+    Raises ParseError (on a zero quaternion too) / StreamOrderError with the
+    offending line.
+    """
     rows, unit_quats = [], []
     prev_t = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1, path=path) from None
-        header = tuple(h.strip() for h in header)
-        if kind == "gt" and header == expected[:4]:
-            expected = expected[:4]
-        if header != expected:
-            raise ParseError(
-                f"header {','.join(header)!r} does not match schema {','.join(expected)!r}",
-                line=1,
-                path=path,
-            )
-        has_quat = expected[-4:] == ("qw", "qx", "qy", "qz")
+        expected = _read_header(reader, kind, path)
+        has_quat = expected[-4:] == _QUAT_COLUMNS
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -133,9 +167,31 @@ def load_stream(path, kind: str):
     data = np.array(rows, dtype=float).reshape(len(rows), len(expected))
     if has_quat and rows:
         data[:, -4:] = hemisphere_align(unit_quats)
+    return data
+
+
+def load_stream(path, kind: str):
+    """Load a canonical CSV stream, validating schema and time ordering.
+
+    IMU, DVL and AHRS streams load as arrays with the columns of
+    ``SCHEMAS[kind]``; ground truth loads as a list of GroundTruthSample, from
+    4 or 8 columns (orientation optional).  Quaternions are normalized and
+    hemisphere sign-fixed against their predecessor.  Raises ParseError (on
+    a zero quaternion too) / StreamOrderError with the offending line.
+
+    A well-formed file is parsed in one ``np.loadtxt`` call; any other goes
+    through the per-row parser, which gives the same arrays and defines the
+    errors.
+    """
+    if kind not in SCHEMAS:
+        raise ValueError(f"unknown stream kind {kind!r}; expected one of {sorted(SCHEMAS)}")
+    path = Path(path)
+    data = _load_bulk(path, kind)
+    if data is None:
+        data = _load_rows(path, kind)
     if kind != "gt":
         return data
-    quats = data[:, 4:] if len(expected) == 8 else [None] * len(rows)
+    quats = data[:, 4:] if data.shape[1] == 8 else [None] * len(data)
     return [GroundTruthSample(t, p, q)
             for t, p, q in zip(data[:, 0].tolist(), data[:, 1:4], quats)]
 

@@ -33,7 +33,7 @@ from cipgnav.quat import (
     quat_product,
     quat_to_rotation,
 )
-from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
+from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from tests.conftest import random_unit_quat
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
@@ -332,6 +332,22 @@ class TestInekf:
             np.testing.assert_allclose(b.rotation, Rg @ a.rotation, atol=1e-9)
             np.testing.assert_allclose(b.velocity, Rg @ a.velocity, atol=1e-9)
             np.testing.assert_allclose(b.position, Rg @ a.position + pg, atol=1e-9)
+
+
+class TestNonFiniteMeasurement:
+    @pytest.mark.parametrize("stream", ["dvl", "ahrs"])
+    @pytest.mark.parametrize("run_filter", [run_ekf, run_inekf], ids=["ekf", "inekf"])
+    def test_names_filter_epoch_and_stream(self, run_filter, stream):
+        run = generate(benchmark_scenario(0, 30.0))
+        epochs = run.epochs()
+        bad = getattr(epochs[20], stream).copy()
+        bad[1] = np.nan
+        epochs[20] = replace(epochs[20], **{stream: bad})
+        with pytest.raises(NumericalError) as exc_info:
+            run_filter(epochs, FilterConfig(), initial=run.initial_nav())
+        assert str(exc_info.value).startswith(
+            f"{run_filter.__name__}: non-finite {stream} measurement at epoch 20 "
+            f"(t={epochs[20].t!r})")
 
 
 class TestFilterConfig:

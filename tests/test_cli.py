@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,7 +104,7 @@ class TestEstimate:
 
         meta = json.loads((tmp_path / "traj.meta.json").read_text())
         assert meta["estimator"] == "cipg"
-        assert meta["epoch_hash"].startswith("sha256:")
+        assert meta["epoch_hash"].startswith("sha256-v2:")
         assert meta["params"]["horizon"] == 5
         assert meta["counts"]["warmup"] == 4
         assert meta["input"]["mode"] == "files"
@@ -219,17 +221,87 @@ class TestEstimate:
         assert rc == 2
         assert "does not match the metadata" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--alpha", "nan"], "alpha must be positive, got nan"),
+        (["compare", "--horizon", "1"], "horizon must be >= 2, got 1"),
+    ], ids=["estimate-alpha", "compare-horizon"])
+    def test_bad_parameter_reported_before_input_loads(self, tmp_path, capsys, argv, message):
+        # The bad parameter is reported, not the malformed imu.csv.
+        data = simulate_into(tmp_path)
+        lines = (data / "imu.csv").read_text().splitlines()
+        lines[200] = lines[200].replace(",", ",bogus", 1)
+        (data / "imu.csv").write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--input", str(data), "--out", str(tmp_path / "a.csv")]) == 3
+        assert "imu.csv:line 201" in capsys.readouterr().err
+        rc = main([*argv, "--input", str(data), "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_replay_refuses_text_digest_metadata(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        traj = tmp_path / "traj.csv"
+        assert main(["estimate", "--input", str(data), "--out", str(traj)]) == 0
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        # A digest in the text format that earlier versions recorded.
+        meta["epoch_hash"] = "sha256:" + "0" * 64
+        old_meta = tmp_path / "old.meta.json"
+        old_meta.write_text(json.dumps(meta, indent=2))
+        replay = tmp_path / "replay.csv"
+        rc = main(["estimate", "--from-metadata", str(old_meta), "--out", str(replay)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "recorded with the text digest" in err
+        assert "earlier cipgnav" in err
+        assert "re-run `cipgnav estimate`" in err and "sha256-v2" in err
+        assert "the input data changed" not in err
+        assert not replay.exists()
+
 
 class TestHashEpochs:
     """Recorded metadata replays only while the digest of an epoch stream is unchanged."""
 
     def test_constant_streams_digest(self):
         assert hash_epochs(synchronize(*make_streams())) == (
-            "sha256:0776bc804f13d78a44e031cac18c61a066bc913b08fcd421dfc3f8468c4493db")
+            "sha256-v2:8bc258624ef9fa7fd5445d18063887623aa62d37310c6757c46949926fd121cf")
 
     def test_benchmark_scenario_digest(self):
         assert hash_epochs(generate(benchmark_scenario(0, 20.0)).epochs()) == (
-            "sha256:5425a0d8515d981eb6ac61f2fbdeb5e1f951d06ae5191af3cdace42efb1f8512")
+            "sha256-v2:c34301d4f21711a49faa00d42442f0dd33ae97331a754f06a13e4a100664859f")
+
+    def test_digest_is_sha256_of_documented_arrays(self):
+        epochs = generate(benchmark_scenario(1, 5.0)).epochs()
+        parts = [np.array([[e.t, e.t_prev, len(e.imu_burst)] for e in epochs]),
+                 np.concatenate([e.imu_burst for e in epochs]),
+                 np.array([e.dvl for e in epochs]),
+                 np.array([e.ahrs for e in epochs])]
+        expected = hashlib.sha256(b"".join(p.astype("<f8").tobytes() for p in parts))
+        assert hash_epochs(epochs) == "sha256-v2:" + expected.hexdigest()
+
+    def test_one_ulp_changes_digest(self):
+        epochs = generate(benchmark_scenario(0, 5.0)).epochs()
+        digest = hash_epochs(epochs)
+        burst = epochs[7].imu_burst.copy()
+        burst[3, 4] = np.nextafter(burst[3, 4], np.inf)
+        bumped = list(epochs)
+        bumped[7] = replace(epochs[7], imu_burst=burst)
+        assert hash_epochs(bumped) != digest
+        for field in ("dvl", "ahrs"):
+            values = getattr(epochs[7], field).copy()
+            values[1] = np.nextafter(values[1], -np.inf)
+            bumped = list(epochs)
+            bumped[7] = replace(epochs[7], **{field: values})
+            assert hash_epochs(bumped) != digest
+
+    def test_moved_burst_boundary_changes_digest(self):
+        epochs = generate(benchmark_scenario(0, 5.0)).epochs()
+        a, b = epochs[7], epochs[8]
+        moved = list(epochs)
+        moved[7] = replace(a, imu_burst=a.imu_burst[:-1])
+        moved[8] = replace(b, imu_burst=np.vstack([a.imu_burst[-1:], b.imu_burst]))
+        # The concatenated bursts are the same rows; only the boundary moved.
+        np.testing.assert_array_equal(np.concatenate([e.imu_burst for e in moved]),
+                                      np.concatenate([e.imu_burst for e in epochs]))
+        assert hash_epochs(moved) != hash_epochs(epochs)
 
 
 class TestEvaluate:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cipgnav import sensors
 from cipgnav.errors import ParseError, StreamOrderError, SyncGapError
 from cipgnav.quat import quat_from_yaw
 from cipgnav.sensors import (
+    SCHEMAS,
     dvl_body_to_nav,
     initial_nav_from_epochs,
     load_stream,
@@ -63,6 +69,140 @@ class TestStreamIo:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
             load_stream(tmp_path / "x.csv", "sonar")
+
+
+def _per_row_load(path, kind):
+    """load_stream with the bulk parse disabled: every file goes through the row loop."""
+    with mock.patch.object(sensors, "_load_bulk", lambda *_: None):
+        return load_stream(path, kind)
+
+
+def _outcome(load, path, kind):
+    """What a loader makes of a file: its bytes, or its exception's type, text and line."""
+    try:
+        out = load(path, kind)
+    except Exception as exc:  # noqa: BLE001 -- any difference in what is raised counts
+        return "raised", type(exc), str(exc)
+    if kind != "gt":
+        return "loaded", out.shape, out.tobytes()
+    return "loaded", [(s.t, s.position.tobytes(),
+                       None if s.orientation is None else s.orientation.tobytes()) for s in out]
+
+
+# stream -> (kind, header)
+_STREAMS = {
+    "imu": ("imu", SCHEMAS["imu"]),
+    "dvl": ("dvl", SCHEMAS["dvl"]),
+    "ahrs": ("ahrs", SCHEMAS["ahrs"]),
+    "gt4": ("gt", SCHEMAS["gt"][:4]),
+    "gt8": ("gt", SCHEMAS["gt"]),
+}
+_finite = st.one_of(st.floats(-10.0, 10.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_formats = st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, " {!r} ".format,
+                            lambda v: "+" + repr(v) if v >= 0 else repr(v)])
+# Tokens the two parsers may treat differently; each replaces one field.
+_bad_tokens = st.sampled_from(["nan", "-inf", "inf", "1e500", "", " ", "bogus", '"1.5"',
+                               "1_000", "0x10", "\u0661", "1,", "0.5,0.5"])
+
+
+@st.composite
+def _stream_files(draw, mutate: bool):
+    """(kind, CSV text) of a stream with 0-12 rows; ``mutate`` may break a few of them."""
+    kind, header = _STREAMS[draw(st.sampled_from(sorted(_STREAMS)))]
+    n = draw(st.integers(0 if mutate else 1, 12))
+    times = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True)))
+    rows = []
+    for t in times:
+        values = [t, *draw(st.lists(_finite, min_size=len(header) - 1,
+                                    max_size=len(header) - 1))]
+        if header[-1] == "qz" and not mutate:
+            values[-4:] = draw(st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4))
+        fmt = draw(_formats) if mutate else repr
+        rows.append([fmt(v) for v in values])
+    inserted = []
+    for _ in range(draw(st.integers(0, 2)) if mutate and rows else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        action = draw(st.sampled_from(["token", "drop", "blank", "space", "repeat", "zero"]))
+        if action == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_bad_tokens)
+        elif action == "drop":
+            row.pop()
+        elif action == "zero" and header[-1] == "qz":
+            row[-4:] = ["0.0"] * 4
+        else:
+            inserted.append((k, {"blank": [], "space": ["  "]}.get(action, row)))
+    for k, row in sorted(inserted, key=lambda item: -item[0]):
+        rows.insert(k, list(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if mutate else "\n"
+    return kind, newline.join([",".join(header), *map(",".join, rows)]) + newline
+
+
+class TestLoaderPaths:
+    """The bulk parse must give exactly what the per-row loop gives, or leave the file to it."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_stream_files(mutate=False))
+    def test_valid_files_take_the_bulk_path(self, tmp_path, case):
+        kind, text = case
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        bulk = sensors._load_bulk(path, kind)
+        assert bulk is not None
+        assert bulk.tobytes() == sensors._load_rows(path, kind).tobytes()
+        assert _outcome(load_stream, path, kind) == _outcome(_per_row_load, path, kind)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_stream_files(mutate=True))
+    def test_any_file_loads_as_the_row_loop_loads_it(self, tmp_path, case):
+        kind, text = case
+        path = tmp_path / "s.csv"
+        path.write_text(text, newline="")
+        assert _outcome(load_stream, path, kind) == _outcome(_per_row_load, path, kind)
+
+    IMU = "t,ax,ay,az,gx,gy,gz\n0.01,1,2,3,4,5,6\n0.02,1,2,3,4,5,6\n"
+    AHRS = "t,qw,qx,qy,qz\n0.2,1,0,0,0\n0.4,0.5,0.5,0.5,0.5\n"
+
+    @pytest.mark.parametrize("kind, text, bulk", [
+        ("imu", IMU.replace("\n", "\r\n"), True),
+        ("imu", IMU.replace("\n", "\n\n"), True),
+        ("imu", "t,ax,ay,az,gx,gy,gz\n", False),
+        ("gt", "t,px,py,pz\n", False),
+        ("imu", IMU.replace("0.02,1", '"0.02","1"'), False),
+        ("imu", IMU.replace("0.02", "1_000"), False),
+    ], ids=["crlf", "blank-lines", "header-only", "gt-header-only", "quoted", "underscore"])
+    def test_accepted_edge_cases(self, tmp_path, kind, text, bulk):
+        path = tmp_path / "s.csv"
+        path.write_text(text, newline="")
+        assert (sensors._load_bulk(path, kind) is not None) == bulk
+        outcome = _outcome(load_stream, path, kind)
+        assert outcome == _outcome(_per_row_load, path, kind)
+        assert outcome[0] == "loaded"
+
+    @pytest.mark.parametrize("kind, text, error, line", [
+        ("imu", IMU.replace("0.02,1,2,3,4,5,6", "0.02,1,2,3,4,5,6,"), ParseError, 3),
+        ("imu", IMU.replace("0.02,1,2,3,4,5,6", "0.02,1,2,3,4,5"), ParseError, 3),
+        ("imu", IMU + "   \n", ParseError, 4),
+        ("imu", IMU.replace("0.02,1,2", "0.02,nan,2"), ParseError, 3),
+        ("imu", IMU.replace("0.02,1,2", "0.02,-inf,2"), ParseError, 3),
+        ("imu", IMU.replace("0.02,1,2", "0.02,1e999,2"), ParseError, 3),
+        ("ahrs", AHRS.replace("0.5,0.5,0.5,0.5", "0,0,0,0"), ParseError, 3),
+        ("gt", "t,px,py,pz,qw,qx,qy,qz\n0.2,0,0,0,1,0,0,0\n0.4,0,0,0,0,0,0,0\n",
+         ParseError, 3),
+        ("imu", IMU.replace("0.02", "0.01"), StreamOrderError, 3),
+    ], ids=["trailing-comma", "short-row", "whitespace-line", "nan", "inf", "overflow",
+            "zero-quaternion", "gt-zero-quaternion", "repeated-timestamp"])
+    def test_rejected_edge_cases(self, tmp_path, kind, text, error, line):
+        path = tmp_path / "s.csv"
+        path.write_text(text, newline="")
+        assert sensors._load_bulk(path, kind) is None
+        outcome = _outcome(load_stream, path, kind)
+        assert outcome == _outcome(_per_row_load, path, kind)
+        assert outcome[1] is error and f"line {line}" in outcome[2]
 
 
 class TestSynchronize:
