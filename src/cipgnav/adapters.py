@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParseError, SpecError
 from .quat import hemisphere_align, quat_from_euler, quat_normalize
-from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream
+from .sensors import GroundTruthSample, dvl_body_to_nav, open_csv, save_stream
 
 __all__ = [
     "StreamLog",
@@ -172,24 +172,27 @@ def load_adapter(source) -> dict:
         else:  # ahrs, gt
             mode = cfg.get("mode", "quaternion")
             _require(mode in ("quaternion", "euler"), f"{kind}: mode must be quaternion or euler")
-            needed = set()
-            if kind == "gt":
-                needed |= {"px", "py", "pz"}
-                has_orientation = any(c in cols for c in ("q1", "roll"))
-            else:
-                has_orientation = True
-            if has_orientation:
-                if mode == "quaternion":
-                    needed |= {"q1", "q2", "q3", "q4"}
-                    _require(cfg.get("order", "wxyz") in ("wxyz", "xyzw"),
-                             f"{kind}: quaternion order must be wxyz or xyzw")
-                else:
-                    needed |= {"roll", "pitch", "yaw"}
-                    _check_unit(cfg.get("angle_unit", "rad"), ANGLE_UNITS, "angle unit")
+            orientation = _orientation_columns(kind, cfg)
+            if orientation and mode == "quaternion":
+                _require(cfg.get("order", "wxyz") in ("wxyz", "xyzw"),
+                         f"{kind}: quaternion order must be wxyz or xyzw")
+            elif orientation:
+                _check_unit(cfg.get("angle_unit", "rad"), ANGLE_UNITS, "angle unit")
+            needed = set(orientation) | ({"px", "py", "pz"} if kind == "gt" else set())
             _require(set(cols) >= needed, f"{kind}: columns must map {sorted(needed)}")
     missing = [k for k in _REQUIRED_STREAMS if k not in streams]
     _require(not missing, f"missing required streams {missing} (needed to build epochs)")
     return spec
+
+
+def _orientation_columns(kind: str, cfg: dict) -> list:
+    """The orientation fields an ahrs or gt stream reads, by ``mode``; none for a gt
+    stream that maps neither q1 nor roll."""
+    if kind == "gt" and not ("q1" in cfg["columns"] or "roll" in cfg["columns"]):
+        return []
+    if cfg.get("mode", "quaternion") == "euler":
+        return ["roll", "pitch", "yaw"]
+    return ["q1", "q2", "q3", "q4"]
 
 
 def _read_rows(path: Path, cfg: dict, wanted: list, log: StreamLog):
@@ -200,8 +203,7 @@ def _read_rows(path: Path, cfg: dict, wanted: list, log: StreamLog):
     colmap = cfg["columns"]
     delimiter = cfg.get("delimiter", ",")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+    with open_csv(path, csv.DictReader, encoding="utf-8", delimiter=delimiter) as reader:
         if reader.fieldnames is None:
             raise ParseError("empty file", line=1, path=path)
         header = [h.strip() for h in reader.fieldnames]
@@ -286,15 +288,11 @@ def _orientation_from_row(cfg, values):
 
 
 def _convert_ahrs(path, cfg, log: StreamLog):
-    mode = cfg.get("mode", "quaternion")
-    if mode == "euler":
-        wanted = ["roll", "pitch", "yaw"]
+    if cfg.get("mode", "quaternion") == "euler":
         log.conversions.append(f"euler ({cfg.get('angle_unit', 'rad')}) -> quaternion")
-    else:
-        wanted = ["q1", "q2", "q3", "q4"]
-        if cfg.get("order", "wxyz") == "xyzw":
-            log.conversions.append("quaternion order xyzw -> wxyz")
-    rows = _read_rows(path, cfg, wanted, log)
+    elif cfg.get("order", "wxyz") == "xyzw":
+        log.conversions.append("quaternion order xyzw -> wxyz")
+    rows = _read_rows(path, cfg, _orientation_columns("ahrs", cfg), log)
     ahrs = np.empty((len(rows), 5))
     ahrs[:, 0] = [t for t, _ in rows]
     if rows:
@@ -303,21 +301,10 @@ def _convert_ahrs(path, cfg, log: StreamLog):
 
 
 def _convert_gt(path, cfg, log: StreamLog):
-    cols = cfg["columns"]
-    has_quat = {"q1", "q2", "q3", "q4"} <= set(cols)
-    has_euler = {"roll", "pitch", "yaw"} <= set(cols)
-    wanted = ["px", "py", "pz"]
-    if cfg.get("mode", "quaternion") == "euler" and has_euler:
-        wanted += ["roll", "pitch", "yaw"]
-        with_orientation = True
-    elif has_quat:
-        wanted += ["q1", "q2", "q3", "q4"]
-        with_orientation = True
-    else:
-        with_orientation = False
-    rows = _read_rows(path, cfg, wanted, log)
+    orientation = _orientation_columns("gt", cfg)
+    rows = _read_rows(path, cfg, ["px", "py", "pz", *orientation], log)
     quats = [None] * len(rows)
-    if with_orientation and rows:
+    if orientation and rows:
         quats = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
     return [GroundTruthSample(t, np.array([v["px"], v["py"], v["pz"]]), q)
             for (t, v), q in zip(rows, quats)]

@@ -29,11 +29,14 @@ from .errors import NumericalError
 from .preintegration import GravityModel, ImuBiases, NavState, running_product, unpack_burst
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
+    quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
     quat_to_rotation,
     rotation_to_quat,
+    unit_rows,
 )
+from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 _EYE9 = np.eye(9)
+_PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
 
 
 def _skew(v) -> np.ndarray:
@@ -83,7 +87,6 @@ class FilterConfig:
     biases: ImuBiases = field(default_factory=ImuBiases)
     gravity: GravityModel = field(default_factory=GravityModel)
     validate: bool = False
-    psd_tol: float = 1e-9
 
     def q_diag(self) -> np.ndarray:
         return np.concatenate(
@@ -167,6 +170,13 @@ def kalman_update(P, H, R, innovation):
     return dx, 0.5 * (P_post + P_post.T)
 
 
+def _finish_cov(P: np.ndarray, config: FilterConfig, what: str) -> np.ndarray:
+    """Symmetrize a filter's new covariance; with ``config.validate``, also check it."""
+    if config.validate:
+        return _check_cov(P, _PSD_TOL, what)
+    return 0.5 * (P + P.T)
+
+
 # Entry (i, j) of quat_to_rotation(q) is BASE + OUTER * (qq[A] + INNER * qq[B])
 # with qq = 2 q q^T flattened; e.g. R[0, 1] = 2xy - 2wz, R[0, 0] = 1 - (2yy + 2zz).
 _ROT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])
@@ -181,10 +191,6 @@ def _rotation_rows(quats: np.ndarray) -> np.ndarray:
     qq = ((2.0 * quats)[:, :, None] * quats[:, None, :]).reshape(-1, 16)
     R = _ROT_BASE + _ROT_OUTER * (qq[:, _ROT_A] + _ROT_INNER * qq[:, _ROT_B])
     return R.reshape(-1, 3, 3)
-
-
-def _unit_rows(quats: np.ndarray) -> np.ndarray:
-    return quats / np.linalg.norm(quats, axis=1, keepdims=True)
 
 
 def _strapdown(p, v, R, dts, accel, g):
@@ -224,7 +230,7 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     """
     nav = state.nav
     dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
-    quats = _unit_rows(running_product(nav.orientation, dts, w))
+    quats, _ = unit_rows(running_product(nav.orientation, dts, w))
     R = _rotation_rows(quats[:-1])
     ps, vs = _strapdown(nav.position, nav.velocity, R, dts, a, config.gravity.vector)
 
@@ -233,11 +239,8 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     F[:, 0:3, 3:6] = dt * _EYE3
     F[:, 3:6, 6:9] = -dt * (R @ _skew(a))
     F[:, 6:9, 6:9] = _EYE3 - dt * _skew(w)
-    P = _propagate_cov(state.cov, F, np.diag(config.q_diag()) * dt)
-    if config.validate:
-        P = _check_cov(P, config.psd_tol, "ekf_predict")
-    else:
-        P = 0.5 * (P + P.T)
+    P = _finish_cov(_propagate_cov(state.cov, F, np.diag(config.q_diag()) * dt), config,
+                    "ekf_predict")
     return EkfState(NavState(ps[-1], vs[-1], quats[-1]), P)
 
 
@@ -246,10 +249,7 @@ def _attitude_innovation(q_est, q_meas) -> np.ndarray:
     q_meas = np.asarray(q_meas, dtype=float)
     if float(q_meas @ q_est) < 0.0:
         q_meas = -q_meas
-    dq = quat_multiply(
-        np.array([q_est[0], -q_est[1], -q_est[2], -q_est[3]]), q_meas
-    )
-    return 2.0 * dq[1:]
+    return 2.0 * quat_multiply(quat_conjugate(q_est), q_meas)[1:]
 
 
 def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
@@ -264,9 +264,7 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     position = nav.position + dx[0:3]
     velocity = nav.velocity + dx[3:6]
     orientation = quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9]))
-    if config.validate:
-        P = _check_cov(P, config.psd_tol, "ekf_update")
-    return EkfState(NavState(position, velocity, orientation), P)
+    return EkfState(NavState(position, velocity, orientation), _finish_cov(P, config, "ekf_update"))
 
 
 def _left_jacobian_so3(theta) -> np.ndarray:
@@ -320,7 +318,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     # Chained in sample order, as the per-sample loop does: the single product
     # R0 * R(r_1 * ... * r_k) moved this filter's 100 s trajectories by 2e-12 m.
     rotations = [state.rotation]
-    for dR in _rotation_rows(_unit_rows(increments)):
+    for dR in _rotation_rows(unit_rows(increments)[0]):
         rotations.append(rotations[-1].dot(dR))
     R = np.array(rotations[:-1])
     g = config.gravity.vector
@@ -334,14 +332,9 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
     Ad[:, 3:6, 0:3] = _skew(vs[:-1]) @ R
     Ad[:, 6:9, 0:3] = _skew(ps[:-1]) @ R
-    qb = np.concatenate([np.full(3, config.q_att), np.full(3, config.q_vel),
-                         np.full(3, config.q_pos)])
+    qb = config.q_diag()[::-1]  # (attitude, velocity, position), each block constant
     Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
-    P = _propagate_cov(state.cov, F, Q)
-    if config.validate:
-        P = _check_cov(P, config.psd_tol, "inekf_predict")
-    else:
-        P = 0.5 * (P + P.T)
+    P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
     return InekfState(rotations[-1], vs[-1], ps[-1], P)
 
 
@@ -376,54 +369,40 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
     rotation = Rc @ state.rotation
     velocity = Rc @ state.velocity + dv
     position = Rc @ state.position + dp
-    if config.validate:
-        P = _check_cov(P, config.psd_tol, "inekf_update")
-    return InekfState(rotation, velocity, position, P)
+    return InekfState(rotation, velocity, position, _finish_cov(P, config, "inekf_update"))
 
 
-def _check_measurements(name: str, k: int, epoch) -> None:
-    """Raise NumericalError naming the filter, epoch and stream of a non-finite measurement."""
-    for stream, values in (("dvl", epoch.dvl), ("ahrs", epoch.ahrs)):
-        if not np.isfinite(values).all():
-            raise NumericalError(f"{name}: non-finite {stream} measurement at epoch {k} "
-                                 f"(t={epoch.t!r}): {values!r}")
+def _run_filter(name, start, predict, update, nav_of, epochs, config, initial):
+    """Run ``start``, then ``predict`` and ``update`` at each epoch, emitting ``nav_of(state)``.
+
+    ``name`` is the public runner that errors name.
+    """
+    epochs = list(epochs)
+    if not epochs:
+        raise ValueError(f"{name} needs at least one epoch")
+    nav0 = initial.copy() if initial is not None else initial_nav_from_epochs(epochs)
+    state = start(nav0, config)
+    t_prev = epochs[0].t_prev
+    points = []
+    for k, epoch in enumerate(epochs):
+        for stream, values in (("dvl", epoch.dvl), ("ahrs", epoch.ahrs)):
+            if not np.isfinite(values).all():
+                raise NumericalError(f"{name}: non-finite {stream} measurement at epoch {k} "
+                                     f"(t={epoch.t!r}): {values!r}")
+        state = predict(state, epoch.imu_burst, config, t_prev)
+        state = update(state, epoch.dvl, epoch.ahrs, config)
+        points.append(TrajectoryPoint(epoch.t, nav_of(state), "ok"))
+        t_prev = epoch.t
+    return points
 
 
 def run_ekf(epochs, config: FilterConfig, initial: Optional[NavState] = None):
     """EKF over an epoch stream; returns one TrajectoryPoint per epoch."""
-    epochs = list(epochs)
-    if not epochs:
-        raise ValueError("run_ekf needs at least one epoch")
-    from .sensors import initial_nav_from_epochs
-
-    nav0 = initial.copy() if initial is not None else initial_nav_from_epochs(epochs)
-    state = EkfState.start(nav0, config)
-    t_prev = epochs[0].t_prev
-    points = []
-    for k, epoch in enumerate(epochs):
-        _check_measurements("run_ekf", k, epoch)
-        state = ekf_predict(state, epoch.imu_burst, config, t_prev)
-        state = ekf_update(state, epoch.dvl, epoch.ahrs, config)
-        points.append(TrajectoryPoint(epoch.t, state.nav.copy(), "ok"))
-        t_prev = epoch.t
-    return points
+    return _run_filter("run_ekf", EkfState.start, ekf_predict, ekf_update,
+                       lambda state: state.nav.copy(), epochs, config, initial)
 
 
 def run_inekf(epochs, config: FilterConfig, initial: Optional[NavState] = None):
     """InEKF over an epoch stream; returns one TrajectoryPoint per epoch."""
-    epochs = list(epochs)
-    if not epochs:
-        raise ValueError("run_inekf needs at least one epoch")
-    from .sensors import initial_nav_from_epochs
-
-    nav0 = initial.copy() if initial is not None else initial_nav_from_epochs(epochs)
-    state = InekfState.start(nav0, config)
-    t_prev = epochs[0].t_prev
-    points = []
-    for k, epoch in enumerate(epochs):
-        _check_measurements("run_inekf", k, epoch)
-        state = inekf_predict(state, epoch.imu_burst, config, t_prev)
-        state = inekf_update(state, epoch.dvl, epoch.ahrs, config)
-        points.append(TrajectoryPoint(epoch.t, state.nav(), "ok"))
-        t_prev = epoch.t
-    return points
+    return _run_filter("run_inekf", InekfState.start, inekf_predict, inekf_update,
+                       InekfState.nav, epochs, config, initial)

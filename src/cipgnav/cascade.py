@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError, DivergenceError, NumericalError
+from .errors import DivergenceError, NumericalError
 from .ipg import IpgParams, WindowModel
 from .ipg import ipg_step  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .ipg import slide_window  # noqa: F401  kept as a module attribute: perfbench wraps it by name
@@ -54,12 +54,12 @@ from .preintegration import (
     unpack_burst,
 )
 from .quat import (
-    _NORM_EPS,
     normalize_jacobian,
     quat_normalize,
     quat_product,
     quat_right_matrix,
     quat_to_rotation,
+    unit_rows,
 )
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
@@ -106,8 +106,7 @@ class BurstInput:
 def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
     dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, gyro_bias, accel_bias)
     products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
-    prefixes = products[:-1]
-    prefixes /= np.linalg.norm(prefixes, axis=1, keepdims=True)
+    prefixes, _ = unit_rows(products[:-1])
     body_accel = _rotate_rows(prefixes, accel)
     return BurstInput(products[-1], dts @ body_accel, float(dts.sum()), dts, body_accel)
 
@@ -166,22 +165,13 @@ _RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
                         [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
 
 
-def _unit_rows(Y: np.ndarray):
-    """Rows Y_j / |Y_j| and the norms |Y_j|; guarded like quat_normalize."""
-    norms = np.sqrt((Y * Y).sum(axis=1))
-    if not (norms > _NORM_EPS).all():  # also catches NaN
-        raise DegenerateQuaternionError(
-            f"cannot normalize window orientation with norm {norms.min():.3e}")
-    return Y / norms[:, None], norms
-
-
 def _window_terms(ahrs, rot_increments):
     """M_j (N-1, 4, 4) and W_j = M_j^T Z_j / |U_j| (N-1, 4) for ``_orientation_step``."""
     # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
     M = np.asarray(rot_increments)[:, _RIGHT_INDEX] * _RIGHT_SIGN
     for j in range(1, len(M)):
         M[j] = M[j] @ M[j - 1]
-    _, norms = _unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
+    _, norms = unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
     if not np.isfinite(norms).all():
         raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
     return M, (ahrs[1:, None, :] @ M)[:, 0, :] / norms[:, None]
@@ -216,7 +206,7 @@ def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
         if not (np.isfinite(zeta_next).all() and np.isfinite(K_next).all()):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         zeta, K = quat_normalize(zeta_next), K_next
-    P, _ = _unit_rows(M @ zeta)
+    P, _ = unit_rows(M @ zeta)
     return P[-1].copy(), quat_normalize(P[0]), K, np.vstack([zeta, P[:-1]])
 
 

@@ -65,9 +65,10 @@ from .metrics import (
 from .preintegration import GravityModel, ImuBiases, NavState
 from .sensors import dvl_body_to_nav, load_stream, synchronize
 from .sim import NoiseSpec, ScenarioSpec, generate
-from .trajectory import TRAJECTORY_COLUMNS, read_trajectory, write_trajectory
+from .trajectory import FLAGS, TRAJECTORY_COLUMNS, read_trajectory, write_trajectory
 
 ESTIMATORS = ("cipg", "ekf", "inekf")
+_INITIAL_FIELDS = ("position", "velocity", "orientation")  # the metadata's initial NavState
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,13 @@ SCENARIO_OPTS = {
     "seed": ("int", 0, "RNG seed"),
 }
 
+# The IMU model: simulate draws the IMU stream with it, the estimators assume it.
+IMU_MODEL_OPTS = {
+    "accel_bias": ("vec3", (0.0, 0.0, 0.0), "accelerometer bias 'x,y,z' (m/s^2)"),
+    "gyro_bias": ("vec3", (0.0, 0.0, 0.0), "gyro bias 'x,y,z' (rad/s)"),
+    "gravity": ("vec3", (0.0, 0.0, 9.81), "gravity vector 'x,y,z' (m/s^2)"),
+}
+
 ESTIMATOR_OPTS = {
     "estimator": ("str", "cipg", "estimator: cipg|ekf|inekf"),
     "horizon": ("int", 5, "window length N (epochs)"),
@@ -138,9 +146,7 @@ ESTIMATOR_OPTS = {
     "q_pos": ("float", 1e-8, "filter process noise, position"),
     "q_vel": ("float", 4e-6, "filter process noise, velocity"),
     "q_att": ("float", 1e-8, "filter process noise, attitude"),
-    "accel_bias": ("vec3", (0.0, 0.0, 0.0), "accelerometer bias 'x,y,z' (m/s^2)"),
-    "gyro_bias": ("vec3", (0.0, 0.0, 0.0), "gyro bias 'x,y,z' (rad/s)"),
-    "gravity": ("vec3", (0.0, 0.0, 9.81), "gravity vector 'x,y,z' (m/s^2)"),
+    **IMU_MODEL_OPTS,
 }
 
 EVALUATE_OPTS = {
@@ -203,6 +209,17 @@ def _print_config(cfg: dict) -> None:
 # builders
 
 
+def _imu_model(cfg: dict) -> dict:
+    """The ``biases`` and ``gravity`` keyword arguments of the IMU_MODEL_OPTS in cfg."""
+    return {"biases": ImuBiases(np.asarray(cfg["accel_bias"]), np.asarray(cfg["gyro_bias"])),
+            "gravity": GravityModel(np.asarray(cfg["gravity"]))}
+
+
+def _metrics_config(cfg: dict, use_orientation: bool, **flags) -> MetricsConfig:
+    return MetricsConfig(n_align_fixes=cfg["n_align_fixes"], rpe_delta=cfg["rpe_delta"],
+                         lever_arm=cfg["lever_arm"], use_orientation=use_orientation, **flags)
+
+
 def build_scenario(cfg: dict) -> ScenarioSpec:
     noise = NoiseSpec.preset(cfg["noise"])
     overrides = {
@@ -225,10 +242,8 @@ def build_scenario(cfg: dict) -> ScenarioSpec:
         initial_heading=cfg["initial_heading"],
         dvl_frame=cfg["dvl_frame"],
         noise=noise,
-        biases=ImuBiases(np.asarray(cfg.get("accel_bias", (0.0, 0.0, 0.0))),
-                         np.asarray(cfg.get("gyro_bias", (0.0, 0.0, 0.0)))),
-        gravity=GravityModel(np.asarray(cfg.get("gravity", (0.0, 0.0, 9.81)))),
         seed=cfg["seed"],
+        **_imu_model(cfg),
     )
 
 
@@ -245,10 +260,9 @@ def build_cascade_config(cfg: dict, initial: NavState | None) -> CascadeConfig:
             delta=cfg["delta"],
             k0_scale=cfg["k0_scale"],
         ),
-        biases=ImuBiases(np.asarray(cfg["accel_bias"]), np.asarray(cfg["gyro_bias"])),
-        gravity=GravityModel(np.asarray(cfg["gravity"])),
         initial=initial,
         fallback=cfg["fallback"],
+        **_imu_model(cfg),
     )
 
 
@@ -260,8 +274,7 @@ def build_filter_config(cfg: dict) -> FilterConfig:
         q_pos=cfg["q_pos"],
         q_vel=cfg["q_vel"],
         q_att=cfg["q_att"],
-        biases=ImuBiases(np.asarray(cfg["accel_bias"]), np.asarray(cfg["gyro_bias"])),
-        gravity=GravityModel(np.asarray(cfg["gravity"])),
+        **_imu_model(cfg),
     )
 
 
@@ -334,8 +347,7 @@ def _load_truth(path: Path):
 
 
 def cmd_simulate(args) -> int:
-    cfg = resolve_options(args, SCENARIO_OPTS, {k: ESTIMATOR_OPTS[k] for k in
-                                                ("accel_bias", "gyro_bias", "gravity")})
+    cfg = resolve_options(args, SCENARIO_OPTS, IMU_MODEL_OPTS)
     if args.print_config:
         _print_config(cfg)
         return 0
@@ -386,11 +398,21 @@ def _ensure_parent(path) -> Path:
     return path
 
 
-def _write_estimate_outputs(points, out_path, meta, meta_path):
+def _run_and_write(args, meta: dict, epochs, config, initial, out_path: Path):
+    """Run ``meta["estimator"]`` and write its trajectory and ``meta`` with this run's
+    ``counts``, ``runtime_s`` and ``output``; returns the points and the metadata written."""
+    t0 = time.perf_counter()
+    points = run_estimator(meta["estimator"], epochs, config, initial)
+    runtime = time.perf_counter() - t0
+    flags = [p.flag for p in points]
+    meta = {**meta, "counts": {flag: flags.count(flag) for flag in FLAGS},
+            "runtime_s": runtime, "output": str(out_path)}
     write_trajectory(points, _ensure_parent(out_path))
+    meta_path = Path(args.metadata) if args.metadata else out_path.with_suffix(".meta.json")
     with open(_ensure_parent(meta_path), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+    return points, meta
 
 
 def cmd_estimate(args) -> int:
@@ -403,14 +425,7 @@ def cmd_estimate(args) -> int:
     estimator = cfg["estimator"]
     config = build_estimator_config(estimator, cfg)
     epochs, initial, _truth, provenance = _prepare_input(args, cfg)
-
-    t0 = time.perf_counter()
-    points = run_estimator(estimator, epochs, config, initial)
-    runtime = time.perf_counter() - t0
-
     out_path = Path(args.out)
-    meta_path = Path(args.metadata) if args.metadata else out_path.with_suffix(".meta.json")
-    flags = [p.flag for p in points]
     meta = {
         "tool": "cipgnav",
         "version": __version__,
@@ -418,26 +433,14 @@ def cmd_estimate(args) -> int:
         "estimator": estimator,
         "params": _estimator_params(cfg),
         "input": provenance,
-        "initial": None
-        if initial is None
-        else {
-            "position": [float(v) for v in initial.position],
-            "velocity": [float(v) for v in initial.velocity],
-            "orientation": [float(v) for v in initial.orientation],
-        },
+        "initial": None if initial is None else {
+            key: getattr(initial, key).tolist() for key in _INITIAL_FIELDS},
         "epoch_hash": hash_epochs(epochs),
         "n_epochs": len(epochs),
-        "counts": {
-            "ok": flags.count("ok"),
-            "warmup": flags.count("warmup"),
-            "fallback": flags.count("fallback"),
-        },
-        "runtime_s": runtime,
-        "output": str(out_path),
     }
-    _write_estimate_outputs(points, out_path, meta, meta_path)
+    points, meta = _run_and_write(args, meta, epochs, config, initial, out_path)
     print(
-        f"{estimator}: {len(points)} epochs in {runtime:.2f} s "
+        f"{estimator}: {len(points)} epochs in {meta['runtime_s']:.2f} s "
         f"({meta['counts']['warmup']} warmup, {meta['counts']['fallback']} fallback) "
         f"-> {out_path}"
     )
@@ -457,7 +460,7 @@ def _estimate_from_metadata(args) -> int:
             "sha256-v2 digest"
         )
     cfg = dict(meta["params"])
-    for key in ("accel_bias", "gyro_bias", "gravity"):
+    for key in IMU_MODEL_OPTS:
         cfg[key] = tuple(cfg[key])
     config = build_estimator_config(meta["estimator"], cfg)
     provenance = meta["input"]
@@ -471,22 +474,11 @@ def _estimate_from_metadata(args) -> int:
             "epoch stream does not match the metadata "
             f"(got {digest}, recorded {meta['epoch_hash']}); the input data changed"
         )
-    initial = None
-    if meta.get("initial") is not None:
-        initial = NavState(
-            np.asarray(meta["initial"]["position"], dtype=float),
-            np.asarray(meta["initial"]["velocity"], dtype=float),
-            np.asarray(meta["initial"]["orientation"], dtype=float),
-        )
-    t0 = time.perf_counter()
-    points = run_estimator(meta["estimator"], epochs, config, initial)
-    runtime = time.perf_counter() - t0
+    recorded = meta.get("initial")
+    initial = None if recorded is None else NavState(
+        *(np.asarray(recorded[key], dtype=float) for key in _INITIAL_FIELDS))
     out_path = Path(args.out) if args.out else Path(meta["output"])
-    meta_path = Path(args.metadata) if args.metadata else out_path.with_suffix(".meta.json")
-    meta = dict(meta)
-    meta["runtime_s"] = runtime
-    meta["output"] = str(out_path)
-    _write_estimate_outputs(points, out_path, meta, meta_path)
+    points, meta = _run_and_write(args, meta, epochs, config, initial, out_path)
     print(f"replayed {meta['estimator']}: {len(points)} epochs -> {out_path}")
     return 0
 
@@ -495,14 +487,8 @@ def cmd_evaluate(args) -> int:
     cfg = resolve_options(args, EVALUATE_OPTS)
     est = read_trajectory(args.estimate)
     truth, has_orientation = _load_truth(Path(args.truth))
-    mcfg = MetricsConfig(
-        n_align_fixes=cfg["n_align_fixes"],
-        align=args.align,
-        rpe_delta=cfg["rpe_delta"],
-        lever_arm=cfg["lever_arm"],
-        mae_variance=args.mae_variance,
-        use_orientation=has_orientation,
-    )
+    mcfg = _metrics_config(cfg, has_orientation, align=args.align,
+                           mae_variance=args.mae_variance)
     report = evaluate_trajectories(est, truth, mcfg)
     for key, value in report.rows():
         print(f"{key} = {value!r}")
@@ -524,6 +510,9 @@ def cmd_compare(args) -> int:
     bad = [n for n in names if n not in ESTIMATORS]
     if bad:
         raise SpecError(f"unknown estimators {bad}; expected from {ESTIMATORS}")
+    if not names or len(set(names)) != len(names):
+        raise SpecError(f"--estimators must name each estimator at most once, and at least "
+                        f"one, from {ESTIMATORS}; got {args.estimators!r}")
     configs = {name: build_estimator_config(name, cfg) for name in names}
     epochs, initial, truth_info, _prov = _prepare_input(args, cfg)
     if truth_info is None:
@@ -531,12 +520,7 @@ def cmd_compare(args) -> int:
             "compare needs ground truth: add gt.csv to the input directory or use --scenario"
         )
     truth, has_orientation = truth_info
-    mcfg = MetricsConfig(
-        n_align_fixes=cfg["n_align_fixes"],
-        rpe_delta=cfg["rpe_delta"],
-        lever_arm=cfg["lever_arm"],
-        use_orientation=has_orientation,
-    )
+    mcfg = _metrics_config(cfg, has_orientation)
     columns = {}
     runtimes = {}
     for name in names:
@@ -581,10 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scenario")
     _add_schema(p_sim, SCENARIO_OPTS)
-    for key in ("accel_bias", "gyro_bias", "gravity"):
-        typ, _d, help_text = ESTIMATOR_OPTS[key]
-        p_sim.add_argument("--" + key.replace("_", "-"), type=_PARSERS[typ], default=None,
-                           help=help_text, dest=key)
+    _add_schema(p_sim, IMU_MODEL_OPTS)
     p_sim.add_argument("--config", help="key=value config file")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--print-config", action="store_true", help="print resolved options and exit")

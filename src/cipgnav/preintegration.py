@@ -75,9 +75,8 @@ class GravityModel:
     allow_nonstandard: bool = False
 
     def __post_init__(self):
-        v = _finite_vec3(self.vector, "gravity vector")
-        object.__setattr__(self, "vector", v)
-        mag = float(np.linalg.norm(v))
+        object.__setattr__(self, "vector", _finite_vec3(self.vector, "gravity vector"))
+        mag = self.magnitude
         if not self.allow_nonstandard and not (_GRAVITY_RANGE[0] <= mag <= _GRAVITY_RANGE[1]):
             raise ValueError(
                 f"|g| = {mag:.4f} m/s^2 outside {_GRAVITY_RANGE}; "

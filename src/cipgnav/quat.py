@@ -56,6 +56,18 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
+def unit_rows(Y: np.ndarray):
+    """Rows Y_j / |Y_j| of an (M, n) array and the norms |Y_j|, guarded like quat_normalize.
+
+    An infinite norm passes: a caller that needs finite rows checks the norms.
+    """
+    norms = np.sqrt((Y * Y).sum(axis=1))
+    if not (norms > _NORM_EPS).all():  # also catches NaN
+        raise DegenerateQuaternionError(
+            f"cannot normalize quaternion with norm {norms.min():.3e}")
+    return Y / norms[:, None], norms
+
+
 def quat_product(a, b) -> np.ndarray:
     """Hamilton product a*b without renormalization (inputs may be non-unit)."""
     aw, ax, ay, az = a

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +74,23 @@ class SyncedEpoch:
     ahrs: np.ndarray
 
 
+@contextmanager
+def open_csv(path, make_reader=csv.reader, encoding=None, **reader_args):
+    """Open ``path`` and yield ``make_reader(fh, **reader_args)``.
+
+    A csv.Error in the block, such as a field over csv's size limit, is
+    raised as a ParseError naming the path and the reader's line.
+    """
+    with open(path, newline="", encoding=encoding) as fh:
+        reader = make_reader(fh, **reader_args)
+        try:
+            yield reader
+        except csv.Error as exc:
+            # A DictReader's own line_num counts only the rows it returned.
+            line = getattr(reader, "reader", reader).line_num
+            raise ParseError(f"malformed CSV ({exc})", line=line, path=path) from None
+
+
 def _parse_floats(row, n_expected, line, path):
     if len(row) != n_expected:
         raise ParseError(f"expected {n_expected} columns, got {len(row)}", line=line, path=path)
@@ -113,10 +131,15 @@ def _load_bulk(path, kind):
     goes to ``_load_rows``, which decides whether it is accepted and names
     the offending line.  ``loadtxt`` takes no quoted fields, no ``1_000`` and
     no non-ASCII digits, which ``float()`` accepts; on every value both
-    accept, they agree bit for bit.
+    accept, they agree bit for bit.  The one input on which the two paths
+    differ is a well-formed numeric field longer than csv's field size limit
+    (131,072 characters): ``loadtxt`` parses it, ``_load_rows`` refuses it.
     """
     with open(path, newline="") as fh:
-        expected = _read_header(csv.reader(fh), kind, path)
+        try:
+            expected = _read_header(csv.reader(fh), kind, path)
+        except csv.Error:
+            return None  # _load_rows names the line
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a body with no rows only warns
@@ -128,9 +151,11 @@ def _load_bulk(path, kind):
         return None
     if expected[-4:] == _QUAT_COLUMNS:
         q = np.ascontiguousarray(data[:, -4:])
-        # (1, 4) @ (4, 1) is the dot product quat_normalize takes per row, bit for bit.
-        norms = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
-        if not (norms > _NORM_EPS).all():
+        # (1, 4) @ (4, 1) is the dot product quat_normalize takes per row, bit for bit;
+        # a component of 1e154 or more overflows it to inf, which _load_rows refuses.
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+        if not ((norms > _NORM_EPS) & np.isfinite(norms)).all():
             return None
         data[:, -4:] = hemisphere_align(q / norms[:, None])
     return data
@@ -139,13 +164,12 @@ def _load_bulk(path, kind):
 def _load_rows(path, kind):
     """Parse a stream one row at a time: the definition of what ``load_stream`` accepts.
 
-    Raises ParseError (on a zero quaternion too) / StreamOrderError with the
-    offending line.
+    Raises ParseError (on a quaternion of zero or overflowing norm too) /
+    StreamOrderError with the offending line.
     """
     rows, unit_quats = [], []
     prev_t = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         expected = _read_header(reader, kind, path)
         has_quat = expected[-4:] == _QUAT_COLUMNS
         for line_no, row in enumerate(reader, start=2):
@@ -160,7 +184,11 @@ def _load_rows(path, kind):
             prev_t = t
             if has_quat:
                 try:
-                    unit_quats.append(quat_normalize(values[-4:]))
+                    with np.errstate(over="raise"):
+                        unit_quats.append(quat_normalize(values[-4:]))
+                except FloatingPointError:
+                    raise ParseError(f"quaternion {values[-4:]} has a norm too large to "
+                                     "normalize", line=line_no, path=path) from None
                 except DegenerateQuaternionError as exc:
                     raise ParseError(str(exc), line=line_no, path=path) from None
             rows.append(values)
@@ -177,7 +205,8 @@ def load_stream(path, kind: str):
     ``SCHEMAS[kind]``; ground truth loads as a list of GroundTruthSample, from
     4 or 8 columns (orientation optional).  Quaternions are normalized and
     hemisphere sign-fixed against their predecessor.  Raises ParseError (on
-    a zero quaternion too) / StreamOrderError with the offending line.
+    a quaternion of zero or overflowing norm too) / StreamOrderError with the
+    offending line.
 
     A well-formed file is parsed in one ``np.loadtxt`` call; any other goes
     through the per-row parser, which gives the same arrays and defines the

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParseError, StreamOrderError
 from .preintegration import NavState
+from .sensors import open_csv
 
 __all__ = ["TRAJECTORY_COLUMNS", "FLAGS", "TrajectoryPoint", "write_trajectory", "read_trajectory"]
 
@@ -46,8 +47,7 @@ def read_trajectory(path):
     path = Path(path)
     points = []
     prev_t = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = tuple(h.strip() for h in next(reader))
         except StopIteration:

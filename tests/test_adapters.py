@@ -251,6 +251,41 @@ class TestValidation:
             adapt("bluerov2_csv", src, tmp_path / "out")
 
 
+class TestGtOrientationColumns:
+    """The gt mode picks the orientation columns; a gt stream without any has none."""
+
+    @staticmethod
+    def girona_with_euler_gt(tmp_path):
+        """Girona sources whose odometry also has roll/pitch/yaw (rad), at yaw 60 deg."""
+        src = tmp_path / "src"
+        src.mkdir()
+        write_girona_sources(src)  # the odometry quaternion is at yaw 30 deg
+        lines = (src / "odometry.csv").read_text().splitlines()
+        lines = [lines[0] + ",roll,pitch,yaw"] + [
+            f"{line},0.0,0.0,{math.radians(60.0)!r}" for line in lines[1:]]
+        (src / "odometry.csv").write_text("\n".join(lines) + "\n")
+        spec = json.loads(json.dumps(builtin_adapters()["girona_csv"]))
+        spec["streams"]["gt"]["columns"].update(roll="roll", pitch="pitch", yaw="yaw")
+        return src, spec
+
+    @pytest.mark.parametrize("mode, yaw_deg", [("quaternion", 30.0), ("euler", 60.0)])
+    def test_mode_picks_its_columns(self, tmp_path, mode, yaw_deg):
+        src, spec = self.girona_with_euler_gt(tmp_path)
+        spec["streams"]["gt"]["mode"] = mode
+        adapt(spec, src, tmp_path / "out")
+        gt = load_stream(tmp_path / "out" / "gt.csv", "gt")
+        np.testing.assert_allclose(gt[0].orientation, quat_from_yaw(math.radians(yaw_deg)),
+                                   atol=1e-12)
+
+    def test_gt_without_orientation_writes_four_columns(self, tmp_path):
+        src, spec = self.girona_with_euler_gt(tmp_path)
+        spec["streams"]["gt"]["columns"] = {"px": "north", "py": "east", "pz": "depth"}
+        adapt(spec, src, tmp_path / "out")
+        lines = (tmp_path / "out" / "gt.csv").read_text().splitlines()
+        assert lines[0] == "t,px,py,pz"
+        assert all(len(line.split(",")) == 4 for line in lines)
+
+
 class TestEulerQuaternionHelpers:
     def test_round_trip_through_adapter_convention(self):
         angles = (0.1, -0.2, 0.5)

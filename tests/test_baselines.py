@@ -16,6 +16,7 @@ from cipgnav.baselines import (
     _attitude_innovation,
     _check_cov,
     ekf_predict,
+    ekf_update,
     inekf_predict,
     inekf_update,
     kalman_update,
@@ -348,6 +349,31 @@ class TestNonFiniteMeasurement:
         assert str(exc_info.value).startswith(
             f"{run_filter.__name__}: non-finite {stream} measurement at epoch 20 "
             f"(t={epochs[20].t!r})")
+
+
+class TestRunnersMatchTheirSteps:
+    """run_ekf and run_inekf give exactly what a plain loop over their steps gives."""
+
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("run_filter, start, predict, update, nav_of", [
+        (run_ekf, EkfState.start, ekf_predict, ekf_update, lambda state: state.nav),
+        (run_inekf, InekfState.start, inekf_predict, inekf_update, InekfState.nav),
+    ], ids=["ekf", "inekf"])
+    def test_bitwise(self, run_filter, start, predict, update, nav_of, validate):
+        run = generate(benchmark_scenario(0, 20.0))
+        epochs, initial = run.epochs(), run.initial_nav()
+        config = FilterConfig(validate=validate)
+        state, t_prev, expected = start(initial, config), epochs[0].t_prev, []
+        for epoch in epochs:
+            state = update(predict(state, epoch.imu_burst, config, t_prev), epoch.dvl,
+                           epoch.ahrs, config)
+            nav = nav_of(state)
+            expected.append((epoch.t, nav.position.tobytes(), nav.velocity.tobytes(),
+                             nav.orientation.tobytes(), "ok"))
+            t_prev = epoch.t
+        points = run_filter(epochs, config, initial=initial)
+        assert [(p.t, p.nav.position.tobytes(), p.nav.velocity.tobytes(),
+                 p.nav.orientation.tobytes(), p.flag) for p in points] == expected
 
 
 class TestFilterConfig:

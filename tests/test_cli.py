@@ -169,6 +169,18 @@ class TestEstimate:
         assert rc == 3
         assert f"{path}:line 7: cannot normalize quaternion" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream", ["ahrs", "gt"])
+    def test_overflowing_quaternion_is_data_error_with_line(self, tmp_path, capsys, stream):
+        # |q|^2 of a 1e200 component overflows, which once loaded as a zero quaternion.
+        data = simulate_into(tmp_path)
+        path = data / f"{stream}.csv"
+        lines = path.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:-4] + ["1e200", "0", "0", "0"])
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["estimate", "--input", str(data), "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert f"{path}:line 6: quaternion" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_estimation_error(self, tmp_path, capsys):
         data = simulate_into(tmp_path)
@@ -191,6 +203,21 @@ class TestEstimate:
                    "--out", str(replay)])
         assert rc == 0
         assert replay.read_bytes() == traj.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["files", "scenario"])
+    def test_replay_metadata_equals_original(self, tmp_path, mode):
+        source = ["--input", str(simulate_into(tmp_path))] if mode == "files" else SHORT_SIM
+        assert main(["estimate", *source, "--out", str(tmp_path / "traj.csv")]) == 0
+        rc = main(["estimate", "--from-metadata", str(tmp_path / "traj.meta.json"),
+                   "--out", str(tmp_path / "replay.csv")])
+        assert rc == 0
+        original, replayed = (json.loads((tmp_path / f"{name}.meta.json").read_text())
+                              for name in ("traj", "replay"))
+        assert list(replayed) == list(original)
+        assert original["counts"]["warmup"] > 0
+        for meta in (original, replayed):
+            del meta["runtime_s"], meta["output"]
+        assert replayed == original
 
     def test_replay_of_scenario_metadata_with_gps_keys_is_bitwise(self, tmp_path):
         # Scenario metadata of earlier versions records gps_rate and
@@ -351,6 +378,13 @@ class TestCompare:
         rc = main(["compare", *SHORT_SIM, "--estimators", "cipg,magic"])
         assert rc == 2
 
+    @pytest.mark.parametrize("names", [",", "cipg,ekf,cipg"], ids=["empty", "repeated"])
+    def test_rejects_empty_or_repeated_estimators_before_loading(self, tmp_path, capsys, names):
+        # The input directory does not exist: loading it first would exit 3.
+        rc = main(["compare", "--input", str(tmp_path / "missing"), "--estimators", names])
+        assert rc == 2
+        assert f"got {names!r}" in capsys.readouterr().err
+
 
 class TestAdapt:
     def test_adapt_then_estimate(self, tmp_path, capsys):
@@ -370,6 +404,44 @@ class TestAdapt:
         rc = main(["adapt", "--adapter", "nope", "--input", str(tmp_path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestOverlongCsvField:
+    """A field over csv's 131,072-character limit is a data error naming its line."""
+
+    @staticmethod
+    def put_field(path, line, column):
+        lines = path.read_text().splitlines()
+        fields = lines[line - 1].split(",")
+        fields[column] = "x" * 140_000
+        lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_sensor_stream(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        self.put_field(data / "dvl.csv", 3, 1)
+        rc = main(["estimate", "--input", str(data), "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert f"{data / 'dvl.csv'}:line 3: malformed CSV" in capsys.readouterr().err
+
+    def test_trajectory(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        traj = tmp_path / "t.csv"
+        assert main(["estimate", "--input", str(data), "--out", str(traj)]) == 0
+        self.put_field(traj, 4, 2)
+        rc = main(["evaluate", "--estimate", str(traj), "--truth", str(data / "gt.csv")])
+        assert rc == 3
+        assert f"{traj}:line 4: malformed CSV" in capsys.readouterr().err
+
+    def test_adapter_source(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_bluerov2_sources(src)
+        self.put_field(src / "dvl_a50.csv", 3, 1)
+        rc = main(["adapt", "--adapter", "bluerov2_csv", "--input", str(src),
+                   "--out", str(tmp_path / "canon")])
+        assert rc == 3
+        assert f"{src / 'dvl_a50.csv'}:line 3: malformed CSV" in capsys.readouterr().err
 
 
 class TestParser:
