@@ -7,7 +7,9 @@ each seed in four configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
 all seeds and epochs, and whether the per-epoch flags are equal, with the
 count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
-every quantity.
+every quantity.  One ``streams`` line per configuration says whether the
+imu, dvl and ahrs arrays that each tree's ``sim.generate`` made are equal
+(``np.array_equal``) for every seed; these must be equal exactly.
 
 Configurations:
     survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
@@ -28,8 +30,8 @@ Configurations:
                   configuration that covers CSV writing and loading.
 
 Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
-(a NaN or infinite difference reads nan or inf), or any flag (or epoch
-timestamp) differs, 0 otherwise.
+(a NaN or infinite difference reads nan or inf), any flag (or epoch
+timestamp) differs, or any generated stream differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -50,6 +52,7 @@ import numpy as np
 DURATION = 100.0  # seconds of each benchmark scenario
 TOLERANCE = 1e-12  # largest accepted max |difference| of any quantity
 ESTIMATORS = ("cipg", "ekf", "inekf")
+STREAMS = ("imu", "dvl", "ahrs")
 CONFIGS = {
     "survey": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS),
     "long-window": dict(imu_rate=25.0, horizon=10, iterations=10, estimators=ESTIMATORS),
@@ -98,7 +101,8 @@ def read_back(m: dict, run):
 
 
 def run_tree(src: Path, seeds) -> dict:
-    """{(config, estimator, seed): (t, position, velocity, quaternion, flags)}."""
+    """{(config, estimator, seed): (t, position, velocity, quaternion, flags)}, and
+    {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run."""
     m = import_tree(src)
     out = {}
     for config, c in CONFIGS.items():
@@ -106,6 +110,7 @@ def run_tree(src: Path, seeds) -> dict:
         for seed in seeds:
             spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"])
             run = m["sim"].generate(spec)
+            out[config, "streams", seed] = tuple(getattr(run, kind) for kind in STREAMS)
             if c.get("files"):
                 epochs, initial = read_back(m, run)
             else:
@@ -185,6 +190,12 @@ def main(argv=None) -> int:
             excess = "" if within else "  OVER TOLERANCE"
             print(f"{config:12s} {name:9s} {dev[0]:10.3g} {dev[1]:11.3g} {dev[2]:10.3g}  "
                   f"{verdict}{excess}")
+        differ = [kind for k, kind in enumerate(STREAMS)
+                  if not all(np.array_equal(old[config, "streams", seed][k],
+                                            new[config, "streams", seed][k]) for seed in seeds)]
+        same &= not differ
+        verdict = f"DIFFER: {', '.join(differ)}" if differ else f"{'/'.join(STREAMS)} equal"
+        print(f"{config:12s} {'streams':9s} {verdict}")
     return 0 if same else 1
 
 

@@ -206,7 +206,7 @@ def _read_rows(path: Path, cfg: dict, wanted: list, log: StreamLog):
     with open_csv(path, csv.DictReader, encoding="utf-8", delimiter=delimiter) as reader:
         if reader.fieldnames is None:
             raise ParseError("empty file", line=1, path=path)
-        header = [h.strip() for h in reader.fieldnames]
+        header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
         missing = [c for c in [tcol] + [colmap[w] for w in wanted] if c not in header]
         if missing:
             raise ParseError(

@@ -425,7 +425,7 @@ def cmd_estimate(args) -> int:
     estimator = cfg["estimator"]
     config = build_estimator_config(estimator, cfg)
     epochs, initial, _truth, provenance = _prepare_input(args, cfg)
-    out_path = Path(args.out)
+    out_path = Path(args.out or "trajectory.csv")
     meta = {
         "tool": "cipgnav",
         "version": __version__,
@@ -583,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema(p_est, SCENARIO_OPTS)
     _add_schema(p_est, ESTIMATOR_OPTS)
     p_est.add_argument("--config", help="key=value config file")
-    p_est.add_argument("--out", default="trajectory.csv", help="output trajectory CSV")
+    p_est.add_argument("--out", help="output trajectory CSV (default: trajectory.csv, or on "
+                       "--from-metadata the output recorded in the metadata)")
     p_est.add_argument("--metadata", help="metadata JSON path (default: <out>.meta.json)")
     p_est.add_argument("--from-metadata", help="replay a previous run from its metadata JSON")
     p_est.add_argument("--print-config", action="store_true", help="print resolved options and exit")

@@ -242,6 +242,19 @@ class TestValidation:
         with pytest.raises(ParseError, match="velX"):
             adapt("bluerov2_csv", src, tmp_path / "out")
 
+    def test_header_with_spaces_after_commas(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_bluerov2_sources(src)
+        dvl = src / "dvl_a50.csv"
+        lines = dvl.read_text().splitlines()
+        dvl.write_text("\n".join(["time_ms, velX, velY, velZ", *lines[1:]]) + "\n")
+        log = adapt("bluerov2_csv", src, tmp_path / "out")
+        assert log.streams["dvl"].rows_dropped == 0
+        dvl = load_stream(tmp_path / "out" / "dvl.csv", "dvl")
+        assert len(dvl) == 20
+        np.testing.assert_allclose(dvl[0, 1:], [0.25, -0.1, 0.0], atol=1e-12)
+
     def test_empty_stream_is_parse_error(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()

@@ -204,6 +204,19 @@ class TestEstimate:
         assert rc == 0
         assert replay.read_bytes() == traj.read_bytes()
 
+    def test_out_defaults(self, tmp_path, monkeypatch):
+        # estimate writes ./trajectory.csv; a replay writes the output its metadata records.
+        monkeypatch.chdir(tmp_path)
+        assert main(["estimate", *SHORT_SIM]) == 0
+        (tmp_path / "trajectory.csv").unlink()
+        traj = tmp_path / "runs" / "traj.csv"
+        assert main(["estimate", *SHORT_SIM, "--out", str(traj)]) == 0
+        original = traj.read_bytes()
+        traj.unlink()
+        assert main(["estimate", "--from-metadata", str(tmp_path / "runs" / "traj.meta.json")]) == 0
+        assert traj.read_bytes() == original
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("mode", ["files", "scenario"])
     def test_replay_metadata_equals_original(self, tmp_path, mode):
         source = ["--input", str(simulate_into(tmp_path))] if mode == "files" else SHORT_SIM

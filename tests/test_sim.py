@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cipgnav import sim
 from cipgnav.errors import SpecError
-from cipgnav.preintegration import GravityModel, ImuBiases
-from cipgnav.quat import quat_angular_distance, quat_from_yaw, quat_to_rotation
+from cipgnav.preintegration import GravityModel, ImuBiases, NavState
+from cipgnav.quat import (
+    quat_angular_distance,
+    quat_from_rotvec,
+    quat_from_yaw,
+    quat_multiply,
+    quat_to_rotation,
+)
 from cipgnav.sensors import load_stream
 from cipgnav.sim import (
     NoiseSpec,
@@ -235,6 +243,147 @@ class TestGenerate:
         assert len(body_epochs) == len(nav_epochs)
         for nav_epoch, body_epoch in zip(nav_epochs, body_epochs):
             np.testing.assert_allclose(body_epoch.dvl, nav_epoch.dvl, rtol=0.0, atol=1e-12)
+
+
+def reference_state(model, t):
+    """The scalar formulas, one time at a time, that each model's ``states`` vectorizes."""
+    if isinstance(model, sim._Stationary):
+        return np.zeros(3), np.zeros(3), np.zeros(3), model.yaw, 0.0
+    if isinstance(model, sim._Line):
+        return t * model.vel, model.vel.copy(), np.zeros(3), model.yaw, 0.0
+    if isinstance(model, sim._Circle):
+        w = model.omega
+        yaw = model.yaw0 + w * t
+        c, s = math.cos(yaw), math.sin(yaw)
+        p = (model.speed / w) * np.array(
+            [s - math.sin(model.yaw0), -c + math.cos(model.yaw0), 0.0])
+        return (p, model.speed * np.array([c, s, 0.0]), model.speed * w * np.array([-s, c, 0.0]),
+                yaw, w)
+    if isinstance(model, sim._Lawnmower):
+        i = int(np.searchsorted(model.starts, t, side="right")) - 1
+        i = max(0, min(i, len(model.starts) - 1))
+        tau = t - float(model.starts[i])
+        pos, yaw0, sign = model.origins[i], float(model.yaws[i]), float(model.signs[i])
+        if sign == 0.0:
+            heading = np.array([math.cos(yaw0), math.sin(yaw0), 0.0])
+            return (pos + model.speed * tau * heading, model.speed * heading, np.zeros(3),
+                    yaw0, 0.0)
+        w = sign * model.speed / model.radius
+        yaw = yaw0 + w * tau
+        center = pos + sign * model.radius * np.array([-math.sin(yaw0), math.cos(yaw0), 0.0])
+        c, s = math.cos(yaw), math.sin(yaw)
+        p = center + sign * model.radius * np.array([s, -c, 0.0])
+        return (p, model.speed * np.array([c, s, 0.0]), model.speed * w * np.array([-s, c, 0.0]),
+                yaw, w)
+    p, v, a = (np.asarray(f(t), dtype=float)
+               for f in (model.spline, model.dspline, model.ddspline))
+    speed_sq = float(v[0] ** 2 + v[1] ** 2)
+    if speed_sq < 1e-18:
+        return p, v, a, model.yaw0, 0.0
+    return p, v, a, math.atan2(v[1], v[0]), (v[0] * a[1] - v[1] * a[0]) / speed_sq
+
+
+def reference_run(spec):
+    """(imu, dvl, ahrs, truth) computed sample by sample, the generator's oracle.
+
+    ``truth`` is an (n, 11) array of t, position, velocity and orientation.
+    """
+    model = spec.model()
+    rng_accel, rng_gyro, rng_dvl, rng_ahrs = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(4)
+    )
+    g = spec.gravity.vector
+    sigma_a = spec.noise.accel_density * math.sqrt(spec.imu_rate)
+    sigma_w = spec.noise.gyro_density * math.sqrt(spec.imu_rate)
+    imu_t = sim._timestamps(spec.imu_rate, model.duration)
+    imu = np.empty((len(imu_t), 7))
+    imu[:, 0] = imu_t
+    for row, t in zip(imu, imu_t):
+        _, _, a_nav, yaw, yaw_rate = reference_state(model, t)
+        R = quat_to_rotation(quat_from_yaw(yaw))
+        row[1:4] = R.T @ (a_nav - g) + spec.biases.accel + sigma_a * rng_accel.standard_normal(3)
+        row[4:7] = (np.array([0.0, 0.0, yaw_rate]) + spec.biases.gyro
+                    + sigma_w * rng_gyro.standard_normal(3))
+
+    meas_t = sim._timestamps(spec.meas_rate, model.duration)
+    dvl = np.empty((len(meas_t), 4))
+    ahrs = np.empty((len(meas_t), 5))
+    dvl[:, 0] = ahrs[:, 0] = meas_t
+    p, v, _, yaw, _ = reference_state(model, 0.0)
+    truth = [(0.0, NavState(p, v, quat_from_yaw(yaw)))]
+    for dvl_row, ahrs_row, t in zip(dvl, ahrs, meas_t):
+        p, v, _, yaw, _ = reference_state(model, t)
+        q = quat_from_yaw(yaw)
+        v_meas = v + spec.noise.dvl_std * rng_dvl.standard_normal(3)
+        if spec.dvl_frame == "body":
+            v_meas = quat_to_rotation(q).T @ v_meas
+        dvl_row[1:] = v_meas
+        q_meas = q
+        if spec.noise.ahrs_std > 0.0:
+            q_meas = quat_multiply(
+                q, quat_from_rotvec(spec.noise.ahrs_std * rng_ahrs.standard_normal(3)))
+        ahrs_row[1:] = q_meas
+        truth.append((float(t), NavState(p, v, q)))
+    truth = np.array([[t, *nav.position, *nav.velocity, *nav.orientation] for t, nav in truth])
+    return imu, dvl, ahrs, truth
+
+
+def assert_matches_reference(spec):
+    run = generate(spec)
+    truth = np.array([[p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation]
+                      for p in run.truth])
+    for name, got, expected in zip(("imu", "dvl", "ahrs", "truth"),
+                                   (run.imu, run.dvl, run.ahrs, truth), reference_run(spec)):
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got, expected), (name, int((got != expected).sum()))
+
+
+ORACLE_KINDS = {
+    "stationary": dict(speed=0.0),
+    "line": dict(speed=1.2),
+    "circle": dict(speed=0.9, circle_radius=10.0),
+    # Legs of 5 s and turns of 7.9 s: the run turns both ways.  A speed that is
+    # not a power of two exposes a changed order of multiplication.
+    "lawnmower": dict(speed=0.8, lawnmower_leg=4.0, lawnmower_spacing=4.0),
+    "waypoints": dict(speed=0.9, waypoints=((0, 0, 0), (8, 0, 0), (8, 8, -2), (0, 9, -2))),
+}
+
+
+class TestBlockGeneration:
+    """``generate`` is bit for bit the per-sample computation it replaced."""
+
+    @pytest.mark.parametrize("noise", ["none", "bluerov2"])
+    @pytest.mark.parametrize("dvl_frame", ["nav", "body"])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
+    def test_equals_per_sample_reference(self, kind, dvl_frame, noise, monkeypatch):
+        # 2,000 IMU rows in blocks of 700, 700 and 600.
+        monkeypatch.setattr(sim, "IMU_BLOCK_ROWS", 700)
+        spec = ScenarioSpec(
+            kind=kind, duration=20.0, initial_heading=0.4, dvl_frame=dvl_frame,
+            noise=NoiseSpec.preset(noise), seed=7,
+            biases=ImuBiases(accel=np.array([0.01, -0.02, 0.005]),
+                             gyro=np.array([-0.001, 0.002, 0.0015])),
+            **ORACLE_KINDS[kind])
+        assert_matches_reference(spec)
+
+    def test_more_than_two_blocks_equal_reference(self):
+        spec = benchmark_scenario(3, duration=90.0)
+        assert 2 * sim.IMU_BLOCK_ROWS < 90.0 * spec.imu_rate
+        assert_matches_reference(spec)
+
+    def test_ahrs_perturbation_equals_rowwise(self):
+        rng = np.random.default_rng(11)
+        E = np.concatenate([
+            np.zeros((2, 3)),
+            1e-13 * rng.standard_normal((20, 3)),  # first-order branch
+            [[1e-12, 0.0, 0.0], [0.0, -9.9e-13, 0.0]],  # at and just under its threshold
+            0.01 * rng.standard_normal((200, 3)),
+            rng.standard_normal((50, 3)),
+        ])
+        Q = sim._yaw_quats(rng.uniform(-4.0, 4.0, len(E)))
+        Q[::2] = rng.standard_normal((len(Q[::2]), 4))  # and general, non-unit quaternions
+        expected = np.array([quat_multiply(q, quat_from_rotvec(e)) for q, e in zip(Q, E)])
+        assert np.array_equal(sim._perturb(Q, E), expected)
 
 
 class TestBenchmarkScenario:
