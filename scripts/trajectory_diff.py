@@ -3,7 +3,7 @@
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
 contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
-each seed in four configurations, and prints per estimator and
+each seed in five configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
 all seeds and epochs, and whether the per-epoch flags are equal, with the
 count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
@@ -28,6 +28,11 @@ Configurations:
                   starts from the gt.csv pose and the first DVL velocity, as
                   ``cipgnav estimate --input`` does.  This is the
                   configuration that covers CSV writing and loading.
+    body-dvl      survey settings with the DVL generated in the body frame;
+                  cipg, EKF, InEKF on ``SyntheticRun.epochs()``, which
+                  rotates it into the navigation frame with
+                  ``sensors.dvl_body_to_nav``.  This is the configuration
+                  that covers body-frame DVL generation and rotation.
 
 Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
 (a NaN or infinite difference reads nan or inf), any flag (or epoch
@@ -60,6 +65,8 @@ CONFIGS = {
                     nan_dvl=slice(20, None, 50)),
     "files": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS,
                   files=True),
+    "body-dvl": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS,
+                     dvl_frame="body"),
 }
 
 
@@ -108,7 +115,8 @@ def run_tree(src: Path, seeds) -> dict:
     for config, c in CONFIGS.items():
         params = m["ipg"].IpgParams(horizon=c["horizon"], iterations=c["iterations"])
         for seed in seeds:
-            spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"])
+            spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"],
+                           dvl_frame=c.get("dvl_frame", "nav"))
             run = m["sim"].generate(spec)
             out[config, "streams", seed] = tuple(getattr(run, kind) for kind in STREAMS)
             if c.get("files"):

@@ -33,6 +33,8 @@ from .quat import (
     quat_from_rotvec,
     quat_multiply,
     quat_to_rotation,
+    quat_to_rotvec,
+    rotation_rows,
     rotation_to_quat,
     unit_rows,
 )
@@ -177,22 +179,6 @@ def _finish_cov(P: np.ndarray, config: FilterConfig, what: str) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-# Entry (i, j) of quat_to_rotation(q) is BASE + OUTER * (qq[A] + INNER * qq[B])
-# with qq = 2 q q^T flattened; e.g. R[0, 1] = 2xy - 2wz, R[0, 0] = 1 - (2yy + 2zz).
-_ROT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])
-_ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])
-_ROT_INNER = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-_ROT_BASE = np.eye(3).ravel()
-_ROT_OUTER = 1.0 - 2.0 * _ROT_BASE
-
-
-def _rotation_rows(quats: np.ndarray) -> np.ndarray:
-    """quat_to_rotation of each row of an (M, 4) array of unit quaternions, as (M, 3, 3)."""
-    qq = ((2.0 * quats)[:, :, None] * quats[:, None, :]).reshape(-1, 16)
-    R = _ROT_BASE + _ROT_OUTER * (qq[:, _ROT_A] + _ROT_INNER * qq[:, _ROT_B])
-    return R.reshape(-1, 3, 3)
-
-
 def _strapdown(p, v, R, dts, accel, g):
     """Positions and velocities at the M+1 sample boundaries, each (M+1, 3).
 
@@ -231,7 +217,7 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     nav = state.nav
     dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
     quats, _ = unit_rows(running_product(nav.orientation, dts, w))
-    R = _rotation_rows(quats[:-1])
+    R = rotation_rows(quats[:-1])
     ps, vs = _strapdown(nav.position, nav.velocity, R, dts, a, config.gravity.vector)
 
     dt = dts[:, None, None]
@@ -318,7 +304,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     # Chained in sample order, as the per-sample loop does: the single product
     # R0 * R(r_1 * ... * r_k) moved this filter's 100 s trajectories by 2e-12 m.
     rotations = [state.rotation]
-    for dR in _rotation_rows(unit_rows(increments)[0]):
+    for dR in quat_to_rotation(increments):
         rotations.append(rotations[-1].dot(dR))
     R = np.array(rotations[:-1])
     g = config.gravity.vector
@@ -348,15 +334,7 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
     """
     R_meas = quat_to_rotation(ahrs)
     y_vel = np.asarray(dvl, dtype=float) - state.velocity
-    dR = R_meas @ state.rotation.T
-    q_err = rotation_to_quat(dR)
-    angle_axis = q_err[1:]
-    s = float(np.linalg.norm(angle_axis))
-    if s < 1e-12:
-        y_att = 2.0 * angle_axis
-    else:
-        angle = 2.0 * np.arctan2(s, float(q_err[0]))
-        y_att = angle * angle_axis / s
+    y_att = quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
     y = np.concatenate([y_vel, y_att])
 
     H = np.zeros((6, 9))

@@ -159,16 +159,10 @@ ORIENTATION_MODEL = WindowModel(
 )
 
 
-# quats[:, _RIGHT_INDEX] * _RIGHT_SIGN stacks quat_right_matrix over rows.
-_RIGHT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
-                        [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
-
-
 def _window_terms(ahrs, rot_increments):
     """M_j (N-1, 4, 4) and W_j = M_j^T Z_j / |U_j| (N-1, 4) for ``_orientation_step``."""
     # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
-    M = np.asarray(rot_increments)[:, _RIGHT_INDEX] * _RIGHT_SIGN
+    M = quat_right_matrix(rot_increments)
     for j in range(1, len(M)):
         M[j] = M[j] @ M[j - 1]
     _, norms = unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
@@ -248,6 +242,12 @@ class CascadeConfig:
     def __post_init__(self):
         if self.fallback not in FALLBACK_MODES:
             raise ValueError(f"fallback must be one of {FALLBACK_MODES}, got {self.fallback!r}")
+        # Both stages have lambda_max(J^T J) = N, and the preconditioner recursion
+        # K <- K - alpha (K J^T J - I) converges only when alpha * N < 2.
+        alpha, horizon = self.params.alpha, self.params.horizon
+        if alpha * horizon >= 2.0:
+            raise ValueError(f"alpha * horizon must be < 2 for the window solver to converge, "
+                             f"got alpha {alpha:g} * horizon {horizon} = {alpha * horizon:g}")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .quat import (
     quat_angular_distance,
     quat_from_yaw,
     quat_multiply,
-    quat_normalize,
+    unit_rows,
 )
 from .trajectory import TrajectoryPoint
 
@@ -126,7 +126,7 @@ def _interp_rows(t_new, t_src, rows):
 
 def _interp_quats(t_new, t_src, quats):
     raw = _interp_rows(t_new, t_src, hemisphere_align(quats))
-    return np.array([quat_normalize(q) for q in raw])
+    return unit_rows(raw)[0]
 
 
 def resample_to(points: Sequence[TrajectoryPoint], t_new) -> list[TrajectoryPoint]:

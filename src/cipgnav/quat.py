@@ -4,6 +4,14 @@ Quaternions are plain numpy arrays ``[w, x, y, z]``.  A unit quaternion q
 represents the attitude of the body frame; ``quat_to_rotation(q)`` maps
 body-frame vectors into the navigation frame.  q and -q encode the same
 rotation (double cover), so angular distances are computed on the quotient.
+
+Each quaternion and rotation formula of the package is written here once.
+``quat_product``, ``quat_to_rotation``, ``quat_from_rotvec``, ``quat_from_yaw``,
+``rotate_vector`` and ``quat_right_matrix`` also take rows, (n, 4), (n, 3) or
+(n,), and row k equals the call on row k bit for bit, signed zeros included
+(``np.array_equal`` ignores their sign, ``np.signbit`` does not); ``row_norms``,
+``unit_rows`` and ``rotation_rows`` are the kernels under them.  Row results are
+C-contiguous, as numpy's matmul rounds by memory layout.
 """
 
 from __future__ import annotations
@@ -16,10 +24,13 @@ from .errors import DegenerateQuaternionError
 
 __all__ = [
     "quat_normalize",
+    "row_norms",
+    "unit_rows",
     "quat_product",
     "quat_multiply",
     "quat_conjugate",
     "quat_to_rotation",
+    "rotation_rows",
     "rotation_to_quat",
     "quat_angular_distance",
     "quat_from_rotvec",
@@ -40,7 +51,7 @@ _ORTHO_TOL = 1e-6 + 1e-5 * _EYE3
 
 def _as_finite(q, name):
     q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError(f"non-finite {name}: {q!r}")
     return q
 
@@ -48,37 +59,57 @@ def _as_finite(q, name):
 def quat_normalize(q) -> np.ndarray:
     """Scale a 4-vector to unit norm, preserving its sign."""
     q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise DegenerateQuaternionError(f"non-finite quaternion: {q!r}")
-    n = float(np.sqrt(q @ q))
+    n = math.sqrt(q @ q)
     if n <= _NORM_EPS:
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {n:.3e}")
     return q / n
 
 
-def unit_rows(Y: np.ndarray):
+def row_norms(X) -> np.ndarray:
+    """Norms of the rows of an (n, k) array (0-d for one k-vector), each rounded as
+    ``sqrt(x @ x)`` in ``quat_normalize`` and ``np.linalg.norm(x)`` round."""
+    X = np.ascontiguousarray(X, dtype=float)
+    return np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0, 0]
+
+
+def unit_rows(Y):
     """Rows Y_j / |Y_j| of an (M, n) array and the norms |Y_j|, guarded like quat_normalize.
 
     An infinite norm passes: a caller that needs finite rows checks the norms.
     """
-    norms = np.sqrt((Y * Y).sum(axis=1))
+    Y = np.ascontiguousarray(Y, dtype=float)
+    norms = row_norms(Y)
     if not (norms > _NORM_EPS).all():  # also catches NaN
         raise DegenerateQuaternionError(
             f"cannot normalize quaternion with norm {norms.min():.3e}")
     return Y / norms[:, None], norms
 
 
+def _components(X):
+    """One vector's components as Python floats (cheaper than numpy scalars, and
+    rounded alike), or the columns of (n, k) rows."""
+    X = np.asarray(X, dtype=float)
+    return X.tolist() if X.ndim == 1 else X.T
+
+
+def _stack_last(*components) -> np.ndarray:
+    """Components (floats, or equal-shape arrays) stacked along a new last axis."""
+    if isinstance(components[0], float):
+        return np.array(components)
+    return np.stack(components, axis=-1)
+
+
 def quat_product(a, b) -> np.ndarray:
-    """Hamilton product a*b without renormalization (inputs may be non-unit)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
+    """Hamilton product a*b without renormalization (inputs may be non-unit), or of rows."""
+    aw, ax, ay, az = _components(a)
+    bw, bx, by, bz = _components(b)
+    return _stack_last(
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 
@@ -94,16 +125,34 @@ def quat_conjugate(q) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
+# Entry (i, j) of R(q) is BASE + OUTER * (qq[A] + INNER * qq[B]) with qq = 2 q q^T
+# flattened; e.g. R[0, 1] = 2xy - 2wz, R[0, 0] = 1 - (2yy + 2zz).  BASE is -0.0 off
+# the diagonal, which adds nothing to any value, -0.0 included.
+_ROT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])
+_ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])
+_ROT_INNER = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_ROT_BASE = np.where(_EYE3, 1.0, -0.0).ravel()
+_ROT_OUTER = np.where(_EYE3, -1.0, 1.0).ravel()
+
+
+def rotation_rows(unit) -> np.ndarray:
+    """Rotation matrices (n, 3, 3) of unit quaternion rows (n, 4), or (3, 3) of one.
+
+    The quaternions are used as given, neither checked nor renormalized.
+    """
+    unit = np.asarray(unit, dtype=float)
+    rows = unit.shape[:-1]
+    qq = ((2.0 * unit)[..., :, None] * unit[..., None, :]).reshape(*rows, 16)
+    # take, unlike qq[..., _ROT_A], returns C-contiguous rows.
+    R = _ROT_BASE + _ROT_OUTER * (qq.take(_ROT_A, axis=-1) + _ROT_INNER * qq.take(_ROT_B, axis=-1))
+    return R.reshape(*rows, 3, 3)
+
+
 def quat_to_rotation(q) -> np.ndarray:
-    """3x3 rotation matrix of a unit quaternion (body -> navigation frame)."""
-    w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ]
-    )
+    """3x3 rotation matrix (body -> navigation frame) of a quaternion, normalized
+    first, or the (n, 3, 3) matrices of (n, 4) rows."""
+    q = np.asarray(q, dtype=float)
+    return rotation_rows(quat_normalize(q) if q.ndim == 1 else unit_rows(q)[0])
 
 
 def rotation_to_quat(R) -> np.ndarray:
@@ -154,16 +203,17 @@ def quat_angular_distance(a, b) -> float:
 
 
 def quat_from_rotvec(v) -> np.ndarray:
-    """Unit quaternion for a rotation vector (axis * angle, rad)."""
-    v = _as_finite(v, "rotation vector")
-    angle = float(np.linalg.norm(v))
-    if angle < 1e-12:
-        # First-order expansion keeps the map smooth through zero.
-        q = np.concatenate(([1.0], 0.5 * v))
-        return quat_normalize(q)
-    axis = v / angle
+    """Unit quaternion for a rotation vector (axis * angle, rad), or for each row."""
+    v = np.ascontiguousarray(_as_finite(v, "rotation vector"))
+    angle = row_norms(v)[..., None]
+    small = angle < 1e-12
+    if small.any():
+        # First-order expansion keeps the map smooth through zero; other rows are exact.
+        first = np.concatenate([np.ones_like(angle), 0.5 * v], axis=-1)
+        return np.where(small, first / row_norms(first)[..., None],
+                        quat_from_rotvec(np.where(small, 1.0, v)))
     half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+    return np.concatenate([np.cos(half), np.sin(half) * (v / angle)], axis=-1)
 
 
 def quat_to_rotvec(q) -> np.ndarray:
@@ -180,10 +230,11 @@ def quat_to_rotvec(q) -> np.ndarray:
     return angle * vec / s
 
 
-def quat_from_yaw(yaw: float) -> np.ndarray:
-    """Quaternion for a rotation of ``yaw`` radians about the +z axis."""
-    half = 0.5 * float(yaw)
-    return np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
+def quat_from_yaw(yaw) -> np.ndarray:
+    """Quaternion for a rotation of ``yaw`` radians about the +z axis, or a row per yaw."""
+    half = 0.5 * np.asarray(yaw, dtype=float)
+    zero = np.zeros_like(half)
+    return _stack_last(np.cos(half), zero, zero, np.sin(half))
 
 
 def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -212,8 +263,11 @@ def euler_from_quat(q) -> np.ndarray:
 
 
 def rotate_vector(q, v) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion (body -> navigation frame)."""
-    return quat_to_rotation(q) @ np.asarray(v, dtype=float)
+    """Rotate a 3-vector by a unit quaternion (body -> navigation frame), or row
+    k of an (n, 3) array by row k of an (n, 4) one."""
+    R = quat_to_rotation(q)
+    v = np.asarray(v, dtype=float)
+    return R @ v if v.ndim == 1 else (R @ v[:, :, None])[:, :, 0]
 
 
 def hemisphere_align(quats) -> np.ndarray:
@@ -229,17 +283,16 @@ def hemisphere_align(quats) -> np.ndarray:
     return out
 
 
+# r.take(_RIGHT_INDEX, axis=-1) * _RIGHT_SIGN is [[rw, -rx, -ry, -rz], [rx, rw, rz, -ry],
+# [ry, -rz, rw, rx], [rz, ry, -rx, rw]].
+_RIGHT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
+                        [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+
+
 def quat_right_matrix(r) -> np.ndarray:
-    """4x4 matrix M with ``M @ q == quat_product(q, r)`` for every q."""
-    rw, rx, ry, rz = np.asarray(r, dtype=float)
-    return np.array(
-        [
-            [rw, -rx, -ry, -rz],
-            [rx, rw, rz, -ry],
-            [ry, -rz, rw, rx],
-            [rz, ry, -rx, rw],
-        ]
-    )
+    """4x4 matrix M with ``M @ q == quat_product(q, r)`` for every q, or (n, 4, 4) of rows."""
+    return np.asarray(r, dtype=float).take(_RIGHT_INDEX, axis=-1) * _RIGHT_SIGN
 
 
 def normalize_jacobian(y) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateQuaternionError, ParseError, StreamOrderError, SyncGapError
 from .preintegration import NavState
-from .quat import _NORM_EPS, hemisphere_align, quat_normalize, rotate_vector
+from .quat import _NORM_EPS, hemisphere_align, quat_normalize, rotate_vector, row_norms
 
 __all__ = [
     "GroundTruthSample",
@@ -150,11 +150,10 @@ def _load_bulk(path, kind):
             or not (np.diff(data[:, 0]) > 0.0).all()):
         return None
     if expected[-4:] == _QUAT_COLUMNS:
-        q = np.ascontiguousarray(data[:, -4:])
-        # (1, 4) @ (4, 1) is the dot product quat_normalize takes per row, bit for bit;
-        # a component of 1e154 or more overflows it to inf, which _load_rows refuses.
+        q = data[:, -4:]
+        # A component of 1e154 or more overflows the norm to inf, which _load_rows refuses.
         with np.errstate(over="ignore"):
-            norms = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+            norms = row_norms(q)
         if not ((norms > _NORM_EPS) & np.isfinite(norms)).all():
             return None
         data[:, -4:] = hemisphere_align(q / norms[:, None])
@@ -324,8 +323,7 @@ def dvl_body_to_nav(dvl, ahrs):
         t = float(dvl[missing[0], 0])
         raise SyncGapError(f"no AHRS sample within {tolerance} s of DVL sample at t={t!r}")
     out = np.array(dvl, dtype=float)
-    for row, q in zip(out, ahrs[nearest, 1:]):
-        row[1:] = rotate_vector(q, row[1:])
+    out[:, 1:] = rotate_vector(ahrs[nearest, 1:], out[:, 1:])
     return out
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SpecError
 from .preintegration import GravityModel, ImuBiases, NavState
-from .quat import quat_from_yaw
+from .quat import quat_from_rotvec, quat_from_yaw, quat_product, quat_to_rotation, unit_rows
 from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream, synchronize
 from .trajectory import TrajectoryPoint
 
@@ -126,9 +126,11 @@ class ScenarioSpec:
         object.__setattr__(self, "speed", v)
         for name in ("circle_radius", "lawnmower_leg", "lawnmower_spacing"):
             v = float(getattr(self, name))
-            if v <= 0.0:
-                raise SpecError(f"{name} must be > 0, got {v!r}")
+            if not math.isfinite(v) or v <= 0.0:
+                raise SpecError(f"{name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, v)
+        if not math.isfinite(float(self.initial_heading)):
+            raise SpecError(f"initial_heading must be finite, got {self.initial_heading!r}")
         if self.imu_rate < 2.0 * self.meas_rate:
             raise SpecError(
                 f"imu_rate ({self.imu_rate}) must be at least twice meas_rate "
@@ -418,56 +420,9 @@ def _timestamps(rate: float, duration: float) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) / rate
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    """Row norms of an (n, k) array, rounded as ``np.linalg.norm`` and ``sqrt(q @ q)`` round."""
-    return np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
-
-
-def _unit(Q: np.ndarray) -> np.ndarray:
-    """Rows ``quat_normalize(Q[k])``, unchecked."""
-    return Q / _norms(Q)[:, None]
-
-
-def _yaw_quats(yaw: np.ndarray) -> np.ndarray:
-    """Rows ``quat_from_yaw(yaw[k])``."""
-    half = 0.5 * yaw
-    zero = np.zeros_like(half)
-    return np.stack([np.cos(half), zero, zero, np.sin(half)], axis=1)
-
-
-def _rotations(Q: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) stack of ``quat_to_rotation(Q[k])``, by its formulas."""
-    w, x, y, z = _unit(Q).T
-    return np.stack([
-        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
-        2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
-        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y),
-    ], axis=1).reshape(-1, 3, 3)
-
-
 def _to_body(R: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Rows ``R[k].T @ X[k]``; the batched matmul rounds as the single one does."""
     return (np.swapaxes(R, 1, 2) @ X[:, :, None])[:, :, 0]
-
-
-def _perturb(Q: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Rows ``quat_multiply(Q[k], quat_from_rotvec(E[k]))``, by the formulas of both."""
-    angle = _norms(E)
-    small = angle < 1e-12
-    # First-order expansion below 1e-12 rad, as quat_from_rotvec keeps it.
-    first = _unit(np.column_stack([np.ones(len(E)), 0.5 * E]))
-    half = 0.5 * angle
-    axis = E / np.where(small, 1.0, angle)[:, None]
-    exact = np.column_stack([np.cos(half), np.sin(half)[:, None] * axis])
-    aw, ax, ay, az = Q.T
-    bw, bx, by, bz = np.where(small[:, None], first, exact).T
-    P = np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=1)
-    return _unit(P)
 
 
 def generate(spec: ScenarioSpec) -> SyntheticRun:
@@ -492,7 +447,7 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
     for lo in range(0, len(imu_t), IMU_BLOCK_ROWS):
         block = imu[lo:lo + IMU_BLOCK_ROWS]
         _, _, a_nav, yaw, yaw_rate = model.states(imu_t[lo:lo + IMU_BLOCK_ROWS])
-        R = _rotations(_yaw_quats(yaw))
+        R = quat_to_rotation(quat_from_yaw(yaw))
         block[:, 1:4] = (_to_body(R, a_nav - g) + spec.biases.accel
                          + sigma_a * rng_accel.standard_normal((len(block), 3)))
         block[:, 4:7] = (_rows(0.0, 0.0, yaw_rate) + spec.biases.gyro
@@ -500,18 +455,19 @@ def generate(spec: ScenarioSpec) -> SyntheticRun:
 
     meas_t = _timestamps(spec.meas_rate, duration)
     P, V, _, yaw, _ = model.states(meas_t)
-    Q = _yaw_quats(yaw)
+    Q = quat_from_yaw(yaw)
     v_meas = V + spec.noise.dvl_std * rng_dvl.standard_normal((len(meas_t), 3))
     if spec.dvl_frame == "body":
-        v_meas = _to_body(_rotations(Q), v_meas)
+        v_meas = _to_body(quat_to_rotation(Q), v_meas)
     q_meas = Q
     if spec.noise.ahrs_std > 0.0:
-        q_meas = _perturb(Q, spec.noise.ahrs_std * rng_ahrs.standard_normal((len(meas_t), 3)))
+        noise = quat_from_rotvec(spec.noise.ahrs_std * rng_ahrs.standard_normal((len(meas_t), 3)))
+        q_meas, _ = unit_rows(quat_product(Q, noise))
     dvl = np.column_stack([meas_t, v_meas])
     ahrs = np.column_stack([meas_t, q_meas])
     truth = [TrajectoryPoint(0.0, model.nav(0.0), "ok")]
     truth += [TrajectoryPoint(t, NavState.exact(p, v, q), "ok")
-              for t, p, v, q in zip(meas_t.tolist(), P, V, _unit(Q))]
+              for t, p, v, q in zip(meas_t.tolist(), P, V, unit_rows(Q)[0])]
     return SyntheticRun(spec, truth, imu, dvl, ahrs)
 
 

@@ -177,6 +177,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="fallback"):
             CascadeConfig(fallback="retry")
 
+    @pytest.mark.parametrize("horizon, alpha, accepted", [
+        (5, 0.39, True), (5, 0.4, False), (19, 0.1, True), (20, 0.0999, True),
+        (20, 0.1, False), (21, 0.1, False), (2, 0.999, True), (2, 1.0, False),
+    ])
+    def test_alpha_times_horizon_must_be_under_two(self, horizon, alpha, accepted):
+        # lambda_max(J^T J) = N in both stages: the preconditioner recursion
+        # converges only for alpha * N < 2 (at N = 20, alpha = 0.1 it oscillates).
+        params = IpgParams(horizon=horizon, alpha=alpha)
+        if accepted:
+            assert CascadeConfig(params=params).params is params
+        else:
+            with pytest.raises(ValueError, match=f"alpha {alpha:g} \\* horizon {horizon} = "):
+                CascadeConfig(params=params)
+
 
 class TestTracking:
     def test_warmup_then_ok_flags(self):
@@ -328,26 +342,20 @@ class TestFallback:
         assert exc_info.value.epoch == epochs[e].t
 
 
-def diverging_orientation_config(**kwargs):
-    return CascadeConfig(params=IpgParams(alpha=1e200), **kwargs)
-
-
 class TestOrientationFallback:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_abort_raises_with_stage_and_epoch(self):
+    def test_abort_raises_with_stage_and_epoch(self, monkeypatch):
         _, epochs = circle_run(duration=10.0)
+        diverge(monkeypatch, "_orientation_step")
         with pytest.raises(DivergenceError) as exc_info:
-            run_cascade(epochs, diverging_orientation_config(fallback="abort"))
+            run_cascade(epochs, CascadeConfig(fallback="abort"))
         assert exc_info.value.stage == "orientation"
         assert exc_info.value.epoch == epochs[IpgParams().horizon - 1].t
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_deadreckon_flags_and_completes(self):
+    def test_deadreckon_flags_and_completes(self, monkeypatch):
         run, epochs = circle_run(duration=10.0)
+        diverge(monkeypatch, "_orientation_step")
         points = run_cascade(
-            epochs,
-            diverging_orientation_config(fallback="deadreckon", initial=run.initial_nav()),
-        )
+            epochs, CascadeConfig(fallback="deadreckon", initial=run.initial_nav()))
         flags = [p.flag for p in points]
         horizon = IpgParams().horizon
         assert len(points) == len(epochs)

@@ -26,6 +26,7 @@ from cipgnav.sim import benchmark_scenario, generate
 from cipgnav.trajectory import read_trajectory
 from tests.conftest import make_streams
 from tests.test_adapters import write_bluerov2_sources
+from tests.test_cascade import diverge
 
 SHORT_SIM = ["--scenario", "circle", "--duration", "10", "--circle-radius", "10",
              "--noise", "bluerov2", "--seed", "5"]
@@ -54,6 +55,17 @@ class TestSimulate:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--circle-radius", "inf", "circle_radius"),
+        ("--circle-radius", "nan", "circle_radius"),
+        ("--initial-heading", "nan", "initial_heading"),
+    ])
+    def test_non_finite_geometry_is_usage_error(self, tmp_path, capsys, option, value, field):
+        rc = main(["simulate", "--scenario", "circle", option, value,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
 
     def test_print_config_resolution_order(self, tmp_path, capsys):
         config = tmp_path / "opts.cfg"
@@ -181,11 +193,11 @@ class TestEstimate:
         assert rc == 3
         assert f"{path}:line 6: quaternion" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_is_estimation_error(self, tmp_path, capsys):
+    def test_divergence_is_estimation_error(self, tmp_path, capsys, monkeypatch):
         data = simulate_into(tmp_path)
+        diverge(monkeypatch, "_orientation_step")
         rc = main(["estimate", "--input", str(data), "--estimator", "cipg",
-                   "--alpha", "1e200", "--out", str(tmp_path / "t.csv")])
+                   "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "diverged" in capsys.readouterr().err
 
@@ -264,7 +276,9 @@ class TestEstimate:
     @pytest.mark.parametrize("argv, message", [
         (["estimate", "--alpha", "nan"], "alpha must be positive, got nan"),
         (["compare", "--horizon", "1"], "horizon must be >= 2, got 1"),
-    ], ids=["estimate-alpha", "compare-horizon"])
+        (["estimate", "--horizon", "20"], "alpha * horizon must be < 2 for the window solver "
+                                          "to converge, got alpha 0.1 * horizon 20 = 2"),
+    ], ids=["estimate-alpha", "compare-horizon", "estimate-alpha-times-horizon"])
     def test_bad_parameter_reported_before_input_loads(self, tmp_path, capsys, argv, message):
         # The bad parameter is reported, not the malformed imu.csv.
         data = simulate_into(tmp_path)

@@ -23,7 +23,10 @@ from cipgnav.quat import (
     quat_to_rotation,
     quat_to_rotvec,
     rotate_vector,
+    rotation_rows,
     rotation_to_quat,
+    row_norms,
+    unit_rows,
 )
 from tests.conftest import central_difference, random_unit_quat
 
@@ -225,3 +228,135 @@ class TestHemisphereAlign:
         np.testing.assert_allclose(aligned, quats, atol=1e-12)
         dots = np.sum(aligned[1:] * aligned[:-1], axis=1)
         assert np.all(dots >= 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and values, signed zeros included (np.array_equal ignores their sign)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def rotation_formula(q):
+    """R(q) of a unit quaternion by the textbook formulas, the oracle of the table kernel."""
+    w, x, y, z = q
+    return np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+    ])
+
+
+def rotvec_formula(v):
+    """quat_from_rotvec of one vector on Python floats, with its first-order branch."""
+    angle = float(np.linalg.norm(v))
+    if angle < 1e-12:
+        q = np.concatenate(([1.0], 0.5 * v))
+        return q / float(np.sqrt(q @ q))
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * (v / angle)))
+
+
+@pytest.fixture(params=["contiguous", "transposed-view"])
+def layout(request):
+    """Rows as a C-contiguous array, or as the transposed view of a (k, n) array."""
+    if request.param == "contiguous":
+        return np.ascontiguousarray
+    return lambda X: np.ascontiguousarray(np.asarray(X).T).T
+
+
+def quat_rows(rng, n=300):
+    """Non-unit and unit quaternions, yaw-only ones with every sign of (w, z),
+    their negatives (-0.0 components) and a few with signed zeros."""
+    yaw = np.array([quat_from_yaw(y) for y in rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n)])
+    return np.vstack([
+        rng.normal(size=(n, 4)) * rng.uniform(0.01, 100.0, size=(n, 1)),
+        [random_unit_quat(rng) for _ in range(n)],
+        yaw, -yaw,
+        [[-0.0, 1.0, 0.0, 0.0], [0.0, -0.0, 0.0, -1.0], [-1.0, -0.0, 0.0, -0.0]],
+    ])
+
+
+def rotvec_rows(rng, n=200):
+    """Rotation vectors: zero, -0.0, under, at and just over 1e-12 rad, small and large."""
+    return np.vstack([
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-12, 0.0, 0.0], [0.0, -9.9e-13, 0.0],
+         [0.0, 0.0, 1.01e-12]],
+        1e-13 * rng.normal(size=(n, 3)),
+        0.01 * rng.normal(size=(n, 3)),
+        3.0 * rng.normal(size=(n, 3)),
+    ])
+
+
+class TestRowKernels:
+    """Each row form equals the per-row call bit for bit, on either memory layout."""
+
+    def test_row_norms_round_as_the_scalar_norms(self, rng, layout):
+        for X in (quat_rows(rng), rotvec_rows(rng)):
+            norms = row_norms(layout(X))
+            assert norms.shape == (len(X),)
+            assert same_bits(norms, [np.sqrt(x @ x) for x in X])
+            assert same_bits(norms, [np.linalg.norm(x) for x in X])
+            assert same_bits(row_norms(X[7]), np.sqrt(X[7] @ X[7]))
+
+    def test_unit_rows_equal_quat_normalize(self, rng, layout):
+        Q = quat_rows(rng)
+        unit, norms = unit_rows(layout(Q))
+        assert unit.flags.c_contiguous
+        assert same_bits(unit, [quat_normalize(q) for q in Q])
+        assert same_bits(norms, [np.sqrt(q @ q) for q in Q])
+        with pytest.raises(DegenerateQuaternionError):
+            unit_rows(np.vstack([Q[:3], np.zeros(4)]))
+
+    def test_quat_product(self, rng, layout):
+        A = quat_rows(rng)
+        B = A[rng.permutation(len(A))]
+        P = quat_product(layout(A), layout(B))
+        assert P.flags.c_contiguous
+        assert same_bits(P, [quat_product(a, b) for a, b in zip(A, B)])
+
+    def test_quat_to_rotation(self, rng, layout):
+        Q = quat_rows(rng)
+        R = quat_to_rotation(layout(Q))
+        assert R.flags.c_contiguous
+        assert same_bits(R, [quat_to_rotation(q) for q in Q])
+        assert same_bits(R, [rotation_formula(quat_normalize(q)) for q in Q])
+
+    def test_rotation_rows_equal_the_formulas_on_unit_rows(self, rng, layout):
+        U = unit_rows(quat_rows(rng))[0]
+        R = rotation_rows(layout(U))
+        assert R.flags.c_contiguous
+        assert same_bits(R, [rotation_rows(u) for u in U])
+        assert same_bits(R, [rotation_formula(u) for u in U])
+
+    def test_quat_right_matrix(self, rng, layout):
+        Q = quat_rows(rng)
+        M = quat_right_matrix(layout(Q))
+        assert M.flags.c_contiguous
+        assert same_bits(M, [quat_right_matrix(r) for r in Q])
+        rw, rx, ry, rz = Q[-1]
+        assert same_bits(quat_right_matrix(Q[-1]), [[rw, -rx, -ry, -rz], [rx, rw, rz, -ry],
+                                                     [ry, -rz, rw, rx], [rz, ry, -rx, rw]])
+
+    def test_quat_from_rotvec(self, rng, layout):
+        E = rotvec_rows(rng)
+        Q = quat_from_rotvec(layout(E))
+        assert Q.flags.c_contiguous
+        assert same_bits(Q, [quat_from_rotvec(e) for e in E])
+        assert same_bits(Q, [rotvec_formula(e) for e in E])
+
+    def test_quat_from_yaw(self, rng):
+        yaw = np.concatenate([[0.0, -0.0, np.pi, -np.pi], rng.uniform(-20.0, 20.0, 300)])
+        Q = quat_from_yaw(yaw)
+        assert Q.flags.c_contiguous
+        assert same_bits(Q, [quat_from_yaw(y) for y in yaw])
+        assert same_bits(Q, [[np.cos(0.5 * y), 0.0, 0.0, np.sin(0.5 * y)] for y in yaw])
+
+    def test_rotate_vector(self, rng, layout):
+        Q = quat_rows(rng)
+        V = rng.normal(size=(len(Q), 3)) * rng.uniform(0.01, 100.0, size=(len(Q), 1))
+        V[::7] = [0.0, -0.0, 0.0]
+        out = rotate_vector(layout(Q), layout(V))
+        assert out.flags.c_contiguous
+        assert same_bits(out, [rotate_vector(q, v) for q, v in zip(Q, V)])
+        assert same_bits(out, [quat_to_rotation(q) @ v for q, v in zip(Q, V)])

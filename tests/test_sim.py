@@ -16,7 +16,9 @@ from cipgnav.quat import (
     quat_from_rotvec,
     quat_from_yaw,
     quat_multiply,
+    quat_product,
     quat_to_rotation,
+    unit_rows,
 )
 from cipgnav.sensors import load_stream
 from cipgnav.sim import (
@@ -116,6 +118,13 @@ class TestSpecValidation:
             ScenarioSpec(kind="waypoints", waypoints=((0, 0, 0),))
         with pytest.raises(SpecError, match="speed"):
             ScenarioSpec(kind="circle", speed=0.0)
+
+    @pytest.mark.parametrize("field", ["circle_radius", "lawnmower_leg", "lawnmower_spacing",
+                                       "initial_heading"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_geometry(self, field, value):
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            ScenarioSpec(**{field: value})
 
     def test_dict_round_trip(self):
         spec = ScenarioSpec(
@@ -380,10 +389,10 @@ class TestBlockGeneration:
             0.01 * rng.standard_normal((200, 3)),
             rng.standard_normal((50, 3)),
         ])
-        Q = sim._yaw_quats(rng.uniform(-4.0, 4.0, len(E)))
+        Q = quat_from_yaw(rng.uniform(-4.0, 4.0, len(E)))
         Q[::2] = rng.standard_normal((len(Q[::2]), 4))  # and general, non-unit quaternions
         expected = np.array([quat_multiply(q, quat_from_rotvec(e)) for q, e in zip(Q, E)])
-        assert np.array_equal(sim._perturb(Q, E), expected)
+        assert np.array_equal(unit_rows(quat_product(Q, quat_from_rotvec(E)))[0], expected)
 
 
 class TestBenchmarkScenario:
