@@ -3,7 +3,7 @@
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
 contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
-each seed in five configurations, and prints per estimator and
+each seed in six configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
 all seeds and epochs, and whether the per-epoch flags are equal, with the
 count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
@@ -33,6 +33,11 @@ Configurations:
                   rotates it into the navigation frame with
                   ``sensors.dvl_body_to_nav``.  This is the configuration
                   that covers body-frame DVL generation and rotation.
+    near-bound     25 Hz IMU, window N=19, 10 inner iterations, alpha 0.1
+                  (alpha * N = 1.9, just under the bound of 2); cipg only.
+                  The preconditioner recursion contracts most slowly here,
+                  so a change in the rounding of the inner iterations shows
+                  most.
 
 Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
 (a NaN or infinite difference reads nan or inf), any flag (or epoch
@@ -67,6 +72,8 @@ CONFIGS = {
                   files=True),
     "body-dvl": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS,
                      dvl_frame="body"),
+    "near-bound": dict(imu_rate=25.0, horizon=19, iterations=10, alpha=0.1,
+                       estimators=("cipg",)),
 }
 
 
@@ -113,7 +120,8 @@ def run_tree(src: Path, seeds) -> dict:
     m = import_tree(src)
     out = {}
     for config, c in CONFIGS.items():
-        params = m["ipg"].IpgParams(horizon=c["horizon"], iterations=c["iterations"])
+        params = m["ipg"].IpgParams(**{key: c[key] for key in ("horizon", "iterations", "alpha")
+                                       if key in c})
         for seed in seeds:
             spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"],
                            dvl_frame=c.get("dvl_frame", "nav"))

@@ -8,7 +8,10 @@ rescales, so window row j is normalize(zeta * U_j) with U_j = r_1 * ... * r_j:
 a fixed 4x4 map M_j of the window-start iterate zeta, with M_j^T M_j =
 |U_j|^2 I, followed by row normalization.  The stage's normal equations are
 therefore closed-form in zeta and a per-epoch (N-1, 4) array, and
-``_orientation_step`` forms no Jacobian.  ``ORIENTATION_MODEL`` states the
+``_orientation_step`` forms no Jacobian.  Its inner iterations run on Python
+floats (zeta as 4 floats, K as 16): on 4-vectors and 4x4 matrices the
+overhead of a numpy call outweighs its arithmetic, as in the velocity
+stage's recursion.  ``ORIENTATION_MODEL`` states the
 same stage as a generic ``WindowModel`` for ``ipg_step``; it is the
 reference the closed form is tested against.
 
@@ -40,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError
+from .errors import DegenerateQuaternionError, DivergenceError, NumericalError
 from .ipg import IpgParams, WindowModel
 from .ipg import ipg_step  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .ipg import slide_window  # noqa: F401  kept as a module attribute: perfbench wraps it by name
@@ -54,6 +57,7 @@ from .preintegration import (
     unpack_burst,
 )
 from .quat import (
+    _NORM_EPS,
     normalize_jacobian,
     quat_normalize,
     quat_product,
@@ -73,6 +77,7 @@ __all__ = [
 ]
 
 FALLBACK_MODES = ("abort", "deadreckon")
+_EYE_16 = tuple(np.eye(4).ravel().tolist())  # I_4 in row-major order
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,16 @@ def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
     onto the hemisphere of P_j by s_j = sign(W_j . zeta), gives J_j^T (P_j -
     s_j Z_j) = -s_j (I - zeta zeta^T) W_j with W_j = M_j^T Z_j / |U_j|.  So
     J^T J = I + (N-1)(I - zeta zeta^T) and J^T r = r_0 + zeta (zeta . w) - w,
-    w = sum_j s_j W_j: no Jacobian is formed in the inner iterations.
+    w = sum_j s_j W_j: no Jacobian is formed in the inner iterations.  With
+    r_0 = zeta - s_0 z_0, this is J^T r = zeta (1 + sum_j |W_j . zeta|) -
+    (s_0 z_0 + w), and a dot of exactly 0 or NaN gives s = +1.
+
+    The inner iterations run on Python floats, zeta as 4 floats and K as 16
+    in row-major order, because each numpy call on a 4-vector costs more in
+    overhead than in arithmetic.  An iterate whose norm is not finite (a
+    non-finite component, or an overflow) or a non-finite K raises
+    DivergenceError with the iteration; a norm of at most ``_NORM_EPS``
+    raises DegenerateQuaternionError, as ``quat_normalize`` does.
 
     Returns the current-epoch estimate as a copy (a view would keep every row
     alive), the warm-started iterate, K, and the orientations at the start of
@@ -191,15 +205,39 @@ def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
     NumericalError and DegenerateQuaternionError where ipg_step does.
     """
     M, W = _window_terms(ahrs, rot_increments)
-    z0, rows, eye = ahrs[0], len(W), np.eye(4)
+    rows, alpha, delta = len(W), params.alpha, params.delta
+    W_rows, z0 = list(map(tuple, W.tolist())), ahrs[0].tolist()
+    x, k = zeta.tolist(), K.ravel().tolist()  # k is K in row-major order
     for i in range(params.iterations):
-        w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
-        r0 = zeta + z0 if z0 @ zeta < 0.0 else zeta - z0
-        K_next = K - params.alpha * (K + rows * (K - np.outer(zeta, zeta @ K)) - eye)
-        zeta_next = zeta - params.delta * (K @ (r0 + zeta * (zeta @ w) - w))
-        if not (np.isfinite(zeta_next).all() and np.isfinite(K_next).all()):
+        a, b, c, d = x
+        # u = s_0 z_0 + sum_j s_j W_j and scale = 1 + sum_j |W_j . zeta|
+        s = -1.0 if z0[0] * a + z0[1] * b + z0[2] * c + z0[3] * d < 0.0 else 1.0
+        u0, u1, u2, u3 = s * z0[0], s * z0[1], s * z0[2], s * z0[3]
+        scale = 1.0
+        for p, q, r, t in W_rows:
+            dot = p * a + q * b + r * c + t * d
+            if dot < 0.0:
+                u0, u1, u2, u3, scale = u0 - p, u1 - q, u2 - r, u3 - t, scale - dot
+            else:
+                u0, u1, u2, u3, scale = u0 + p, u1 + q, u2 + r, u3 + t, scale + dot
+        g0, g1, g2, g3 = a * scale - u0, b * scale - u1, c * scale - u2, d * scale - u3  # J^T r
+        k00, k01, k02, k03, k10, k11, k12, k13, k20, k21, k22, k23, k30, k31, k32, k33 = k
+        zK = (a * k00 + b * k10 + c * k20 + d * k30, a * k01 + b * k11 + c * k21 + d * k31,
+              a * k02 + b * k12 + c * k22 + d * k32, a * k03 + b * k13 + c * k23 + d * k33)
+        outer = (a, a, a, a, b, b, b, b, c, c, c, c, d, d, d, d)  # zeta_r for entry (r, c)
+        k_next = [kv - alpha * (kv + rows * (kv - xr * zc) - e)
+                  for kv, xr, zc, e in zip(k, outer, zK * 4, _EYE_16)]
+        y0 = a - delta * (k00 * g0 + k01 * g1 + k02 * g2 + k03 * g3)
+        y1 = b - delta * (k10 * g0 + k11 * g1 + k12 * g2 + k13 * g3)
+        y2 = c - delta * (k20 * g0 + k21 * g1 + k22 * g2 + k23 * g3)
+        y3 = d - delta * (k30 * g0 + k31 * g1 + k32 * g2 + k33 * g3)
+        norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
+        if not (math.isfinite(norm) and all(map(math.isfinite, k_next))):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
-        zeta, K = quat_normalize(zeta_next), K_next
+        if norm <= _NORM_EPS:
+            raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
+        x, k = [y0 / norm, y1 / norm, y2 / norm, y3 / norm], k_next
+    zeta, K = np.array(x), np.array(k).reshape(4, 4)
     P, _ = unit_rows(M @ zeta)
     return P[-1].copy(), quat_normalize(P[0]), K, np.vstack([zeta, P[:-1]])
 

@@ -57,12 +57,16 @@ def _as_finite(q, name):
 
 
 def quat_normalize(q) -> np.ndarray:
-    """Scale a 4-vector to unit norm, preserving its sign."""
+    """Scale a 4-vector to unit norm, preserving its sign.
+
+    Raises DegenerateQuaternionError on a non-finite component, a norm of at
+    most ``_NORM_EPS`` or a norm that overflows (components of 1e154 or more).
+    """
     q = np.asarray(q, dtype=float)
     if not np.isfinite(q).all():
         raise DegenerateQuaternionError(f"non-finite quaternion: {q!r}")
     n = math.sqrt(q @ q)
-    if n <= _NORM_EPS:
+    if not _NORM_EPS < n < math.inf:
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {n:.3e}")
     return q / n
 

@@ -7,12 +7,13 @@ Schema: ``t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,flag`` with flag in
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, StreamOrderError
+from .errors import DegenerateQuaternionError, ParseError, StreamOrderError
 from .preintegration import NavState
 from .sensors import open_csv
 
@@ -44,10 +45,17 @@ def write_trajectory(points, path) -> None:
 
 
 def read_trajectory(path):
+    """Load a trajectory CSV written by ``write_trajectory``.
+
+    Raises ParseError naming the line on a non-finite value or a quaternion
+    of zero or overflowing norm, and StreamOrderError on a timestamp that
+    does not increase.
+    """
     path = Path(path)
     points = []
     prev_t = None
-    with open_csv(path) as reader:
+    # An overflowing quaternion norm is refused below, so numpy need not warn of it.
+    with open_csv(path) as reader, np.errstate(over="ignore"):
         try:
             header = tuple(h.strip() for h in next(reader))
         except StopIteration:
@@ -71,11 +79,17 @@ def read_trajectory(path):
                 values = [float(v) for v in row[:-1]]
             except ValueError as exc:
                 raise ParseError(f"non-numeric value ({exc})", line=line_no, path=path) from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError("non-finite value", line=line_no, path=path)
             flag = row[-1].strip()
             t = values[0]
             if prev_t is not None and t <= prev_t:
                 raise StreamOrderError(f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})")
             prev_t = t
-            nav = NavState(np.array(values[1:4]), np.array(values[4:7]), np.array(values[7:11]))
+            try:
+                nav = NavState(np.array(values[1:4]), np.array(values[4:7]),
+                               np.array(values[7:11]))
+            except DegenerateQuaternionError as exc:
+                raise ParseError(str(exc), line=line_no, path=path) from None
             points.append(TrajectoryPoint(t, nav, flag))
     return points

@@ -461,8 +461,12 @@ class TestOrientationStage:
 
     GYRO_BIAS = np.array([0.001, -0.002, 0.0005])
 
-    def random_window(self, rng, horizon, k0):
-        """(ahrs, iterate, K, increments) and the same window for ipg_step."""
+    def random_window(self, rng, horizon, k0, spread=0.0):
+        """(ahrs, iterate, K, increments) and the same window for ipg_step.
+
+        K is k0 (I + spread * E) with E standard normal: non-symmetric, as a
+        warm-started epoch carries it, for spread > 0.
+        """
         bursts, t = [], 0.0
         for _ in range(horizon - 1):
             epoch = random_epoch(rng, t, int(rng.integers(1, 25)))
@@ -479,22 +483,24 @@ class TestOrientationStage:
             ahrs.append(q)
         ahrs = np.array([quat_normalize(a + rng.normal(scale=0.05, size=4)) for a in ahrs])
         ahrs *= rng.choice([-1.0, 1.0], size=(horizon, 1))
-        K = k0 * np.eye(4)
+        K = k0 * (np.eye(4) + spread * rng.normal(size=(4, 4))) if spread else k0 * np.eye(4)
         generic = IpgWindow(tuple(bursts), tuple(ahrs), iterate, K)
         args = (ahrs, iterate, K, [b.rot_increment for b in bursts])
         return args, generic
 
     def test_batched_step_matches_ipg_step(self, rng):
+        # From k0 I and from a non-symmetric K; horizons up to 12 and alpha * N up
+        # to 1.9, short of the alpha * N < 2 bound.
         model = ORIENTATION_MODEL
-        for _ in range(100):
-            horizon = int(rng.integers(2, 9))
+        for spread in [0.0] * 100 + [0.3] * 100:
+            horizon = int(rng.integers(2, 13))
             params = IpgParams(
                 horizon=horizon,
                 iterations=int(rng.integers(1, 11)),
-                alpha=rng.uniform(0.01, 0.9 / horizon),
+                alpha=rng.uniform(0.01, 1.9 / horizon),
                 delta=rng.uniform(0.1, 1.5),
             )
-            args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3))
+            args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3), spread)
             estimate, warm, K, quats = _orientation_step(params, *args)
             ref = ipg_step(model, params, generic)
             np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
@@ -502,6 +508,45 @@ class TestOrientationStage:
             np.testing.assert_allclose(K, ref.window.precond, rtol=0.0, atol=1e-12)
             expected = stacked_map(model, generic.inputs, ref.window_start).reshape(-1, 4)[:-1]
             np.testing.assert_allclose(quats, expected, rtol=0.0, atol=1e-12)
+
+    def test_zero_dot_counts_as_positive_like_ipg_step(self):
+        # Identity increments make W_j = Z_j, and every block is orthogonal to
+        # zeta = 1, so each hemisphere test, row 0's included, sees exactly 0.
+        horizon = 6
+        params = IpgParams(horizon=horizon, iterations=3)
+        ahrs = np.array([quat_normalize([0.0, 1.0, 0.5 * j, -0.25 * j]) for j in range(horizon)])
+        iterate, K = np.array([1.0, 0.0, 0.0, 0.0]), params.k0_scale * np.eye(4)
+        identity = BurstInput(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 0.0, np.zeros(0),
+                              np.zeros((0, 3)))
+        estimate, warm, K_out, _ = _orientation_step(params, ahrs, iterate, K,
+                                                     [identity.rot_increment] * (horizon - 1))
+        ref = ipg_step(ORIENTATION_MODEL, params,
+                       IpgWindow((identity,) * (horizon - 1), tuple(ahrs), iterate, K))
+        np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(K_out, ref.window.precond, rtol=0.0, atol=1e-12)
+
+    def test_collapsed_iterate_raises_like_ipg_step(self, rng):
+        # K = zeta g^T / (delta g . g) with g = J^T r sends zeta - delta K g to about 0.
+        params = IpgParams()
+        args, generic = self.random_window(rng, params.horizon, params.k0_scale)
+        ahrs, iterate, _, increments = args
+        predicted = stacked_map(ORIENTATION_MODEL, generic.inputs, iterate)
+        J = stacked_jacobian(ORIENTATION_MODEL, generic.inputs, iterate)
+        g = J.T @ (predicted - ORIENTATION_MODEL.align_measurements(predicted, ahrs.reshape(-1)))
+        K = np.outer(iterate, g) / (params.delta * (g @ g))
+        with pytest.raises(DegenerateQuaternionError):
+            _orientation_step(params, ahrs, iterate, K, increments)
+        with pytest.raises(DegenerateQuaternionError):
+            ipg_step(ORIENTATION_MODEL, params, replace(generic, precond=K))
+
+    def test_overflowing_iterate_norm_diverges(self, rng):
+        # A finite K of 1e200 gives finite iterate components whose norm overflows.
+        params = IpgParams()
+        args, _ = self.random_window(rng, params.horizon, 1e200)
+        with pytest.raises(DivergenceError) as exc_info:
+            _orientation_step(params, *args)
+        assert exc_info.value.iteration == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_at_same_iteration_as_ipg_step(self, rng):

@@ -382,6 +382,27 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "total_error_m = 0.0" in out
 
+    @pytest.mark.parametrize("column, value", [
+        ("px", "nan"), ("qw", "1e200"), ("quaternion", "0"),
+    ], ids=["nan-position", "overflowing-quaternion", "zero-quaternion"])
+    def test_bad_trajectory_row_is_data_error_with_line(self, tmp_path, capsys, column, value):
+        # A NaN once scored as total_error_m = nan with exit 0, and a bad quaternion
+        # failed with exit 1 naming neither the file nor the line.
+        data = simulate_into(tmp_path)
+        traj = tmp_path / "traj.csv"
+        assert main(["estimate", "--input", str(data), "--out", str(traj)]) == 0
+        lines = traj.read_text().splitlines()
+        fields = lines[5].split(",")
+        if column == "quaternion":
+            fields[7:11] = [value] * 4
+        else:
+            fields[lines[0].split(",").index(column)] = value
+        lines[5] = ",".join(fields)
+        traj.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--estimate", str(traj), "--truth", str(data / "gt.csv")])
+        assert rc == 3
+        assert f"{traj}:line 6: " in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["evaluate", "--estimate", str(tmp_path / "a.csv"),
                    "--truth", str(tmp_path / "b.csv")])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipgnav.errors import DegenerateQuaternionError
+from cipgnav.preintegration import NavState
 from cipgnav.quat import (
     euler_from_quat,
     hemisphere_align,
@@ -201,6 +202,16 @@ class TestNormalize:
             quat_normalize([0.0, 0.0, 0.0, 0.0])
         with pytest.raises(DegenerateQuaternionError):
             quat_normalize([np.nan, 0.0, 0.0, 1.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_overflowing_norm(self):
+        # |q|^2 of a 1e200 component overflows; q / inf once came back as a zero "unit" quaternion.
+        with pytest.raises(DegenerateQuaternionError, match="norm inf"):
+            quat_normalize(np.array([1e200, 0.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateQuaternionError):
+            NavState(orientation=[1e160, 1e160, 0.0, 0.0])
+        # unit_rows lets an infinite norm through for its callers to check.
+        assert np.isinf(unit_rows(np.array([[1e200, 0.0, 0.0, 0.0]]))[1][0])
 
     def test_unit_output(self, rng):
         q = quat_normalize(5.0 * random_unit_quat(rng))
