@@ -15,11 +15,14 @@ into arrays of spacings and bias-corrected readings; the per-sample
 attitudes, velocities and positions, the error transitions F_k and the
 process noise Q_k are formed with array operations over the burst.  What
 stays per sample is the covariance recursion P <- F_k P F_k^T + Q_k, which
-is sequential by nature, and, in the InEKF, the 3x3 rotation chain.
+is sequential by nature, and, in the InEKF, the 3x3 rotation chain, written
+into one preallocated array.  Each ``FilterConfig`` builds its matrices once:
+on 3- to 9-element arrays a numpy call costs more than its arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +35,7 @@ from .quat import (
     quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
+    quat_normalize,
     quat_to_rotation,
     quat_to_rotvec,
     rotation_rows,
@@ -58,6 +62,7 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 _EYE9 = np.eye(9)
+_EKF_H = _EYE9[3:]  # rows of the velocity and attitude errors
 _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
 
 
@@ -78,6 +83,8 @@ class FilterConfig:
     The initial and measurement covariances default to 0.1 * I.  Process
     noise defaults are continuous densities at consumer-IMU datasheet scale
     (per-axis position / velocity / attitude), discretized per sample dt.
+    ``p0_scale`` and ``q_*`` must be finite and >= 0, ``r_vel`` and ``r_att`` three finite
+    values > 0, kept read-only so that the matrices built from them here stay current.
     """
 
     p0_scale: float = 0.1
@@ -90,13 +97,29 @@ class FilterConfig:
     gravity: GravityModel = field(default_factory=GravityModel)
     validate: bool = False
 
+    def __post_init__(self):
+        for name in ("p0_scale", "q_pos", "q_vel", "q_att"):
+            value = float(getattr(self, name))
+            if not 0.0 <= value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, value)
+        for name in ("r_vel", "r_att"):
+            r = np.array(getattr(self, name), dtype=float)
+            if r.shape != (3,) or not ((0.0 < r) & (r < math.inf)).all():
+                raise ValueError(f"{name} must be 3 finite values > 0, got {r.tolist()}")
+            object.__setattr__(self, name, r)
+        q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
+        vars(self).update(_q=q, _q_matrix=np.diag(q), _g_skew=_skew(self.gravity.vector),
+                          _r_matrix=np.diag(np.concatenate([self.r_vel, self.r_att])))
+        for value in (self.r_vel, self.r_att, self._q, self._q_matrix, self._g_skew,
+                      self._r_matrix):
+            value.setflags(write=False)
+
     def q_diag(self) -> np.ndarray:
-        return np.concatenate(
-            [np.full(3, self.q_pos), np.full(3, self.q_vel), np.full(3, self.q_att)]
-        )
+        return self._q
 
     def r_matrix(self) -> np.ndarray:
-        return np.diag(np.concatenate([np.asarray(self.r_vel), np.asarray(self.r_att)]))
+        return self._r_matrix
 
 
 @dataclass
@@ -140,8 +163,8 @@ class InekfState:
         return X
 
     def nav(self) -> NavState:
-        return NavState(self.position.copy(), self.velocity.copy(),
-                        rotation_to_quat(self.rotation))
+        return NavState.exact(self.position.copy(), self.velocity.copy(),
+                              quat_normalize(rotation_to_quat(self.rotation)))
 
 
 def _check_cov(P: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -221,12 +244,12 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     ps, vs = _strapdown(nav.position, nav.velocity, R, dts, a, config.gravity.vector)
 
     dt = dts[:, None, None]
-    F = np.broadcast_to(_EYE9, (len(dts), 9, 9)).copy()
+    F = np.empty((len(dts), 9, 9))
+    F[:] = _EYE9
     F[:, 0:3, 3:6] = dt * _EYE3
     F[:, 3:6, 6:9] = -dt * (R @ _skew(a))
     F[:, 6:9, 6:9] = _EYE3 - dt * _skew(w)
-    P = _finish_cov(_propagate_cov(state.cov, F, np.diag(config.q_diag()) * dt), config,
-                    "ekf_predict")
+    P = _finish_cov(_propagate_cov(state.cov, F, config._q_matrix * dt), config, "ekf_predict")
     return EkfState(NavState(ps[-1], vs[-1], quats[-1]), P)
 
 
@@ -243,25 +266,24 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     nav = state.nav
     y = np.concatenate([np.asarray(dvl, dtype=float) - nav.velocity,
                         _attitude_innovation(nav.orientation, ahrs)])
-    H = np.zeros((6, 9))
-    H[0:3, 3:6] = np.eye(3)
-    H[3:6, 6:9] = np.eye(3)
-    dx, P = kalman_update(state.cov, H, config.r_matrix(), y)
+    dx, P = kalman_update(state.cov, _EKF_H, config._r_matrix, y)
     position = nav.position + dx[0:3]
     velocity = nav.velocity + dx[3:6]
     orientation = quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9]))
-    return EkfState(NavState(position, velocity, orientation), _finish_cov(P, config, "ekf_update"))
+    # kalman_update's covariance is exactly symmetric: only a validating filter checks it.
+    P = _check_cov(P, _PSD_TOL, "ekf_update") if config.validate else P
+    return EkfState(NavState(position, velocity, orientation), P)
 
 
 def _left_jacobian_so3(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    angle = float(np.linalg.norm(theta))
+    angle = math.sqrt(theta @ theta)  # np.linalg.norm(theta), without its overhead
     S = _skew(theta)
     if angle < 1e-8:
-        return np.eye(3) + 0.5 * S + S @ S / 6.0
+        return _EYE3 + 0.5 * S + S @ S / 6.0
     a2 = angle * angle
     return (
-        np.eye(3)
+        _EYE3
         + (1.0 - np.cos(angle)) / a2 * S
         + (angle - np.sin(angle)) / (a2 * angle) * (S @ S)
     )
@@ -300,19 +322,20 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     samples.
     """
     dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
-    increments = np.column_stack([np.ones(len(dts)), 0.5 * dts[:, None] * w])
+    increments = np.concatenate([np.ones((len(dts), 1)), 0.5 * dts[:, None] * w], axis=1)
     # Chained in sample order, as the per-sample loop does: the single product
     # R0 * R(r_1 * ... * r_k) moved this filter's 100 s trajectories by 2e-12 m.
-    rotations = [state.rotation]
-    for dR in quat_to_rotation(increments):
-        rotations.append(rotations[-1].dot(dR))
-    R = np.array(rotations[:-1])
-    g = config.gravity.vector
-    ps, vs = _strapdown(state.position, state.velocity, R, dts, a, g)
+    rotations = np.empty((len(dts) + 1, 3, 3))
+    rotations[0] = state.rotation
+    for k, dR in enumerate(quat_to_rotation(increments)):
+        np.dot(rotations[k], dR, out=rotations[k + 1])
+    R = rotations[:-1]
+    ps, vs = _strapdown(state.position, state.velocity, R, dts, a, config.gravity.vector)
 
     dt = dts[:, None, None]
-    F = np.broadcast_to(_EYE9, (len(dts), 9, 9)).copy()
-    F[:, 3:6, 0:3] = dt * _skew(g)
+    F = np.empty((len(dts), 9, 9))
+    F[:] = _EYE9
+    F[:, 3:6, 0:3] = dt * config._g_skew
     F[:, 6:9, 3:6] = dt * _EYE3
     Ad = np.zeros((len(dts), 9, 9))
     Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
@@ -339,15 +362,15 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
 
     H = np.zeros((6, 9))
     H[0:3, 0:3] = _skew(state.velocity)
-    H[0:3, 3:6] = -np.eye(3)
-    H[3:6, 0:3] = -np.eye(3)
-    dx, P = kalman_update(state.cov, H, config.r_matrix(), y)
+    H[0:3, 3:6] = H[3:6, 0:3] = -_EYE3
+    dx, P = kalman_update(state.cov, H, config._r_matrix, y)
 
     Rc, dv, dp = se23_exp(-dx)
     rotation = Rc @ state.rotation
     velocity = Rc @ state.velocity + dv
     position = Rc @ state.position + dp
-    return InekfState(rotation, velocity, position, _finish_cov(P, config, "inekf_update"))
+    P = _check_cov(P, _PSD_TOL, "inekf_update") if config.validate else P  # as in ekf_update
+    return InekfState(rotation, velocity, position, P)
 
 
 def _run_filter(name, start, predict, update, nav_of, epochs, config, initial):

@@ -267,6 +267,8 @@ def build_cascade_config(cfg: dict, initial: NavState | None) -> CascadeConfig:
 
 
 def build_filter_config(cfg: dict) -> FilterConfig:
+    if not 0.0 < cfg["r_scale"] < math.inf:  # FilterConfig would name r_vel, not the option
+        raise SpecError(f"r_scale must be finite and positive, got {cfg['r_scale']}")
     return FilterConfig(
         p0_scale=cfg["p0_scale"],
         r_vel=cfg["r_scale"] * np.ones(3),

@@ -244,7 +244,8 @@ def ipg_step(model: WindowModel, params: IpgParams, window: IpgWindow) -> IpgSte
     """Run the inner iterations on a full window and warm-start the next one.
 
     Raises DivergenceError (with the inner-iteration index) as soon as the
-    iterate or the preconditioner stops being finite.
+    iterate, its norm or the preconditioner stops being finite, before
+    ``post_iterate`` sees the iterate.
     """
     if len(window.measurements) != params.horizon:
         raise ValueError(
@@ -262,7 +263,9 @@ def ipg_step(model: WindowModel, params: IpgParams, window: IpgWindow) -> IpgSte
         residual = predicted - Z_eff
         K_next = precondition_update(K, J, params.alpha)
         zeta_next = iterate_update(zeta, K, J, residual, params.delta)
-        if not (np.all(np.isfinite(zeta_next)) and np.all(np.isfinite(K_next))):
+        with np.errstate(over="ignore"):
+            norm_sq = zeta_next @ zeta_next  # NaN or inf for a non-finite component
+        if not (np.isfinite(norm_sq) and np.all(np.isfinite(K_next))):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         if model.post_iterate is not None:
             zeta_next = np.asarray(model.post_iterate(zeta_next), dtype=float)

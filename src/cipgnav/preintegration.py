@@ -45,9 +45,10 @@ def _vec3(v, name):
 
 
 def _finite_vec3(v, name):
-    v = _vec3(v, name)
+    v = _vec3(v, name).copy()  # read-only below, as the configs holding it are frozen
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    v.setflags(write=False)
     return v
 
 
@@ -131,7 +132,7 @@ def unpack_burst(burst, t_start: float, gyro_bias, accel_bias):
     non-positive spacing and warns once per burst, through ``_check_dt``,
     when the largest spacing is large.
     """
-    dts = np.diff(burst[:, 0], prepend=float(t_start))
+    dts = burst[:, 0] - np.concatenate(([float(t_start)], burst[:-1, 0]))  # np.diff, cheaper
     bad = np.flatnonzero(dts <= 0.0)
     if bad.size:
         raise ValueError(f"non-positive IMU sample spacing at t={float(burst[bad[0], 0])!r}")

@@ -11,7 +11,10 @@ Each quaternion and rotation formula of the package is written here once.
 (n,), and row k equals the call on row k bit for bit, signed zeros included
 (``np.array_equal`` ignores their sign, ``np.signbit`` does not); ``row_norms``,
 ``unit_rows`` and ``rotation_rows`` are the kernels under them.  Row results are
-C-contiguous, as numpy's matmul rounds by memory layout.
+C-contiguous, as numpy's matmul rounds by memory layout.  One value skips the
+row machinery, whose numpy calls cost more than their arithmetic:
+``rotation_rows`` and ``rotation_to_quat`` run on Python floats, which round as
+numpy does; cos, sin and arctan2 stay numpy's, which may round unlike math's.
 """
 
 from __future__ import annotations
@@ -63,10 +66,10 @@ def quat_normalize(q) -> np.ndarray:
     most ``_NORM_EPS`` or a norm that overflows (components of 1e154 or more).
     """
     q = np.asarray(q, dtype=float)
-    if not np.isfinite(q).all():
-        raise DegenerateQuaternionError(f"non-finite quaternion: {q!r}")
-    n = math.sqrt(q @ q)
+    n = math.sqrt(q @ q)  # NaN or inf for a non-finite component
     if not _NORM_EPS < n < math.inf:
+        if not np.isfinite(q).all():
+            raise DegenerateQuaternionError(f"non-finite quaternion: {q!r}")
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {n:.3e}")
     return q / n
 
@@ -137,6 +140,7 @@ _ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])
 _ROT_INNER = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _ROT_BASE = np.where(_EYE3, 1.0, -0.0).ravel()
 _ROT_OUTER = np.where(_EYE3, -1.0, 1.0).ravel()
+_ROT_TABLE = tuple(zip(*(c.tolist() for c in (_ROT_BASE, _ROT_OUTER, _ROT_A, _ROT_INNER, _ROT_B))))
 
 
 def rotation_rows(unit) -> np.ndarray:
@@ -145,6 +149,11 @@ def rotation_rows(unit) -> np.ndarray:
     The quaternions are used as given, neither checked nor renormalized.
     """
     unit = np.asarray(unit, dtype=float)
+    if unit.ndim == 1:  # the same table and operations on Python floats
+        q = unit.tolist()
+        qq = [2.0 * a * b for a in q for b in q]
+        return np.array([base + outer * (qq[a] + inner * qq[b])
+                         for base, outer, a, inner, b in _ROT_TABLE]).reshape(3, 3)
     rows = unit.shape[:-1]
     qq = ((2.0 * unit)[..., :, None] * unit[..., None, :]).reshape(*rows, 16)
     # take, unlike qq[..., _ROT_A], returns C-contiguous rows.
@@ -164,34 +173,28 @@ def rotation_to_quat(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected 3x3 rotation matrix, got shape {R.shape}")
-    # |R R^T - I| <= 1e-6 + 1e-5 |I| elementwise, as np.allclose tests it (NaN fails).
-    if not (np.abs(R @ R.T - _EYE3) <= _ORTHO_TOL).all() or np.linalg.det(R) < 0.0:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
+    # |R R^T - I| <= 1e-6 + 1e-5 |I| elementwise, as np.allclose tests it (NaN fails).  A
+    # matrix that passes has |det R| near 1, so the sign of the triple product is exact.
+    if not (np.abs(R @ R.T - _EYE3) <= _ORTHO_TOL).all() or (
+            r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
+            + r02 * (r10 * r21 - r11 * r20)) < 0.0:
         raise ValueError("matrix is not a rotation: R @ R.T != I or det(R) < 0")
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    tr = r00 + r11 + r22
     if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 >= r11 and r00 >= r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 >= r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
     q = quat_normalize(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    return -q if q[0] < 0.0 else q
 
 
 def quat_angular_distance(a, b) -> float:
@@ -209,15 +212,17 @@ def quat_angular_distance(a, b) -> float:
 def quat_from_rotvec(v) -> np.ndarray:
     """Unit quaternion for a rotation vector (axis * angle, rad), or for each row."""
     v = np.ascontiguousarray(_as_finite(v, "rotation vector"))
-    angle = row_norms(v)[..., None]
+    angle = math.sqrt(v @ v) if v.ndim == 1 else row_norms(v)[..., None]  # as row_norms rounds
     small = angle < 1e-12
-    if small.any():
+    if v.ndim == 1 and small:
+        return quat_from_rotvec(v[None])[0]
+    if v.ndim > 1 and small.any():
         # First-order expansion keeps the map smooth through zero; other rows are exact.
         first = np.concatenate([np.ones_like(angle), 0.5 * v], axis=-1)
         return np.where(small, first / row_norms(first)[..., None],
                         quat_from_rotvec(np.where(small, 1.0, v)))
     half = 0.5 * angle
-    return np.concatenate([np.cos(half), np.sin(half) * (v / angle)], axis=-1)
+    return np.concatenate([np.atleast_1d(np.cos(half)), np.sin(half) * (v / angle)], axis=-1)
 
 
 def quat_to_rotvec(q) -> np.ndarray:
@@ -227,7 +232,7 @@ def quat_to_rotvec(q) -> np.ndarray:
         q = -q
     w = min(float(q[0]), 1.0)
     vec = q[1:]
-    s = float(np.linalg.norm(vec))
+    s = math.sqrt(vec @ vec)  # np.linalg.norm(vec), without its overhead
     if s < 1e-12:
         return 2.0 * vec
     angle = 2.0 * np.arctan2(s, w)

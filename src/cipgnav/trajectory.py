@@ -47,9 +47,9 @@ def write_trajectory(points, path) -> None:
 def read_trajectory(path):
     """Load a trajectory CSV written by ``write_trajectory``.
 
-    Raises ParseError naming the line on a non-finite value or a quaternion
-    of zero or overflowing norm, and StreamOrderError on a timestamp that
-    does not increase.
+    Raises ParseError naming the line on a non-finite value, a quaternion
+    of zero or overflowing norm or an unknown flag, and StreamOrderError on
+    a timestamp that does not increase.
     """
     path = Path(path)
     points = []
@@ -82,6 +82,9 @@ def read_trajectory(path):
             if not all(map(math.isfinite, values)):
                 raise ParseError("non-finite value", line=line_no, path=path)
             flag = row[-1].strip()
+            if flag not in FLAGS:
+                raise ParseError(f"unknown trajectory flag {flag!r}; expected one of {FLAGS}",
+                                 line=line_no, path=path)
             t = values[0]
             if prev_t is not None and t <= prev_t:
                 raise StreamOrderError(f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})")

@@ -384,3 +384,36 @@ class TestFilterConfig:
         q = cfg.q_diag()
         assert q.shape == (9,)
         np.testing.assert_allclose(q[3:6], 4e-6)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(p0_scale=-0.1), "p0_scale must be finite and >= 0, got -0.1"),
+        (dict(q_att=-1e-3), "q_att must be finite and >= 0, got -0.001"),
+        (dict(q_pos=np.nan), "q_pos must be finite and >= 0, got nan"),
+        (dict(q_vel=np.inf), "q_vel must be finite and >= 0, got inf"),
+        (dict(r_vel=-np.ones(3)), "r_vel must be 3 finite values > 0, got [-1.0, -1.0, -1.0]"),
+        (dict(r_att=[0.1, 0.0, 0.1]), "r_att must be 3 finite values > 0, got [0.1, 0.0, 0.1]"),
+        (dict(r_att=[0.1, np.nan, 0.1]), "r_att must be 3 finite values > 0"),
+        (dict(r_vel=[0.1, 0.1]), "r_vel must be 3 finite values > 0, got [0.1, 0.1]"),
+    ], ids=["p0-negative", "q-negative", "q-nan", "q-inf", "r-negative", "r-zero", "r-nan",
+            "r-shape"])
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError) as exc_info:
+            FilterConfig(**kwargs)
+        assert str(exc_info.value).startswith(message)
+
+    def test_zero_noise_is_accepted(self):
+        cfg = FilterConfig(p0_scale=0.0, q_pos=0.0, q_vel=0.0, q_att=0.0)
+        np.testing.assert_array_equal(cfg.q_diag(), np.zeros(9))
+
+    def test_matrices_cannot_go_stale(self):
+        # r_vel is a read-only copy: changing the caller's array changes nothing,
+        # and neither the fields nor the matrices built from them can be written.
+        r_vel = np.array([0.1, 0.2, 0.3])
+        cfg = FilterConfig(r_vel=r_vel)
+        r_vel[0] = 5.0
+        assert cfg.r_vel[0] == 0.1 and cfg.r_matrix()[0, 0] == 0.1
+        for array in (cfg.r_vel, cfg.r_att, cfg.r_matrix(), cfg.q_diag()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        np.testing.assert_array_equal(replace(cfg, r_att=np.full(3, 0.5)).r_matrix(),
+                                      np.diag([0.1, 0.2, 0.3, 0.5, 0.5, 0.5]))

@@ -541,12 +541,15 @@ class TestOrientationStage:
             ipg_step(ORIENTATION_MODEL, params, replace(generic, precond=K))
 
     def test_overflowing_iterate_norm_diverges(self, rng):
-        # A finite K of 1e200 gives finite iterate components whose norm overflows.
+        # A finite K of 1e200 gives finite iterate components whose norm overflows;
+        # ipg_step diverges at the same iteration, before post_iterate normalizes.
         params = IpgParams()
-        args, _ = self.random_window(rng, params.horizon, 1e200)
-        with pytest.raises(DivergenceError) as exc_info:
+        args, generic = self.random_window(rng, params.horizon, 1e200)
+        with pytest.raises(DivergenceError) as batched:
             _orientation_step(params, *args)
-        assert exc_info.value.iteration == 0
+        with pytest.raises(DivergenceError) as generic_exc:
+            ipg_step(ORIENTATION_MODEL, params, generic)
+        assert batched.value.iteration == generic_exc.value.iteration == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_at_same_iteration_as_ipg_step(self, rng):

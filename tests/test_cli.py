@@ -278,7 +278,13 @@ class TestEstimate:
         (["compare", "--horizon", "1"], "horizon must be >= 2, got 1"),
         (["estimate", "--horizon", "20"], "alpha * horizon must be < 2 for the window solver "
                                           "to converge, got alpha 0.1 * horizon 20 = 2"),
-    ], ids=["estimate-alpha", "compare-horizon", "estimate-alpha-times-horizon"])
+        (["estimate", "--estimator", "inekf", "--r-scale=-1"],
+         "r_scale must be finite and positive, got -1.0"),
+        (["estimate", "--estimator", "inekf", "--q-att=-1e-3"],
+         "q_att must be finite and >= 0, got -0.001"),
+        (["compare", "--q-pos=nan"], "q_pos must be finite and >= 0, got nan"),
+    ], ids=["estimate-alpha", "compare-horizon", "estimate-alpha-times-horizon",
+            "inekf-r-scale", "inekf-q-att", "compare-q-pos"])
     def test_bad_parameter_reported_before_input_loads(self, tmp_path, capsys, argv, message):
         # The bad parameter is reported, not the malformed imu.csv.
         data = simulate_into(tmp_path)
@@ -383,11 +389,12 @@ class TestEvaluate:
         assert "total_error_m = 0.0" in out
 
     @pytest.mark.parametrize("column, value", [
-        ("px", "nan"), ("qw", "1e200"), ("quaternion", "0"),
-    ], ids=["nan-position", "overflowing-quaternion", "zero-quaternion"])
+        ("px", "nan"), ("qw", "1e200"), ("quaternion", "0"), ("flag", "bogus"),
+    ], ids=["nan-position", "overflowing-quaternion", "zero-quaternion", "unknown-flag"])
     def test_bad_trajectory_row_is_data_error_with_line(self, tmp_path, capsys, column, value):
-        # A NaN once scored as total_error_m = nan with exit 0, and a bad quaternion
-        # failed with exit 1 naming neither the file nor the line.
+        # A NaN once scored as total_error_m = nan with exit 0, a bad quaternion
+        # failed with exit 1 and an unknown flag with exit 2, naming neither the
+        # file nor the line.
         data = simulate_into(tmp_path)
         traj = tmp_path / "traj.csv"
         assert main(["estimate", "--input", str(data), "--out", str(traj)]) == 0

@@ -15,6 +15,7 @@ from cipgnav.preintegration import (
     propagate_orientation,
     propagate_position,
     propagate_velocity,
+    unpack_burst,
 )
 from cipgnav.quat import quat_angular_distance, quat_from_yaw, quat_to_rotation
 from tests.conftest import random_unit_quat
@@ -173,3 +174,20 @@ class TestBurst:
         burst[:, 0] = 0.01 * np.arange(1, 101)
         out = preintegrate_burst(NavState(), burst, NO_BIAS, G, t_start=0.0)
         np.testing.assert_allclose(out.velocity, G.vector * 1.0, atol=1e-12)
+
+
+class TestUnpackBurst:
+    @pytest.mark.parametrize("n", [0, 1, 2, 17])
+    def test_spacings_equal_np_diff_bit_for_bit(self, rng, n):
+        # The spacings subtract a shifted copy of the timestamps; np.diff with the
+        # epoch start prepended is the oracle, from an empty burst up.
+        for _ in range(50):
+            t_start = float(rng.uniform(-10.0, 1e5))
+            ts = t_start + np.cumsum(rng.uniform(1e-4, 0.04, n))
+            burst = np.column_stack([ts, rng.normal(size=(n, 6))])
+            gyro_bias, accel_bias = rng.normal(size=3), rng.normal(size=3)
+            dts, accel, gyro = unpack_burst(burst, t_start, gyro_bias, accel_bias)
+            assert dts.shape == (n,)
+            assert dts.tobytes() == np.diff(ts, prepend=t_start).tobytes()
+            assert accel.tobytes() == (burst[:, 1:4] - accel_bias).tobytes()
+            assert gyro.tobytes() == (burst[:, 4:7] - gyro_bias).tobytes()

@@ -133,6 +133,117 @@ class TestRotation:
             rotation_to_quat(R)
 
 
+def shepperd_oracle(R):
+    """rotation_to_quat as it was written on numpy scalars, with np.linalg.det: the
+    oracle of the version on Python floats, refusals included."""
+    R = np.asarray(R, dtype=float)
+    if not (np.abs(R @ R.T - np.eye(3)) <= 1e-6 + 1e-5 * np.eye(3)).all() \
+            or np.linalg.det(R) < 0.0:
+        raise ValueError("matrix is not a rotation")
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    q = quat_normalize(q)
+    return -q if q[0] < 0.0 else q
+
+
+def shepperd_branch(R) -> int:
+    """Which of the oracle's four branches R takes (0: trace > 0)."""
+    d = np.diag(R)
+    return 0 if d.sum() > 0.0 else 1 + int(np.argmax(d))
+
+
+class TestRotationToQuatOracle:
+    """rotation_to_quat on Python floats against the numpy-scalar oracle, bit for bit."""
+
+    @staticmethod
+    def assert_same_outcome(R):
+        try:
+            expected = shepperd_oracle(R)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a rotation"):
+                rotation_to_quat(R)
+            return "refused"
+        assert same_bits(rotation_to_quat(R), expected)
+        return "accepted"
+
+    def test_every_branch(self, rng):
+        # One quaternion dominated by each component, plus random ones; as
+        # matrices and as transposed views.
+        branches = set()
+        for dominant in range(4):
+            for _ in range(100):
+                q = 0.2 * rng.normal(size=4)
+                q[dominant] = rng.choice([-1.0, 1.0])
+                R = quat_to_rotation(q)
+                branches.add(shepperd_branch(R))
+                assert self.assert_same_outcome(R) == "accepted"
+                assert self.assert_same_outcome(R.T) == "accepted"
+        assert branches == {0, 1, 2, 3}
+
+    def test_signed_zeros(self):
+        # Half and quarter turns about the axes, whose exact zeros reach the
+        # quaternion through differences and sums, with every sign of zero.
+        matrices = [np.diag(d) for d in ([1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                                         [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
+        matrices += [quat_to_rotation(q) for q in ([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                                                   [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0])]
+        branches = set()
+        for R in matrices:
+            for zero in (0.0, -0.0):
+                signed = np.where(R == 0.0, zero, R)
+                branches.add(shepperd_branch(signed))
+                assert self.assert_same_outcome(signed) == "accepted"
+                assert self.assert_same_outcome(signed.T) == "accepted"
+        assert branches == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("perturb", ["scale", "off-diagonal"])
+    def test_orthogonality_tolerance_boundary(self, rng, perturb):
+        # The last perturbation the oracle accepts and the next float after it.
+        R0 = quat_to_rotation(random_unit_quat(rng))
+
+        def perturbed(eps):
+            if perturb == "scale":
+                return (1.0 + eps) * R0
+            R = R0.copy()
+            R[0, 1] += eps
+            return R
+
+        lo, hi = 0.0, 1e-4
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            try:
+                shepperd_oracle(perturbed(mid))
+                lo = mid
+            except ValueError:
+                hi = mid
+        assert self.assert_same_outcome(perturbed(lo)) == "accepted"
+        assert self.assert_same_outcome(perturbed(hi)) == "refused"
+        # A reflection just inside the tolerance is refused for its determinant.
+        assert self.assert_same_outcome(-perturbed(lo)) == "refused"
+        assert self.assert_same_outcome(np.diag([1.0, 1.0, -1.0])) == "refused"
+
+
 class TestRotvec:
     def test_round_trip(self, rng):
         for scale in (1e-12, 1e-6, 0.1, 1.0, 3.0):
