@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the trajectories of two source trees of cipgnav.
+"""Compare the trajectories and their metrics of two source trees of cipgnav.
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
 contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
@@ -10,6 +10,14 @@ count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
 every quantity.  One ``streams`` line per configuration says whether the
 imu, dvl and ahrs arrays that each tree's ``sim.generate`` made are equal
 (``np.array_equal``) for every seed; these must be equal exactly.
+
+One ``metrics`` line per configuration compares the accuracy reports: each
+tree scores its own trajectories against its own truth with its own
+``metrics.evaluate_trajectories``, once with the default ``MetricsConfig``
+and once with ``align=True``.  The line gives the max |difference| over every
+report row of every estimator and seed (NaN on both sides counts as equal)
+and how many of the values are equal bit for bit; every row must agree to
+within TOLERANCE.
 
 Configurations:
     survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
@@ -39,9 +47,9 @@ Configurations:
                   so a change in the rounding of the inner iterations shows
                   most.
 
-Exits 1 if any max |dp|, |dv| or |dq| exceeds TOLERANCE or is not finite
-(a NaN or infinite difference reads nan or inf), any flag (or epoch
-timestamp) differs, or any generated stream differs, 0 otherwise.
+Exits 1 if any max |dp|, |dv|, |dq| or report difference exceeds TOLERANCE
+or is not finite (a NaN or infinite difference reads nan or inf), any flag
+(or epoch timestamp) differs, or any generated stream differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -93,7 +101,7 @@ def import_tree(src: Path) -> dict:
     try:
         mods = {name: importlib.import_module(f"cipgnav.{name}")
                 for name in ("baselines", "cascade", "ipg", "preintegration", "sensors",
-                             "sim")}
+                             "metrics", "sim")}
     finally:
         sys.path.remove(str(src))
     origin = Path(mods["cascade"].__file__).resolve()
@@ -103,7 +111,7 @@ def import_tree(src: Path) -> dict:
 
 
 def read_back(m: dict, run):
-    """Epochs and initial state of ``run`` after a round trip through CSV files."""
+    """Epochs, initial state and truth of ``run`` after a round trip through CSV files."""
     sensors = m["sensors"]
     with tempfile.TemporaryDirectory() as tmp:
         run.write(tmp)
@@ -111,13 +119,16 @@ def read_back(m: dict, run):
                               for kind in ("imu", "dvl", "ahrs", "gt"))
     epochs = sensors.synchronize(imu, dvl, ahrs)
     initial = m["preintegration"].NavState(gt[0].position, epochs[0].dvl, gt[0].orientation)
-    return epochs, initial
+    return epochs, initial, m["metrics"].truth_from_gt(gt)[0]
 
 
 def run_tree(src: Path, seeds) -> dict:
-    """{(config, estimator, seed): (t, position, velocity, quaternion, flags)}, and
-    {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run."""
+    """{(config, estimator, seed): (t, position, velocity, quaternion, flags, report
+    values)}, and {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run.
+
+    The report values are the rows of the default and then the aligned report."""
     m = import_tree(src)
+    metrics_configs = {align: m["metrics"].MetricsConfig(align=align) for align in (False, True)}
     out = {}
     for config, c in CONFIGS.items():
         params = m["ipg"].IpgParams(**{key: c[key] for key in ("horizon", "iterations", "alpha")
@@ -128,9 +139,9 @@ def run_tree(src: Path, seeds) -> dict:
             run = m["sim"].generate(spec)
             out[config, "streams", seed] = tuple(getattr(run, kind) for kind in STREAMS)
             if c.get("files"):
-                epochs, initial = read_back(m, run)
+                epochs, initial, truth = read_back(m, run)
             else:
-                epochs, initial = run.epochs(), run.initial_nav()
+                epochs, initial, truth = run.epochs(), run.initial_nav(), run.truth
             fallback = "abort"
             if "nan_dvl" in c:
                 fallback = "deadreckon"
@@ -152,6 +163,8 @@ def run_tree(src: Path, seeds) -> dict:
                     np.array([p.nav.velocity for p in points]),
                     np.array([p.nav.orientation for p in points]),
                     [p.flag for p in points],
+                    [value for align in (False, True) for _, value in m["metrics"]
+                     .evaluate_trajectories(points, truth, metrics_configs[align]).rows()],
                 )
     return out
 
@@ -164,6 +177,17 @@ def max_deviation(pairs) -> float:
     """
     devs = [np.max(np.abs(np.subtract(old, new)), initial=0.0) for old, new in pairs]
     return float(np.max(devs, initial=0.0))  # np.max, unlike max(), propagates NaN
+
+
+def report_deviation(old, new) -> tuple[float, int]:
+    """Largest |old - new| over two equal-length lists of report values, with NaN
+    on both sides (or equal infinities) counting as equal, and how many values
+    are equal bit for bit (NaN on both sides included)."""
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    both_nan = np.isnan(old) & np.isnan(new)
+    equal = (old == new) | both_nan
+    bitwise = (old.view(np.int64) == new.view(np.int64)) | both_nan
+    return max_deviation([(old[~equal], new[~equal])]), int(bitwise.sum())
 
 
 def main(argv=None) -> int:
@@ -206,6 +230,15 @@ def main(argv=None) -> int:
             excess = "" if within else "  OVER TOLERANCE"
             print(f"{config:12s} {name:9s} {dev[0]:10.3g} {dev[1]:11.3g} {dev[2]:10.3g}  "
                   f"{verdict}{excess}")
+        reports = [(old[config, name, seed][5], new[config, name, seed][5])
+                   for name in c["estimators"] for seed in seeds]
+        dev, n_bitwise = report_deviation(*(np.concatenate(side) for side in zip(*reports)))
+        n_values = sum(len(a) for a, _ in reports)
+        within = dev <= TOLERANCE
+        same &= within
+        excess = "" if within else "  OVER TOLERANCE"
+        print(f"{config:12s} {'metrics':9s} {dev:10.3g}  "
+              f"{n_bitwise}/{n_values} report values equal bit for bit{excess}")
         differ = [kind for k, kind in enumerate(STREAMS)
                   if not all(np.array_equal(old[config, "streams", seed][k],
                                             new[config, "streams", seed][k]) for seed in seeds)]

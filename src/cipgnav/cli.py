@@ -55,9 +55,9 @@ from .errors import (
 from .ipg import IpgParams
 from .metrics import (
     MetricsConfig,
-    align_trajectories,
     evaluate_trajectories,
     pair_trajectories,
+    score_pair,
     truth_from_gt,
     write_error_series,
     write_report,
@@ -149,9 +149,13 @@ ESTIMATOR_OPTS = {
     **IMU_MODEL_OPTS,
 }
 
-EVALUATE_OPTS = {
+# Named as the MetricsConfig fields they set; compare never aligns.
+COMPARE_METRIC_OPTS = {
     "rpe_delta": ("float", 1.0, "RPE horizon in seconds"),
     "lever_arm": ("float", 1.0, "lever arm (m) folding attitude error into metres"),
+}
+EVALUATE_OPTS = {
+    **COMPARE_METRIC_OPTS,
     "n_align_fixes": ("int", 10, "samples used for yaw+translation alignment"),
 }
 
@@ -215,9 +219,9 @@ def _imu_model(cfg: dict) -> dict:
             "gravity": GravityModel(np.asarray(cfg["gravity"]))}
 
 
-def _metrics_config(cfg: dict, use_orientation: bool, **flags) -> MetricsConfig:
-    return MetricsConfig(n_align_fixes=cfg["n_align_fixes"], rpe_delta=cfg["rpe_delta"],
-                         lever_arm=cfg["lever_arm"], use_orientation=use_orientation, **flags)
+def _metrics_config(cfg: dict, **flags) -> MetricsConfig:
+    """The MetricsConfig of the EVALUATE_OPTS in cfg, built before any input is loaded."""
+    return MetricsConfig(**{k: cfg[k] for k in EVALUATE_OPTS if k in cfg}, **flags)
 
 
 def build_scenario(cfg: dict) -> ScenarioSpec:
@@ -371,8 +375,8 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def _prepare_input(args, cfg):
-    """Resolve the epoch stream, initial state and provenance for estimate/compare."""
+def _prepare_input(args, cfg, with_truth=False):
+    """Resolve the epoch stream, initial state, truth (if asked) and provenance."""
     if args.input is not None and getattr(args, "scenario", None) is not None:
         raise SpecError("--input and --scenario are mutually exclusive; pick one data source")
     if args.input is not None:
@@ -385,13 +389,13 @@ def _prepare_input(args, cfg):
         if gt_path.exists():
             gt = load_stream(gt_path, "gt")
             initial = _initial_from_gt(gt, epochs)
-            truth = truth_from_gt(gt)
+            truth = truth_from_gt(gt) if with_truth else None
         provenance = {"mode": "files", "dir": str(input_dir.resolve()),
                       "dvl_frame": cfg.get("dvl_frame", "nav")}
         return epochs, initial, truth, provenance
     run = generate(build_scenario(cfg))
     provenance = {"mode": "scenario", "scenario": run.spec.to_dict()}
-    return run.epochs(), run.initial_nav(), (run.truth, True), provenance
+    return run.epochs(), run.initial_nav(), (run.truth, True) if with_truth else None, provenance
 
 
 def _ensure_parent(path) -> Path:
@@ -426,7 +430,7 @@ def cmd_estimate(args) -> int:
         return 0
     estimator = cfg["estimator"]
     config = build_estimator_config(estimator, cfg)
-    epochs, initial, _truth, provenance = _prepare_input(args, cfg)
+    epochs, initial, _, provenance = _prepare_input(args, cfg)
     out_path = Path(args.out or "trajectory.csv")
     meta = {
         "tool": "cipgnav",
@@ -486,25 +490,23 @@ def _estimate_from_metadata(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = resolve_options(args, EVALUATE_OPTS)
+    mcfg = _metrics_config(resolve_options(args, EVALUATE_OPTS), align=args.align)
     est = read_trajectory(args.estimate)
     truth, has_orientation = _load_truth(Path(args.truth))
-    mcfg = _metrics_config(cfg, has_orientation, align=args.align,
-                           mae_variance=args.mae_variance)
-    report = evaluate_trajectories(est, truth, mcfg)
+    mcfg = replace(mcfg, use_orientation=has_orientation)
+    pair = pair_trajectories(est, truth, mcfg)
+    report = score_pair(pair, mcfg)
     for key, value in report.rows():
         print(f"{key} = {value!r}")
     if args.report:
         write_report(_ensure_parent(args.report), report)
     if args.errors:
-        est_used = align_trajectories(est, truth, mcfg.n_align_fixes) if args.align else est
-        pair = pair_trajectories(est_used, truth)
         write_error_series(_ensure_parent(args.errors), pair)
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = resolve_options(args, SCENARIO_OPTS, ESTIMATOR_OPTS, EVALUATE_OPTS)
+    cfg = resolve_options(args, SCENARIO_OPTS, ESTIMATOR_OPTS, COMPARE_METRIC_OPTS)
     if args.print_config:
         _print_config(cfg)
         return 0
@@ -516,35 +518,27 @@ def cmd_compare(args) -> int:
         raise SpecError(f"--estimators must name each estimator at most once, and at least "
                         f"one, from {ESTIMATORS}; got {args.estimators!r}")
     configs = {name: build_estimator_config(name, cfg) for name in names}
-    epochs, initial, truth_info, _prov = _prepare_input(args, cfg)
+    mcfg = _metrics_config(cfg)
+    epochs, initial, truth_info, _prov = _prepare_input(args, cfg, with_truth=True)
     if truth_info is None:
         raise FileNotFoundError(
             "compare needs ground truth: add gt.csv to the input directory or use --scenario"
         )
     truth, has_orientation = truth_info
-    mcfg = _metrics_config(cfg, has_orientation)
-    columns = {}
-    runtimes = {}
+    mcfg = replace(mcfg, use_orientation=has_orientation)
+    columns = {}  # estimator -> {row name: formatted cell}
     for name in names:
         t0 = time.perf_counter()
         points = run_estimator(name, epochs, configs[name], initial)
-        runtimes[name] = time.perf_counter() - t0
-        columns[name] = evaluate_trajectories(points, truth, mcfg)
-
-    metric_names = [key for key, _ in next(iter(columns.values())).rows()]
-    width = max(len(m) for m in metric_names + ["runtime_s"]) + 2
+        runtime = time.perf_counter() - t0
+        report = evaluate_trajectories(points, truth, mcfg)
+        columns[name] = {**{key: f"{value:.6g}" for key, value in report.rows()},
+                         "runtime_s": f"{runtime:.3g}"}
+    width = max(map(len, columns[names[0]])) + 2
     col_w = max(14, max(len(n) for n in names) + 2)
     lines = ["".ljust(width) + "".join(n.rjust(col_w) for n in names)]
-    for metric in metric_names:
-        row = metric.ljust(width)
-        for name in names:
-            value = dict(columns[name].rows())[metric]
-            row += f"{value:.6g}".rjust(col_w)
-        lines.append(row)
-    row = "runtime_s".ljust(width)
-    for name in names:
-        row += f"{runtimes[name]:.3g}".rjust(col_w)
-    lines.append(row)
+    lines += [key.ljust(width) + "".join(columns[n][key].rjust(col_w) for n in names)
+              for key in columns[names[0]]]
     table = "\n".join(lines)
     print(table)
     if args.out:
@@ -600,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", help="key=value config file")
     p_eval.add_argument("--align", action="store_true",
                         help="yaw+translation align the estimate over the first fixes")
-    p_eval.add_argument("--mae-variance", action="store_true",
-                        help="report variance of per-axis MAEs instead of pooled error variance")
     p_eval.add_argument("--report", help="write the metric table to this file")
     p_eval.add_argument("--errors", help="write per-sample error series CSV to this file")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -610,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--input", help="directory with canonical CSVs incl. gt.csv")
     _add_schema(p_cmp, SCENARIO_OPTS)
     _add_schema(p_cmp, ESTIMATOR_OPTS)
-    _add_schema(p_cmp, EVALUATE_OPTS)
+    _add_schema(p_cmp, COMPARE_METRIC_OPTS)
     p_cmp.add_argument("--estimators", default="cipg,ekf,inekf",
                        help="comma-separated estimators to run")
     p_cmp.add_argument("--config", help="key=value config file")

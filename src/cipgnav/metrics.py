@@ -1,23 +1,27 @@
 """Trajectory accuracy metrics.
 
 Estimates and ground truth arrive as TrajectoryPoint sequences on their own
-clocks.  This module resamples truth onto the estimate timestamps, optionally
-aligns the estimate to truth with a yaw-plus-translation fit over the first
-few samples, and reports:
+clocks.  ``pair_trajectories`` stacks each into arrays once, interpolates
+truth onto the estimate timestamps, optionally aligns the estimate to truth
+with a yaw-plus-translation fit over the first few samples (``align_pair``)
+and drops warmup rows; ``score_pair`` works on that pair's arrays alone and
+reports:
 
 * per-axis mean absolute error for position / velocity / orientation,
 * a scalar total error (RMS of the per-axis MAEs) and total variance
-  (pooled per-axis error variance),
+  (pooled sample variance of the signed position errors),
 * absolute trajectory error (ATE) and relative pose error (RPE).
 
 Orientation errors are folded into metres through a lever arm so that all
-summary numbers share units.
+summary numbers share units.  ATE, RPE and the alignment follow Zhang &
+Scaramuzza, "A Tutorial on Quantitative Trajectory Evaluation for
+Visual(-Inertial) Odometry", IROS 2018.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +32,8 @@ from .quat import (
     hemisphere_align,
     quat_angular_distance,
     quat_from_yaw,
-    quat_multiply,
+    quat_product,
+    row_norms,
     unit_rows,
 )
 from .trajectory import TrajectoryPoint
@@ -38,14 +43,14 @@ __all__ = [
     "MetricsConfig",
     "TrajectoryReport",
     "truth_from_gt",
-    "resample_to",
-    "align_trajectories",
     "pair_trajectories",
+    "align_pair",
     "state_mae",
     "total_error",
     "total_variance",
     "ate",
     "rpe",
+    "score_pair",
     "evaluate_trajectories",
     "write_report",
     "write_error_series",
@@ -53,25 +58,33 @@ __all__ = [
 
 DEFAULT_LEVER_ARM_M = 1.0
 OUTLIER_SIGMA = 5.0  # an ATE sample this many sigma above the mean is an outlier
+_NO_ROWS = "no estimate samples left after dropping warmup rows"
+_NO_OVERLAP = "estimate and ground truth do not overlap in time"
 
 
 @dataclass(frozen=True)
 class MetricsConfig:
     """Evaluation knobs.
 
-    ``n_align_fixes`` controls the yaw+translation alignment window;
-    ``rpe_delta`` is the RPE horizon in seconds; ``lever_arm`` converts
-    orientation error (radians) to metres; ``mae_variance`` switches the
-    total-variance statistic from pooled per-sample error variance to the
-    variance of the per-axis MAEs.
+    ``n_align_fixes`` (an integer >= 2) is the yaw+translation alignment window
+    used when ``align`` is set; ``rpe_delta`` (finite, > 0) is the RPE horizon in
+    seconds; ``lever_arm`` (finite, >= 0) converts orientation error (radians)
+    to metres.  A bad value raises ValueError naming the field.
     """
 
     n_align_fixes: int = 10
     align: bool = False
     rpe_delta: float = 1.0
     lever_arm: float = DEFAULT_LEVER_ARM_M
-    mae_variance: bool = False
     use_orientation: bool = True
+
+    def __post_init__(self):
+        if not (isinstance(self.n_align_fixes, (int, np.integer)) and self.n_align_fixes >= 2):
+            raise ValueError(f"n_align_fixes must be an integer >= 2, got {self.n_align_fixes}")
+        if not 0.0 < self.rpe_delta < math.inf:  # also rejects NaN
+            raise ValueError(f"rpe_delta must be finite and positive, got {self.rpe_delta}")
+        if not 0.0 <= self.lever_arm < math.inf:
+            raise ValueError(f"lever_arm must be finite and >= 0, got {self.lever_arm}")
 
 
 @dataclass(frozen=True)
@@ -117,68 +130,62 @@ def _stack(points: Sequence[TrajectoryPoint]):
     return t, pos, vel, quat
 
 
-def _interp_rows(t_new, t_src, rows):
-    out = np.empty((len(t_new), rows.shape[1]))
-    for j in range(rows.shape[1]):
-        out[:, j] = np.interp(t_new, t_src, rows[:, j])
-    return out
-
-
-def _interp_quats(t_new, t_src, quats):
-    raw = _interp_rows(t_new, t_src, hemisphere_align(quats))
-    return unit_rows(raw)[0]
-
-
-def resample_to(points: Sequence[TrajectoryPoint], t_new) -> list[TrajectoryPoint]:
-    """Linearly interpolate a trajectory onto new timestamps.
-
-    Quaternions are sign-aligned, lerped and renormalized.  Timestamps must
-    fall inside the source span.
-    """
-    t_src, pos, vel, quat = _stack(list(points))
-    t_new = np.asarray(t_new, dtype=float)
-    if t_new.size == 0:
-        return []
-    if t_new[0] < t_src[0] - 1e-9 or t_new[-1] > t_src[-1] + 1e-9:
-        raise AlignmentError(
-            f"resample range [{t_new[0]}, {t_new[-1]}] falls outside the "
-            f"source span [{t_src[0]}, {t_src[-1]}]"
-        )
-    new_pos = _interp_rows(t_new, t_src, pos)
-    new_vel = _interp_rows(t_new, t_src, vel)
-    new_quat = _interp_quats(t_new, t_src, quat)
-    return [
-        TrajectoryPoint(float(t), NavState(p, v, q), "ok")
-        for t, p, v, q in zip(t_new, new_pos, new_vel, new_quat)
-    ]
+def _unit_twice(rows) -> np.ndarray:
+    """Quaternion rows normalized twice, the rows every report value is defined on.
+    Normalizing is not idempotent in the last bit, so the count of passes matters."""
+    return unit_rows(unit_rows(rows)[0])[0]
 
 
 def pair_trajectories(
     est: Sequence[TrajectoryPoint],
     gt: Sequence[TrajectoryPoint],
-    skip_warmup: bool = True,
+    config: Optional[MetricsConfig] = None,
 ) -> AlignedPair:
-    """Resample ground truth onto the estimate clock.
+    """Stack both trajectories and put truth on the estimate clock, once.
 
-    Estimate samples flagged "warmup" are dropped (the estimator was still
-    dead-reckoning), as are estimate timestamps outside the truth span.
+    Truth is interpolated linearly onto the estimate timestamps inside its span
+    (estimate rows outside it are dropped); its quaternions are sign-aligned, lerped
+    and renormalized.  With ``config.align`` the estimate is aligned to truth by
+    ``align_pair`` over its first ``config.n_align_fixes`` rows, warmup rows
+    included.  Last, rows flagged "warmup" (the estimator was still dead-reckoning)
+    are dropped.
     """
-    est = [p for p in est if not (skip_warmup and p.flag == "warmup")]
-    if not est:
-        raise AlignmentError("no estimate samples left after dropping warmup rows")
+    config = config or MetricsConfig()
+    est = list(est)
+    warmup = np.array([p.flag == "warmup" for p in est], dtype=bool)
+    if not est or (warmup.all() and not config.align):
+        raise AlignmentError(_NO_ROWS)
     if len(gt) < 2:
         raise AlignmentError("ground truth needs at least two samples")
-    t_gt = np.array([p.t for p in gt], dtype=float)
-    est = [p for p in est if t_gt[0] - 1e-9 <= p.t <= t_gt[-1] + 1e-9]
-    if not est:
-        raise AlignmentError("estimate and ground truth do not overlap in time")
-    t_est, est_pos, est_vel, est_quat = _stack(est)
-    gt_on_est = resample_to(gt, t_est)
-    _, gt_pos, gt_vel, gt_quat = _stack(gt_on_est)
-    return AlignedPair(t_est, est_pos, est_vel, est_quat, gt_pos, gt_vel, gt_quat)
+    t_gt, gt_pos, gt_vel, gt_quat = _stack(gt)
+    t, pos, vel, quat = _stack(est)
+    span = (t_gt[0] - 1e-9 <= t) & (t <= t_gt[-1] + 1e-9)
+    if not span.any():
+        raise AlignmentError(_NO_OVERLAP)
+    t = t[span]
+    columns = np.hstack([gt_pos, gt_vel, hemisphere_align(gt_quat)]).T
+    lerped = np.column_stack([np.interp(t, t_gt, column) for column in columns])
+    pair = AlignedPair(t, pos[span], vel[span], quat[span], lerped[:, :3], lerped[:, 3:6],
+                       _unit_twice(lerped[:, 6:]))
+    if config.align:
+        pair = align_pair(pair, config.n_align_fixes)
+    scored = ~warmup[span]
+    if not scored.any():
+        raise AlignmentError(_NO_ROWS if warmup.all() else _NO_OVERLAP)
+    return AlignedPair(*(getattr(pair, f.name)[scored] for f in fields(AlignedPair)))
 
 
-def _fit_yaw_translation(est_xy: np.ndarray, gt_xy: np.ndarray) -> tuple[float, np.ndarray]:
+def align_pair(pair: AlignedPair, n_fixes: int = 10) -> AlignedPair:
+    """Yaw-and-translation align the estimate of a pair to its truth.
+
+    Fits a planar rotation plus 3-D translation by least squares over the first
+    ``n_fixes`` rows, then applies it to every estimate row (positions,
+    velocities, orientations).
+    """
+    n = min(n_fixes, len(pair.t))
+    if n < 2:
+        raise AlignmentError("alignment needs at least two common samples")
+    est_xy, gt_xy = pair.est_position[:n, :2], pair.gt_position[:n, :2]
     est_c = est_xy.mean(axis=0)
     gt_c = gt_xy.mean(axis=0)
     a = est_xy - est_c
@@ -193,41 +200,16 @@ def _fit_yaw_translation(est_xy: np.ndarray, gt_xy: np.ndarray) -> tuple[float, 
     dot = float((a * b).sum())
     yaw = math.atan2(cross, dot)
     c, s = math.cos(yaw), math.sin(yaw)
-    Rz = np.array([[c, -s], [s, c]])
-    translation = gt_c - Rz @ est_c
-    return yaw, translation
-
-
-def align_trajectories(
-    est: Sequence[TrajectoryPoint],
-    gt: Sequence[TrajectoryPoint],
-    n_fixes: int = 10,
-) -> list[TrajectoryPoint]:
-    """Yaw-and-translation align an estimate to truth.
-
-    Fits a planar rotation plus 3-D translation by least squares over the
-    first ``n_fixes`` common samples, then applies it to the whole estimate
-    (positions, velocities, orientations).
-    """
-    pair = pair_trajectories(est, gt, skip_warmup=False)
-    n = min(n_fixes, len(pair.t))
-    if n < 2:
-        raise AlignmentError("alignment needs at least two common samples")
-    yaw, t_xy = _fit_yaw_translation(pair.est_position[:n, :2], pair.gt_position[:n, :2])
     dz = float((pair.gt_position[:n, 2] - pair.est_position[:n, 2]).mean())
-    c, s = math.cos(yaw), math.sin(yaw)
+    offset = np.append(gt_c - np.array([[c, -s], [s, c]]) @ est_c, dz)
     Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    offset = np.array([t_xy[0], t_xy[1], dz])
-    q_yaw = quat_from_yaw(yaw)
-    out = []
-    for p in est:
-        nav = NavState(
-            Rz @ p.nav.position + offset,
-            Rz @ p.nav.velocity,
-            quat_multiply(q_yaw, p.nav.orientation),
-        )
-        out.append(TrajectoryPoint(p.t, nav, p.flag))
-    return out
+    # Rz @ rows[:, :, None] rounds as Rz @ row does; rows @ Rz.T does not.
+    return replace(
+        pair,
+        est_position=(Rz @ pair.est_position[:, :, None])[:, :, 0] + offset,
+        est_velocity=(Rz @ pair.est_velocity[:, :, None])[:, :, 0],
+        est_orientation=_unit_twice(quat_product(quat_from_yaw(yaw), pair.est_orientation)),
+    )
 
 
 def state_mae(pair: AlignedPair, lever_arm: float = DEFAULT_LEVER_ARM_M) -> dict:
@@ -238,12 +220,7 @@ def state_mae(pair: AlignedPair, lever_arm: float = DEFAULT_LEVER_ARM_M) -> dict
     """
     pos_err = np.abs(pair.est_position - pair.gt_position)
     vel_err = np.abs(pair.est_velocity - pair.gt_velocity)
-    ang = np.array(
-        [
-            quat_angular_distance(qa, qb)
-            for qa, qb in zip(pair.est_orientation, pair.gt_orientation)
-        ]
-    )
+    ang = quat_angular_distance(pair.est_orientation, pair.gt_orientation)
     return {
         "position": pos_err.mean(axis=0),
         "velocity": vel_err.mean(axis=0),
@@ -260,17 +237,10 @@ def total_error(maes) -> float:
     return float(np.sqrt(np.mean(maes**2)))
 
 
-def total_variance(errors, mae_variance: bool = False) -> float:
-    """Spread of the signed per-axis errors.
-
-    Default: pooled sample variance (ddof=1) of all per-axis error samples
-    about their per-axis means.  With ``mae_variance=True``: the variance of
-    the per-axis MAEs instead (a between-axis statistic).
-    """
+def total_variance(errors) -> float:
+    """Spread of the signed per-axis errors: the pooled sample variance (ddof=1)
+    of all per-axis error samples about their per-axis means."""
     errors = np.atleast_2d(np.asarray(errors, dtype=float))
-    if mae_variance:
-        maes = np.abs(errors).mean(axis=0)
-        return float(np.var(maes, ddof=1)) if maes.size > 1 else 0.0
     centered = errors - errors.mean(axis=0, keepdims=True)
     n = centered.size
     if n < 2:
@@ -295,22 +265,18 @@ def rpe(pair: AlignedPair, delta: float = 1.0) -> tuple[float, np.ndarray]:
         raise ValueError("rpe delta must be positive")
     t = pair.t
     idx = np.searchsorted(t, t + delta - 1e-9)
-    errs = []
     step = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
-    for k, j in enumerate(idx):
-        if j >= len(t):
-            continue
-        if abs((t[j] - t[k]) - delta) > 0.5 * max(step, 1e-9):
-            continue
-        d_est = pair.est_position[j] - pair.est_position[k]
-        d_gt = pair.gt_position[j] - pair.gt_position[k]
-        errs.append(np.linalg.norm(d_est - d_gt))
-    if not errs:
+    k = np.flatnonzero(idx < len(t))
+    j = idx[k]
+    on_horizon = np.abs((t[j] - t[k]) - delta) <= 0.5 * max(step, 1e-9)
+    k, j = k[on_horizon], j[on_horizon]
+    if not len(k):
         raise AlignmentError(
             f"no sample pairs found at rpe horizon {delta} s; "
             "the trajectory may be shorter than the horizon"
         )
-    series = np.asarray(errs)
+    est, gt = pair.est_position, pair.gt_position
+    series = row_norms((est[j] - est[k]) - (gt[j] - gt[k]))
     return float(np.sqrt(np.mean(series**2))), series
 
 
@@ -346,31 +312,17 @@ class TrajectoryReport:
         ]
 
 
-def evaluate_trajectories(
-    est: Sequence[TrajectoryPoint],
-    gt: Sequence[TrajectoryPoint],
-    config: Optional[MetricsConfig] = None,
-) -> TrajectoryReport:
-    """Full evaluation pipeline: (optional) alignment, pairing, all metrics.
+def score_pair(pair: AlignedPair, config: Optional[MetricsConfig] = None) -> TrajectoryReport:
+    """All metrics of a pair made by ``pair_trajectories``.
 
     Total error is the RMS of the per-axis position and velocity MAEs plus
     the lever-arm-scaled orientation MAE, one number over all estimated
     states; total variance pools the signed position errors.
     """
     config = config or MetricsConfig()
-    est = list(est)
-    if config.align:
-        est = align_trajectories(est, gt, config.n_align_fixes)
-    pair = pair_trajectories(est, gt)
     maes = state_mae(pair, config.lever_arm)
-    if config.use_orientation:
-        combined = np.concatenate(
-            [maes["position"], maes["velocity"], [maes["orientation_m"]]]
-        )
-    else:
-        combined = np.concatenate([maes["position"], maes["velocity"]])
-        maes["orientation"] = float("nan")
-    err_signed = pair.est_position - pair.gt_position
+    orientation = [maes["orientation_m"]] if config.use_orientation else []
+    combined = np.concatenate([maes["position"], maes["velocity"], orientation])
     ate_rmse, ate_series = ate(pair)
     try:
         rpe_rmse, _ = rpe(pair, config.rpe_delta)
@@ -381,14 +333,23 @@ def evaluate_trajectories(
     return TrajectoryReport(
         mae_position=maes["position"],
         mae_velocity=maes["velocity"],
-        mae_orientation=maes["orientation"],
+        mae_orientation=maes["orientation"] if config.use_orientation else float("nan"),
         total_error=total_error(combined),
-        total_variance=total_variance(err_signed, config.mae_variance),
+        total_variance=total_variance(pair.est_position - pair.gt_position),
         ate_rmse=ate_rmse,
         rpe_rmse=rpe_rmse,
         n_samples=len(pair.t),
         n_outliers=n_out,
     )
+
+
+def evaluate_trajectories(
+    est: Sequence[TrajectoryPoint],
+    gt: Sequence[TrajectoryPoint],
+    config: Optional[MetricsConfig] = None,
+) -> TrajectoryReport:
+    """Full evaluation pipeline: one pairing (with alignment if configured), all metrics."""
+    return score_pair(pair_trajectories(est, gt, config), config)
 
 
 def write_report(path, report: TrajectoryReport) -> None:
@@ -401,9 +362,7 @@ def write_report(path, report: TrajectoryReport) -> None:
 def write_error_series(path, pair: AlignedPair) -> None:
     """Write per-sample signed position errors plus ATE series as CSV."""
     err = pair.est_position - pair.gt_position
-    ate_series = np.linalg.norm(err, axis=1)
+    rows = np.column_stack([pair.t, err, np.linalg.norm(err, axis=1)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,ex,ey,ez,ate\n")
-        for k in range(len(pair.t)):
-            row = [pair.t[k], err[k, 0], err[k, 1], err[k, 2], ate_series[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())

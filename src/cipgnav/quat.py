@@ -7,12 +7,13 @@ rotation (double cover), so angular distances are computed on the quotient.
 
 Each quaternion and rotation formula of the package is written here once.
 ``quat_product``, ``quat_to_rotation``, ``quat_from_rotvec``, ``quat_from_yaw``,
-``rotate_vector`` and ``quat_right_matrix`` also take rows, (n, 4), (n, 3) or
-(n,), and row k equals the call on row k bit for bit, signed zeros included
-(``np.array_equal`` ignores their sign, ``np.signbit`` does not); ``row_norms``,
-``unit_rows`` and ``rotation_rows`` are the kernels under them.  Row results are
-C-contiguous, as numpy's matmul rounds by memory layout.  One value skips the
-row machinery, whose numpy calls cost more than their arithmetic:
+``quat_angular_distance``, ``rotate_vector`` and ``quat_right_matrix`` also take
+rows, (n, 4), (n, 3) or (n,), and row k equals the call on row k bit for bit,
+signed zeros included (``np.array_equal`` ignores their sign, ``np.signbit``
+does not); ``row_norms``, ``unit_rows`` and ``rotation_rows`` are the kernels
+under them.  Row results are C-contiguous, as numpy's matmul rounds by memory
+layout.  One value skips the row machinery, whose numpy calls cost more than
+their arithmetic:
 ``rotation_rows`` and ``rotation_to_quat`` run on Python floats, which round as
 numpy does; cos, sin and arctan2 stay numpy's, which may round unlike math's.
 """
@@ -197,16 +198,21 @@ def rotation_to_quat(R) -> np.ndarray:
     return -q if q[0] < 0.0 else q
 
 
-def quat_angular_distance(a, b) -> float:
-    """Rotation angle (rad) between two unit quaternions, sign-invariant.
+def quat_angular_distance(a, b):
+    """Rotation angle (rad) between two unit quaternions, sign-invariant, or the
+    angles of (n, 4) row pairs as an (n,) array.
 
     Returns ``2*acos(|<a, b>|)`` in [0, pi], treating q and -q as one attitude,
     as ``4*atan2(|a - b|, |a + b|)`` with b on a's hemisphere (acos loses digits near 0).
+    Rows use math.atan2, as one value does.
     """
-    a = quat_normalize(a)
-    b = quat_normalize(b)
-    b = -b if a @ b < 0.0 else b
-    return 4.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+    a, b = (quat_normalize(q) if np.ndim(q) == 1 else unit_rows(q)[0] for q in (a, b))
+    dots = (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # matmul, as row_norms rounds
+    b = np.where(dots[..., None] < 0.0, -b, b)
+    num, den = row_norms(a - b), row_norms(a + b)
+    if num.ndim == 0:
+        return 4.0 * math.atan2(num, den)
+    return 4.0 * np.array(list(map(math.atan2, num.tolist(), den.tolist())))
 
 
 def quat_from_rotvec(v) -> np.ndarray:

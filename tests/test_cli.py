@@ -21,9 +21,12 @@ from cipgnav.errors import (
     StreamOrderError,
     SyncGapError,
 )
+from cipgnav.metrics import truth_from_gt
+from cipgnav.preintegration import NavState
+from cipgnav.quat import quat_from_yaw, quat_multiply, quat_to_rotation
 from cipgnav.sensors import load_stream, synchronize
 from cipgnav.sim import benchmark_scenario, generate
-from cipgnav.trajectory import read_trajectory
+from cipgnav.trajectory import TrajectoryPoint, read_trajectory, write_trajectory
 from tests.conftest import make_streams
 from tests.test_adapters import write_bluerov2_sources
 from tests.test_cascade import diverge
@@ -136,6 +139,21 @@ class TestEstimate:
         rc = main([*command, "--input", str(data), "--out", str(tmp_path / "out.csv")])
         assert rc == 0
         assert sorted(loaded) == ["ahrs", "dvl", "gt", "imu"]
+
+    def test_only_compare_builds_truth(self, tmp_path, monkeypatch):
+        # estimate reads gt.csv for the initial state alone.
+        data = simulate_into(tmp_path)
+        built = []
+
+        def counting_truth(samples):
+            built.append(len(samples))
+            return truth_from_gt(samples)
+
+        monkeypatch.setattr(cli, "truth_from_gt", counting_truth)
+        assert main(["estimate", "--input", str(data), "--out", str(tmp_path / "a.csv")]) == 0
+        assert built == []
+        assert main(["compare", "--input", str(data), "--estimators", "ekf"]) == 0
+        assert built == [51]
 
     def test_scenario_source_without_files(self, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -415,6 +433,52 @@ class TestEvaluate:
                    "--truth", str(tmp_path / "b.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--lever-arm", "nan"], "lever_arm must be finite and >= 0, got nan"),
+        (["evaluate", "--rpe-delta", "nan"], "rpe_delta must be finite and positive, got nan"),
+        (["evaluate", "--lever-arm=-1"], "lever_arm must be finite and >= 0, got -1.0"),
+        (["evaluate", "--n-align-fixes", "0", "--align"],
+         "n_align_fixes must be an integer >= 2, got 0"),
+        (["evaluate", "--rpe-delta", "0"], "rpe_delta must be finite and positive, got 0.0"),
+        (["compare", "--lever-arm", "inf"], "lever_arm must be finite and >= 0, got inf"),
+    ], ids=["lever-arm-nan", "rpe-delta-nan", "lever-arm-negative", "n-align-fixes-0",
+            "rpe-delta-0", "compare-lever-arm-inf"])
+    def test_bad_metric_option_reported_before_input_loads(self, tmp_path, capsys, argv,
+                                                           message):
+        # The inputs do not exist: loading them first would exit 3.
+        missing = tmp_path / "missing"
+        inputs = (["--input", str(missing)] if argv[0] == "compare" else
+                  ["--estimate", str(missing / "a.csv"), "--truth", str(missing / "gt.csv")])
+        assert main([*argv, *inputs]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_aligned_yawed_and_shifted_truth_scores_zero(self, tmp_path, capsys):
+        # An estimate that is truth in another local frame aligns back onto it.
+        data = simulate_into(tmp_path)
+        truth = truth_from_gt(load_stream(data / "gt.csv", "gt"))[0]
+        yaw, shift = 0.8, np.array([40.0, -25.0, 3.0])
+        Rz, q_yaw = quat_to_rotation(quat_from_yaw(yaw)), quat_from_yaw(yaw)
+        moved = [TrajectoryPoint(p.t, NavState(Rz @ p.nav.position + shift, Rz @ p.nav.velocity,
+                                               quat_multiply(q_yaw, p.nav.orientation)))
+                 for p in truth]
+        reports = {}
+        for name, points in (("copy", truth), ("moved", moved)):
+            write_trajectory(points, tmp_path / f"{name}.csv")
+            rc = main(["evaluate", "--estimate", str(tmp_path / f"{name}.csv"), "--truth",
+                       str(data / "gt.csv"), "--align", "--report", str(tmp_path / f"{name}.txt"),
+                       "--errors", str(tmp_path / f"{name}-errors.csv")])
+            assert rc == 0
+            capsys.readouterr()
+            reports[name] = dict(line.split(" = ") for line in
+                                 (tmp_path / f"{name}.txt").read_text().splitlines())
+            errors = np.loadtxt(tmp_path / f"{name}-errors.csv", delimiter=",", skiprows=1)
+            assert errors.shape == (len(truth), 5)
+            np.testing.assert_allclose(errors[:, 1:], 0.0, atol=1e-9)
+        assert reports["moved"].keys() == reports["copy"].keys()
+        for key, value in reports["moved"].items():
+            assert float(value) == pytest.approx(float(reports["copy"][key]), abs=1e-9), key
+        assert float(reports["moved"]["total_error_m"]) < 1e-9
+
 
 class TestCompare:
     def test_table_lists_all_estimators(self, tmp_path, capsys):
@@ -432,6 +496,14 @@ class TestCompare:
     def test_rejects_unknown_estimator(self, tmp_path, capsys):
         rc = main(["compare", *SHORT_SIM, "--estimators", "cipg,magic"])
         assert rc == 2
+
+    def test_n_align_fixes_is_an_unknown_config_key(self, tmp_path, capsys):
+        # compare never aligns, so it takes no alignment window; evaluate does.
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text("n_align_fixes = 10\n")
+        rc = main(["compare", *SHORT_SIM, "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown keys ['n_align_fixes']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("names", [",", "cipg,ekf,cipg"], ids=["empty", "repeated"])
     def test_rejects_empty_or_repeated_estimators_before_loading(self, tmp_path, capsys, names):

@@ -10,11 +10,10 @@ import pytest
 from cipgnav.errors import AlignmentError
 from cipgnav.metrics import (
     MetricsConfig,
-    align_trajectories,
+    align_pair,
     ate,
     evaluate_trajectories,
     pair_trajectories,
-    resample_to,
     rpe,
     state_mae,
     total_error,
@@ -24,7 +23,14 @@ from cipgnav.metrics import (
     write_report,
 )
 from cipgnav.preintegration import NavState
-from cipgnav.quat import quat_from_yaw, quat_to_rotation
+from cipgnav.quat import (
+    hemisphere_align,
+    quat_angular_distance,
+    quat_from_yaw,
+    quat_multiply,
+    quat_to_rotation,
+    unit_rows,
+)
 from cipgnav.sensors import GroundTruthSample
 from cipgnav.trajectory import TrajectoryPoint
 
@@ -72,11 +78,6 @@ class TestScalarStatistics:
         centered = errors - errors.mean(axis=0)
         expected = (centered**2).sum() / (centered.size - 1)
         assert total_variance(errors) == pytest.approx(expected, abs=1e-12)
-
-    def test_total_variance_of_maes(self):
-        errors = np.array([[3.0, 4.0]])
-        # Per-axis MAEs are (3, 4); their ddof=1 variance is 0.5.
-        assert total_variance(errors, mae_variance=True) == pytest.approx(0.5, abs=1e-15)
 
     def test_total_variance_degenerate(self):
         assert total_variance(np.array([[1.0]])) == 0.0
@@ -164,24 +165,80 @@ class TestPairing:
         with pytest.raises(AlignmentError):
             pair_trajectories(est, gt)
 
-    def test_resample_rejects_extrapolation(self):
-        gt = straight_points(n=5, dt=0.1)
-        with pytest.raises(AlignmentError):
-            resample_to(gt, [10.0])
-
     def test_resample_quaternion_sign_consistency(self):
-        pts = straight_points(n=5, dt=1.0, yaw=0.3)
+        gt = straight_points(n=5, dt=1.0, yaw=0.3)
         for k in (1, 3):
-            pts[k].nav.orientation = -pts[k].nav.orientation
-        out = resample_to(pts, [0.5, 1.5, 2.5])
-        for p in out:
-            assert np.linalg.norm(p.nav.orientation) == pytest.approx(1.0, abs=1e-12)
+            gt[k].nav.orientation = -gt[k].nav.orientation
+        est = straight_points(n=3, dt=1.0, t0=0.5, p0=(0.5, 0.0, 0.0), yaw=0.3)
+        pair = pair_trajectories(est, gt)
+        np.testing.assert_array_equal(pair.t, [0.5, 1.5, 2.5])
+        for q in pair.gt_orientation:
+            assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
             # All resampled rows must agree with the constant yaw rotation.
             np.testing.assert_allclose(
-                quat_to_rotation(p.nav.orientation),
+                quat_to_rotation(q),
                 quat_to_rotation(quat_from_yaw(0.3)),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("warmup, align, gt_rows, t0, message", [
+        (range(20), False, 20, 0.0, "no estimate samples left"),
+        (range(20), True, 20, 0.0, "no estimate samples left"),
+        (range(20), False, 1, 0.0, "no estimate samples left"),
+        (range(2), False, 1, 0.0, "ground truth needs at least two samples"),
+        (range(2), True, 20, 100.0, "do not overlap"),
+        # Only the two warmup rows lie inside the truth span.
+        (range(2), False, 20, 9.0, "do not overlap"),
+        (range(2), True, 20, 9.0, "do not overlap"),
+        (range(2), True, 20, 9.5, "alignment needs at least two common samples"),
+    ])
+    def test_pairing_errors(self, warmup, align, gt_rows, t0, message):
+        gt = straight_points(n=gt_rows, dt=0.5, v=(0.4, 0.3, 0.0))
+        est = straight_points(n=20, dt=0.5, v=(0.4, 0.3, 0.0), t0=t0)
+        for k in warmup:
+            est[k] = TrajectoryPoint(est[k].t, est[k].nav, "warmup")
+        with pytest.raises(AlignmentError, match=message):
+            pair_trajectories(est, gt, MetricsConfig(align=align))
+
+
+def tumbling_points(rng, t):
+    """Points at times t with random positions and velocities and a smoothly
+    tumbling 6-DOF attitude (every quaternion component non-zero)."""
+    n = len(t)
+    q = np.cumsum(0.05 * rng.normal(size=(n, 4)), axis=0) + [1.0, 0.0, 0.0, 0.0]
+    return [TrajectoryPoint(float(t[k]), NavState(rng.normal(size=3), rng.normal(size=3), q[k]))
+            for k in range(n)]
+
+
+class TestMatchesPerSampleStates:
+    """Quaternion rows of a pair equal what the per-sample NavState forms give, bit for
+    bit: a normalization pass is not idempotent in the last bit."""
+
+    def test_truth_on_the_estimate_clock(self, rng):
+        gt = tumbling_points(rng, 0.1 * np.arange(300))
+        est = tumbling_points(rng, 0.1 * np.arange(1, 298) + 0.037)
+        pair = pair_trajectories(est, gt)
+        t_gt = np.array([p.t for p in gt])
+        lerped = np.column_stack([
+            np.interp(pair.t, t_gt, column)
+            for column in hemisphere_align([p.nav.orientation for p in gt]).T])
+        expected = [NavState(np.zeros(3), np.zeros(3), q).orientation
+                    for q in unit_rows(lerped)[0]]
+        assert np.array_equal(pair.gt_orientation, expected)
+        assert state_mae(pair)["orientation"] == np.mean(
+            [quat_angular_distance(a, b) for a, b in zip(pair.est_orientation, expected)])
+
+    def test_aligned_estimate(self, rng):
+        # Estimate positions equal truth's, so the fitted yaw is exactly 0.
+        gt = tumbling_points(rng, 0.1 * np.arange(2000))
+        est = [TrajectoryPoint(p.t, NavState(p.nav.position, q.nav.velocity, q.nav.orientation))
+               for p, q in zip(gt, tumbling_points(rng, 0.1 * np.arange(2000)))]
+        pair = pair_trajectories(est, gt, MetricsConfig(align=True))
+        identity = quat_from_yaw(0.0)
+        expected = [NavState(np.zeros(3), np.zeros(3),
+                             quat_multiply(identity, p.nav.orientation)).orientation for p in est]
+        assert np.array_equal(pair.est_orientation, expected)
+        assert np.array_equal(pair.est_position, [p.nav.position for p in gt])
 
 
 class TestAlignment:
@@ -194,15 +251,33 @@ class TestAlignment:
                                           p.nav.orientation), p.flag)
             for p in gt
         ]
-        back = align_trajectories(moved, gt, n_fixes=10)
-        for a, b in zip(back, gt):
-            np.testing.assert_allclose(a.nav.position, b.nav.position, atol=1e-9)
-            np.testing.assert_allclose(a.nav.velocity, b.nav.velocity, atol=1e-9)
+        back = align_pair(pair_trajectories(moved, gt), n_fixes=10)
+        for a, b in zip(back.est_position, gt):
+            np.testing.assert_allclose(a, b.nav.position, atol=1e-9)
+        for a, b in zip(back.est_velocity, gt):
+            np.testing.assert_allclose(a, b.nav.velocity, atol=1e-9)
 
     def test_coincident_fixes_raise(self):
         gt = straight_points(n=10, dt=0.5, v=(0.0, 0.0, 0.0))
         with pytest.raises(AlignmentError, match="coincident"):
-            align_trajectories(gt, gt, n_fixes=5)
+            align_pair(pair_trajectories(gt, gt), n_fixes=5)
+
+    def test_fit_window_includes_warmup_rows(self):
+        # The first four (warmup) rows are a yawed, shifted copy of truth; the
+        # scored rows carry one more metre in x, which the fit must not see.
+        gt = straight_points(n=30, dt=0.5, v=(0.4, 0.3, 0.0))
+        Rz = quat_to_rotation(quat_from_yaw(-0.4))
+        moved = [
+            TrajectoryPoint(p.t, NavState(Rz @ p.nav.position + [2.0, 1.0, 0.5] + [k >= 4, 0, 0],
+                                          Rz @ p.nav.velocity, p.nav.orientation),
+                            "warmup" if k < 4 else "ok")
+            for k, p in enumerate(gt)
+        ]
+        pair = pair_trajectories(moved, gt, MetricsConfig(align=True, n_align_fixes=4))
+        np.testing.assert_array_equal(pair.t, [p.t for p in gt[4:]])
+        np.testing.assert_allclose(np.linalg.norm(pair.est_position - pair.gt_position, axis=1),
+                                   1.0, atol=1e-9)
+        np.testing.assert_allclose(pair.est_velocity, pair.gt_velocity, atol=1e-12)
 
 
 class TestTruthFromGt:
@@ -226,6 +301,20 @@ class TestTruthFromGt:
     def test_needs_two_samples(self):
         with pytest.raises(AlignmentError):
             truth_from_gt([GroundTruthSample(t=0.0, position=np.zeros(3))])
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lever_arm", float("nan")), ("lever_arm", -1.0), ("lever_arm", float("inf")),
+        ("rpe_delta", float("nan")), ("rpe_delta", 0.0), ("rpe_delta", float("inf")),
+        ("n_align_fixes", 1), ("n_align_fixes", 2.5), ("n_align_fixes", True),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MetricsConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        MetricsConfig(lever_arm=0.0, n_align_fixes=np.int64(2), rpe_delta=1e-3)
 
 
 class TestEvaluate:

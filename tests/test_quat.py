@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,13 @@ def rotvec_formula(v):
     return np.concatenate(([np.cos(half)], np.sin(half) * (v / angle)))
 
 
+def angle_formula(a, b):
+    """quat_angular_distance of one pair as documented, with a @ b and np.linalg.norm."""
+    a, b = quat_normalize(a), quat_normalize(b)
+    b = -b if a @ b < 0.0 else b
+    return 4.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+
+
 @pytest.fixture(params=["contiguous", "transposed-view"])
 def layout(request):
     """Rows as a C-contiguous array, or as the transposed view of a (k, n) array."""
@@ -466,6 +475,17 @@ class TestRowKernels:
         assert Q.flags.c_contiguous
         assert same_bits(Q, [quat_from_rotvec(e) for e in E])
         assert same_bits(Q, [rotvec_formula(e) for e in E])
+
+    def test_quat_angular_distance(self, rng, layout):
+        A = quat_rows(rng)
+        near = A + 1e-6 * rng.normal(size=A.shape)
+        B = np.vstack([A[rng.permutation(len(A))], near, A, -A])
+        A = np.vstack([A, A, A, A])
+        angles = quat_angular_distance(layout(A), layout(B))
+        assert angles.shape == (len(A),)
+        assert same_bits(angles, [quat_angular_distance(a, b) for a, b in zip(A, B)])
+        assert same_bits(angles, [angle_formula(a, b) for a, b in zip(A, B)])
+        assert isinstance(quat_angular_distance(A[0], B[0]), float)
 
     def test_quat_from_yaw(self, rng):
         yaw = np.concatenate([[0.0, -0.0, np.pi, -np.pi], rng.uniform(-20.0, 20.0, 300)])

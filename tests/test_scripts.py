@@ -40,3 +40,24 @@ def test_non_finite_difference_fails(trajectory_diff, old, new, reads):
     dev = trajectory_diff.max_deviation([same, (np.array(old), np.array(new)), same])
     assert f"{dev:g}" == reads
     assert not dev <= trajectory_diff.TOLERANCE
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_report_deviation_counts_nan_on_both_sides_as_equal(trajectory_diff):
+    dev, bitwise = trajectory_diff.report_deviation([1.0, np.nan, 0.0, np.inf],
+                                                    [1.0, np.nan, -0.0, np.inf])
+    assert dev == 0.0
+    assert bitwise == 3  # -0.0 equals 0.0 but differs in its sign bit
+
+
+@pytest.mark.parametrize("old, new, reads", [
+    ([1.0, np.nan], [1.0, 2.0], "nan"),
+    ([1.0, 2.0], [1.0, np.nan], "nan"),
+    ([1.0, 2.0], [1.0, 2.0 + 1e-9], "1e-09"),
+], ids=["nan-vs-finite", "finite-vs-nan", "over-tolerance"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_report_deviation_fails_on_one_sided_nan_or_excess(trajectory_diff, old, new, reads):
+    dev, bitwise = trajectory_diff.report_deviation(old, new)
+    assert f"{dev:.3g}" == reads
+    assert not dev <= trajectory_diff.TOLERANCE
+    assert bitwise == 1
