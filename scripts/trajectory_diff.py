@@ -3,7 +3,7 @@
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
 contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
-each seed in six configurations, and prints per estimator and
+each seed in seven configurations, and prints per estimator and
 configuration the max |difference| of position, velocity and quaternion over
 all seeds and epochs, and whether the per-epoch flags are equal, with the
 count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
@@ -46,6 +46,13 @@ Configurations:
                   The preconditioner recursion contracts most slowly here,
                   so a change in the rounding of the inner iterations shows
                   most.
+    imu-gaps      survey settings with every 7th IMU row dropped before
+                  ``sensors.synchronize``, so that bursts hold 17 or 18
+                  samples and 0.02 s spacings appear, and with the scenario's
+                  true IMU biases configured in ``CascadeConfig`` and
+                  ``FilterConfig``; cipg, EKF, InEKF.  This is the
+                  configuration with bursts of unequal length and nonzero
+                  bias subtraction.
 
 Exits 1 if any max |dp|, |dv|, |dq| or report difference exceeds TOLERANCE
 or is not finite (a NaN or infinite difference reads nan or inf), any flag
@@ -82,6 +89,8 @@ CONFIGS = {
                      dvl_frame="body"),
     "near-bound": dict(imu_rate=25.0, horizon=19, iterations=10, alpha=0.1,
                        estimators=("cipg",)),
+    "imu-gaps": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS,
+                     drop_imu_every=7),
 }
 
 
@@ -122,6 +131,24 @@ def read_back(m: dict, run):
     return epochs, initial, m["metrics"].truth_from_gt(gt)[0]
 
 
+def config_inputs(m: dict, c: dict, spec):
+    """The run generated from ``spec`` and, for configuration ``c``, its epochs,
+    initial state and truth, and the IMU biases the estimators are configured with."""
+    run = m["sim"].generate(spec)
+    if c.get("files"):
+        epochs, initial, truth = read_back(m, run)
+    else:
+        epochs, initial, truth = run.epochs(), run.initial_nav(), run.truth
+    biases = m["preintegration"].ImuBiases()
+    if "drop_imu_every" in c:
+        kept = np.arange(len(run.imu)) % c["drop_imu_every"] != c["drop_imu_every"] - 1
+        epochs = m["sensors"].synchronize(run.imu[kept], run.dvl, run.ahrs)
+        biases = spec.biases
+    for k in range(len(epochs))[c.get("nan_dvl", slice(0))]:
+        epochs[k] = replace(epochs[k], dvl=np.full(3, np.nan))
+    return run, epochs, initial, truth, biases
+
+
 def run_tree(src: Path, seeds) -> dict:
     """{(config, estimator, seed): (t, position, velocity, quaternion, flags, report
     values)}, and {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run.
@@ -136,24 +163,16 @@ def run_tree(src: Path, seeds) -> dict:
         for seed in seeds:
             spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"],
                            dvl_frame=c.get("dvl_frame", "nav"))
-            run = m["sim"].generate(spec)
+            run, epochs, initial, truth, biases = config_inputs(m, c, spec)
             out[config, "streams", seed] = tuple(getattr(run, kind) for kind in STREAMS)
-            if c.get("files"):
-                epochs, initial, truth = read_back(m, run)
-            else:
-                epochs, initial, truth = run.epochs(), run.initial_nav(), run.truth
-            fallback = "abort"
-            if "nan_dvl" in c:
-                fallback = "deadreckon"
-                for k in range(len(epochs))[c["nan_dvl"]]:
-                    epochs[k] = replace(epochs[k], dvl=np.full(3, np.nan))
+            fallback = "deadreckon" if "nan_dvl" in c else "abort"
             runners = {
                 "cipg": lambda: m["cascade"].run_cascade(epochs, m["cascade"].CascadeConfig(
-                    params=params, initial=initial, fallback=fallback)),
+                    params=params, biases=biases, initial=initial, fallback=fallback)),
                 "ekf": lambda: m["baselines"].run_ekf(
-                    epochs, m["baselines"].FilterConfig(), initial=initial),
+                    epochs, m["baselines"].FilterConfig(biases=biases), initial=initial),
                 "inekf": lambda: m["baselines"].run_inekf(
-                    epochs, m["baselines"].FilterConfig(), initial=initial),
+                    epochs, m["baselines"].FilterConfig(biases=biases), initial=initial),
             }
             for name in c["estimators"]:
                 points = runners[name]()

@@ -16,8 +16,10 @@ same stage as a generic ``WindowModel`` for ``ipg_step``; it is the
 reference the closed form is tested against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
-burst is preintegrated once, when it arrives, into a rotation increment and
-a body-frame velocity increment.  Every epoch rotates each burst's body-frame
+burst is preintegrated into a rotation increment and a body-frame velocity
+increment, which depend only on the IMU rows and the biases: ``start``
+preintegrates every burst of the run in one pass, and each epoch's windows
+are slices of per-run arrays.  Every epoch rotates each burst's body-frame
 increment by stage 1's orientation at the start of that burst, which gives
 the burst's navigation-frame velocity increment in O(1).  The velocity
 dynamics do not depend on the velocity state, so the stacked Jacobian is a
@@ -31,13 +33,12 @@ iterates, and the first N-1 epochs are emitted as dead-reckoned warmup rows
 while they fill.  On divergence the estimator aborts (default) or falls back
 to dead reckoning for the epoch and clears the iterates; the next epoch
 reseeds them from the direct measurements at its window start.  Dead
-reckoning runs from the same preintegrated bursts.
+reckoning runs from the same preintegrated bursts, in O(1) per epoch.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,6 +49,7 @@ from .ipg import IpgParams, WindowModel
 from .ipg import ipg_step  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .ipg import slide_window  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .preintegration import (
+    _DT_WARN,
     GravityModel,
     ImuBiases,
     NavState,
@@ -63,6 +65,7 @@ from .quat import (
     quat_product,
     quat_right_matrix,
     quat_to_rotation,
+    row_norms,
     unit_rows,
 )
 from .sensors import initial_nav_from_epochs
@@ -78,42 +81,71 @@ __all__ = [
 
 FALLBACK_MODES = ("abort", "deadreckon")
 _EYE_16 = tuple(np.eye(4).ravel().tolist())  # I_4 in row-major order
+_BLOCK = 256  # bursts per block of BurstInput.from_epochs: bounds its temporary arrays
 
 
 @dataclass(frozen=True)
 class BurstInput:
-    """IMU burst preintegrated once; the window input between two epochs.
+    """Every IMU burst of a run, preintegrated once: row j is the window input
+    from epoch j-1 (``t_prev`` for j = 0) to epoch j, biases subtracted.
 
-    ``rot_increment`` is the Hamilton product of the per-sample orientation
-    increments (1, dt_i/2 * (gyro_i - bias)).  Because per-step quaternion
-    renormalization only rescales, ``normalize(q * rot_increment)`` equals
-    the sample-by-sample propagation of ``q`` through the whole burst, so
-    the window dynamics and their Jacobian cost O(1) per burst.
-
-    ``body_dv`` is sum_i dt_i * R(P_{i-1}) @ (accel_i - accel_bias), where
-    P_{i-1} is the normalized product of the increments before sample i, and
-    ``duration`` is sum_i dt_i.  For the same reason as above, the velocity
-    gained over the burst from orientation ``q`` is
-    ``R(q) @ body_dv + duration * g``.
-
-    ``dts`` holds the dt_i and ``body_accel`` the rows
-    R(P_{i-1}) @ (accel_i - accel_bias), from which ``_dead_reckon`` forms
-    the position increment only for the epochs that dead-reckon.
+    ``rot_increment`` is the product of the increments (1, dt_i/2 * gyro_i), and
+    renormalizing only rescales, so ``normalize(q * rot_increment)`` propagates
+    ``q`` through the burst.  With a_i = R(P_{i-1}) @ accel_i, P_{i-1} the unit
+    product before sample i, ``body_dv`` is sum_i dt_i a_i and ``duration`` sum_i
+    dt_i: the velocity gained from ``q`` is R(q) @ body_dv + duration * g.
+    ``body_dp`` is sum_i w_i a_i and ``dp_weight`` sum_i w_i, w_i = dt_i *
+    (duration - t_i), t_i the time from the burst start to sample i.
     """
 
-    rot_increment: np.ndarray  # (4,)
-    body_dv: np.ndarray        # (3,)
-    duration: float
-    dts: np.ndarray            # (M,)
-    body_accel: np.ndarray     # (M, 3)
+    rot_increment: np.ndarray  # (n, 4)
+    body_dv: np.ndarray        # (n, 3)
+    duration: np.ndarray       # (n,)
+    body_dp: np.ndarray        # (n, 3)
+    dp_weight: np.ndarray      # (n,)
 
+    @classmethod
+    def from_epochs(cls, epochs, biases: ImuBiases) -> "BurstInput":
+        """Preintegrate every epoch's burst, ``_BLOCK`` at a time, each step on all
+        bursts of one length at once and rounding as on one burst (sums and
+        ``dts @ body_accel`` too), so row j equals burst j alone, bit for bit.
+        Raises and warns as ``unpack_burst`` and ``unit_rows``, in epoch order."""
+        table = cls(*(np.empty((len(epochs), *shape)) for shape in [(4,), (3,), (), (3,), ()]))
+        for first in range(0, len(epochs), _BLOCK):
+            lengths = np.array([len(e.imu_burst) for e in epochs[first:first + _BLOCK]])
+            flagged = [table._fill(first + rows, epochs, biases)
+                       for rows in map(np.flatnonzero, lengths == np.unique(lengths)[:, None])]
+            # Bursts to reject or warn about rerun alone, in epoch order, to raise and warn.
+            for e in (epochs[j] for j in np.sort(np.concatenate(flagged))):
+                dts, _, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
+                unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)[:-1])
+        return table
 
-def _make_burst(epoch, gyro_bias, accel_bias=0.0) -> BurstInput:
-    dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, gyro_bias, accel_bias)
-    products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
-    prefixes, _ = unit_rows(products[:-1])
-    body_accel = _rotate_rows(prefixes, accel)
-    return BurstInput(products[-1], dts @ body_accel, float(dts.sum()), dts, body_accel)
+    def _fill(self, rows, epochs, biases: ImuBiases) -> np.ndarray:
+        """Fill ``rows`` (bursts of one length); returns those that may raise or warn."""
+        bursts = np.stack([epochs[j].imu_burst for j in rows])
+        t_start = [[float(epochs[j].t_prev)] for j in rows]
+        dts = bursts[:, :, 0] - np.concatenate((t_start, bursts[:, :-1, 0]), axis=1)
+        h = 0.5 * dts[:, :, None] * (bursts[:, :, 4:7] - biases.gyro)
+        products = [(np.ones(len(rows)), *np.zeros((3, len(rows))))]
+        w, x, y, z = products[0]
+        with np.errstate(all="ignore"):  # as running_product's float loop, which never warns
+            for hx, hy, hz in h.transpose(1, 2, 0):
+                w, x, y, z = (w - x * hx - y * hy - z * hz, w * hx + x + y * hz - z * hy,
+                              w * hy - x * hz + y + z * hx, w * hz + x * hy - y * hx + z)
+                products.append((w, x, y, z))
+        products = np.array(products).transpose(2, 0, 1)  # (B, M+1, 4)
+        norms, accel = row_norms(products[:, :-1]), bursts[:, :, 1:4] - biases.accel
+        body_accel = _rotate_rows((products[:, :-1] / norms[..., None]).reshape(-1, 4),
+                                  accel.reshape(-1, 3)).reshape(accel.shape)
+        duration = dts.sum(axis=1)
+        weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
+        self.rot_increment[rows], self.duration[rows] = products[:, -1], duration
+        self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
+        self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
+        self.dp_weight[rows] = weights.sum(axis=1)
+        return rows[~((dts > 0.0) & (norms > _NORM_EPS)).all(axis=1)
+                    | (np.max(dts, axis=1, initial=0.0) > _DT_WARN)]
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,18 +172,18 @@ def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return Zb.reshape(-1)
 
 
-def _orientation_dynamics(q, burst: BurstInput):
-    return quat_normalize(quat_product(q, burst.rot_increment))
+def _orientation_dynamics(q, rot_increment):
+    return quat_normalize(quat_product(q, rot_increment))
 
 
-def _orientation_dynamics_jacobian(q, burst: BurstInput):
-    raw = quat_product(np.asarray(q, dtype=float), burst.rot_increment)
-    return normalize_jacobian(raw) @ quat_right_matrix(burst.rot_increment)
+def _orientation_dynamics_jacobian(q, rot_increment):
+    raw = quat_product(np.asarray(q, dtype=float), rot_increment)
+    return normalize_jacobian(raw) @ quat_right_matrix(rot_increment)
 
 
-# The orientation stage as a generic window model (state: quaternion): the
-# reference ``_orientation_step`` is tested against.  The gyro bias is
-# already folded into each burst's ``rot_increment`` by ``_make_burst``.
+# The orientation stage as a generic window model (state: quaternion, input:
+# a burst's ``rot_increment``): the reference ``_orientation_step`` is tested
+# against.  The gyro bias is already folded into each ``rot_increment``.
 ORIENTATION_MODEL = WindowModel(
     state_dim=4,
     meas_dim=4,
@@ -292,90 +324,85 @@ class CascadeConfig:
 class CascadeState:
     """Mutable per-run state of the cascade estimator.
 
-    ``bursts``, ``ahrs`` and ``dvl`` are rolling windows, oldest first, filled
-    from the first epoch; from epoch N on they hold a full window.
-    ``q_iterate`` and ``v_iterate`` estimate the window-start orientation and
-    velocity, and start from the first epoch's dead-reckoned state.  A
-    fallback epoch sets them to None; the next epoch reseeds them from
-    ``ahrs[0]`` and ``dvl[0]`` with fresh preconditioners.
+    ``start`` preintegrates every burst of the run into ``bursts`` and stacks
+    every epoch's ``t``, ``ahrs`` and ``dvl``; at epoch k = ``cursor`` the
+    windows are their rows k-N+1..k and rows k-N+2..k of ``bursts``.  The
+    iterates estimate the window start from the first epoch's dead reckoning
+    on; after a fallback epoch (None) the next reseeds them from row 0.
     """
 
     config: CascadeConfig
     nav: NavState
-    t_prev: float
-    bursts: deque  # maxlen N-1
-    ahrs: deque  # maxlen N
-    dvl: deque  # maxlen N
+    bursts: BurstInput
+    t: list  # each epoch's timestamp, as given
+    ahrs: np.ndarray  # (n, 4)
+    dvl: np.ndarray  # (n, 3)
     q_precond: np.ndarray  # the 4x4 orientation preconditioner
     v_gain: float  # the velocity preconditioner is v_gain * I
+    cursor: int = 0
     q_iterate: Optional[np.ndarray] = None
     v_iterate: Optional[np.ndarray] = None
 
     @classmethod
     def start(cls, config: CascadeConfig, epochs) -> "CascadeState":
         nav = config.initial.copy() if config.initial is not None else initial_nav_from_epochs(epochs)
-        n, k0 = config.params.horizon, config.params.k0_scale
-        return cls(config, nav, epochs[0].t_prev, deque(maxlen=n - 1), deque(maxlen=n),
-                   deque(maxlen=n), k0 * np.eye(4), k0)
+        k0 = config.params.k0_scale
+        return cls(config, nav, BurstInput.from_epochs(epochs, config.biases),
+                   [e.t for e in epochs], np.array([e.ahrs for e in epochs], dtype=float),
+                   np.array([e.dvl for e in epochs], dtype=float), k0 * np.eye(4), k0)
 
 
-def _dead_reckon(nav: NavState, burst: BurstInput, g: np.ndarray) -> NavState:
-    """``preintegrate_burst`` of ``nav`` over one burst, from its preintegrated terms.
-
-    The Euler position update p_i = p_{i-1} + dt_i * v_{i-1} sums to
-    duration * v + sum_i w_i * (R(q) @ body_accel_i + g) with
-    w_i = dt_i * (duration - t_i), t_i the time from the burst start to sample i.
-    """
-    weights = burst.dts * (burst.duration - np.cumsum(burst.dts))
+def _dead_reckon(nav: NavState, bursts: BurstInput, k: int, g: np.ndarray) -> NavState:
+    """``preintegrate_burst`` of ``nav`` over burst k, in O(1): the Euler position
+    update p_i = p_{i-1} + dt_i * v_{i-1} sums to duration * v + sum_i w_i * (R(q)
+    @ a_i + g) = duration * v + R(q) @ body_dp + dp_weight * g (see ``BurstInput``)."""
     R = quat_to_rotation(nav.orientation)
+    duration = bursts.duration[k]
     return NavState(
-        nav.position + burst.duration * nav.velocity
-        + R @ (weights @ burst.body_accel) + weights.sum() * g,
-        nav.velocity + R @ burst.body_dv + burst.duration * g,
-        quat_product(nav.orientation, burst.rot_increment),
+        nav.position + duration * nav.velocity + R @ bursts.body_dp[k] + bursts.dp_weight[k] * g,
+        nav.velocity + R @ bursts.body_dv[k] + duration * g,
+        quat_product(nav.orientation, bursts.rot_increment[k]),
     )
 
 
 def cascade_step(state: CascadeState, epoch):
-    """Consume one SyncedEpoch and emit a TrajectoryPoint.
+    """Consume the next SyncedEpoch of the run and emit a TrajectoryPoint.
 
-    The first N-1 epochs dead-reckon (flag ``warmup``) while the windows
-    fill.  Afterwards each epoch slides the windows, runs stage 1 then
+    ``epoch`` must be the next of those passed to ``CascadeState.start``, which
+    hold its burst and measurements; one at another timestamp raises ValueError
+    naming both.  The first N-1 epochs dead-reckon (flag ``warmup``) while the
+    windows fill.  Afterwards each epoch slides the windows, runs stage 1 then
     stage 2, and integrates position over the epoch period.
     """
-    config = state.config
-    burst = _make_burst(epoch, config.biases.gyro, accel_bias=config.biases.accel)
-    dt_epoch = epoch.t - state.t_prev
-    state.bursts.append(burst)
-    state.ahrs.append(epoch.ahrs)
-    state.dvl.append(epoch.dvl)
+    config, k, horizon = state.config, state.cursor, state.config.params.horizon
+    if k == len(state.t) or epoch.t != state.t[k]:
+        expected = f"t={state.t[k]!r}" if k < len(state.t) else "none: every epoch was stepped"
+        raise ValueError(f"epoch at t={epoch.t!r} is not the next one passed to start: {expected}")
+    state.cursor, bursts = k + 1, state.bursts
 
-    if len(state.ahrs) < config.params.horizon:
-        nav = _dead_reckon(state.nav, burst, config.gravity.vector)
-        if len(state.ahrs) == 1:  # the window start
+    if k < horizon - 1:
+        nav = _dead_reckon(state.nav, bursts, k, config.gravity.vector)
+        if k == 0:  # the window start
             state.q_iterate, state.v_iterate = nav.orientation.copy(), nav.velocity.copy()
         state.nav = nav
-        state.t_prev = epoch.t
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
-    ahrs = np.array(state.ahrs, dtype=float)
-    dvl = np.array(state.dvl, dtype=float)
+    ahrs, dvl = state.ahrs[k + 1 - horizon:k + 1], state.dvl[k + 1 - horizon:k + 1]
+    window = slice(k + 2 - horizon, k + 1)  # the bursts between the window's epochs
     if state.q_iterate is None:
         # After a fallback epoch, restart from the direct measurements of the
         # window start (identity measurement maps).
         k0 = config.params.k0_scale
         state.q_iterate, state.q_precond = quat_normalize(ahrs[0]), k0 * np.eye(4)
-        state.v_iterate, state.v_gain = dvl[0], k0
+        state.v_iterate, state.v_gain = dvl[0].copy(), k0
 
     stage = "orientation"
     try:
         orientation, q_iterate, q_precond, quats = _orientation_step(
-            config.params, ahrs, state.q_iterate, state.q_precond,
-            [b.rot_increment for b in state.bursts],
-        )
-        # quats[j] is the orientation where burst j starts.
-        increments = (_rotate_rows(quats, np.array([b.body_dv for b in state.bursts]))
-                      + np.outer([b.duration for b in state.bursts], config.gravity.vector))
+            config.params, ahrs, state.q_iterate, state.q_precond, bursts.rot_increment[window])
+        # quats[j] is the orientation where burst j of the window starts.
+        increments = (_rotate_rows(quats, bursts.body_dv[window])
+                      + np.outer(bursts.duration[window], config.gravity.vector))
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
             config.params, dvl, state.v_iterate, state.v_gain, increments
@@ -385,19 +412,17 @@ def cascade_step(state: CascadeState, epoch):
             raise DivergenceError(
                 "cascade stage diverged", iteration=exc.iteration, stage=stage, epoch=epoch.t
             ) from exc
-        nav = _dead_reckon(state.nav, burst, config.gravity.vector)
+        nav = _dead_reckon(state.nav, bursts, k, config.gravity.vector)
         state.nav = nav
-        state.t_prev = epoch.t
         state.q_iterate = state.v_iterate = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
-    position = state.nav.position + velocity * dt_epoch
+    position = state.nav.position + velocity * (epoch.t - state.t[k - 1])
     nav = NavState.exact(position, velocity, orientation)  # stage 1's estimate is unit
 
     state.q_iterate, state.q_precond = q_iterate, q_precond
     state.v_iterate, state.v_gain = v_iterate, v_gain
     state.nav = nav
-    state.t_prev = epoch.t
     return state, TrajectoryPoint(epoch.t, nav, "ok")
 
 

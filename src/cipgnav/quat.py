@@ -289,12 +289,17 @@ def hemisphere_align(quats) -> np.ndarray:
     """Sign-fix a quaternion sequence so consecutive dots are non-negative.
 
     The first quaternion keeps its sign; every later one is flipped when its
-    dot product with the (already fixed) predecessor is negative.
+    dot product with the (already fixed) predecessor is negative: row k keeps
+    the sign of row k-1 when the dot d_k of input rows k and k-1 (rounded as 1-D
+    ``@``) is > 0, flips it when d_k < 0 and resets it to + when d_k is 0 or NaN.
     """
-    out = np.array(quats, dtype=float)
-    for k in range(1, len(out)):
-        if float(out[k] @ out[k - 1]) < 0.0:
-            out[k] = -out[k]
+    out = np.array(quats, dtype=float, order="C")
+    if len(out) > 1:
+        dots = (out[1:, None, :] @ out[:-1, :, None])[:, 0, 0]
+        count = np.cumsum(np.concatenate(([0], dots < 0.0)))  # negative dots up to row k
+        reset = np.concatenate(([0], np.where((dots < 0.0) | (dots > 0.0), 0, np.arange(1, len(out)))))
+        flip = (count - count[np.maximum.accumulate(reset)]) % 2 == 1
+        out[flip] = -out[flip]
     return out
 
 

@@ -475,9 +475,9 @@ def benchmark_scenario(seed: int, duration: float = 100.0) -> ScenarioSpec:
     """Canonical noisy benchmark: a lawnmower survey with consumer-grade
     sensor noise and per-seed random (uncompensated) IMU biases.
 
-    Biases are drawn uniformly within MEMS turn-on ranges (accel 20 mg,
-    gyro ~0.1 deg/s) from a seed-derived stream separate from the
-    measurement-noise streams.
+    Biases are drawn uniformly, per axis, within +-0.02 m/s^2 (accel, about
+    2 mg) and +-0.002 rad/s (gyro, about 0.1 deg/s) from a seed-derived
+    stream separate from the measurement-noise streams.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB1A5]))
     biases = ImuBiases(

@@ -30,7 +30,7 @@ from cipgnav.baselines import (
     run_inekf,
 )
 from cipgnav.baselines import EkfState
-from cipgnav.cascade import ORIENTATION_MODEL, CascadeConfig, _make_burst, run_cascade
+from cipgnav.cascade import ORIENTATION_MODEL, BurstInput, CascadeConfig, run_cascade
 from cipgnav.cli import main
 from cipgnav.ipg import (
     IpgParams,
@@ -48,7 +48,7 @@ from cipgnav.metrics import (
     rpe,
     total_error,
 )
-from cipgnav.preintegration import NavState
+from cipgnav.preintegration import ImuBiases, NavState
 from cipgnav.quat import (
     quat_angular_distance,
     quat_from_yaw,
@@ -207,11 +207,11 @@ class TestCascadeJacobiansMatchFiniteDifferences:
         for _ in range(100):
             horizon = int(rng.integers(2, 6))
             t = 0.0
-            inputs = []
+            epochs = []
             for _ in range(horizon - 1):
-                epoch = self.random_epoch(rng, t)
-                inputs.append(_make_burst(epoch, gyro_bias))
-                t = epoch.t
+                epochs.append(self.random_epoch(rng, t))
+                t = epochs[-1].t
+            inputs = BurstInput.from_epochs(epochs, ImuBiases(gyro=gyro_bias)).rot_increment
             q0 = rng.normal(size=4)
             q0 /= np.linalg.norm(q0)
             J = stacked_jacobian(model, tuple(inputs), q0)

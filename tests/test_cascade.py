@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,9 +16,9 @@ from cipgnav.cascade import (
     BurstInput,
     CascadeConfig,
     CascadeState,
-    _make_burst,
     _dead_reckon,
     _orientation_step,
+    _rotate_rows,
     _velocity_step,
     _window_terms,
     cascade_step,
@@ -38,8 +39,16 @@ from cipgnav.preintegration import (
     NavState,
     preintegrate_burst,
     propagate_orientation,
+    running_product,
+    unpack_burst,
 )
-from cipgnav.quat import quat_angular_distance, quat_normalize, quat_product, quat_to_rotation
+from cipgnav.quat import (
+    quat_angular_distance,
+    quat_normalize,
+    quat_product,
+    quat_to_rotation,
+    unit_rows,
+)
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import central_difference, random_unit_quat
@@ -54,15 +63,134 @@ def circle_run(duration=20.0, radius=10.0, noise=QUIET, seed=0):
     return run, run.epochs()
 
 
+def burst_oracle(epoch, biases: ImuBiases):
+    """One epoch's burst preintegrated alone, per epoch, as the cascade did before
+    its per-run pass: (rot_increment, body_dv, duration, body_dp, dp_weight), the
+    reference each row of ``BurstInput.from_epochs`` must equal bit for bit."""
+    dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, biases.gyro, biases.accel)
+    products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
+    prefixes, _ = unit_rows(products[:-1])
+    body_accel = _rotate_rows(prefixes, accel)
+    duration = float(dts.sum())
+    weights = dts * (duration - np.cumsum(dts))
+    return products[-1], dts @ body_accel, duration, weights @ body_accel, weights.sum()
+
+
+def table_rows(table: BurstInput):
+    """The rows of a burst table, in the order of ``burst_oracle``'s terms."""
+    return list(zip(table.rot_increment, table.body_dv, table.duration, table.body_dp,
+                    table.dp_weight))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bits: signed zeros count, and NaN equals NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def epoch_chain(rng, lengths, t0=0.0):
+    """Consecutive random epochs with bursts of the given lengths (0 allowed),
+    a few IMU components set to +0.0 or -0.0."""
+    epochs, t = [], t0
+    for n in lengths:
+        if n:
+            epoch = random_epoch(rng, t, n)
+            zeros = rng.random(epoch.imu_burst[:, 1:].shape) < 0.05
+            epoch.imu_burst[:, 1:][zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        else:
+            epoch = SyncedEpoch(t=t + 0.01, t_prev=t, imu_burst=np.empty((0, 7)),
+                                dvl=np.zeros(3), ahrs=np.array([1.0, 0.0, 0.0, 0.0]))
+        epochs.append(epoch)
+        t = epoch.t
+    return epochs
+
+
+class TestBurstTable:
+    """``BurstInput.from_epochs`` against ``burst_oracle``, row by row, bit for bit."""
+
+    BIASES = ImuBiases(accel=[0.02, -0.015, 0.01], gyro=[0.001, -0.002, 0.0005])
+
+    @pytest.mark.parametrize("block", [None, 1, 7], ids=["default", "1", "7"])
+    def test_rows_match_per_burst_oracle(self, rng, monkeypatch, block):
+        # Mixed lengths with repeats, including empty and one-sample bursts, and
+        # more bursts than one block of the default size.
+        if block is not None:
+            monkeypatch.setattr(cascade, "_BLOCK", block)
+        lengths = rng.choice([0, 1, 2, 3, 7, 8, 9, 17, 18, 20, 33], size=cascade._BLOCK + 40)
+        epochs = epoch_chain(rng, lengths)
+        for biases in (ImuBiases(), self.BIASES):
+            rows = table_rows(BurstInput.from_epochs(epochs, biases))
+            assert len(rows) == len(epochs) > cascade._BLOCK
+            for epoch, row in zip(epochs, rows):
+                assert all(same_bits(a, b) for a, b in zip(row, burst_oracle(epoch, biases)))
+
+    def test_empty_and_one_sample_bursts(self, rng):
+        epochs = epoch_chain(rng, [0, 1, 0, 1])
+        table = BurstInput.from_epochs(epochs, self.BIASES)
+        for j in (0, 2):
+            assert same_bits(table.rot_increment[j], [1.0, 0.0, 0.0, 0.0])
+            assert same_bits(table.body_dv[j], np.zeros(3)) and table.duration[j] == 0.0
+        for j in (1, 3):
+            assert table.duration[j] == epochs[j].t - epochs[j].t_prev
+            assert same_bits(table.dp_weight[j], 0.0)  # w_1 = dt_1 * (dt_1 - dt_1)
+
+    @staticmethod
+    def oracle_events(epochs, biases):
+        """Warning messages and the first error of ``burst_oracle`` over epochs in order."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                for epoch in epochs:
+                    burst_oracle(epoch, biases)
+                error = None
+            except (ValueError, DegenerateQuaternionError) as exc:
+                error = (type(exc), str(exc))
+        return [str(w.message) for w in caught], error
+
+    @pytest.mark.parametrize("faults", [
+        {0: "gap", 2: "gap", 9: "gap"},
+        {3: "gap", 5: "spacing", 9: "gap"},
+        {2: "gap", 6: "nan", 8: "spacing"},
+        {4: "spacing", 7: "nan"},
+        {1: "nan", 2: "gap"},
+    ], ids=["warnings", "warn-then-reject", "warn-then-nan", "reject-first", "nan-first"])
+    def test_errors_and_warnings_in_epoch_order(self, rng, monkeypatch, faults):
+        # Blocks of 4 bursts whose lengths fall within each block, so that faults
+        # sit in different blocks and in length groups out of epoch order; the
+        # table raises and warns as the oracle does.
+        monkeypatch.setattr(cascade, "_BLOCK", 4)
+        epochs = epoch_chain(rng, [13, 13, 5, 12] * 3)
+        for j, fault in faults.items():
+            burst = epochs[j].imu_burst.copy()
+            if fault == "gap":  # a first spacing of more than 0.1 (j + 1) s
+                epochs[j] = replace(epochs[j], t_prev=epochs[j].t_prev - 0.1 * (j + 1))
+                continue
+            if fault == "spacing":
+                burst[2, 0] = burst[1, 0]
+            else:
+                burst[1, 4] = np.nan
+            epochs[j] = replace(epochs[j], imu_burst=burst)
+        expected = self.oracle_events(epochs, self.BIASES)
+        assert expected[0] or expected[1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error = None
+            try:
+                BurstInput.from_epochs(epochs, self.BIASES)
+            except (ValueError, DegenerateQuaternionError) as exc:
+                error = (type(exc), str(exc))
+        assert ([str(w.message) for w in caught], error) == expected
+
+
 class TestBurst:
     def test_rot_increment_matches_stepwise_propagation(self, rng):
         _, epochs = circle_run(duration=5.0)
         bias = np.array([0.001, -0.002, 0.0005])
-        for epoch in epochs[:5]:
-            burst = _make_burst(epoch, bias)
+        table = BurstInput.from_epochs(epochs[:5], ImuBiases(gyro=bias))
+        for epoch, rot_increment in zip(epochs[:5], table.rot_increment):
             q0 = random_unit_quat(rng)
             # One right-multiplication by the composed increment...
-            q_fast = quat_normalize(quat_product(q0, burst.rot_increment))
+            q_fast = quat_normalize(quat_product(q0, rot_increment))
             # ...equals integrating sample by sample.
             q_slow = q0
             t_prev = epoch.t_prev
@@ -73,17 +201,20 @@ class TestBurst:
 
     def test_burst_spans_epoch_interval(self):
         _, epochs = circle_run(duration=5.0)
-        e = epochs[2]
-        b = _make_burst(e, np.zeros(3))
-        assert isinstance(b, BurstInput)
-        assert b.duration == pytest.approx(e.t - e.t_prev, abs=1e-12)
+        table = BurstInput.from_epochs(epochs, ImuBiases())
+        assert isinstance(table, BurstInput)
+        assert table.duration.shape == (len(epochs),)
+        for e, duration in zip(epochs, table.duration):
+            assert duration == pytest.approx(e.t - e.t_prev, abs=1e-12)
 
     def test_burst_rejects_bad_spacing(self):
         _, epochs = circle_run(duration=5.0)
         e = epochs[0]
-        bad = replace(e, t_prev=e.imu_burst[3, 0])
+        epochs[0] = replace(e, t_prev=e.imu_burst[3, 0])
         with pytest.raises(ValueError, match="spacing"):
-            _make_burst(bad, np.zeros(3))
+            BurstInput.from_epochs(epochs, ImuBiases())
+        with pytest.raises(ValueError, match="spacing"):
+            CascadeState.start(CascadeConfig(), epochs)
 
     def test_preintegrated_velocity_matches_stepwise_sum(self, rng):
         gravity = GravityModel()
@@ -109,8 +240,8 @@ class TestBurst:
                 expected += dt * (quat_to_rotation(q) @ (row[1:4] - accel_bias) + gravity.vector)
                 q = propagate_orientation(q, row[4:7], gyro_bias, dt)
                 t_prev = row[0]
-            b = _make_burst(epoch, gyro_bias, accel_bias=accel_bias)
-            got = quat_to_rotation(q0) @ b.body_dv + b.duration * gravity.vector
+            b = BurstInput.from_epochs([epoch], ImuBiases(accel_bias, gyro_bias))
+            got = quat_to_rotation(q0) @ b.body_dv[0] + b.duration[0] * gravity.vector
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_large_step_warns_once_per_burst(self):
@@ -121,16 +252,15 @@ class TestBurst:
         burst = epochs[k].imu_burst
         epochs[k] = replace(epochs[k], imu_burst=np.concatenate([burst[:1], burst[10:]]))
         assert burst[10, 0] - burst[0, 0] == pytest.approx(0.1)
-        state = CascadeState.start(CascadeConfig(), epochs)
-        for epoch in epochs[:k]:
-            state, _ = cascade_step(state, epoch)
+        # The warning comes from start, which preintegrates every burst once.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            state = CascadeState.start(CascadeConfig(), epochs)
             flags = []
-            for epoch in epochs[k:]:
+            for epoch in epochs:
                 state, point = cascade_step(state, epoch)
                 flags.append(point.flag)
-        assert set(flags) == {"ok"}
+        assert set(flags[k:]) == {"ok"}
         large = [w for w in caught
                  if issubclass(w.category, UserWarning) and "is large" in str(w.message)]
         assert len(large) == 1
@@ -150,8 +280,7 @@ class TestBurst:
             biases = ImuBiases(rng.normal(scale=0.2, size=3), rng.normal(scale=0.01, size=3))
             nav = NavState(rng.normal(scale=50.0, size=3), rng.normal(size=3), random_unit_quat(rng))
             expected = preintegrate_burst(nav, burst, biases, gravity, epoch.t_prev)
-            got = _dead_reckon(nav, _make_burst(epoch, biases.gyro, accel_bias=biases.accel),
-                               gravity.vector)
+            got = _dead_reckon(nav, BurstInput.from_epochs([epoch], biases), 0, gravity.vector)
             np.testing.assert_allclose(got.position, expected.position, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(got.velocity, expected.velocity, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(got.orientation, expected.orientation, rtol=0.0, atol=1e-12)
@@ -161,12 +290,14 @@ class TestBurst:
         burst = epochs[1].imu_burst
         epochs[1] = replace(epochs[1], imu_burst=np.concatenate([burst[:1], burst[11:]]))
         assert burst[11, 0] - burst[0, 0] == pytest.approx(0.11)
-        state = CascadeState.start(CascadeConfig(), epochs)
-        state, _ = cascade_step(state, epochs[0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            state, point = cascade_step(state, epochs[1])
-        assert point.flag == "warmup"
+            state = CascadeState.start(CascadeConfig(), epochs)
+            flags = []
+            for epoch in epochs:
+                state, point = cascade_step(state, epoch)
+                flags.append(point.flag)
+        assert flags[1] == "warmup"
         large = [w for w in caught
                  if issubclass(w.category, UserWarning) and "is large" in str(w.message)]
         assert len(large) == 1
@@ -235,6 +366,22 @@ class TestTracking:
         state, point = cascade_step(state, epochs[0])
         np.testing.assert_array_equal(state.q_iterate, point.nav.orientation)
         np.testing.assert_array_equal(state.v_iterate, point.nav.velocity)
+
+    def test_rejects_an_epoch_that_is_not_the_next_one_started(self):
+        # Each step reads the next epoch's preintegrated burst and measurements
+        # from the state, so a skipped, repeated or extra epoch is an error.
+        _, epochs = circle_run(duration=5.0)
+        state = CascadeState.start(CascadeConfig(), epochs)
+        state, _ = cascade_step(state, epochs[0])
+        for wrong in (epochs[2], epochs[0]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"epoch at t={wrong.t!r} is not the next one passed to start: "
+                    f"t={epochs[1].t!r}")):
+                cascade_step(state, wrong)
+        for epoch in epochs[1:]:
+            state, _ = cascade_step(state, epoch)
+        with pytest.raises(ValueError, match="every epoch was stepped"):
+            cascade_step(state, epochs[-1])
 
     def test_requires_enough_epochs(self):
         _, epochs = circle_run(duration=10.0)
@@ -375,12 +522,13 @@ class TestOrientationFallback:
         assert state.q_iterate is None
         # The next epoch restarts stage 1 from the AHRS measurement at the
         # start of the slid window, with a fresh preconditioner.
-        nxt = epochs[horizon + 2]
-        ahrs = np.vstack([list(state.ahrs)[1:], nxt.ahrs])
-        bursts = list(state.bursts)[1:] + [_make_burst(nxt, good.biases.gyro, good.biases.accel)]
+        k = horizon + 2
+        nxt = epochs[k]
+        ahrs = np.array([e.ahrs for e in epochs[k + 1 - horizon:k + 1]])
+        increments = [burst_oracle(e, good.biases)[0] for e in epochs[k + 2 - horizon:k + 1]]
         expected = _orientation_step(
             good.params, ahrs, quat_normalize(ahrs[0]), good.params.k0_scale * np.eye(4),
-            [b.rot_increment for b in bursts],
+            increments,
         )[0]
         state, point = cascade_step(state, nxt)
         assert point.flag == "ok"
@@ -467,25 +615,25 @@ class TestOrientationStage:
         K is k0 (I + spread * E) with E standard normal: non-symmetric, as a
         warm-started epoch carries it, for spread > 0.
         """
-        bursts, t = [], 0.0
+        epochs, t = [], 0.0
         for _ in range(horizon - 1):
-            epoch = random_epoch(rng, t, int(rng.integers(1, 25)))
-            bursts.append(_make_burst(epoch, self.GYRO_BIAS))
-            t = epoch.t
+            epochs.append(random_epoch(rng, t, int(rng.integers(1, 25))))
+            t = epochs[-1].t
+        increments = BurstInput.from_epochs(epochs, ImuBiases(gyro=self.GYRO_BIAS)).rot_increment
         # AHRS near the trajectory from a random start, and an iterate near
         # that start; the iterate and random AHRS blocks are negated so that
         # the hemisphere alignment of every row, row 0 included, matters.
         q = random_unit_quat(rng)
         iterate = quat_normalize(q + rng.normal(scale=0.3, size=4)) * rng.choice([-1.0, 1.0])
         ahrs = [q]
-        for b in bursts:
-            q = quat_normalize(quat_product(q, b.rot_increment))
+        for r in increments:
+            q = quat_normalize(quat_product(q, r))
             ahrs.append(q)
         ahrs = np.array([quat_normalize(a + rng.normal(scale=0.05, size=4)) for a in ahrs])
         ahrs *= rng.choice([-1.0, 1.0], size=(horizon, 1))
         K = k0 * (np.eye(4) + spread * rng.normal(size=(4, 4))) if spread else k0 * np.eye(4)
-        generic = IpgWindow(tuple(bursts), tuple(ahrs), iterate, K)
-        args = (ahrs, iterate, K, [b.rot_increment for b in bursts])
+        generic = IpgWindow(tuple(increments.copy()), tuple(ahrs), iterate, K)
+        args = (ahrs, iterate, K, increments)
         return args, generic
 
     def test_batched_step_matches_ipg_step(self, rng):
@@ -516,10 +664,10 @@ class TestOrientationStage:
         params = IpgParams(horizon=horizon, iterations=3)
         ahrs = np.array([quat_normalize([0.0, 1.0, 0.5 * j, -0.25 * j]) for j in range(horizon)])
         iterate, K = np.array([1.0, 0.0, 0.0, 0.0]), params.k0_scale * np.eye(4)
-        identity = BurstInput(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 0.0, np.zeros(0),
-                              np.zeros((0, 3)))
+        identity = BurstInput.from_epochs(epoch_chain(np.random.default_rng(0), [0]),
+                                          ImuBiases()).rot_increment[0]
         estimate, warm, K_out, _ = _orientation_step(params, ahrs, iterate, K,
-                                                     [identity.rot_increment] * (horizon - 1))
+                                                     [identity] * (horizon - 1))
         ref = ipg_step(ORIENTATION_MODEL, params,
                        IpgWindow((identity,) * (horizon - 1), tuple(ahrs), iterate, K))
         np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
@@ -564,8 +712,7 @@ class TestOrientationStage:
     def test_dynamics_jacobian_matches_finite_differences(self, rng):
         for _ in range(10):
             q = random_unit_quat(rng)
-            burst = BurstInput(np.concatenate(([1.0], 0.005 * rng.normal(size=3))), np.zeros(3),
-                               0.0, np.zeros(0), np.zeros((0, 3)))
+            burst = np.concatenate(([1.0], 0.005 * rng.normal(size=3)))  # a rot_increment
             J_fd = central_difference(lambda x: ORIENTATION_MODEL.dynamics(x, burst), q)
             np.testing.assert_allclose(ORIENTATION_MODEL.dynamics_jacobian(q, burst), J_fd,
                                        atol=1e-8)
@@ -576,10 +723,8 @@ class TestOrientationStage:
         model = ORIENTATION_MODEL
         for _ in range(100):
             horizon = int(rng.integers(2, 11))
-            bursts = tuple(
-                BurstInput(random_unit_quat(rng) * rng.uniform(0.3, 3.0), np.zeros(3), 0.0,
-                           np.zeros(0), np.zeros((0, 3)))
-                for _ in range(horizon - 1))
+            bursts = tuple(random_unit_quat(rng) * rng.uniform(0.3, 3.0)
+                           for _ in range(horizon - 1))  # rot_increments
             zeta = random_unit_quat(rng)
             truth = stacked_map(model, bursts, quat_normalize(zeta + rng.normal(scale=0.3, size=4)))
             ahrs = truth.reshape(-1, 4) + rng.normal(scale=0.1, size=(horizon, 4))
@@ -587,7 +732,7 @@ class TestOrientationStage:
             predicted = stacked_map(model, bursts, zeta)
             J = stacked_jacobian(model, bursts, zeta)
             r = predicted - model.align_measurements(predicted, ahrs.reshape(-1))
-            _, W = _window_terms(ahrs, [b.rot_increment for b in bursts])
+            _, W = _window_terms(ahrs, list(bursts))
             w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
             tangent = np.eye(4) - np.outer(zeta, zeta)
             np.testing.assert_allclose(J.T @ J, np.eye(4) + (horizon - 1) * tangent,
@@ -600,8 +745,8 @@ class TestOrientationStage:
         args, generic = self.random_window(rng, params.horizon, params.k0_scale)
         ahrs, iterate, K, increments = args
         increments[2] = np.full(4, bad)
-        generic = replace(generic, inputs=generic.inputs[:2] + (
-            replace(generic.inputs[2], rot_increment=increments[2]),) + generic.inputs[3:])
+        generic = replace(generic, inputs=generic.inputs[:2] + (increments[2],)
+                          + generic.inputs[3:])
         with pytest.raises(DegenerateQuaternionError):
             _orientation_step(params, ahrs, iterate, K, increments)
         with pytest.raises(DegenerateQuaternionError):

@@ -353,6 +353,47 @@ class TestHemisphereAlign:
         dots = np.sum(aligned[1:] * aligned[:-1], axis=1)
         assert np.all(dots >= 0.0)
 
+    @staticmethod
+    def loop_oracle(quats):
+        """The per-row loop hemisphere_align replaced: the reference, bit for bit."""
+        out = np.array(quats, dtype=float)
+        for k in range(1, len(out)):
+            if float(out[k] @ out[k - 1]) < 0.0:
+                out[k] = -out[k]
+        return out
+
+    def test_matches_loop_on_random_sequences(self, rng):
+        # Half the rows are made orthogonal to their predecessor, so that their
+        # dots are about 1e-17 and rounding decides the sign; some components
+        # are +0.0 or -0.0 and some rows NaN, which reset the running sign.
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            q = rng.normal(size=(n, 4)) * rng.choice([-1.0, 1.0], size=(n, 1))
+            for k in np.flatnonzero(rng.random(n - 1) < 0.5) + 1:
+                q[k] -= (q[k] @ q[k - 1]) / (q[k - 1] @ q[k - 1]) * q[k - 1]
+            q[rng.random((n, 4)) < 0.05] = 0.0
+            q[rng.random((n, 4)) < 0.05] = -0.0
+            if rng.random() < 0.2:
+                q[rng.integers(n)] = np.nan
+            assert hemisphere_align(q).tobytes() == self.loop_oracle(q).tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((0, 4)),
+        [[-0.5, 0.5, -0.5, 0.5]],
+        # Sign runs: a chain of flips, a -0.0 dot, a +0.0 dot, and flips after each reset.
+        [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+         [-1.0, 0.1, 0.0, 0.0], [0.0, -0.0, 1.0, 0.0], [-0.0, 0.0, -1.0, 0.0],
+         [-0.5, -0.5, -0.5, -0.5], [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+         [1.0, 0.0, 0.0, 0.0]],
+        # Exact dots: -0.0 (every product -0.0) and +0.0 between rows 1-2 and 2-3.
+        [[1.0, 1.0, 1.0, 1.0], [-0.0, -0.0, -0.0, -0.0], [-1.0, -1.0, -1.0, -1.0],
+         [1.0, 1.0, 1.0, 1.0]],
+    ], ids=["no-rows", "one-row", "sign-runs", "signed-zero-dots"])
+    def test_matches_loop_on_edge_sequences(self, rows):
+        got = hemisphere_align(rows)
+        assert got.shape == np.shape(rows)
+        assert got.tobytes() == self.loop_oracle(rows).tobytes()
+
 
 def same_bits(a, b) -> bool:
     """Equal shapes and values, signed zeros included (np.array_equal ignores their sign)."""

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +63,21 @@ def test_report_deviation_fails_on_one_sided_nan_or_excess(trajectory_diff, old,
     assert f"{dev:.3g}" == reads
     assert not dev <= trajectory_diff.TOLERANCE
     assert bitwise == 1
+
+
+def test_imu_gaps_has_unequal_bursts_and_true_biases(trajectory_diff):
+    # Every 7th IMU row dropped: bursts of 17 or 18 rows with 0.02 s spacings,
+    # and the scenario's biases configured, where the survey has uniform
+    # 20-row bursts and zero configured biases.
+    m = {name: importlib.import_module(f"cipgnav.{name}")
+         for name in ("preintegration", "sensors", "sim")}
+    configs = trajectory_diff.CONFIGS
+    spec = replace(m["sim"].benchmark_scenario(3, 10.0), imu_rate=configs["imu-gaps"]["imu_rate"])
+    _, epochs, _, _, biases = trajectory_diff.config_inputs(m, configs["imu-gaps"], spec)
+    assert {len(e.imu_burst) for e in epochs[1:]} == {17, 18}
+    spacings = np.concatenate([np.diff(e.imu_burst[:, 0]) for e in epochs])
+    assert spacings.max() == pytest.approx(0.02) and spacings.min() == pytest.approx(0.01)
+    assert biases is spec.biases and biases.accel.all() and biases.gyro.all()
+    _, epochs, _, _, biases = trajectory_diff.config_inputs(m, configs["survey"], spec)
+    assert {len(e.imu_burst) for e in epochs[1:]} == {20}
+    assert not (biases.accel.any() or biases.gyro.any())
