@@ -13,11 +13,14 @@ checks exact up to floating point.
 Prediction works on a whole IMU burst at a time.  The burst is unpacked once
 into arrays of spacings and bias-corrected readings; the per-sample
 attitudes, velocities and positions, the error transitions F_k and the
-process noise Q_k are formed with array operations over the burst.  What
-stays per sample is the covariance recursion P <- F_k P F_k^T + Q_k, which
-is sequential by nature, and, in the InEKF, the 3x3 rotation chain, written
-into one preallocated array.  Each ``FilterConfig`` builds its matrices once:
-on 3- to 9-element arrays a numpy call costs more than its arithmetic.
+process noise Q_k are formed with array operations over the burst.  The EKF
+propagates its covariance in burst form: one backward pass of suffix
+products F_M ... F_{k+1}, one 9x9 product per sample, and one product for the
+whole noise sum.  The InEKF steps its covariance recursion
+P <- F_k P F_k^T + Q_k and its 3x3 rotation chain sample by sample.  The EKF
+update uses that its measurements select error-state rows 3..8 and forms no
+product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
+9-element arrays a numpy call costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 _EYE9 = np.eye(9)
-_EKF_H = _EYE9[3:]  # rows of the velocity and attitude errors
 _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
 
 
@@ -76,7 +78,7 @@ def _skew(v) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterConfig:
     """Shared EKF/InEKF tuning.
 
@@ -85,6 +87,9 @@ class FilterConfig:
     (per-axis position / velocity / attitude), discretized per sample dt.
     ``p0_scale`` and ``q_*`` must be finite and >= 0, ``r_vel`` and ``r_att`` three finite
     values > 0, kept read-only so that the matrices built from them here stay current.
+    A config compares and hashes by identity, as its array fields have no
+    single truth value: it equals only itself, and ``dataclasses.replace``
+    gives a new config that equals neither the old one nor another copy.
     """
 
     p0_scale: float = 0.1
@@ -109,10 +114,9 @@ class FilterConfig:
                 raise ValueError(f"{name} must be 3 finite values > 0, got {r.tolist()}")
             object.__setattr__(self, name, r)
         q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
-        vars(self).update(_q=q, _q_matrix=np.diag(q), _g_skew=_skew(self.gravity.vector),
-                          _r_matrix=np.diag(np.concatenate([self.r_vel, self.r_att])))
-        for value in (self.r_vel, self.r_att, self._q, self._q_matrix, self._g_skew,
-                      self._r_matrix):
+        r = np.concatenate([self.r_vel, self.r_att])
+        vars(self).update(_q=q, _g_skew=_skew(self.gravity.vector), _r=r, _r_matrix=np.diag(r))
+        for value in (self.r_vel, self.r_att, self._q, self._g_skew, self._r, self._r_matrix):
             value.setflags(write=False)
 
     def q_diag(self) -> np.ndarray:
@@ -178,17 +182,21 @@ def _check_cov(P: np.ndarray, tol: float, what: str) -> np.ndarray:
     return P
 
 
+def _gain(S, HP):
+    """Kalman gain (S^-1 H P)^T; a singular innovation covariance S raises NumericalError."""
+    try:
+        return np.linalg.solve(S, HP).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"innovation covariance is singular: {exc}") from None
+
+
 def kalman_update(P, H, R, innovation):
     """Joseph-form linear update; returns (state correction, posterior covariance)."""
     P = np.asarray(P, dtype=float)
     H = np.atleast_2d(np.asarray(H, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     y = np.atleast_1d(np.asarray(innovation, dtype=float))
-    S = H @ P @ H.T + R
-    try:
-        K = np.linalg.solve(S, H @ P).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"innovation covariance is singular: {exc}") from None
+    K = _gain(H @ P @ H.T + R, H @ P)
     dx = K @ y
     IKH = np.eye(P.shape[0]) - K @ H
     P_post = IKH @ P @ IKH.T + K @ R @ K.T
@@ -207,11 +215,16 @@ def _strapdown(p, v, R, dts, accel, g):
 
     R[k] is the attitude at the start of sample k; the updates are those of
     ``propagate_position`` and ``propagate_velocity``, accumulated in sample
-    order by ``cumsum``.
+    order by ``cumsum``, in place.
     """
-    dv = dts[:, None] * ((R @ accel[:, :, None])[:, :, 0] + g)
-    vs = np.cumsum(np.vstack([v, dv]), axis=0)
-    ps = np.cumsum(np.vstack([p, dts[:, None] * vs[:-1]]), axis=0)
+    vs = np.empty((len(dts) + 1, 3))
+    vs[0] = v
+    vs[1:] = dts[:, None] * ((R @ accel[:, :, None])[:, :, 0] + g)
+    np.cumsum(vs, axis=0, out=vs)
+    ps = np.empty_like(vs)
+    ps[0] = p
+    np.multiply(dts[:, None], vs[:-1], out=ps[1:])
+    np.cumsum(ps, axis=0, out=ps)
     return ps, vs
 
 
@@ -222,7 +235,6 @@ def _propagate_cov(P, F, Q):
     return P
 
 
-
 def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) -> EkfState:
     """Propagate mean and covariance through an IMU burst.
 
@@ -230,15 +242,23 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     orientation are each updated from the state at the start of the sample
     interval.  The error transition of sample k, on (dp, dv, dtheta), is
     F_k = [[I, dt I, 0], [0, I, -dt R [a]x], [0, 0, I - dt [w]x]], with
-    diagonal process noise scaled by dt.
+    diagonal process noise Q_k = diag(q) dt_k.
 
     The burst is evaluated as a whole: one running quaternion product gives
     every per-sample attitude, ``cumsum`` the velocities and positions, and
-    the F_k and noise stacks are built in a few array operations.  Only the
-    covariance recursion P <- F_k P F_k^T + Q_k steps through the samples.
+    the F_k stack is built in a few array operations.  The covariance is
+    propagated in burst form, as preintegrated noise is (Forster et al.,
+    IEEE T-RO 33(1), 2017): one backward pass forms the suffix products
+    Phi_k = F_M ... F_{k+1}, one 9x9 product per sample, and then
+    P <- Phi_0 P Phi_0^T + sum_k Phi_k Q_k Phi_k^T, the sum as a single
+    (9, 9M) @ (9M, 9) product.  It equals the per-sample recursion
+    P <- F_k P F_k^T + Q_k up to rounding.  An empty burst leaves the state
+    as it is and only symmetrizes P.
     """
     nav = state.nav
     dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
+    if not len(dts):
+        return EkfState(nav.copy(), _finish_cov(state.cov, config, "ekf_predict"))
     quats, _ = unit_rows(running_product(nav.orientation, dts, w))
     R = rotation_rows(quats[:-1])
     ps, vs = _strapdown(nav.position, nav.velocity, R, dts, a, config.gravity.vector)
@@ -249,8 +269,15 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     F[:, 0:3, 3:6] = dt * _EYE3
     F[:, 3:6, 6:9] = -dt * (R @ _skew(a))
     F[:, 6:9, 6:9] = _EYE3 - dt * _skew(w)
-    P = _finish_cov(_propagate_cov(state.cov, F, config._q_matrix * dt), config, "ekf_predict")
-    return EkfState(NavState(ps[-1], vs[-1], quats[-1]), P)
+    phi = [_EYE9]  # phi[j] = F_{M-1} ... F_{M-j} (0-based F): the last j samples' transition
+    for Fk in F[::-1]:
+        phi.append(phi[-1].dot(Fk))  # ndarray.dot: less call overhead than @ on 9x9
+    # Sample k's noise reaches the burst end through phi[M-1-k]: side by side, in that order.
+    B = np.concatenate(phi[:-1], axis=1)
+    noise = (B * (dts[::-1, None] * config._q).ravel()) @ B.T
+    P = phi[-1].dot(state.cov).dot(phi[-1].T) + noise
+    return EkfState(NavState.exact(ps[-1], vs[-1], quats[-1]),
+                    _finish_cov(P, config, "ekf_predict"))
 
 
 def _attitude_innovation(q_est, q_meas) -> np.ndarray:
@@ -262,17 +289,31 @@ def _attitude_innovation(q_est, q_meas) -> np.ndarray:
 
 
 def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
-    """Fuse a DVL velocity and an AHRS quaternion in one stacked update."""
-    nav = state.nav
+    """Fuse a DVL velocity and an AHRS quaternion in one stacked update.
+
+    The measurement matrix H = [0 I] selects the velocity and attitude
+    errors, rows 3..8 of the error state, so the Joseph-form update of
+    ``kalman_update`` is written without it: H P = P[3:], S = P[3:, 3:] + R,
+    I - K H is the identity with K subtracted from columns 3..8, and, R
+    being diagonal, K R K^T = (K r) K^T.  Each of these equals its product
+    with H exactly, so the result is ``kalman_update(P, H, R, y)`` bit for
+    bit, with the same NumericalError on a singular S.
+    """
+    nav, P = state.nav, state.cov
     y = np.concatenate([np.asarray(dvl, dtype=float) - nav.velocity,
                         _attitude_innovation(nav.orientation, ahrs)])
-    dx, P = kalman_update(state.cov, _EKF_H, config._r_matrix, y)
+    K = _gain(P[3:, 3:] + config._r_matrix, P[3:])
+    dx = K @ y
+    IKH = _EYE9.copy()
+    IKH[:, 3:] -= K
+    P = IKH @ P @ IKH.T + (K * config._r) @ K.T
+    P = 0.5 * (P + P.T)
     position = nav.position + dx[0:3]
     velocity = nav.velocity + dx[3:6]
     orientation = quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9]))
-    # kalman_update's covariance is exactly symmetric: only a validating filter checks it.
+    # The covariance is exactly symmetric: only a validating filter checks it.
     P = _check_cov(P, _PSD_TOL, "ekf_update") if config.validate else P
-    return EkfState(NavState(position, velocity, orientation), P)
+    return EkfState(NavState.exact(position, velocity, orientation), P)
 
 
 def _left_jacobian_so3(theta) -> np.ndarray:
@@ -325,10 +366,10 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     increments = np.concatenate([np.ones((len(dts), 1)), 0.5 * dts[:, None] * w], axis=1)
     # Chained in sample order, as the per-sample loop does: the single product
     # R0 * R(r_1 * ... * r_k) moved this filter's 100 s trajectories by 2e-12 m.
-    rotations = np.empty((len(dts) + 1, 3, 3))
-    rotations[0] = state.rotation
-    for k, dR in enumerate(quat_to_rotation(increments)):
-        np.dot(rotations[k], dR, out=rotations[k + 1])
+    chain = [state.rotation]
+    for dR in quat_to_rotation(increments):
+        chain.append(chain[-1].dot(dR))  # faster than np.dot(..., out=) into one array
+    rotations = np.array(chain)
     R = rotations[:-1]
     ps, vs = _strapdown(state.position, state.velocity, R, dts, a, config.gravity.vector)
 

@@ -52,9 +52,13 @@ def _finite_vec3(v, name):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImuBiases:
-    """Additive sensor biases, subtracted from raw IMU readings."""
+    """Additive sensor biases, subtracted from raw IMU readings.
+
+    Compared and hashed by identity, as the array fields have no single
+    truth value: a value equals only itself, also after ``dataclasses.replace``.
+    """
 
     accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -64,12 +68,13 @@ class ImuBiases:
         object.__setattr__(self, "gyro", _finite_vec3(self.gyro, "gyro bias"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GravityModel:
     """Navigation-frame gravity vector.
 
     The magnitude is required to be Earth-plausible (9.7 to 9.9 m/s^2)
     unless ``allow_nonstandard`` is set, which keeps unit mix-ups loud.
+    Compared and hashed by identity, as ``ImuBiases`` is.
     """
 
     vector: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))

@@ -30,6 +30,7 @@ from cipgnav.quat import (
     quat_angular_distance,
     quat_from_rotvec,
     quat_from_yaw,
+    quat_multiply,
     quat_normalize,
     quat_product,
     quat_to_rotation,
@@ -105,7 +106,7 @@ def random_burst(rng, t_start, n):
     ts = t_start + np.cumsum(rng.uniform(0.001, 0.03, n))
     return np.array([
         [t, *rng.normal([0.0, 0.0, -9.81], 2.0), *rng.normal(scale=0.8, size=3)] for t in ts
-    ])
+    ]).reshape(n, 7)
 
 
 def random_config(rng, validate=False):
@@ -151,6 +152,28 @@ class TestBatchedPredict:
             np.testing.assert_allclose(out.position, p, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.cov, P, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("zero_noise", [False, True], ids=["noise", "zero-noise"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 25])
+    def test_ekf_burst_covariance_matches_recursion(self, rng, n, zero_noise):
+        # The suffix-product form against P <- F_k P F_k^T + Q_k, from a slightly
+        # asymmetric P: the result is symmetric, and an empty burst only symmetrizes.
+        for _ in range(20):
+            config = random_config(rng)
+            if zero_noise:
+                config = replace(config, q_pos=0.0, q_vel=0.0, q_att=0.0)
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+            P = random_cov(rng) + 1e-9 * rng.normal(size=(9, 9))
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, n)
+            out = ekf_predict(EkfState(nav, P), burst, config, t0)
+            *_, P_ref = reference_ekf_predict(EkfState(nav, P), burst, config, t0)
+            np.testing.assert_allclose(out.cov, P_ref, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(out.cov, out.cov.T)
+            if n == 0:
+                np.testing.assert_array_equal(out.cov, 0.5 * (P + P.T))
+                for got, want in zip(vars(out.nav).values(), vars(nav).values()):
+                    np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
     def test_zero_spacing_raises(self, rng, predict):
         config = FilterConfig()
@@ -193,6 +216,58 @@ class TestKalmanUpdate:
     def test_zero_innovation_leaves_mean(self):
         dx, _ = kalman_update(np.eye(3), np.eye(3), np.eye(3), np.zeros(3))
         np.testing.assert_allclose(dx, np.zeros(3))
+
+
+class TestEkfUpdate:
+    """ekf_update's row-selection form against kalman_update with H = [0 I]."""
+
+    H = np.eye(9)[3:]
+
+    def random_inputs(self, rng, validate=False):
+        config = FilterConfig(r_vel=rng.uniform(0.001, 1.0, 3), r_att=rng.uniform(0.001, 1.0, 3),
+                              validate=validate)
+        nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+        dvl = nav.velocity + rng.normal(scale=0.5, size=3)
+        ahrs = quat_product(nav.orientation, quat_from_rotvec(rng.normal(scale=0.1, size=3)))
+        return config, nav, dvl, ahrs
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_bitwise_against_kalman_update(self, rng, validate):
+        for _ in range(200):
+            config, nav, dvl, ahrs = self.random_inputs(rng, validate)
+            P = random_cov(rng) * 10.0 ** rng.uniform(-6.0, 2.0)
+            out = ekf_update(EkfState(nav, P), dvl, ahrs, config)
+            y = np.concatenate([dvl - nav.velocity, _attitude_innovation(nav.orientation, ahrs)])
+            dx, P_ref = kalman_update(P, self.H, config.r_matrix(), y)
+            assert out.cov.tobytes() == P_ref.tobytes()
+            assert out.nav.position.tobytes() == (nav.position + dx[0:3]).tobytes()
+            assert out.nav.velocity.tobytes() == (nav.velocity + dx[3:6]).tobytes()
+            assert out.nav.orientation.tobytes() == quat_multiply(
+                nav.orientation, quat_from_rotvec(dx[6:9])).tobytes()
+
+    def test_singular_innovation_covariance_raises_as_kalman_update(self, rng):
+        config, nav, dvl, ahrs = self.random_inputs(rng)
+        P = np.zeros((9, 9))
+        P[3:, 3:] = -config.r_matrix()  # S = P[3:, 3:] + R = 0
+        with pytest.raises(NumericalError) as expected:
+            kalman_update(P, self.H, config.r_matrix(), np.zeros(6))
+        with pytest.raises(NumericalError) as got:
+            ekf_update(EkfState(nav, P), dvl, ahrs, config)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("innovation covariance is singular")
+
+    @pytest.mark.parametrize("step", ["predict", "update"])
+    def test_validate_rejects_indefinite_covariance(self, rng, step):
+        # A negative position variance is neither observed nor mixed by either step.
+        config, nav, dvl, ahrs = self.random_inputs(rng, validate=True)
+        P = np.diag([-1.0] + [0.1] * 8)
+        if step == "predict":
+            run = lambda cfg: ekf_predict(EkfState(nav, P), random_burst(rng, 0.0, 5), cfg, 0.0)
+        else:
+            run = lambda cfg: ekf_update(EkfState(nav, P), dvl, ahrs, cfg)
+        assert run(replace(config, validate=False)).cov[0, 0] < 0.0
+        with pytest.raises(NumericalError, match=f"ekf_{step}: covariance lost positive"):
+            run(config)
 
 
 class TestCovarianceGuard:
@@ -404,6 +479,15 @@ class TestFilterConfig:
     def test_zero_noise_is_accepted(self):
         cfg = FilterConfig(p0_scale=0.0, q_pos=0.0, q_vel=0.0, q_att=0.0)
         np.testing.assert_array_equal(cfg.q_diag(), np.zeros(9))
+
+    def test_compares_and_hashes_by_identity(self):
+        cfg = FilterConfig()
+        copy, changed = replace(cfg), replace(cfg, q_att=1e-5)
+        assert cfg == cfg and cfg != copy and cfg != changed and copy != changed
+        assert hash(cfg) == hash(cfg) and len({cfg, copy, changed, cfg}) == 3
+        assert changed.q_att == 1e-5 and changed.q_diag()[8] == 1e-5
+        np.testing.assert_array_equal(copy.r_matrix(), cfg.r_matrix())
+        assert copy.biases is cfg.biases and copy.gravity is cfg.gravity
 
     def test_matrices_cannot_go_stale(self):
         # r_vel is a read-only copy: changing the caller's array changes nothing,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestGravityModel:
 def test_imu_biases_reject_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} bias must be finite"):
         ImuBiases(**{field: np.array([bad, 0.0, 0.0])})
+
+
+@pytest.mark.parametrize("make", [ImuBiases, GravityModel], ids=["biases", "gravity"])
+def test_compare_and_hash_by_identity(make):
+    a = make()
+    b, c = make(), replace(a)
+    assert a == a and a != b and a != c and b != c
+    assert hash(a) == hash(a) and len({a, b, c, a}) == 3
+    for f in fields(a):
+        np.testing.assert_array_equal(getattr(c, f.name), getattr(a, f.name))
 
 
 class TestNavState:
