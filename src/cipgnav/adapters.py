@@ -139,15 +139,14 @@ def resolve_adapter(name_or_path) -> dict:
     )
 
 
-def load_adapter(source) -> dict:
-    """Load and validate an adapter description (path, JSON string, or dict)."""
-    if isinstance(source, dict):
-        spec = source
-    else:
-        path = Path(source)
-        with open(path, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    _require(isinstance(spec, dict), "top level must be a JSON object")
+def load_adapter(spec) -> dict:
+    """Validate an adapter description, as ``resolve_adapter`` returns it, and return it.
+
+    Anything but a dict (a JSON object) raises SpecError, a name or a path too:
+    ``resolve_adapter`` turns those into a description.
+    """
+    _require(isinstance(spec, dict),
+             f"top level must be a JSON object, got {type(spec).__name__}")
     _require("streams" in spec, "missing 'streams' section")
     streams = spec["streams"]
     _require(isinstance(streams, dict) and streams, "'streams' must be a non-empty object")

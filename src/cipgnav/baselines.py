@@ -32,7 +32,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .preintegration import GravityModel, ImuBiases, NavState, running_product, unpack_burst
+from .preintegration import (
+    GravityModel,
+    ImuBiases,
+    NavState,
+    _strapdown,
+    running_product,
+    unpack_burst,
+)
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
     quat_conjugate,
@@ -208,24 +215,6 @@ def _finish_cov(P: np.ndarray, config: FilterConfig, what: str) -> np.ndarray:
     if config.validate:
         return _check_cov(P, _PSD_TOL, what)
     return 0.5 * (P + P.T)
-
-
-def _strapdown(p, v, R, dts, accel, g):
-    """Positions and velocities at the M+1 sample boundaries, each (M+1, 3).
-
-    R[k] is the attitude at the start of sample k; the updates are those of
-    ``propagate_position`` and ``propagate_velocity``, accumulated in sample
-    order by ``cumsum``, in place.
-    """
-    vs = np.empty((len(dts) + 1, 3))
-    vs[0] = v
-    vs[1:] = dts[:, None] * ((R @ accel[:, :, None])[:, :, 0] + g)
-    np.cumsum(vs, axis=0, out=vs)
-    ps = np.empty_like(vs)
-    ps[0] = p
-    np.multiply(dts[:, None], vs[:-1], out=ps[1:])
-    np.cumsum(ps, axis=0, out=ps)
-    return ps, vs
 
 
 def _propagate_cov(P, F, Q):

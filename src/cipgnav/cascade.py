@@ -11,17 +11,18 @@ therefore closed-form in zeta and a per-epoch (N-1, 4) array, and
 ``_orientation_step`` forms no Jacobian.  Its inner iterations run on Python
 floats (zeta as 4 floats, K as 16): on 4-vectors and 4x4 matrices the
 overhead of a numpy call outweighs its arithmetic, as in the velocity
-stage's recursion.  ``ORIENTATION_MODEL`` states the
-same stage as a generic ``WindowModel`` for ``ipg_step``; it is the
-reference the closed form is tested against.
+stage's recursion.  The tests state the same stage as a generic
+``WindowModel`` for ``ipg_step``, the reference the closed form is tested
+against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated into a rotation increment and a body-frame velocity
 increment, which depend only on the IMU rows and the biases: ``start``
-preintegrates every burst of the run in one pass, and each epoch's windows
-are slices of per-run arrays.  Every epoch rotates each burst's body-frame
-increment by stage 1's orientation at the start of that burst, which gives
-the burst's navigation-frame velocity increment in O(1).  The velocity
+preintegrates every burst of the run in one pass (``BurstInput``, in
+``preintegration``), and each epoch's windows are slices of per-run arrays.
+Every epoch rotates each burst's body-frame increment by stage 1's
+orientation at the start of that burst, which gives the burst's
+navigation-frame velocity increment in O(1).  The velocity
 dynamics do not depend on the velocity state, so the stacked Jacobian is a
 stack of identities, the preconditioner stays a scaled identity k*I, and the
 inner iterations reduce to an exact scalar-gain recursion in closed form.
@@ -45,34 +46,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateQuaternionError, DivergenceError, NumericalError
-from .ipg import IpgParams, WindowModel
+from .ipg import IpgParams
 from .ipg import ipg_step  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .ipg import slide_window  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .preintegration import (
-    _DT_WARN,
+    BurstInput,
     GravityModel,
     ImuBiases,
     NavState,
+    dead_reckon,
     preintegrate_burst,  # noqa: F401  kept as a module attribute: perfbench wraps it by name
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
-    running_product,
-    unpack_burst,
 )
-from .quat import (
-    _NORM_EPS,
-    normalize_jacobian,
-    quat_normalize,
-    quat_product,
-    quat_right_matrix,
-    quat_to_rotation,
-    row_norms,
-    unit_rows,
-)
+from .quat import _NORM_EPS, quat_normalize, quat_right_matrix, unit_rows
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
 
 __all__ = [
-    "BurstInput",
     "CascadeConfig",
     "CascadeState",
     "cascade_step",
@@ -81,119 +71,6 @@ __all__ = [
 
 FALLBACK_MODES = ("abort", "deadreckon")
 _EYE_16 = tuple(np.eye(4).ravel().tolist())  # I_4 in row-major order
-_BLOCK = 256  # bursts per block of BurstInput.from_epochs: bounds its temporary arrays
-
-
-@dataclass(frozen=True)
-class BurstInput:
-    """Every IMU burst of a run, preintegrated once: row j is the window input
-    from epoch j-1 (``t_prev`` for j = 0) to epoch j, biases subtracted.
-
-    ``rot_increment`` is the product of the increments (1, dt_i/2 * gyro_i), and
-    renormalizing only rescales, so ``normalize(q * rot_increment)`` propagates
-    ``q`` through the burst.  With a_i = R(P_{i-1}) @ accel_i, P_{i-1} the unit
-    product before sample i, ``body_dv`` is sum_i dt_i a_i and ``duration`` sum_i
-    dt_i: the velocity gained from ``q`` is R(q) @ body_dv + duration * g.
-    ``body_dp`` is sum_i w_i a_i and ``dp_weight`` sum_i w_i, w_i = dt_i *
-    (duration - t_i), t_i the time from the burst start to sample i.
-    """
-
-    rot_increment: np.ndarray  # (n, 4)
-    body_dv: np.ndarray        # (n, 3)
-    duration: np.ndarray       # (n,)
-    body_dp: np.ndarray        # (n, 3)
-    dp_weight: np.ndarray      # (n,)
-
-    @classmethod
-    def from_epochs(cls, epochs, biases: ImuBiases) -> "BurstInput":
-        """Preintegrate every epoch's burst, ``_BLOCK`` at a time, each step on all
-        bursts of one length at once and rounding as on one burst (sums and
-        ``dts @ body_accel`` too), so row j equals burst j alone, bit for bit.
-        Raises and warns as ``unpack_burst`` and ``unit_rows``, in epoch order."""
-        table = cls(*(np.empty((len(epochs), *shape)) for shape in [(4,), (3,), (), (3,), ()]))
-        for first in range(0, len(epochs), _BLOCK):
-            lengths = np.array([len(e.imu_burst) for e in epochs[first:first + _BLOCK]])
-            flagged = [table._fill(first + rows, epochs, biases)
-                       for rows in map(np.flatnonzero, lengths == np.unique(lengths)[:, None])]
-            # Bursts to reject or warn about rerun alone, in epoch order, to raise and warn.
-            for e in (epochs[j] for j in np.sort(np.concatenate(flagged))):
-                dts, _, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
-                unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)[:-1])
-        return table
-
-    def _fill(self, rows, epochs, biases: ImuBiases) -> np.ndarray:
-        """Fill ``rows`` (bursts of one length); returns those that may raise or warn."""
-        bursts = np.stack([epochs[j].imu_burst for j in rows])
-        t_start = [[float(epochs[j].t_prev)] for j in rows]
-        dts = bursts[:, :, 0] - np.concatenate((t_start, bursts[:, :-1, 0]), axis=1)
-        h = 0.5 * dts[:, :, None] * (bursts[:, :, 4:7] - biases.gyro)
-        products = [(np.ones(len(rows)), *np.zeros((3, len(rows))))]
-        w, x, y, z = products[0]
-        with np.errstate(all="ignore"):  # as running_product's float loop, which never warns
-            for hx, hy, hz in h.transpose(1, 2, 0):
-                w, x, y, z = (w - x * hx - y * hy - z * hz, w * hx + x + y * hz - z * hy,
-                              w * hy - x * hz + y + z * hx, w * hz + x * hy - y * hx + z)
-                products.append((w, x, y, z))
-        products = np.array(products).transpose(2, 0, 1)  # (B, M+1, 4)
-        norms, accel = row_norms(products[:, :-1]), bursts[:, :, 1:4] - biases.accel
-        body_accel = _rotate_rows((products[:, :-1] / norms[..., None]).reshape(-1, 4),
-                                  accel.reshape(-1, 3)).reshape(accel.shape)
-        duration = dts.sum(axis=1)
-        weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
-        self.rot_increment[rows], self.duration[rows] = products[:, -1], duration
-        self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
-        self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
-        self.dp_weight[rows] = weights.sum(axis=1)
-        return rows[~((dts > 0.0) & (norms > _NORM_EPS)).all(axis=1)
-                    | (np.max(dts, axis=1, initial=0.0) > _DT_WARN)]
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross(a, b) for (M, 3) rows, by the same expressions, without its overhead."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.column_stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
-
-
-def _rotate_rows(quats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rotate vecs[i] by quats[i] (body -> nav), vectorized over rows."""
-    w = quats[:, :1]
-    qv = quats[:, 1:]
-    t = 2.0 * _cross_rows(qv, vecs)
-    return vecs + w * t + _cross_rows(qv, t)
-
-
-def _align_quat_blocks(predicted: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Flip each measured quaternion block onto the predicted hemisphere."""
-    Zb = Z.reshape(-1, 4).copy()
-    Pb = predicted.reshape(-1, 4)
-    flip = np.sum(Zb * Pb, axis=1) < 0.0
-    Zb[flip] *= -1.0
-    return Zb.reshape(-1)
-
-
-def _orientation_dynamics(q, rot_increment):
-    return quat_normalize(quat_product(q, rot_increment))
-
-
-def _orientation_dynamics_jacobian(q, rot_increment):
-    raw = quat_product(np.asarray(q, dtype=float), rot_increment)
-    return normalize_jacobian(raw) @ quat_right_matrix(rot_increment)
-
-
-# The orientation stage as a generic window model (state: quaternion, input:
-# a burst's ``rot_increment``): the reference ``_orientation_step`` is tested
-# against.  The gyro bias is already folded into each ``rot_increment``.
-ORIENTATION_MODEL = WindowModel(
-    state_dim=4,
-    meas_dim=4,
-    dynamics=_orientation_dynamics,
-    measurement=lambda q: q,
-    dynamics_jacobian=_orientation_dynamics_jacobian,
-    measurement_jacobian=lambda q: np.eye(4),
-    post_iterate=quat_normalize,
-    align_measurements=_align_quat_blocks,
-)
 
 
 def _window_terms(ahrs, rot_increments):
@@ -299,9 +176,14 @@ def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
     return zeta + offsets[-1], zeta + increments[0], k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeConfig:
-    """Cascade parameters; both stages run on ``params``."""
+    """Cascade parameters; both stages run on ``params``.
+
+    Compared and hashed by identity, as ``FilterConfig`` is: ``initial`` is a
+    mutable ``NavState`` whose array fields have no single truth value, so a
+    config equals only itself, also after ``dataclasses.replace``.
+    """
 
     params: IpgParams = field(default_factory=IpgParams)
     biases: ImuBiases = field(default_factory=ImuBiases)
@@ -352,19 +234,6 @@ class CascadeState:
                    np.array([e.dvl for e in epochs], dtype=float), k0 * np.eye(4), k0)
 
 
-def _dead_reckon(nav: NavState, bursts: BurstInput, k: int, g: np.ndarray) -> NavState:
-    """``preintegrate_burst`` of ``nav`` over burst k, in O(1): the Euler position
-    update p_i = p_{i-1} + dt_i * v_{i-1} sums to duration * v + sum_i w_i * (R(q)
-    @ a_i + g) = duration * v + R(q) @ body_dp + dp_weight * g (see ``BurstInput``)."""
-    R = quat_to_rotation(nav.orientation)
-    duration = bursts.duration[k]
-    return NavState(
-        nav.position + duration * nav.velocity + R @ bursts.body_dp[k] + bursts.dp_weight[k] * g,
-        nav.velocity + R @ bursts.body_dv[k] + duration * g,
-        quat_product(nav.orientation, bursts.rot_increment[k]),
-    )
-
-
 def cascade_step(state: CascadeState, epoch):
     """Consume the next SyncedEpoch of the run and emit a TrajectoryPoint.
 
@@ -381,7 +250,7 @@ def cascade_step(state: CascadeState, epoch):
     state.cursor, bursts = k + 1, state.bursts
 
     if k < horizon - 1:
-        nav = _dead_reckon(state.nav, bursts, k, config.gravity.vector)
+        nav = dead_reckon(state.nav, bursts, k, config.gravity.vector)
         if k == 0:  # the window start
             state.q_iterate, state.v_iterate = nav.orientation.copy(), nav.velocity.copy()
         state.nav = nav
@@ -401,8 +270,7 @@ def cascade_step(state: CascadeState, epoch):
         orientation, q_iterate, q_precond, quats = _orientation_step(
             config.params, ahrs, state.q_iterate, state.q_precond, bursts.rot_increment[window])
         # quats[j] is the orientation where burst j of the window starts.
-        increments = (_rotate_rows(quats, bursts.body_dv[window])
-                      + np.outer(bursts.duration[window], config.gravity.vector))
+        increments = bursts.velocity_increments(window, quats, config.gravity.vector)
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
             config.params, dvl, state.v_iterate, state.v_gain, increments
@@ -412,7 +280,7 @@ def cascade_step(state: CascadeState, epoch):
             raise DivergenceError(
                 "cascade stage diverged", iteration=exc.iteration, stage=stage, epoch=epoch.t
             ) from exc
-        nav = _dead_reckon(state.nav, bursts, k, config.gravity.vector)
+        nav = dead_reckon(state.nav, bursts, k, config.gravity.vector)
         state.nav = nav
         state.q_iterate = state.v_iterate = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")

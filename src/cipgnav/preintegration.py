@@ -10,6 +10,12 @@ All three updates within a sample interval are evaluated from the state at
 the start of the interval and then committed together.  The navigation frame
 is NED-like with gravity pointing along +z by default, so a stationary
 accelerometer reads (0, 0, -|g|).
+
+This module is the one place that knows how a burst is integrated: the
+per-sample kernels, their burst forms (``unpack_burst``, ``running_product``,
+``_strapdown``) that the filters step through, and the per-run table
+``BurstInput`` with ``dead_reckon`` that the cascade reads.  Quaternion
+products and rotations are ``quat.py``'s.
 """
 
 from __future__ import annotations
@@ -19,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quat import quat_normalize, quat_product, quat_to_rotation
+from .quat import (
+    _NORM_EPS,
+    quat_normalize,
+    quat_product,
+    quat_to_rotation,
+    rotation_rows,
+    row_norms,
+    unit_rows,
+)
 
 __all__ = [
     "ImuBiases",
@@ -31,10 +45,13 @@ __all__ = [
     "preintegrate_burst",
     "unpack_burst",
     "running_product",
+    "BurstInput",
+    "dead_reckon",
 ]
 
 _DT_WARN = 0.05
 _GRAVITY_RANGE = (9.7, 9.9)
+_BLOCK = 128  # bursts per block of BurstInput.from_epochs: bounds its temporary arrays
 
 
 def _vec3(v, name):
@@ -137,13 +154,22 @@ def unpack_burst(burst, t_start: float, gyro_bias, accel_bias):
     non-positive spacing and warns once per burst, through ``_check_dt``,
     when the largest spacing is large.
     """
-    dts = burst[:, 0] - np.concatenate(([float(t_start)], burst[:-1, 0]))  # np.diff, cheaper
+    dts, accel, gyro = _columns(burst, [float(t_start)], gyro_bias, accel_bias)
     bad = np.flatnonzero(dts <= 0.0)
     if bad.size:
         raise ValueError(f"non-positive IMU sample spacing at t={float(burst[bad[0], 0])!r}")
     if dts.size:
         _check_dt(dts.max())
-    return dts, burst[:, 1:4] - accel_bias, burst[:, 4:7] - gyro_bias
+    return dts, accel, gyro
+
+
+def _columns(bursts, t_start, gyro_bias, accel_bias):
+    """Spacings (..., M) and bias-corrected accel and gyro (..., M, 3) of one (M, 7)
+    burst or of a stack (B, M, 7) of equal-length ones, unchecked; ``t_start`` (..., 1)
+    holds the time each burst's first spacing is measured from."""
+    # np.diff of t_start and the sample times, without its overhead
+    dts = bursts[..., 0] - np.concatenate((t_start, bursts[..., :-1, 0]), axis=-1)
+    return dts, bursts[..., 1:4] - accel_bias, bursts[..., 4:7] - gyro_bias
 
 
 def running_product(q0, dts: np.ndarray, gyro: np.ndarray) -> np.ndarray:
@@ -218,3 +244,106 @@ def preintegrate_burst(state: NavState, burst, biases: ImuBiases, gravity: Gravi
                    quat_normalize(quat_product(q, increment)))
         t_prev = row[0]
     return NavState(p, v, q)
+
+
+def _strapdown(p, v, R, dts, accel, g):
+    """Positions and velocities at the M+1 sample boundaries, each (M+1, 3).
+
+    R[k] is the attitude at the start of sample k; the updates are those of
+    ``propagate_position`` and ``propagate_velocity``, accumulated in sample
+    order by ``cumsum``, in place.
+    """
+    vs = np.empty((len(dts) + 1, 3))
+    vs[0] = v
+    vs[1:] = dts[:, None] * ((R @ accel[:, :, None])[:, :, 0] + g)
+    np.cumsum(vs, axis=0, out=vs)
+    ps = np.empty_like(vs)
+    ps[0] = p
+    np.multiply(dts[:, None], vs[:-1], out=ps[1:])
+    np.cumsum(ps, axis=0, out=ps)
+    return ps, vs
+
+
+@dataclass(frozen=True)
+class BurstInput:
+    """Every IMU burst of a run, preintegrated once: row j is the window input
+    from epoch j-1 (``t_prev`` for j = 0) to epoch j, biases subtracted.
+
+    ``rot_increment`` is the product of the increments (1, dt_i/2 * gyro_i), and
+    renormalizing only rescales, so ``normalize(q * rot_increment)`` propagates
+    ``q`` through the burst.  With a_i = R(P_{i-1}) @ accel_i, P_{i-1} the unit
+    product before sample i, ``body_dv`` is sum_i dt_i a_i and ``duration`` sum_i
+    dt_i: the velocity gained from ``q`` is R(q) @ body_dv + duration * g.
+    ``body_dp`` is sum_i w_i a_i and ``dp_weight`` sum_i w_i, w_i = dt_i *
+    (duration - t_i), t_i the time from the burst start to sample i.
+    """
+
+    rot_increment: np.ndarray  # (n, 4)
+    body_dv: np.ndarray        # (n, 3)
+    duration: np.ndarray       # (n,)
+    body_dp: np.ndarray        # (n, 3)
+    dp_weight: np.ndarray      # (n,)
+
+    @classmethod
+    def from_epochs(cls, epochs, biases: ImuBiases) -> "BurstInput":
+        """Preintegrate every epoch's burst, ``_BLOCK`` at a time, each step on all
+        bursts of one length at once and rounding as on one burst (sums and
+        ``dts @ body_accel`` too), so row j equals burst j alone, bit for bit.
+        Raises and warns as ``unpack_burst`` and ``unit_rows``, in epoch order."""
+        table = cls(*(np.empty((len(epochs), *shape)) for shape in [(4,), (3,), (), (3,), ()]))
+        for first in range(0, len(epochs), _BLOCK):
+            lengths = np.array([len(e.imu_burst) for e in epochs[first:first + _BLOCK]])
+            flagged = [table._fill(first + rows, epochs, biases)
+                       for rows in map(np.flatnonzero, lengths == np.unique(lengths)[:, None])]
+            # Bursts to reject or warn about rerun alone, in epoch order, to raise and warn.
+            for e in (epochs[j] for j in np.sort(np.concatenate(flagged))):
+                dts, _, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
+                unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)[:-1])
+        return table
+
+    def _fill(self, rows, epochs, biases: ImuBiases) -> np.ndarray:
+        """Fill ``rows`` (bursts of one length); returns those that may raise or warn."""
+        dts, accel, gyro = _columns(np.stack([epochs[j].imu_burst for j in rows]),
+                                    [[float(epochs[j].t_prev)] for j in rows],
+                                    biases.gyro, biases.accel)
+        # (B, M, 4) increments (1, h): quat_product by them rounds as running_product.
+        increments = np.concatenate((np.ones((*dts.shape, 1)), 0.5 * dts[:, :, None] * gyro),
+                                    axis=2)
+        products = [np.tile([1.0, 0.0, 0.0, 0.0], (len(rows), 1))]
+        with np.errstate(all="ignore"):  # as running_product's float loop, which never warns
+            for increment in increments.transpose(1, 0, 2):
+                products.append(quat_product(products[-1], increment))
+        products = np.stack(products, axis=1)  # (B, M+1, 4)
+        norms = row_norms(products[:, :-1])
+        prefixes = (products[:, :-1] / norms[..., None]).reshape(-1, 4)
+        body_accel = rotation_rows(prefixes) @ accel.reshape(-1, 3)[:, :, None]
+        body_accel = body_accel.reshape(accel.shape)
+        duration = dts.sum(axis=1)
+        weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
+        self.rot_increment[rows], self.duration[rows] = products[:, -1], duration
+        self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
+        self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
+        self.dp_weight[rows] = weights.sum(axis=1)
+        return rows[~((dts > 0.0) & (norms > _NORM_EPS)).all(axis=1)
+                    | (np.max(dts, axis=1, initial=0.0) > _DT_WARN)]
+
+    def velocity_increments(self, rows: slice, quats: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Navigation-frame velocity gained over bursts ``rows``, each from the unit
+        orientation in ``quats`` (one row per burst, used as given) at its start:
+        R(q_j) @ body_dv_j + duration_j * g."""
+        return ((rotation_rows(quats) @ self.body_dv[rows][:, :, None])[:, :, 0]
+                + self.duration[rows, None] * g)
+
+
+def dead_reckon(nav: NavState, bursts: BurstInput, k: int, g: np.ndarray) -> NavState:
+    """``preintegrate_burst`` of ``nav`` over burst k of ``bursts``, in O(1): the
+    Euler position update p_i = p_{i-1} + dt_i * v_{i-1} sums to duration * v +
+    sum_i w_i * (R(q) @ a_i + g) = duration * v + R(q) @ body_dp + dp_weight * g
+    (see ``BurstInput``)."""
+    R = quat_to_rotation(nav.orientation)
+    duration = bursts.duration[k]
+    return NavState(
+        nav.position + duration * nav.velocity + R @ bursts.body_dp[k] + bursts.dp_weight[k] * g,
+        nav.velocity + R @ bursts.body_dv[k] + duration * g,
+        quat_product(nav.orientation, bursts.rot_increment[k]),
+    )

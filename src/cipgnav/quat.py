@@ -45,7 +45,6 @@ __all__ = [
     "rotate_vector",
     "hemisphere_align",
     "quat_right_matrix",
-    "normalize_jacobian",
 ]
 
 _NORM_EPS = 1e-12
@@ -314,12 +313,3 @@ def quat_right_matrix(r) -> np.ndarray:
     """4x4 matrix M with ``M @ q == quat_product(q, r)`` for every q, or (n, 4, 4) of rows."""
     return np.asarray(r, dtype=float).take(_RIGHT_INDEX, axis=-1) * _RIGHT_SIGN
 
-
-def normalize_jacobian(y) -> np.ndarray:
-    """Jacobian of y -> y/|y| evaluated at y (any dimension)."""
-    y = np.asarray(y, dtype=float)
-    n = float(np.linalg.norm(y))
-    if n <= _NORM_EPS:
-        raise DegenerateQuaternionError("normalize() is not differentiable at the origin")
-    u = y / n
-    return (np.eye(len(y)) - np.outer(u, u)) / n

@@ -30,7 +30,7 @@ from cipgnav.baselines import (
     run_inekf,
 )
 from cipgnav.baselines import EkfState
-from cipgnav.cascade import ORIENTATION_MODEL, BurstInput, CascadeConfig, run_cascade
+from cipgnav.cascade import CascadeConfig, run_cascade
 from cipgnav.cli import main
 from cipgnav.ipg import (
     IpgParams,
@@ -48,7 +48,7 @@ from cipgnav.metrics import (
     rpe,
     total_error,
 )
-from cipgnav.preintegration import ImuBiases, NavState
+from cipgnav.preintegration import BurstInput, ImuBiases, NavState
 from cipgnav.quat import (
     quat_angular_distance,
     quat_from_yaw,
@@ -58,6 +58,7 @@ from cipgnav.quat import (
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from cipgnav.trajectory import TrajectoryPoint
+from tests.oracles import ORIENTATION_MODEL
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 

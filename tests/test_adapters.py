@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,14 @@ class TestBuiltins:
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(cfg))
         assert load_adapter(resolve_adapter(path))["name"] == "bluerov2_csv"
+
+    @pytest.mark.parametrize("source", ["bluerov2_csv", Path("custom.json"),
+                                        '{"streams": {}}', ["streams"]],
+                             ids=["name", "path", "json-string", "list"])
+    def test_load_rejects_non_dict(self, source):
+        # Names and paths are resolve_adapter's to read, not load_adapter's.
+        with pytest.raises(SpecError, match="top level must be a JSON object"):
+            load_adapter(source)
 
 
 class TestGironaAdapter:

@@ -10,15 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cipgnav import cascade
+from cipgnav import cascade, preintegration
 from cipgnav.cascade import (
-    ORIENTATION_MODEL,
-    BurstInput,
     CascadeConfig,
     CascadeState,
-    _dead_reckon,
     _orientation_step,
-    _rotate_rows,
     _velocity_step,
     _window_terms,
     cascade_step,
@@ -34,9 +30,11 @@ from cipgnav.ipg import (
     stacked_map,
 )
 from cipgnav.preintegration import (
+    BurstInput,
     GravityModel,
     ImuBiases,
     NavState,
+    dead_reckon,
     preintegrate_burst,
     propagate_orientation,
     running_product,
@@ -47,11 +45,13 @@ from cipgnav.quat import (
     quat_normalize,
     quat_product,
     quat_to_rotation,
+    rotation_rows,
     unit_rows,
 )
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import central_difference, random_unit_quat
+from tests.oracles import ORIENTATION_MODEL
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -64,13 +64,13 @@ def circle_run(duration=20.0, radius=10.0, noise=QUIET, seed=0):
 
 
 def burst_oracle(epoch, biases: ImuBiases):
-    """One epoch's burst preintegrated alone, per epoch, as the cascade did before
-    its per-run pass: (rot_increment, body_dv, duration, body_dp, dp_weight), the
-    reference each row of ``BurstInput.from_epochs`` must equal bit for bit."""
+    """One epoch's burst preintegrated alone, with the per-burst kernels:
+    (rot_increment, body_dv, duration, body_dp, dp_weight), the reference each
+    row of ``BurstInput.from_epochs`` must equal bit for bit."""
     dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, biases.gyro, biases.accel)
     products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
     prefixes, _ = unit_rows(products[:-1])
-    body_accel = _rotate_rows(prefixes, accel)
+    body_accel = (rotation_rows(prefixes) @ accel[:, :, None])[:, :, 0]
     duration = float(dts.sum())
     weights = dts * (duration - np.cumsum(dts))
     return products[-1], dts @ body_accel, duration, weights @ body_accel, weights.sum()
@@ -115,12 +115,12 @@ class TestBurstTable:
         # Mixed lengths with repeats, including empty and one-sample bursts, and
         # more bursts than one block of the default size.
         if block is not None:
-            monkeypatch.setattr(cascade, "_BLOCK", block)
-        lengths = rng.choice([0, 1, 2, 3, 7, 8, 9, 17, 18, 20, 33], size=cascade._BLOCK + 40)
+            monkeypatch.setattr(preintegration, "_BLOCK", block)
+        lengths = rng.choice([0, 1, 2, 3, 7, 8, 9, 17, 18, 20, 33], size=preintegration._BLOCK + 40)
         epochs = epoch_chain(rng, lengths)
         for biases in (ImuBiases(), self.BIASES):
             rows = table_rows(BurstInput.from_epochs(epochs, biases))
-            assert len(rows) == len(epochs) > cascade._BLOCK
+            assert len(rows) == len(epochs) > preintegration._BLOCK
             for epoch, row in zip(epochs, rows):
                 assert all(same_bits(a, b) for a, b in zip(row, burst_oracle(epoch, biases)))
 
@@ -158,7 +158,7 @@ class TestBurstTable:
         # Blocks of 4 bursts whose lengths fall within each block, so that faults
         # sit in different blocks and in length groups out of epoch order; the
         # table raises and warns as the oracle does.
-        monkeypatch.setattr(cascade, "_BLOCK", 4)
+        monkeypatch.setattr(preintegration, "_BLOCK", 4)
         epochs = epoch_chain(rng, [13, 13, 5, 12] * 3)
         for j, fault in faults.items():
             burst = epochs[j].imu_burst.copy()
@@ -280,7 +280,7 @@ class TestBurst:
             biases = ImuBiases(rng.normal(scale=0.2, size=3), rng.normal(scale=0.01, size=3))
             nav = NavState(rng.normal(scale=50.0, size=3), rng.normal(size=3), random_unit_quat(rng))
             expected = preintegrate_burst(nav, burst, biases, gravity, epoch.t_prev)
-            got = _dead_reckon(nav, BurstInput.from_epochs([epoch], biases), 0, gravity.vector)
+            got = dead_reckon(nav, BurstInput.from_epochs([epoch], biases), 0, gravity.vector)
             np.testing.assert_allclose(got.position, expected.position, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(got.velocity, expected.velocity, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(got.orientation, expected.orientation, rtol=0.0, atol=1e-12)
@@ -321,6 +321,16 @@ class TestConfig:
         else:
             with pytest.raises(ValueError, match=f"alpha {alpha:g} \\* horizon {horizon} = "):
                 CascadeConfig(params=params)
+
+    def test_compares_and_hashes_by_identity(self):
+        # initial is a NavState with array fields: two configs sharing biases and
+        # gravity but holding distinct initial states once raised on == and hash.
+        cfg = CascadeConfig(initial=NavState())
+        copy, changed = replace(cfg), replace(cfg, initial=NavState(position=[1.0, 0.0, 0.0]))
+        assert cfg == cfg and cfg != copy and cfg != changed and copy != changed
+        assert hash(cfg) == hash(cfg) and len({cfg, copy, changed, cfg}) == 3
+        assert copy.biases is cfg.biases and copy.gravity is cfg.gravity
+        assert changed.initial.position[0] == 1.0
 
 
 class TestTracking:

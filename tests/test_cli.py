@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cipgnav import cli
+from cipgnav.baselines import FilterConfig
+from cipgnav.cascade import CascadeConfig
 from cipgnav.cli import hash_epochs, main
 from cipgnav.errors import (
     AlignmentError,
@@ -21,11 +24,12 @@ from cipgnav.errors import (
     StreamOrderError,
     SyncGapError,
 )
-from cipgnav.metrics import truth_from_gt
-from cipgnav.preintegration import NavState
+from cipgnav.ipg import IpgParams
+from cipgnav.metrics import MetricsConfig, truth_from_gt
+from cipgnav.preintegration import GravityModel, ImuBiases, NavState
 from cipgnav.quat import quat_from_yaw, quat_multiply, quat_to_rotation
 from cipgnav.sensors import load_stream, synchronize
-from cipgnav.sim import benchmark_scenario, generate
+from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from cipgnav.trajectory import TrajectoryPoint, read_trajectory, write_trajectory
 from tests.conftest import make_streams
 from tests.test_adapters import write_bluerov2_sources
@@ -582,6 +586,26 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
+
+    def test_defaults_equal_the_library_defaults(self):
+        # The option schema restates the library's defaults: with no flag and no
+        # config file, the CLI must build the configs the library builds by default.
+        cfg = cli.resolve_options(argparse.Namespace(), cli.SCENARIO_OPTS, cli.ESTIMATOR_OPTS,
+                                  cli.EVALUATE_OPTS)
+        cascade = cli.build_cascade_config(cfg, None)
+        assert cascade.params == IpgParams() and cascade.fallback == CascadeConfig().fallback
+        filters, default = cli.build_filter_config(cfg), FilterConfig()
+        for name in ("p0_scale", "r_vel", "r_att", "q_pos", "q_vel", "q_att"):
+            np.testing.assert_array_equal(getattr(filters, name), getattr(default, name))
+        assert cli._metrics_config(cfg) == MetricsConfig()
+        scenario, default = cli.build_scenario(cfg), ScenarioSpec()
+        assert scenario.noise == NoiseSpec.preset("none")
+        for name in (f.name for f in fields(ScenarioSpec) if f.name not in ("biases", "gravity")):
+            assert getattr(scenario, name) == getattr(default, name), name
+        for built in (cascade, filters, scenario):
+            np.testing.assert_array_equal(built.biases.accel, ImuBiases().accel)
+            np.testing.assert_array_equal(built.biases.gyro, ImuBiases().gyro)
+            np.testing.assert_array_equal(built.gravity.vector, GravityModel().vector)
 
 
 class TestNonFiniteValues:
