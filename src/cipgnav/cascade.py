@@ -7,13 +7,15 @@ burst is one preintegrated rotation increment r_j, and normalization only
 rescales, so window row j is normalize(zeta * U_j) with U_j = r_1 * ... * r_j:
 a fixed 4x4 map M_j of the window-start iterate zeta, with M_j^T M_j =
 |U_j|^2 I, followed by row normalization.  The stage's normal equations are
-therefore closed-form in zeta and a per-epoch (N-1, 4) array, and
-``_orientation_step`` forms no Jacobian.  Its inner iterations run on Python
-floats (zeta as 4 floats, K as 16): on 4-vectors and 4x4 matrices the
-overhead of a numpy call outweighs its arithmetic, as in the velocity
-stage's recursion.  The tests state the same stage as a generic
-``WindowModel`` for ``ipg_step``, the reference the closed form is tested
-against.
+therefore closed-form in zeta and a per-window (N-1, 4) array, and
+``_orientation_step`` forms no Jacobian.  The M_j and that array depend only
+on the AHRS rows and the increments, never on the iterates, so
+``cascade_step`` builds them for a block of consecutive windows at once
+(``_window_terms``).  The inner iterations run on Python floats (zeta as 4
+floats, K as 16): on 4-vectors and 4x4 matrices the overhead of a numpy call
+outweighs its arithmetic, as in the velocity stage's recursion.  The tests
+state the same stage as a generic ``WindowModel`` for ``ipg_step``, the
+reference the closed form is tested against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated into a rotation increment and a body-frame velocity
@@ -58,7 +60,7 @@ from .preintegration import (
     preintegrate_burst,  # noqa: F401  kept as a module attribute: perfbench wraps it by name
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
 )
-from .quat import _NORM_EPS, quat_normalize, quat_right_matrix, unit_rows
+from .quat import _NORM_EPS, quat_normalize, quat_right_matrix, row_norms, unit_rows
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
 
@@ -70,28 +72,42 @@ __all__ = [
 ]
 
 FALLBACK_MODES = ("abort", "deadreckon")
-_EYE_16 = tuple(np.eye(4).ravel().tolist())  # I_4 in row-major order
+_BLOCK = 128  # windows per block of _window_terms: bounds its arrays
 
 
-def _window_terms(ahrs, rot_increments):
-    """M_j (N-1, 4, 4) and W_j = M_j^T Z_j / |U_j| (N-1, 4) for ``_orientation_step``."""
-    # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
-    M = quat_right_matrix(rot_increments)
-    for j in range(1, len(M)):
-        M[j] = M[j] @ M[j - 1]
-    _, norms = unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
-    if not np.isfinite(norms).all():
-        raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
-    return M, (ahrs[1:, None, :] @ M)[:, 0, :] / norms[:, None]
+def _window_terms(ahrs, rot_increments, horizon: int, first: int, count: int) -> list:
+    """Orientation terms of the ``count`` windows from window ``first`` on, one
+    ``(M, W, ok)`` per window for ``_orientation_step``.
+
+    Window i spans AHRS rows i..i+N-1 and increments rows i..i+N-2.  M (N-1, 4,
+    4) holds M_j, W (N-1, 4) the rows W_j = M_j^T Z_j / |U_j|, and ok is False
+    where a norm |U_j| is zero, NaN or infinite.  The terms depend only on the
+    data, never on the iterates.  Each step runs on all windows at once and
+    rounds as on one window, so a window's terms do not depend on its block.
+    Errors wait for the window's epoch: the fill never warns.
+    """
+    rows = first + np.arange(count)[:, None] + np.arange(horizon - 1)  # (count, N-1)
+    with np.errstate(all="ignore"):
+        # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
+        M = quat_right_matrix(rot_increments[rows])
+        for j in range(1, horizon - 1):
+            M[:, j] = M[:, j] @ M[:, j - 1]
+        norms = row_norms(M[:, :, :, 0])  # column 0 of M_j is U_j
+        W = (ahrs[rows + 1][:, :, None, :] @ M)[:, :, 0, :] / norms[:, :, None]
+        ok = ((norms > _NORM_EPS) & (norms < math.inf)).all(axis=1)
+    return list(zip(M, W, ok.tolist()))
 
 
-def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
+def _orientation_step(params: IpgParams, z0, zeta, K, terms):
     """``ipg_step`` of the orientation stage, on closed-form normal equations.
 
-    With U_0 = 1 and U_j = U_{j-1} * rot_increments[j-1], row j >= 1 of the
-    stacked map is P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-
-    multiplication matrix of U_j, and its Jacobian block is J_j = (I - P_j
-    P_j^T) M_j / |Y_j|, as normalize(normalize(y) * u) equals normalize(y * u).
+    ``z0`` is the AHRS quaternion at the window start and ``terms`` the
+    window's ``(M, W, ok)`` from ``_window_terms``, which are state-independent
+    and built per block of windows.  With U_0 = 1 and U_j = U_{j-1} * r_j, r_j
+    the window's j-th rotation increment, row j >= 1 of the stacked map is
+    P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-multiplication matrix
+    of U_j, and its Jacobian block is J_j = (I - P_j P_j^T) M_j / |Y_j|, as
+    normalize(normalize(y) * u) equals normalize(y * u).
     Row 0 is zeta with an identity block.  As M_j^T M_j = |U_j|^2 I, a unit
     zeta gives J_j^T J_j = I - zeta zeta^T, and the AHRS block Z_j, flipped
     onto the hemisphere of P_j by s_j = sign(W_j . zeta), gives J_j^T (P_j -
@@ -103,19 +119,24 @@ def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
 
     The inner iterations run on Python floats, zeta as 4 floats and K as 16
     in row-major order, because each numpy call on a 4-vector costs more in
-    overhead than in arithmetic.  An iterate whose norm is not finite (a
-    non-finite component, or an overflow) or a non-finite K raises
-    DivergenceError with the iteration; a norm of at most ``_NORM_EPS``
-    raises DegenerateQuaternionError, as ``quat_normalize`` does.
+    overhead than in arithmetic.  A zero or NaN |U_j| raises
+    DegenerateQuaternionError and an infinite one NumericalError, before the
+    iterations.  An iterate whose norm is not finite (a non-finite component,
+    or an overflow) or a non-finite K raises DivergenceError with the
+    iteration; a norm of at most ``_NORM_EPS`` raises
+    DegenerateQuaternionError, as ``quat_normalize`` does.
 
     Returns the current-epoch estimate as a copy (a view would keep every row
     alive), the warm-started iterate, K, and the orientations at the start of
     each burst (rows 0..N-2 of the stacked map); raises DivergenceError,
     NumericalError and DegenerateQuaternionError where ipg_step does.
     """
-    M, W = _window_terms(ahrs, rot_increments)
-    rows, alpha, delta = len(W), params.alpha, params.delta
-    W_rows, z0 = list(map(tuple, W.tolist())), ahrs[0].tolist()
+    M, W, ok = terms
+    if not ok:
+        unit_rows(M[:, :, 0])  # raises on a zero or NaN |U_j|
+        raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
+    W_rows, z0 = W.tolist(), z0.tolist()
+    rows, alpha, delta = len(W_rows), params.alpha, params.delta
     x, k = zeta.tolist(), K.ravel().tolist()  # k is K in row-major order
     for i in range(params.iterations):
         a, b, c, d = x
@@ -131,11 +152,29 @@ def _orientation_step(params: IpgParams, ahrs, zeta, K, rot_increments):
                 u0, u1, u2, u3, scale = u0 + p, u1 + q, u2 + r, u3 + t, scale + dot
         g0, g1, g2, g3 = a * scale - u0, b * scale - u1, c * scale - u2, d * scale - u3  # J^T r
         k00, k01, k02, k03, k10, k11, k12, k13, k20, k21, k22, k23, k30, k31, k32, k33 = k
-        zK = (a * k00 + b * k10 + c * k20 + d * k30, a * k01 + b * k11 + c * k21 + d * k31,
-              a * k02 + b * k12 + c * k22 + d * k32, a * k03 + b * k13 + c * k23 + d * k33)
-        outer = (a, a, a, a, b, b, b, b, c, c, c, c, d, d, d, d)  # zeta_r for entry (r, c)
-        k_next = [kv - alpha * (kv + rows * (kv - xr * zc) - e)
-                  for kv, xr, zc, e in zip(k, outer, zK * 4, _EYE_16)]
+        m0, m1, m2, m3 = (a * k00 + b * k10 + c * k20 + d * k30,  # zeta^T K
+                          a * k01 + b * k11 + c * k21 + d * k31,
+                          a * k02 + b * k12 + c * k22 + d * k32,
+                          a * k03 + b * k13 + c * k23 + d * k33)
+        # K - alpha (J^T J K - I) with J^T J K = K + rows (K - zeta (zeta^T K))
+        k_next = (
+            k00 - alpha * (k00 + rows * (k00 - a * m0) - 1.0),
+            k01 - alpha * (k01 + rows * (k01 - a * m1)),
+            k02 - alpha * (k02 + rows * (k02 - a * m2)),
+            k03 - alpha * (k03 + rows * (k03 - a * m3)),
+            k10 - alpha * (k10 + rows * (k10 - b * m0)),
+            k11 - alpha * (k11 + rows * (k11 - b * m1) - 1.0),
+            k12 - alpha * (k12 + rows * (k12 - b * m2)),
+            k13 - alpha * (k13 + rows * (k13 - b * m3)),
+            k20 - alpha * (k20 + rows * (k20 - c * m0)),
+            k21 - alpha * (k21 + rows * (k21 - c * m1)),
+            k22 - alpha * (k22 + rows * (k22 - c * m2) - 1.0),
+            k23 - alpha * (k23 + rows * (k23 - c * m3)),
+            k30 - alpha * (k30 + rows * (k30 - d * m0)),
+            k31 - alpha * (k31 + rows * (k31 - d * m1)),
+            k32 - alpha * (k32 + rows * (k32 - d * m2)),
+            k33 - alpha * (k33 + rows * (k33 - d * m3) - 1.0),
+        )
         y0 = a - delta * (k00 * g0 + k01 * g1 + k02 * g2 + k03 * g3)
         y1 = b - delta * (k10 * g0 + k11 * g1 + k12 * g2 + k13 * g3)
         y2 = c - delta * (k20 * g0 + k21 * g1 + k22 * g2 + k23 * g3)
@@ -209,6 +248,9 @@ class CascadeState:
     ``start`` preintegrates every burst of the run into ``bursts`` and stacks
     every epoch's ``t``, ``ahrs`` and ``dvl``; at epoch k = ``cursor`` the
     windows are their rows k-N+1..k and rows k-N+2..k of ``bursts``.  The
+    orientation stage's window terms depend only on those rows, so
+    ``cascade_step`` builds them ``_BLOCK`` windows at a time: ``terms`` holds
+    those of windows ``terms_first`` on (window k-N+1 at epoch k).  The
     iterates estimate the window start from the first epoch's dead reckoning
     on; after a fallback epoch (None) the next reseeds them from row 0.
     """
@@ -224,6 +266,8 @@ class CascadeState:
     cursor: int = 0
     q_iterate: Optional[np.ndarray] = None
     v_iterate: Optional[np.ndarray] = None
+    terms: list = field(default_factory=list)  # _window_terms of windows terms_first on
+    terms_first: int = 0
 
     @classmethod
     def start(cls, config: CascadeConfig, epochs) -> "CascadeState":
@@ -256,19 +300,24 @@ def cascade_step(state: CascadeState, epoch):
         state.nav = nav
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
-    ahrs, dvl = state.ahrs[k + 1 - horizon:k + 1], state.dvl[k + 1 - horizon:k + 1]
-    window = slice(k + 2 - horizon, k + 1)  # the bursts between the window's epochs
+    w = k + 1 - horizon  # the window: AHRS and DVL rows w..k, bursts w+1..k
+    z0, dvl, window = state.ahrs[w], state.dvl[w:k + 1], slice(w + 1, k + 1)
+    if not 0 <= w - state.terms_first < len(state.terms):
+        state.terms = []  # free the old block first: two at once double its memory
+        count = min(_BLOCK, len(state.t) - k)
+        state.terms = _window_terms(state.ahrs, bursts.rot_increment[1:], horizon, w, count)
+        state.terms_first = w
     if state.q_iterate is None:
         # After a fallback epoch, restart from the direct measurements of the
         # window start (identity measurement maps).
         k0 = config.params.k0_scale
-        state.q_iterate, state.q_precond = quat_normalize(ahrs[0]), k0 * np.eye(4)
+        state.q_iterate, state.q_precond = quat_normalize(z0), k0 * np.eye(4)
         state.v_iterate, state.v_gain = dvl[0].copy(), k0
 
     stage = "orientation"
     try:
         orientation, q_iterate, q_precond, quats = _orientation_step(
-            config.params, ahrs, state.q_iterate, state.q_precond, bursts.rot_increment[window])
+            config.params, z0, state.q_iterate, state.q_precond, state.terms[w - state.terms_first])
         # quats[j] is the orientation where burst j of the window starts.
         increments = bursts.velocity_increments(window, quats, config.gravity.vector)
         stage = "velocity"

@@ -20,6 +20,7 @@ preconditioner is carried over unchanged.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -84,12 +85,14 @@ class IpgParams:
     k0_scale: float = 1e-3
 
     def __post_init__(self):
-        if int(self.horizon) < 2:
-            raise ValueError(f"horizon must be >= 2, got {self.horizon}")
-        if int(self.iterations) < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "iterations", int(self.iterations))
+        for name, least in (("horizon", 2), ("iterations", 1)):
+            value = getattr(self, name)
+            # numbers.Integral covers numpy integers; a bool is not a count.
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         for name in ("k0_scale", "alpha", "delta"):
             value = float(getattr(self, name))
             if not value > 0.0:  # also rejects NaN

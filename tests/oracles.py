@@ -4,15 +4,24 @@
 ``WindowModel`` for ``ipg_step`` (state: a quaternion; input: a burst's
 ``rot_increment``, with the gyro bias already folded in).  The cascade runs
 the closed form ``cascade._orientation_step`` instead, which must match it.
+``window_terms`` builds one window's terms of that closed form on its own,
+the reference for ``cascade._window_terms``, which builds them per block of
+windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cipgnav.errors import DegenerateQuaternionError
+from cipgnav.errors import DegenerateQuaternionError, NumericalError
 from cipgnav.ipg import WindowModel
-from cipgnav.quat import _NORM_EPS, quat_normalize, quat_product, quat_right_matrix
+from cipgnav.quat import (
+    _NORM_EPS,
+    quat_normalize,
+    quat_product,
+    quat_right_matrix,
+    unit_rows,
+)
 
 
 def normalize_jacobian(y) -> np.ndarray:
@@ -53,3 +62,17 @@ ORIENTATION_MODEL = WindowModel(
     post_iterate=quat_normalize,
     align_measurements=_align_quat_blocks,
 )
+
+
+def window_terms(ahrs, rot_increments):
+    """One window's M_j (N-1, 4, 4) and W_j = M_j^T Z_j / |U_j| (N-1, 4), from its
+    AHRS rows (N, 4) and increments (N-1, 4), raising DegenerateQuaternionError
+    on a zero or NaN |U_j| and NumericalError on an infinite one."""
+    # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
+    M = quat_right_matrix(rot_increments)
+    for j in range(1, len(M)):
+        M[j] = M[j] @ M[j - 1]
+    _, norms = unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
+    if not np.isfinite(norms).all():
+        raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
+    return M, (ahrs[1:, None, :] @ M)[:, 0, :] / norms[:, None]

@@ -51,7 +51,7 @@ from cipgnav.quat import (
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import central_difference, random_unit_quat
-from tests.oracles import ORIENTATION_MODEL
+from tests.oracles import ORIENTATION_MODEL, window_terms
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -86,6 +86,12 @@ def same_bits(a, b) -> bool:
     """Equal shapes and bits: signed zeros count, and NaN equals NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def one_window(ahrs, increments):
+    """``_window_terms`` of one window, from its AHRS rows (N, 4) and increments (N-1, 4)."""
+    ahrs, increments = np.asarray(ahrs, dtype=float), np.asarray(increments, dtype=float)
+    return _window_terms(ahrs, increments, len(ahrs), 0, 1)[0]
 
 
 def epoch_chain(rng, lengths, t0=0.0):
@@ -537,8 +543,8 @@ class TestOrientationFallback:
         ahrs = np.array([e.ahrs for e in epochs[k + 1 - horizon:k + 1]])
         increments = [burst_oracle(e, good.biases)[0] for e in epochs[k + 2 - horizon:k + 1]]
         expected = _orientation_step(
-            good.params, ahrs, quat_normalize(ahrs[0]), good.params.k0_scale * np.eye(4),
-            increments,
+            good.params, ahrs[0], quat_normalize(ahrs[0]), good.params.k0_scale * np.eye(4),
+            one_window(ahrs, increments),
         )[0]
         state, point = cascade_step(state, nxt)
         assert point.flag == "ok"
@@ -646,6 +652,12 @@ class TestOrientationStage:
         args = (ahrs, iterate, K, increments)
         return args, generic
 
+    @staticmethod
+    def step(params, ahrs, iterate, K, increments):
+        """``_orientation_step`` on one window's AHRS rows and increments, through
+        the one-window terms."""
+        return _orientation_step(params, ahrs[0], iterate, K, one_window(ahrs, increments))
+
     def test_batched_step_matches_ipg_step(self, rng):
         # From k0 I and from a non-symmetric K; horizons up to 12 and alpha * N up
         # to 1.9, short of the alpha * N < 2 bound.
@@ -659,7 +671,7 @@ class TestOrientationStage:
                 delta=rng.uniform(0.1, 1.5),
             )
             args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3), spread)
-            estimate, warm, K, quats = _orientation_step(params, *args)
+            estimate, warm, K, quats = self.step(params, *args)
             ref = ipg_step(model, params, generic)
             np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-12)
@@ -676,8 +688,7 @@ class TestOrientationStage:
         iterate, K = np.array([1.0, 0.0, 0.0, 0.0]), params.k0_scale * np.eye(4)
         identity = BurstInput.from_epochs(epoch_chain(np.random.default_rng(0), [0]),
                                           ImuBiases()).rot_increment[0]
-        estimate, warm, K_out, _ = _orientation_step(params, ahrs, iterate, K,
-                                                     [identity] * (horizon - 1))
+        estimate, warm, K_out, _ = self.step(params, ahrs, iterate, K, [identity] * (horizon - 1))
         ref = ipg_step(ORIENTATION_MODEL, params,
                        IpgWindow((identity,) * (horizon - 1), tuple(ahrs), iterate, K))
         np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
@@ -694,7 +705,7 @@ class TestOrientationStage:
         g = J.T @ (predicted - ORIENTATION_MODEL.align_measurements(predicted, ahrs.reshape(-1)))
         K = np.outer(iterate, g) / (params.delta * (g @ g))
         with pytest.raises(DegenerateQuaternionError):
-            _orientation_step(params, ahrs, iterate, K, increments)
+            self.step(params, ahrs, iterate, K, increments)
         with pytest.raises(DegenerateQuaternionError):
             ipg_step(ORIENTATION_MODEL, params, replace(generic, precond=K))
 
@@ -704,7 +715,7 @@ class TestOrientationStage:
         params = IpgParams()
         args, generic = self.random_window(rng, params.horizon, 1e200)
         with pytest.raises(DivergenceError) as batched:
-            _orientation_step(params, *args)
+            self.step(params, *args)
         with pytest.raises(DivergenceError) as generic_exc:
             ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration == 0
@@ -714,7 +725,7 @@ class TestOrientationStage:
         params = IpgParams(alpha=1e200)
         args, generic = self.random_window(rng, params.horizon, params.k0_scale)
         with pytest.raises(DivergenceError) as batched:
-            _orientation_step(params, *args)
+            self.step(params, *args)
         with pytest.raises(DivergenceError) as generic_exc:
             ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration
@@ -742,7 +753,7 @@ class TestOrientationStage:
             predicted = stacked_map(model, bursts, zeta)
             J = stacked_jacobian(model, bursts, zeta)
             r = predicted - model.align_measurements(predicted, ahrs.reshape(-1))
-            _, W = _window_terms(ahrs, list(bursts))
+            _, W, _ = one_window(ahrs, bursts)
             w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
             tangent = np.eye(4) - np.outer(zeta, zeta)
             np.testing.assert_allclose(J.T @ J, np.eye(4) + (horizon - 1) * tangent,
@@ -758,7 +769,7 @@ class TestOrientationStage:
         generic = replace(generic, inputs=generic.inputs[:2] + (increments[2],)
                           + generic.inputs[3:])
         with pytest.raises(DegenerateQuaternionError):
-            _orientation_step(params, ahrs, iterate, K, increments)
+            self.step(params, ahrs, iterate, K, increments)
         with pytest.raises(DegenerateQuaternionError):
             ipg_step(ORIENTATION_MODEL, params, generic)
 
@@ -769,7 +780,7 @@ class TestOrientationStage:
         ahrs, iterate, K, increments = args
         increments[-1] = np.array([np.inf, 0.0, 0.0, 0.0])
         with pytest.raises(NumericalError):
-            _orientation_step(params, ahrs, iterate, K, increments)
+            self.step(params, ahrs, iterate, K, increments)
 
     def test_non_finite_ahrs_diverges_at_first_iteration_like_ipg_step(self, rng):
         params = IpgParams()
@@ -778,7 +789,84 @@ class TestOrientationStage:
         ahrs[3, 1] = np.nan
         generic = replace(generic, measurements=tuple(ahrs))
         with pytest.raises(DivergenceError) as batched:
-            _orientation_step(params, ahrs, *args[1:])
+            self.step(params, ahrs, *args[1:])
         with pytest.raises(DivergenceError) as generic_exc:
             ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration == 0
+
+
+class TestWindowTerms:
+    """``cascade_step``'s block-built orientation terms against ``window_terms``,
+    one window at a time, bit for bit, and their errors at the window's epoch."""
+
+    @staticmethod
+    def stepped_terms(monkeypatch, epochs, horizon):
+        """The terms ``_orientation_step`` gets at each epoch of a cascade run, the
+        ``(first, count)`` of every block built, and the final state."""
+        seen, blocks = [], []
+        real_step, real_terms = cascade._orientation_step, cascade._window_terms
+        monkeypatch.setattr(cascade, "_orientation_step",
+                            lambda *args: seen.append(args[4]) or real_step(*args))
+        monkeypatch.setattr(cascade, "_window_terms",
+                            lambda *args: blocks.append(args[3:]) or real_terms(*args))
+        state = CascadeState.start(CascadeConfig(params=IpgParams(horizon=horizon)), epochs)
+        for epoch in epochs:
+            state, _ = cascade_step(state, epoch)
+        return seen, blocks, state
+
+    @pytest.mark.parametrize("block", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("horizon", [2, 3, 5, 10, 19])
+    def test_block_terms_match_per_window_oracle(self, rng, monkeypatch, block, horizon):
+        # Window counts below, equal to and above one block; random AHRS rows,
+        # randomly negated, and bursts of mixed lengths, empty ones included.
+        if block is not None:
+            monkeypatch.setattr(cascade, "_BLOCK", block)
+        size = cascade._BLOCK
+        for count in sorted({max(size - 3, 1), size, 2 * size + 3}):
+            epochs = epoch_chain(rng, rng.choice([0, 1, 2, 5], size=count + horizon - 1))
+            epochs = [replace(e, ahrs=random_unit_quat(rng) * rng.choice([-1.0, 1.0]))
+                      for e in epochs]
+            seen, blocks, state = self.stepped_terms(monkeypatch, epochs, horizon)
+            assert len(seen) == count
+            assert blocks == [(first, min(size, count - first)) for first in range(0, count, size)]
+            for w, (M, W, ok) in enumerate(seen):
+                M_ref, W_ref = window_terms(state.ahrs[w:w + horizon],
+                                            state.bursts.rot_increment[w + 1:w + horizon])
+                assert ok
+                assert np.array_equal(M.view(np.int64), M_ref.view(np.int64))
+                assert np.array_equal(W.view(np.int64), W_ref.view(np.int64))
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default", "7"])
+    @pytest.mark.parametrize("gyro", [1e160, np.nan], ids=["overflow", "nan"])
+    def test_errors_wait_for_the_window_epoch(self, block, gyro, monkeypatch):
+        # A one-sample burst whose rotation increment passes start but whose
+        # window norms overflow or are NaN, mid-block: the rows before its epoch
+        # are those of the run that stops before it, no block fill warns, and its
+        # epoch raises what window_terms raises on that window.
+        if block is not None:
+            monkeypatch.setattr(cascade, "_BLOCK", block)
+        run, epochs = circle_run(duration=60.0)
+        config = CascadeConfig(initial=run.initial_nav())
+        horizon = config.params.horizon
+        bad = horizon - 1 + cascade._BLOCK + cascade._BLOCK // 2
+        e = epochs[bad]
+        epochs[bad] = replace(e, imu_burst=np.array([[e.t_prev + 0.01, 0.0, 0.0, -9.81,
+                                                      gyro, 0.0, 0.0]]))
+        state = CascadeState.start(config, epochs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises((DegenerateQuaternionError, NumericalError)) as expected:
+                window_terms(state.ahrs[bad + 1 - horizon:bad + 1],
+                             state.bursts.rot_increment[bad + 2 - horizon:bad + 1])
+        reference = run_cascade(epochs[:bad], config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for epoch, ref in zip(epochs[:bad], reference):
+                state, point = cascade_step(state, epoch)
+                assert point.flag == ref.flag
+                for name in ("position", "velocity", "orientation"):
+                    assert same_bits(getattr(point.nav, name), getattr(ref.nav, name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+                cascade_step(state, epochs[bad])

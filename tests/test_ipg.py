@@ -227,3 +227,17 @@ class TestWindowBookkeeping:
             for bad in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match=name):
                     IpgParams(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["horizon", "iterations"])
+    @pytest.mark.parametrize("bad", [2.5, 3.7, 5.0, "5", None, True, np.float64(5.0)],
+                             ids=["2.5", "3.7", "5.0", "str", "none", "bool", "np-float"])
+    def test_params_reject_non_integer_counts(self, name, bad):
+        # Once truncated: horizon=2.5 ran with N = 2 and iterations=3.7 with 3.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            IpgParams(**{name: bad})
+
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint8])
+    def test_params_accept_integer_counts(self, kind):
+        params = IpgParams(horizon=kind(7), iterations=kind(4))
+        assert (params.horizon, params.iterations) == (7, 4)
+        assert type(params.horizon) is int and type(params.iterations) is int
