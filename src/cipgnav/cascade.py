@@ -22,12 +22,16 @@ burst is preintegrated into a rotation increment and a body-frame velocity
 increment, which depend only on the IMU rows and the biases: ``start``
 preintegrates every burst of the run in one pass (``BurstInput``, in
 ``preintegration``), and each epoch's windows are slices of per-run arrays.
-Every epoch rotates each burst's body-frame increment by stage 1's
-orientation at the start of that burst, which gives the burst's
-navigation-frame velocity increment in O(1).  The velocity
-dynamics do not depend on the velocity state, so the stacked Jacobian is a
-stack of identities, the preconditioner stays a scaled identity k*I, and the
-inner iterations reduce to an exact scalar-gain recursion in closed form.
+The velocity dynamics do not depend on the velocity state, so the stacked
+Jacobian is a stack of identities, the preconditioner stays a scaled
+identity k*I, and the inner iterations reduce to an exact scalar-gain
+recursion in closed form.  That recursion reads the window's increments only
+through three sums: of its offsets, its last offset and its first increment.
+A burst's navigation-frame increment is its body-frame increment rotated by
+stage 1's orientation at the burst start, zeta * U_j / |U_j|, so R(zeta)
+factors out of each sum, leaving a data-only 3-vector that ``_window_terms``
+builds with the orientation terms.  Per epoch the stage forms R(zeta) and
+three rotations of a 3-vector on Python floats: O(1), whatever N.
 
 Both stages run on one ``IpgParams``.  Position is not windowed: it
 integrates the stage-2 velocity estimate over the epoch period.  The
@@ -60,7 +64,15 @@ from .preintegration import (
     preintegrate_burst,  # noqa: F401  kept as a module attribute: perfbench wraps it by name
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
 )
-from .quat import _NORM_EPS, quat_normalize, quat_right_matrix, row_norms, unit_rows
+from .quat import (
+    _NORM_EPS,
+    quat_normalize,
+    quat_right_matrix,
+    rotation_entries,
+    rotation_rows,
+    row_norms,
+    unit_rows,
+)
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
 
@@ -75,35 +87,67 @@ FALLBACK_MODES = ("abort", "deadreckon")
 _BLOCK = 128  # windows per block of _window_terms: bounds its arrays
 
 
-def _window_terms(ahrs, rot_increments, horizon: int, first: int, count: int) -> list:
-    """Orientation terms of the ``count`` windows from window ``first`` on, one
-    ``(M, W, ok)`` per window for ``_orientation_step``.
+def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, count: int) -> list:
+    """Terms of the ``count`` windows from window ``first`` on, one ``(M, W, ok,
+    sums)`` per window: M, W and ok for ``_orientation_step`` and sums for
+    ``_velocity_step``.
 
-    Window i spans AHRS rows i..i+N-1 and increments rows i..i+N-2.  M (N-1, 4,
-    4) holds M_j, W (N-1, 4) the rows W_j = M_j^T Z_j / |U_j|, and ok is False
-    where a norm |U_j| is zero, NaN or infinite.  The terms depend only on the
-    data, never on the iterates.  Each step runs on all windows at once and
-    rounds as on one window, so a window's terms do not depend on its block.
-    Errors wait for the window's epoch: the fill never warns.
+    Window i spans AHRS and DVL rows i..i+N-1 and ``bursts`` rows i+1..i+N-1.
+    M (N-1, 4, 4) holds M_j, W (N-1, 4) the rows W_j = M_j^T Z_j / |U_j|, and
+    ok is False where a norm |U_j| is zero, NaN or infinite.
+
+    Burst j = 0..N-2 of the window starts at stage 1's orientation zeta * U_j
+    / |U_j| (U_0 = 1), so its velocity increment is R(zeta) c_j + d_j g, with
+    c_j = R(U_j / |U_j|) body_dv_j and d_j its duration.  The velocity stage
+    reads the increments only through sum_i (o_i - z_i), o_{N-1} and o_1, o_i
+    the sum of the first i increments and z_i the DVL rows, and each is
+    R(zeta) times a 3-vector plus another.  ``sums`` (18,) holds those six
+    3-vectors in that order: sum_i sum_{j<i} c_j and sum_i sum_{j<i} d_j g -
+    sum_i z_i, sum_j c_j and sum_j d_j g, c_0 and d_0 g.
+
+    The terms depend only on the data, never on the iterates.  Each step runs
+    on all windows at once and rounds as on one window, so a window's terms
+    do not depend on its block.  Errors wait for the window's epoch: the fill
+    never warns.
     """
-    rows = first + np.arange(count)[:, None] + np.arange(horizon - 1)  # (count, N-1)
+    rows = first + np.arange(count)[:, None] + np.arange(horizon)  # (count, N)
+    inputs = rows[:, 1:]  # the bursts of each window
     with np.errstate(all="ignore"):
         # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
-        M = quat_right_matrix(rot_increments[rows])
+        M = quat_right_matrix(bursts.rot_increment[inputs])
         for j in range(1, horizon - 1):
             M[:, j] = M[:, j] @ M[:, j - 1]
-        norms = row_norms(M[:, :, :, 0])  # column 0 of M_j is U_j
-        W = (ahrs[rows + 1][:, :, None, :] @ M)[:, :, 0, :] / norms[:, :, None]
+        U = M[:, :, :, 0]  # column 0 of M_j is U_j
+        norms = row_norms(U)
+        W = (ahrs[inputs][:, :, None, :] @ M)[:, :, 0, :] / norms[:, :, None]
         ok = ((norms > _NORM_EPS) & (norms < math.inf)).all(axis=1)
-    return list(zip(M, W, ok.tolist()))
+        c = bursts.body_dv[inputs]  # c_0 = body_dv_0, as U_0 = 1
+        c[:, 1:] = (rotation_rows(U[:, :-1] / norms[:, :-1, None])
+                    @ bursts.body_dv[inputs[:, 1:], :, None])[..., 0]
+        d = bursts.duration[inputs]
+        offsets, spans = np.cumsum(c, axis=1), np.cumsum(d, axis=1)  # parts of o_1..o_{N-1}
+        sums = np.concatenate([offsets.sum(axis=1),
+                               spans.sum(axis=1)[:, None] * g - dvl[rows].sum(axis=1),
+                               offsets[:, -1], spans[:, -1:] * g, c[:, 0], d[:, :1] * g], axis=1)
+    return list(zip(M, W, ok.tolist(), sums))
+
+
+def _unit(y) -> list:
+    """A 4-vector of floats over its norm; a norm of at most ``_NORM_EPS``, or
+    NaN, raises DegenerateQuaternionError, as in ``unit_rows``."""
+    y0, y1, y2, y3 = y
+    norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
+    if not norm > _NORM_EPS:
+        raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
+    return [y0 / norm, y1 / norm, y2 / norm, y3 / norm]
 
 
 def _orientation_step(params: IpgParams, z0, zeta, K, terms):
     """``ipg_step`` of the orientation stage, on closed-form normal equations.
 
     ``z0`` is the AHRS quaternion at the window start and ``terms`` the
-    window's ``(M, W, ok)`` from ``_window_terms``, which are state-independent
-    and built per block of windows.  With U_0 = 1 and U_j = U_{j-1} * r_j, r_j
+    window's ``(M, W, ok, sums)`` from ``_window_terms``, which are built per
+    block of windows.  With U_0 = 1 and U_j = U_{j-1} * r_j, r_j
     the window's j-th rotation increment, row j >= 1 of the stacked map is
     P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-multiplication matrix
     of U_j, and its Jacobian block is J_j = (I - P_j P_j^T) M_j / |Y_j|, as
@@ -126,12 +170,13 @@ def _orientation_step(params: IpgParams, z0, zeta, K, terms):
     iteration; a norm of at most ``_NORM_EPS`` raises
     DegenerateQuaternionError, as ``quat_normalize`` does.
 
-    Returns the current-epoch estimate as a copy (a view would keep every row
-    alive), the warm-started iterate, K, and the orientations at the start of
-    each burst (rows 0..N-2 of the stacked map); raises DivergenceError,
-    NumericalError and DegenerateQuaternionError where ipg_step does.
+    Returns the current-epoch estimate (row N-1 of the stacked map), the
+    warm-started iterate (row 1, normalized again), K, and zeta as 4 floats
+    for ``_velocity_step``; only those two rows of the map are formed, on
+    floats too.  Raises DivergenceError, NumericalError and
+    DegenerateQuaternionError where ipg_step does.
     """
-    M, W, ok = terms
+    M, W, ok, _ = terms
     if not ok:
         unit_rows(M[:, :, 0])  # raises on a zero or NaN |U_j|
         raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
@@ -185,25 +230,34 @@ def _orientation_step(params: IpgParams, z0, zeta, K, terms):
         if norm <= _NORM_EPS:
             raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
         x, k = [y0 / norm, y1 / norm, y2 / norm, y3 / norm], k_next
-    zeta, K = np.array(x), np.array(k).reshape(4, 4)
-    P, _ = unit_rows(M @ zeta)
-    return P[-1].copy(), quat_normalize(P[0]), K, np.vstack([zeta, P[:-1]])
+    a, b, c, d = x
+    warm, estimate = ([p * a + q * b + r * c + t * d for p, q, r, t in m.tolist()]
+                      for m in (M[0], M[-1]))  # M_1 zeta and M_{N-1} zeta
+    return np.array(_unit(estimate)), np.array(_unit(_unit(warm))), np.array(k).reshape(4, 4), x
 
 
-def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
+def _velocity_step(params: IpgParams, q, zeta, k: float, sums):
     """``ipg_step`` of the velocity stage, with preconditioner k*I, in closed form.
 
-    The stage is linear with identity maps, so J = [I; ...; I] and K = k*I
-    stays a scaled identity.  With c_i the sum of the first i velocity
-    increments (c_0 = 0), the inner iterations reduce exactly to (on floats)
-    k' = k - alpha * (N k - 1) and zeta' = zeta - delta * k * sum_i (zeta + c_i - z_i).
-    Returns the current-epoch estimate zeta + c_{N-1}, the warm-started
-    iterate zeta + increments[0] and k; raises DivergenceError as ipg_step does.
+    ``q`` is stage 1's window-start orientation as 4 floats and ``sums`` the
+    window's sums from ``_window_terms``.  The stage is linear with identity
+    maps, so J = [I; ...; I] and K = k*I stays a scaled identity.  With o_i the
+    sum of the window's first i velocity increments (o_0 = 0) and z_i its DVL
+    rows, the inner iterations reduce exactly to (on floats) k' = k - alpha *
+    (N k - 1) and zeta' = zeta - delta * k * (N zeta + sum_i (o_i - z_i)).  The
+    increments depend on q only through R(q), so sum_i (o_i - z_i), o_{N-1} and
+    the first increment o_1 are each R(q) times a 3-vector of ``sums`` plus
+    another: O(1) per epoch, whatever N.  Returns the current-epoch estimate
+    zeta + o_{N-1}, the warm-started iterate zeta + o_1 and k; raises
+    DivergenceError as ipg_step does.
     """
-    n = len(dvl)
-    offsets = np.vstack([np.zeros(3), np.cumsum(increments, axis=0)])
-    misfit = np.sum(offsets - dvl, axis=0).tolist()
-    x = zeta.tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q)
+    s = sums.tolist()
+    misfit, last, first = ([r00 * a + r01 * b + r02 * c + u,
+                            r10 * a + r11 * b + r12 * c + v,
+                            r20 * a + r21 * b + r22 * c + w]
+                           for a, b, c, u, v, w in (s[:6], s[6:12], s[12:]))
+    n, x = params.horizon, zeta.tolist()
     for i in range(params.iterations):
         k_next = k - params.alpha * (n * k - 1.0)
         gain = params.delta * k
@@ -211,8 +265,8 @@ def _velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
         if not (all(map(math.isfinite, x_next)) and math.isfinite(k_next)):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         x, k = x_next, k_next
-    zeta = np.array(x)
-    return zeta + offsets[-1], zeta + increments[0], k
+    return (np.array([a + b for a, b in zip(x, last)]),
+            np.array([a + b for a, b in zip(x, first)]), k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,29 +355,28 @@ def cascade_step(state: CascadeState, epoch):
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
     w = k + 1 - horizon  # the window: AHRS and DVL rows w..k, bursts w+1..k
-    z0, dvl, window = state.ahrs[w], state.dvl[w:k + 1], slice(w + 1, k + 1)
+    z0 = state.ahrs[w]
     if not 0 <= w - state.terms_first < len(state.terms):
         state.terms = []  # free the old block first: two at once double its memory
         count = min(_BLOCK, len(state.t) - k)
-        state.terms = _window_terms(state.ahrs, bursts.rot_increment[1:], horizon, w, count)
+        state.terms = _window_terms(state.ahrs, state.dvl, bursts, config.gravity.vector,
+                                    horizon, w, count)
         state.terms_first = w
+    terms = state.terms[w - state.terms_first]
     if state.q_iterate is None:
         # After a fallback epoch, restart from the direct measurements of the
         # window start (identity measurement maps).
         k0 = config.params.k0_scale
         state.q_iterate, state.q_precond = quat_normalize(z0), k0 * np.eye(4)
-        state.v_iterate, state.v_gain = dvl[0].copy(), k0
+        state.v_iterate, state.v_gain = state.dvl[w].copy(), k0
 
     stage = "orientation"
     try:
-        orientation, q_iterate, q_precond, quats = _orientation_step(
-            config.params, z0, state.q_iterate, state.q_precond, state.terms[w - state.terms_first])
-        # quats[j] is the orientation where burst j of the window starts.
-        increments = bursts.velocity_increments(window, quats, config.gravity.vector)
+        orientation, q_iterate, q_precond, zeta = _orientation_step(
+            config.params, z0, state.q_iterate, state.q_precond, terms)
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
-            config.params, dvl, state.v_iterate, state.v_gain, increments
-        )
+            config.params, zeta, state.v_iterate, state.v_gain, terms[3])
     except DivergenceError as exc:
         if config.fallback == "abort":
             raise DivergenceError(

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateQuaternionError
 from .quat import (
     _NORM_EPS,
     quat_normalize,
@@ -289,7 +290,9 @@ class BurstInput:
         """Preintegrate every epoch's burst, ``_BLOCK`` at a time, each step on all
         bursts of one length at once and rounding as on one burst (sums and
         ``dts @ body_accel`` too), so row j equals burst j alone, bit for bit.
-        Raises and warns as ``unpack_burst`` and ``unit_rows``, in epoch order."""
+        Raises and warns as ``unpack_burst`` and ``unit_rows`` on the running
+        products, the last one included, in epoch order; the error of a product
+        names the epoch's ``t``."""
         table = cls(*(np.empty((len(epochs), *shape)) for shape in [(4,), (3,), (), (3,), ()]))
         for first in range(0, len(epochs), _BLOCK):
             lengths = np.array([len(e.imu_burst) for e in epochs[first:first + _BLOCK]])
@@ -298,7 +301,11 @@ class BurstInput:
             # Bursts to reject or warn about rerun alone, in epoch order, to raise and warn.
             for e in (epochs[j] for j in np.sort(np.concatenate(flagged))):
                 dts, _, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
-                unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)[:-1])
+                try:
+                    unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro))
+                except DegenerateQuaternionError as exc:
+                    raise DegenerateQuaternionError(
+                        f"IMU burst of the epoch at t={e.t!r}: {exc}") from exc
         return table
 
     def _fill(self, rows, epochs, biases: ImuBiases) -> np.ndarray:
@@ -313,9 +320,9 @@ class BurstInput:
         with np.errstate(all="ignore"):  # as running_product's float loop, which never warns
             for increment in increments.transpose(1, 0, 2):
                 products.append(quat_product(products[-1], increment))
-        products = np.stack(products, axis=1)  # (B, M+1, 4)
-        norms = row_norms(products[:, :-1])
-        prefixes = (products[:, :-1] / norms[..., None]).reshape(-1, 4)
+            products = np.stack(products, axis=1)  # (B, M+1, 4)
+            norms = row_norms(products)  # an overflowing one is inf, and passes
+            prefixes = (products[:, :-1] / norms[:, :-1, None]).reshape(-1, 4)
         body_accel = rotation_rows(prefixes) @ accel.reshape(-1, 3)[:, :, None]
         body_accel = body_accel.reshape(accel.shape)
         duration = dts.sum(axis=1)
@@ -324,15 +331,8 @@ class BurstInput:
         self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
         self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
         self.dp_weight[rows] = weights.sum(axis=1)
-        return rows[~((dts > 0.0) & (norms > _NORM_EPS)).all(axis=1)
+        return rows[~(dts > 0.0).all(axis=1) | ~(norms > _NORM_EPS).all(axis=1)
                     | (np.max(dts, axis=1, initial=0.0) > _DT_WARN)]
-
-    def velocity_increments(self, rows: slice, quats: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Navigation-frame velocity gained over bursts ``rows``, each from the unit
-        orientation in ``quats`` (one row per burst, used as given) at its start:
-        R(q_j) @ body_dv_j + duration_j * g."""
-        return ((rotation_rows(quats) @ self.body_dv[rows][:, :, None])[:, :, 0]
-                + self.duration[rows, None] * g)
 
 
 def dead_reckon(nav: NavState, bursts: BurstInput, k: int, g: np.ndarray) -> NavState:

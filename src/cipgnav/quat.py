@@ -15,7 +15,8 @@ under them.  Row results are C-contiguous, as numpy's matmul rounds by memory
 layout.  One value skips the row machinery, whose numpy calls cost more than
 their arithmetic:
 ``rotation_rows`` and ``rotation_to_quat`` run on Python floats, which round as
-numpy does; cos, sin and arctan2 stay numpy's, which may round unlike math's.
+numpy does (``rotation_entries`` is that path for a caller on floats); cos, sin
+and arctan2 stay numpy's, which may round unlike math's.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "quat_conjugate",
     "quat_to_rotation",
     "rotation_rows",
+    "rotation_entries",
     "rotation_to_quat",
     "quat_angular_distance",
     "quat_from_rotvec",
@@ -140,7 +142,22 @@ _ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])
 _ROT_INNER = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _ROT_BASE = np.where(_EYE3, 1.0, -0.0).ravel()
 _ROT_OUTER = np.where(_EYE3, -1.0, 1.0).ravel()
-_ROT_TABLE = tuple(zip(*(c.tolist() for c in (_ROT_BASE, _ROT_OUTER, _ROT_A, _ROT_INNER, _ROT_B))))
+
+
+def rotation_entries(q) -> list:
+    """The 9 entries, row-major, of the rotation matrix of a unit quaternion given
+    as 4 Python floats, on Python floats: ``rotation_rows`` of one value.
+
+    These are the table's expressions written out: the products (2 q_a) q_b of
+    qq, and multiplications by +-1 and additions of -0.0, which are exact, left out.
+    """
+    w, x, y, z = q
+    w2, x2, y2, z2 = 2.0 * w, 2.0 * x, 2.0 * y, 2.0 * z
+    wx, wy, wz, xy, xz, yz = w2 * x, w2 * y, w2 * z, x2 * y, x2 * z, y2 * z
+    xx, yy, zz = x2 * x, y2 * y, z2 * z
+    return [1.0 - (yy + zz), xy - wz, xz + wy,
+            xy + wz, 1.0 - (xx + zz), yz - wx,
+            xz - wy, yz + wx, 1.0 - (xx + yy)]
 
 
 def rotation_rows(unit) -> np.ndarray:
@@ -149,11 +166,8 @@ def rotation_rows(unit) -> np.ndarray:
     The quaternions are used as given, neither checked nor renormalized.
     """
     unit = np.asarray(unit, dtype=float)
-    if unit.ndim == 1:  # the same table and operations on Python floats
-        q = unit.tolist()
-        qq = [2.0 * a * b for a in q for b in q]
-        return np.array([base + outer * (qq[a] + inner * qq[b])
-                         for base, outer, a, inner, b in _ROT_TABLE]).reshape(3, 3)
+    if unit.ndim == 1:  # the table's expressions on Python floats
+        return np.array(rotation_entries(unit.tolist())).reshape(3, 3)
     rows = unit.shape[:-1]
     qq = ((2.0 * unit)[..., :, None] * unit[..., None, :]).reshape(*rows, 16)
     # take, unlike qq[..., _ROT_A], returns C-contiguous rows.

@@ -7,19 +7,28 @@ the closed form ``cascade._orientation_step`` instead, which must match it.
 ``window_terms`` builds one window's terms of that closed form on its own,
 the reference for ``cascade._window_terms``, which builds them per block of
 windows.
+
+``velocity_step`` is the velocity stage on arrays: each burst's increment
+rotated from the orientation where it starts (``burst_start_orientations``
+and ``velocity_increments``), the offsets their running sums, and the
+scalar-gain recursion on the window's misfit.  ``cascade._velocity_step``
+gets the same from per-window sums in O(1) and must match it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from cipgnav.errors import DegenerateQuaternionError, NumericalError
-from cipgnav.ipg import WindowModel
+from cipgnav.errors import DegenerateQuaternionError, DivergenceError, NumericalError
+from cipgnav.ipg import IpgParams, WindowModel
 from cipgnav.quat import (
     _NORM_EPS,
     quat_normalize,
     quat_product,
     quat_right_matrix,
+    rotation_rows,
     unit_rows,
 )
 
@@ -76,3 +85,37 @@ def window_terms(ahrs, rot_increments):
     if not np.isfinite(norms).all():
         raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
     return M, (ahrs[1:, None, :] @ M)[:, 0, :] / norms[:, None]
+
+
+def burst_start_orientations(M, zeta) -> np.ndarray:
+    """Orientations (N-1, 4) where each burst of a window starts, rows 0..N-2 of
+    its stacked map: zeta, then normalize(M_j zeta) for j = 1..N-2."""
+    zeta = np.asarray(zeta, dtype=float)
+    return np.vstack([zeta, unit_rows(M @ zeta)[0][:-1]])
+
+
+def velocity_increments(body_dv, duration, quats, g) -> np.ndarray:
+    """Navigation-frame velocity gained over each burst, from the unit orientation
+    in ``quats`` (one row per burst, used as given) at its start:
+    R(q_j) @ body_dv_j + duration_j * g."""
+    return (rotation_rows(quats) @ body_dv[:, :, None])[:, :, 0] + duration[:, None] * g
+
+
+def velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
+    """The velocity stage on a window's DVL rows (N, 3) and increments (N-1, 3):
+    offsets c_i, the sums of the first i increments (c_0 = 0), and N-row
+    recursion k' = k - alpha (N k - 1), zeta' = zeta - delta k sum_i (zeta +
+    c_i - z_i).  Returns zeta + c_{N-1}, zeta + increments[0] and k."""
+    n = len(dvl)
+    offsets = np.vstack([np.zeros(3), np.cumsum(increments, axis=0)])
+    misfit = np.sum(offsets - dvl, axis=0).tolist()
+    x = np.asarray(zeta, dtype=float).tolist()
+    for i in range(params.iterations):
+        k_next = k - params.alpha * (n * k - 1.0)
+        gain = params.delta * k
+        x_next = [a - gain * (n * a + m) for a, m in zip(x, misfit)]
+        if not (all(map(math.isfinite, x_next)) and math.isfinite(k_next)):
+            raise DivergenceError("window solver produced a non-finite value", iteration=i)
+        x, k = x_next, k_next
+    zeta = np.array(x)
+    return zeta + offsets[-1], zeta + increments[0], k

@@ -42,6 +42,7 @@ from cipgnav.preintegration import (
 )
 from cipgnav.quat import (
     quat_angular_distance,
+    quat_from_rotvec,
     quat_normalize,
     quat_product,
     quat_to_rotation,
@@ -51,9 +52,16 @@ from cipgnav.quat import (
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
 from tests.conftest import central_difference, random_unit_quat
-from tests.oracles import ORIENTATION_MODEL, window_terms
+from tests.oracles import (
+    ORIENTATION_MODEL,
+    burst_start_orientations,
+    velocity_increments,
+    velocity_step,
+    window_terms,
+)
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
+GRAVITY = GravityModel().vector
 
 
 def circle_run(duration=20.0, radius=10.0, noise=QUIET, seed=0):
@@ -69,7 +77,7 @@ def burst_oracle(epoch, biases: ImuBiases):
     row of ``BurstInput.from_epochs`` must equal bit for bit."""
     dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, biases.gyro, biases.accel)
     products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
-    prefixes, _ = unit_rows(products[:-1])
+    prefixes = unit_rows(products)[0][:-1]  # the last product is checked too
     body_accel = (rotation_rows(prefixes) @ accel[:, :, None])[:, :, 0]
     duration = float(dts.sum())
     weights = dts * (duration - np.cumsum(dts))
@@ -88,10 +96,19 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def one_window(ahrs, increments):
-    """``_window_terms`` of one window, from its AHRS rows (N, 4) and increments (N-1, 4)."""
+def one_window(ahrs, increments, body_dv=None, duration=None, dvl=None, g=GRAVITY):
+    """``_window_terms`` of one window, from its AHRS rows (N, 4), rotation
+    increments (N-1, 4), body-frame velocity increments (N-1, 3), burst
+    durations (N-1,) and DVL rows (N, 3); those last three default to zeros."""
     ahrs, increments = np.asarray(ahrs, dtype=float), np.asarray(increments, dtype=float)
-    return _window_terms(ahrs, increments, len(ahrs), 0, 1)[0]
+    n = len(ahrs)
+    bursts = BurstInput(
+        np.vstack([[1.0, 0.0, 0.0, 0.0], increments]),
+        np.vstack([np.zeros(3), np.zeros((n - 1, 3)) if body_dv is None else body_dv]),
+        np.concatenate([[0.0], np.zeros(n - 1) if duration is None else duration]),
+        np.zeros((n, 3)), np.zeros(n))
+    dvl = np.zeros((n, 3)) if dvl is None else np.asarray(dvl, dtype=float)
+    return _window_terms(ahrs, dvl, bursts, g, n, 0, 1)[0]
 
 
 def epoch_chain(rng, lengths, t0=0.0):
@@ -142,15 +159,20 @@ class TestBurstTable:
 
     @staticmethod
     def oracle_events(epochs, biases):
-        """Warning messages and the first error of ``burst_oracle`` over epochs in order."""
+        """Warning messages and the first error of ``burst_oracle`` over epochs in
+        order, the error of a running product prefixed with its epoch's t."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            try:
-                for epoch in epochs:
+            error = None
+            for epoch in epochs:
+                try:
                     burst_oracle(epoch, biases)
-                error = None
-            except (ValueError, DegenerateQuaternionError) as exc:
-                error = (type(exc), str(exc))
+                except DegenerateQuaternionError as exc:  # a ValueError, so caught first
+                    error = (type(exc), f"IMU burst of the epoch at t={epoch.t!r}: {exc}")
+                except ValueError as exc:
+                    error = (type(exc), str(exc))
+                if error:
+                    break
         return [str(w.message) for w in caught], error
 
     @pytest.mark.parametrize("faults", [
@@ -220,6 +242,19 @@ class TestBurst:
         with pytest.raises(ValueError, match="spacing"):
             BurstInput.from_epochs(epochs, ImuBiases())
         with pytest.raises(ValueError, match="spacing"):
+            CascadeState.start(CascadeConfig(), epochs)
+
+    @pytest.mark.parametrize("sample", [0, 5, -1], ids=["first", "mid", "last"])
+    def test_nan_gyro_reading_raises_in_start_naming_the_epoch(self, sample):
+        # The last sample's reading enters only the final running product, which
+        # is the burst's rotation increment: start checks it with the others.
+        _, epochs = circle_run(duration=20.0)
+        burst = epochs[30].imu_burst.copy()
+        burst[sample, 4] = np.nan
+        epochs[30] = replace(epochs[30], imu_burst=burst)
+        message = re.escape(f"IMU burst of the epoch at t={epochs[30].t!r}: "
+                            "cannot normalize quaternion with norm nan")
+        with pytest.raises(DegenerateQuaternionError, match=f"^{message}$"):
             CascadeState.start(CascadeConfig(), epochs)
 
     def test_preintegrated_velocity_matches_stepwise_sum(self, rng):
@@ -473,10 +508,15 @@ class TestFallback:
         assert flags.count("fallback") == 1
         # The next epoch, k, restarts stage 2 from the DVL measurement at the
         # start of its window, with a fresh gain; stage 2 first runs at N-1.
+        # It gets the sums of that window, whose DVL rows they hold.
         k = horizon + 2
-        _, dvl, v_iterate, v_gain, _ = seen[k - (horizon - 1)]
+        _, _, v_iterate, v_gain, sums = seen[k - (horizon - 1)]
         start = k - (horizon - 1)
-        np.testing.assert_array_equal(dvl, [e.dvl for e in epochs[start:start + horizon]])
+        expected = _window_terms(state.ahrs, state.dvl, state.bursts, good.gravity.vector,
+                                 horizon, start, 1)[0][3]
+        np.testing.assert_array_equal(state.dvl[start:start + horizon],
+                                      [e.dvl for e in epochs[start:start + horizon]])
+        assert same_bits(sums, expected)
         np.testing.assert_array_equal(v_iterate, epochs[start].dvl)
         assert v_gain == good.params.k0_scale
         # The window reseeds from raw measurements and resumes estimating.
@@ -574,13 +614,22 @@ def identity_velocity_model():
 
 
 class TestVelocityStage:
+    BIASES = ImuBiases(accel=[0.02, -0.015, 0.01], gyro=[0.001, -0.002, 0.0005])
+
     def random_window(self, rng, horizon, k0):
-        """(dvl, iterate, k0, increments) and the same window for ipg_step."""
+        """(q, iterate, k0, sums) and the same window for ipg_step: random bursts,
+        AHRS rows and DVL rows, and stage 1's window-start orientation q, each
+        burst's increment rotated from where it starts (``velocity_increments``)."""
+        epochs = epoch_chain(rng, rng.integers(1, 25, size=horizon - 1))
+        table = BurstInput.from_epochs(epochs, self.BIASES)
+        ahrs = np.array([random_unit_quat(rng) for _ in range(horizon)])
         dvl = rng.normal(size=(horizon, 3))
-        increments = rng.normal(scale=0.1, size=(horizon - 1, 3))
-        iterate = rng.normal(size=3)
+        M, _, _, sums = one_window(ahrs, table.rot_increment, table.body_dv, table.duration, dvl)
+        q, iterate = random_unit_quat(rng), rng.normal(size=3)
+        quats = burst_start_orientations(M, q)
+        increments = velocity_increments(table.body_dv, table.duration, quats, GRAVITY)
         generic = IpgWindow(tuple(increments), tuple(dvl), iterate, k0 * np.eye(3))
-        return (dvl, iterate, k0, increments), generic
+        return (q.tolist(), iterate, k0, sums), generic
 
     def test_closed_form_matches_ipg_step(self, rng):
         model = identity_velocity_model()
@@ -671,13 +720,18 @@ class TestOrientationStage:
                 delta=rng.uniform(0.1, 1.5),
             )
             args, generic = self.random_window(rng, horizon, rng.uniform(1e-4, 0.3), spread)
-            estimate, warm, K, quats = self.step(params, *args)
+            estimate, warm, K, zeta = self.step(params, *args)
             ref = ipg_step(model, params, generic)
             np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(K, ref.window.precond, rtol=0.0, atol=1e-12)
+            # zeta is the window start, and the array velocity oracle's burst-start
+            # orientations from it are rows 0..N-2 of the stacked map.
             expected = stacked_map(model, generic.inputs, ref.window_start).reshape(-1, 4)[:-1]
-            np.testing.assert_allclose(quats, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(zeta, expected[0], rtol=0.0, atol=1e-12)
+            M = one_window(args[0], args[3])[0]
+            np.testing.assert_allclose(burst_start_orientations(M, zeta), expected,
+                                       rtol=0.0, atol=1e-12)
 
     def test_zero_dot_counts_as_positive_like_ipg_step(self):
         # Identity increments make W_j = Z_j, and every block is orthogonal to
@@ -753,7 +807,7 @@ class TestOrientationStage:
             predicted = stacked_map(model, bursts, zeta)
             J = stacked_jacobian(model, bursts, zeta)
             r = predicted - model.align_measurements(predicted, ahrs.reshape(-1))
-            _, W, _ = one_window(ahrs, bursts)
+            _, W, _, _ = one_window(ahrs, bursts)
             w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
             tangent = np.eye(4) - np.outer(zeta, zeta)
             np.testing.assert_allclose(J.T @ J, np.eye(4) + (horizon - 1) * tangent,
@@ -796,53 +850,77 @@ class TestOrientationStage:
 
 
 class TestWindowTerms:
-    """``cascade_step``'s block-built orientation terms against ``window_terms``,
-    one window at a time, bit for bit, and their errors at the window's epoch."""
+    """``cascade_step``'s block-built window terms against one-window oracles,
+    window by window, and their errors at the window's epoch: M and W bit for
+    bit against ``window_terms``, the sums bit for bit against a block of one
+    window, and the velocity stage on them against the array oracle
+    ``velocity_step``."""
 
     @staticmethod
     def stepped_terms(monkeypatch, epochs, horizon):
         """The terms ``_orientation_step`` gets at each epoch of a cascade run, the
-        ``(first, count)`` of every block built, and the final state."""
-        seen, blocks = [], []
+        ``(first, count)`` of every block built, each epoch's ``_velocity_step``
+        arguments and result, and the final state."""
+        seen, blocks, velocity = [], [], []
         real_step, real_terms = cascade._orientation_step, cascade._window_terms
+        real_velocity = cascade._velocity_step
         monkeypatch.setattr(cascade, "_orientation_step",
                             lambda *args: seen.append(args[4]) or real_step(*args))
         monkeypatch.setattr(cascade, "_window_terms",
-                            lambda *args: blocks.append(args[3:]) or real_terms(*args))
+                            lambda *args: blocks.append(args[5:]) or real_terms(*args))
+        monkeypatch.setattr(cascade, "_velocity_step",
+                            lambda *args: velocity.append((args, real_velocity(*args)))
+                            or velocity[-1][1])
         state = CascadeState.start(CascadeConfig(params=IpgParams(horizon=horizon)), epochs)
         for epoch in epochs:
             state, _ = cascade_step(state, epoch)
-        return seen, blocks, state
+        return seen, blocks, velocity, state
 
     @pytest.mark.parametrize("block", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("horizon", [2, 3, 5, 10, 19])
     def test_block_terms_match_per_window_oracle(self, rng, monkeypatch, block, horizon):
         # Window counts below, equal to and above one block; random AHRS rows,
-        # randomly negated, and bursts of mixed lengths, empty ones included.
+        # randomly negated, random DVL rows, and bursts of mixed lengths, empty
+        # ones included.
         if block is not None:
             monkeypatch.setattr(cascade, "_BLOCK", block)
         size = cascade._BLOCK
         for count in sorted({max(size - 3, 1), size, 2 * size + 3}):
             epochs = epoch_chain(rng, rng.choice([0, 1, 2, 5], size=count + horizon - 1))
-            epochs = [replace(e, ahrs=random_unit_quat(rng) * rng.choice([-1.0, 1.0]))
-                      for e in epochs]
-            seen, blocks, state = self.stepped_terms(monkeypatch, epochs, horizon)
-            assert len(seen) == count
+            epochs = [replace(e, ahrs=random_unit_quat(rng) * rng.choice([-1.0, 1.0]),
+                              dvl=rng.normal(size=3)) for e in epochs]
+            seen, blocks, velocity, state = self.stepped_terms(monkeypatch, epochs, horizon)
+            assert len(seen) == len(velocity) == count
             assert blocks == [(first, min(size, count - first)) for first in range(0, count, size)]
-            for w, (M, W, ok) in enumerate(seen):
+            bursts = state.bursts
+            for w, ((M, W, ok, sums), (args, result)) in enumerate(zip(seen, velocity)):
                 M_ref, W_ref = window_terms(state.ahrs[w:w + horizon],
-                                            state.bursts.rot_increment[w + 1:w + horizon])
+                                            bursts.rot_increment[w + 1:w + horizon])
                 assert ok
                 assert np.array_equal(M.view(np.int64), M_ref.view(np.int64))
                 assert np.array_equal(W.view(np.int64), W_ref.view(np.int64))
+                alone = _window_terms(state.ahrs, state.dvl, bursts, GRAVITY, horizon, w, 1)[0]
+                assert same_bits(sums, alone[3]) and args[4] is sums
+                # The velocity stage from the window-start orientation q, against
+                # each burst's increment rotated from where it starts.
+                params, q, v_iterate, v_gain, _ = args
+                increments = velocity_increments(
+                    bursts.body_dv[w + 1:w + horizon], bursts.duration[w + 1:w + horizon],
+                    burst_start_orientations(M, q), GRAVITY)
+                expected = velocity_step(params, state.dvl[w:w + horizon], v_iterate, v_gain,
+                                         increments)
+                for got, ref in zip(result, expected):
+                    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("block", [None, 7], ids=["default", "7"])
-    @pytest.mark.parametrize("gyro", [1e160, np.nan], ids=["overflow", "nan"])
-    def test_errors_wait_for_the_window_epoch(self, block, gyro, monkeypatch):
-        # A one-sample burst whose rotation increment passes start but whose
-        # window norms overflow or are NaN, mid-block: the rows before its epoch
-        # are those of the run that stops before it, no block fill warns, and its
-        # epoch raises what window_terms raises on that window.
+    @pytest.mark.parametrize("fault", ["overflow", "nan"])
+    def test_errors_wait_for_the_window_epoch(self, block, fault, monkeypatch):
+        # A burst whose rotation increment passes start but whose window norms
+        # overflow (a one-sample burst with a gyro reading of 1e160) or are NaN
+        # (a NaN table row: start refuses a NaN gyro reading itself), mid-block:
+        # the rows before its epoch are those of the run that stops before it,
+        # no block fill warns, and its epoch raises what window_terms raises on
+        # that window.
         if block is not None:
             monkeypatch.setattr(cascade, "_BLOCK", block)
         run, epochs = circle_run(duration=60.0)
@@ -850,9 +928,12 @@ class TestWindowTerms:
         horizon = config.params.horizon
         bad = horizon - 1 + cascade._BLOCK + cascade._BLOCK // 2
         e = epochs[bad]
-        epochs[bad] = replace(e, imu_burst=np.array([[e.t_prev + 0.01, 0.0, 0.0, -9.81,
-                                                      gyro, 0.0, 0.0]]))
+        if fault == "overflow":
+            epochs[bad] = replace(e, imu_burst=np.array([[e.t_prev + 0.01, 0.0, 0.0, -9.81,
+                                                          1e160, 0.0, 0.0]]))
         state = CascadeState.start(config, epochs)
+        if fault == "nan":
+            state.bursts.rot_increment[bad] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises((DegenerateQuaternionError, NumericalError)) as expected:
@@ -870,3 +951,50 @@ class TestWindowTerms:
             warnings.simplefilter("ignore")
             with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
                 cascade_step(state, epochs[bad])
+
+
+class TestSteadyStateVelocityError:
+    """The velocity stage's steady-state error on a noise-free straight line, in
+    closed form.  It fits the window-start velocity to the N DVL rows and
+    reports it plus the window's N-1 increments, so an error e common to every
+    increment leaves the reported velocity off by (N-1)/2 e: the fit removes
+    only the mean of the offsets' errors i e, i = 0..N-1.  These pin the
+    stage's extrapolation, signs and rotations."""
+
+    @staticmethod
+    def steady_error(horizon, heading, biases=ImuBiases(), tilt=None):
+        """Velocity error at the last epoch of a 30 s line run, the truth's and
+        the last AHRS row's orientation, and the epoch period."""
+        spec = ScenarioSpec(kind="line", duration=30.0, speed=0.5, initial_heading=heading,
+                            biases=biases, seed=0)
+        run = generate(spec)
+        epochs = run.epochs()
+        if tilt is not None:  # a constant AHRS offset, in the body frame
+            epochs = [replace(e, ahrs=quat_product(e.ahrs, quat_from_rotvec(tilt)))
+                      for e in epochs]
+        config = CascadeConfig(params=IpgParams(horizon=horizon), initial=run.initial_nav())
+        last, truth = run_cascade(epochs, config)[-1], run.truth[-1]
+        assert last.flag == "ok" and last.t == truth.t
+        return (last.nav.velocity - truth.nav.velocity, truth.nav.orientation, epochs[-1].ahrs,
+                1.0 / spec.meas_rate)
+
+    @pytest.mark.parametrize("heading", [0.0, 0.7])
+    @pytest.mark.parametrize("horizon", [2, 5, 10, 19])
+    def test_accel_bias_error(self, horizon, heading):
+        # An uncompensated accel bias b adds e = R b T to every increment.
+        b = np.array([0.02, -0.015, 0.01])
+        error, q, _, T = self.steady_error(horizon, heading, biases=ImuBiases(accel=b))
+        expected = (horizon - 1) / 2 * quat_to_rotation(q) @ b * T
+        assert np.abs(expected).max() > 1e-3
+        np.testing.assert_allclose(error, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("heading", [0.0, 0.7])
+    @pytest.mark.parametrize("horizon", [2, 5, 10, 19])
+    def test_ahrs_tilt_error(self, horizon, heading):
+        # Stage 1 follows the tilted AHRS R^ exactly, so each increment rotates
+        # the body-frame -g T by R^ instead of R: e = (R^ R^T - I)(-g) T.
+        error, q, ahrs, T = self.steady_error(horizon, heading, tilt=[0.01, -0.007, 0.004])
+        R, R_hat = quat_to_rotation(q), quat_to_rotation(ahrs)
+        expected = (horizon - 1) / 2 * (R_hat @ R.T - np.eye(3)) @ -GRAVITY * T
+        assert np.abs(expected).max() > 1e-3
+        np.testing.assert_allclose(error, expected, rtol=0.0, atol=1e-13)
