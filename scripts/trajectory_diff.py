@@ -19,6 +19,14 @@ report row of every estimator and seed (NaN on both sides counts as equal)
 and how many of the values are equal bit for bit; every row must agree to
 within TOLERANCE.
 
+One ``trajectories`` line, in the ``files`` configuration, compares the
+trajectory CSVs: each tree writes every estimator's rows with its own
+``trajectory.write_trajectory`` and reads them back with its own
+``read_trajectory``.  As the ``metrics`` line does, it gives the max
+|difference| between the two trees' read-back rows (t, position, velocity,
+quaternion) over every estimator and seed, against TOLERANCE, and how many
+of the values are equal bit for bit; the read-back flags must be equal.
+
 Configurations:
     survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
     long-window    25 Hz IMU, window N=10, 10 inner iterations; cipg, EKF, InEKF
@@ -35,7 +43,8 @@ Configurations:
                   its own ``sensors.load_stream`` and ``synchronize``, and
                   starts from the gt.csv pose and the first DVL velocity, as
                   ``cipgnav estimate --input`` does.  This is the
-                  configuration that covers CSV writing and loading.
+                  configuration that covers CSV writing and loading, and the
+                  one with a ``trajectories`` line.
     body-dvl      survey settings with the DVL generated in the body frame;
                   cipg, EKF, InEKF on ``SyntheticRun.epochs()``, which
                   rotates it into the navigation frame with
@@ -54,9 +63,10 @@ Configurations:
                   configuration with bursts of unequal length and nonzero
                   bias subtraction.
 
-Exits 1 if any max |dp|, |dv|, |dq| or report difference exceeds TOLERANCE
-or is not finite (a NaN or infinite difference reads nan or inf), any flag
-(or epoch timestamp) differs, or any generated stream differs, 0 otherwise.
+Exits 1 if any max |dp|, |dv|, |dq|, report or read-back difference exceeds
+TOLERANCE or is not finite (a NaN or infinite difference reads nan or inf),
+any flag (or epoch timestamp, or read-back flag) differs, or any generated
+stream differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -110,7 +120,7 @@ def import_tree(src: Path) -> dict:
     try:
         mods = {name: importlib.import_module(f"cipgnav.{name}")
                 for name in ("baselines", "cascade", "ipg", "preintegration", "sensors",
-                             "metrics", "sim")}
+                             "metrics", "sim", "trajectory")}
     finally:
         sys.path.remove(str(src))
     origin = Path(mods["cascade"].__file__).resolve()
@@ -129,6 +139,29 @@ def read_back(m: dict, run):
     epochs = sensors.synchronize(imu, dvl, ahrs)
     initial = m["preintegration"].NavState(gt[0].position, epochs[0].dvl, gt[0].orientation)
     return epochs, initial, m["metrics"].truth_from_gt(gt)[0]
+
+
+def read_back_rows(m: dict, points):
+    """``points`` written with the tree's ``write_trajectory`` and read back with its
+    ``read_trajectory``: an (n, 11) array of t, position, velocity and quaternion
+    rows, and the flags."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        m["trajectory"].write_trajectory(points, path)
+        back = m["trajectory"].read_trajectory(path)
+    rows = [[p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation] for p in back]
+    return np.array(rows, dtype=float).reshape(len(back), 11), [p.flag for p in back]
+
+
+def read_back_deviation(pairs) -> tuple[float, int, int, bool]:
+    """Over (old, new) pairs of ``read_back_rows`` results: the largest |old - new|
+    row value, how many values are equal bit for bit, of how many, and whether
+    the rows have the same shape and the flags are equal in every pair."""
+    compared = [(a[0].ravel(), b[0].ravel()) for a, b in pairs if a[0].shape == b[0].shape]
+    equal = len(compared) == len(pairs) and all(a[1] == b[1] for a, b in pairs)
+    dev, n_bitwise = report_deviation(np.concatenate([np.empty(0)] + [a for a, _ in compared]),
+                                      np.concatenate([np.empty(0)] + [b for _, b in compared]))
+    return dev, n_bitwise, sum(a[0].size for a, _ in pairs), equal
 
 
 def config_inputs(m: dict, c: dict, spec):
@@ -151,7 +184,9 @@ def config_inputs(m: dict, c: dict, spec):
 
 def run_tree(src: Path, seeds) -> dict:
     """{(config, estimator, seed): (t, position, velocity, quaternion, flags, report
-    values)}, and {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run.
+    values)}, {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run, and,
+    in a configuration with CSV files, {(config, "read-back", estimator, seed):
+    read_back_rows}.
 
     The report values are the rows of the default and then the aligned report."""
     m = import_tree(src)
@@ -185,6 +220,8 @@ def run_tree(src: Path, seeds) -> dict:
                     [value for align in (False, True) for _, value in m["metrics"]
                      .evaluate_trajectories(points, truth, metrics_configs[align]).rows()],
                 )
+                if c.get("files"):
+                    out[config, "read-back", name, seed] = read_back_rows(m, points)
     return out
 
 
@@ -258,6 +295,16 @@ def main(argv=None) -> int:
         excess = "" if within else "  OVER TOLERANCE"
         print(f"{config:12s} {'metrics':9s} {dev:10.3g}  "
               f"{n_bitwise}/{n_values} report values equal bit for bit{excess}")
+        if c.get("files"):
+            dev, n_bitwise, n_values, flags_equal = read_back_deviation(
+                [(old[config, "read-back", name, seed], new[config, "read-back", name, seed])
+                 for name in c["estimators"] for seed in seeds])
+            within = dev <= TOLERANCE
+            same &= within and flags_equal
+            excess = "" if within else "  OVER TOLERANCE"
+            flags = "flags equal" if flags_equal else "flags or rows DIFFER"
+            print(f"{config:12s} {'trajectories':9s} {dev:7.3g}  {n_bitwise}/{n_values} "
+                  f"read-back values equal bit for bit, {flags}{excess}")
         differ = [kind for k, kind in enumerate(STREAMS)
                   if not all(np.array_equal(old[config, "streams", seed][k],
                                             new[config, "streams", seed][k]) for seed in seeds)]

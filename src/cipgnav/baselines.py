@@ -129,9 +129,6 @@ class FilterConfig:
     def q_diag(self) -> np.ndarray:
         return self._q
 
-    def r_matrix(self) -> np.ndarray:
-        return self._r_matrix
-
 
 @dataclass
 class EkfState:
@@ -165,13 +162,6 @@ class InekfState:
             nav.position.copy(),
             config.p0_scale * np.eye(9),
         )
-
-    def as_matrix(self) -> np.ndarray:
-        X = np.eye(5)
-        X[:3, :3] = self.rotation
-        X[:3, 3] = self.velocity
-        X[:3, 4] = self.position
-        return X
 
     def nav(self) -> NavState:
         return NavState.exact(self.position.copy(), self.velocity.copy(),

@@ -339,7 +339,11 @@ def cascade_step(state: CascadeState, epoch):
     hold its burst and measurements; one at another timestamp raises ValueError
     naming both.  The first N-1 epochs dead-reckon (flag ``warmup``) while the
     windows fill.  Afterwards each epoch slides the windows, runs stage 1 then
-    stage 2, and integrates position over the epoch period.
+    stage 2, and integrates position over the epoch period.  A stage that
+    diverges (DivergenceError) aborts or falls back as ``config.fallback``
+    says; a window whose terms are degenerate or not finite raises
+    NumericalError or DegenerateQuaternionError, prefixed with the stage and
+    the epoch's ``t``, under either fallback.
     """
     config, k, horizon = state.config, state.cursor, state.config.params.horizon
     if k == len(state.t) or epoch.t != state.t[k]:
@@ -377,6 +381,8 @@ def cascade_step(state: CascadeState, epoch):
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
             config.params, zeta, state.v_iterate, state.v_gain, terms[3])
+    except (NumericalError, DegenerateQuaternionError) as exc:
+        raise type(exc)(f"{stage} window of the epoch at t={epoch.t!r}: {exc}") from exc
     except DivergenceError as exc:
         if config.fallback == "abort":
             raise DivergenceError(

@@ -7,6 +7,9 @@ Canonical CSV schemas (header row required, strictly increasing ``t``):
     ahrs.csv  t,qw,qx,qy,qz           unit quaternion, scalar first
     gt.csv    t,px,py,pz[,qw,qx,qy,qz]
 
+The trajectory CSV of ``trajectory.py`` is read and written by the same
+``load_csv`` and ``write_csv``, with the same checks and errors.
+
 In memory the IMU, DVL and AHRS streams are float arrays with one row per
 sample and the columns of ``SCHEMAS[kind]``: (n, 7), (n, 4) and (n, 5).
 Ground truth, whose orientation is optional, is a list of GroundTruthSample.
@@ -24,6 +27,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +39,8 @@ __all__ = [
     "GroundTruthSample",
     "SyncedEpoch",
     "SCHEMAS",
+    "load_csv",
+    "write_csv",
     "load_stream",
     "save_stream",
     "synchronize",
@@ -48,7 +54,25 @@ SCHEMAS = {
     "ahrs": ("t", "qw", "qx", "qy", "qz"),
     "gt": ("t", "px", "py", "pz", "qw", "qx", "qy", "qz"),
 }
+TRAJECTORY_COLUMNS = ("t", "px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz", "flag")
+FLAGS = ("ok", "warmup", "fallback")
 _QUAT_COLUMNS = ("qw", "qx", "qy", "qz")
+
+
+class _CsvFormat(NamedTuple):
+    columns: tuple
+    flags: tuple = ()  # the values of a last, text column, in memory as their index
+    short: int = 0  # the width of a shorter header also accepted
+    align: bool = True  # hemisphere-align quaternions: readings are, estimates are not
+
+
+_FORMATS = {
+    "imu": _CsvFormat(SCHEMAS["imu"]),
+    "dvl": _CsvFormat(SCHEMAS["dvl"]),
+    "ahrs": _CsvFormat(SCHEMAS["ahrs"]),
+    "gt": _CsvFormat(SCHEMAS["gt"], short=4),  # orientation optional
+    "trajectory": _CsvFormat(TRAJECTORY_COLUMNS, flags=FLAGS, align=False),
+}
 
 
 @dataclass(frozen=True)
@@ -91,132 +115,142 @@ def open_csv(path, make_reader=csv.reader, encoding=None, **reader_args):
             raise ParseError(f"malformed CSV ({exc})", line=line, path=path) from None
 
 
-def _parse_floats(row, n_expected, line, path):
-    if len(row) != n_expected:
-        raise ParseError(f"expected {n_expected} columns, got {len(row)}", line=line, path=path)
+def _parse_row(row, width, flags, line, path):
+    """A row's numbers, then, in a format with a flag column, its flag's index in ``flags``."""
+    if len(row) != width:
+        raise ParseError(f"expected {width} columns, got {len(row)}", line=line, path=path)
     try:
-        values = list(map(float, row))
+        values = list(map(float, row[:-1] if flags else row))
     except ValueError as exc:
         raise ParseError(f"non-numeric value ({exc})", line=line, path=path) from None
     if not all(map(math.isfinite, values)):
         raise ParseError(f"non-finite value in row {row}", line=line, path=path)
-    return values
+    if flags and row[-1].strip() not in flags:
+        raise ParseError(f"unknown flag {row[-1].strip()!r}; expected one of {flags}",
+                         line=line, path=path)
+    return values + [float(flags.index(row[-1].strip()))] if flags else values
 
 
-def _read_header(reader, kind, path):
-    """Check a stream's header row; returns the columns it names."""
-    expected = SCHEMAS[kind]
+def _read_header(reader, fmt, path):
+    """Check a CSV's header row; returns its width and its quaternion's columns (or None)."""
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty file", line=1, path=path) from None
     header = tuple(h.strip() for h in header)
-    if kind == "gt" and header == expected[:4]:
-        expected = expected[:4]
+    expected = header if fmt.short and header == fmt.columns[:fmt.short] else fmt.columns
     if header != expected:
-        raise ParseError(
-            f"header {','.join(header)!r} does not match schema {','.join(expected)!r}",
-            line=1,
-            path=path,
-        )
-    return expected
+        raise ParseError(f"header {','.join(header)!r} does not match schema "
+                         f"{','.join(expected)!r}", line=1, path=path)
+    n = len(expected) - bool(fmt.flags)  # a quaternion takes the last four numeric columns
+    return len(expected), slice(n - 4, n) if expected[n - 4:n] == _QUAT_COLUMNS else None
 
 
 def _load_bulk(path, kind):
-    """Parse a well-formed stream with one ``np.loadtxt`` call, or return None.
+    """Parse a well-formed CSV with one ``np.loadtxt`` call, or return None.
 
-    Returns the same array as ``_load_rows``, or None when the body is
-    anything other than finite rows of the schema's width with strictly
-    increasing ``t`` and quaternions of norm above ``_NORM_EPS``: such a file
-    goes to ``_load_rows``, which decides whether it is accepted and names
-    the offending line.  ``loadtxt`` takes no quoted fields, no ``1_000`` and
-    no non-ASCII digits, which ``float()`` accepts; on every value both
-    accept, they agree bit for bit.  The one input on which the two paths
-    differ is a well-formed numeric field longer than csv's field size limit
-    (131,072 characters): ``loadtxt`` parses it, ``_load_rows`` refuses it.
+    Returns what ``_load_rows`` returns, bit for bit, or None for any body
+    other than finite rows of the header's width with strictly increasing
+    ``t``, known flags and quaternions of norm above ``_NORM_EPS``: such a
+    file is left to ``_load_rows``, which names the offending line.
+    ``loadtxt`` refuses quoted fields, ``1_000``, non-ASCII digits and spaced
+    flags, which ``_load_rows`` accepts, and alone accepts a numeric field
+    longer than csv's field size limit (131,072 characters).
     """
+    fmt = _FORMATS[kind]
     with open(path, newline="") as fh:
         try:
-            expected = _read_header(csv.reader(fh), kind, path)
+            width, quat = _read_header(csv.reader(fh), fmt, path)
         except csv.Error:
             return None  # _load_rows names the line
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a body with no rows only warns
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except (ValueError, UserWarning):
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float,
+                                  converters={width - 1: fmt.flags.index} if fmt.flags else None)
+        except (ValueError, UserWarning):  # also an unknown flag
             return None
-    if (data.shape[1] != len(expected) or not np.isfinite(data).all()
+    if (data.shape[1] != width or not np.isfinite(data).all()
             or not (np.diff(data[:, 0]) > 0.0).all()):
         return None
-    if expected[-4:] == _QUAT_COLUMNS:
-        q = data[:, -4:]
+    if quat is not None:
+        q = data[:, quat]
         # A component of 1e154 or more overflows the norm to inf, which _load_rows refuses.
         with np.errstate(over="ignore"):
             norms = row_norms(q)
         if not ((norms > _NORM_EPS) & np.isfinite(norms)).all():
             return None
-        data[:, -4:] = hemisphere_align(q / norms[:, None])
+        q = q / norms[:, None]
+        data[:, quat] = hemisphere_align(q) if fmt.align else q
     return data
 
 
 def _load_rows(path, kind):
-    """Parse a stream one row at a time: the definition of what ``load_stream`` accepts.
-
-    Raises ParseError (on a quaternion of zero or overflowing norm too) /
-    StreamOrderError with the offending line.
-    """
+    """Parse a CSV one row at a time: the definition of what ``load_csv`` accepts."""
+    fmt = _FORMATS[kind]
     rows, unit_quats = [], []
     prev_t = None
     with open_csv(path) as reader:
-        expected = _read_header(reader, kind, path)
-        has_quat = expected[-4:] == _QUAT_COLUMNS
+        width, quat = _read_header(reader, fmt, path)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            values = _parse_floats(row, len(expected), line_no, path)
+            values = _parse_row(row, width, fmt.flags, line_no, path)
             t = values[0]
             if prev_t is not None and t <= prev_t:
-                raise StreamOrderError(
-                    f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})"
-                )
+                raise StreamOrderError(f"{path}: non-monotonic timestamp at t={t!r} "
+                                       f"(line {line_no})")
             prev_t = t
-            if has_quat:
+            if quat is not None:
                 try:
                     with np.errstate(over="raise"):
-                        unit_quats.append(quat_normalize(values[-4:]))
+                        unit_quats.append(quat_normalize(values[quat]))
                 except FloatingPointError:
-                    raise ParseError(f"quaternion {values[-4:]} has a norm too large to "
+                    raise ParseError(f"quaternion {values[quat]} has a norm too large to "
                                      "normalize", line=line_no, path=path) from None
                 except DegenerateQuaternionError as exc:
                     raise ParseError(str(exc), line=line_no, path=path) from None
             rows.append(values)
-    data = np.array(rows, dtype=float).reshape(len(rows), len(expected))
-    if has_quat and rows:
-        data[:, -4:] = hemisphere_align(unit_quats)
+    data = np.array(rows, dtype=float).reshape(len(rows), width)
+    if quat is not None and rows:
+        data[:, quat] = hemisphere_align(unit_quats) if fmt.align else unit_quats
     return data
 
 
-def load_stream(path, kind: str):
-    """Load a canonical CSV stream, validating schema and time ordering.
-
-    IMU, DVL and AHRS streams load as arrays with the columns of
-    ``SCHEMAS[kind]``; ground truth loads as a list of GroundTruthSample, from
-    4 or 8 columns (orientation optional).  Quaternions are normalized and
-    hemisphere sign-fixed against their predecessor.  Raises ParseError (on
-    a quaternion of zero or overflowing norm too) / StreamOrderError with the
-    offending line.
-
-    A well-formed file is parsed in one ``np.loadtxt`` call; any other goes
-    through the per-row parser, which gives the same arrays and defines the
-    errors.
-    """
-    if kind not in SCHEMAS:
-        raise ValueError(f"unknown stream kind {kind!r}; expected one of {sorted(SCHEMAS)}")
+def load_csv(path, kind: str) -> np.ndarray:
+    """Load a canonical CSV, a ``SCHEMAS`` kind or ``"trajectory"``, as a float array
+    with the header's columns, a flag as its index in FLAGS, and quaternions
+    normalized and, except in a trajectory, hemisphere-aligned.  Raises
+    ParseError (on a quaternion of zero or overflowing norm and an unknown flag
+    too) / StreamOrderError with the offending line.  A well-formed file is
+    parsed in one ``np.loadtxt`` call, any other by the per-row parser."""
     path = Path(path)
     data = _load_bulk(path, kind)
-    if data is None:
-        data = _load_rows(path, kind)
+    return _load_rows(path, kind) if data is None else data
+
+
+def write_csv(rows, path, kind: str, columns=None) -> None:
+    """Write float ``rows`` under the header ``columns`` (the kind's by default), each
+    number as its ``repr`` and a flag column's entry, an index into FLAGS, as the flag."""
+    fmt = _FORMATS[kind]
+    columns = columns or fmt.columns
+    n = len(columns) - bool(fmt.flags)
+    table = np.reshape(np.asarray(rows, dtype=float), (len(rows), len(columns)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        # Row by row, so that the table is never held as Python floats.
+        writer.writerows([*map(repr, row[:n]), *(fmt.flags[int(f)] for f in row[n:])]
+                         for row in map(np.ndarray.tolist, table))
+
+
+def load_stream(path, kind: str):
+    """Load a canonical CSV stream with ``load_csv``: IMU, DVL and AHRS streams as
+    arrays with the columns of ``SCHEMAS[kind]``, ground truth as a list of
+    GroundTruthSample from 4 or 8 columns (orientation optional)."""
+    if kind not in SCHEMAS:
+        raise ValueError(f"unknown stream kind {kind!r}; expected one of {sorted(SCHEMAS)}")
+    data = load_csv(path, kind)
     if kind != "gt":
         return data
     quats = data[:, 4:] if data.shape[1] == 8 else [None] * len(data)
@@ -228,19 +262,13 @@ def save_stream(samples, path, kind: str) -> None:
     """Write a stream back to the canonical CSV schema (round-trip safe)."""
     if kind not in SCHEMAS:
         raise ValueError(f"unknown stream kind {kind!r}")
-    path = Path(path)
-    expected = SCHEMAS[kind]
-    rows = samples
+    columns = SCHEMAS[kind]
     if kind == "gt":
         if samples and samples[0].orientation is None:
-            expected = expected[:4]
-        rows = [[s.t, *s.position, *(s.orientation if len(expected) == 8 else ())]
-                for s in samples]
-    table = np.reshape(np.asarray(rows, dtype=float), (len(rows), len(expected))).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(expected)
-        writer.writerows([repr(v) for v in row] for row in table)
+            columns = columns[:4]
+        samples = [[s.t, *s.position, *(s.orientation if len(columns) == 8 else ())]
+                   for s in samples]
+    write_csv(samples, path, kind, columns)
 
 
 def _median_dt(times) -> float:

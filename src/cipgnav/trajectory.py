@@ -1,26 +1,20 @@
 """Estimated-trajectory rows and their CSV serialization.
 
 Schema: ``t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,flag`` with flag in
-{ok, warmup, fallback}.
+{ok, warmup, fallback}; ``sensors.load_csv`` and ``sensors.write_csv`` read
+and write it as they do the sensor streams.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError, ParseError, StreamOrderError
 from .preintegration import NavState
-from .sensors import open_csv
+from .sensors import FLAGS, TRAJECTORY_COLUMNS, load_csv, write_csv
 
 __all__ = ["TRAJECTORY_COLUMNS", "FLAGS", "TrajectoryPoint", "write_trajectory", "read_trajectory"]
-
-TRAJECTORY_COLUMNS = ("t", "px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz", "flag")
-FLAGS = ("ok", "warmup", "fallback")
 
 
 @dataclass(frozen=True)
@@ -35,64 +29,15 @@ class TrajectoryPoint:
 
 
 def write_trajectory(points, path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for p in points:
-            row = [p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation]
-            writer.writerow([repr(float(v)) for v in row] + [p.flag])
+    rows = ((p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation, FLAGS.index(p.flag))
+            for p in points)  # one row at a time: no Python object per value outlives its row
+    write_csv(np.fromiter(rows, np.dtype((float, 12))), path, "trajectory")
 
 
 def read_trajectory(path):
-    """Load a trajectory CSV written by ``write_trajectory``.
-
-    Raises ParseError naming the line on a non-finite value, a quaternion
-    of zero or overflowing norm or an unknown flag, and StreamOrderError on
-    a timestamp that does not increase.
-    """
-    path = Path(path)
-    points = []
-    prev_t = None
-    # An overflowing quaternion norm is refused below, so numpy need not warn of it.
-    with open_csv(path) as reader, np.errstate(over="ignore"):
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise ParseError("empty trajectory file", line=1, path=path) from None
-        if header != TRAJECTORY_COLUMNS:
-            raise ParseError(
-                f"header {','.join(header)!r} does not match trajectory schema",
-                line=1,
-                path=path,
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRAJECTORY_COLUMNS):
-                raise ParseError(
-                    f"expected {len(TRAJECTORY_COLUMNS)} columns, got {len(row)}",
-                    line=line_no,
-                    path=path,
-                )
-            try:
-                values = [float(v) for v in row[:-1]]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric value ({exc})", line=line_no, path=path) from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError("non-finite value", line=line_no, path=path)
-            flag = row[-1].strip()
-            if flag not in FLAGS:
-                raise ParseError(f"unknown trajectory flag {flag!r}; expected one of {FLAGS}",
-                                 line=line_no, path=path)
-            t = values[0]
-            if prev_t is not None and t <= prev_t:
-                raise StreamOrderError(f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})")
-            prev_t = t
-            try:
-                nav = NavState(np.array(values[1:4]), np.array(values[4:7]),
-                               np.array(values[7:11]))
-            except DegenerateQuaternionError as exc:
-                raise ParseError(str(exc), line=line_no, path=path) from None
-            points.append(TrajectoryPoint(t, nav, flag))
-    return points
+    """Load a trajectory CSV written by ``write_trajectory``; raises what
+    ``sensors.load_csv`` raises, as for the sensor streams."""
+    data = load_csv(path, "trajectory")
+    return [TrajectoryPoint(t, NavState.exact(p, v, q), FLAGS[flag])
+            for t, p, v, q, flag in zip(data[:, 0].tolist(), data[:, 1:4], data[:, 4:7],
+                                        data[:, 7:11], data[:, 11].astype(int).tolist())]

@@ -13,16 +13,30 @@ rotated from the orientation where it starts (``burst_start_orientations``
 and ``velocity_increments``), the offsets their running sums, and the
 scalar-gain recursion on the window's misfit.  ``cascade._velocity_step``
 gets the same from per-window sums in O(1) and must match it.
+
+``read_trajectory`` and ``write_trajectory`` are the trajectory CSV reader,
+which parsed each row on its own, and writer that ``trajectory.py`` had
+before it went through ``sensors.load_csv`` and ``sensors.write_csv``: the
+values read and the bytes written must equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from cipgnav.errors import DegenerateQuaternionError, DivergenceError, NumericalError
+from cipgnav.errors import (
+    DegenerateQuaternionError,
+    DivergenceError,
+    NumericalError,
+    ParseError,
+    StreamOrderError,
+)
 from cipgnav.ipg import IpgParams, WindowModel
+from cipgnav.preintegration import NavState
 from cipgnav.quat import (
     _NORM_EPS,
     quat_normalize,
@@ -31,6 +45,8 @@ from cipgnav.quat import (
     rotation_rows,
     unit_rows,
 )
+from cipgnav.sensors import open_csv
+from cipgnav.trajectory import FLAGS, TRAJECTORY_COLUMNS, TrajectoryPoint
 
 
 def normalize_jacobian(y) -> np.ndarray:
@@ -119,3 +135,66 @@ def velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
         x, k = x_next, k_next
     zeta = np.array(x)
     return zeta + offsets[-1], zeta + increments[0], k
+
+
+def write_trajectory(points, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for p in points:
+            row = [p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation]
+            writer.writerow([repr(float(v)) for v in row] + [p.flag])
+
+
+def read_trajectory(path):
+    """Load a trajectory CSV one row at a time, each quaternion through NavState.
+
+    Raises ParseError naming the line on a non-finite value, a quaternion
+    of zero or overflowing norm or an unknown flag, and StreamOrderError on
+    a timestamp that does not increase.
+    """
+    path = Path(path)
+    points = []
+    prev_t = None
+    # An overflowing quaternion norm is refused below, so numpy need not warn of it.
+    with open_csv(path) as reader, np.errstate(over="ignore"):
+        try:
+            header = tuple(h.strip() for h in next(reader))
+        except StopIteration:
+            raise ParseError("empty trajectory file", line=1, path=path) from None
+        if header != TRAJECTORY_COLUMNS:
+            raise ParseError(
+                f"header {','.join(header)!r} does not match trajectory schema",
+                line=1,
+                path=path,
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRAJECTORY_COLUMNS):
+                raise ParseError(
+                    f"expected {len(TRAJECTORY_COLUMNS)} columns, got {len(row)}",
+                    line=line_no,
+                    path=path,
+                )
+            try:
+                values = [float(v) for v in row[:-1]]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric value ({exc})", line=line_no, path=path) from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError("non-finite value", line=line_no, path=path)
+            flag = row[-1].strip()
+            if flag not in FLAGS:
+                raise ParseError(f"unknown trajectory flag {flag!r}; expected one of {FLAGS}",
+                                 line=line_no, path=path)
+            t = values[0]
+            if prev_t is not None and t <= prev_t:
+                raise StreamOrderError(f"{path}: non-monotonic timestamp at t={t!r} (line {line_no})")
+            prev_t = t
+            try:
+                nav = NavState(np.array(values[1:4]), np.array(values[4:7]),
+                               np.array(values[7:11]))
+            except DegenerateQuaternionError as exc:
+                raise ParseError(str(exc), line=line_no, path=path) from None
+            points.append(TrajectoryPoint(t, nav, flag))
+    return points

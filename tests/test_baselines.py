@@ -45,6 +45,11 @@ def skew(v):
     return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0.0]])
 
 
+def r_matrix(config):
+    """The 6x6 measurement noise covariance of ``config``'s DVL and AHRS updates."""
+    return np.diag(np.concatenate([config.r_vel, config.r_att]))
+
+
 def circle_epochs(duration=20.0, noise=QUIET, seed=0, radius=10.0):
     spec = ScenarioSpec(kind="circle", duration=duration, speed=0.5,
                         circle_radius=radius, noise=noise, seed=seed)
@@ -238,7 +243,7 @@ class TestEkfUpdate:
             P = random_cov(rng) * 10.0 ** rng.uniform(-6.0, 2.0)
             out = ekf_update(EkfState(nav, P), dvl, ahrs, config)
             y = np.concatenate([dvl - nav.velocity, _attitude_innovation(nav.orientation, ahrs)])
-            dx, P_ref = kalman_update(P, self.H, config.r_matrix(), y)
+            dx, P_ref = kalman_update(P, self.H, r_matrix(config), y)
             assert out.cov.tobytes() == P_ref.tobytes()
             assert out.nav.position.tobytes() == (nav.position + dx[0:3]).tobytes()
             assert out.nav.velocity.tobytes() == (nav.velocity + dx[3:6]).tobytes()
@@ -248,9 +253,9 @@ class TestEkfUpdate:
     def test_singular_innovation_covariance_raises_as_kalman_update(self, rng):
         config, nav, dvl, ahrs = self.random_inputs(rng)
         P = np.zeros((9, 9))
-        P[3:, 3:] = -config.r_matrix()  # S = P[3:, 3:] + R = 0
+        P[3:, 3:] = -r_matrix(config)  # S = P[3:, 3:] + R = 0
         with pytest.raises(NumericalError) as expected:
-            kalman_update(P, self.H, config.r_matrix(), np.zeros(6))
+            kalman_update(P, self.H, r_matrix(config), np.zeros(6))
         with pytest.raises(NumericalError) as got:
             ekf_update(EkfState(nav, P), dvl, ahrs, config)
         assert str(got.value) == str(expected.value)
@@ -367,8 +372,7 @@ class TestInekf:
     def test_state_matrix_round_trip(self, rng):
         nav = NavState(rng.normal(size=3), rng.normal(size=3), quat_from_yaw(0.5))
         state = InekfState.start(nav, FilterConfig())
-        X = state.as_matrix()
-        np.testing.assert_allclose(X[:3, :3], quat_to_rotation(nav.orientation))
+        np.testing.assert_allclose(state.rotation, quat_to_rotation(nav.orientation))
         back = state.nav()
         np.testing.assert_allclose(back.position, nav.position)
         np.testing.assert_allclose(back.velocity, nav.velocity)
@@ -454,8 +458,7 @@ class TestRunnersMatchTheirSteps:
 class TestFilterConfig:
     def test_matrix_builders(self):
         cfg = FilterConfig(r_vel=np.array([0.1, 0.2, 0.3]), r_att=np.array([0.4, 0.5, 0.6]))
-        R = cfg.r_matrix()
-        np.testing.assert_allclose(np.diag(R), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        np.testing.assert_array_equal(cfg._r_matrix, np.diag([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         q = cfg.q_diag()
         assert q.shape == (9,)
         np.testing.assert_allclose(q[3:6], 4e-6)
@@ -486,18 +489,19 @@ class TestFilterConfig:
         assert cfg == cfg and cfg != copy and cfg != changed and copy != changed
         assert hash(cfg) == hash(cfg) and len({cfg, copy, changed, cfg}) == 3
         assert changed.q_att == 1e-5 and changed.q_diag()[8] == 1e-5
-        np.testing.assert_array_equal(copy.r_matrix(), cfg.r_matrix())
+        np.testing.assert_array_equal(r_matrix(copy), r_matrix(cfg))
         assert copy.biases is cfg.biases and copy.gravity is cfg.gravity
 
     def test_matrices_cannot_go_stale(self):
         # r_vel is a read-only copy: changing the caller's array changes nothing,
-        # and neither the fields nor the matrices built from them can be written.
+        # and neither the fields nor the matrices the updates read can be written.
         r_vel = np.array([0.1, 0.2, 0.3])
         cfg = FilterConfig(r_vel=r_vel)
         r_vel[0] = 5.0
-        assert cfg.r_vel[0] == 0.1 and cfg.r_matrix()[0, 0] == 0.1
-        for array in (cfg.r_vel, cfg.r_att, cfg.r_matrix(), cfg.q_diag()):
+        assert cfg.r_vel[0] == 0.1 and cfg._r_matrix[0, 0] == 0.1
+        for array in (cfg.r_vel, cfg.r_att, cfg._r_matrix, cfg.q_diag()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        np.testing.assert_array_equal(replace(cfg, r_att=np.full(3, 0.5)).r_matrix(),
-                                      np.diag([0.1, 0.2, 0.3, 0.5, 0.5, 0.5]))
+        changed = replace(cfg, r_att=np.full(3, 0.5))
+        np.testing.assert_array_equal(changed._r_matrix, r_matrix(changed))
+        np.testing.assert_array_equal(changed._r_matrix, np.diag([0.1, 0.2, 0.3, 0.5, 0.5, 0.5]))

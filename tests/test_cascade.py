@@ -564,6 +564,26 @@ class TestOrientationFallback:
         assert len(points) == len(epochs)
         assert set(flags[horizon - 1 :]) == {"fallback"}
 
+    @pytest.mark.parametrize("fallback", ["abort", "deadreckon"])
+    def test_non_finite_window_names_the_epoch_under_either_fallback(self, fallback):
+        # Burst 40 replaced by its last row with gyro x at 1e160 rad/s passes
+        # start (the increment's norm overflows to inf), and the window terms
+        # of its epochs are not finite: a fault of the data, not a divergence,
+        # so no fallback, and the error names the first such epoch.
+        run = generate(ScenarioSpec(kind="circle", duration=20.0, circle_radius=15.0))
+        epochs = run.epochs()
+        burst = epochs[40].imu_burst[-1:].copy()
+        burst[0, 4] = 1e160
+        epochs[40] = replace(epochs[40], imu_burst=burst)
+        config = CascadeConfig(initial=run.initial_nav(), fallback=fallback)
+        message = ("orientation window of the epoch at t=8.2: "
+                   "non-finite stacked Jacobian entry in the orientation window")
+        assert epochs[40].t == 8.2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the one-sample burst spans 0.2 s
+            with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                run_cascade(epochs, config)
+
     def test_reseeds_from_window_start_ahrs_after_single_bad_epoch(self, monkeypatch):
         run, epochs = circle_run(duration=20.0)
         good = CascadeConfig(fallback="deadreckon", initial=run.initial_nav())
@@ -920,7 +940,7 @@ class TestWindowTerms:
         # (a NaN table row: start refuses a NaN gyro reading itself), mid-block:
         # the rows before its epoch are those of the run that stops before it,
         # no block fill warns, and its epoch raises what window_terms raises on
-        # that window.
+        # that window, prefixed with the epoch.
         if block is not None:
             monkeypatch.setattr(cascade, "_BLOCK", block)
         run, epochs = circle_run(duration=60.0)
@@ -949,7 +969,8 @@ class TestWindowTerms:
                     assert same_bits(getattr(point.nav, name), getattr(ref.nav, name))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            message = f"orientation window of the epoch at t={epochs[bad].t!r}: {expected.value}"
+            with pytest.raises(expected.type, match=f"^{re.escape(message)}$"):
                 cascade_step(state, epochs[bad])
 
 

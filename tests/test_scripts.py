@@ -81,3 +81,36 @@ def test_imu_gaps_has_unequal_bursts_and_true_biases(trajectory_diff):
     _, epochs, _, _, biases = trajectory_diff.config_inputs(m, configs["survey"], spec)
     assert {len(e.imu_burst) for e in epochs[1:]} == {20}
     assert not (biases.accel.any() or biases.gyro.any())
+
+
+def test_read_back_rows_are_the_trees_own_round_trip(trajectory_diff, tmp_path):
+    # The files configuration's trajectories line compares what each tree's
+    # write_trajectory then read_trajectory gives; on one tree that is what
+    # the package's round trip gives, bit for bit, flags included.
+    from cipgnav import cascade, sim, trajectory
+
+    run = sim.generate(sim.benchmark_scenario(0, 10.0))
+    points = cascade.run_cascade(run.epochs(), cascade.CascadeConfig(initial=run.initial_nav()))
+    rows, flags = trajectory_diff.read_back_rows({"trajectory": trajectory}, points)
+    path = tmp_path / "t.csv"
+    trajectory.write_trajectory(points, path)
+    back = trajectory.read_trajectory(path)
+    expected = np.array([[p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation]
+                         for p in back])
+    assert rows.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert flags == [p.flag for p in points] and "warmup" in flags
+    assert trajectory_diff.read_back_deviation([((rows, flags), (rows.copy(), flags))] * 2) == (
+        0.0, rows.size * 2, rows.size * 2, True)
+
+
+def test_read_back_deviation_reports_ulps_flags_and_lengths(trajectory_diff):
+    rows = np.array([[0.2, 1.0, 2.0], [0.4, 3.0, 4.0]])
+    moved = rows.copy()
+    moved[1, 2] = np.nextafter(4.0, 5.0)
+    dev, bitwise, total, equal = trajectory_diff.read_back_deviation(
+        [((rows, ["ok", "ok"]), (moved, ["ok", "ok"]))])
+    assert dev == np.nextafter(4.0, 5.0) - 4.0 and (bitwise, total, equal) == (5, 6, True)
+    assert not trajectory_diff.read_back_deviation(
+        [((rows, ["ok", "ok"]), (rows, ["ok", "fallback"]))])[3]
+    assert not trajectory_diff.read_back_deviation(
+        [((rows, ["ok", "ok"]), (rows[:1], ["ok"]))])[3]

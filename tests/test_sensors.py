@@ -20,6 +20,7 @@ from cipgnav.sensors import (
     save_stream,
     synchronize,
 )
+from cipgnav.trajectory import FLAGS, TRAJECTORY_COLUMNS, read_trajectory
 from tests.conftest import make_streams, random_unit_quat
 
 
@@ -71,10 +72,15 @@ class TestStreamIo:
             load_stream(tmp_path / "x.csv", "sonar")
 
 
+def _load(path, kind):
+    """load_stream, or load_csv for the trajectory CSV, which load_stream does not take."""
+    return sensors.load_csv(path, kind) if kind == "trajectory" else load_stream(path, kind)
+
+
 def _per_row_load(path, kind):
-    """load_stream with the bulk parse disabled: every file goes through the row loop."""
+    """_load with the bulk parse disabled: every file goes through the row loop."""
     with mock.patch.object(sensors, "_load_bulk", lambda *_: None):
-        return load_stream(path, kind)
+        return _load(path, kind)
 
 
 def _outcome(load, path, kind):
@@ -96,6 +102,7 @@ _STREAMS = {
     "ahrs": ("ahrs", SCHEMAS["ahrs"]),
     "gt4": ("gt", SCHEMAS["gt"][:4]),
     "gt8": ("gt", SCHEMAS["gt"]),
+    "trajectory": ("trajectory", TRAJECTORY_COLUMNS),
 }
 _finite = st.one_of(st.floats(-10.0, 10.0),
                     st.floats(allow_nan=False, allow_infinity=False))
@@ -108,29 +115,35 @@ _bad_tokens = st.sampled_from(["nan", "-inf", "inf", "1e500", "", " ", "bogus", 
 
 @st.composite
 def _stream_files(draw, mutate: bool):
-    """(kind, CSV text) of a stream with 0-12 rows; ``mutate`` may break a few of them."""
+    """(kind, CSV text) of a CSV with 0-12 rows; ``mutate`` may break a few of them."""
     kind, header = _STREAMS[draw(st.sampled_from(sorted(_STREAMS)))]
+    numeric = header[:-1] if header[-1] == "flag" else header
+    q = header.index("qw") if "qw" in header else None
     n = draw(st.integers(0 if mutate else 1, 12))
     times = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True)))
     rows = []
     for t in times:
-        values = [t, *draw(st.lists(_finite, min_size=len(header) - 1,
-                                    max_size=len(header) - 1))]
-        if header[-1] == "qz" and not mutate:
-            values[-4:] = draw(st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4))
+        values = [t, *draw(st.lists(_finite, min_size=len(numeric) - 1,
+                                    max_size=len(numeric) - 1))]
+        if q is not None and not mutate:
+            values[q:q + 4] = draw(st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4))
         fmt = draw(_formats) if mutate else repr
-        rows.append([fmt(v) for v in values])
+        flags = [draw(st.sampled_from(FLAGS))] if numeric != header else []
+        rows.append([fmt(v) for v in values] + flags)
     inserted = []
     for _ in range(draw(st.integers(0, 2)) if mutate and rows else 0):
         k = draw(st.integers(0, len(rows) - 1))
         row = rows[k]
-        action = draw(st.sampled_from(["token", "drop", "blank", "space", "repeat", "zero"]))
+        action = draw(st.sampled_from(["token", "drop", "blank", "space", "repeat", "zero",
+                                       "flag"]))
         if action == "token":
             row[draw(st.integers(0, len(row) - 1))] = draw(_bad_tokens)
         elif action == "drop":
             row.pop()
-        elif action == "zero" and header[-1] == "qz":
-            row[-4:] = ["0.0"] * 4
+        elif action == "zero" and q is not None:
+            row[q:q + 4] = ["0.0"] * 4
+        elif action == "flag" and numeric != header:
+            row[-1] = draw(st.sampled_from([" ok", "warmup ", '"fallback"', "OK", "1", ""]))
         else:
             inserted.append((k, {"blank": [], "space": ["  "]}.get(action, row)))
     for k, row in sorted(inserted, key=lambda item: -item[0]):
@@ -152,7 +165,7 @@ class TestLoaderPaths:
         bulk = sensors._load_bulk(path, kind)
         assert bulk is not None
         assert bulk.tobytes() == sensors._load_rows(path, kind).tobytes()
-        assert _outcome(load_stream, path, kind) == _outcome(_per_row_load, path, kind)
+        assert _outcome(_load, path, kind) == _outcome(_per_row_load, path, kind)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=200, deadline=None,
@@ -162,7 +175,7 @@ class TestLoaderPaths:
         kind, text = case
         path = tmp_path / "s.csv"
         path.write_text(text, newline="")
-        assert _outcome(load_stream, path, kind) == _outcome(_per_row_load, path, kind)
+        assert _outcome(_load, path, kind) == _outcome(_per_row_load, path, kind)
 
     IMU = "t,ax,ay,az,gx,gy,gz\n0.01,1,2,3,4,5,6\n0.02,1,2,3,4,5,6\n"
     AHRS = "t,qw,qx,qy,qz\n0.2,1,0,0,0\n0.4,0.5,0.5,0.5,0.5\n"
@@ -203,6 +216,94 @@ class TestLoaderPaths:
         outcome = _outcome(load_stream, path, kind)
         assert outcome == _outcome(_per_row_load, path, kind)
         assert outcome[1] is error and f"line {line}" in outcome[2]
+
+
+# The five canonical CSVs: the four sensor streams and the estimated trajectory.
+_CSVS = {**SCHEMAS, "trajectory": TRAJECTORY_COLUMNS}
+
+
+def _read_any(path, kind):
+    """A canonical CSV through its public reader."""
+    return read_trajectory(path) if kind == "trajectory" else load_stream(path, kind)
+
+
+def _fault(fault, header, rows):
+    """Break ``header`` or the second row (line 3) in place as ``fault`` says;
+    returns the error type and the message, with ``{path}`` for the file."""
+    row, q = rows[1], header.index("qw") if "qw" in header else None
+    where = "{path}:line 3: "
+    if fault == "overflowing-quaternion":
+        row[q] = "1e200"
+        return ParseError, (f"{where}quaternion {list(map(float, row[q:q + 4]))} "
+                            "has a norm too large to normalize")
+    if fault == "zero-quaternion":
+        row[q:q + 4] = ["0.0"] * 4
+        return ParseError, f"{where}cannot normalize quaternion with norm 0.000e+00"
+    if fault == "non-finite":
+        row[1] = "inf"
+        return ParseError, f"{where}non-finite value in row {row}"
+    if fault == "t-not-increasing":
+        row[0] = rows[0][0]
+        return StreamOrderError, "{path}: non-monotonic timestamp at t=1.0 (line 3)"
+    if fault == "short-row":
+        row.pop()
+        return ParseError, f"{where}expected {len(header)} columns, got {len(row)}"
+    if fault == "unknown-flag":
+        row[-1] = "bogus"
+        return ParseError, f"{where}unknown flag 'bogus'; expected one of {FLAGS}"
+    if fault == "bad-header":
+        expected = ",".join(header)
+        header[0] = "time"
+        return ParseError, (f"{{path}}:line 1: header {','.join(header)!r} does not match "
+                            f"schema {expected!r}")
+    assert fault == "empty-file"
+    header.clear()
+    rows.clear()
+    return ParseError, "{path}:line 1: empty file"
+
+
+_FAULTS = ["overflowing-quaternion", "zero-quaternion", "non-finite", "t-not-increasing",
+           "short-row", "unknown-flag", "bad-header", "empty-file"]
+_FAULT_CASES = [(fault, kind) for fault in _FAULTS for kind in _CSVS
+                if ("quaternion" not in fault or "qw" in _CSVS[kind])
+                and (fault != "unknown-flag" or "flag" in _CSVS[kind])]
+
+
+class TestFaultTable:
+    """One table of faults over all five canonical CSVs and both parser paths:
+    each fault raises the same error type and message whatever the kind, and
+    whether the file would take the bulk or the per-row path."""
+
+    @staticmethod
+    def write(tmp_path, kind, fault=None, quoted=False):
+        header = list(_CSVS[kind])
+        rows = [[{"t": f"{i + 1}.0", "flag": "ok"}.get(name, "0.5") for name in header]
+                for i in range(3)]
+        error = _fault(fault, header, rows) if fault else None
+        if quoted and rows:  # loadtxt refuses a quoted field; the row loop reads it
+            rows[0][0] = f'"{rows[0][0]}"'
+        path = tmp_path / ("quoted.csv" if quoted else "plain.csv")
+        path.write_text("".join(",".join(line) + "\n" for line in [header, *rows] if line))
+        return path, error
+
+    @pytest.mark.parametrize("kind", sorted(_CSVS))
+    def test_clean_files_take_either_path_to_the_same_values(self, tmp_path, kind):
+        plain, _ = self.write(tmp_path, kind)
+        quoted, _ = self.write(tmp_path, kind, quoted=True)
+        assert sensors._load_bulk(plain, kind) is not None
+        assert sensors._load_bulk(quoted, kind) is None
+        assert sensors.load_csv(plain, kind).tobytes() == sensors.load_csv(quoted, kind).tobytes()
+        _read_any(plain, kind)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "per-row"])
+    @pytest.mark.parametrize("fault, kind", _FAULT_CASES,
+                             ids=[f"{fault}-{kind}" for fault, kind in _FAULT_CASES])
+    def test_fault_gives_one_error_for_every_kind_and_path(self, tmp_path, fault, kind, quoted):
+        path, (error, message) = self.write(tmp_path, kind, fault, quoted)
+        with pytest.raises(error) as raised:
+            _read_any(path, kind)
+        assert type(raised.value) is error
+        assert str(raised.value) == message.format(path=path)
 
 
 class TestSynchronize:
