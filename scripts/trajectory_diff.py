@@ -27,6 +27,15 @@ trajectory CSVs: each tree writes every estimator's rows with its own
 quaternion) over every estimator and seed, against TOLERANCE, and how many
 of the values are equal bit for bit; the read-back flags must be equal.
 
+One ``adapt`` line, in the ``files`` configuration, compares dataset
+ingestion: each seed's streams are written in the source layout of the
+builtin ``girona_csv`` adapter by this script's own writer (gyro in deg/s,
+DVL in the body frame, AHRS as roll, pitch and yaw in degrees, ground truth
+with xyzw quaternions), and each tree converts them with its own
+``adapters.adapt``.  The line says whether every CSV written is equal byte
+for byte across the trees and whether each stream's rows read, written and
+dropped are equal; both must be.
+
 Configurations:
     survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
     long-window    25 Hz IMU, window N=10, 10 inner iterations; cipg, EKF, InEKF
@@ -44,7 +53,7 @@ Configurations:
                   starts from the gt.csv pose and the first DVL velocity, as
                   ``cipgnav estimate --input`` does.  This is the
                   configuration that covers CSV writing and loading, and the
-                  one with a ``trajectories`` line.
+                  one with the ``trajectories`` and ``adapt`` lines.
     body-dvl      survey settings with the DVL generated in the body frame;
                   cipg, EKF, InEKF on ``SyntheticRun.epochs()``, which
                   rotates it into the navigation frame with
@@ -65,8 +74,8 @@ Configurations:
 
 Exits 1 if any max |dp|, |dv|, |dq|, report or read-back difference exceeds
 TOLERANCE or is not finite (a NaN or infinite difference reads nan or inf),
-any flag (or epoch timestamp, or read-back flag) differs, or any generated
-stream differs, 0 otherwise.
+any flag (or epoch timestamp, or read-back flag) differs, any generated
+stream differs, or any adapted CSV or row count differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -75,6 +84,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import sys
 import tempfile
@@ -119,8 +129,8 @@ def import_tree(src: Path) -> dict:
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"cipgnav.{name}")
-                for name in ("baselines", "cascade", "ipg", "preintegration", "sensors",
-                             "metrics", "sim", "trajectory")}
+                for name in ("adapters", "baselines", "cascade", "ipg", "preintegration",
+                             "sensors", "metrics", "sim", "trajectory")}
     finally:
         sys.path.remove(str(src))
     origin = Path(mods["cascade"].__file__).resolve()
@@ -164,6 +174,57 @@ def read_back_deviation(pairs) -> tuple[float, int, int, bool]:
     return dev, n_bitwise, sum(a[0].size for a, _ in pairs), equal
 
 
+def write_table(path: Path, header: str, rows) -> None:
+    """Write ``header`` and then the rows of an array, each number as its ``repr``."""
+    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows.tolist())])
+                    + "\n")
+
+
+def write_girona(run, src: Path) -> None:
+    """Write ``run``'s streams in the source layout of the builtin ``girona_csv``
+    adapter, with numpy alone: gyro in deg/s, the DVL rotated into the body frame by
+    the AHRS quaternion of its row (the generator samples both at the same times), the
+    AHRS as roll, pitch and yaw in degrees, and ground truth with xyzw quaternions."""
+    src.mkdir()
+    w, x, y, z = run.ahrs[:, 1:].T
+    R = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                  [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    body = np.einsum("ijk,ki->kj", R, run.dvl[:, 1:])  # R(q)^T v
+    euler = np.degrees(np.column_stack([
+        np.arctan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y)),
+        np.arcsin(np.clip(2 * (w * y - z * x), -1.0, 1.0)),
+        np.arctan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z))]))
+    truth = np.array([[p.t, *p.nav.position, *p.nav.orientation[1:], p.nav.orientation[0]]
+                      for p in run.truth])
+    imu = np.column_stack([run.imu[:, :4], np.degrees(run.imu[:, 4:])])
+    write_table(src / "imu_adis.csv", "stamp,ax,ay,az,wx,wy,wz", imu)
+    write_table(src / "dvl_linkquest.csv", "stamp,u,v,w", np.column_stack([run.dvl[:, :1], body]))
+    write_table(src / "ahrs_xsens.csv", "stamp,roll_deg,pitch_deg,yaw_deg",
+                np.column_stack([run.ahrs[:, :1], euler]))
+    write_table(src / "odometry.csv", "stamp,north,east,depth,qx,qy,qz,qw", truth)
+
+
+def adapted(m: dict, run) -> tuple[dict, dict]:
+    """``run`` written by ``write_girona`` and converted with the tree's ``adapters.adapt``
+    and ``girona_csv``: the SHA-256 of each CSV written, by file name, and each stream's
+    rows read, written and dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "src", Path(tmp) / "out"
+        write_girona(run, src)
+        log = m["adapters"].adapt("girona_csv", src, out)
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+    return digests, {kind: (s.rows_read, s.rows_written, s.rows_dropped)
+                     for kind, s in log.streams.items()}
+
+
+def adapt_agreement(pairs) -> tuple[bool, bool]:
+    """Over (old, new) pairs of ``adapted`` results: whether the CSVs written are equal
+    byte for byte, and whether the row counts are equal, in every pair."""
+    return all(a[0] == b[0] for a, b in pairs), all(a[1] == b[1] for a, b in pairs)
+
+
 def config_inputs(m: dict, c: dict, spec):
     """The run generated from ``spec`` and, for configuration ``c``, its epochs,
     initial state and truth, and the IMU biases the estimators are configured with."""
@@ -186,7 +247,7 @@ def run_tree(src: Path, seeds) -> dict:
     """{(config, estimator, seed): (t, position, velocity, quaternion, flags, report
     values)}, {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run, and,
     in a configuration with CSV files, {(config, "read-back", estimator, seed):
-    read_back_rows}.
+    read_back_rows} and {(config, "adapt", seed): adapted}.
 
     The report values are the rows of the default and then the aligned report."""
     m = import_tree(src)
@@ -200,6 +261,8 @@ def run_tree(src: Path, seeds) -> dict:
                            dvl_frame=c.get("dvl_frame", "nav"))
             run, epochs, initial, truth, biases = config_inputs(m, c, spec)
             out[config, "streams", seed] = tuple(getattr(run, kind) for kind in STREAMS)
+            if c.get("files"):
+                out[config, "adapt", seed] = adapted(m, run)
             fallback = "deadreckon" if "nan_dvl" in c else "abort"
             runners = {
                 "cipg": lambda: m["cascade"].run_cascade(epochs, m["cascade"].CascadeConfig(
@@ -305,6 +368,11 @@ def main(argv=None) -> int:
             flags = "flags equal" if flags_equal else "flags or rows DIFFER"
             print(f"{config:12s} {'trajectories':9s} {dev:7.3g}  {n_bitwise}/{n_values} "
                   f"read-back values equal bit for bit, {flags}{excess}")
+            csvs, counts = adapt_agreement([(old[config, "adapt", seed], new[config, "adapt", seed])
+                                            for seed in seeds])
+            same &= csvs and counts
+            print(f"{config:12s} {'adapt':9s} CSVs {'equal' if csvs else 'DIFFER'} byte for byte, "
+                  f"row counts {'equal' if counts else 'DIFFER'}")
         differ = [kind for k, kind in enumerate(STREAMS)
                   if not all(np.array_equal(old[config, "streams", seed][k],
                                             new[config, "streams", seed][k]) for seed in seeds)]

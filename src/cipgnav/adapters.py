@@ -27,17 +27,23 @@ columns to read and how to convert them:
       }
     }
 
-``adapt()`` reads the sources, applies unit scales and time offsets, sorts
-by time, drops unusable rows (missing fields, non-finite values, duplicate
-timestamps), optionally rotates body-frame DVL velocities through the AHRS
-attitude, and writes canonical CSVs.  It returns a ConversionLog recording
-per-stream row counts, the conversions applied, and data-quality warnings
-(including a gravity-magnitude sanity check on the accelerometer).
+A stream may also set ``"delimiter"`` (one character, "," by default) and a
+``"time"`` ``"offset"`` in seconds (a finite number, 0 by default).
+
+``adapt()`` reads each source stream into one float array: its time column
+and mapped fields, with unit scales and the time offset applied.  It drops
+unusable rows (a field that is missing, not a number, or not finite once
+scaled; a quaternion of zero or overflowing norm), sorts by time and keeps
+the first row of each repeated time, converts orientations to
+hemisphere-aligned unit quaternions, optionally rotates body-frame DVL
+velocities through the AHRS attitude, and writes canonical CSVs.  It returns
+a ConversionLog recording per-stream row counts, the conversions applied, and
+data-quality warnings (including a gravity-magnitude sanity check on the
+accelerometer).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SpecError
-from .quat import hemisphere_align, quat_from_euler, quat_normalize
-from .sensors import GroundTruthSample, dvl_body_to_nav, open_csv, save_stream
+from .quat import _NORM_EPS, hemisphere_align, quat_from_euler, row_norms, unit_rows
+from .sensors import SCHEMAS, dvl_body_to_nav, open_csv, write_csv
 
 __all__ = [
     "StreamLog",
@@ -64,7 +70,18 @@ GYRO_UNITS = {"rad/s": 1.0, "deg/s": math.pi / 180.0}
 VELOCITY_UNITS = {"m/s": 1.0, "mm/s": 1e-3, "cm/s": 1e-2}
 ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 
-_STREAM_KINDS = ("imu", "dvl", "ahrs", "gt")
+# Per stream kind: the value fields, in the order of the canonical columns, and the
+# unit options that scale them: (what, config key, SI unit and default, unit table,
+# the array columns scaled, time being column 0).  ahrs and gt add orientation.
+_KINDS = {
+    "imu": (("ax", "ay", "az", "gx", "gy", "gz"),
+            (("accel", "accel_unit", "m/s^2", ACCEL_UNITS, slice(1, 4)),
+             ("gyro", "gyro_unit", "rad/s", GYRO_UNITS, slice(4, 7)))),
+    "dvl": (("vx", "vy", "vz"),
+            (("velocity", "velocity_unit", "m/s", VELOCITY_UNITS, slice(1, 4)),)),
+    "ahrs": ((), ()),
+    "gt": (("px", "py", "pz"), ()),
+}
 _REQUIRED_STREAMS = ("imu", "dvl", "ahrs")
 
 
@@ -151,162 +168,124 @@ def load_adapter(spec) -> dict:
     streams = spec["streams"]
     _require(isinstance(streams, dict) and streams, "'streams' must be a non-empty object")
     for kind, cfg in streams.items():
-        _require(kind in _STREAM_KINDS, f"unknown stream kind {kind!r}")
+        _require(kind in _KINDS, f"unknown stream kind {kind!r}")
         _require(isinstance(cfg, dict), f"{kind}: stream config must be an object")
         _require("file" in cfg, f"{kind}: missing 'file'")
-        _require("time" in cfg and "column" in cfg["time"], f"{kind}: missing time column")
-        _check_unit(cfg["time"].get("unit", "s"), TIME_UNITS, f"{kind} time unit")
+        time = cfg.get("time")
+        _require(isinstance(time, dict) and "column" in time, f"{kind}: missing time column")
+        _check_unit(time.get("unit", "s"), TIME_UNITS, f"{kind} time unit")
+        try:
+            offset = float(time.get("offset", 0.0))
+        except (TypeError, ValueError, OverflowError):
+            offset = math.nan
+        _require(math.isfinite(offset),
+                 f"{kind}: time offset must be a finite number, got {time.get('offset')!r}")
+        delimiter = cfg.get("delimiter", ",")
+        _require(isinstance(delimiter, str) and len(delimiter) == 1,
+                 f"{kind}: delimiter must be one character, got {delimiter!r}")
         _require("columns" in cfg and isinstance(cfg["columns"], dict), f"{kind}: missing 'columns'")
-        cols = cfg["columns"]
-        if kind == "imu":
-            _require(set(cols) >= {"ax", "ay", "az", "gx", "gy", "gz"},
-                     "imu: columns must map ax..az and gx..gz")
-            _check_unit(cfg.get("accel_unit", "m/s^2"), ACCEL_UNITS, "accel unit")
-            _check_unit(cfg.get("gyro_unit", "rad/s"), GYRO_UNITS, "gyro unit")
-        elif kind == "dvl":
-            _require(set(cols) >= {"vx", "vy", "vz"}, "dvl: columns must map vx, vy, vz")
-            _check_unit(cfg.get("velocity_unit", "m/s"), VELOCITY_UNITS, "velocity unit")
-            _require(cfg.get("frame", "nav") in ("nav", "body"),
-                     f"dvl: frame must be 'nav' or 'body', got {cfg.get('frame')!r}")
-        else:  # ahrs, gt
-            mode = cfg.get("mode", "quaternion")
-            _require(mode in ("quaternion", "euler"), f"{kind}: mode must be quaternion or euler")
-            orientation = _orientation_columns(kind, cfg)
-            if orientation and mode == "quaternion":
-                _require(cfg.get("order", "wxyz") in ("wxyz", "xyzw"),
-                         f"{kind}: quaternion order must be wxyz or xyzw")
-            elif orientation:
-                _check_unit(cfg.get("angle_unit", "rad"), ANGLE_UNITS, "angle unit")
-            needed = set(orientation) | ({"px", "py", "pz"} if kind == "gt" else set())
-            _require(set(cols) >= needed, f"{kind}: columns must map {sorted(needed)}")
+        values, units = _KINDS[kind]
+        for what, key, si, table, _ in units:
+            _check_unit(cfg.get(key, si), table, f"{what} unit")
+        _require(kind != "dvl" or cfg.get("frame", "nav") in ("nav", "body"),
+                 f"dvl: frame must be 'nav' or 'body', got {cfg.get('frame')!r}")
+        _require(kind in ("imu", "dvl") or cfg.get("mode", "quaternion") in ("quaternion", "euler"),
+                 f"{kind}: mode must be quaternion or euler")
+        orientation = _orientation_columns(kind, cfg)
+        if len(orientation) == 4:
+            _require(cfg.get("order", "wxyz") in ("wxyz", "xyzw"),
+                     f"{kind}: quaternion order must be wxyz or xyzw")
+        elif orientation:
+            _check_unit(cfg.get("angle_unit", "rad"), ANGLE_UNITS, "angle unit")
+        needed = {*values, *orientation}
+        _require(set(cfg["columns"]) >= needed, f"{kind}: columns must map {sorted(needed)}")
     missing = [k for k in _REQUIRED_STREAMS if k not in streams]
     _require(not missing, f"missing required streams {missing} (needed to build epochs)")
     return spec
 
 
 def _orientation_columns(kind: str, cfg: dict) -> list:
-    """The orientation fields an ahrs or gt stream reads, by ``mode``; none for a gt
-    stream that maps neither q1 nor roll."""
-    if kind == "gt" and not ("q1" in cfg["columns"] or "roll" in cfg["columns"]):
+    """The orientation fields a stream reads: roll, pitch and yaw in mode euler, else
+    q1..q4 taken scalar first (q4 first in ``order`` xyzw); none for imu and dvl, nor
+    for a gt stream that maps neither q1 nor roll."""
+    if kind in ("imu", "dvl") or kind == "gt" and not {"q1", "roll"} & set(cfg["columns"]):
         return []
     if cfg.get("mode", "quaternion") == "euler":
         return ["roll", "pitch", "yaw"]
-    return ["q1", "q2", "q3", "q4"]
+    return ["q4", "q1", "q2", "q3"] if cfg.get("order") == "xyzw" else ["q1", "q2", "q3", "q4"]
 
 
-def _read_rows(path: Path, cfg: dict, wanted: list, log: StreamLog):
-    """Return sorted (t_seconds, {name: value}) rows; drop and count unusable ones."""
-    tcol = cfg["time"]["column"]
-    tscale = TIME_UNITS[cfg["time"].get("unit", "s")]
-    toffset = float(cfg["time"].get("offset", 0.0))
-    colmap = cfg["columns"]
-    delimiter = cfg.get("delimiter", ",")
-    rows = []
-    with open_csv(path, csv.DictReader, encoding="utf-8", delimiter=delimiter) as reader:
-        if reader.fieldnames is None:
+def _numbers(row, cols) -> list:
+    """Fields ``cols`` of a source row as floats, all NaN if one is missing or not a number."""
+    try:
+        return [float(row[i]) for i in cols]
+    except (IndexError, ValueError):
+        return [math.nan] * len(cols)
+
+
+def _read(path, cfg, fields) -> np.ndarray:
+    """The time and ``fields`` columns of a source CSV's rows as one float array, NaN
+    where a row cannot give them.  A repeated header name names its last column."""
+    with open_csv(path, encoding="utf-8", delimiter=cfg.get("delimiter", ",")) as reader:
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty file", line=1, path=path)
-        header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
-        missing = [c for c in [tcol] + [colmap[w] for w in wanted] if c not in header]
+        header = [h.strip() for h in header]
+        names = [cfg["time"]["column"], *(cfg["columns"][f] for f in fields)]
+        missing = [c for c in names if c not in header]
         if missing:
             raise ParseError(
                 f"source columns {missing} not found in header {header}", line=1, path=path
             )
-        for line_no, row in enumerate(reader, start=2):
-            log.rows_read += 1
-            try:
-                t = float(row[tcol]) * tscale + toffset
-                values = {w: float(row[colmap[w]]) for w in wanted}
-            except (TypeError, ValueError, KeyError):
-                log.rows_dropped += 1
-                continue
-            if not math.isfinite(t) or not all(math.isfinite(v) for v in values.values()):
-                log.rows_dropped += 1
-                continue
-            rows.append((t, values))
-    rows.sort(key=lambda r: r[0])
-    deduped = []
-    for t, values in rows:
-        if deduped and t <= deduped[-1][0]:
-            log.rows_dropped += 1
-            continue
-        deduped.append((t, values))
-    return deduped
+        index = {name: i for i, name in enumerate(header)}
+        cols = [index[c] for c in names]
+        return np.array([_numbers(row, cols) for row in reader if row]).reshape(-1, len(cols))
 
 
-def _convert_imu(path, cfg, log: StreamLog, warnings: list):
-    a_scale = ACCEL_UNITS[cfg.get("accel_unit", "m/s^2")]
-    g_scale = GYRO_UNITS[cfg.get("gyro_unit", "rad/s")]
-    if a_scale != 1.0:
-        log.conversions.append(f"accel {cfg['accel_unit']} -> m/s^2 (x{a_scale:g})")
-    if g_scale != 1.0:
-        log.conversions.append(f"gyro {cfg['gyro_unit']} -> rad/s (x{g_scale:g})")
-    imu = _table(_read_rows(path, cfg, ["ax", "ay", "az", "gx", "gy", "gz"], log), 6)
-    imu[:, 1:4] *= a_scale
-    imu[:, 4:7] *= g_scale
-    if len(imu):
-        norms = np.linalg.norm(imu[:200, 1:4], axis=1)
-        mean_norm = float(np.mean(norms))
-        if mean_norm < 5.0:
-            warnings.append(
-                f"imu: mean |accel| over the first {len(norms)} samples is "
-                f"{mean_norm:.2f} m/s^2, far below gravity; the source may be "
-                "gravity-compensated, which this pipeline does not expect"
-            )
-        elif mean_norm > 15.0:
-            warnings.append(
-                f"imu: mean |accel| over the first {len(norms)} samples is "
-                f"{mean_norm:.2f} m/s^2, far above gravity; check accel_unit"
-            )
-    return imu
-
-
-def _table(rows, n_values):
-    """(n, 1 + n_values) array of ``_read_rows`` output: time, then values in wanted order."""
-    return np.array([[t, *v.values()] for t, v in rows], dtype=float).reshape(-1, 1 + n_values)
-
-
-def _convert_dvl(path, cfg, log: StreamLog):
-    scale = VELOCITY_UNITS[cfg.get("velocity_unit", "m/s")]
-    if scale != 1.0:
-        log.conversions.append(f"velocity {cfg['velocity_unit']} -> m/s (x{scale:g})")
-    dvl = _table(_read_rows(path, cfg, ["vx", "vy", "vz"], log), 3)
-    dvl[:, 1:] *= scale
-    return dvl
-
-
-def _orientation_from_row(cfg, values):
-    if cfg.get("mode", "quaternion") == "euler":
-        scale = ANGLE_UNITS[cfg.get("angle_unit", "rad")]
-        return quat_from_euler(
-            scale * values["roll"], scale * values["pitch"], scale * values["yaw"]
-        )
-    q = np.array([values["q1"], values["q2"], values["q3"], values["q4"]])
-    if cfg.get("order", "wxyz") == "xyzw":
-        q = np.array([q[3], q[0], q[1], q[2]])
-    return quat_normalize(q)
-
-
-def _convert_ahrs(path, cfg, log: StreamLog):
-    if cfg.get("mode", "quaternion") == "euler":
+def _convert(path, kind, cfg, log: StreamLog) -> np.ndarray:
+    """A source stream as an array in the canonical columns of ``kind``: rows dropped,
+    sorted and de-duplicated as the module docs say, conversions logged."""
+    values, units = _KINDS[kind]
+    orientation = _orientation_columns(kind, cfg)
+    unit, offset = cfg["time"].get("unit", "s"), float(cfg["time"].get("offset", 0.0))
+    if unit != "s":
+        log.conversions.append(f"time {unit} -> s")
+    if offset != 0.0:
+        log.conversions.append(f"time offset {offset:+g} s")
+    scales = np.ones(1 + len(values) + len(orientation))
+    scales[0] = TIME_UNITS[unit]
+    for what, key, si, table, columns in units:
+        scales[columns] = scale = table[cfg.get(key, si)]
+        if scale != 1.0:
+            log.conversions.append(f"{what} {cfg[key]} -> {si} (x{scale:g})")
+    if len(orientation) == 3:
+        scales[-3:] = ANGLE_UNITS[cfg.get("angle_unit", "rad")]
         log.conversions.append(f"euler ({cfg.get('angle_unit', 'rad')}) -> quaternion")
-    elif cfg.get("order", "wxyz") == "xyzw":
+    elif orientation and cfg.get("order", "wxyz") == "xyzw":
         log.conversions.append("quaternion order xyzw -> wxyz")
-    rows = _read_rows(path, cfg, _orientation_columns("ahrs", cfg), log)
-    ahrs = np.empty((len(rows), 5))
-    ahrs[:, 0] = [t for t, _ in rows]
-    if rows:
-        ahrs[:, 1:] = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
-    return ahrs
 
-
-def _convert_gt(path, cfg, log: StreamLog):
-    orientation = _orientation_columns("gt", cfg)
-    rows = _read_rows(path, cfg, ["px", "py", "pz", *orientation], log)
-    quats = [None] * len(rows)
-    if orientation and rows:
-        quats = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
-    return [GroundTruthSample(t, np.array([v["px"], v["py"], v["pz"]]), q)
-            for (t, v), q in zip(rows, quats)]
+    data = _read(path, cfg, [*values, *orientation])
+    log.rows_read = len(data)
+    with np.errstate(over="ignore"):  # an overflow gives inf, and drops the row
+        data *= scales
+        data[:, 0] += offset
+        keep = np.isfinite(data).all(axis=1)
+        if len(orientation) == 4:  # and so does a quaternion of zero or overflowing norm
+            norms = row_norms(data[:, -4:])
+            keep &= (norms > _NORM_EPS) & (norms < math.inf)
+    data = data[keep]
+    if not len(data):
+        raise ParseError(f"stream {kind!r}: no usable rows after conversion", path=path)
+    data = data[np.argsort(data[:, 0], kind="stable")]
+    data = data[np.r_[True, data[1:, 0] > data[:-1, 0]]]  # the first row of each time
+    log.rows_dropped = log.rows_read - len(data)
+    if not orientation:
+        return data
+    if len(orientation) == 3:
+        quats = quat_from_euler(*data[:, -3:].T)
+    else:
+        quats = unit_rows(data[:, -4:])[0]
+    return np.hstack([data[:, :1 + len(values)], hemisphere_align(quats)])
 
 
 def adapt(adapter, src_dir, out_dir) -> ConversionLog:
@@ -331,30 +310,22 @@ def adapt(adapter, src_dir, out_dir) -> ConversionLog:
         path = src_dir / cfg["file"]
         if not path.exists():
             raise FileNotFoundError(f"adapter stream {kind!r}: source file {path} not found")
-        slog = StreamLog(file=str(cfg["file"]))
-        offset = float(cfg["time"].get("offset", 0.0))
-        unit = cfg["time"].get("unit", "s")
-        if unit != "s":
-            slog.conversions.append(f"time {unit} -> s")
-        if offset != 0.0:
-            slog.conversions.append(f"time offset {offset:+g} s")
-        if kind == "imu":
-            converted[kind] = _convert_imu(path, cfg, slog, clog.warnings)
-        elif kind == "dvl":
-            converted[kind] = _convert_dvl(path, cfg, slog)
-        elif kind == "ahrs":
-            converted[kind] = _convert_ahrs(path, cfg, slog)
-        else:
-            converted[kind] = _convert_gt(path, cfg, slog)
-        if not len(converted[kind]):
-            raise ParseError(f"stream {kind!r}: no usable rows after conversion", path=path)
-        clog.streams[kind] = slog
+        clog.streams[kind] = StreamLog(file=str(cfg["file"]))
+        converted[kind] = _convert(path, kind, cfg, clog.streams[kind])
+
+    norms = np.linalg.norm(converted["imu"][:200, 1:4], axis=1)
+    mean_norm = float(np.mean(norms))
+    if not 5.0 <= mean_norm <= 15.0:
+        advice = ("below gravity; the source may be gravity-compensated, which this pipeline "
+                  "does not expect" if mean_norm < 5.0 else "above gravity; check accel_unit")
+        clog.warnings.append(f"imu: mean |accel| over the first {len(norms)} samples is "
+                             f"{mean_norm:.2f} m/s^2, far {advice}")
 
     if spec["streams"]["dvl"].get("frame", "nav") == "body":
         clog.streams["dvl"].conversions.append("body-frame velocity -> navigation frame (via AHRS)")
         converted["dvl"] = dvl_body_to_nav(converted["dvl"], converted["ahrs"])
 
     for kind, stream in converted.items():
-        save_stream(stream, out_dir / f"{kind}.csv", kind)
+        write_csv(stream, out_dir / f"{kind}.csv", kind, SCHEMAS[kind][:stream.shape[1]])
         clog.streams[kind].rows_written = len(stream)
     return clog

@@ -7,13 +7,13 @@ rotation (double cover), so angular distances are computed on the quotient.
 
 Each quaternion and rotation formula of the package is written here once.
 ``quat_product``, ``quat_to_rotation``, ``quat_from_rotvec``, ``quat_from_yaw``,
-``quat_angular_distance``, ``rotate_vector`` and ``quat_right_matrix`` also take
-rows, (n, 4), (n, 3) or (n,), and row k equals the call on row k bit for bit,
-signed zeros included (``np.array_equal`` ignores their sign, ``np.signbit``
-does not); ``row_norms``, ``unit_rows`` and ``rotation_rows`` are the kernels
-under them.  Row results are C-contiguous, as numpy's matmul rounds by memory
-layout.  One value skips the row machinery, whose numpy calls cost more than
-their arithmetic:
+``quat_from_euler``, ``quat_angular_distance``, ``rotate_vector`` and
+``quat_right_matrix`` also take rows, (n, 4), (n, 3) or (n,), and row k equals
+the call on row k bit for bit, signed zeros included (``np.array_equal``
+ignores their sign, ``np.signbit`` does not); ``row_norms``, ``unit_rows`` and
+``rotation_rows`` are the kernels under them.  Row results are C-contiguous,
+as numpy's matmul rounds by memory layout.  One value skips the row machinery,
+whose numpy calls cost more than their arithmetic:
 ``rotation_rows`` and ``rotation_to_quat`` run on Python floats, which round as
 numpy does (``rotation_entries`` is that path for a caller on floats); cos, sin
 and arctan2 stay numpy's, which may round unlike math's.
@@ -265,19 +265,18 @@ def quat_from_yaw(yaw) -> np.ndarray:
     return _stack_last(np.cos(half), zero, zero, np.sin(half))
 
 
-def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Quaternion from intrinsic roll/pitch/yaw (x-y-z, rad); inverse of euler_from_quat."""
-    hr, hp, hy = 0.5 * float(roll), 0.5 * float(pitch), 0.5 * float(yaw)
+def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
+    """Quaternion from intrinsic roll/pitch/yaw (x-y-z, rad), or a row per angle
+    triple of equal-shape arrays; inverse of euler_from_quat."""
+    hr, hp, hy = (0.5 * np.asarray(angle, dtype=float) for angle in (roll, pitch, yaw))
     cr, sr = np.cos(hr), np.sin(hr)
     cp, sp = np.cos(hp), np.sin(hp)
     cy, sy = np.cos(hy), np.sin(hy)
-    return np.array(
-        [
-            cr * cp * cy + sr * sp * sy,
-            sr * cp * cy - cr * sp * sy,
-            cr * sp * cy + sr * cp * sy,
-            cr * cp * sy - sr * sp * cy,
-        ]
+    return _stack_last(
+        cr * cp * cy + sr * sp * sy,
+        sr * cp * cy - cr * sp * sy,
+        cr * sp * cy + sr * cp * sy,
+        cr * cp * sy - sr * sp * cy,
     )
 
 

@@ -99,20 +99,18 @@ class SyncedEpoch:
 
 
 @contextmanager
-def open_csv(path, make_reader=csv.reader, encoding=None, **reader_args):
-    """Open ``path`` and yield ``make_reader(fh, **reader_args)``.
+def open_csv(path, encoding=None, **reader_args):
+    """Open ``path`` and yield ``csv.reader(fh, **reader_args)``.
 
     A csv.Error in the block, such as a field over csv's size limit, is
     raised as a ParseError naming the path and the reader's line.
     """
     with open(path, newline="", encoding=encoding) as fh:
-        reader = make_reader(fh, **reader_args)
+        reader = csv.reader(fh, **reader_args)
         try:
             yield reader
         except csv.Error as exc:
-            # A DictReader's own line_num counts only the rows it returned.
-            line = getattr(reader, "reader", reader).line_num
-            raise ParseError(f"malformed CSV ({exc})", line=line, path=path) from None
+            raise ParseError(f"malformed CSV ({exc})", line=reader.line_num, path=path) from None
 
 
 def _parse_row(row, width, flags, line, path):
@@ -277,6 +275,18 @@ def _median_dt(times) -> float:
     return float(np.median(np.diff(times)))
 
 
+def _check_order(**streams):
+    """Raise StreamOrderError naming the stream, row and ``t`` of the first row whose
+    ``t`` is not above the previous row's, in each named array."""
+    for name, stream in streams.items():
+        bad = np.flatnonzero(~(stream[1:, 0] > stream[:-1, 0]))
+        if bad.size:
+            k = int(bad[0]) + 1
+            prev, t = stream[k - 1:k + 1, 0].tolist()
+            raise StreamOrderError(
+                f"{name} t does not increase at row {k}: t={t!r} after t={prev!r}")
+
+
 def _nearest_ahrs(dvl_t, ahrs_t):
     """Pair each DVL time with the nearest AHRS sample.
 
@@ -304,14 +314,13 @@ def synchronize(imu, dvl, ahrs):
     everything up to its timestamp) and the nearest AHRS sample within half
     the median DVL period (0.1 s for a single DVL sample).  An empty IMU burst
     or an uncovered AHRS pairing raises SyncGapError naming the first such
-    epoch.
+    epoch, and a ``t`` that does not strictly increase StreamOrderError.
     """
     if not len(imu) or not len(dvl) or not len(ahrs):
         raise ValueError("synchronize requires non-empty imu, dvl and ahrs streams")
+    _check_order(imu=imu, dvl=dvl, ahrs=ahrs)
     imu_t = imu[:, 0]
     tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0])
-    if tolerance <= 0.0:  # DVL times that do not increase
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
 
     imu_dt = _median_dt(imu_t) if len(imu_t) >= 2 else tolerance
     covered = np.flatnonzero((dvl[:, 0] >= imu_t[0]) & (dvl[:, 0] <= imu_t[-1]))
@@ -341,10 +350,12 @@ def dvl_body_to_nav(dvl, ahrs):
     """Rotate a body-frame DVL array into the navigation frame.
 
     Each DVL row is rotated by the time-nearest AHRS quaternion (within half
-    the median DVL period, 0.1 s for a single DVL sample).
+    the median DVL period, 0.1 s for a single DVL sample).  A ``t`` that does not
+    strictly increase raises StreamOrderError.
     """
     if not len(dvl) or not len(ahrs):
         raise ValueError("dvl_body_to_nav requires non-empty dvl and ahrs streams")
+    _check_order(dvl=dvl, ahrs=ahrs)
     tolerance, nearest = _nearest_ahrs(dvl[:, 0], ahrs[:, 0])
     missing = np.flatnonzero(nearest < 0)
     if missing.size:

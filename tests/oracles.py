@@ -18,6 +18,15 @@ gets the same from per-window sums in O(1) and must match it.
 which parsed each row on its own, and writer that ``trajectory.py`` had
 before it went through ``sensors.load_csv`` and ``sensors.write_csv``: the
 values read and the bytes written must equal theirs bit for bit.
+
+``adapt`` is ``adapters.adapt`` as it was before it read each source stream
+into one array: a ``csv.DictReader`` dict per row, a sort and de-duplication
+of those rows in Python, one converter per stream kind, one orientation
+conversion per row, and ground truth as GroundTruthSample written by
+``save_stream``.  The CSVs the package's ``adapt`` writes must equal its
+bytes, and the ConversionLog its log, except for the line that now records a
+ground-truth orientation conversion.  A quaternion of zero or overflowing
+norm crashes it, where the package drops and counts the row.
 """
 
 from __future__ import annotations
@@ -28,6 +37,16 @@ from pathlib import Path
 
 import numpy as np
 
+from cipgnav.adapters import (
+    ACCEL_UNITS,
+    ANGLE_UNITS,
+    GYRO_UNITS,
+    TIME_UNITS,
+    VELOCITY_UNITS,
+    ConversionLog,
+    StreamLog,
+    load_adapter,
+)
 from cipgnav.errors import (
     DegenerateQuaternionError,
     DivergenceError,
@@ -39,13 +58,15 @@ from cipgnav.ipg import IpgParams, WindowModel
 from cipgnav.preintegration import NavState
 from cipgnav.quat import (
     _NORM_EPS,
+    hemisphere_align,
+    quat_from_euler,
     quat_normalize,
     quat_product,
     quat_right_matrix,
     rotation_rows,
     unit_rows,
 )
-from cipgnav.sensors import open_csv
+from cipgnav.sensors import GroundTruthSample, dvl_body_to_nav, open_csv, save_stream
 from cipgnav.trajectory import FLAGS, TRAJECTORY_COLUMNS, TrajectoryPoint
 
 
@@ -198,3 +219,163 @@ def read_trajectory(path):
                 raise ParseError(str(exc), line=line_no, path=path) from None
             points.append(TrajectoryPoint(t, nav, flag))
     return points
+
+
+def _orientation_columns(kind: str, cfg: dict) -> list:
+    if kind == "gt" and not ("q1" in cfg["columns"] or "roll" in cfg["columns"]):
+        return []
+    if cfg.get("mode", "quaternion") == "euler":
+        return ["roll", "pitch", "yaw"]
+    return ["q1", "q2", "q3", "q4"]
+
+
+def _read_rows(path: Path, cfg: dict, wanted: list, log: StreamLog):
+    """Return sorted (t_seconds, {name: value}) rows; drop and count unusable ones."""
+    tcol = cfg["time"]["column"]
+    tscale = TIME_UNITS[cfg["time"].get("unit", "s")]
+    toffset = float(cfg["time"].get("offset", 0.0))
+    colmap = cfg["columns"]
+    delimiter = cfg.get("delimiter", ",")
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        if reader.fieldnames is None:
+            raise ParseError("empty file", line=1, path=path)
+        header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
+        missing = [c for c in [tcol] + [colmap[w] for w in wanted] if c not in header]
+        if missing:
+            raise ParseError(
+                f"source columns {missing} not found in header {header}", line=1, path=path
+            )
+        for row in reader:
+            log.rows_read += 1
+            try:
+                t = float(row[tcol]) * tscale + toffset
+                values = {w: float(row[colmap[w]]) for w in wanted}
+            except (TypeError, ValueError, KeyError):
+                log.rows_dropped += 1
+                continue
+            if not math.isfinite(t) or not all(math.isfinite(v) for v in values.values()):
+                log.rows_dropped += 1
+                continue
+            rows.append((t, values))
+    rows.sort(key=lambda r: r[0])
+    deduped = []
+    for t, values in rows:
+        if deduped and t <= deduped[-1][0]:
+            log.rows_dropped += 1
+            continue
+        deduped.append((t, values))
+    return deduped
+
+
+def _table(rows, n_values):
+    return np.array([[t, *v.values()] for t, v in rows], dtype=float).reshape(-1, 1 + n_values)
+
+
+def _convert_imu(path, cfg, log: StreamLog, warnings: list):
+    a_scale = ACCEL_UNITS[cfg.get("accel_unit", "m/s^2")]
+    g_scale = GYRO_UNITS[cfg.get("gyro_unit", "rad/s")]
+    if a_scale != 1.0:
+        log.conversions.append(f"accel {cfg['accel_unit']} -> m/s^2 (x{a_scale:g})")
+    if g_scale != 1.0:
+        log.conversions.append(f"gyro {cfg['gyro_unit']} -> rad/s (x{g_scale:g})")
+    imu = _table(_read_rows(path, cfg, ["ax", "ay", "az", "gx", "gy", "gz"], log), 6)
+    imu[:, 1:4] *= a_scale
+    imu[:, 4:7] *= g_scale
+    if len(imu):
+        norms = np.linalg.norm(imu[:200, 1:4], axis=1)
+        mean_norm = float(np.mean(norms))
+        if mean_norm < 5.0:
+            warnings.append(
+                f"imu: mean |accel| over the first {len(norms)} samples is "
+                f"{mean_norm:.2f} m/s^2, far below gravity; the source may be "
+                "gravity-compensated, which this pipeline does not expect"
+            )
+        elif mean_norm > 15.0:
+            warnings.append(
+                f"imu: mean |accel| over the first {len(norms)} samples is "
+                f"{mean_norm:.2f} m/s^2, far above gravity; check accel_unit"
+            )
+    return imu
+
+
+def _convert_dvl(path, cfg, log: StreamLog):
+    scale = VELOCITY_UNITS[cfg.get("velocity_unit", "m/s")]
+    if scale != 1.0:
+        log.conversions.append(f"velocity {cfg['velocity_unit']} -> m/s (x{scale:g})")
+    dvl = _table(_read_rows(path, cfg, ["vx", "vy", "vz"], log), 3)
+    dvl[:, 1:] *= scale
+    return dvl
+
+
+def _orientation_from_row(cfg, values):
+    if cfg.get("mode", "quaternion") == "euler":
+        scale = ANGLE_UNITS[cfg.get("angle_unit", "rad")]
+        return quat_from_euler(
+            scale * values["roll"], scale * values["pitch"], scale * values["yaw"]
+        )
+    q = np.array([values["q1"], values["q2"], values["q3"], values["q4"]])
+    if cfg.get("order", "wxyz") == "xyzw":
+        q = np.array([q[3], q[0], q[1], q[2]])
+    return quat_normalize(q)
+
+
+def _convert_ahrs(path, cfg, log: StreamLog):
+    if cfg.get("mode", "quaternion") == "euler":
+        log.conversions.append(f"euler ({cfg.get('angle_unit', 'rad')}) -> quaternion")
+    elif cfg.get("order", "wxyz") == "xyzw":
+        log.conversions.append("quaternion order xyzw -> wxyz")
+    rows = _read_rows(path, cfg, _orientation_columns("ahrs", cfg), log)
+    ahrs = np.empty((len(rows), 5))
+    ahrs[:, 0] = [t for t, _ in rows]
+    if rows:
+        ahrs[:, 1:] = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
+    return ahrs
+
+
+def _convert_gt(path, cfg, log: StreamLog):
+    orientation = _orientation_columns("gt", cfg)
+    rows = _read_rows(path, cfg, ["px", "py", "pz", *orientation], log)
+    quats = [None] * len(rows)
+    if orientation and rows:
+        quats = hemisphere_align([_orientation_from_row(cfg, v) for _, v in rows])
+    return [GroundTruthSample(t, np.array([v["px"], v["py"], v["pz"]]), q)
+            for (t, v), q in zip(rows, quats)]
+
+
+def adapt(spec: dict, src_dir, out_dir) -> ConversionLog:
+    """Convert the sources of ``src_dir`` into ``out_dir`` with an adapter description."""
+    spec = load_adapter(spec)
+    src_dir = Path(src_dir)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    clog = ConversionLog(adapter=spec.get("name", "unnamed"))
+    converted = {}
+    for kind, cfg in spec["streams"].items():
+        path = src_dir / cfg["file"]
+        slog = StreamLog(file=str(cfg["file"]))
+        offset = float(cfg["time"].get("offset", 0.0))
+        unit = cfg["time"].get("unit", "s")
+        if unit != "s":
+            slog.conversions.append(f"time {unit} -> s")
+        if offset != 0.0:
+            slog.conversions.append(f"time offset {offset:+g} s")
+        if kind == "imu":
+            converted[kind] = _convert_imu(path, cfg, slog, clog.warnings)
+        elif kind == "dvl":
+            converted[kind] = _convert_dvl(path, cfg, slog)
+        elif kind == "ahrs":
+            converted[kind] = _convert_ahrs(path, cfg, slog)
+        else:
+            converted[kind] = _convert_gt(path, cfg, slog)
+        if not len(converted[kind]):
+            raise ParseError(f"stream {kind!r}: no usable rows after conversion", path=path)
+        clog.streams[kind] = slog
+    if spec["streams"]["dvl"].get("frame", "nav") == "body":
+        clog.streams["dvl"].conversions.append("body-frame velocity -> navigation frame (via AHRS)")
+        converted["dvl"] = dvl_body_to_nav(converted["dvl"], converted["ahrs"])
+    for kind, stream in converted.items():
+        save_stream(stream, out_dir / f"{kind}.csv", kind)
+        clog.streams[kind].rows_written = len(stream)
+    return clog

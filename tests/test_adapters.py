@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipgnav.adapters import (
+    ACCEL_UNITS,
+    ANGLE_UNITS,
+    GYRO_UNITS,
+    TIME_UNITS,
+    VELOCITY_UNITS,
     ConversionLog,
     adapt,
     builtin_adapters,
@@ -19,6 +29,7 @@ from cipgnav.adapters import (
 from cipgnav.errors import ParseError, SpecError
 from cipgnav.quat import euler_from_quat, quat_from_euler, quat_from_yaw
 from cipgnav.sensors import load_stream
+from tests import oracles
 
 G0 = 9.80665
 
@@ -243,6 +254,27 @@ class TestValidation:
         with pytest.raises(SpecError, match="time"):
             load_adapter(cfg)
 
+    @pytest.mark.parametrize("offset", ["abc", "nan", 1e400, [1], None, 10**400],
+                             ids=["text", "nan", "inf", "list", "null", "huge-int"])
+    def test_time_offset_must_be_a_finite_number(self, offset):
+        cfg = self.base()
+        cfg["streams"]["dvl"]["time"]["offset"] = offset
+        with pytest.raises(SpecError, match=r"dvl: time offset must be a finite number, got "):
+            load_adapter(cfg)
+
+    @pytest.mark.parametrize("offset", [0, -2.5, "1.5"])
+    def test_time_offset_accepts_numbers(self, offset):
+        cfg = self.base()
+        cfg["streams"]["dvl"]["time"]["offset"] = offset
+        assert load_adapter(cfg) is cfg
+
+    @pytest.mark.parametrize("delimiter", [";;", "", 1, None, [","]])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        cfg = self.base()
+        cfg["streams"]["ahrs"]["delimiter"] = delimiter
+        with pytest.raises(SpecError, match=r"ahrs: delimiter must be one character, got "):
+            load_adapter(cfg)
+
     def test_header_mismatch_is_parse_error(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -313,3 +345,215 @@ class TestEulerQuaternionHelpers:
         angles = (0.1, -0.2, 0.5)
         q = quat_from_euler(*angles)
         np.testing.assert_allclose(euler_from_quat(q), angles, atol=1e-12)
+
+
+class TestGtConversionLog:
+    @pytest.mark.parametrize("mode, logged", [("quaternion", ["quaternion order xyzw -> wxyz"]),
+                                              ("euler", ["euler (rad) -> quaternion"]),
+                                              (None, [])])
+    def test_gt_orientation_conversion_is_logged(self, tmp_path, mode, logged):
+        src, spec = TestGtOrientationColumns.girona_with_euler_gt(tmp_path)
+        if mode is None:
+            spec["streams"]["gt"]["columns"] = {"px": "north", "py": "east", "pz": "depth"}
+        else:
+            spec["streams"]["gt"]["mode"] = mode
+        log = adapt(spec, src, tmp_path / "out")
+        assert log.streams["gt"].conversions == logged
+
+
+class TestDroppedRows:
+    """A quaternion of zero or overflowing norm, or a value that overflows its unit
+    scale, is dropped and counted like a non-finite field, before repeated times are
+    resolved, and without a warning."""
+
+    @staticmethod
+    def insert_before(path, time_text, row):
+        """Insert ``row`` before the first source row whose time field reads ``time_text``."""
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.split(",")[0] == time_text)
+        path.write_text("\n".join([*lines[:k], row, *lines[k:]]) + "\n")
+
+    def adapt_quietly(self, spec, src, out):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return adapt(spec, src, out)
+
+    @pytest.mark.parametrize("q", ["0,0,0,0", "1e200,0,0,0", "0,-1e-13,0,0"],
+                             ids=["zero", "overflow", "tiny"])
+    def test_ahrs_quaternion(self, tmp_path, q):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_bluerov2_sources(src)
+        clean = self.adapt_quietly("bluerov2_csv", src, tmp_path / "clean")
+        self.insert_before(src / "attitude.csv", "200", f"200,{q}")
+        log = self.adapt_quietly("bluerov2_csv", src, tmp_path / "out")
+        assert (log.streams["ahrs"].rows_read, log.streams["ahrs"].rows_written,
+                log.streams["ahrs"].rows_dropped) == (21, 20, 1)
+        assert log.summary().replace("read 21", "read 20").replace(
+            "dropped 1", "dropped 0") == clean.summary()
+        for name in ("imu.csv", "dvl.csv", "ahrs.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "clean" / name).read_bytes()
+
+    @pytest.mark.parametrize("q", ["0,0,0,0", "1e200,0,0,0"], ids=["zero", "overflow"])
+    def test_gt_quaternion(self, tmp_path, q):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_girona_sources(src)
+        clean = self.adapt_quietly("girona_csv", src, tmp_path / "clean")
+        self.insert_before(src / "odometry.csv", "0.2", f"0.2,9.0,9.0,9.0,{q}")
+        log = self.adapt_quietly("girona_csv", src, tmp_path / "out")
+        assert (log.streams["gt"].rows_read, log.streams["gt"].rows_dropped) == (31, 1)
+        assert log.streams["gt"].rows_written == clean.streams["gt"].rows_written == 30
+        assert (tmp_path / "out" / "gt.csv").read_bytes() == (
+            tmp_path / "clean" / "gt.csv").read_bytes()
+
+    def test_value_that_overflows_its_unit_scale(self, tmp_path):
+        # 1e308 g is inf in m/s^2, which was once written to imu.csv.
+        src = tmp_path / "src"
+        src.mkdir()
+        write_bluerov2_sources(src)
+        self.insert_before(src / "imu_raw.csv", "20000", "20000,0.0,0.0,1e308,0.0,0.0,0.0")
+        log = self.adapt_quietly("bluerov2_csv", src, tmp_path / "out")
+        assert (log.streams["imu"].rows_read, log.streams["imu"].rows_dropped) == (201, 1)
+        assert np.isfinite(load_stream(tmp_path / "out" / "imu.csv", "imu")).all()
+
+
+_FAULTS = ["", "abc", "nan", "inf", "-inf", "1e400", " 2.5 "]
+_MUTATIONS = ["none"] * 6 + ["short", "long", "fault", "blank"]
+
+
+@st.composite
+def _stream_source(draw, kind, offset, delimiter):
+    """One stream's adapter config and its source text, with shuffled and repeated
+    times, extra and repeated header names, short and long rows, blank lines and
+    fields that are missing, non-numeric or non-finite."""
+    unit = draw(st.sampled_from(sorted(TIME_UNITS)))
+    cfg = {"file": f"{kind}_source.csv",
+           "time": {"column": "stamp", "unit": unit, "offset": offset}}
+    if delimiter != ",":
+        cfg["delimiter"] = delimiter
+    kinds = {"stamp": "time"}
+    if kind == "imu":
+        cfg["accel_unit"] = draw(st.sampled_from(sorted(ACCEL_UNITS)))
+        cfg["gyro_unit"] = draw(st.sampled_from(sorted(GYRO_UNITS)))
+        kinds.update(dict.fromkeys(["ax", "ay", "az", "gx", "gy", "gz"], "value"))
+    elif kind == "dvl":
+        cfg["velocity_unit"] = draw(st.sampled_from(sorted(VELOCITY_UNITS)))
+        cfg["frame"] = draw(st.sampled_from(["nav", "body"]))
+        kinds.update(dict.fromkeys(["vx", "vy", "vz"], "value"))
+    else:
+        if kind == "gt":
+            kinds.update(dict.fromkeys(["px", "py", "pz"], "value"))
+        if kind == "ahrs" or draw(st.booleans()):
+            cfg["mode"] = draw(st.sampled_from(["quaternion", "euler"]))
+            if cfg["mode"] == "euler":
+                cfg["angle_unit"] = draw(st.sampled_from(sorted(ANGLE_UNITS)))
+                kinds.update(dict.fromkeys(["roll", "pitch", "yaw"], "angle"))
+            else:
+                cfg["order"] = draw(st.sampled_from(["wxyz", "xyzw"]))
+                kinds.update({f"q{i}": i - 1 for i in range(1, 5)})
+    cfg["columns"] = {field: f"{kind}_{field}" for field in kinds if field != "stamp"}
+    names = ["stamp", *cfg["columns"].values()]
+    kinds = {names[0]: "time", **{cfg["columns"][f]: k for f, k in kinds.items() if f != "stamp"}}
+    header = draw(st.permutations(names)) + [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
+    repeatable = [name for name in header if not isinstance(kinds.get(name), int)]
+    header += draw(st.lists(st.sampled_from(repeatable), max_size=2))  # last column wins
+    lines = [delimiter.join(draw(st.sampled_from(["", " "])) + name for name in header)]
+    ticks = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    if kind == "ahrs":  # every time, so that a body-frame DVL row finds its AHRS row
+        ticks = draw(st.permutations(list(range(13)) + ticks))
+    for tick in ticks:
+        quat = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+            lambda q: sum(x * x for x in q) > 0.01))
+        fields = []
+        for name in header:
+            what = kinds.get(name, "value")
+            if what == "time":
+                fields.append(repr(tick * 0.1 / TIME_UNITS[unit]))
+            elif isinstance(what, int):
+                fields.append(repr(quat[what]))
+            else:
+                bound = 200.0 if what == "angle" else 20.0
+                fields.append(repr(draw(st.floats(-bound, bound))))
+        mutation = draw(st.sampled_from(_MUTATIONS))
+        if mutation == "short":
+            fields = fields[:draw(st.integers(0, len(fields) - 1))]
+        elif mutation == "long":
+            fields += ["0"] * draw(st.integers(1, 2))
+        elif mutation == "fault":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_FAULTS))
+        elif mutation == "blank":
+            lines.append("")
+        lines.append(delimiter.join(fields))
+    return cfg, "\n".join(lines) + "\n"
+
+
+@st.composite
+def _adapter_sources(draw):
+    """An adapter description over generated sources, and the sources' text by file."""
+    offset = draw(st.sampled_from([0.0, 12.5, -3.0]))
+    delimiter = draw(st.sampled_from([",", ";"]))
+    kinds = ["imu", "dvl", "ahrs"] + (["gt"] if draw(st.booleans()) else [])
+    drawn = {kind: draw(_stream_source(kind, offset, delimiter)) for kind in kinds}
+    spec = {"name": "generated", "streams": {kind: cfg for kind, (cfg, _) in drawn.items()}}
+    return spec, {cfg["file"]: text for cfg, text in drawn.values()}
+
+
+def _outcome(adapt_function, spec, src, out):
+    """An adapt's log and the bytes it wrote by file name, or its error's type and message."""
+    try:
+        log = adapt_function(copy.deepcopy(spec), src, out)
+    except ValueError as exc:  # the package's data and spec errors
+        return None, (type(exc), str(exc))
+    return log, {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
+def _gt_orientation_line(cfg) -> list:
+    """The conversion line the gt stream of ``cfg`` adds to the oracle's log."""
+    if not {"q1", "roll"} & set(cfg["columns"]):
+        return []
+    if cfg.get("mode", "quaternion") == "euler":
+        return [f"euler ({cfg.get('angle_unit', 'rad')}) -> quaternion"]
+    return ["quaternion order xyzw -> wxyz"] if cfg.get("order") == "xyzw" else []
+
+
+class TestAgainstOracle:
+    """``adapt`` writes the bytes the per-row converters of ``oracles.adapt`` wrote, with the
+    same row counts, warnings and conversions, and a logged gt orientation conversion."""
+
+    def check(self, spec, src, out):
+        log, written = _outcome(adapt, spec, src, out / "new")
+        old_log, old_written = _outcome(oracles.adapt, spec, src, out / "old")
+        assert written == old_written
+        if old_log is None:
+            return
+        assert (log.adapter, log.warnings) == (old_log.adapter, old_log.warnings)
+        assert list(log.streams) == list(old_log.streams)
+        for kind, old in old_log.streams.items():
+            new = log.streams[kind]
+            assert (new.file, new.rows_read, new.rows_written, new.rows_dropped) == (
+                old.file, old.rows_read, old.rows_written, old.rows_dropped)
+            added = _gt_orientation_line(spec["streams"]["gt"]) if kind == "gt" else []
+            assert new.conversions == old.conversions + added
+
+    @pytest.mark.parametrize("name, writer", [("girona_csv", write_girona_sources),
+                                              ("bluerov2_csv", write_bluerov2_sources)])
+    def test_builtin_fixtures(self, tmp_path, name, writer):
+        src = tmp_path / "src"
+        src.mkdir()
+        writer(src)
+        self.check(builtin_adapters()[name], src, tmp_path)
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(
+            f"{kind}.csv" for kind in builtin_adapters()[name]["streams"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_adapter_sources())
+    def test_generated_sources(self, case):
+        spec, texts = case
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            src.mkdir()
+            for name, text in texts.items():
+                (src / name).write_text(text, encoding="utf-8")
+            self.check(spec, src, Path(tmp))

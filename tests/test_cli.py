@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cipgnav import cli
+from cipgnav.adapters import resolve_adapter
 from cipgnav.baselines import FilterConfig
 from cipgnav.cascade import CascadeConfig
 from cipgnav.cli import hash_epochs, main
@@ -535,6 +536,28 @@ class TestAdapt:
         rc = main(["adapt", "--adapter", "nope", "--input", str(tmp_path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_zero_quaternion_row_is_dropped(self, tmp_path, capsys):
+        # Such a row once made adapt exit 1, naming neither the file nor the line.
+        src = tmp_path / "src"
+        src.mkdir()
+        write_bluerov2_sources(src)
+        with open(src / "attitude.csv", "a") as fh:
+            fh.write("2500,0,0,0,0\n")
+        rc = main(["adapt", "--adapter", "bluerov2_csv", "--input", str(src),
+                   "--out", str(tmp_path / "canon")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "ahrs: read 21 rows from attitude.csv, wrote 20, dropped 1" in out
+
+    def test_bad_time_offset_names_the_stream(self, tmp_path, capsys):
+        spec = resolve_adapter("bluerov2_csv")
+        spec["streams"]["imu"]["time"]["offset"] = "abc"
+        (tmp_path / "adapter.json").write_text(json.dumps(spec))
+        rc = main(["adapt", "--adapter", str(tmp_path / "adapter.json"), "--input", str(tmp_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "imu: time offset must be a finite number, got 'abc'" in capsys.readouterr().err
 
 
 class TestOverlongCsvField:

@@ -429,6 +429,15 @@ def angle_formula(a, b):
     return 4.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
 
 
+def euler_formula(roll, pitch, yaw):
+    """quat_from_euler of one angle triple on numpy scalars from Python floats."""
+    hr, hp, hy = 0.5 * float(roll), 0.5 * float(pitch), 0.5 * float(yaw)
+    cr, sr, cp, sp = np.cos(hr), np.sin(hr), np.cos(hp), np.sin(hp)
+    cy, sy = np.cos(hy), np.sin(hy)
+    return np.array([cr * cp * cy + sr * sp * sy, sr * cp * cy - cr * sp * sy,
+                     cr * sp * cy + sr * cp * sy, cr * cp * sy - sr * sp * cy])
+
+
 @pytest.fixture(params=["contiguous", "transposed-view"])
 def layout(request):
     """Rows as a C-contiguous array, or as the transposed view of a (k, n) array."""
@@ -534,6 +543,15 @@ class TestRowKernels:
         assert Q.flags.c_contiguous
         assert same_bits(Q, [quat_from_yaw(y) for y in yaw])
         assert same_bits(Q, [[np.cos(0.5 * y), 0.0, 0.0, np.sin(0.5 * y)] for y in yaw])
+
+    def test_quat_from_euler(self, rng, layout):
+        E = np.vstack([[[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [np.pi, -np.pi, 0.5 * np.pi]],
+                       rng.uniform(-4.0, 4.0, (300, 3)),
+                       np.deg2rad(rng.uniform(-180.0, 180.0, (300, 3)))])
+        Q = quat_from_euler(*layout(E).T)  # strided columns, or contiguous ones
+        assert Q.flags.c_contiguous
+        assert same_bits(Q, [quat_from_euler(*e) for e in E])
+        assert same_bits(Q, [euler_formula(*e) for e in E])
 
     def test_rotate_vector(self, rng, layout):
         Q = quat_rows(rng)

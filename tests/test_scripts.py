@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 from dataclasses import replace
@@ -114,3 +115,41 @@ def test_read_back_deviation_reports_ulps_flags_and_lengths(trajectory_diff):
         [((rows, ["ok", "ok"]), (rows, ["ok", "fallback"]))])[3]
     assert not trajectory_diff.read_back_deviation(
         [((rows, ["ok", "ok"]), (rows[:1], ["ok"]))])[3]
+
+
+def test_adapt_line_is_the_trees_own_adapt(trajectory_diff, tmp_path):
+    # The files configuration's adapt line compares what each tree's adapt writes
+    # from the script's girona_csv sources; on one tree that is adapt's own output,
+    # and it converts back to the generated streams.
+    from cipgnav import adapters, sensors, sim
+
+    run = sim.generate(sim.benchmark_scenario(0, 10.0))
+    digests, counts = trajectory_diff.adapted({"adapters": adapters}, run)
+    trajectory_diff.write_girona(run, tmp_path / "src")
+    out = tmp_path / "out"
+    log = adapters.adapt("girona_csv", tmp_path / "src", out)
+    assert digests == {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in out.iterdir()}
+    assert counts == {"imu": (1000, 1000, 0), "dvl": (50, 50, 0), "ahrs": (50, 50, 0),
+                      "gt": (51, 51, 0)}
+    assert [c for kind in ("dvl", "ahrs", "gt") for c in log.streams[kind].conversions] == [
+        "body-frame velocity -> navigation frame (via AHRS)", "euler (deg) -> quaternion",
+        "quaternion order xyzw -> wxyz"]
+    imu, dvl, ahrs, gt = (sensors.load_stream(out / f"{kind}.csv", kind)
+                          for kind in ("imu", "dvl", "ahrs", "gt"))
+    np.testing.assert_allclose(imu, run.imu, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(dvl, run.dvl, rtol=0.0, atol=1e-12)
+    dots = np.sum(ahrs[:, 1:] * run.ahrs[:, 1:], axis=1)  # the sign is hemisphere_align's
+    np.testing.assert_allclose(np.abs(dots), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal([s.position for s in gt], [p.nav.position for p in run.truth])
+    np.testing.assert_allclose([s.orientation for s in gt], [p.nav.orientation for p in run.truth],
+                               rtol=0.0, atol=1e-15)
+
+
+def test_adapt_agreement_reports_csvs_and_row_counts(trajectory_diff):
+    result = ({"imu.csv": "ab12"}, {"imu": (3, 3, 0)})
+    assert trajectory_diff.adapt_agreement([(result, result)] * 2) == (True, True)
+    assert trajectory_diff.adapt_agreement(
+        [(result, result), (result, ({"imu.csv": "ab13"}, result[1]))]) == (False, True)
+    assert trajectory_diff.adapt_agreement(
+        [(result, (result[0], {"imu": (3, 2, 1)})), (result, result)]) == (True, False)

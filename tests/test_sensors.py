@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cipgnav import sensors
+from cipgnav import sensors, sim
 from cipgnav.errors import ParseError, StreamOrderError, SyncGapError
 from cipgnav.quat import quat_from_yaw
 from cipgnav.sensors import (
@@ -20,6 +20,7 @@ from cipgnav.sensors import (
     save_stream,
     synchronize,
 )
+from cipgnav.sim import ScenarioSpec
 from cipgnav.trajectory import FLAGS, TRAJECTORY_COLUMNS, read_trajectory
 from tests.conftest import make_streams, random_unit_quat
 
@@ -341,8 +342,29 @@ class TestSynchronize:
 
     def test_dvl_times_that_do_not_increase_rejected(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
-        with pytest.raises(ValueError, match="tolerance must be positive"):
+        with pytest.raises(StreamOrderError,
+                           match=r"^dvl t does not increase at row 1: t=1\.8 after t=2\.0$"):
             synchronize(imu, dvl[::-1], ahrs)
+
+    @pytest.mark.parametrize("stream, row", [("dvl", 4), ("ahrs", 4), ("imu", 51)])
+    @pytest.mark.parametrize("fault", ["swapped", "repeated"])
+    def test_times_that_do_not_increase_rejected(self, stream, row, fault):
+        # Swapped DVL rows 3 and 4 once gave the epoch at t=0.8 an empty burst
+        # and the next epoch 40 IMU rows, and both estimators ran through them.
+        run = sim.generate(ScenarioSpec(kind="line", duration=2.0))
+        arrays = {"imu": run.imu.copy(), "dvl": run.dvl.copy(), "ahrs": run.ahrs.copy()}
+        rows = arrays[stream]
+        if fault == "swapped":
+            rows[[row - 1, row]] = rows[[row, row - 1]]
+        else:
+            rows[row, 0] = rows[row - 1, 0]
+        prev, t = rows[row - 1:row + 1, 0].tolist()
+        message = f"^{stream} t does not increase at row {row}: t={t!r} after t={prev!r}$"
+        with pytest.raises(StreamOrderError, match=message.replace(".", r"\.")):
+            synchronize(**arrays)
+        if stream != "imu":
+            with pytest.raises(StreamOrderError, match=message.replace(".", r"\.")):
+                dvl_body_to_nav(arrays["dvl"], arrays["ahrs"])
 
     def test_no_overlap_raises(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
