@@ -36,6 +36,16 @@ with xyzw quaternions), and each tree converts them with its own
 for byte across the trees and whether each stream's rows read, written and
 dropped are equal; both must be.
 
+One ``cli`` line compares the command line: each tree's ``cli.main`` runs in
+this process, and the line lists every item below that differs, or says
+that all are equal.  The items are the ``--print-config`` output of
+``simulate``, ``estimate`` and ``compare``, with the defaults and with a
+config file plus flags (CLI_CONFIGS); each subcommand's option
+table, sorted by flag (flags, help, type, default, choices, required); the
+bytes of every file that ``simulate --out`` writes for CLI_SCENARIO; and for
+each estimator the trajectory CSV of ``estimate`` on CLI_SCENARIO and its
+metadata JSON without ``runtime_s`` and ``output``.
+
 Configurations:
     survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
     long-window    25 Hz IMU, window N=10, 10 inner iterations; cipg, EKF, InEKF
@@ -75,7 +85,8 @@ Configurations:
 Exits 1 if any max |dp|, |dv|, |dq|, report or read-back difference exceeds
 TOLERANCE or is not finite (a NaN or infinite difference reads nan or inf),
 any flag (or epoch timestamp, or read-back flag) differs, any generated
-stream differs, or any adapted CSV or row count differs, 0 otherwise.
+stream differs, any adapted CSV or row count differs, or any ``cli`` item
+differs, 0 otherwise.
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -84,8 +95,11 @@ Example:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
+import json
 import sys
 import tempfile
 import warnings
@@ -98,6 +112,19 @@ DURATION = 100.0  # seconds of each benchmark scenario
 TOLERANCE = 1e-12  # largest accepted max |difference| of any quantity
 ESTIMATORS = ("cipg", "ekf", "inekf")
 STREAMS = ("imu", "dvl", "ahrs")
+# The cli line's inputs: a noisy, biased scenario for simulate and estimate, and per
+# command a config file and flags, some over its options, for --print-config.
+CLI_SCENARIO = ["--scenario", "lawnmower", "--duration", "20", "--noise", "bluerov2",
+                "--accel-bias", "0.01,0,-0.01", "--gyro-bias", "0,0.001,0", "--seed", "3"]
+_SCENARIO_CONFIG = "# a comment\ndvl_frame = body\nwaypoints = 0,0,0; 10,5,0\nseed = 4\n"
+_ESTIMATOR_CONFIG = "horizon = 6\nalpha = 0.2\nr_scale = 0.05\ngravity = 0,0,9.8\n"
+CLI_CONFIGS = {
+    "simulate": (_SCENARIO_CONFIG, ["--seed", "7", "--noise", "bluerov2", "--dvl-std", "0.03"]),
+    "estimate": (_SCENARIO_CONFIG + _ESTIMATOR_CONFIG,
+                 ["--seed", "7", "--horizon", "4", "--estimator", "ekf", "--duration", "30"]),
+    "compare": (_SCENARIO_CONFIG + _ESTIMATOR_CONFIG + "lever_arm = 2\n",
+                ["--rpe-delta", "2.5", "--q-vel", "1e-5", "--fallback", "deadreckon"]),
+}
 CONFIGS = {
     "survey": dict(imu_rate=100.0, horizon=5, iterations=3, estimators=ESTIMATORS),
     "long-window": dict(imu_rate=25.0, horizon=10, iterations=10, estimators=ESTIMATORS),
@@ -129,8 +156,8 @@ def import_tree(src: Path) -> dict:
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"cipgnav.{name}")
-                for name in ("adapters", "baselines", "cascade", "ipg", "preintegration",
-                             "sensors", "metrics", "sim", "trajectory")}
+                for name in ("adapters", "baselines", "cascade", "cli", "ipg",
+                             "preintegration", "sensors", "metrics", "sim", "trajectory")}
     finally:
         sys.path.remove(str(src))
     origin = Path(mods["cascade"].__file__).resolve()
@@ -225,6 +252,63 @@ def adapt_agreement(pairs) -> tuple[bool, bool]:
     return all(a[0] == b[0] for a, b in pairs), all(a[1] == b[1] for a, b in pairs)
 
 
+def run_cli(cli, argv) -> tuple:
+    """``cli.main(argv)`` in this process: its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def option_table(parser) -> list:
+    """A parser's options sorted by flag: flags, help, type, default, choices, required."""
+    return sorted((action.option_strings, action.help,
+                   getattr(action.type, "__name__", repr(action.type)), repr(action.default),
+                   action.choices, action.required) for action in parser._actions)
+
+
+def cli_outputs(m: dict) -> dict:
+    """The items of the ``cli`` line (see the module docs) by name, from the tree's
+    ``cli.main``."""
+    cli = m["cli"]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for command, (config, flags) in CLI_CONFIGS.items():
+            (tmp / f"{command}.cfg").write_text(config)
+            for label, extra in (("defaults", []),
+                                 ("config", ["--config", str(tmp / f"{command}.cfg"), *flags])):
+                out[f"{command} --print-config ({label})"] = run_cli(
+                    cli, [command, *extra, "--print-config", "--out", str(tmp / "unused")])
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for command, parser in commands.items():
+            out[f"{command} options"] = option_table(parser)
+        code, text, err = run_cli(cli, ["simulate", *CLI_SCENARIO, "--out", str(tmp / "sim")])
+        out["simulate run"] = code, text.replace(str(tmp), "TMP"), err
+        for path in sorted((tmp / "sim").glob("*")):
+            out[f"simulate {path.name}"] = path.read_bytes()
+        for name in ESTIMATORS:
+            csv = tmp / f"{name}.csv"
+            code, _, err = run_cli(cli, ["estimate", *CLI_SCENARIO, "--estimator", name,
+                                         "--out", str(csv)])  # stdout holds the runtime
+            out[f"estimate {name} run"] = code, err
+            if code == 0:
+                meta = json.loads(csv.with_suffix(".meta.json").read_text())
+                del meta["runtime_s"], meta["output"]
+                out[f"estimate {name} csv"] = csv.read_bytes()
+                out[f"estimate {name} metadata"] = meta
+    return out
+
+
+def cli_differences(old: dict, new: dict) -> list:
+    """The names of the ``cli_outputs`` items that differ, or that one side lacks."""
+    return [item for item in sorted(old.keys() | new.keys()) if old.get(item) != new.get(item)]
+
+
 def config_inputs(m: dict, c: dict, spec):
     """The run generated from ``spec`` and, for configuration ``c``, its epochs,
     initial state and truth, and the IMU biases the estimators are configured with."""
@@ -247,12 +331,12 @@ def run_tree(src: Path, seeds) -> dict:
     """{(config, estimator, seed): (t, position, velocity, quaternion, flags, report
     values)}, {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run, and,
     in a configuration with CSV files, {(config, "read-back", estimator, seed):
-    read_back_rows} and {(config, "adapt", seed): adapted}.
+    read_back_rows} and {(config, "adapt", seed): adapted}; and {"cli": cli_outputs}.
 
     The report values are the rows of the default and then the aligned report."""
     m = import_tree(src)
     metrics_configs = {align: m["metrics"].MetricsConfig(align=align) for align in (False, True)}
-    out = {}
+    out = {"cli": cli_outputs(m)}
     for config, c in CONFIGS.items():
         params = m["ipg"].IpgParams(**{key: c[key] for key in ("horizon", "iterations", "alpha")
                                        if key in c})
@@ -379,6 +463,10 @@ def main(argv=None) -> int:
         same &= not differ
         verdict = f"DIFFER: {', '.join(differ)}" if differ else f"{'/'.join(STREAMS)} equal"
         print(f"{config:12s} {'streams':9s} {verdict}")
+    differ = cli_differences(old["cli"], new["cli"])
+    same &= not differ
+    verdict = f"DIFFER: {', '.join(differ)}" if differ else f"{len(new['cli'])} items equal"
+    print(f"{'cli':12s} {'outputs':9s} {verdict}")
     return 0 if same else 1
 
 

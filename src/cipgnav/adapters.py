@@ -32,8 +32,8 @@ A stream may also set ``"delimiter"`` (one character, "," by default) and a
 
 ``adapt()`` reads each source stream into one float array: its time column
 and mapped fields, with unit scales and the time offset applied.  It drops
-unusable rows (a field that is missing, not a number, or not finite once
-scaled; a quaternion of zero or overflowing norm), sorts by time and keeps
+unusable rows (a field that is missing, not a number, not UTF-8, or not
+finite once scaled; a quaternion of zero or overflowing norm), sorts by time and keeps
 the first row of each repeated time, converts orientations to
 hemisphere-aligned unit quaternions, optionally rotates body-frame DVL
 velocities through the AHRS attitude, and writes canonical CSVs.  It returns
@@ -226,7 +226,7 @@ def _numbers(row, cols) -> list:
 def _read(path, cfg, fields) -> np.ndarray:
     """The time and ``fields`` columns of a source CSV's rows as one float array, NaN
     where a row cannot give them.  A repeated header name names its last column."""
-    with open_csv(path, encoding="utf-8", delimiter=cfg.get("delimiter", ",")) as reader:
+    with open_csv(path, delimiter=cfg.get("delimiter", ",")) as reader:
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file", line=1, path=path)

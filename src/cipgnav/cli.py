@@ -9,15 +9,18 @@ Subcommands:
     compare    run several estimators on the same data, side by side
 
 Options resolve in order: command line > --config file (``key = value``
-lines, ``#`` comments) > built-in defaults.  ``--print-config`` shows the
-resolved values and exits without running.
+lines, ``#`` comments) > defaults.  An option that sets a field of a library
+config defaults to that field's default (see ``DEFAULTS``), and the builders
+map options to config fields by name.  ``--print-config`` shows the resolved
+values and exits without running.
 
 ``estimate`` writes a metadata JSON next to the trajectory recording every
 resolved parameter, the input provenance, a ``sha256-v2:`` digest of the
 synchronized epoch stream (see ``hash_epochs``), runtime, and
 warmup/fallback counts.  ``--from-metadata`` replays such a file and
 reproduces the trajectory byte for byte (the epoch digest is re-checked so
-silent input changes are caught).  Metadata of earlier versions, whose
+silent input changes are caught); it takes no other option, input or config
+file.  Metadata of earlier versions, whose
 ``sha256:`` digest hashed the text of the values, is refused.
 
 Exit codes: 0 success; 1 estimation failure (divergence, numerical
@@ -33,7 +36,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,83 +99,101 @@ def _parse_waypoints(text: str) -> tuple:
     return tuple(pts)
 
 
-_PARSERS = {
-    "float": float,
-    "int": int,
-    "str": str,
-    "vec3": _parse_vec3,
-    "waypoints": _parse_waypoints,
-}
-
-# name -> (type, default, help); scenario options shared by simulate /
-# estimate --scenario / compare --scenario.
+# name -> (parser, help); scenario options shared by simulate /
+# estimate --scenario / compare --scenario.  Defaults are in DEFAULTS.
 SCENARIO_OPTS = {
-    "scenario": ("str", "circle", "trajectory kind: stationary|line|circle|lawnmower|waypoints"),
-    "duration": ("float", 100.0, "run length in seconds"),
-    "speed": ("float", 0.5, "cruise speed m/s"),
-    "imu_rate": ("float", 100.0, "IMU rate Hz"),
-    "meas_rate": ("float", 5.0, "DVL/AHRS rate Hz"),
-    "circle_radius": ("float", 100.0, "circle radius m"),
-    "lawnmower_leg": ("float", 40.0, "lawnmower leg length m"),
-    "lawnmower_spacing": ("float", 10.0, "lawnmower track spacing m"),
-    "waypoints": ("waypoints", None, "waypoint tour 'x,y,z;x,y,z;...'"),
-    "initial_heading": ("float", 0.0, "initial yaw rad"),
-    "dvl_frame": ("str", "nav", "frame of the generated DVL stream: nav|body"),
-    "noise": ("str", "none", "noise preset: none|bluerov2"),
-    "accel_density": ("float", None, "override accel noise density (m/s^2/sqrt(Hz))"),
-    "gyro_density": ("float", None, "override gyro noise density (rad/s/sqrt(Hz))"),
-    "dvl_std": ("float", None, "override DVL noise std (m/s)"),
-    "ahrs_std": ("float", None, "override AHRS noise std (rad)"),
-    "seed": ("int", 0, "RNG seed"),
+    "scenario": (str, "trajectory kind: stationary|line|circle|lawnmower|waypoints"),
+    "duration": (float, "run length in seconds"),
+    "speed": (float, "cruise speed m/s"),
+    "imu_rate": (float, "IMU rate Hz"),
+    "meas_rate": (float, "DVL/AHRS rate Hz"),
+    "circle_radius": (float, "circle radius m"),
+    "lawnmower_leg": (float, "lawnmower leg length m"),
+    "lawnmower_spacing": (float, "lawnmower track spacing m"),
+    "waypoints": (_parse_waypoints, "waypoint tour 'x,y,z;x,y,z;...'"),
+    "initial_heading": (float, "initial yaw rad"),
+    "dvl_frame": (str, "frame of the generated DVL stream: nav|body"),
+    "noise": (str, "noise preset: none|bluerov2"),
+    "accel_density": (float, "override accel noise density (m/s^2/sqrt(Hz))"),
+    "gyro_density": (float, "override gyro noise density (rad/s/sqrt(Hz))"),
+    "dvl_std": (float, "override DVL noise std (m/s)"),
+    "ahrs_std": (float, "override AHRS noise std (rad)"),
+    "seed": (int, "RNG seed"),
 }
+_NOISE_OVERRIDES = ("accel_density", "gyro_density", "dvl_std", "ahrs_std")
 
 # The IMU model: simulate draws the IMU stream with it, the estimators assume it.
 IMU_MODEL_OPTS = {
-    "accel_bias": ("vec3", (0.0, 0.0, 0.0), "accelerometer bias 'x,y,z' (m/s^2)"),
-    "gyro_bias": ("vec3", (0.0, 0.0, 0.0), "gyro bias 'x,y,z' (rad/s)"),
-    "gravity": ("vec3", (0.0, 0.0, 9.81), "gravity vector 'x,y,z' (m/s^2)"),
+    "accel_bias": (_parse_vec3, "accelerometer bias 'x,y,z' (m/s^2)"),
+    "gyro_bias": (_parse_vec3, "gyro bias 'x,y,z' (rad/s)"),
+    "gravity": (_parse_vec3, "gravity vector 'x,y,z' (m/s^2)"),
 }
 
 ESTIMATOR_OPTS = {
-    "estimator": ("str", "cipg", "estimator: cipg|ekf|inekf"),
-    "horizon": ("int", 5, "window length N (epochs)"),
-    "iterations": ("int", 3, "inner iterations d per epoch"),
-    "alpha": ("float", 0.1, "preconditioner step size"),
-    "delta": ("float", 1.0, "iterate step size"),
-    "k0_scale": ("float", 1e-3, "initial preconditioner scale"),
-    "fallback": ("str", "abort", "on divergence: abort|deadreckon"),
-    "p0_scale": ("float", 0.1, "filter initial covariance scale"),
-    "r_scale": ("float", 0.1, "filter measurement covariance scale"),
-    "q_pos": ("float", 1e-8, "filter process noise, position"),
-    "q_vel": ("float", 4e-6, "filter process noise, velocity"),
-    "q_att": ("float", 1e-8, "filter process noise, attitude"),
+    "estimator": (str, "estimator: cipg|ekf|inekf"),
+    "horizon": (int, "window length N (epochs)"),
+    "iterations": (int, "inner iterations d per epoch"),
+    "alpha": (float, "preconditioner step size"),
+    "delta": (float, "iterate step size"),
+    "k0_scale": (float, "initial preconditioner scale"),
+    "fallback": (str, "on divergence: abort|deadreckon"),
+    "p0_scale": (float, "filter initial covariance scale"),
+    "r_scale": (float, "filter measurement covariance scale"),
+    "q_pos": (float, "filter process noise, position"),
+    "q_vel": (float, "filter process noise, velocity"),
+    "q_att": (float, "filter process noise, attitude"),
     **IMU_MODEL_OPTS,
 }
 
 # Named as the MetricsConfig fields they set; compare never aligns.
 COMPARE_METRIC_OPTS = {
-    "rpe_delta": ("float", 1.0, "RPE horizon in seconds"),
-    "lever_arm": ("float", 1.0, "lever arm (m) folding attitude error into metres"),
+    "rpe_delta": (float, "RPE horizon in seconds"),
+    "lever_arm": (float, "lever arm (m) folding attitude error into metres"),
 }
 EVALUATE_OPTS = {
     **COMPARE_METRIC_OPTS,
-    "n_align_fixes": ("int", 10, "samples used for yaw+translation alignment"),
+    "n_align_fixes": (int, "samples used for yaw+translation alignment"),
 }
 
 
-def _add_schema(parser: argparse.ArgumentParser, schema: dict) -> None:
-    for name, (typ, _default, help_text) in schema.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=_PARSERS[typ], default=None, help=help_text, dest=name)
+def _defaults() -> dict:
+    """Each option's default.  An option named as a field of a library config
+    defaults to that field's default; the renamed and derived ones to the
+    values they are built from; the CLI's own ones are stated here."""
+    spec, filters = ScenarioSpec(), FilterConfig()
+    configs = (spec, IpgParams(), CascadeConfig(), filters, MetricsConfig())
+    defaults = {
+        **{f.name: getattr(config, f.name) for config in configs for f in fields(config)},
+        "scenario": spec.kind,
+        "accel_bias": tuple(spec.biases.accel.tolist()),
+        "gyro_bias": tuple(spec.biases.gyro.tolist()),
+        "gravity": tuple(spec.gravity.vector.tolist()),
+        "r_scale": float(filters.r_vel[0]),
+        "estimator": "cipg",
+        "noise": "none",
+        **dict.fromkeys(_NOISE_OVERRIDES),
+    }
+    return {name: defaults[name] for name in {**SCENARIO_OPTS, **ESTIMATOR_OPTS, **EVALUATE_OPTS}}
+
+
+DEFAULTS = _defaults()
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _load_config_file(path) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             s = raw.strip()
             if not s or s.startswith("#"):
                 continue
+            try:
+                s.encode("utf-8")  # refuses the surrogate that an undecodable byte reads as
+            except UnicodeEncodeError:
+                raise SpecError(f"{path}:{line_no}: not UTF-8 text: {s!r}") from None
             if "=" not in s:
                 raise SpecError(f"{path}:{line_no}: expected 'key = value', got {s!r}")
             key, value = s.split("=", 1)
@@ -190,17 +211,17 @@ def resolve_options(args, *schemas) -> dict:
     if unknown:
         raise SpecError(f"config file: unknown keys {sorted(unknown)}")
     resolved = {}
-    for name, (typ, default, _help) in merged_schema.items():
+    for name, (parse, _help) in merged_schema.items():
         cli_value = getattr(args, name, None)
         if cli_value is not None:
             resolved[name] = cli_value
         elif name in file_cfg:
             try:
-                resolved[name] = _PARSERS[typ](file_cfg[name])
+                resolved[name] = parse(file_cfg[name])
             except ValueError as exc:
                 raise SpecError(f"config file: bad value for {name}: {exc}") from None
         else:
-            resolved[name] = default
+            resolved[name] = DEFAULTS[name]
     return resolved
 
 
@@ -219,36 +240,16 @@ def _imu_model(cfg: dict) -> dict:
             "gravity": GravityModel(np.asarray(cfg["gravity"]))}
 
 
-def _metrics_config(cfg: dict, **flags) -> MetricsConfig:
-    """The MetricsConfig of the EVALUATE_OPTS in cfg, built before any input is loaded."""
-    return MetricsConfig(**{k: cfg[k] for k in EVALUATE_OPTS if k in cfg}, **flags)
+def _from_options(cls, cfg: dict, **explicit):
+    """A ``cls`` of the options in cfg named as its fields, and of ``explicit``, which
+    holds the renamed and derived fields and wins over an option of the same name."""
+    return cls(**{**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **explicit})
 
 
 def build_scenario(cfg: dict) -> ScenarioSpec:
-    noise = NoiseSpec.preset(cfg["noise"])
-    overrides = {
-        k: cfg[k]
-        for k in ("accel_density", "gyro_density", "dvl_std", "ahrs_std")
-        if cfg.get(k) is not None
-    }
-    if overrides:
-        noise = replace(noise, **overrides)
-    return ScenarioSpec(
-        kind=cfg["scenario"],
-        duration=cfg["duration"],
-        speed=cfg["speed"],
-        imu_rate=cfg["imu_rate"],
-        meas_rate=cfg["meas_rate"],
-        circle_radius=cfg["circle_radius"],
-        lawnmower_leg=cfg["lawnmower_leg"],
-        lawnmower_spacing=cfg["lawnmower_spacing"],
-        waypoints=cfg["waypoints"],
-        initial_heading=cfg["initial_heading"],
-        dvl_frame=cfg["dvl_frame"],
-        noise=noise,
-        seed=cfg["seed"],
-        **_imu_model(cfg),
-    )
+    overrides = {k: cfg[k] for k in _NOISE_OVERRIDES if cfg[k] is not None}
+    noise = replace(NoiseSpec.preset(cfg["noise"]), **overrides)
+    return _from_options(ScenarioSpec, cfg, kind=cfg["scenario"], noise=noise, **_imu_model(cfg))
 
 
 def _estimator_params(cfg: dict) -> dict:
@@ -256,32 +257,15 @@ def _estimator_params(cfg: dict) -> dict:
 
 
 def build_cascade_config(cfg: dict, initial: NavState | None) -> CascadeConfig:
-    return CascadeConfig(
-        params=IpgParams(
-            horizon=cfg["horizon"],
-            iterations=cfg["iterations"],
-            alpha=cfg["alpha"],
-            delta=cfg["delta"],
-            k0_scale=cfg["k0_scale"],
-        ),
-        initial=initial,
-        fallback=cfg["fallback"],
-        **_imu_model(cfg),
-    )
+    return _from_options(CascadeConfig, cfg, params=_from_options(IpgParams, cfg),
+                         initial=initial, **_imu_model(cfg))
 
 
 def build_filter_config(cfg: dict) -> FilterConfig:
     if not 0.0 < cfg["r_scale"] < math.inf:  # FilterConfig would name r_vel, not the option
         raise SpecError(f"r_scale must be finite and positive, got {cfg['r_scale']}")
-    return FilterConfig(
-        p0_scale=cfg["p0_scale"],
-        r_vel=cfg["r_scale"] * np.ones(3),
-        r_att=cfg["r_scale"] * np.ones(3),
-        q_pos=cfg["q_pos"],
-        q_vel=cfg["q_vel"],
-        q_att=cfg["q_att"],
-        **_imu_model(cfg),
-    )
+    r = cfg["r_scale"] * np.ones(3)
+    return _from_options(FilterConfig, cfg, r_vel=r, r_att=r, **_imu_model(cfg))
 
 
 def build_estimator_config(name: str, cfg: dict):
@@ -341,7 +325,7 @@ def _initial_from_gt(gt, epochs):
 
 def _load_truth(path: Path):
     """Read truth as a trajectory CSV or a gt sensor stream, whichever matches."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
     if header == ",".join(TRAJECTORY_COLUMNS):
         return read_trajectory(path), True
@@ -454,43 +438,53 @@ def cmd_estimate(args) -> int:
 
 
 def _estimate_from_metadata(args) -> int:
-    with open(args.from_metadata, encoding="utf-8") as fh:
+    given = [_flag(name) for name in (*SCENARIO_OPTS, *ESTIMATOR_OPTS, "input", "config")
+             if getattr(args, name) is not None]
+    if args.print_config:
+        given.append("--print-config")
+    if given:
+        raise SpecError("--from-metadata replays the options and input its file records; "
+                        f"it takes no {', '.join(given)}")
+    path = args.from_metadata
+    with open(path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise SpecError(f"{path}: the metadata is not a JSON object")
     if meta.get("command") != "estimate":
-        raise SpecError(f"{args.from_metadata}: not an estimate metadata file")
-    if meta["epoch_hash"].startswith("sha256:"):
-        raise SpecError(
-            f"{args.from_metadata}: this metadata was recorded with the text digest "
-            "(sha256:) of an earlier cipgnav, which this version no longer computes; "
-            "re-run `cipgnav estimate` with the same input and options to record a "
-            "sha256-v2 digest"
-        )
-    cfg = dict(meta["params"])
-    for key in IMU_MODEL_OPTS:
-        cfg[key] = tuple(cfg[key])
-    config = build_estimator_config(meta["estimator"], cfg)
-    provenance = meta["input"]
-    if provenance["mode"] == "files":
-        epochs = _load_epoch_dir(Path(provenance["dir"]), provenance.get("dvl_frame", "nav"))
-    else:
-        epochs = generate(ScenarioSpec.from_dict(provenance["scenario"])).epochs()
+        raise SpecError(f"{path}: not an estimate metadata file")
+    try:
+        if meta["epoch_hash"].startswith("sha256:"):
+            raise SpecError(
+                f"{path}: this metadata was recorded with the text digest "
+                "(sha256:) of an earlier cipgnav, which this version no longer computes; "
+                "re-run `cipgnav estimate` with the same input and options to record a "
+                "sha256-v2 digest"
+            )
+        config = build_estimator_config(meta["estimator"], _estimator_params(meta["params"]))
+        provenance = meta["input"]
+        files = provenance["mode"] == "files"
+        source = ((Path(provenance["dir"]), provenance.get("dvl_frame", "nav")) if files
+                  else ScenarioSpec.from_dict(provenance["scenario"]))
+        recorded = meta.get("initial")
+        initial = None if recorded is None else NavState(
+            *(np.asarray(recorded[key], dtype=float) for key in _INITIAL_FIELDS))
+        out_path = Path(args.out or meta["output"])
+    except KeyError as exc:
+        raise SpecError(f"{path}: the metadata has no {exc.args[0]!r} key") from None
+    epochs = _load_epoch_dir(*source) if files else generate(source).epochs()
     digest = hash_epochs(epochs)
     if digest != meta["epoch_hash"]:
         raise SpecError(
             "epoch stream does not match the metadata "
             f"(got {digest}, recorded {meta['epoch_hash']}); the input data changed"
         )
-    recorded = meta.get("initial")
-    initial = None if recorded is None else NavState(
-        *(np.asarray(recorded[key], dtype=float) for key in _INITIAL_FIELDS))
-    out_path = Path(args.out) if args.out else Path(meta["output"])
     points, meta = _run_and_write(args, meta, epochs, config, initial, out_path)
     print(f"replayed {meta['estimator']}: {len(points)} epochs -> {out_path}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    mcfg = _metrics_config(resolve_options(args, EVALUATE_OPTS), align=args.align)
+    mcfg = _from_options(MetricsConfig, resolve_options(args, EVALUATE_OPTS), align=args.align)
     est = read_trajectory(args.estimate)
     truth, has_orientation = _load_truth(Path(args.truth))
     mcfg = replace(mcfg, use_orientation=has_orientation)
@@ -518,7 +512,7 @@ def cmd_compare(args) -> int:
         raise SpecError(f"--estimators must name each estimator at most once, and at least "
                         f"one, from {ESTIMATORS}; got {args.estimators!r}")
     configs = {name: build_estimator_config(name, cfg) for name in names}
-    mcfg = _metrics_config(cfg)
+    mcfg = _from_options(MetricsConfig, cfg)
     epochs, initial, truth_info, _prov = _prepare_input(args, cfg, with_truth=True)
     if truth_info is None:
         raise FileNotFoundError(
@@ -559,13 +553,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cipgnav {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_sim = sub.add_parser("simulate", help="generate a synthetic scenario")
-    _add_schema(p_sim, SCENARIO_OPTS)
-    _add_schema(p_sim, IMU_MODEL_OPTS)
-    p_sim.add_argument("--config", help="key=value config file")
+    def add_command(name, help_text, func, *schemas, print_config=True):
+        """A subcommand with a flag per option of ``schemas``, ``--config`` and,
+        if ``print_config``, ``--print-config``."""
+        command = sub.add_parser(name, help=help_text)
+        for schema in schemas:
+            for option, (parse, option_help) in schema.items():
+                command.add_argument(_flag(option), type=parse, help=option_help)
+        command.add_argument("--config", help="key=value config file")
+        if print_config:
+            command.add_argument("--print-config", action="store_true",
+                                 help="print resolved options and exit")
+        command.set_defaults(func=func)
+        return command
+
+    p_sim = add_command("simulate", "generate a synthetic scenario", cmd_simulate,
+                        SCENARIO_OPTS, IMU_MODEL_OPTS)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--print-config", action="store_true", help="print resolved options and exit")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_adapt = sub.add_parser("adapt", help="convert a dataset directory to canonical CSVs")
     p_adapt.add_argument("--adapter", required=True,
@@ -574,41 +578,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--out", required=True, help="output directory for canonical CSVs")
     p_adapt.set_defaults(func=cmd_adapt)
 
-    p_est = sub.add_parser("estimate", help="run an estimator over sensor streams")
+    p_est = add_command("estimate", "run an estimator over sensor streams", cmd_estimate,
+                        SCENARIO_OPTS, ESTIMATOR_OPTS)
     p_est.add_argument("--input", help="directory with imu.csv, dvl.csv, ahrs.csv (and optional gt.csv)")
-    _add_schema(p_est, SCENARIO_OPTS)
-    _add_schema(p_est, ESTIMATOR_OPTS)
-    p_est.add_argument("--config", help="key=value config file")
     p_est.add_argument("--out", help="output trajectory CSV (default: trajectory.csv, or on "
                        "--from-metadata the output recorded in the metadata)")
     p_est.add_argument("--metadata", help="metadata JSON path (default: <out>.meta.json)")
     p_est.add_argument("--from-metadata", help="replay a previous run from its metadata JSON")
-    p_est.add_argument("--print-config", action="store_true", help="print resolved options and exit")
-    p_est.set_defaults(func=cmd_estimate)
 
-    p_eval = sub.add_parser("evaluate", help="score an estimate against ground truth")
+    p_eval = add_command("evaluate", "score an estimate against ground truth", cmd_evaluate,
+                         EVALUATE_OPTS, print_config=False)
     p_eval.add_argument("--estimate", required=True, help="estimated trajectory CSV")
     p_eval.add_argument("--truth", required=True,
                         help="ground truth: trajectory CSV or gt.csv sensor stream")
-    _add_schema(p_eval, EVALUATE_OPTS)
-    p_eval.add_argument("--config", help="key=value config file")
     p_eval.add_argument("--align", action="store_true",
                         help="yaw+translation align the estimate over the first fixes")
     p_eval.add_argument("--report", help="write the metric table to this file")
     p_eval.add_argument("--errors", help="write per-sample error series CSV to this file")
-    p_eval.set_defaults(func=cmd_evaluate)
 
-    p_cmp = sub.add_parser("compare", help="run several estimators side by side")
+    p_cmp = add_command("compare", "run several estimators side by side", cmd_compare,
+                        SCENARIO_OPTS, ESTIMATOR_OPTS, COMPARE_METRIC_OPTS)
     p_cmp.add_argument("--input", help="directory with canonical CSVs incl. gt.csv")
-    _add_schema(p_cmp, SCENARIO_OPTS)
-    _add_schema(p_cmp, ESTIMATOR_OPTS)
-    _add_schema(p_cmp, COMPARE_METRIC_OPTS)
     p_cmp.add_argument("--estimators", default="cipg,ekf,inekf",
                        help="comma-separated estimators to run")
-    p_cmp.add_argument("--config", help="key=value config file")
     p_cmp.add_argument("--out", help="write the comparison table to this file")
-    p_cmp.add_argument("--print-config", action="store_true", help="print resolved options and exit")
-    p_cmp.set_defaults(func=cmd_compare)
     return parser
 
 

@@ -98,14 +98,19 @@ class SyncedEpoch:
     ahrs: np.ndarray
 
 
+# A byte that is not UTF-8 reads as a lone surrogate: a field holding one is not a
+# number, nor a header name, so it is refused or dropped as such, with its line.
+_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+
 @contextmanager
-def open_csv(path, encoding=None, **reader_args):
-    """Open ``path`` and yield ``csv.reader(fh, **reader_args)``.
+def open_csv(path, **reader_args):
+    """Open ``path`` as UTF-8 text (see ``_TEXT``) and yield ``csv.reader(fh, **reader_args)``.
 
     A csv.Error in the block, such as a field over csv's size limit, is
     raised as a ParseError naming the path and the reader's line.
     """
-    with open(path, newline="", encoding=encoding) as fh:
+    with open(path, newline="", **_TEXT) as fh:
         reader = csv.reader(fh, **reader_args)
         try:
             yield reader
@@ -156,7 +161,7 @@ def _load_bulk(path, kind):
     longer than csv's field size limit (131,072 characters).
     """
     fmt = _FORMATS[kind]
-    with open(path, newline="") as fh:
+    with open(path, newline="", **_TEXT) as fh:
         try:
             width, quat = _read_header(csv.reader(fh), fmt, path)
         except csv.Error:

@@ -29,7 +29,7 @@ the recorded one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,35 +155,23 @@ class ScenarioSpec:
         return _make_model(self)
 
     def to_dict(self) -> dict:
+        """The spec as JSON values: each field under its name, in field order."""
         return {
-            "kind": self.kind,
-            "duration": self.duration,
-            "speed": self.speed,
-            "imu_rate": self.imu_rate,
-            "meas_rate": self.meas_rate,
-            "circle_radius": self.circle_radius,
-            "lawnmower_leg": self.lawnmower_leg,
-            "lawnmower_spacing": self.lawnmower_spacing,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "waypoints": None if self.waypoints is None else [list(w) for w in self.waypoints],
-            "initial_heading": self.initial_heading,
-            "dvl_frame": self.dvl_frame,
-            "noise": {
-                "accel_density": self.noise.accel_density,
-                "gyro_density": self.noise.gyro_density,
-                "dvl_std": self.noise.dvl_std,
-                "ahrs_std": self.noise.ahrs_std,
-            },
-            "biases": {
-                "accel": [float(v) for v in self.biases.accel],
-                "gyro": [float(v) for v in self.biases.gyro],
-            },
-            "gravity": [float(v) for v in self.gravity.vector],
+            "noise": asdict(self.noise),
+            "biases": {"accel": self.biases.accel.tolist(), "gyro": self.biases.gyro.tolist()},
+            "gravity": self.gravity.vector.tolist(),
             "seed": int(self.seed),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        """The spec of a ``to_dict`` result; an unknown key raises SpecError."""
         data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
+        _check_keys("scenario", data, [f.name for f in fields(cls)])
+        _check_keys("scenario noise", data.get("noise", {}), [f.name for f in fields(NoiseSpec)])
+        _check_keys("scenario biases", data.get("biases", {}), ["accel", "gyro"])
         noise = NoiseSpec(**data.pop("noise", {}))
         b = data.pop("biases", {})
         biases = ImuBiases(np.asarray(b.get("accel", np.zeros(3))),
@@ -198,6 +186,12 @@ class ScenarioSpec:
             waypoints=None if wp is None else tuple(tuple(w) for w in wp),
             **data,
         )
+
+
+def _check_keys(what: str, data: dict, known) -> None:
+    unknown = [k for k in data if k not in known]
+    if unknown:
+        raise SpecError(f"{what}: unknown keys {unknown}; expected some of {list(known)}")
 
 
 class _Model:

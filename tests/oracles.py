@@ -27,6 +27,10 @@ conversion per row, and ground truth as GroundTruthSample written by
 bytes, and the ConversionLog its log, except for the line that now records a
 ground-truth orientation conversion.  A quaternion of zero or overflowing
 norm crashes it, where the package drops and counts the row.
+
+``scenario_to_dict`` is ``sim.ScenarioSpec.to_dict`` as it was written out
+field by field, before it was built from ``dataclasses.fields``: the package's
+must give an equal dict, with its keys in the same order.
 """
 
 from __future__ import annotations
@@ -156,6 +160,34 @@ def velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
         x, k = x_next, k_next
     zeta = np.array(x)
     return zeta + offsets[-1], zeta + increments[0], k
+
+
+def scenario_to_dict(spec) -> dict:
+    return {
+        "kind": spec.kind,
+        "duration": spec.duration,
+        "speed": spec.speed,
+        "imu_rate": spec.imu_rate,
+        "meas_rate": spec.meas_rate,
+        "circle_radius": spec.circle_radius,
+        "lawnmower_leg": spec.lawnmower_leg,
+        "lawnmower_spacing": spec.lawnmower_spacing,
+        "waypoints": None if spec.waypoints is None else [list(w) for w in spec.waypoints],
+        "initial_heading": spec.initial_heading,
+        "dvl_frame": spec.dvl_frame,
+        "noise": {
+            "accel_density": spec.noise.accel_density,
+            "gyro_density": spec.noise.gyro_density,
+            "dvl_std": spec.noise.dvl_std,
+            "ahrs_std": spec.noise.ahrs_std,
+        },
+        "biases": {
+            "accel": [float(v) for v in spec.biases.accel],
+            "gyro": [float(v) for v in spec.biases.gyro],
+        },
+        "gravity": [float(v) for v in spec.gravity.vector],
+        "seed": int(spec.seed),
+    }
 
 
 def write_trajectory(points, path) -> None:

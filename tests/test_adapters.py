@@ -418,6 +418,39 @@ class TestDroppedRows:
         assert (log.streams["imu"].rows_read, log.streams["imu"].rows_dropped) == (201, 1)
         assert np.isfinite(load_stream(tmp_path / "out" / "imu.csv", "imu")).all()
 
+    @pytest.mark.parametrize("where", ["mapped", "unmapped", "header"])
+    def test_undecodable_byte(self, tmp_path, where):
+        # A byte that is not UTF-8 once escaped as a UnicodeDecodeError naming neither
+        # the file nor the line.  It now acts as a non-numeric field at its place.
+        src = tmp_path / "src"
+        src.mkdir()
+        write_bluerov2_sources(src)
+        path = src / "dvl_a50.csv"
+        lines = [line.split(",") + ["note"] for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        clean = self.adapt_quietly("bluerov2_csv", src, tmp_path / "clean")
+        line, column = {"mapped": (3, 1), "unmapped": (3, 4), "header": (0, 1)}[where]
+        lines[line][column] += "\udce9"  # written as the byte 0xe9
+        path.write_text("".join(",".join(line) + "\n" for line in lines),
+                        encoding="utf-8", errors="surrogateescape")
+        if where == "header":
+            with pytest.raises(ParseError) as raised:
+                adapt("bluerov2_csv", src, tmp_path / "out")
+            assert str(raised.value).startswith(
+                f"{path}:line 1: source columns ['velX'] not found in header ")
+            return
+        log = self.adapt_quietly("bluerov2_csv", src, tmp_path / "out")
+        dvl = log.streams["dvl"]
+        clean_dvl = (tmp_path / "clean" / "dvl.csv").read_bytes()
+        if where == "mapped":
+            assert (dvl.rows_read, dvl.rows_written, dvl.rows_dropped) == (20, 19, 1)
+            dropped = clean_dvl.splitlines(keepends=True)
+            del dropped[3]
+            assert (tmp_path / "out" / "dvl.csv").read_bytes() == b"".join(dropped)
+        else:
+            assert (dvl.rows_read, dvl.rows_written, dvl.rows_dropped) == (20, 20, 0)
+            assert (tmp_path / "out" / "dvl.csv").read_bytes() == clean_dvl
+
 
 _FAULTS = ["", "abc", "nan", "inf", "-inf", "1e400", " 2.5 "]
 _MUTATIONS = ["none"] * 6 + ["short", "long", "fault", "blank"]

@@ -86,6 +86,20 @@ class TestSimulate:
         assert "duration = 40" in text.replace("40.0", "40")
         assert "seed = 9" in text
 
+    def test_undecodable_byte_in_config_file_names_the_line(self, tmp_path, capsys):
+        # Once a UnicodeDecodeError naming neither the file nor the line.  A byte that
+        # is not UTF-8 in a comment is ignored with the comment.
+        config = tmp_path / "opts.cfg"
+        config.write_bytes(b"# caf\xe9\nseed = 9\nduration = 3\xe9\n")
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}:3: not UTF-8 text: 'duration = 3\\udce9'\n")
+        assert not (tmp_path / "x").exists()
+        config.write_bytes(b"# caf\xe9\nseed = 9\n")
+        assert main(["simulate", "--config", str(config), "--print-config", "--out", "x"]) == 0
+        assert "seed = 9\n" in capsys.readouterr().out
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "opts.cfg"
         config.write_text("durattion = 30\n")
@@ -320,6 +334,67 @@ class TestEstimate:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--horizon", "7"], "--horizon"),
+        (["--duration", "30"], "--duration"),
+        (["--gyro-bias", "0,0,0"], "--gyro-bias"),
+        (["--input", "somewhere"], "--input"),
+        (["--config", "opts.cfg"], "--config"),
+        (["--print-config"], "--print-config"),
+        (["--horizon", "7", "--print-config", "--seed", "0"], "--seed, --horizon, --print-config"),
+    ], ids=["estimator-option", "scenario-option", "imu-model-option", "input", "config",
+            "print-config", "several"])
+    def test_replay_refuses_run_options(self, tmp_path, capsys, flags, named):
+        # Such a flag was once ignored: the run replayed with the recorded options.
+        assert main(["estimate", *SHORT_SIM, "--out", str(tmp_path / "traj.csv")]) == 0
+        capsys.readouterr()
+        replay = tmp_path / "replay.csv"
+        rc = main(["estimate", "--from-metadata", str(tmp_path / "traj.meta.json"), *flags,
+                   "--out", str(replay)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: --from-metadata replays the options and "
+                                       f"input its file records; it takes no {named}\n")
+        assert not replay.exists() and not replay.with_suffix(".meta.json").exists()
+
+    def test_replay_takes_out_and_metadata(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        assert main(["estimate", *SHORT_SIM, "--out", str(traj)]) == 0
+        meta = tmp_path / "elsewhere" / "replay.json"
+        rc = main(["estimate", "--from-metadata", str(tmp_path / "traj.meta.json"),
+                   "--out", str(tmp_path / "replay.csv"), "--metadata", str(meta)])
+        assert rc == 0
+        assert (tmp_path / "replay.csv").read_bytes() == traj.read_bytes()
+        assert json.loads(meta.read_text())["output"] == str(tmp_path / "replay.csv")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["input"]["scenario"].update(dvl_rate=5.0), "scenario: unknown keys "
+         "['dvl_rate']"),
+        (lambda m: m["input"]["scenario"]["noise"].update(dvl_rate=5.0),
+         "scenario noise: unknown keys ['dvl_rate']"),
+        (lambda m: m["input"]["scenario"]["biases"].update(mag=[0, 0, 0]),
+         "scenario biases: unknown keys ['mag']"),
+        (lambda m: m.pop("epoch_hash"), "{path}: the metadata has no 'epoch_hash' key"),
+        (lambda m: m["params"].pop("alpha"), "{path}: the metadata has no 'alpha' key"),
+        (lambda m: m["input"].pop("scenario"), "{path}: the metadata has no 'scenario' key"),
+        (lambda m: m.pop("output"), "{path}: the metadata has no 'output' key"),
+        (None, "{path}: the metadata is not a JSON object"),  # the metadata in a list
+    ], ids=["scenario-key", "noise-key", "biases-key", "no-epoch-hash", "no-param",
+            "no-scenario", "no-output", "not-an-object"])
+    def test_malformed_metadata_is_usage_error(self, tmp_path, capsys, edit, message):
+        # Each once escaped as a TypeError or KeyError traceback with exit 1.
+        assert main(["estimate", *SHORT_SIM, "--out", str(tmp_path / "traj.csv")]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        bad = tmp_path / "bad.meta.json"
+        if edit is None:
+            meta = [meta]
+        else:
+            edit(meta)
+        bad.write_text(json.dumps(meta))
+        rc = main(["estimate", "--from-metadata", str(bad)])  # no --out: "output" is read
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=bad))
+
     def test_replay_refuses_text_digest_metadata(self, tmp_path, capsys):
         data = simulate_into(tmp_path)
         traj = tmp_path / "traj.csv"
@@ -338,6 +413,40 @@ class TestEstimate:
         assert "re-run `cipgnav estimate`" in err and "sha256-v2" in err
         assert "the input data changed" not in err
         assert not replay.exists()
+
+
+class TestUndecodableByte:
+    """A byte that is not UTF-8 once failed with exit 2 and a UnicodeDecodeError
+    naming neither the file nor the line; it is a data error with its line."""
+
+    @staticmethod
+    def put_byte(path, line, field=1):
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[line - 1].split(b",")
+        fields[field] += b"\xe9"
+        lines[line - 1] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+
+    def test_sensor_stream(self, tmp_path, capsys):
+        data = simulate_into(tmp_path)
+        self.put_byte(data / "dvl.csv", 4)
+        rc = main(["estimate", "--input", str(data), "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert f"{data / 'dvl.csv'}:line 4: non-numeric value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [1, 4], ids=["header", "body"])
+    def test_trajectory_truth(self, tmp_path, capsys, line):
+        # evaluate reads the truth's header to tell a trajectory from a gt stream.
+        data = simulate_into(tmp_path)
+        traj = tmp_path / "t.csv"
+        assert main(["estimate", "--input", str(data), "--out", str(traj)]) == 0
+        capsys.readouterr()
+        estimate = tmp_path / "estimate.csv"
+        estimate.write_bytes(traj.read_bytes())
+        self.put_byte(traj, line)
+        rc = main(["evaluate", "--estimate", str(estimate), "--truth", str(traj)])
+        assert rc == 3
+        assert f"{traj}:line {line}: " in capsys.readouterr().err
 
 
 class TestHashEpochs:
@@ -598,7 +707,49 @@ class TestOverlongCsvField:
         assert f"{src / 'dvl_a50.csv'}:line 3: malformed CSV" in capsys.readouterr().err
 
 
+# `estimate --print-config` with no flag and no config file, as the CLI printed it
+# when its schema stated each default itself.
+PRINT_CONFIG_DEFAULTS = """\
+accel_bias = (0.0, 0.0, 0.0)
+accel_density = None
+ahrs_std = None
+alpha = 0.1
+circle_radius = 100.0
+delta = 1.0
+duration = 100.0
+dvl_frame = nav
+dvl_std = None
+estimator = cipg
+fallback = abort
+gravity = (0.0, 0.0, 9.81)
+gyro_bias = (0.0, 0.0, 0.0)
+gyro_density = None
+horizon = 5
+imu_rate = 100.0
+initial_heading = 0.0
+iterations = 3
+k0_scale = 0.001
+lawnmower_leg = 40.0
+lawnmower_spacing = 10.0
+meas_rate = 5.0
+noise = none
+p0_scale = 0.1
+q_att = 1e-08
+q_pos = 1e-08
+q_vel = 4e-06
+r_scale = 0.1
+scenario = circle
+seed = 0
+speed = 0.5
+waypoints = None
+"""
+
+
 class TestParser:
+    def test_print_config_of_the_defaults(self, capsys):
+        assert main(["estimate", "--print-config"]) == 0
+        assert capsys.readouterr().out == PRINT_CONFIG_DEFAULTS
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])
@@ -611,8 +762,9 @@ class TestParser:
         assert exc_info.value.code == 2
 
     def test_defaults_equal_the_library_defaults(self):
-        # The option schema restates the library's defaults: with no flag and no
-        # config file, the CLI must build the configs the library builds by default.
+        # The options default to the library configs' fields, and the builders map
+        # them back: with no flag and no config file, the CLI must build the configs
+        # the library builds by default.
         cfg = cli.resolve_options(argparse.Namespace(), cli.SCENARIO_OPTS, cli.ESTIMATOR_OPTS,
                                   cli.EVALUATE_OPTS)
         cascade = cli.build_cascade_config(cfg, None)
@@ -620,7 +772,7 @@ class TestParser:
         filters, default = cli.build_filter_config(cfg), FilterConfig()
         for name in ("p0_scale", "r_vel", "r_att", "q_pos", "q_vel", "q_att"):
             np.testing.assert_array_equal(getattr(filters, name), getattr(default, name))
-        assert cli._metrics_config(cfg) == MetricsConfig()
+        assert cli._from_options(MetricsConfig, cfg) == MetricsConfig()
         scenario, default = cli.build_scenario(cfg), ScenarioSpec()
         assert scenario.noise == NoiseSpec.preset("none")
         for name in (f.name for f in fields(ScenarioSpec) if f.name not in ("biases", "gravity")):

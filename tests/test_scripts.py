@@ -153,3 +153,50 @@ def test_adapt_agreement_reports_csvs_and_row_counts(trajectory_diff):
         [(result, result), (result, ({"imu.csv": "ab13"}, result[1]))]) == (False, True)
     assert trajectory_diff.adapt_agreement(
         [(result, (result[0], {"imu": (3, 2, 1)})), (result, result)]) == (True, False)
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(trajectory_diff):
+    from cipgnav import cli
+
+    return trajectory_diff.cli_outputs({"cli": cli})
+
+
+def test_cli_line_is_the_trees_own_cli(trajectory_diff, cli_outputs, capsys, tmp_path):
+    # On one tree the cli line's items are what cli.main prints and writes.
+    from cipgnav import cli
+
+    assert cli.main(["estimate", "--print-config"]) == 0
+    assert cli_outputs["estimate --print-config (defaults)"] == (0, capsys.readouterr().out, "")
+    for command, (config, flags) in trajectory_diff.CLI_CONFIGS.items():
+        (tmp_path / "run.cfg").write_text(config)
+        assert cli.main([command, "--config", str(tmp_path / "run.cfg"), *flags,
+                         "--print-config", "--out", "unused"]) == 0
+        assert cli_outputs[f"{command} --print-config (config)"] == (
+            0, capsys.readouterr().out, "")
+    assert "seed = 7\n" in cli_outputs["estimate --print-config (config)"][1]  # the flag wins
+    assert "horizon = 6\n" in cli_outputs["compare --print-config (config)"][1]  # the file's
+    assert (["--horizon"], "window length N (epochs)", "int", "None", None, False) in (
+        cli_outputs["estimate options"])
+    assert [row[0] for row in cli_outputs["evaluate options"]] == sorted(
+        row[0] for row in cli_outputs["evaluate options"])
+    assert {"simulate imu.csv", "simulate gt.csv", "simulate scenario.json"} <= set(cli_outputs)
+    meta = cli_outputs["estimate ekf metadata"]
+    assert meta["estimator"] == "ekf" and "runtime_s" not in meta and "output" not in meta
+    assert meta["input"]["scenario"]["seed"] == 3
+    assert cli_outputs["estimate ekf run"] == (0, "")
+    assert cli_outputs["estimate ekf csv"].startswith(b"t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,flag")
+
+
+def test_cli_line_reports_a_changed_default(trajectory_diff, cli_outputs, monkeypatch):
+    from cipgnav import cli
+
+    assert trajectory_diff.cli_differences(cli_outputs, dict(cli_outputs)) == []
+    monkeypatch.setitem(cli.DEFAULTS, "horizon", 4)
+    changed = trajectory_diff.cli_outputs({"cli": cli})
+    assert trajectory_diff.cli_differences(cli_outputs, changed) == [
+        "compare --print-config (defaults)", "estimate --print-config (defaults)",
+        "estimate cipg csv", "estimate cipg metadata", "estimate ekf metadata",
+        "estimate inekf metadata"]
+    del changed["simulate run"]
+    assert trajectory_diff.cli_differences(cli_outputs, changed)[-1] == "simulate run"

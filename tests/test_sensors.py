@@ -252,9 +252,13 @@ def _fault(fault, header, rows):
     if fault == "unknown-flag":
         row[-1] = "bogus"
         return ParseError, f"{where}unknown flag 'bogus'; expected one of {FLAGS}"
-    if fault == "bad-header":
+    if fault == "undecodable-byte":  # written as the byte 0xe9, which is not UTF-8
+        row[1] = "0.5\udce9"
+        return ParseError, (f"{where}non-numeric value (could not convert string to float: "
+                            "'0.5\\udce9')")
+    if fault in ("bad-header", "undecodable-header"):
         expected = ",".join(header)
-        header[0] = "time"
+        header[0] = "time" if fault == "bad-header" else "t\udce9"
         return ParseError, (f"{{path}}:line 1: header {','.join(header)!r} does not match "
                             f"schema {expected!r}")
     assert fault == "empty-file"
@@ -264,7 +268,8 @@ def _fault(fault, header, rows):
 
 
 _FAULTS = ["overflowing-quaternion", "zero-quaternion", "non-finite", "t-not-increasing",
-           "short-row", "unknown-flag", "bad-header", "empty-file"]
+           "short-row", "unknown-flag", "bad-header", "empty-file", "undecodable-byte",
+           "undecodable-header"]
 _FAULT_CASES = [(fault, kind) for fault in _FAULTS for kind in _CSVS
                 if ("quaternion" not in fault or "qw" in _CSVS[kind])
                 and (fault != "unknown-flag" or "flag" in _CSVS[kind])]
@@ -284,7 +289,8 @@ class TestFaultTable:
         if quoted and rows:  # loadtxt refuses a quoted field; the row loop reads it
             rows[0][0] = f'"{rows[0][0]}"'
         path = tmp_path / ("quoted.csv" if quoted else "plain.csv")
-        path.write_text("".join(",".join(line) + "\n" for line in [header, *rows] if line))
+        path.write_text("".join(",".join(line) + "\n" for line in [header, *rows] if line),
+                        encoding="utf-8", errors="surrogateescape")
         return path, error
 
     @pytest.mark.parametrize("kind", sorted(_CSVS))
@@ -305,6 +311,23 @@ class TestFaultTable:
             _read_any(path, kind)
         assert type(raised.value) is error
         assert str(raised.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("fault", ["undecodable-byte", "undecodable-header"])
+    @pytest.mark.parametrize("kind", sorted(_CSVS))
+    def test_undecodable_byte_on_each_loader_path(self, tmp_path, kind, fault):
+        # A byte that is not UTF-8 once escaped as a UnicodeDecodeError naming
+        # neither the file nor the line.  The bulk parse names a bad header
+        # itself and leaves a bad body to the row loop.
+        path, (_, message) = self.write(tmp_path, kind, fault)
+        assert b"\xe9" in path.read_bytes()
+        with pytest.raises(ParseError) as raised:
+            sensors._load_rows(path, kind)
+        assert str(raised.value) == message.format(path=path)
+        if fault == "undecodable-byte":
+            assert sensors._load_bulk(path, kind) is None
+        else:
+            with pytest.raises(ParseError, match=":line 1: header"):
+                sensors._load_bulk(path, kind)
 
 
 class TestSynchronize:

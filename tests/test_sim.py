@@ -5,8 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipgnav import sim
 from cipgnav.errors import SpecError
@@ -22,11 +26,13 @@ from cipgnav.quat import (
 )
 from cipgnav.sensors import load_stream
 from cipgnav.sim import (
+    KINDS,
     NoiseSpec,
     ScenarioSpec,
     benchmark_scenario,
     generate,
 )
+from tests import oracles
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -135,11 +141,81 @@ class TestSpecValidation:
         d = spec.to_dict()
         assert ScenarioSpec.from_dict(d).to_dict() == d
 
+    @pytest.mark.parametrize("part, key", [(None, "dvl_rate"), ("noise", "dvl_rate"),
+                                           ("biases", "mag")])
+    def test_from_dict_names_unknown_keys(self, part, key):
+        # An unknown key once raised a TypeError from ScenarioSpec.__init__.
+        d = benchmark_scenario(3).to_dict()
+        (d if part is None else d[part])[key] = 1.0
+        where = "scenario" if part is None else f"scenario {part}"
+        with pytest.raises(SpecError, match=rf"^{where}: unknown keys \['{key}'\]; expected"):
+            ScenarioSpec.from_dict(d)
+
+    def test_from_dict_accepts_retired_keys(self):
+        d = {**ScenarioSpec().to_dict(), "gps_rate": 2.0, "gps_origin": [42.0, 3.0]}
+        assert ScenarioSpec.from_dict(d).to_dict() == ScenarioSpec().to_dict()
+
     def test_noise_presets(self):
         assert NoiseSpec.preset("none").dvl_std == 0.0
         assert NoiseSpec.preset("bluerov2").dvl_std == pytest.approx(0.02)
         with pytest.raises(SpecError):
             NoiseSpec.preset("imaginary")
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_vec3 = st.tuples(_finite, _finite, _finite)
+
+
+@st.composite
+def _specs(draw):
+    """Valid ScenarioSpecs of every kind, with int or float headings, either noise preset
+    with overrides, biases, a nonstandard gravity and Python or numpy integer seeds."""
+    kind = draw(st.sampled_from(KINDS))
+    rate = draw(st.floats(0.5, 20.0))
+    kwargs = dict(
+        kind=kind, duration=draw(st.floats(0.1, 1e4)), speed=draw(st.floats(0.01, 5.0)),
+        imu_rate=draw(st.floats(2.0 * rate, 400.0)), meas_rate=rate,
+        circle_radius=draw(st.floats(0.1, 1e3)), lawnmower_leg=draw(st.floats(0.1, 1e3)),
+        lawnmower_spacing=draw(st.floats(0.1, 1e3)),
+        initial_heading=draw(st.one_of(st.integers(-7, 7), _finite)),
+        dvl_frame=draw(st.sampled_from(["nav", "body"])),
+        seed=draw(st.one_of(st.integers(0, 2**63), st.integers(0, 2**62).map(np.int64))),
+    )
+    if kind == "waypoints" or draw(st.booleans()):
+        kwargs["waypoints"] = draw(st.lists(_vec3, min_size=2, max_size=5))
+    overrides = draw(st.dictionaries(st.sampled_from(["accel_density", "gyro_density",
+                                                      "dvl_std", "ahrs_std"]),
+                                     st.floats(0.0, 1.0)))
+    kwargs["noise"] = replace(NoiseSpec.preset(draw(st.sampled_from(["none", "bluerov2"]))),
+                              **overrides)
+    if draw(st.booleans()):
+        kwargs["biases"] = ImuBiases(np.array(draw(_vec3)), np.array(draw(_vec3)))
+    if draw(st.booleans()):
+        kwargs["gravity"] = GravityModel(np.array(draw(_vec3)), allow_nonstandard=True)
+    return ScenarioSpec(**kwargs)
+
+
+class TestToDict:
+    """``to_dict`` is built from ``dataclasses.fields``; it must give what the
+    hand-written one gave, in the same key order, and round-trip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_specs())
+    def test_equals_the_field_by_field_dict(self, spec):
+        d, expected = spec.to_dict(), oracles.scenario_to_dict(spec)
+        assert d == expected
+        assert list(d.items()) == list(expected.items())
+        assert json.dumps(d) == json.dumps(expected)
+        assert ScenarioSpec.from_dict(d).to_dict() == d
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(), benchmark_scenario(3),
+        ScenarioSpec(kind="waypoints", waypoints=[(0, 0, 0), (10, 5, 0), (20, -3, 1)], seed=4),
+    ], ids=["default", "benchmark", "waypoints"])
+    def test_examples(self, spec):
+        d = spec.to_dict()
+        assert json.dumps(d) == json.dumps(oracles.scenario_to_dict(spec))
+        assert ScenarioSpec.from_dict(d).to_dict() == d
 
 
 class TestGenerate:
