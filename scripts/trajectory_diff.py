@@ -1,50 +1,49 @@
 #!/usr/bin/env python3
-"""Compare the trajectories and their metrics of two source trees of cipgnav.
+"""Compare two source trees of cipgnav: trajectories, metrics, files and CLI.
 
 Imports the package from OLD_SRC, then from NEW_SRC (each a directory that
-contains ``cipgnav/``), runs the estimators on ``benchmark_scenario`` for
-each seed in seven configurations, and prints per estimator and
-configuration the max |difference| of position, velocity and quaternion over
-all seeds and epochs, and whether the per-epoch flags are equal, with the
-count of each flag.  The two trees must agree to within TOLERANCE (1e-12) in
-every quantity.  One ``streams`` line per configuration says whether the
-imu, dvl and ahrs arrays that each tree's ``sim.generate`` made are equal
-(``np.array_equal``) for every seed; these must be equal exactly.
+contains ``cipgnav/``), and runs each tree on ``benchmark_scenario`` for each
+seed in seven configurations.  A tree's run is a table of lines,
+{(configuration, line): {item: value}}, where an item is a tuple whose first
+entry names its quantity.  One rule compares each item across the trees:
 
-One ``metrics`` line per configuration compares the accuracy reports: each
-tree scores its own trajectories against its own truth with its own
-``metrics.evaluate_trajectories``, once with the default ``MetricsConfig``
-and once with ``align=True``.  The line gives the max |difference| over every
-report row of every estimator and seed (NaN on both sides counts as equal)
-and how many of the values are equal bit for bit; every row must agree to
-within TOLERANCE.
+- float arrays of one shape agree if their max |difference| is within the
+  line's tolerance: TOLERANCE (1e-12), or 0 for ``streams``.  NaN on both
+  sides counts as equal; NaN on one side, or inf - inf, reads nan and fails;
+- every other value (epoch times, flags, digests, row counts, CLI outputs)
+  must be equal (``==``);
+- an item that only one tree has, or two arrays of different shapes, differ.
 
-One ``trajectories`` line, in the ``files`` configuration, compares the
-trajectory CSVs: each tree writes every estimator's rows with its own
-``trajectory.write_trajectory`` and reads them back with its own
-``read_trajectory``.  As the ``metrics`` line does, it gives the max
-|difference| between the two trees' read-back rows (t, position, velocity,
-quaternion) over every estimator and seed, against TOLERANCE, and how many
-of the values are equal bit for bit; the read-back flags must be equal.
+The lines of each configuration, with their items per seed:
+    cipg, ekf, inekf  each estimator's trajectory: epoch times, flags, and the
+                  position, velocity and quaternion arrays.
+    metrics       per estimator, the rows of the accuracy reports of the
+                  tree's ``metrics.evaluate_trajectories`` for its own
+                  trajectory and truth, default and then with ``align=True``.
+    streams       the imu, dvl and ahrs arrays of the tree's ``sim.generate``.
+    trajectories  (files only) per estimator, the rows (t, position,
+                  velocity, quaternion) and flags that the tree's
+                  ``write_trajectory`` writes and its ``read_trajectory``
+                  reads back.
+    adapt         (files only) the streams written by ``write_girona`` in the
+                  source layout of the builtin ``girona_csv`` adapter and
+                  converted by the tree's ``adapters.adapt``: the SHA-256 of
+                  each CSV written, and each stream's rows read, written and
+                  dropped.
+and once, from the tree's ``cli.main`` run in this process:
+    cli           the ``--print-config`` output of ``simulate``, ``estimate``
+                  and ``compare``, with the defaults and with a config file
+                  plus flags (CLI_CONFIGS); each subcommand's option table;
+                  the bytes of every file that ``simulate --out`` writes for
+                  CLI_SCENARIO; and per estimator the trajectory CSV of
+                  ``estimate`` on CLI_SCENARIO and its metadata JSON without
+                  ``runtime_s`` and ``output``.
 
-One ``adapt`` line, in the ``files`` configuration, compares dataset
-ingestion: each seed's streams are written in the source layout of the
-builtin ``girona_csv`` adapter by this script's own writer (gyro in deg/s,
-DVL in the body frame, AHRS as roll, pitch and yaw in degrees, ground truth
-with xyzw quaternions), and each tree converts them with its own
-``adapters.adapt``.  The line says whether every CSV written is equal byte
-for byte across the trees and whether each stream's rows read, written and
-dropped are equal; both must be.
-
-One ``cli`` line compares the command line: each tree's ``cli.main`` runs in
-this process, and the line lists every item below that differs, or says
-that all are equal.  The items are the ``--print-config`` output of
-``simulate``, ``estimate`` and ``compare``, with the defaults and with a
-config file plus flags (CLI_CONFIGS); each subcommand's option
-table, sorted by flag (flags, help, type, default, choices, required); the
-bytes of every file that ``simulate --out`` writes for CLI_SCENARIO; and for
-each estimator the trajectory CSV of ``estimate`` on CLI_SCENARIO and its
-metadata JSON without ``runtime_s`` and ``output``.
+Each line prints one row: the max |difference| per quantity, how many array
+values are equal bit for bit, the count of each flag, and ``equal`` or the
+names of the items that differ.  Each ``metrics`` row also prints each
+tree's median and mean total error per estimator over the seeds; with
+``--seeds 0-19`` the survey row's are the README's 20-seed table.
 
 Configurations:
     survey        100 Hz IMU, window N=5, 3 inner iterations; cipg, EKF, InEKF
@@ -82,11 +81,8 @@ Configurations:
                   configuration with bursts of unequal length and nonzero
                   bias subtraction.
 
-Exits 1 if any max |dp|, |dv|, |dq|, report or read-back difference exceeds
-TOLERANCE or is not finite (a NaN or infinite difference reads nan or inf),
-any flag (or epoch timestamp, or read-back flag) differs, any generated
-stream differs, any adapted CSV or row count differs, or any ``cli`` item
-differs, 0 otherwise.
+Exits 1 if any row differs, 0 otherwise.  An empty or malformed seed list
+is a usage error (exit 2).
 
 Example:
     python3 scripts/trajectory_diff.py old_checkout/src src --seeds 0-19
@@ -103,6 +99,7 @@ import json
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -110,6 +107,8 @@ import numpy as np
 
 DURATION = 100.0  # seconds of each benchmark scenario
 TOLERANCE = 1e-12  # largest accepted max |difference| of any quantity
+LINE_TOLERANCE = {"streams": 0.0}  # the lines held to another tolerance
+TOTAL_ERROR = 7  # index of total_error_m in TrajectoryReport.rows()
 ESTIMATORS = ("cipg", "ekf", "inekf")
 STREAMS = ("imu", "dvl", "ahrs")
 # The cli line's inputs: a noisy, biased scenario for simulate and estimate, and per
@@ -142,10 +141,15 @@ CONFIGS = {
 
 
 def parse_seeds(text: str) -> list:
+    """The seeds of a list such as 0-19 or 0,3,5-7.  An empty list, a part that is
+    not a seed or a range, and a range that runs backwards are refused."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        first, last = int(lo), int(hi or lo)  # argparse makes a ValueError a usage error
+        if last < first:
+            raise argparse.ArgumentTypeError(f"the range {part!r} holds no seed")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
@@ -188,17 +192,6 @@ def read_back_rows(m: dict, points):
         back = m["trajectory"].read_trajectory(path)
     rows = [[p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation] for p in back]
     return np.array(rows, dtype=float).reshape(len(back), 11), [p.flag for p in back]
-
-
-def read_back_deviation(pairs) -> tuple[float, int, int, bool]:
-    """Over (old, new) pairs of ``read_back_rows`` results: the largest |old - new|
-    row value, how many values are equal bit for bit, of how many, and whether
-    the rows have the same shape and the flags are equal in every pair."""
-    compared = [(a[0].ravel(), b[0].ravel()) for a, b in pairs if a[0].shape == b[0].shape]
-    equal = len(compared) == len(pairs) and all(a[1] == b[1] for a, b in pairs)
-    dev, n_bitwise = report_deviation(np.concatenate([np.empty(0)] + [a for a, _ in compared]),
-                                      np.concatenate([np.empty(0)] + [b for _, b in compared]))
-    return dev, n_bitwise, sum(a[0].size for a, _ in pairs), equal
 
 
 def write_table(path: Path, header: str, rows) -> None:
@@ -244,12 +237,6 @@ def adapted(m: dict, run) -> tuple[dict, dict]:
                    for path in sorted(out.iterdir())}
     return digests, {kind: (s.rows_read, s.rows_written, s.rows_dropped)
                      for kind, s in log.streams.items()}
-
-
-def adapt_agreement(pairs) -> tuple[bool, bool]:
-    """Over (old, new) pairs of ``adapted`` results: whether the CSVs written are equal
-    byte for byte, and whether the row counts are equal, in every pair."""
-    return all(a[0] == b[0] for a, b in pairs), all(a[1] == b[1] for a, b in pairs)
 
 
 def run_cli(cli, argv) -> tuple:
@@ -304,11 +291,6 @@ def cli_outputs(m: dict) -> dict:
     return out
 
 
-def cli_differences(old: dict, new: dict) -> list:
-    """The names of the ``cli_outputs`` items that differ, or that one side lacks."""
-    return [item for item in sorted(old.keys() | new.keys()) if old.get(item) != new.get(item)]
-
-
 def config_inputs(m: dict, c: dict, spec):
     """The run generated from ``spec`` and, for configuration ``c``, its epochs,
     initial state and truth, and the IMU biases the estimators are configured with."""
@@ -328,25 +310,24 @@ def config_inputs(m: dict, c: dict, spec):
 
 
 def run_tree(src: Path, seeds) -> dict:
-    """{(config, estimator, seed): (t, position, velocity, quaternion, flags, report
-    values)}, {(config, "streams", seed): (imu, dvl, ahrs)} of the generated run, and,
-    in a configuration with CSV files, {(config, "read-back", estimator, seed):
-    read_back_rows} and {(config, "adapt", seed): adapted}; and {"cli": cli_outputs}.
-
-    The report values are the rows of the default and then the aligned report."""
+    """{(configuration, line): {item: value}} of the tree at ``src`` (see the module
+    docs); the ``cli`` line's configuration is ``""``."""
     m = import_tree(src)
-    metrics_configs = {align: m["metrics"].MetricsConfig(align=align) for align in (False, True)}
-    out = {"cli": cli_outputs(m)}
+    metrics_configs = [m["metrics"].MetricsConfig(align=align) for align in (False, True)]
+    out = {}
     for config, c in CONFIGS.items():
         params = m["ipg"].IpgParams(**{key: c[key] for key in ("horizon", "iterations", "alpha")
                                        if key in c})
+        files = ("trajectories", "adapt") if c.get("files") else ()
+        lines = {line: {} for line in (*c["estimators"], "metrics", *files, "streams")}
         for seed in seeds:
             spec = replace(m["sim"].benchmark_scenario(seed, DURATION), imu_rate=c["imu_rate"],
                            dvl_frame=c.get("dvl_frame", "nav"))
             run, epochs, initial, truth, biases = config_inputs(m, c, spec)
-            out[config, "streams", seed] = tuple(getattr(run, kind) for kind in STREAMS)
-            if c.get("files"):
-                out[config, "adapt", seed] = adapted(m, run)
+            lines["streams"].update({(kind, seed): getattr(run, kind) for kind in STREAMS})
+            if files:
+                digests, counts = adapted(m, run)
+                lines["adapt"].update({("csv", seed): digests, ("rows", seed): counts})
             fallback = "deadreckon" if "nan_dvl" in c else "abort"
             runners = {
                 "cipg": lambda: m["cascade"].run_cascade(epochs, m["cascade"].CascadeConfig(
@@ -358,39 +339,84 @@ def run_tree(src: Path, seeds) -> dict:
             }
             for name in c["estimators"]:
                 points = runners[name]()
-                out[config, name, seed] = (
-                    np.array([p.t for p in points]),
-                    np.array([p.nav.position for p in points]),
-                    np.array([p.nav.velocity for p in points]),
-                    np.array([p.nav.orientation for p in points]),
-                    [p.flag for p in points],
-                    [value for align in (False, True) for _, value in m["metrics"]
-                     .evaluate_trajectories(points, truth, metrics_configs[align]).rows()],
-                )
-                if c.get("files"):
-                    out[config, "read-back", name, seed] = read_back_rows(m, points)
+                lines[name].update({
+                    ("t", seed): [p.t for p in points],
+                    ("flags", seed): [p.flag for p in points],
+                    ("position", seed): np.array([p.nav.position for p in points]),
+                    ("velocity", seed): np.array([p.nav.velocity for p in points]),
+                    ("quaternion", seed): np.array([p.nav.orientation for p in points]),
+                })
+                lines["metrics"][name, seed] = np.array([
+                    value for config_ in metrics_configs for _, value in
+                    m["metrics"].evaluate_trajectories(points, truth, config_).rows()])
+                if files:
+                    rows, flags = read_back_rows(m, points)
+                    lines["trajectories"].update({("rows", name, seed): rows,
+                                                  ("flags", name, seed): flags})
+        out.update({(config, line): items for line, items in lines.items()})
+    out["", "cli"] = {(name,): value for name, value in cli_outputs(m).items()}
     return out
 
 
-def max_deviation(pairs) -> float:
-    """Largest |old - new| entry over (old, new) array pairs; 0.0 for none.
-
-    A NaN difference (NaN on either side, or inf - inf) gives NaN and an
-    infinite one inf, so neither can pass a ``<= TOLERANCE`` test.
-    """
-    devs = [np.max(np.abs(np.subtract(old, new)), initial=0.0) for old, new in pairs]
-    return float(np.max(devs, initial=0.0))  # np.max, unlike max(), propagates NaN
-
-
-def report_deviation(old, new) -> tuple[float, int]:
-    """Largest |old - new| over two equal-length lists of report values, with NaN
-    on both sides (or equal infinities) counting as equal, and how many values
-    are equal bit for bit (NaN on both sides included)."""
+def deviation(old, new) -> tuple[float, int]:
+    """Largest |old - new| over two float arrays of one shape, and how many values
+    are equal bit for bit.  NaN on both sides counts as equal; NaN on one side, or
+    inf - inf, gives nan and an infinite difference inf, so that neither passes a
+    ``<= tolerance`` test."""
     old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
     both_nan = np.isnan(old) & np.isnan(new)
-    equal = (old == new) | both_nan
+    diff = np.subtract(old, new, out=np.zeros(old.shape), where=~both_nan)
     bitwise = (old.view(np.int64) == new.view(np.int64)) | both_nan
-    return max_deviation([(old[~equal], new[~equal])]), int(bitwise.sum())
+    return float(np.max(np.abs(diff), initial=0.0)), int(bitwise.sum())  # np.max keeps NaN
+
+
+def compare(old: dict, new: dict, tolerance: float = TOLERANCE) -> tuple:
+    """Judge one line, {item: value} of each tree, by the rule of the module docs: the
+    max |difference| per quantity over its arrays, how many array values are equal bit
+    for bit, of how many, and the items that differ."""
+    deviations, bitwise, values, differ = {}, 0, 0, []
+    for item in dict.fromkeys([*old, *new]):
+        a, b = old.get(item), new.get(item)
+        if isinstance(a, np.ndarray) and np.shape(a) == np.shape(b):
+            dev, n_bitwise = deviation(a, b)
+            deviations[item[0]] = np.maximum(deviations.get(item[0], 0.0), dev)  # keeps NaN
+            bitwise, values = bitwise + n_bitwise, values + a.size
+            same = dev <= tolerance
+        else:
+            same = item in old and item in new and not isinstance(a, np.ndarray) and a == b
+        if not same:
+            differ.append(item)
+    return deviations, bitwise, values, differ
+
+
+def total_errors(items: dict) -> str:
+    """Median and mean total error per estimator of a ``metrics`` line's items."""
+    totals = {}
+    for (name, _), values in items.items():
+        totals.setdefault(name, []).append(values[TOTAL_ERROR])
+    return "  ".join(f"{name} {np.median(t):.4f} ({np.mean(t):.4f})"
+                     for name, t in totals.items())
+
+
+def report(old: dict, new: dict) -> int:
+    """Print one row per line of two trees' ``run_tree`` tables; 1 if any row
+    differs, else 0."""
+    status = 0
+    for config, line in dict.fromkeys([*old, *new]):
+        a, b = old.get((config, line), {}), new.get((config, line), {})
+        deviations, bitwise, values, differ = compare(a, b, LINE_TOLERANCE.get(line, TOLERANCE))
+        flags = Counter(flag for item, value in b.items() if item[0] == "flags" for flag in value)
+        cells = [" ".join(f"max|d {q}| {dev:.3g}" for q, dev in deviations.items()),
+                 f"{bitwise}/{values} values bit-equal" if values else "",
+                 ", ".join(f"{n} {flag}" for flag, n in sorted(flags.items())),
+                 "DIFFER: " + ", ".join(" ".join(map(str, item)) for item in differ)
+                 if differ else f"equal ({len(b)} items)"]
+        print(f"{config:12s} {line:12s} " + "; ".join(cell for cell in cells if cell))
+        if line == "metrics":
+            for side, items in (("old", a), ("new", b)):
+                print(f"{'':25s} {side} total error median (mean): {total_errors(items)}")
+        status |= bool(differ)
+    return status
 
 
 def main(argv=None) -> int:
@@ -398,76 +424,17 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("old_src", type=Path, help="source tree of the reference version")
     parser.add_argument("new_src", type=Path, help="source tree of the changed version")
-    parser.add_argument("--seeds", default="0-19", help="seed list such as 0-19 or 0,3,5-7")
+    parser.add_argument("--seeds", type=parse_seeds, default="0-19",
+                        help="seed list such as 0-19 or 0,3,5-7")
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        old = run_tree(args.old_src, seeds)
-        new = run_tree(args.new_src, seeds)
-
-    print(f"seeds {args.seeds}, {DURATION:g} s each, tolerance {TOLERANCE:g}")
-    print(f"{'config':12s} {'estimator':9s} {'max|dp| m':>10s} {'max|dv| m/s':>11s} "
-          f"{'max|dq|':>10s}  flags")
-    same = True
-    for config, c in CONFIGS.items():
-        for name in c["estimators"]:
-            flags_equal = True
-            counts = {}
-            compared = []
-            for seed in seeds:
-                a, b = old[config, name, seed], new[config, name, seed]
-                if not np.array_equal(a[0], b[0]):  # different epochs: nothing to compare
-                    flags_equal = False
-                    continue
-                flags_equal &= a[4] == b[4]
-                compared.append((a, b))
-                for flag in b[4]:
-                    counts[flag] = counts.get(flag, 0) + 1
-            dev = np.array([max_deviation((a[k], b[k]) for a, b in compared) for k in (1, 2, 3)])
-            within = bool(np.all(dev <= TOLERANCE))
-            same &= flags_equal and within
-            summary = ", ".join(f"{n} {f}" for f, n in sorted(counts.items()))
-            verdict = f"equal ({summary})" if flags_equal else "DIFFER"
-            excess = "" if within else "  OVER TOLERANCE"
-            print(f"{config:12s} {name:9s} {dev[0]:10.3g} {dev[1]:11.3g} {dev[2]:10.3g}  "
-                  f"{verdict}{excess}")
-        reports = [(old[config, name, seed][5], new[config, name, seed][5])
-                   for name in c["estimators"] for seed in seeds]
-        dev, n_bitwise = report_deviation(*(np.concatenate(side) for side in zip(*reports)))
-        n_values = sum(len(a) for a, _ in reports)
-        within = dev <= TOLERANCE
-        same &= within
-        excess = "" if within else "  OVER TOLERANCE"
-        print(f"{config:12s} {'metrics':9s} {dev:10.3g}  "
-              f"{n_bitwise}/{n_values} report values equal bit for bit{excess}")
-        if c.get("files"):
-            dev, n_bitwise, n_values, flags_equal = read_back_deviation(
-                [(old[config, "read-back", name, seed], new[config, "read-back", name, seed])
-                 for name in c["estimators"] for seed in seeds])
-            within = dev <= TOLERANCE
-            same &= within and flags_equal
-            excess = "" if within else "  OVER TOLERANCE"
-            flags = "flags equal" if flags_equal else "flags or rows DIFFER"
-            print(f"{config:12s} {'trajectories':9s} {dev:7.3g}  {n_bitwise}/{n_values} "
-                  f"read-back values equal bit for bit, {flags}{excess}")
-            csvs, counts = adapt_agreement([(old[config, "adapt", seed], new[config, "adapt", seed])
-                                            for seed in seeds])
-            same &= csvs and counts
-            print(f"{config:12s} {'adapt':9s} CSVs {'equal' if csvs else 'DIFFER'} byte for byte, "
-                  f"row counts {'equal' if counts else 'DIFFER'}")
-        differ = [kind for k, kind in enumerate(STREAMS)
-                  if not all(np.array_equal(old[config, "streams", seed][k],
-                                            new[config, "streams", seed][k]) for seed in seeds)]
-        same &= not differ
-        verdict = f"DIFFER: {', '.join(differ)}" if differ else f"{'/'.join(STREAMS)} equal"
-        print(f"{config:12s} {'streams':9s} {verdict}")
-    differ = cli_differences(old["cli"], new["cli"])
-    same &= not differ
-    verdict = f"DIFFER: {', '.join(differ)}" if differ else f"{len(new['cli'])} items equal"
-    print(f"{'cli':12s} {'outputs':9s} {verdict}")
-    return 0 if same else 1
+        old = run_tree(args.old_src, args.seeds)
+        new = run_tree(args.new_src, args.seeds)
+    print(f"seeds {','.join(map(str, args.seeds))}, {DURATION:g} s each, "
+          f"tolerance {TOLERANCE:g} (streams exact)")
+    return report(old, new)
 
 
 if __name__ == "__main__":

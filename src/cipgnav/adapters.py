@@ -60,6 +60,7 @@ __all__ = [
     "ConversionLog",
     "builtin_adapters",
     "resolve_adapter",
+    "read_json",
     "load_adapter",
     "adapt",
 ]
@@ -140,6 +141,20 @@ def builtin_adapters() -> dict:
     return out
 
 
+def read_json(path):
+    """The JSON value of the file at ``path``.  Text that is not UTF-8, or not
+    JSON, raises SpecError naming the file, and for JSON the line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SpecError(f"{path}: not UTF-8 text") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg} "
+                        f"(column {exc.colno})") from None
+
+
 def resolve_adapter(name_or_path) -> dict:
     """Accept a builtin adapter name or a JSON file path."""
     builtins_ = builtin_adapters()
@@ -148,8 +163,7 @@ def resolve_adapter(name_or_path) -> dict:
         return builtins_[key]
     path = Path(name_or_path)
     if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(path)
     raise SpecError(
         f"adapter {name_or_path!r} is neither a builtin "
         f"({sorted(builtins_)}) nor an existing file"

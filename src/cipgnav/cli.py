@@ -43,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from .adapters import adapt as run_adapt
+from .adapters import read_json
 from .baselines import FilterConfig, run_ekf, run_inekf
 from .cascade import CascadeConfig, run_cascade
 from .errors import (
@@ -446,31 +447,39 @@ def _estimate_from_metadata(args) -> int:
         raise SpecError("--from-metadata replays the options and input its file records; "
                         f"it takes no {', '.join(given)}")
     path = args.from_metadata
-    with open(path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(path)
     if not isinstance(meta, dict):
         raise SpecError(f"{path}: the metadata is not a JSON object")
     if meta.get("command") != "estimate":
         raise SpecError(f"{path}: not an estimate metadata file")
-    try:
-        if meta["epoch_hash"].startswith("sha256:"):
-            raise SpecError(
-                f"{path}: this metadata was recorded with the text digest "
-                "(sha256:) of an earlier cipgnav, which this version no longer computes; "
-                "re-run `cipgnav estimate` with the same input and options to record a "
-                "sha256-v2 digest"
-            )
-        config = build_estimator_config(meta["estimator"], _estimator_params(meta["params"]))
-        provenance = meta["input"]
-        files = provenance["mode"] == "files"
-        source = ((Path(provenance["dir"]), provenance.get("dvl_frame", "nav")) if files
-                  else ScenarioSpec.from_dict(provenance["scenario"]))
-        recorded = meta.get("initial")
-        initial = None if recorded is None else NavState(
-            *(np.asarray(recorded[key], dtype=float) for key in _INITIAL_FIELDS))
-        out_path = Path(args.out or meta["output"])
-    except KeyError as exc:
-        raise SpecError(f"{path}: the metadata has no {exc.args[0]!r} key") from None
+
+    def recorded(key, read=lambda value: value):
+        """``read`` of the metadata's ``key``.  A missing key, or a value of a type
+        that ``read`` cannot take, raises SpecError naming the file and the key."""
+        try:
+            return read(meta[key])
+        except KeyError as exc:
+            raise SpecError(f"{path}: the metadata has no {exc.args[0]!r} key") from None
+        except (TypeError, AttributeError) as exc:
+            raise SpecError(f"{path}: the metadata's {key!r} has a value of the wrong type "
+                            f"({exc})") from None
+
+    if recorded("epoch_hash", lambda digest: digest.startswith("sha256:")):
+        raise SpecError(
+            f"{path}: this metadata was recorded with the text digest "
+            "(sha256:) of an earlier cipgnav, which this version no longer computes; "
+            "re-run `cipgnav estimate` with the same input and options to record a "
+            "sha256-v2 digest"
+        )
+    config = recorded("params", lambda params: build_estimator_config(
+        recorded("estimator"), _estimator_params(params)))
+    files = recorded("input", lambda provenance: provenance["mode"] == "files")
+    source = recorded("input", lambda provenance: (
+        (Path(provenance["dir"]), provenance.get("dvl_frame", "nav")) if files
+        else ScenarioSpec.from_dict(provenance["scenario"])))
+    initial = None if meta.get("initial") is None else recorded("initial", lambda state: NavState(
+        *(np.asarray(state[key], dtype=float) for key in _INITIAL_FIELDS)))
+    out_path = Path(args.out) if args.out else recorded("output", Path)
     epochs = _load_epoch_dir(*source) if files else generate(source).epochs()
     digest = hash_epochs(epochs)
     if digest != meta["epoch_hash"]:

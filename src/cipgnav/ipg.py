@@ -20,6 +20,7 @@ preconditioner is carried over unchanged.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -95,8 +96,8 @@ class IpgParams:
             object.__setattr__(self, name, int(value))
         for name in ("k0_scale", "alpha", "delta"):
             value = float(getattr(self, name))
-            if not value > 0.0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)
 
 

@@ -311,7 +311,7 @@ class TestEstimate:
         assert "does not match the metadata" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["estimate", "--alpha", "nan"], "alpha must be positive, got nan"),
+        (["estimate", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
         (["compare", "--horizon", "1"], "horizon must be >= 2, got 1"),
         (["estimate", "--horizon", "20"], "alpha * horizon must be < 2 for the window solver "
                                           "to converge, got alpha 0.1 * horizon 20 = 2"),
@@ -395,6 +395,29 @@ class TestEstimate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: " + message.format(path=bad))
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: m.update(input=5), "input"),
+        (lambda m: m["params"].update(r_scale="x"), "params"),
+        (lambda m: m["input"].update(scenario=5), "input"),
+        (lambda m: m.update(epoch_hash=5), "epoch_hash"),
+        (lambda m: m.update(params=5), "params"),
+    ], ids=["input", "r-scale", "scenario", "epoch-hash", "params"])
+    def test_metadata_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, edit, key):
+        # Each once escaped as a TypeError or AttributeError traceback with exit 1.
+        assert main(["estimate", *SHORT_SIM, "--estimator", "ekf",
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        edit(meta)
+        bad = tmp_path / "bad.meta.json"
+        bad.write_text(json.dumps(meta))
+        replay = tmp_path / "replay.csv"
+        rc = main(["estimate", "--from-metadata", str(bad), "--out", str(replay)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: the metadata's {key!r} has a value of the wrong type (")
+        assert not replay.exists() and not replay.with_suffix(".meta.json").exists()
+
     def test_replay_refuses_text_digest_metadata(self, tmp_path, capsys):
         data = simulate_into(tmp_path)
         traj = tmp_path / "traj.csv"
@@ -447,6 +470,24 @@ class TestUndecodableByte:
         rc = main(["evaluate", "--estimate", str(estimate), "--truth", str(traj)])
         assert rc == 3
         assert f"{traj}:line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{\n  "command": "estimate",\n  not json\n}', "{path}:3: not valid JSON: Expecting "
+     "property name enclosed in double quotes (column 3)"),
+    (b'{"command": "estimate", "x": "caf\xe9"}', "{path}: not UTF-8 text"),
+], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("command", ["estimate", "adapt"])
+def test_bad_json_file_names_the_file(tmp_path, capsys, content, message, command):
+    # Both once printed the decoder's message alone, naming neither file nor line.
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    argv = {"estimate": ["estimate", "--from-metadata", str(path)],
+            "adapt": ["adapt", "--adapter", str(path), "--input", str(tmp_path),
+                      "--out", str(tmp_path / "out")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
 class TestHashEpochs:
@@ -807,7 +848,19 @@ class TestNonFiniteValues:
     def test_nan_step_size_is_usage_error(self, tmp_path, capsys):
         rc = main(["estimate", *SHORT_SIM, "--alpha", "nan", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
-        assert "alpha must be positive, got nan" in capsys.readouterr().err
+        assert "alpha must be finite and positive, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, name", [
+        ("--alpha", "alpha"), ("--delta", "delta"), ("--k0-scale", "k0_scale")])
+    def test_infinite_step_size_is_usage_error(self, tmp_path, capsys, option, name):
+        # --delta inf and --k0-scale inf once ran, and exited 1 with a divergence
+        # of the orientation stage at the first epoch.
+        out = tmp_path / "t.csv"
+        rc = main(["estimate", "--scenario", "line", "--duration", "5", option, "inf",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {name} must be finite and positive, got inf\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("error, code", [

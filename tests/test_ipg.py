@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -223,10 +226,16 @@ class TestWindowBookkeeping:
             IpgParams(horizon=1)
         with pytest.raises(ValueError, match="iterations"):
             IpgParams(iterations=0)
-        for name in ("alpha", "delta", "k0_scale"):
-            for bad in (0.0, -1.0, float("nan")):
-                with pytest.raises(ValueError, match=name):
-                    IpgParams(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["alpha", "delta", "k0_scale"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0],
+                             ids=["inf", "-inf", "nan", "zero", "negative"])
+    def test_params_reject_step_sizes_not_finite_and_positive(self, name, bad):
+        # An infinite delta or k0_scale once constructed, and the cascade then
+        # diverged at its first epoch.
+        message = f"{name} must be finite and positive, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IpgParams(**{name: bad})
 
     @pytest.mark.parametrize("name", ["horizon", "iterations"])
     @pytest.mark.parametrize("bad", [2.5, 3.7, 5.0, "5", None, True, np.float64(5.0)],

@@ -1,10 +1,13 @@
-"""scripts/trajectory_diff.py: the per-quantity comparison behind its 1e-12 gate."""
+"""scripts/trajectory_diff.py: the one comparison rule behind its 1e-12 gate, and
+the items each tree's run gives it."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib
 import importlib.util
+import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,12 +25,12 @@ def trajectory_diff():
     return module
 
 
-def test_max_deviation_of_finite_pairs(trajectory_diff):
+def test_deviation_of_finite_arrays(trajectory_diff):
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    pairs = [(a, a), (a, a + [[0.0, 5e-13], [-2e-13, 0.0]])]
-    assert trajectory_diff.max_deviation(pairs) == pytest.approx(5e-13, rel=1e-3)
-    assert trajectory_diff.max_deviation(pairs) <= trajectory_diff.TOLERANCE
-    assert trajectory_diff.max_deviation([]) == 0.0
+    dev, bitwise = trajectory_diff.deviation(a, a + [[0.0, 5e-13], [-2e-13, 0.0]])
+    assert dev == pytest.approx(5e-13, rel=1e-3) and dev <= trajectory_diff.TOLERANCE
+    assert bitwise == 2
+    assert trajectory_diff.deviation(np.empty((0, 3)), np.empty((0, 3))) == (0.0, 0)
 
 
 @pytest.mark.parametrize("old, new, reads", [
@@ -38,32 +41,145 @@ def test_max_deviation_of_finite_pairs(trajectory_diff):
 ], ids=["nan-vs-finite", "finite-vs-nan", "inf-minus-inf", "finite-vs-inf"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_difference_fails(trajectory_diff, old, new, reads):
-    # The bad pair sits between two equal ones so that no later pair can hide it.
-    same = (np.zeros(2), np.zeros(2))
-    dev = trajectory_diff.max_deviation([same, (np.array(old), np.array(new)), same])
+    # The bad value sits between two equal ones so that no later value can hide it.
+    dev, bitwise = trajectory_diff.deviation([0.0, *old, 0.0], [0.0, *new, 0.0])
     assert f"{dev:g}" == reads
     assert not dev <= trajectory_diff.TOLERANCE
+    assert bitwise == (4 if old[0] == new[0] == np.inf else 3)  # inf - inf fails, bit-equal
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_report_deviation_counts_nan_on_both_sides_as_equal(trajectory_diff):
-    dev, bitwise = trajectory_diff.report_deviation([1.0, np.nan, 0.0, np.inf],
-                                                    [1.0, np.nan, -0.0, np.inf])
+def test_deviation_counts_nan_on_both_sides_as_equal(trajectory_diff):
+    dev, bitwise = trajectory_diff.deviation([1.0, np.nan, 0.0], [1.0, np.nan, -0.0])
     assert dev == 0.0
-    assert bitwise == 3  # -0.0 equals 0.0 but differs in its sign bit
+    assert bitwise == 2  # -0.0 equals 0.0 but differs in its sign bit
 
 
-@pytest.mark.parametrize("old, new, reads", [
-    ([1.0, np.nan], [1.0, 2.0], "nan"),
-    ([1.0, 2.0], [1.0, np.nan], "nan"),
-    ([1.0, 2.0], [1.0, 2.0 + 1e-9], "1e-09"),
-], ids=["nan-vs-finite", "finite-vs-nan", "over-tolerance"])
+SEEDS = (0, 1, 2)
+
+
+def hand_built_tree() -> dict:
+    """A table as ``run_tree`` returns it, built by hand: an estimator line, and a
+    metrics (with NaN values), trajectories, adapt and streams line, over three seeds,
+    and a cli line."""
+    rng = np.random.default_rng(7)
+    tree = {("survey", "cipg"): {}, ("files", "metrics"): {}, ("files", "trajectories"): {},
+            ("files", "adapt"): {}, ("files", "streams"): {}}
+    for seed in SEEDS:
+        tree["survey", "cipg"].update({
+            ("t", seed): [0.2, 0.4], ("flags", seed): ["warmup", "ok"],
+            ("position", seed): rng.normal(size=(2, 3)),
+            ("velocity", seed): rng.normal(size=(2, 3)),
+            ("quaternion", seed): rng.normal(size=(2, 4))})
+        report = rng.normal(size=26)
+        report[[10, 23]] = np.nan  # as an RPE of a run too short for its horizon
+        report[7] = (0.1, 0.2, 0.6)[seed]  # total_error_m of the default report
+        tree["files", "metrics"]["cipg", seed] = report
+        tree["files", "trajectories"].update({("rows", "cipg", seed): rng.normal(size=(2, 11)),
+                                              ("flags", "cipg", seed): ["warmup", "ok"]})
+        tree["files", "adapt"].update({("csv", seed): {"imu.csv": "ab12", "gt.csv": "cd34"},
+                                       ("rows", seed): {"imu": (3, 3, 0), "gt": (2, 2, 0)}})
+        tree["files", "streams"].update({(kind, seed): rng.normal(size=(4, 4))
+                                         for kind in ("imu", "dvl", "ahrs")})
+    tree["", "cli"] = {("estimate --print-config (defaults)",): (0, "horizon = 5\n", ""),
+                       ("simulate imu.csv",): b"t,ax,ay,az,gx,gy,gz\n"}
+    return tree
+
+
+def printed_rows(out: str) -> dict:
+    """{(configuration, line): the rest of its row} of ``report``'s output."""
+    return {(text[:12].strip(), text[13:25].strip()): text[26:]
+            for text in out.splitlines() if text[13:25].strip() and not text.startswith("seeds ")}
+
+
+def moved(by):
+    def move(value):
+        value = value.copy()
+        value[-1, -1] += by
+        return value
+    return move
+
+
+@pytest.mark.parametrize("row, item, edit", [
+    (("survey", "cipg"), ("position", 1), moved(2e-12)),
+    (("survey", "cipg"), ("velocity", 0), moved(2e-12)),
+    (("survey", "cipg"), ("quaternion", 2), moved(-2e-12)),
+    (("survey", "cipg"), ("position", 0), lambda v: np.where(v == v[0, 0], np.nan, v)),
+    (("survey", "cipg"), ("flags", 1), lambda flags: ["warmup", "fallback"]),
+    (("survey", "cipg"), ("t", 2), lambda t: [0.2, np.nextafter(0.4, 1.0)]),
+    (("files", "metrics"), ("cipg", 1), lambda v: np.append(v[:-1], np.nan)),
+    (("files", "metrics"), ("cipg", 0), lambda v: v + np.eye(26)[3] * 2e-12),
+    (("files", "trajectories"), ("rows", "cipg", 2), lambda rows: rows[:1]),
+    (("files", "trajectories"), ("flags", "cipg", 0), lambda flags: ["ok", "ok"]),
+    (("files", "adapt"), ("csv", 1), lambda csv: {**csv, "gt.csv": "cd35"}),
+    (("files", "adapt"), ("rows", 2), lambda rows: {**rows, "imu": (3, 2, 1)}),
+    (("files", "streams"), ("dvl", 0), lambda v: np.where(v == v[2, 1], np.nextafter(v, 9), v)),
+    (("", "cli"), ("estimate --print-config (defaults)",),
+     lambda out: (0, "horizon = 4\n", "")),
+    (("", "cli"), ("simulate imu.csv",), None),
+], ids=["position", "velocity", "quaternion", "nan-on-one-side", "flag", "epoch-time",
+        "report-nan-on-one-side", "report-over-tolerance", "read-back-length",
+        "read-back-flags", "adapt-digest", "adapt-row-count", "stream-ulp", "cli-changed",
+        "cli-missing"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_report_deviation_fails_on_one_sided_nan_or_excess(trajectory_diff, old, new, reads):
-    dev, bitwise = trajectory_diff.report_deviation(old, new)
-    assert f"{dev:.3g}" == reads
-    assert not dev <= trajectory_diff.TOLERANCE
-    assert bitwise == 1
+def test_one_changed_item_makes_its_row_differ(trajectory_diff, capsys, row, item, edit):
+    old, new = hand_built_tree(), hand_built_tree()
+    if edit is None:
+        del new[row][item]
+    else:
+        new[row][item] = edit(new[row][item])
+    assert trajectory_diff.report(old, new) == 1
+    rows = printed_rows(capsys.readouterr().out)
+    assert list(rows) == list(old)
+    assert rows[row].endswith("DIFFER: " + " ".join(map(str, item)))
+    assert all(text.split("; ")[-1].startswith("equal (") for key, text in rows.items()
+               if key != row)
+    tolerance = trajectory_diff.LINE_TOLERANCE.get(row[1], trajectory_diff.TOLERANCE)
+    assert trajectory_diff.compare(old[row], new[row], tolerance)[3] == [item]
+
+
+def test_same_tree_twice_is_equal_and_prints_the_medians(trajectory_diff, capsys):
+    # NaN on both sides of the metrics line counts as equal.
+    assert trajectory_diff.report(hand_built_tree(), hand_built_tree()) == 0
+    out = capsys.readouterr().out
+    rows = printed_rows(out)
+    assert rows["survey", "cipg"] == ("max|d position| 0 max|d velocity| 0 max|d quaternion| 0; "
+                                      "60/60 values bit-equal; 3 ok, 3 warmup; equal (15 items)")
+    assert rows["files", "metrics"] == "max|d cipg| 0; 78/78 values bit-equal; equal (3 items)"
+    assert rows["files", "adapt"] == "equal (6 items)"
+    assert rows["", "cli"] == "equal (2 items)"
+    for side in ("old", "new"):
+        assert f"{side} total error median (mean): cipg 0.2000 (0.3000)\n" in out
+
+
+def test_streams_are_exact_and_other_lines_within_tolerance(trajectory_diff):
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    near = a + [[0.0, 5e-13], [0.0, 0.0]]
+    assert trajectory_diff.compare({("imu", 0): a}, {("imu", 0): near})[3] == []
+    assert trajectory_diff.compare({("imu", 0): a}, {("imu", 0): near}, 0.0)[3] == [("imu", 0)]
+    assert trajectory_diff.LINE_TOLERANCE == {"streams": 0.0}
+
+
+def test_total_error_indexes_the_default_report(trajectory_diff):
+    from cipgnav import metrics
+
+    names = [name for name, _ in metrics.TrajectoryReport(np.zeros(3), np.zeros(3),
+                                                          *[0.0] * 7).rows()]
+    assert names[trajectory_diff.TOTAL_ERROR] == "total_error_m"
+
+
+@pytest.mark.parametrize("seeds", ["5-3", "", "a", "1,,2", "-1", "0-2,5-3", "1-b"])
+def test_bad_seed_list_is_usage_error(trajectory_diff, capsys, seeds):
+    # 5-3 once compared nothing and failed with a TypeError traceback, '' and
+    # a with a ValueError traceback; an empty list would compare nothing and pass.
+    with pytest.raises(SystemExit) as exc_info:
+        trajectory_diff.main(["old", "new", "--seeds", seeds])
+    assert exc_info.value.code == 2
+    assert "argument --seeds" in capsys.readouterr().err
+
+
+def test_parse_seeds(trajectory_diff):
+    assert trajectory_diff.parse_seeds("0,3,5-7") == [0, 3, 5, 6, 7]
+    assert trajectory_diff.parse_seeds("0-19") == list(range(20))
 
 
 def test_imu_gaps_has_unequal_bursts_and_true_biases(trajectory_diff):
@@ -100,21 +216,23 @@ def test_read_back_rows_are_the_trees_own_round_trip(trajectory_diff, tmp_path):
                          for p in back])
     assert rows.view(np.int64).tolist() == expected.view(np.int64).tolist()
     assert flags == [p.flag for p in points] and "warmup" in flags
-    assert trajectory_diff.read_back_deviation([((rows, flags), (rows.copy(), flags))] * 2) == (
-        0.0, rows.size * 2, rows.size * 2, True)
+    line = {("rows", "cipg", 0): rows, ("flags", "cipg", 0): flags}
+    assert trajectory_diff.compare(line, {("rows", "cipg", 0): rows.copy(),
+                                          ("flags", "cipg", 0): list(flags)}) == (
+        {"rows": 0.0}, rows.size, rows.size, [])
 
 
-def test_read_back_deviation_reports_ulps_flags_and_lengths(trajectory_diff):
+def test_trajectories_line_reports_ulps_flags_and_lengths(trajectory_diff):
     rows = np.array([[0.2, 1.0, 2.0], [0.4, 3.0, 4.0]])
     moved = rows.copy()
     moved[1, 2] = np.nextafter(4.0, 5.0)
-    dev, bitwise, total, equal = trajectory_diff.read_back_deviation(
-        [((rows, ["ok", "ok"]), (moved, ["ok", "ok"]))])
-    assert dev == np.nextafter(4.0, 5.0) - 4.0 and (bitwise, total, equal) == (5, 6, True)
-    assert not trajectory_diff.read_back_deviation(
-        [((rows, ["ok", "ok"]), (rows, ["ok", "fallback"]))])[3]
-    assert not trajectory_diff.read_back_deviation(
-        [((rows, ["ok", "ok"]), (rows[:1], ["ok"]))])[3]
+    old = {("rows", "ekf", 0): rows, ("flags", "ekf", 0): ["ok", "ok"]}
+    assert trajectory_diff.compare(old, {**old, ("rows", "ekf", 0): moved}) == (
+        {"rows": np.nextafter(4.0, 5.0) - 4.0}, 5, 6, [])
+    assert trajectory_diff.compare(old, {**old, ("flags", "ekf", 0): ["ok", "fallback"]})[3] == [
+        ("flags", "ekf", 0)]
+    assert trajectory_diff.compare(old, {**old, ("rows", "ekf", 0): rows[:1]})[1:] == (
+        0, 0, [("rows", "ekf", 0)])
 
 
 def test_adapt_line_is_the_trees_own_adapt(trajectory_diff, tmp_path):
@@ -144,15 +262,6 @@ def test_adapt_line_is_the_trees_own_adapt(trajectory_diff, tmp_path):
     np.testing.assert_array_equal([s.position for s in gt], [p.nav.position for p in run.truth])
     np.testing.assert_allclose([s.orientation for s in gt], [p.nav.orientation for p in run.truth],
                                rtol=0.0, atol=1e-15)
-
-
-def test_adapt_agreement_reports_csvs_and_row_counts(trajectory_diff):
-    result = ({"imu.csv": "ab12"}, {"imu": (3, 3, 0)})
-    assert trajectory_diff.adapt_agreement([(result, result)] * 2) == (True, True)
-    assert trajectory_diff.adapt_agreement(
-        [(result, result), (result, ({"imu.csv": "ab13"}, result[1]))]) == (False, True)
-    assert trajectory_diff.adapt_agreement(
-        [(result, (result[0], {"imu": (3, 2, 1)})), (result, result)]) == (True, False)
 
 
 @pytest.fixture(scope="module")
@@ -191,12 +300,54 @@ def test_cli_line_is_the_trees_own_cli(trajectory_diff, cli_outputs, capsys, tmp
 def test_cli_line_reports_a_changed_default(trajectory_diff, cli_outputs, monkeypatch):
     from cipgnav import cli
 
-    assert trajectory_diff.cli_differences(cli_outputs, dict(cli_outputs)) == []
+    def differ(old, new):
+        line = [{(name,): value for name, value in outputs.items()} for outputs in (old, new)]
+        return sorted(name for name, in trajectory_diff.compare(*line)[3])
+
+    assert differ(cli_outputs, dict(cli_outputs)) == []
     monkeypatch.setitem(cli.DEFAULTS, "horizon", 4)
     changed = trajectory_diff.cli_outputs({"cli": cli})
-    assert trajectory_diff.cli_differences(cli_outputs, changed) == [
+    assert differ(cli_outputs, changed) == [
         "compare --print-config (defaults)", "estimate --print-config (defaults)",
         "estimate cipg csv", "estimate cipg metadata", "estimate ekf metadata",
         "estimate inekf metadata"]
     del changed["simulate run"]
-    assert trajectory_diff.cli_differences(cli_outputs, changed)[-1] == "simulate run"
+    assert differ(cli_outputs, changed)[-1] == "simulate run"
+
+
+@pytest.fixture
+def restore_cipgnav():
+    """Put back the cipgnav modules that ``import_tree`` replaces."""
+    def ours():
+        return [name for name in sys.modules if name == "cipgnav" or name.startswith("cipgnav.")]
+
+    saved = {name: sys.modules[name] for name in ours()}
+    yield
+    for name in ours():
+        del sys.modules[name]
+    sys.modules.update(saved)
+
+
+def test_changed_default_delta_differs_in_its_rows_alone(trajectory_diff, tmp_path, capsys,
+                                                        monkeypatch, restore_cipgnav):
+    # A copy of the tree whose IpgParams takes delta 0.5 by default: every cipg
+    # result changes, so its trajectories, the reports, the read-back rows and the
+    # CLI's cipg outputs differ, and nothing of the filters or the data does.
+    src = SCRIPT.parents[1] / "src"
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    ipg = changed / "cipgnav" / "ipg.py"
+    text = ipg.read_text()
+    assert text.count("    delta: float = 1.0\n") == 1
+    ipg.write_text(text.replace("    delta: float = 1.0\n", "    delta: float = 0.5\n"))
+    monkeypatch.setattr(trajectory_diff, "DURATION", 10.0)
+    assert trajectory_diff.main([str(src), str(changed), "--seeds", "0"]) == 1
+    rows = printed_rows(capsys.readouterr().out)
+    configs = trajectory_diff.CONFIGS
+    expected = {(config, line) for config in configs for line in ("cipg", "metrics")}
+    expected |= {("files", "trajectories"), ("", "cli")}
+    assert {key for key, text in rows.items() if "DIFFER: " in text} == expected
+    assert {key for key, text in rows.items() if "DIFFER: " not in text} == {
+        (config, line) for config, c in configs.items()
+        for line in (*c["estimators"][1:], "streams")} | {("files", "adapt")}
+    assert rows["", "cli"].startswith("DIFFER: estimate --print-config (defaults), ")
