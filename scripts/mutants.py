@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Run a table of source mutants against the tests and report which survive.
+
+Each row of MUTANTS is one mutant: the file under ``src/cipgnav``, an exact
+old text that occurs once in it, the new text, a name, and whether the tests
+must kill it.  For each mutant the script copies ``src/`` to a temporary
+directory, makes the one replacement there, and runs pytest on the test
+target (``tests/test_cascade.py`` by default) with that copy first on the
+import path; the checkout itself is never changed.  A mutant is killed when
+pytest fails.  Before the mutants, the unmutated copy must pass the target.
+
+Prints one line per mutant: killed or survived, its name, and the first
+failing test of a killed one.  Exits 1 if a must-kill mutant survives, and 2
+if the unmutated source fails the target or a row's old text does not occur
+exactly once in its file (the table no longer matches the source).
+
+The table holds mutants of the cascade's per-epoch code: the reduced
+preconditioner update, the velocity stage's two-scalar composition, the
+finiteness checks, and the per-block lists of window terms.  A row that may
+survive says why.  Each mutant takes one pytest run of the target, about
+10 s for ``tests/test_cascade.py``; none of this runs in tier-1.
+
+Example:
+    python3 scripts/mutants.py
+    python3 scripts/mutants.py --only velocity-b-sign --tests tests/test_cascade.py::TestVelocityStage
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = "tests/test_cascade.py"
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/cipgnav
+    old: str
+    new: str
+    name: str
+    must_kill: bool
+
+
+MUTANTS = [
+    # The reduced preconditioner update K' = c K + alpha (N-1) zeta (zeta^T K) + alpha I.
+    Mutant("cascade.py", "keep, pull = 1.0 - alpha * (1.0 + rows), alpha * rows",
+           "keep, pull = 1.0 - alpha * rows, alpha * rows", "precond-keep-constant", True),
+    Mutant("cascade.py", "keep, pull = 1.0 - alpha * (1.0 + rows), alpha * rows",
+           "keep, pull = 1.0 - alpha * (1.0 + rows), alpha * (rows + 1)",
+           "precond-pull-constant", True),
+    Mutant("cascade.py", "keep * k01 + pa * m1,", "keep * k01 - pa * m1,",
+           "precond-off-diagonal-sign", True),
+    Mutant("cascade.py", "keep * k33 + pd * m3 + alpha,", "keep * k33 + pd * m3,",
+           "precond-diagonal-identity", True),
+    Mutant("cascade.py", "pa, pb, pc, pd = pull * a, pull * b, pull * c, pull * d",
+           "pa, pb, pc, pd = pull * a, pull * c, pull * b, pull * d",
+           "precond-row-scale", True),
+    # The velocity stage's d iterations composed as zeta_d = A zeta + B misfit.
+    Mutant("cascade.py", "A - step * (n * A)", "A - step * A", "velocity-a-factor", True),
+    Mutant("cascade.py", "B - step * (n * B + 1.0)", "B - step * (n * B - 1.0)",
+           "velocity-b-sign", True),
+    Mutant("cascade.py", "gain - alpha * (n * gain - 1.0)", "gain - alpha * (n * gain + 1.0)",
+           "velocity-gain-sign", True),
+    Mutant("cascade.py", "x = [A * a + B * m for a, m in zip(zeta, misfit)]",
+           "x = [A * a - B * m for a, m in zip(zeta, misfit)]", "velocity-compose-sign", True),
+    Mutant("cascade.py", "for a, b, c, u, v, w in (sums[:6], sums[6:12], sums[12:]))",
+           "for a, b, c, u, v, w in (sums[:6], sums[12:], sums[6:12]))",
+           "velocity-sums-order", True),
+    # The finiteness checks.
+    Mutant("cascade.py", "if not (all(map(math.isfinite, x)) and math.isfinite(gain)):",
+           "if not math.isfinite(gain):", "velocity-check-gain-only", True),
+    Mutant("cascade.py", "if not math.isfinite(norm + sum(k_next)) and not (",
+           "if not math.isfinite(norm) and not (", "orientation-check-norm-only", True),
+    Mutant("cascade.py", "if not math.isfinite(norm + sum(k_next)) and not (",
+           "if not math.isfinite(norm + sum(k_next)) or not (", "orientation-check-sum-only",
+           True),
+    # The per-block lists: the maps for the warm start (M_1) and the estimate (M_{N-1}).
+    Mutant("cascade.py", "W.tolist(), M[:, 0].tolist(),\n                       M[:, -1].tolist()",
+           "W.tolist(), M[:, -1].tolist(),\n                       M[:, 0].tolist()",
+           "block-first-last-swapped", True),
+    Mutant("cascade.py", "ahrs[first:first + count].tolist()",
+           "ahrs[first + 1:first + 1 + count].tolist()", "block-start-row", True),
+    Mutant("cascade.py", "s = -1.0 if z0 * a + z1 * b + z2 * c + z3 * d < 0.0 else 1.0",
+           "s = -1.0 if z0 * a + z1 * b + z2 * c + z3 * d <= 0.0 else 1.0",
+           "hemisphere-zero-dot", True),
+    # The overflowing window's IMU row.
+    Mutant("cascade.py", "return float(epoch.imu_burst[bad[0] if bad.size else -1, 0])",
+           "return float(epoch.imu_burst[-1, 0])", "overflow-row-last", True),
+    # May survive: normalizing M_1 zeta once instead of twice moves the warm
+    # start by at most an ulp, which no tolerance of ipg_step's comparison sees.
+    Mutant("cascade.py", "_unit(_unit(warm))", "_unit(warm)", "warm-single-normalize", False),
+]
+
+
+def source(mutant: Mutant, src: Path = ROOT / "src") -> Path:
+    return src / "cipgnav" / mutant.file
+
+
+def run_tests(src: Path, tests: list) -> str | None:
+    """Run pytest on ``tests`` with ``src`` first on the import path; returns None
+    if they pass, else the first failing test (or pytest's last line)."""
+    # No bytecode: a mutant of the same size, written within the same second as
+    # the last one, would otherwise run from the last one's cached bytecode.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
+                             "-p", "no:cacheprovider", *tests],
+                            cwd=ROOT, env=env, capture_output=True, text=True)
+    if result.returncode == 0:
+        return None
+    lines = result.stdout.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else (lines[-1] if lines else f"exit {result.returncode}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+    parser.add_argument("--tests", nargs="+", default=[TESTS],
+                        help=f"pytest targets, relative to the checkout (default {TESTS})")
+    args = parser.parse_args(argv)
+    names = [m.name for m in MUTANTS]
+    unknown = sorted(set(args.only or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; the table has {names}")
+    mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
+
+    stale = [m.name for m in mutants if source(m).read_text(encoding="utf-8").count(m.old) != 1]
+    if stale:
+        print(f"error: the old text of {stale} does not occur exactly once in its file",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        failure = run_tests(src, args.tests)
+        if failure is not None:
+            print(f"error: the unmutated source fails {' '.join(args.tests)}: {failure}",
+                  file=sys.stderr)
+            return 2
+        status = 0
+        for mutant in mutants:
+            path = source(mutant, src)
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            failure = run_tests(src, args.tests)
+            path.write_text(original, encoding="utf-8")
+            verdict = "killed" if failure else "survived"
+            note = failure or ("MUST BE KILLED" if mutant.must_kill else "may survive")
+            print(f"{verdict:9s} {mutant.name:30s} {note}", flush=True)
+            status |= failure is None and mutant.must_kill
+    return int(status)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

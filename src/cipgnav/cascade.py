@@ -11,11 +11,14 @@ therefore closed-form in zeta and a per-window (N-1, 4) array, and
 ``_orientation_step`` forms no Jacobian.  The M_j and that array depend only
 on the AHRS rows and the increments, never on the iterates, so
 ``cascade_step`` builds them for a block of consecutive windows at once
-(``_window_terms``).  The inner iterations run on Python floats (zeta as 4
-floats, K as 16): on 4-vectors and 4x4 matrices the overhead of a numpy call
-outweighs its arithmetic, as in the velocity stage's recursion.  The tests
-state the same stage as a generic ``WindowModel`` for ``ipg_step``, the
-reference the closed form is tested against.
+(``_window_terms``) and lists each block's terms as Python floats once.
+Each epoch then runs on floats end to end: the iterates and preconditioners
+cross epochs as floats (zeta as 4, K as 16), and only the emitted NavState
+holds arrays, because on 4-vectors and 4x4 matrices the overhead of a numpy
+call outweighs its arithmetic.  K is updated in reduced form, three float
+operations per entry.  The tests state the same stage as a generic
+``WindowModel`` for ``ipg_step``, the reference the closed form is tested
+against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated into a rotation increment and a body-frame velocity
@@ -25,7 +28,8 @@ preintegrates every burst of the run in one pass (``BurstInput``, in
 The velocity dynamics do not depend on the velocity state, so the stacked
 Jacobian is a stack of identities, the preconditioner stays a scaled
 identity k*I, and the inner iterations reduce to an exact scalar-gain
-recursion in closed form.  That recursion reads the window's increments only
+recursion, linear in the iterate, whose d iterations compose into two
+scalars: zeta_d = A zeta + B misfit.  It reads the window's increments only
 through three sums: of its offsets, its last offset and its first increment.
 A burst's navigation-frame increment is its body-frame increment rotated by
 stage 1's orientation at the burst start, zeta * U_j / |U_j|, so R(zeta)
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,9 +64,11 @@ from .preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
+    _columns,
     dead_reckon,
     preintegrate_burst,  # noqa: F401  kept as a module attribute: perfbench wraps it by name
     propagate_orientation,  # noqa: F401  kept as a module attribute: perfbench counts its calls
+    running_product,
 )
 from .quat import (
     _NORM_EPS,
@@ -71,7 +77,6 @@ from .quat import (
     rotation_entries,
     rotation_rows,
     row_norms,
-    unit_rows,
 )
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
@@ -87,28 +92,40 @@ FALLBACK_MODES = ("abort", "deadreckon")
 _BLOCK = 128  # windows per block of _window_terms: bounds its arrays
 
 
+class _Window(NamedTuple):
+    """One window's terms from ``_window_terms``, as Python floats."""
+
+    start: list  # z_0, the AHRS row at the window start (4 floats)
+    W: list  # the rows W_j, j = 1..N-1 (N-1 lists of 4 floats)
+    first: list  # M_1 as 4 rows of 4 floats: M_1 zeta is the warm-started iterate
+    last: list  # M_{N-1} as 4 rows: M_{N-1} zeta is the current-epoch estimate
+    sums: list  # the velocity stage's 18 sums
+    fault: Optional[np.ndarray] = None  # the window's M when a |U_j| is zero, NaN or infinite
+
+
 def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, count: int) -> list:
-    """Terms of the ``count`` windows from window ``first`` on, one ``(M, W, ok,
-    sums)`` per window: M, W and ok for ``_orientation_step`` and sums for
-    ``_velocity_step``.
+    """Terms of the ``count`` windows from window ``first`` on, one ``_Window`` per
+    window: its AHRS start row, W and two maps for ``_orientation_step`` and
+    its sums for ``_velocity_step``.
 
     Window i spans AHRS and DVL rows i..i+N-1 and ``bursts`` rows i+1..i+N-1.
-    M (N-1, 4, 4) holds M_j, W (N-1, 4) the rows W_j = M_j^T Z_j / |U_j|, and
-    ok is False where a norm |U_j| is zero, NaN or infinite.
+    With M_j (4, 4) the map of U_j, the rows are W_j = M_j^T Z_j / |U_j|, and a
+    window where a norm |U_j| is zero, NaN or infinite keeps its M (N-1, 4,
+    4) as ``fault`` for the error it raises at its epoch.
 
     Burst j = 0..N-2 of the window starts at stage 1's orientation zeta * U_j
     / |U_j| (U_0 = 1), so its velocity increment is R(zeta) c_j + d_j g, with
     c_j = R(U_j / |U_j|) body_dv_j and d_j its duration.  The velocity stage
     reads the increments only through sum_i (o_i - z_i), o_{N-1} and o_1, o_i
     the sum of the first i increments and z_i the DVL rows, and each is
-    R(zeta) times a 3-vector plus another.  ``sums`` (18,) holds those six
+    R(zeta) times a 3-vector plus another.  ``sums`` holds those six
     3-vectors in that order: sum_i sum_{j<i} c_j and sum_i sum_{j<i} d_j g -
     sum_i z_i, sum_j c_j and sum_j d_j g, c_0 and d_0 g.
 
     The terms depend only on the data, never on the iterates.  Each step runs
     on all windows at once and rounds as on one window, so a window's terms
-    do not depend on its block.  Errors wait for the window's epoch: the fill
-    never warns.
+    do not depend on its block, and each block array becomes Python floats in
+    one ``tolist``.  Errors wait for the window's epoch: the fill never warns.
     """
     rows = first + np.arange(count)[:, None] + np.arange(horizon)  # (count, N)
     inputs = rows[:, 1:]  # the bursts of each window
@@ -129,7 +146,11 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
         sums = np.concatenate([offsets.sum(axis=1),
                                spans.sum(axis=1)[:, None] * g - dvl[rows].sum(axis=1),
                                offsets[:, -1], spans[:, -1:] * g, c[:, 0], d[:, :1] * g], axis=1)
-    return list(zip(M, W, ok.tolist(), sums))
+    windows = list(map(_Window, ahrs[first:first + count].tolist(), W.tolist(), M[:, 0].tolist(),
+                       M[:, -1].tolist(), sums.tolist()))
+    for i in np.flatnonzero(~ok).tolist():
+        windows[i] = windows[i]._replace(fault=M[i].copy())
+    return windows
 
 
 def _unit(y) -> list:
@@ -142,16 +163,33 @@ def _unit(y) -> list:
     return [y0 / norm, y1 / norm, y2 / norm, y3 / norm]
 
 
-def _orientation_step(params: IpgParams, z0, zeta, K, terms):
+def _fault(M) -> Exception:
+    """The error of a window whose M (N-1, 4, 4) has a zero, NaN or infinite |U_j|:
+    DegenerateQuaternionError for a zero or NaN one, as ``unit_rows`` raises it,
+    else NumericalError.  Computed without numpy's overflow warnings."""
+    with np.errstate(all="ignore"):
+        norms = row_norms(M[:, :, 0])
+    if not (norms > _NORM_EPS).all():  # also catches NaN
+        return DegenerateQuaternionError(
+            f"cannot normalize quaternion with norm {norms.min():.3e}")
+    return NumericalError("non-finite stacked Jacobian entry in the orientation window")
+
+
+def _precond(k0: float) -> list:
+    """The initial orientation preconditioner k0*I as 16 floats, row-major."""
+    return (k0 * np.eye(4)).ravel().tolist()
+
+
+def _orientation_step(params: IpgParams, zeta, K, window: _Window):
     """``ipg_step`` of the orientation stage, on closed-form normal equations.
 
-    ``z0`` is the AHRS quaternion at the window start and ``terms`` the
-    window's ``(M, W, ok, sums)`` from ``_window_terms``, which are built per
-    block of windows.  With U_0 = 1 and U_j = U_{j-1} * r_j, r_j
-    the window's j-th rotation increment, row j >= 1 of the stacked map is
-    P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-multiplication matrix
-    of U_j, and its Jacobian block is J_j = (I - P_j P_j^T) M_j / |Y_j|, as
-    normalize(normalize(y) * u) equals normalize(y * u).
+    ``window`` holds the window's terms from ``_window_terms``, which are built
+    per block of windows: z_0, the AHRS quaternion at the window start, the
+    rows W_j and the maps M_1 and M_{N-1}.  With U_0 = 1 and U_j = U_{j-1} *
+    r_j, r_j the window's j-th rotation increment, row j >= 1 of the stacked
+    map is P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-multiplication
+    matrix of U_j, and its Jacobian block is J_j = (I - P_j P_j^T) M_j / |Y_j|,
+    as normalize(normalize(y) * u) equals normalize(y * u).
     Row 0 is zeta with an identity block.  As M_j^T M_j = |U_j|^2 I, a unit
     zeta gives J_j^T J_j = I - zeta zeta^T, and the AHRS block Z_j, flipped
     onto the hemisphere of P_j by s_j = sign(W_j . zeta), gives J_j^T (P_j -
@@ -159,10 +197,12 @@ def _orientation_step(params: IpgParams, z0, zeta, K, terms):
     J^T J = I + (N-1)(I - zeta zeta^T) and J^T r = r_0 + zeta (zeta . w) - w,
     w = sum_j s_j W_j: no Jacobian is formed in the inner iterations.  With
     r_0 = zeta - s_0 z_0, this is J^T r = zeta (1 + sum_j |W_j . zeta|) -
-    (s_0 z_0 + w), and a dot of exactly 0 or NaN gives s = +1.
+    (s_0 z_0 + w), and a dot of exactly 0 or NaN gives s = +1.  The
+    preconditioner update K - alpha (J^T J K - I) is then, in reduced form,
+    c K + alpha (N-1) zeta (zeta^T K) + alpha I with c = 1 - alpha N.
 
-    The inner iterations run on Python floats, zeta as 4 floats and K as 16
-    in row-major order, because each numpy call on a 4-vector costs more in
+    Everything runs on Python floats, zeta as 4 floats and K as 16 in
+    row-major order, because each numpy call on a 4-vector costs more in
     overhead than in arithmetic.  A zero or NaN |U_j| raises
     DegenerateQuaternionError and an infinite one NumericalError, before the
     iterations.  An iterate whose norm is not finite (a non-finite component,
@@ -171,23 +211,22 @@ def _orientation_step(params: IpgParams, z0, zeta, K, terms):
     DegenerateQuaternionError, as ``quat_normalize`` does.
 
     Returns the current-epoch estimate (row N-1 of the stacked map), the
-    warm-started iterate (row 1, normalized again), K, and zeta as 4 floats
-    for ``_velocity_step``; only those two rows of the map are formed, on
-    floats too.  Raises DivergenceError, NumericalError and
-    DegenerateQuaternionError where ipg_step does.
+    warm-started iterate (row 1, normalized again), K, and zeta, each as
+    floats; only those two rows of the map are formed.  Raises
+    DivergenceError, NumericalError and DegenerateQuaternionError where
+    ipg_step does.
     """
-    M, W, ok, _ = terms
-    if not ok:
-        unit_rows(M[:, :, 0])  # raises on a zero or NaN |U_j|
-        raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
-    W_rows, z0 = W.tolist(), z0.tolist()
+    (z0, z1, z2, z3), W_rows, first, last, _, fault = window
+    if fault is not None:
+        raise _fault(fault)
     rows, alpha, delta = len(W_rows), params.alpha, params.delta
-    x, k = zeta.tolist(), K.ravel().tolist()  # k is K in row-major order
+    keep, pull = 1.0 - alpha * (1.0 + rows), alpha * rows
+    x, k = zeta, K
     for i in range(params.iterations):
         a, b, c, d = x
         # u = s_0 z_0 + sum_j s_j W_j and scale = 1 + sum_j |W_j . zeta|
-        s = -1.0 if z0[0] * a + z0[1] * b + z0[2] * c + z0[3] * d < 0.0 else 1.0
-        u0, u1, u2, u3 = s * z0[0], s * z0[1], s * z0[2], s * z0[3]
+        s = -1.0 if z0 * a + z1 * b + z2 * c + z3 * d < 0.0 else 1.0
+        u0, u1, u2, u3 = s * z0, s * z1, s * z2, s * z3
         scale = 1.0
         for p, q, r, t in W_rows:
             dot = p * a + q * b + r * c + t * d
@@ -201,63 +240,41 @@ def _orientation_step(params: IpgParams, z0, zeta, K, terms):
                           a * k01 + b * k11 + c * k21 + d * k31,
                           a * k02 + b * k12 + c * k22 + d * k32,
                           a * k03 + b * k13 + c * k23 + d * k33)
-        # K - alpha (J^T J K - I) with J^T J K = K + rows (K - zeta (zeta^T K))
+        pa, pb, pc, pd = pull * a, pull * b, pull * c, pull * d
         k_next = (
-            k00 - alpha * (k00 + rows * (k00 - a * m0) - 1.0),
-            k01 - alpha * (k01 + rows * (k01 - a * m1)),
-            k02 - alpha * (k02 + rows * (k02 - a * m2)),
-            k03 - alpha * (k03 + rows * (k03 - a * m3)),
-            k10 - alpha * (k10 + rows * (k10 - b * m0)),
-            k11 - alpha * (k11 + rows * (k11 - b * m1) - 1.0),
-            k12 - alpha * (k12 + rows * (k12 - b * m2)),
-            k13 - alpha * (k13 + rows * (k13 - b * m3)),
-            k20 - alpha * (k20 + rows * (k20 - c * m0)),
-            k21 - alpha * (k21 + rows * (k21 - c * m1)),
-            k22 - alpha * (k22 + rows * (k22 - c * m2) - 1.0),
-            k23 - alpha * (k23 + rows * (k23 - c * m3)),
-            k30 - alpha * (k30 + rows * (k30 - d * m0)),
-            k31 - alpha * (k31 + rows * (k31 - d * m1)),
-            k32 - alpha * (k32 + rows * (k32 - d * m2)),
-            k33 - alpha * (k33 + rows * (k33 - d * m3) - 1.0),
+            keep * k00 + pa * m0 + alpha, keep * k01 + pa * m1,
+            keep * k02 + pa * m2, keep * k03 + pa * m3,
+            keep * k10 + pb * m0, keep * k11 + pb * m1 + alpha,
+            keep * k12 + pb * m2, keep * k13 + pb * m3,
+            keep * k20 + pc * m0, keep * k21 + pc * m1,
+            keep * k22 + pc * m2 + alpha, keep * k23 + pc * m3,
+            keep * k30 + pd * m0, keep * k31 + pd * m1,
+            keep * k32 + pd * m2, keep * k33 + pd * m3 + alpha,
         )
         y0 = a - delta * (k00 * g0 + k01 * g1 + k02 * g2 + k03 * g3)
         y1 = b - delta * (k10 * g0 + k11 * g1 + k12 * g2 + k13 * g3)
         y2 = c - delta * (k20 * g0 + k21 * g1 + k22 * g2 + k23 * g3)
         y3 = d - delta * (k30 * g0 + k31 * g1 + k32 * g2 + k33 * g3)
         norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
-        if not (math.isfinite(norm) and all(map(math.isfinite, k_next))):
+        # One sum tests all 16 entries; it also overflows on finite ones, so those
+        # are tested one by one before the step counts as diverged.
+        if not math.isfinite(norm + sum(k_next)) and not (
+                math.isfinite(norm) and all(map(math.isfinite, k_next))):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         if norm <= _NORM_EPS:
             raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
         x, k = [y0 / norm, y1 / norm, y2 / norm, y3 / norm], k_next
     a, b, c, d = x
-    warm, estimate = ([p * a + q * b + r * c + t * d for p, q, r, t in m.tolist()]
-                      for m in (M[0], M[-1]))  # M_1 zeta and M_{N-1} zeta
-    return np.array(_unit(estimate)), np.array(_unit(_unit(warm))), np.array(k).reshape(4, 4), x
+    warm, estimate = ([p * a + q * b + r * c + t * d for p, q, r, t in m]
+                      for m in (first, last))  # M_1 zeta and M_{N-1} zeta
+    return _unit(estimate), _unit(_unit(warm)), k, x
 
 
-def _velocity_step(params: IpgParams, q, zeta, k: float, sums):
-    """``ipg_step`` of the velocity stage, with preconditioner k*I, in closed form.
-
-    ``q`` is stage 1's window-start orientation as 4 floats and ``sums`` the
-    window's sums from ``_window_terms``.  The stage is linear with identity
-    maps, so J = [I; ...; I] and K = k*I stays a scaled identity.  With o_i the
-    sum of the window's first i velocity increments (o_0 = 0) and z_i its DVL
-    rows, the inner iterations reduce exactly to (on floats) k' = k - alpha *
-    (N k - 1) and zeta' = zeta - delta * k * (N zeta + sum_i (o_i - z_i)).  The
-    increments depend on q only through R(q), so sum_i (o_i - z_i), o_{N-1} and
-    the first increment o_1 are each R(q) times a 3-vector of ``sums`` plus
-    another: O(1) per epoch, whatever N.  Returns the current-epoch estimate
-    zeta + o_{N-1}, the warm-started iterate zeta + o_1 and k; raises
-    DivergenceError as ipg_step does.
-    """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q)
-    s = sums.tolist()
-    misfit, last, first = ([r00 * a + r01 * b + r02 * c + u,
-                            r10 * a + r11 * b + r12 * c + v,
-                            r20 * a + r21 * b + r22 * c + w]
-                           for a, b, c, u, v, w in (s[:6], s[6:12], s[12:]))
-    n, x = params.horizon, zeta.tolist()
+def _velocity_iterations(params: IpgParams, x, k: float, misfit):
+    """The velocity stage's d inner iterations one by one: k' = k - alpha (N k -
+    1) and x' = x - delta k (N x + misfit).  Raises DivergenceError at the
+    first iteration with a non-finite x' or k'; returns x and k."""
+    n = params.horizon
     for i in range(params.iterations):
         k_next = k - params.alpha * (n * k - 1.0)
         gain = params.delta * k
@@ -265,8 +282,42 @@ def _velocity_step(params: IpgParams, q, zeta, k: float, sums):
         if not (all(map(math.isfinite, x_next)) and math.isfinite(k_next)):
             raise DivergenceError("window solver produced a non-finite value", iteration=i)
         x, k = x_next, k_next
-    return (np.array([a + b for a, b in zip(x, last)]),
-            np.array([a + b for a, b in zip(x, first)]), k)
+    return x, k
+
+
+def _velocity_step(params: IpgParams, q, zeta, k: float, sums):
+    """``ipg_step`` of the velocity stage, with preconditioner k*I, in closed form.
+
+    ``q`` is stage 1's window-start orientation, ``zeta`` the iterate (3
+    floats) and ``sums`` the window's 18 sums from ``_window_terms``.  The
+    stage is linear with identity maps, so J = [I; ...; I] and K = k*I stays
+    a scaled identity.  With o_i the sum of the window's first i velocity
+    increments (o_0 = 0) and z_i its DVL rows, the inner iterations reduce
+    exactly to k' = k - alpha * (N k - 1) and zeta' = zeta - delta * k * (N
+    zeta + misfit), misfit = sum_i (o_i - z_i).  That recursion is linear in
+    zeta and misfit, so d iterations compose to zeta_d = A zeta + B misfit,
+    with A, B and k from a loop on scalars.  The increments depend on q only
+    through R(q), so misfit, o_{N-1} and the first increment o_1 are each
+    R(q) times a 3-vector of ``sums`` plus another: O(1) per epoch, whatever
+    N.  Returns the current-epoch estimate zeta_d + o_{N-1}, the warm-started
+    iterate zeta_d + o_1 and k, each as floats.  On a non-finite zeta_d or k
+    it reruns the iterations one by one, which raise DivergenceError at the
+    iteration ipg_step does.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q)
+    misfit, last, first = ([r00 * a + r01 * b + r02 * c + u,
+                            r10 * a + r11 * b + r12 * c + v,
+                            r20 * a + r21 * b + r22 * c + w]
+                           for a, b, c, u, v, w in (sums[:6], sums[6:12], sums[12:]))
+    n, alpha, delta, gain = params.horizon, params.alpha, params.delta, k
+    A, B = 1.0, 0.0  # zeta_i = A zeta + B misfit
+    for _ in range(params.iterations):
+        step = delta * gain
+        A, B, gain = A - step * (n * A), B - step * (n * B + 1.0), gain - alpha * (n * gain - 1.0)
+    x = [A * a + B * m for a, m in zip(zeta, misfit)]
+    if not (all(map(math.isfinite, x)) and math.isfinite(gain)):
+        x, gain = _velocity_iterations(params, zeta, k, misfit)
+    return [a + b for a, b in zip(x, last)], [a + b for a, b in zip(x, first)], gain
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,27 +350,29 @@ class CascadeConfig:
 class CascadeState:
     """Mutable per-run state of the cascade estimator.
 
-    ``start`` preintegrates every burst of the run into ``bursts`` and stacks
-    every epoch's ``t``, ``ahrs`` and ``dvl``; at epoch k = ``cursor`` the
-    windows are their rows k-N+1..k and rows k-N+2..k of ``bursts``.  The
+    ``start`` keeps the run's ``epochs``, preintegrates every burst into
+    ``bursts`` and stacks every epoch's ``ahrs`` and ``dvl``; at epoch k =
+    ``cursor`` the windows are their rows k-N+1..k and rows k-N+2..k of
+    ``bursts``.  The
     orientation stage's window terms depend only on those rows, so
     ``cascade_step`` builds them ``_BLOCK`` windows at a time: ``terms`` holds
     those of windows ``terms_first`` on (window k-N+1 at epoch k).  The
     iterates estimate the window start from the first epoch's dead reckoning
-    on; after a fallback epoch (None) the next reseeds them from row 0.
+    on; after a fallback epoch (None) the next reseeds them from row 0.  They
+    and the preconditioners cross epochs as Python floats.
     """
 
     config: CascadeConfig
     nav: NavState
     bursts: BurstInput
-    t: list  # each epoch's timestamp, as given
+    epochs: list  # as passed to start
     ahrs: np.ndarray  # (n, 4)
     dvl: np.ndarray  # (n, 3)
-    q_precond: np.ndarray  # the 4x4 orientation preconditioner
+    q_precond: list  # the 4x4 orientation preconditioner as 16 floats, row-major
     v_gain: float  # the velocity preconditioner is v_gain * I
     cursor: int = 0
-    q_iterate: Optional[np.ndarray] = None
-    v_iterate: Optional[np.ndarray] = None
+    q_iterate: Optional[list] = None  # 4 floats
+    v_iterate: Optional[list] = None  # 3 floats
     terms: list = field(default_factory=list)  # _window_terms of windows terms_first on
     terms_first: int = 0
 
@@ -327,9 +380,24 @@ class CascadeState:
     def start(cls, config: CascadeConfig, epochs) -> "CascadeState":
         nav = config.initial.copy() if config.initial is not None else initial_nav_from_epochs(epochs)
         k0 = config.params.k0_scale
-        return cls(config, nav, BurstInput.from_epochs(epochs, config.biases),
-                   [e.t for e in epochs], np.array([e.ahrs for e in epochs], dtype=float),
-                   np.array([e.dvl for e in epochs], dtype=float), k0 * np.eye(4), k0)
+        return cls(config, nav, BurstInput.from_epochs(epochs, config.biases), list(epochs),
+                   np.array([e.ahrs for e in epochs], dtype=float),
+                   np.array([e.dvl for e in epochs], dtype=float), _precond(k0), k0)
+
+
+def _overflow_row(state: CascadeState, w: int, M) -> float:
+    """The ``t`` of the IMU row where window w's rotation first overflows: with
+    j the first infinite |U_j| of its M, the first row of burst w+1+j whose
+    running product from U_{j-1} has an infinite norm (the burst's last row
+    if rounding moves the overflow past it)."""
+    biases = state.config.biases
+    with np.errstate(all="ignore"):
+        j = int(np.flatnonzero(~(row_norms(M[:, :, 0]) < math.inf))[0])
+        epoch = state.epochs[w + 1 + j]
+        dts, _, gyro = _columns(epoch.imu_burst, [epoch.t_prev], biases.gyro, biases.accel)
+        start = M[j - 1, :, 0] if j else (1.0, 0.0, 0.0, 0.0)
+        bad = np.flatnonzero(~(row_norms(running_product(start, dts, gyro))[1:] < math.inf))
+    return float(epoch.imu_burst[bad[0] if bad.size else -1, 0])
 
 
 def cascade_step(state: CascadeState, epoch):
@@ -343,46 +411,50 @@ def cascade_step(state: CascadeState, epoch):
     diverges (DivergenceError) aborts or falls back as ``config.fallback``
     says; a window whose terms are degenerate or not finite raises
     NumericalError or DegenerateQuaternionError, prefixed with the stage and
-    the epoch's ``t``, under either fallback.
+    the epoch's ``t``, under either fallback; a NumericalError also names the
+    IMU row where the window's rotation overflows.
     """
     config, k, horizon = state.config, state.cursor, state.config.params.horizon
-    if k == len(state.t) or epoch.t != state.t[k]:
-        expected = f"t={state.t[k]!r}" if k < len(state.t) else "none: every epoch was stepped"
+    epochs = state.epochs
+    if k == len(epochs) or epoch.t != epochs[k].t:
+        expected = f"t={epochs[k].t!r}" if k < len(epochs) else "none: every epoch was stepped"
         raise ValueError(f"epoch at t={epoch.t!r} is not the next one passed to start: {expected}")
     state.cursor, bursts = k + 1, state.bursts
 
     if k < horizon - 1:
         nav = dead_reckon(state.nav, bursts, k, config.gravity.vector)
         if k == 0:  # the window start
-            state.q_iterate, state.v_iterate = nav.orientation.copy(), nav.velocity.copy()
+            state.q_iterate, state.v_iterate = nav.orientation.tolist(), nav.velocity.tolist()
         state.nav = nav
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
     w = k + 1 - horizon  # the window: AHRS and DVL rows w..k, bursts w+1..k
-    z0 = state.ahrs[w]
     if not 0 <= w - state.terms_first < len(state.terms):
         state.terms = []  # free the old block first: two at once double its memory
-        count = min(_BLOCK, len(state.t) - k)
+        count = min(_BLOCK, len(epochs) - k)
         state.terms = _window_terms(state.ahrs, state.dvl, bursts, config.gravity.vector,
                                     horizon, w, count)
         state.terms_first = w
-    terms = state.terms[w - state.terms_first]
+    window = state.terms[w - state.terms_first]
     if state.q_iterate is None:
         # After a fallback epoch, restart from the direct measurements of the
         # window start (identity measurement maps).
         k0 = config.params.k0_scale
-        state.q_iterate, state.q_precond = quat_normalize(z0), k0 * np.eye(4)
-        state.v_iterate, state.v_gain = state.dvl[w].copy(), k0
+        state.q_iterate, state.q_precond = quat_normalize(state.ahrs[w]).tolist(), _precond(k0)
+        state.v_iterate, state.v_gain = state.dvl[w].tolist(), k0
 
     stage = "orientation"
     try:
         orientation, q_iterate, q_precond, zeta = _orientation_step(
-            config.params, z0, state.q_iterate, state.q_precond, terms)
+            config.params, state.q_iterate, state.q_precond, window)
         stage = "velocity"
         velocity, v_iterate, v_gain = _velocity_step(
-            config.params, zeta, state.v_iterate, state.v_gain, terms[3])
+            config.params, zeta, state.v_iterate, state.v_gain, window.sums)
     except (NumericalError, DegenerateQuaternionError) as exc:
-        raise type(exc)(f"{stage} window of the epoch at t={epoch.t!r}: {exc}") from exc
+        where = ""
+        if isinstance(exc, NumericalError):  # raised only for an infinite |U_j|
+            where = f" (it overflows at the IMU row at t={_overflow_row(state, w, window.fault)!r})"
+        raise type(exc)(f"{stage} window of the epoch at t={epoch.t!r}: {exc}{where}") from exc
     except DivergenceError as exc:
         if config.fallback == "abort":
             raise DivergenceError(
@@ -393,8 +465,9 @@ def cascade_step(state: CascadeState, epoch):
         state.q_iterate = state.v_iterate = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
-    position = state.nav.position + velocity * (epoch.t - state.t[k - 1])
-    nav = NavState.exact(position, velocity, orientation)  # stage 1's estimate is unit
+    velocity = np.array(velocity)
+    position = state.nav.position + velocity * (epoch.t - epochs[k - 1].t)
+    nav = NavState.exact(position, velocity, np.array(orientation))  # stage 1's estimate is unit
 
     state.q_iterate, state.q_precond = q_iterate, q_precond
     state.v_iterate, state.v_gain = v_iterate, v_gain

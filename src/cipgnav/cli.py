@@ -438,6 +438,20 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _refused_param(estimator, params: dict):
+    """``(key, error)`` of the first of ``params`` that the estimator's config
+    refuses on its own, over the defaults, or None (also for an unknown estimator)."""
+    if estimator not in ESTIMATORS:
+        return None
+    defaults = _estimator_params(DEFAULTS)
+    for key, value in params.items():
+        try:
+            build_estimator_config(estimator, {**defaults, key: value})
+        except (ValueError, TypeError) as exc:
+            return key, exc
+    return None
+
+
 def _estimate_from_metadata(args) -> int:
     given = [_flag(name) for name in (*SCENARIO_OPTS, *ESTIMATOR_OPTS, "input", "config")
              if getattr(args, name) is not None]
@@ -471,8 +485,20 @@ def _estimate_from_metadata(args) -> int:
             "re-run `cipgnav estimate` with the same input and options to record a "
             "sha256-v2 digest"
         )
-    config = recorded("params", lambda params: build_estimator_config(
-        recorded("estimator"), _estimator_params(params)))
+    estimator = recorded("estimator")
+
+    def configured(recorded_params):
+        """The estimator's config; a value it refuses raises SpecError naming the
+        file and, if that value alone is refused, its key."""
+        params = _estimator_params(recorded_params)
+        try:
+            return build_estimator_config(estimator, params)
+        except ValueError as exc:
+            key, exc = _refused_param(estimator, params) or (None, exc)
+            raise SpecError(f"{path}: the metadata's {key!r} is refused: {exc}" if key
+                            else f"{path}: {exc}") from None
+
+    config = recorded("params", configured)
     files = recorded("input", lambda provenance: provenance["mode"] == "files")
     source = recorded("input", lambda provenance: (
         (Path(provenance["dir"]), provenance.get("dvl_frame", "nav")) if files

@@ -64,6 +64,7 @@ class _CsvFormat(NamedTuple):
     flags: tuple = ()  # the values of a last, text column, in memory as their index
     short: int = 0  # the width of a shorter header also accepted
     align: bool = True  # hemisphere-align quaternions: readings are, estimates are not
+    unit_tol: float = 0.0  # a quaternion whose norm is within this of 1 is kept as read
 
 
 _FORMATS = {
@@ -71,7 +72,8 @@ _FORMATS = {
     "dvl": _CsvFormat(SCHEMAS["dvl"]),
     "ahrs": _CsvFormat(SCHEMAS["ahrs"]),
     "gt": _CsvFormat(SCHEMAS["gt"], short=4),  # orientation optional
-    "trajectory": _CsvFormat(TRAJECTORY_COLUMNS, flags=FLAGS, align=False),
+    # An estimator's unit quaternion reads back as written, bit for bit.
+    "trajectory": _CsvFormat(TRAJECTORY_COLUMNS, flags=FLAGS, align=False, unit_tol=1e-12),
 }
 
 
@@ -149,6 +151,13 @@ def _read_header(reader, fmt, path):
     return len(expected), slice(n - 4, n) if expected[n - 4:n] == _QUAT_COLUMNS else None
 
 
+def _unit_quaternions(q, norms, fmt):
+    """Quaternion rows (n, 4) of norms ``norms``, each over its norm unless within
+    ``fmt.unit_tol`` of unit norm, then hemisphere-aligned if ``fmt.align``."""
+    q = np.where(np.abs(norms - 1.0)[:, None] <= fmt.unit_tol, q, q / norms[:, None])
+    return hemisphere_align(q) if fmt.align else q
+
+
 def _load_bulk(path, kind):
     """Parse a well-formed CSV with one ``np.loadtxt`` call, or return None.
 
@@ -183,15 +192,14 @@ def _load_bulk(path, kind):
             norms = row_norms(q)
         if not ((norms > _NORM_EPS) & np.isfinite(norms)).all():
             return None
-        q = q / norms[:, None]
-        data[:, quat] = hemisphere_align(q) if fmt.align else q
+        data[:, quat] = _unit_quaternions(q, norms, fmt)
     return data
 
 
 def _load_rows(path, kind):
     """Parse a CSV one row at a time: the definition of what ``load_csv`` accepts."""
     fmt = _FORMATS[kind]
-    rows, unit_quats = [], []
+    rows = []
     prev_t = None
     with open_csv(path) as reader:
         width, quat = _read_header(reader, fmt, path)
@@ -207,7 +215,7 @@ def _load_rows(path, kind):
             if quat is not None:
                 try:
                     with np.errstate(over="raise"):
-                        unit_quats.append(quat_normalize(values[quat]))
+                        quat_normalize(values[quat])  # raises on a norm it cannot divide by
                 except FloatingPointError:
                     raise ParseError(f"quaternion {values[quat]} has a norm too large to "
                                      "normalize", line=line_no, path=path) from None
@@ -216,14 +224,16 @@ def _load_rows(path, kind):
             rows.append(values)
     data = np.array(rows, dtype=float).reshape(len(rows), width)
     if quat is not None and rows:
-        data[:, quat] = hemisphere_align(unit_quats) if fmt.align else unit_quats
+        data[:, quat] = _unit_quaternions(data[:, quat], row_norms(data[:, quat]), fmt)
     return data
 
 
 def load_csv(path, kind: str) -> np.ndarray:
     """Load a canonical CSV, a ``SCHEMAS`` kind or ``"trajectory"``, as a float array
     with the header's columns, a flag as its index in FLAGS, and quaternions
-    normalized and, except in a trajectory, hemisphere-aligned.  Raises
+    normalized and, except in a trajectory, hemisphere-aligned.  A trajectory's
+    quaternion within 1e-12 of unit norm is kept as read, so what
+    ``write_csv`` wrote reads back bit for bit.  Raises
     ParseError (on a quaternion of zero or overflowing norm and an unknown flag
     too) / StreamOrderError with the offending line.  A well-formed file is
     parsed in one ``np.loadtxt`` call, any other by the per-row parser."""

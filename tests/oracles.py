@@ -17,7 +17,9 @@ gets the same from per-window sums in O(1) and must match it.
 ``read_trajectory`` and ``write_trajectory`` are the trajectory CSV reader,
 which parsed each row on its own, and writer that ``trajectory.py`` had
 before it went through ``sensors.load_csv`` and ``sensors.write_csv``: the
-values read and the bytes written must equal theirs bit for bit.
+values read and the bytes written must equal theirs bit for bit.  The reader
+keeps a quaternion within 1e-12 of unit norm as read, as the trajectory
+format now declares, and normalizes any other.
 
 ``adapt`` is ``adapters.adapt`` as it was before it read each source stream
 into one array: a ``csv.DictReader`` dict per row, a sort and de-duplication
@@ -200,7 +202,8 @@ def write_trajectory(points, path) -> None:
 
 
 def read_trajectory(path):
-    """Load a trajectory CSV one row at a time, each quaternion through NavState.
+    """Load a trajectory CSV one row at a time, each quaternion through NavState,
+    except one whose norm is within 1e-12 of 1, which is kept as read.
 
     Raises ParseError naming the line on a non-finite value, a quaternion
     of zero or overflowing norm or an unknown flag, and StreamOrderError on
@@ -249,6 +252,9 @@ def read_trajectory(path):
                                np.array(values[7:11]))
             except DegenerateQuaternionError as exc:
                 raise ParseError(str(exc), line=line_no, path=path) from None
+            q = np.array(values[7:11])
+            if abs(math.sqrt(q @ q) - 1.0) <= 1e-12:
+                nav = NavState.exact(nav.position, nav.velocity, q)
             points.append(TrajectoryPoint(t, nav, flag))
     return points
 

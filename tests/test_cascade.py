@@ -97,7 +97,7 @@ def same_bits(a, b) -> bool:
 
 
 def one_window(ahrs, increments, body_dv=None, duration=None, dvl=None, g=GRAVITY):
-    """``_window_terms`` of one window, from its AHRS rows (N, 4), rotation
+    """``_window_terms`` of one window (a ``_Window``), from its AHRS rows (N, 4), rotation
     increments (N-1, 4), body-frame velocity increments (N-1, 3), burst
     durations (N-1,) and DVL rows (N, 3); those last three default to zeros."""
     ahrs, increments = np.asarray(ahrs, dtype=float), np.asarray(increments, dtype=float)
@@ -109,6 +109,11 @@ def one_window(ahrs, increments, body_dv=None, duration=None, dvl=None, g=GRAVIT
         np.zeros((n, 3)), np.zeros(n))
     dvl = np.zeros((n, 3)) if dvl is None else np.asarray(dvl, dtype=float)
     return _window_terms(ahrs, dvl, bursts, g, n, 0, 1)[0]
+
+
+def identity_precond(k0) -> list:
+    """k0*I as the orientation stage takes it: 16 floats, row-major."""
+    return (k0 * np.eye(4)).ravel().tolist()
 
 
 def epoch_chain(rng, lengths, t0=0.0):
@@ -513,7 +518,7 @@ class TestFallback:
         _, _, v_iterate, v_gain, sums = seen[k - (horizon - 1)]
         start = k - (horizon - 1)
         expected = _window_terms(state.ahrs, state.dvl, state.bursts, good.gravity.vector,
-                                 horizon, start, 1)[0][3]
+                                 horizon, start, 1)[0].sums
         np.testing.assert_array_equal(state.dvl[start:start + horizon],
                                       [e.dvl for e in epochs[start:start + horizon]])
         assert same_bits(sums, expected)
@@ -570,6 +575,7 @@ class TestOrientationFallback:
         # start (the increment's norm overflows to inf), and the window terms
         # of its epochs are not finite: a fault of the data, not a divergence,
         # so no fallback, and the error names the first such epoch.
+        # The error also names the IMU row, and numpy's overflow warnings stay inside.
         run = generate(ScenarioSpec(kind="circle", duration=20.0, circle_radius=15.0))
         epochs = run.epochs()
         burst = epochs[40].imu_burst[-1:].copy()
@@ -577,12 +583,35 @@ class TestOrientationFallback:
         epochs[40] = replace(epochs[40], imu_burst=burst)
         config = CascadeConfig(initial=run.initial_nav(), fallback=fallback)
         message = ("orientation window of the epoch at t=8.2: "
-                   "non-finite stacked Jacobian entry in the orientation window")
+                   "non-finite stacked Jacobian entry in the orientation window "
+                   f"(it overflows at the IMU row at t={float(burst[0, 0])!r})")
         assert epochs[40].t == 8.2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the one-sample burst spans 0.2 s
+            state = CascadeState.start(config, epochs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-                run_cascade(epochs, config)
+                for epoch in epochs:
+                    state, _ = cascade_step(state, epoch)
+
+    def test_overflow_names_the_imu_row_inside_its_burst(self):
+        # A gyro reading of 1e160 in row 7 of a 20-row burst: the window's
+        # rotation overflows at that row, not at the burst's last.
+        run = generate(ScenarioSpec(kind="circle", duration=20.0, circle_radius=15.0))
+        epochs = run.epochs()
+        burst = epochs[40].imu_burst.copy()
+        burst[7, 4] = 1e160
+        epochs[40] = replace(epochs[40], imu_burst=burst)
+        state = CascadeState.start(CascadeConfig(initial=run.initial_nav()), epochs)
+        suffix = f" (it overflows at the IMU row at t={float(burst[7, 0])!r})"
+        assert len(burst) == 20 and burst[7, 0] < burst[-1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"{re.escape(suffix)}$"):
+                for epoch in epochs:
+                    state, _ = cascade_step(state, epoch)
+        assert state.cursor == 41
 
     def test_reseeds_from_window_start_ahrs_after_single_bad_epoch(self, monkeypatch):
         run, epochs = circle_run(duration=20.0)
@@ -603,7 +632,7 @@ class TestOrientationFallback:
         ahrs = np.array([e.ahrs for e in epochs[k + 1 - horizon:k + 1]])
         increments = [burst_oracle(e, good.biases)[0] for e in epochs[k + 2 - horizon:k + 1]]
         expected = _orientation_step(
-            good.params, ahrs[0], quat_normalize(ahrs[0]), good.params.k0_scale * np.eye(4),
+            good.params, quat_normalize(ahrs[0]).tolist(), identity_precond(good.params.k0_scale),
             one_window(ahrs, increments),
         )[0]
         state, point = cascade_step(state, nxt)
@@ -644,12 +673,13 @@ class TestVelocityStage:
         table = BurstInput.from_epochs(epochs, self.BIASES)
         ahrs = np.array([random_unit_quat(rng) for _ in range(horizon)])
         dvl = rng.normal(size=(horizon, 3))
-        M, _, _, sums = one_window(ahrs, table.rot_increment, table.body_dv, table.duration, dvl)
+        window = one_window(ahrs, table.rot_increment, table.body_dv, table.duration, dvl)
+        M, _ = window_terms(ahrs, table.rot_increment)
         q, iterate = random_unit_quat(rng), rng.normal(size=3)
         quats = burst_start_orientations(M, q)
         increments = velocity_increments(table.body_dv, table.duration, quats, GRAVITY)
         generic = IpgWindow(tuple(increments), tuple(dvl), iterate, k0 * np.eye(3))
-        return (q.tolist(), iterate, k0, sums), generic
+        return (q.tolist(), iterate.tolist(), k0, window.sums), generic
 
     def test_closed_form_matches_ipg_step(self, rng):
         model = identity_velocity_model()
@@ -724,8 +754,11 @@ class TestOrientationStage:
     @staticmethod
     def step(params, ahrs, iterate, K, increments):
         """``_orientation_step`` on one window's AHRS rows and increments, through
-        the one-window terms."""
-        return _orientation_step(params, ahrs[0], iterate, K, one_window(ahrs, increments))
+        the one-window terms, from an iterate and a 4x4 K given as arrays, as
+        ``ipg_step`` takes them; K comes back as a 4x4 array."""
+        estimate, warm, K, zeta = _orientation_step(
+            params, np.asarray(iterate).tolist(), np.ravel(K).tolist(), one_window(ahrs, increments))
+        return estimate, warm, np.reshape(K, (4, 4)), zeta
 
     def test_batched_step_matches_ipg_step(self, rng):
         # From k0 I and from a non-symmetric K; horizons up to 12 and alpha * N up
@@ -749,7 +782,7 @@ class TestOrientationStage:
             # orientations from it are rows 0..N-2 of the stacked map.
             expected = stacked_map(model, generic.inputs, ref.window_start).reshape(-1, 4)[:-1]
             np.testing.assert_allclose(zeta, expected[0], rtol=0.0, atol=1e-12)
-            M = one_window(args[0], args[3])[0]
+            M, _ = window_terms(args[0], args[3])
             np.testing.assert_allclose(burst_start_orientations(M, zeta), expected,
                                        rtol=0.0, atol=1e-12)
 
@@ -804,6 +837,27 @@ class TestOrientationStage:
             ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration
 
+    @pytest.mark.parametrize("alpha, diverges", [(1e300, True), (3e297, False)],
+                             ids=["entry-overflows", "only-the-sum-overflows"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_preconditioner_overflow_like_ipg_step(self, rng, alpha, diverges):
+        # One iteration from K = 1e10 I keeps the iterate finite, and K' holds
+        # entries near -alpha N 1e10: infinite at alpha 1e300; at 3e297 all finite,
+        # though their sum overflows, which is no divergence.
+        params = IpgParams(iterations=1, alpha=alpha)
+        args, generic = self.random_window(rng, params.horizon, 1e10)
+        if diverges:
+            with pytest.raises(DivergenceError) as batched:
+                self.step(params, *args)
+            with pytest.raises(DivergenceError) as generic_exc:
+                ipg_step(ORIENTATION_MODEL, params, generic)
+            assert batched.value.iteration == generic_exc.value.iteration == 0
+            return
+        _, _, K, _ = self.step(params, *args)
+        ref = ipg_step(ORIENTATION_MODEL, params, generic)
+        assert np.isfinite(K).all() and sum(K.ravel().tolist()) == -np.inf
+        np.testing.assert_allclose(K, ref.window.precond, rtol=1e-12, atol=0.0)
+
     def test_dynamics_jacobian_matches_finite_differences(self, rng):
         for _ in range(10):
             q = random_unit_quat(rng)
@@ -827,7 +881,7 @@ class TestOrientationStage:
             predicted = stacked_map(model, bursts, zeta)
             J = stacked_jacobian(model, bursts, zeta)
             r = predicted - model.align_measurements(predicted, ahrs.reshape(-1))
-            _, W, _, _ = one_window(ahrs, bursts)
+            W = np.array(one_window(ahrs, bursts).W)
             w = np.where(W @ zeta < 0.0, -1.0, 1.0) @ W
             tangent = np.eye(4) - np.outer(zeta, zeta)
             np.testing.assert_allclose(J.T @ J, np.eye(4) + (horizon - 1) * tangent,
@@ -871,8 +925,8 @@ class TestOrientationStage:
 
 class TestWindowTerms:
     """``cascade_step``'s block-built window terms against one-window oracles,
-    window by window, and their errors at the window's epoch: M and W bit for
-    bit against ``window_terms``, the sums bit for bit against a block of one
+    window by window, and their errors at the window's epoch: the maps M_1 and
+    M_{N-1} and W bit for bit against ``window_terms``, the sums bit for bit against a block of one
     window, and the velocity stage on them against the array oracle
     ``velocity_step``."""
 
@@ -885,7 +939,7 @@ class TestWindowTerms:
         real_step, real_terms = cascade._orientation_step, cascade._window_terms
         real_velocity = cascade._velocity_step
         monkeypatch.setattr(cascade, "_orientation_step",
-                            lambda *args: seen.append(args[4]) or real_step(*args))
+                            lambda *args: seen.append(args[3]) or real_step(*args))
         monkeypatch.setattr(cascade, "_window_terms",
                             lambda *args: blocks.append(args[5:]) or real_terms(*args))
         monkeypatch.setattr(cascade, "_velocity_step",
@@ -913,20 +967,21 @@ class TestWindowTerms:
             assert len(seen) == len(velocity) == count
             assert blocks == [(first, min(size, count - first)) for first in range(0, count, size)]
             bursts = state.bursts
-            for w, ((M, W, ok, sums), (args, result)) in enumerate(zip(seen, velocity)):
+            for w, (window, (args, result)) in enumerate(zip(seen, velocity)):
                 M_ref, W_ref = window_terms(state.ahrs[w:w + horizon],
                                             bursts.rot_increment[w + 1:w + horizon])
-                assert ok
-                assert np.array_equal(M.view(np.int64), M_ref.view(np.int64))
-                assert np.array_equal(W.view(np.int64), W_ref.view(np.int64))
+                assert window.fault is None
+                assert same_bits(window.start, state.ahrs[w])
+                assert same_bits(window.first, M_ref[0]) and same_bits(window.last, M_ref[-1])
+                assert same_bits(window.W, W_ref)
                 alone = _window_terms(state.ahrs, state.dvl, bursts, GRAVITY, horizon, w, 1)[0]
-                assert same_bits(sums, alone[3]) and args[4] is sums
+                assert same_bits(window.sums, alone.sums) and args[4] is window.sums
                 # The velocity stage from the window-start orientation q, against
                 # each burst's increment rotated from where it starts.
                 params, q, v_iterate, v_gain, _ = args
                 increments = velocity_increments(
                     bursts.body_dv[w + 1:w + horizon], bursts.duration[w + 1:w + horizon],
-                    burst_start_orientations(M, q), GRAVITY)
+                    burst_start_orientations(M_ref, q), GRAVITY)
                 expected = velocity_step(params, state.dvl[w:w + horizon], v_iterate, v_gain,
                                          increments)
                 for got, ref in zip(result, expected):
@@ -967,9 +1022,11 @@ class TestWindowTerms:
                 assert point.flag == ref.flag
                 for name in ("position", "velocity", "orientation"):
                     assert same_bits(getattr(point.nav, name), getattr(ref.nav, name))
+        message = f"orientation window of the epoch at t={epochs[bad].t!r}: {expected.value}"
+        if fault == "overflow":  # the one-sample burst's row
+            message += f" (it overflows at the IMU row at t={float(epochs[bad].imu_burst[0, 0])!r})"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            message = f"orientation window of the epoch at t={epochs[bad].t!r}: {expected.value}"
+            warnings.simplefilter("error")
             with pytest.raises(expected.type, match=f"^{re.escape(message)}$"):
                 cascade_step(state, epochs[bad])
 

@@ -418,6 +418,40 @@ class TestEstimate:
             f"error: {bad}: the metadata's {key!r} has a value of the wrong type (")
         assert not replay.exists() and not replay.with_suffix(".meta.json").exists()
 
+    @pytest.mark.parametrize("estimator, key, value, reason", [
+        ("cipg", "alpha", "x", "could not convert string to float: 'x'"),
+        ("cipg", "horizon", "5", "horizon must be an integer, got '5'"),
+        ("ekf", "q_pos", "x", "could not convert string to float: 'x'"),
+    ], ids=["cascade-float", "cascade-integer", "filter-float"])
+    def test_metadata_parameter_a_config_refuses_is_usage_error(
+            self, tmp_path, capsys, estimator, key, value, reason):
+        # Each once printed the config class's message alone, without the file,
+        # and a float's without the key.
+        assert main(["estimate", *SHORT_SIM, "--estimator", estimator,
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        meta["params"][key] = value
+        bad = tmp_path / "bad.meta.json"
+        bad.write_text(json.dumps(meta))
+        replay = tmp_path / "replay.csv"
+        rc = main(["estimate", "--from-metadata", str(bad), "--out", str(replay)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: the metadata's {key!r} is refused: {reason}\n"
+        assert not replay.exists()
+
+    def test_metadata_parameters_refused_together_name_the_file(self, tmp_path, capsys):
+        # alpha * horizon = 2.1: each value alone is accepted.
+        assert main(["estimate", *SHORT_SIM, "--out", str(tmp_path / "traj.csv")]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        meta["params"].update(alpha=0.35, horizon=6)
+        bad = tmp_path / "bad.meta.json"
+        bad.write_text(json.dumps(meta))
+        rc = main(["estimate", "--from-metadata", str(bad), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: alpha * horizon must be < 2")
+
     def test_replay_refuses_text_digest_metadata(self, tmp_path, capsys):
         data = simulate_into(tmp_path)
         traj = tmp_path / "traj.csv"

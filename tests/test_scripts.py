@@ -1,5 +1,6 @@
 """scripts/trajectory_diff.py: the one comparison rule behind its 1e-12 gate, and
-the items each tree's run gives it."""
+the items each tree's run gives it; scripts/mutants.py: its table against the
+source, and one must-kill mutant killed."""
 
 from __future__ import annotations
 
@@ -14,15 +15,39 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trajectory_diff.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def trajectory_diff():
-    spec = importlib.util.spec_from_file_location("trajectory_diff", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("trajectory_diff")
+
+
+@pytest.fixture(scope="module")
+def mutants():
+    return load_script("mutants")
+
+
+def test_mutant_table_matches_the_source(mutants):
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) == len(set(names)) >= 10
+    for m in mutants.MUTANTS:
+        assert mutants.source(m).read_text(encoding="utf-8").count(m.old) == 1, m.name
+        assert m.new != m.old, m.name
+
+
+def test_must_kill_mutant_is_killed(mutants, capsys):
+    # One pytest run of the unmutated copy and one of the mutant, on one node.
+    node = "tests/test_cascade.py::TestVelocityStage::test_closed_form_matches_ipg_step"
+    assert mutants.main(["--only", "velocity-b-sign", "--tests", node]) == 0
+    assert capsys.readouterr().out == f"{'killed':9s} {'velocity-b-sign':30s} {node}\n"
 
 
 def test_deviation_of_finite_arrays(trajectory_diff):
@@ -333,7 +358,7 @@ def test_changed_default_delta_differs_in_its_rows_alone(trajectory_diff, tmp_pa
     # A copy of the tree whose IpgParams takes delta 0.5 by default: every cipg
     # result changes, so its trajectories, the reports, the read-back rows and the
     # CLI's cipg outputs differ, and nothing of the filters or the data does.
-    src = SCRIPT.parents[1] / "src"
+    src = SCRIPTS.parent / "src"
     changed = tmp_path / "src"
     shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
     ipg = changed / "cipgnav" / "ipg.py"

@@ -389,6 +389,17 @@ class TestSynchronize:
             with pytest.raises(StreamOrderError, match=message.replace(".", r"\.")):
                 dvl_body_to_nav(arrays["dvl"], arrays["ahrs"])
 
+    def test_equidistant_ahrs_tie_takes_the_earlier_sample(self):
+        # Binary-exact times: the DVL sample at 1.0 lies 0.25 s from the AHRS
+        # samples at 0.75 and 1.25, exactly the tolerance (half the 0.5 s DVL period).
+        imu = np.column_stack([np.arange(17) * 0.125, np.zeros((17, 6))])
+        dvl = np.array([[t, 0.0, 0.0, 0.0] for t in (0.5, 1.0, 1.5)])
+        ahrs = np.array([[t, *quat_from_yaw(yaw)] for t, yaw in ((0.75, 0.1), (1.25, 0.2))])
+        epochs = synchronize(imu, dvl, ahrs)
+        assert [e.t for e in epochs] == [0.5, 1.0, 1.5]
+        for epoch, row in zip(epochs, [0, 0, 1]):
+            np.testing.assert_array_equal(epoch.ahrs, ahrs[row, 1:])
+
     def test_no_overlap_raises(self):
         imu, dvl, ahrs = make_streams(duration=2.0)
         shifted = dvl + [100.0, 0.0, 0.0, 0.0]

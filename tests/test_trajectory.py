@@ -78,6 +78,19 @@ def estimator_runs():
     return runs
 
 
+@pytest.mark.parametrize("name", ["cipg", "ekf", "inekf"])
+def test_estimator_trajectories_round_trip_bitwise(tmp_path, estimator_runs, name):
+    # Each estimator writes unit quaternions; reading them normalized again
+    # once moved some by an ulp, so ``evaluate`` scored other attitudes.
+    for seed in range(5):
+        points = estimator_runs[name, seed]
+        path = tmp_path / f"{seed}.csv"
+        write_trajectory(points, path)
+        (got, flags), (want, written) = bits(read_trajectory(path)), bits(points)
+        assert flags == written
+        np.testing.assert_array_equal(got, want)
+
+
 class TestAgainstOracles:
     """The reader and writer that go through ``sensors`` give what the per-row
     reader and the row-by-row writer gave, bit for bit."""
