@@ -2,23 +2,28 @@
 """Run a table of source mutants against the tests and report which survive.
 
 Each row of MUTANTS is one mutant: the file under ``src/cipgnav``, an exact
-old text that occurs once in it, the new text, a name, and whether the tests
-must kill it.  For each mutant the script copies ``src/`` to a temporary
-directory, makes the one replacement there, and runs pytest on the test
-target (``tests/test_cascade.py`` by default) with that copy first on the
-import path; the checkout itself is never changed.  A mutant is killed when
-pytest fails.  Before the mutants, the unmutated copy must pass the target.
+old text that occurs once in it, the new text, a name, whether the tests
+must kill it, and its pytest target, by default the test module of its file
+(``tests/test_baselines.py`` for ``baselines.py``).  For each mutant the
+script copies ``src/`` to a temporary directory, makes the one replacement
+there, and runs pytest on the row's target (or on ``--tests``) with that
+copy first on the import path; the checkout itself is never changed.  A
+mutant is killed when pytest fails.  Before the mutants, the unmutated copy
+must pass every target.
 
 Prints one line per mutant: killed or survived, its name, and the first
 failing test of a killed one.  Exits 1 if a must-kill mutant survives, and 2
-if the unmutated source fails the target or a row's old text does not occur
+if the unmutated source fails a target or a row's old text does not occur
 exactly once in its file (the table no longer matches the source).
 
-The table holds mutants of the cascade's per-epoch code: the reduced
+The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
-finiteness checks, and the per-block lists of window terms.  A row that may
-survive says why.  Each mutant takes one pytest run of the target, about
-10 s for ``tests/test_cascade.py``; none of this runs in tier-1.
+finiteness checks, and the per-block lists of window terms) and of the
+filters (the EKF's error transition, the measurement updates on Python
+floats and the InEKF's measurement rows).  A row that may survive says why.
+Each mutant takes one pytest run of its target, about 10 s for
+``tests/test_cascade.py`` and 3 s for ``tests/test_baselines.py``; none of
+this runs in tier-1.
 
 Example:
     python3 scripts/mutants.py
@@ -37,7 +42,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = "tests/test_cascade.py"
 
 
 class Mutant(NamedTuple):
@@ -46,6 +50,11 @@ class Mutant(NamedTuple):
     new: str
     name: str
     must_kill: bool
+    tests: str | None = None  # pytest target; None: the test module of ``file``
+
+    @property
+    def target(self) -> str:
+        return self.tests or f"tests/test_{Path(self.file).stem}.py"
 
 
 MUTANTS = [
@@ -96,6 +105,20 @@ MUTANTS = [
     # May survive: normalizing M_1 zeta once instead of twice moves the warm
     # start by at most an ulp, which no tolerance of ipg_step's comparison sees.
     Mutant("cascade.py", "_unit(_unit(warm))", "_unit(warm)", "warm-single-normalize", False),
+    # The filters: the EKF's error transition, the updates' float algebra and H.
+    Mutant("baselines.py", "F[:, 3:6, 6:9] = -dt * (R @ _skew(a))",
+           "F[:, 3:6, 6:9] = dt * (R @ _skew(a))", "ekf-transition-sign", True),
+    Mutant("baselines.py", "q_meas = [-mw, -mx, -my, -mz]", "q_meas = [mw, mx, my, mz]",
+           "ekf-no-hemisphere-flip", True),
+    Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",
+           "product_entries([w, x, y, z], q_meas)", "ekf-innovation-conjugate", True),
+    Mutant("baselines.py", "P = IKH @ P @ IKH.T + (K * config._r) @ K.T", "P = IKH @ P @ IKH.T",
+           "ekf-joseph-no-krk", True),
+    Mutant("quat.py", "half = 0.5 * angle\n        s = math.sin(half)",
+           "half = angle\n        s = math.sin(half)", "correction-full-angle", True,
+           "tests/test_baselines.py"),
+    Mutant("baselines.py", "H[0:3, 0:3] = _skew(state.velocity)",
+           "H[0:3, 0:3] = -_skew(state.velocity)", "inekf-velocity-row-sign", True),
 ]
 
 
@@ -124,8 +147,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--tests", nargs="+", default=[TESTS],
-                        help=f"pytest targets, relative to the checkout (default {TESTS})")
+    parser.add_argument("--tests", nargs="+",
+                        help="pytest targets, relative to the checkout, for every mutant "
+                             "(default: each row's own target)")
     args = parser.parse_args(argv)
     names = [m.name for m in MUTANTS]
     unknown = sorted(set(args.only or ()) - set(names))
@@ -138,20 +162,22 @@ def main(argv=None) -> int:
         print(f"error: the old text of {stale} does not occur exactly once in its file",
               file=sys.stderr)
         return 2
+    targets = {m.name: args.tests or [m.target] for m in mutants}
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        failure = run_tests(src, args.tests)
-        if failure is not None:
-            print(f"error: the unmutated source fails {' '.join(args.tests)}: {failure}",
-                  file=sys.stderr)
-            return 2
+        for tests in dict.fromkeys(map(tuple, targets.values())):
+            failure = run_tests(src, list(tests))
+            if failure is not None:
+                print(f"error: the unmutated source fails {' '.join(tests)}: {failure}",
+                      file=sys.stderr)
+                return 2
         status = 0
         for mutant in mutants:
             path = source(mutant, src)
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-            failure = run_tests(src, args.tests)
+            failure = run_tests(src, targets[mutant.name])
             path.write_text(original, encoding="utf-8")
             verdict = "killed" if failure else "survived"
             note = failure or ("MUST BE KILLED" if mutant.must_kill else "may survive")

@@ -21,11 +21,21 @@ P <- F_k P F_k^T + Q_k and its 3x3 rotation chain sample by sample.  The EKF
 update uses that its measurements select error-state rows 3..8 and forms no
 product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
 9-element arrays a numpy call costs more than its arithmetic.
+
+For the same reason both updates run their vector algebra on Python floats:
+the innovation, the hemisphere test, the Hamilton products, the rotation
+vector maps and the mean correction, with math's cos and sin (see ``quat``).
+Elementwise float arithmetic rounds as numpy's does, so only the matrix
+products and the norms formed as ``v @ v`` are left to numpy, and each
+update's result equals its array form bit for bit (the InEKF amplifies a
+last-bit change about 10^4-fold over a run).  Both updates refuse a
+non-finite DVL or AHRS reading with NumericalError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,9 +52,8 @@ from .preintegration import (
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
-    quat_conjugate,
+    product_entries,
     quat_from_rotvec,
-    quat_multiply,
     quat_normalize,
     quat_to_rotation,
     quat_to_rotvec,
@@ -72,12 +81,19 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 _EYE9 = np.eye(9)
+# The InEKF's measurement rows without their one state-dependent block, [v]x at H[0:3, 0:3].
+_H_INEKF = np.zeros((6, 9))
+_H_INEKF[0:3, 3:6] = _H_INEKF[3:6, 0:3] = -_EYE3
+_H_INEKF.setflags(write=False)
 _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
 
 
 def _skew(v) -> np.ndarray:
     """[v]x of a 3-vector, or of each row of an (..., 3) array as (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
+    if v.ndim == 1:  # one vector: its entries on Python floats
+        x, y, z = v.tolist()
+        return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     S = np.zeros(v.shape[:-1] + (3, 3))
     S[..., 0, 1], S[..., 0, 2], S[..., 1, 2] = -z, y, -x
@@ -92,8 +108,9 @@ class FilterConfig:
     The initial and measurement covariances default to 0.1 * I.  Process
     noise defaults are continuous densities at consumer-IMU datasheet scale
     (per-axis position / velocity / attitude), discretized per sample dt.
-    ``p0_scale`` and ``q_*`` must be finite and >= 0, ``r_vel`` and ``r_att`` three finite
-    values > 0, kept read-only so that the matrices built from them here stay current.
+    ``p0_scale`` and ``q_*`` must be real numbers, finite and >= 0, ``r_vel`` and ``r_att``
+    three finite integer or float values > 0, kept read-only so that the matrices built
+    from them here stay current; a string or a bool is refused.
     A config compares and hashes by identity, as its array fields have no
     single truth value: it equals only itself, and ``dataclasses.replace``
     gives a new config that equals neither the old one nor another copy.
@@ -111,15 +128,21 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("p0_scale", "q_pos", "q_vel", "q_att"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            # A numeric string would convert; a bool is not a variance.
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
             if not 0.0 <= value < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
             object.__setattr__(self, name, value)
         for name in ("r_vel", "r_att"):
-            r = np.array(getattr(self, name), dtype=float)
-            if r.shape != (3,) or not ((0.0 < r) & (r < math.inf)).all():
+            r = np.asarray(getattr(self, name))
+            # Integer or float values only: strings, bools and objects are refused.
+            if r.dtype.kind not in "iuf" or r.shape != (3,) or not (
+                    (0.0 < r) & (r < math.inf)).all():
                 raise ValueError(f"{name} must be 3 finite values > 0, got {r.tolist()}")
-            object.__setattr__(self, name, r)
+            object.__setattr__(self, name, r.astype(float))  # a copy the caller cannot change
         q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
         r = np.concatenate([self.r_vel, self.r_att])
         vars(self).update(_q=q, _g_skew=_skew(self.gravity.vector), _r=r, _r_matrix=np.diag(r))
@@ -188,14 +211,19 @@ def _gain(S, HP):
 
 
 def kalman_update(P, H, R, innovation):
-    """Joseph-form linear update; returns (state correction, posterior covariance)."""
+    """Joseph-form linear update; returns (state correction, posterior covariance).
+
+    H has one row per measurement (a 1-D H is one row), R is square and the
+    innovation a vector, both of the measurements' size.
+    """
     P = np.asarray(P, dtype=float)
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    y = np.atleast_1d(np.asarray(innovation, dtype=float))
+    H = np.asarray(H, dtype=float).reshape(-1, len(P))
+    m = len(H)
+    R = np.asarray(R, dtype=float).reshape(m, m)
+    y = np.asarray(innovation, dtype=float).reshape(m)
     K = _gain(H @ P @ H.T + R, H @ P)
     dx = K @ y
-    IKH = np.eye(P.shape[0]) - K @ H
+    IKH = (_EYE9 if len(P) == 9 else np.eye(len(P))) - K @ H
     P_post = IKH @ P @ IKH.T + K @ R @ K.T
     return dx, 0.5 * (P_post + P_post.T)
 
@@ -259,12 +287,28 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
                     _finish_cov(P, config, "ekf_predict"))
 
 
-def _attitude_innovation(q_est, q_meas) -> np.ndarray:
-    """Small-angle body-frame attitude innovation 2 * vec(q_est^-1 * q_meas)."""
-    q_meas = np.asarray(q_meas, dtype=float)
-    if float(q_meas @ q_est) < 0.0:
-        q_meas = -q_meas
-    return 2.0 * quat_multiply(quat_conjugate(q_est), q_meas)[1:]
+def _readings(what: str, dvl, ahrs):
+    """The DVL and AHRS readings as 3 and 4 Python floats; a non-finite one raises
+    NumericalError naming ``what``."""
+    d, q = np.asarray(dvl, dtype=float).tolist(), np.asarray(ahrs, dtype=float).tolist()
+    if not all(map(math.isfinite, d + q)):
+        stream, values = ("ahrs", ahrs) if all(map(math.isfinite, d)) else ("dvl", dvl)
+        raise NumericalError(f"{what}: non-finite {stream} measurement: {values!r}")
+    return d, q
+
+
+def _attitude_innovation(q_est, q_meas) -> list:
+    """Small-angle body-frame attitude innovation 2 * vec(q_est^-1 * q_meas), as 3 floats.
+
+    q_est is a float array and q_meas 4 floats, taken on q_est's hemisphere: it
+    is negated when the ordered float sum of their dot product is negative.
+    """
+    w, x, y, z = q_est.tolist()
+    mw, mx, my, mz = q_meas
+    if w * mw + x * mx + y * my + z * mz < 0.0:
+        q_meas = [-mw, -mx, -my, -mz]
+    _, *vec = quat_normalize(np.array(product_entries([w, -x, -y, -z], q_meas))).tolist()
+    return [2.0 * c for c in vec]
 
 
 def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
@@ -276,20 +320,26 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     I - K H is the identity with K subtracted from columns 3..8, and, R
     being diagonal, K R K^T = (K r) K^T.  Each of these equals its product
     with H exactly, so the result is ``kalman_update(P, H, R, y)`` bit for
-    bit, with the same NumericalError on a singular S.
+    bit, with the same NumericalError on a singular S.  The innovation and the
+    mean correction are formed on Python floats; a non-finite reading raises
+    NumericalError.
     """
     nav, P = state.nav, state.cov
-    y = np.concatenate([np.asarray(dvl, dtype=float) - nav.velocity,
-                        _attitude_innovation(nav.orientation, ahrs)])
+    (d0, d1, d2), q = _readings("ekf_update", dvl, ahrs)
+    v0, v1, v2 = nav.velocity.tolist()
+    y = np.array([d0 - v0, d1 - v1, d2 - v2, *_attitude_innovation(nav.orientation, q)])
     K = _gain(P[3:, 3:] + config._r_matrix, P[3:])
     dx = K @ y
     IKH = _EYE9.copy()
     IKH[:, 3:] -= K
     P = IKH @ P @ IKH.T + (K * config._r) @ K.T
     P = 0.5 * (P + P.T)
-    position = nav.position + dx[0:3]
-    velocity = nav.velocity + dx[3:6]
-    orientation = quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9]))
+    p0, p1, p2 = nav.position.tolist()
+    c = dx.tolist()
+    position = np.array([p0 + c[0], p1 + c[1], p2 + c[2]])
+    velocity = np.array([v0 + c[3], v1 + c[4], v2 + c[5]])
+    dq = quat_from_rotvec(dx[6:9]).tolist()
+    orientation = quat_normalize(np.array(product_entries(nav.orientation.tolist(), dq)))
     # The covariance is exactly symmetric: only a validating filter checks it.
     P = _check_cov(P, _PSD_TOL, "ekf_update") if config.validate else P
     return EkfState(NavState.exact(position, velocity, orientation), P)
@@ -304,8 +354,8 @@ def _left_jacobian_so3(theta) -> np.ndarray:
     a2 = angle * angle
     return (
         _EYE3
-        + (1.0 - np.cos(angle)) / a2 * S
-        + (angle - np.sin(angle)) / (a2 * angle) * (S @ S)
+        + (1.0 - math.cos(angle)) / a2 * S
+        + (angle - math.sin(angle)) / (a2 * angle) * (S @ S)
     )
 
 
@@ -367,6 +417,17 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     return InekfState(rotations[-1], vs[-1], ps[-1], P)
 
 
+def _inekf_measurement(state: InekfState, d, ahrs):
+    """The InEKF's innovation y and measurement rows H for DVL floats ``d`` and an
+    AHRS quaternion: y = H xi to first order in the error xi (see ``inekf_update``)."""
+    (d0, d1, d2), (v0, v1, v2) = d, state.velocity.tolist()
+    R_meas = quat_to_rotation(ahrs)
+    y_att = quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
+    H = _H_INEKF.copy()
+    H[0:3, 0:3] = _skew(state.velocity)
+    return np.array([d0 - v0, d1 - v1, d2 - v2, *y_att.tolist()]), H
+
+
 def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfState:
     """Fuse DVL velocity and AHRS attitude in the right-invariant error frame.
 
@@ -374,15 +435,9 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
     linearized measurement rows are [ [v]x, -I, 0 ] for the velocity
     innovation z - v_est and [ -I, 0, 0 ] for the attitude innovation
     Log(R_meas R_est^T); the correction applies as X <- Exp(-K y) * X.
+    A non-finite reading raises NumericalError.
     """
-    R_meas = quat_to_rotation(ahrs)
-    y_vel = np.asarray(dvl, dtype=float) - state.velocity
-    y_att = quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
-    y = np.concatenate([y_vel, y_att])
-
-    H = np.zeros((6, 9))
-    H[0:3, 0:3] = _skew(state.velocity)
-    H[0:3, 3:6] = H[3:6, 0:3] = -_EYE3
+    y, H = _inekf_measurement(state, _readings("inekf_update", dvl, ahrs)[0], ahrs)
     dx, P = kalman_update(state.cov, H, config._r_matrix, y)
 
     Rc, dv, dp = se23_exp(-dx)

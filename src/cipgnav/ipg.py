@@ -77,6 +77,8 @@ class IpgParams:
 
     ``alpha`` (preconditioner) and ``delta`` (iterate) are the step sizes of
     every inner iteration; ``k0_scale * I`` is the initial preconditioner.
+    The counts must be integers and the step sizes real numbers: a string or a
+    bool is refused.
     """
 
     horizon: int = 5
@@ -95,7 +97,11 @@ class IpgParams:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, int(value))
         for name in ("k0_scale", "alpha", "delta"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            # A numeric string would convert; a bool is not a step size.
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
             if not 0.0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)

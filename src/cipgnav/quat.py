@@ -14,9 +14,13 @@ ignores their sign, ``np.signbit`` does not); ``row_norms``, ``unit_rows`` and
 ``rotation_rows`` are the kernels under them.  Row results are C-contiguous,
 as numpy's matmul rounds by memory layout.  One value skips the row machinery,
 whose numpy calls cost more than their arithmetic:
-``rotation_rows`` and ``rotation_to_quat`` run on Python floats, which round as
-numpy does (``rotation_entries`` is that path for a caller on floats); cos, sin
-and arctan2 stay numpy's, which may round unlike math's.
+``rotation_rows``, ``quat_product``, ``quat_from_rotvec``, ``quat_to_rotvec``
+and ``rotation_to_quat`` run on Python floats, which round as numpy does
+(``rotation_entries`` and ``product_entries`` are those paths for a caller on
+floats); norms stay ``v @ v``.  One rotation vector's cos and sin are math's,
+which matched numpy's on every one of 700,000 draws on an AVX-512 x86-64 host
+with numpy 2.4; arctan2 stays numpy's, as math's differed from it on about 1.5%
+of draws there.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "row_norms",
     "unit_rows",
     "quat_product",
+    "product_entries",
     "quat_multiply",
     "quat_conjugate",
     "quat_to_rotation",
@@ -112,14 +117,21 @@ def _stack_last(*components) -> np.ndarray:
 
 def quat_product(a, b) -> np.ndarray:
     """Hamilton product a*b without renormalization (inputs may be non-unit), or of rows."""
-    aw, ax, ay, az = _components(a)
-    bw, bx, by, bz = _components(b)
-    return _stack_last(
+    return _stack_last(*product_entries(_components(a), _components(b)))
+
+
+def product_entries(a, b) -> list:
+    """The 4 components of the Hamilton product a*b of two quaternions given as 4
+    Python floats each, on Python floats: ``quat_product`` of one pair.  The same
+    expressions evaluate columns of rows for ``quat_product``."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return [
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    )
+    ]
 
 
 def quat_multiply(a, b) -> np.ndarray:
@@ -229,33 +241,45 @@ def quat_angular_distance(a, b):
 
 
 def quat_from_rotvec(v) -> np.ndarray:
-    """Unit quaternion for a rotation vector (axis * angle, rad), or for each row."""
-    v = np.ascontiguousarray(_as_finite(v, "rotation vector"))
-    angle = math.sqrt(v @ v) if v.ndim == 1 else row_norms(v)[..., None]  # as row_norms rounds
+    """Unit quaternion for a rotation vector (axis * angle, rad), or for each row.
+
+    A non-finite component, or an angle that overflows, raises ValueError.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    one = v.ndim == 1
+    angle = math.sqrt(v @ v) if one else row_norms(v)[..., None]  # as row_norms rounds
+    if not (angle < math.inf if one else (angle < math.inf).all()):  # also NaN
+        raise ValueError(f"non-finite rotation vector or angle: {v!r}")
     small = angle < 1e-12
-    if v.ndim == 1 and small:
+    if one and small:
         return quat_from_rotvec(v[None])[0]
-    if v.ndim > 1 and small.any():
+    if one:  # on Python floats; math's cos and sin round as numpy's on the hosts tested
+        half = 0.5 * angle
+        s = math.sin(half)
+        x, y, z = v.tolist()
+        return np.array([math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)])
+    if small.any():
         # First-order expansion keeps the map smooth through zero; other rows are exact.
         first = np.concatenate([np.ones_like(angle), 0.5 * v], axis=-1)
         return np.where(small, first / row_norms(first)[..., None],
                         quat_from_rotvec(np.where(small, 1.0, v)))
     half = 0.5 * angle
-    return np.concatenate([np.atleast_1d(np.cos(half)), np.sin(half) * (v / angle)], axis=-1)
+    return np.concatenate([np.cos(half), np.sin(half) * (v / angle)], axis=-1)
 
 
 def quat_to_rotvec(q) -> np.ndarray:
-    """Rotation vector of a unit quaternion (inverse of quat_from_rotvec)."""
+    """Rotation vector of a unit quaternion (inverse of quat_from_rotvec), taken on the
+    w >= 0 hemisphere; arctan2 is numpy's."""
     q = quat_normalize(q)
-    if q[0] < 0.0:
-        q = -q
-    w = min(float(q[0]), 1.0)
     vec = q[1:]
-    s = math.sqrt(vec @ vec)  # np.linalg.norm(vec), without its overhead
+    s = math.sqrt(vec @ vec)  # np.linalg.norm(vec), without its overhead; the same for -vec
+    w, x, y, z = q.tolist()
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
     if s < 1e-12:
-        return 2.0 * vec
-    angle = 2.0 * np.arctan2(s, w)
-    return angle * vec / s
+        return np.array([2.0 * x, 2.0 * y, 2.0 * z])
+    angle = 2.0 * float(np.arctan2(s, min(w, 1.0)))
+    return np.array([angle * x / s, angle * y / s, angle * z / s])
 
 
 def quat_from_yaw(yaw) -> np.ndarray:

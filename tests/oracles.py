@@ -33,6 +33,13 @@ norm crashes it, where the package drops and counts the row.
 ``scenario_to_dict`` is ``sim.ScenarioSpec.to_dict`` as it was written out
 field by field, before it was built from ``dataclasses.fields``: the package's
 must give an equal dict, with its keys in the same order.
+
+``ekf_update`` and ``inekf_update`` are the filters' measurement updates as
+they were on numpy arrays, before their vector algebra ran on Python floats:
+the innovation, the Hamilton products and the rotation-vector maps on 3- and
+4-element arrays with numpy's cos and sin, H built from ``np.zeros``, and
+``kalman_update`` through ``np.atleast_2d`` and ``np.eye``.  The package's
+updates must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from cipgnav.adapters import (
     StreamLog,
     load_adapter,
 )
+from cipgnav.baselines import EkfState, InekfState, _check_cov, _gain, _PSD_TOL
 from cipgnav.errors import (
     DegenerateQuaternionError,
     DivergenceError,
@@ -66,10 +74,13 @@ from cipgnav.quat import (
     _NORM_EPS,
     hemisphere_align,
     quat_from_euler,
+    quat_from_rotvec,
     quat_normalize,
     quat_product,
     quat_right_matrix,
+    quat_to_rotation,
     rotation_rows,
+    rotation_to_quat,
     unit_rows,
 )
 from cipgnav.sensors import GroundTruthSample, dvl_body_to_nav, open_csv, save_stream
@@ -417,3 +428,114 @@ def adapt(spec: dict, src_dir, out_dir) -> ConversionLog:
         save_stream(stream, out_dir / f"{kind}.csv", kind)
         clog.streams[kind].rows_written = len(stream)
     return clog
+
+
+def _as_finite(q, name):
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError(f"non-finite {name}: {q!r}")
+    return q
+
+
+def _quat_multiply(a, b):
+    return quat_normalize(quat_product(_as_finite(a, "left quaternion"),
+                                       _as_finite(b, "right quaternion")))
+
+
+def _rotvec_to_quat(v):
+    """quat_from_rotvec of one vector with numpy's cos and sin; its first-order
+    branch is the package's rows."""
+    v = np.ascontiguousarray(_as_finite(v, "rotation vector"))
+    angle = math.sqrt(v @ v)
+    if angle < 1e-12:
+        return quat_from_rotvec(v[None])[0]
+    half = 0.5 * angle
+    return np.concatenate([np.atleast_1d(np.cos(half)), np.sin(half) * (v / angle)])
+
+
+def _quat_to_rotvec(q):
+    q = quat_normalize(q)
+    if q[0] < 0.0:
+        q = -q
+    w = min(float(q[0]), 1.0)
+    vec = q[1:]
+    s = math.sqrt(vec @ vec)
+    if s < 1e-12:
+        return 2.0 * vec
+    angle = 2.0 * np.arctan2(s, w)
+    return angle * vec / s
+
+
+def _skew(v):
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2], S[..., 1, 2] = -z, y, -x
+    S[..., 1, 0], S[..., 2, 0], S[..., 2, 1] = z, -y, x
+    return S
+
+
+def _kalman_update(P, H, R, innovation):
+    P = np.asarray(P, dtype=float)
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    y = np.atleast_1d(np.asarray(innovation, dtype=float))
+    K = _gain(H @ P @ H.T + R, H @ P)
+    dx = K @ y
+    IKH = np.eye(P.shape[0]) - K @ H
+    P_post = IKH @ P @ IKH.T + K @ R @ K.T
+    return dx, 0.5 * (P_post + P_post.T)
+
+
+def _se23_exp(xi):
+    xi = np.asarray(xi, dtype=float)
+    theta, dv, dp = xi[0:3], xi[3:6], xi[6:9]
+    R = quat_to_rotation(_rotvec_to_quat(theta))
+    angle = math.sqrt(theta @ theta)
+    S = _skew(theta)
+    if angle < 1e-8:
+        J = np.eye(3) + 0.5 * S + S @ S / 6.0
+    else:
+        a2 = angle * angle
+        J = (np.eye(3) + (1.0 - np.cos(angle)) / a2 * S
+             + (angle - np.sin(angle)) / (a2 * angle) * (S @ S))
+    return R, J @ dv, J @ dp
+
+
+def ekf_update(state, dvl, ahrs, config):
+    nav, P = state.nav, state.cov
+    q_meas = np.asarray(ahrs, dtype=float)
+    if float(q_meas @ nav.orientation) < 0.0:
+        q_meas = -q_meas
+    q_est = nav.orientation
+    attitude = 2.0 * _quat_multiply(np.array([q_est[0], -q_est[1], -q_est[2], -q_est[3]]),
+                                    q_meas)[1:]
+    y = np.concatenate([np.asarray(dvl, dtype=float) - nav.velocity, attitude])
+    K = _gain(P[3:, 3:] + config._r_matrix, P[3:])
+    dx = K @ y
+    IKH = np.eye(9)
+    IKH[:, 3:] -= K
+    P = IKH @ P @ IKH.T + (K * config._r) @ K.T
+    P = 0.5 * (P + P.T)
+    position = nav.position + dx[0:3]
+    velocity = nav.velocity + dx[3:6]
+    orientation = _quat_multiply(nav.orientation, _rotvec_to_quat(dx[6:9]))
+    P = _check_cov(P, _PSD_TOL, "ekf_update") if config.validate else P
+    return EkfState(NavState.exact(position, velocity, orientation), P)
+
+
+def inekf_update(state, dvl, ahrs, config):
+    R_meas = quat_to_rotation(ahrs)
+    y_vel = np.asarray(dvl, dtype=float) - state.velocity
+    y_att = _quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
+    y = np.concatenate([y_vel, y_att])
+    H = np.zeros((6, 9))
+    H[0:3, 0:3] = _skew(state.velocity)
+    H[0:3, 3:6] = H[3:6, 0:3] = -np.eye(3)
+    dx, P = _kalman_update(state.cov, H, config._r_matrix, y)
+    Rc, dv, dp = _se23_exp(-dx)
+    rotation = Rc @ state.rotation
+    velocity = Rc @ state.velocity + dv
+    position = Rc @ state.position + dp
+    P = _check_cov(P, _PSD_TOL, "inekf_update") if config.validate else P
+    return InekfState(rotation, velocity, position, P)

@@ -15,6 +15,7 @@ from cipgnav.baselines import (
     InekfState,
     _attitude_innovation,
     _check_cov,
+    _inekf_measurement,
     ekf_predict,
     ekf_update,
     inekf_predict,
@@ -34,9 +35,11 @@ from cipgnav.quat import (
     quat_normalize,
     quat_product,
     quat_to_rotation,
+    rotation_to_quat,
 )
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
-from tests.conftest import random_unit_quat
+from tests import oracles
+from tests.conftest import central_difference, random_unit_quat
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -275,6 +278,94 @@ class TestEkfUpdate:
             run(config)
 
 
+class TestUpdatesAgainstArrayOracles:
+    """ekf_update and inekf_update on Python floats against their forms on numpy
+    arrays in ``oracles``, bit for bit."""
+
+    def draws(self, rng, validate):
+        """Random 6-DOF states, covariances from 1e-6 to 1e2 and readings: a quarter exact,
+        so that the correction angle is below 1e-12, and half of the AHRS readings on the
+        opposite hemisphere."""
+        for k in range(300):
+            config = FilterConfig(r_vel=rng.uniform(0.001, 1.0, 3),
+                                  r_att=rng.uniform(0.001, 1.0, 3), validate=validate)
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(scale=2.0, size=3),
+                           random_unit_quat(rng))
+            P = random_cov(rng) * 10.0 ** rng.uniform(-6.0, 2.0)
+            if k % 4 == 0:
+                dvl, ahrs = nav.velocity.copy(), nav.orientation.copy()
+            else:
+                dvl = nav.velocity + rng.normal(scale=0.5, size=3)
+                ahrs = quat_product(nav.orientation, quat_from_rotvec(rng.normal(scale=0.3, size=3)))
+            yield config, nav, P, dvl, -ahrs if k % 2 else ahrs, k % 4 == 0
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_ekf_update(self, rng, validate):
+        tiny = 0
+        for config, nav, P, dvl, ahrs, exact in self.draws(rng, validate):
+            out = ekf_update(EkfState(nav, P), dvl, ahrs, config)
+            ref = oracles.ekf_update(EkfState(nav, P), dvl, ahrs, config)
+            assert out.cov.tobytes() == ref.cov.tobytes()
+            for got, want in zip(vars(out.nav).values(), vars(ref.nav).values()):
+                assert got.tobytes() == want.tobytes()
+            tiny += exact and quat_angular_distance(out.nav.orientation, nav.orientation) < 1e-12
+        assert tiny == 75  # every exact reading took the first-order correction
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_inekf_update(self, rng, validate):
+        tiny = 0
+        for config, nav, P, dvl, ahrs, exact in self.draws(rng, validate):
+            state = replace(InekfState.start(nav, config), cov=P)
+            out = inekf_update(state, dvl, ahrs, config)
+            ref = oracles.inekf_update(state, dvl, ahrs, config)
+            for name in ("rotation", "velocity", "position", "cov"):
+                assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
+            tiny += exact and np.abs(out.rotation - state.rotation).max() < 1e-12
+        assert tiny == 75
+
+
+class TestUpdateLinearization:
+    """Each update's measurement rows against a central difference of its innovation,
+    with the state moved along each error coordinate by the filter's own retraction."""
+
+    def state(self, rng):
+        return NavState(rng.normal(scale=10.0, size=3), rng.normal(scale=2.0, size=3),
+                        random_unit_quat(rng))
+
+    def test_ekf(self, rng):
+        # X + dx = (p + dp, v + dv, q (x) Exp(dtheta)); measurements of the noise-free
+        # state itself, so the innovation of the moved state is -H dx to first order.
+        H = np.eye(9)[3:]
+        for _ in range(20):
+            nav = self.state(rng)
+            dvl, ahrs = nav.velocity, nav.orientation
+
+            def innovation(dx):
+                q = quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9]))
+                return [*(dvl - (nav.velocity + dx[3:6])), *_attitude_innovation(q, ahrs)]
+
+            J = central_difference(innovation, np.zeros(9))
+            np.testing.assert_allclose(J, -H, rtol=0.0, atol=1e-6)
+
+    def test_inekf(self, rng):
+        # Exp(xi) X by se23_exp; the error is X_est X_true^-1 and the correction
+        # Exp(-K y), so the innovation of the moved state is +H xi to first order.
+        for _ in range(20):
+            state = InekfState.start(self.state(rng), FilterConfig())
+            dvl, ahrs = state.velocity.tolist(), rotation_to_quat(state.rotation)
+            _, H = _inekf_measurement(state, dvl, ahrs)
+
+            def innovation(xi):
+                Rc, dv, dp = se23_exp(xi)
+                moved = InekfState(Rc @ state.rotation, Rc @ state.velocity + dv,
+                                   Rc @ state.position + dp, state.cov)
+                return _inekf_measurement(moved, dvl, ahrs)[0]
+
+            J = central_difference(innovation, np.zeros(9))
+            np.testing.assert_allclose(J, H, rtol=0.0, atol=1e-6)
+            assert np.abs(H[0:3, 0:3]).max() > 1e-3  # the velocity's attitude block is tested
+
+
 class TestCovarianceGuard:
     def test_rejects_nonfinite(self):
         P = np.eye(2)
@@ -429,6 +520,21 @@ class TestNonFiniteMeasurement:
             f"{run_filter.__name__}: non-finite {stream} measurement at epoch 20 "
             f"(t={epochs[20].t!r})")
 
+    @pytest.mark.parametrize("stream", ["dvl", "ahrs"])
+    @pytest.mark.parametrize("kind", ["ekf", "inekf"])
+    def test_update_refuses_it(self, kind, stream):
+        # Without _run_filter's check a NaN reading once surfaced as a ValueError about a
+        # rotation vector or a quaternion, or as a DegenerateQuaternionError.
+        config = FilterConfig()
+        start, update = ((EkfState.start, ekf_update) if kind == "ekf"
+                         else (InekfState.start, inekf_update))
+        readings = {"dvl": np.array([0.5, 0.0, 0.0]), "ahrs": np.array([1.0, 0.0, 0.0, 0.0])}
+        readings[stream][1] = np.nan
+        with pytest.raises(NumericalError) as exc_info:
+            update(start(NavState(), config), readings["dvl"], readings["ahrs"], config)
+        assert str(exc_info.value) == (f"{kind}_update: non-finite {stream} measurement: "
+                                       f"{readings[stream]!r}")
+
 
 class TestRunnersMatchTheirSteps:
     """run_ekf and run_inekf give exactly what a plain loop over their steps gives."""
@@ -472,8 +578,13 @@ class TestFilterConfig:
         (dict(r_att=[0.1, 0.0, 0.1]), "r_att must be 3 finite values > 0, got [0.1, 0.0, 0.1]"),
         (dict(r_att=[0.1, np.nan, 0.1]), "r_att must be 3 finite values > 0"),
         (dict(r_vel=[0.1, 0.1]), "r_vel must be 3 finite values > 0, got [0.1, 0.1]"),
+        (dict(q_pos="5"), "q_pos must be a real number, got '5'"),
+        (dict(p0_scale=True), "p0_scale must be a real number, got True"),
+        (dict(q_att=None), "q_att must be a real number, got None"),
+        (dict(r_vel=["0.1"] * 3), "r_vel must be 3 finite values > 0, got ['0.1', '0.1', '0.1']"),
+        (dict(r_att=[True] * 3), "r_att must be 3 finite values > 0, got [True, True, True]"),
     ], ids=["p0-negative", "q-negative", "q-nan", "q-inf", "r-negative", "r-zero", "r-nan",
-            "r-shape"])
+            "r-shape", "q-str", "p0-bool", "q-none", "r-str", "r-bool"])
     def test_rejects_bad_values(self, kwargs, message):
         with pytest.raises(ValueError) as exc_info:
             FilterConfig(**kwargs)
@@ -482,6 +593,12 @@ class TestFilterConfig:
     def test_zero_noise_is_accepted(self):
         cfg = FilterConfig(p0_scale=0.0, q_pos=0.0, q_vel=0.0, q_att=0.0)
         np.testing.assert_array_equal(cfg.q_diag(), np.zeros(9))
+
+    def test_integer_values_are_accepted_as_floats(self):
+        cfg = FilterConfig(q_pos=1, p0_scale=np.int64(2), r_vel=[1, 2, 3], r_att=np.ones(3, int))
+        assert (type(cfg.q_pos), type(cfg.p0_scale)) == (float, float)
+        assert cfg.r_vel.dtype == cfg.r_att.dtype == float
+        np.testing.assert_array_equal(cfg._r, [1.0, 2.0, 3.0, 1.0, 1.0, 1.0])
 
     def test_compares_and_hashes_by_identity(self):
         cfg = FilterConfig()

@@ -419,14 +419,17 @@ class TestEstimate:
         assert not replay.exists() and not replay.with_suffix(".meta.json").exists()
 
     @pytest.mark.parametrize("estimator, key, value, reason", [
-        ("cipg", "alpha", "x", "could not convert string to float: 'x'"),
+        ("cipg", "alpha", "x", "alpha must be a real number, got 'x'"),
         ("cipg", "horizon", "5", "horizon must be an integer, got '5'"),
-        ("ekf", "q_pos", "x", "could not convert string to float: 'x'"),
-    ], ids=["cascade-float", "cascade-integer", "filter-float"])
+        ("ekf", "q_pos", "x", "q_pos must be a real number, got 'x'"),
+        ("cipg", "alpha", "0.5", "alpha must be a real number, got '0.5'"),
+        ("ekf", "q_pos", "5", "q_pos must be a real number, got '5'"),
+    ], ids=["cascade-float", "cascade-integer", "filter-float", "cascade-numeric-string",
+            "filter-numeric-string"])
     def test_metadata_parameter_a_config_refuses_is_usage_error(
             self, tmp_path, capsys, estimator, key, value, reason):
         # Each once printed the config class's message alone, without the file,
-        # and a float's without the key.
+        # and a float's without the key; a numeric string for a float once replayed.
         assert main(["estimate", *SHORT_SIM, "--estimator", estimator,
                      "--out", str(tmp_path / "traj.csv")]) == 0
         capsys.readouterr()

@@ -237,6 +237,14 @@ class TestWindowBookkeeping:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             IpgParams(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["alpha", "delta", "k0_scale"])
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, True, np.bool_(True), [0.5]],
+                             ids=["str", "bytes", "none", "bool", "np-bool", "list"])
+    def test_params_reject_step_sizes_that_are_not_numbers(self, name, bad):
+        # A numeric string once constructed, while the same string for horizon did not.
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            IpgParams(**{name: bad})
+
     @pytest.mark.parametrize("name", ["horizon", "iterations"])
     @pytest.mark.parametrize("bad", [2.5, 3.7, 5.0, "5", None, True, np.float64(5.0)],
                              ids=["2.5", "3.7", "5.0", "str", "none", "bool", "np-float"])

@@ -31,6 +31,7 @@ from cipgnav.quat import (
     unit_rows,
 )
 from tests.conftest import central_difference, random_unit_quat
+from tests import oracles
 from tests.oracles import normalize_jacobian
 
 unit_quats = st.builds(
@@ -260,6 +261,25 @@ class TestRotvec:
 
     def test_zero_vector_is_identity(self):
         np.testing.assert_allclose(quat_from_rotvec([0, 0, 0]), [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], [1e200, 0.0, 0.0]],
+                             ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["one", "rows"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_from_rotvec_refuses_a_non_finite_angle(self, bad, rows):
+        # An overflowing angle once gave a NaN quaternion and a RuntimeWarning.
+        v = np.array([[0.1, 0.2, 0.3], bad]) if rows else np.array(bad)
+        with pytest.raises(ValueError, match="^non-finite rotation vector or angle: "):
+            quat_from_rotvec(v)
+
+    def test_to_rotvec_on_floats_equals_array_form(self, rng):
+        # Non-unit scales, both hemispheres, signed zeros, and vector parts below 1e-12.
+        Q = rng.normal(size=(600, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (600, 1))
+        Q[0::4, 1:] *= 1e-14
+        Q[1::4, 0] = -0.0
+        Q[2::4, 1:] = [-0.0, 0.0, -0.0]
+        for q in Q:
+            assert quat_to_rotvec(q).tobytes() == oracles._quat_to_rotvec(q).tobytes()
 
 
 class TestEuler:

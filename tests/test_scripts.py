@@ -41,6 +41,7 @@ def test_mutant_table_matches_the_source(mutants):
     for m in mutants.MUTANTS:
         assert mutants.source(m).read_text(encoding="utf-8").count(m.old) == 1, m.name
         assert m.new != m.old, m.name
+        assert (mutants.ROOT / m.target.split("::")[0]).is_file(), m.name
 
 
 def test_must_kill_mutant_is_killed(mutants, capsys):
