@@ -18,12 +18,14 @@ exactly once in its file (the table no longer matches the source).
 
 The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
-finiteness checks, and the per-block lists of window terms) and of the
+finiteness checks, and the per-block lists of window terms), of the
 filters (the EKF's error transition, the measurement updates on Python
-floats and the InEKF's measurement rows).  A row that may survive says why.
-Each mutant takes one pytest run of its target, about 10 s for
-``tests/test_cascade.py`` and 3 s for ``tests/test_baselines.py``; none of
-this runs in tier-1.
+floats, the InEKF's measurement rows and the runners' reading check), of
+the field rules in ``errors.py``, of the burst table's accelerometer
+refusal and of the CLI's naming of a refused metadata value.  A row that
+may survive says why.  Each mutant takes one pytest run of its target,
+about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
+and 3 s for the others; none of this runs in tier-1.
 
 Example:
     python3 scripts/mutants.py
@@ -119,6 +121,37 @@ MUTANTS = [
            "tests/test_baselines.py"),
     Mutant("baselines.py", "H[0:3, 0:3] = _skew(state.velocity)",
            "H[0:3, 0:3] = -_skew(state.velocity)", "inekf-velocity-row-sign", True),
+    Mutant("baselines.py", '("ahrs", epoch.ahrs), *rows]', '("ahrs", epoch.ahrs)]',
+           "filter-imu-readings-unchecked", True),
+    # The field rules, through the table of tests/test_errors.py.
+    Mutant("errors.py", "isinstance(value, numbers.Real) or isinstance(value, bool)",
+           "isinstance(value, numbers.Real)", "real-accepts-bool", True),
+    Mutant("errors.py", "isinstance(value, numbers.Real) or isinstance(value, bool)",
+           "isinstance(value, (numbers.Real, str)) or isinstance(value, bool)",
+           "real-accepts-numeric-string", True),
+    Mutant("errors.py", '"positive": value > 0.0', '"positive": value >= 0.0',
+           "real-positive-inclusive", True),
+    Mutant("errors.py", "if not (within and math.isfinite(value)):", "if not within:",
+           "real-finiteness-dropped", True),
+    Mutant("errors.py", "and all(map(math.isfinite, xs)) and", "and",
+           "vector-finiteness-dropped", True),
+    Mutant("errors.py", "(not positive or min(xs) > 0)", "(not positive or min(xs) >= 0)",
+           "vector-positive-inclusive", True),
+    Mutant("errors.py", "isinstance(value, numbers.Integral)", "isinstance(value, numbers.Real)",
+           "count-accepts-float", True),
+    Mutant("errors.py", "type(value) is type(option) and value == option", "value == option",
+           "one-of-any-type", True),
+    # The accelerometer refusal of BurstInput.from_epochs: the raise, and the flag
+    # that sends a burst with a non-finite reading to it.
+    Mutant("preintegration.py", "if bad.size:\n                    raise NumericalError(",
+           "if False:\n                    raise NumericalError(", "accel-refusal-removed", True,
+           "tests/test_cascade.py"),
+    Mutant("preintegration.py", "\n                    | ~np.isfinite(accel).all(axis=(1, 2))]",
+           "]", "accel-flag-dropped", True, "tests/test_cascade.py"),
+    # --from-metadata names the file and key of a refused scenario or initial value.
+    Mutant("cli.py", "except ValueError as exc:\n            raise SpecError(",
+           "except OSError as exc:\n            raise SpecError(", "metadata-refusal-unnamed",
+           True),
 ]
 
 

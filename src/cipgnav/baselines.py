@@ -35,13 +35,12 @@ non-finite DVL or AHRS reading with NumericalError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _finite3, _one_of, _real
 from .preintegration import (
     GravityModel,
     ImuBiases,
@@ -108,9 +107,9 @@ class FilterConfig:
     The initial and measurement covariances default to 0.1 * I.  Process
     noise defaults are continuous densities at consumer-IMU datasheet scale
     (per-axis position / velocity / attitude), discretized per sample dt.
-    ``p0_scale`` and ``q_*`` must be real numbers, finite and >= 0, ``r_vel`` and ``r_att``
-    three finite integer or float values > 0, kept read-only so that the matrices built
-    from them here stay current; a string or a bool is refused.
+    ``p0_scale`` and ``q_*`` must be finite and >= 0 and ``r_vel`` and ``r_att``
+    three finite values > 0 (the rules of ``errors``), kept read-only so that the
+    matrices built from them here stay current.
     A config compares and hashes by identity, as its array fields have no
     single truth value: it equals only itself, and ``dataclasses.replace``
     gives a new config that equals neither the old one nor another copy.
@@ -128,21 +127,10 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("p0_scale", "q_pos", "q_vel", "q_att"):
-            value = getattr(self, name)
-            # A numeric string would convert; a bool is not a variance.
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
-            if not 0.0 <= value < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-            object.__setattr__(self, name, value)
-        for name in ("r_vel", "r_att"):
-            r = np.asarray(getattr(self, name))
-            # Integer or float values only: strings, bools and objects are refused.
-            if r.dtype.kind not in "iuf" or r.shape != (3,) or not (
-                    (0.0 < r) & (r < math.inf)).all():
-                raise ValueError(f"{name} must be 3 finite values > 0, got {r.tolist()}")
-            object.__setattr__(self, name, r.astype(float))  # a copy the caller cannot change
+            object.__setattr__(self, name, _real(name, getattr(self, name), ">= 0"))
+        for name in ("r_vel", "r_att"):  # copies the caller cannot change
+            object.__setattr__(self, name, _finite3(name, getattr(self, name), positive=True))
+        _one_of("validate", self.validate, (False, True))
         q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
         r = np.concatenate([self.r_vel, self.r_att])
         vars(self).update(_q=q, _g_skew=_skew(self.gravity.vector), _r=r, _r_matrix=np.diag(r))
@@ -451,7 +439,9 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
 def _run_filter(name, start, predict, update, nav_of, epochs, config, initial):
     """Run ``start``, then ``predict`` and ``update`` at each epoch, emitting ``nav_of(state)``.
 
-    ``name`` is the public runner that errors name.
+    When a step raises, the epoch's readings are checked in the order DVL, AHRS,
+    IMU rows: the first non-finite one raises NumericalError naming ``name``, the
+    public runner, and the epoch; with none, the step's own error is raised.
     """
     epochs = list(epochs)
     if not epochs:
@@ -461,12 +451,16 @@ def _run_filter(name, start, predict, update, nav_of, epochs, config, initial):
     t_prev = epochs[0].t_prev
     points = []
     for k, epoch in enumerate(epochs):
-        for stream, values in (("dvl", epoch.dvl), ("ahrs", epoch.ahrs)):
-            if not np.isfinite(values).all():
-                raise NumericalError(f"{name}: non-finite {stream} measurement at epoch {k} "
-                                     f"(t={epoch.t!r}): {values!r}")
-        state = predict(state, epoch.imu_burst, config, t_prev)
-        state = update(state, epoch.dvl, epoch.ahrs, config)
+        try:
+            state = predict(state, epoch.imu_burst, config, t_prev)
+            state = update(state, epoch.dvl, epoch.ahrs, config)
+        except (ValueError, RuntimeError) as exc:
+            rows = [("imu", row) for row in epoch.imu_burst.tolist()]
+            for stream, values in [("dvl", epoch.dvl), ("ahrs", epoch.ahrs), *rows]:
+                if not np.isfinite(values).all():
+                    raise NumericalError(f"{name}: non-finite {stream} measurement at epoch "
+                                         f"{k} (t={epoch.t!r}): {values!r}") from exc
+            raise
         points.append(TrajectoryPoint(epoch.t, nav_of(state), "ok"))
         t_prev = epoch.t
     return points

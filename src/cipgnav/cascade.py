@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError, DivergenceError, NumericalError
+from .errors import DegenerateQuaternionError, DivergenceError, NumericalError, _one_of
 from .ipg import IpgParams
 from .ipg import ipg_step  # noqa: F401  kept as a module attribute: perfbench wraps it by name
 from .ipg import slide_window  # noqa: F401  kept as a module attribute: perfbench wraps it by name
@@ -336,8 +336,7 @@ class CascadeConfig:
     fallback: str = "abort"
 
     def __post_init__(self):
-        if self.fallback not in FALLBACK_MODES:
-            raise ValueError(f"fallback must be one of {FALLBACK_MODES}, got {self.fallback!r}")
+        _one_of("fallback", self.fallback, FALLBACK_MODES)
         # Both stages have lambda_max(J^T J) = N, and the preconditioner recursion
         # K <- K - alpha (K J^T J - I) converges only when alpha * N < 2.
         alpha, horizon = self.params.alpha, self.params.horizon

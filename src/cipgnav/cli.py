@@ -55,6 +55,7 @@ from .errors import (
     SpecError,
     StreamOrderError,
     SyncGapError,
+    _real,
 )
 from .ipg import IpgParams
 from .metrics import (
@@ -68,7 +69,7 @@ from .metrics import (
 )
 from .preintegration import GravityModel, ImuBiases, NavState
 from .sensors import dvl_body_to_nav, load_stream, synchronize
-from .sim import NoiseSpec, ScenarioSpec, generate
+from .sim import NoiseSpec, ScenarioSpec, _UnknownKeys, generate
 from .trajectory import FLAGS, TRAJECTORY_COLUMNS, read_trajectory, write_trajectory
 
 ESTIMATORS = ("cipg", "ekf", "inekf")
@@ -237,8 +238,8 @@ def _print_config(cfg: dict) -> None:
 
 def _imu_model(cfg: dict) -> dict:
     """The ``biases`` and ``gravity`` keyword arguments of the IMU_MODEL_OPTS in cfg."""
-    return {"biases": ImuBiases(np.asarray(cfg["accel_bias"]), np.asarray(cfg["gyro_bias"])),
-            "gravity": GravityModel(np.asarray(cfg["gravity"]))}
+    return {"biases": ImuBiases(cfg["accel_bias"], cfg["gyro_bias"]),
+            "gravity": GravityModel(cfg["gravity"])}
 
 
 def _from_options(cls, cfg: dict, **explicit):
@@ -263,9 +264,7 @@ def build_cascade_config(cfg: dict, initial: NavState | None) -> CascadeConfig:
 
 
 def build_filter_config(cfg: dict) -> FilterConfig:
-    if not 0.0 < cfg["r_scale"] < math.inf:  # FilterConfig would name r_vel, not the option
-        raise SpecError(f"r_scale must be finite and positive, got {cfg['r_scale']}")
-    r = cfg["r_scale"] * np.ones(3)
+    r = _real("r_scale", cfg["r_scale"], "positive") * np.ones(3)  # FilterConfig names r_vel
     return _from_options(FilterConfig, cfg, r_vel=r, r_att=r, **_imu_model(cfg))
 
 
@@ -468,8 +467,9 @@ def _estimate_from_metadata(args) -> int:
         raise SpecError(f"{path}: not an estimate metadata file")
 
     def recorded(key, read=lambda value: value):
-        """``read`` of the metadata's ``key``.  A missing key, or a value of a type
-        that ``read`` cannot take, raises SpecError naming the file and the key."""
+        """``read`` of the metadata's ``key``.  A missing key, a value of a type that
+        ``read`` cannot take, or one that it refuses raises SpecError naming the file
+        and the key; an unknown key of the scenario names its part of the scenario."""
         try:
             return read(meta[key])
         except KeyError as exc:
@@ -477,6 +477,10 @@ def _estimate_from_metadata(args) -> int:
         except (TypeError, AttributeError) as exc:
             raise SpecError(f"{path}: the metadata's {key!r} has a value of the wrong type "
                             f"({exc})") from None
+        except _UnknownKeys:
+            raise
+        except ValueError as exc:
+            raise SpecError(f"{path}: the metadata's {key!r} is refused: {exc}") from None
 
     if recorded("epoch_hash", lambda digest: digest.startswith("sha256:")):
         raise SpecError(
@@ -486,25 +490,19 @@ def _estimate_from_metadata(args) -> int:
             "sha256-v2 digest"
         )
     estimator = recorded("estimator")
-
-    def configured(recorded_params):
-        """The estimator's config; a value it refuses raises SpecError naming the
-        file and, if that value alone is refused, its key."""
-        params = _estimator_params(recorded_params)
-        try:
-            return build_estimator_config(estimator, params)
-        except ValueError as exc:
-            key, exc = _refused_param(estimator, params) or (None, exc)
-            raise SpecError(f"{path}: the metadata's {key!r} is refused: {exc}" if key
-                            else f"{path}: {exc}") from None
-
-    config = recorded("params", configured)
+    params = recorded("params", _estimator_params)
+    try:  # a refused value is named by its key, if that value alone is refused
+        config = build_estimator_config(estimator, params)
+    except ValueError as exc:
+        key, exc = _refused_param(estimator, params) or (None, exc)
+        raise SpecError(f"{path}: the metadata's {key!r} is refused: {exc}" if key
+                        else f"{path}: {exc}") from None
     files = recorded("input", lambda provenance: provenance["mode"] == "files")
     source = recorded("input", lambda provenance: (
         (Path(provenance["dir"]), provenance.get("dvl_frame", "nav")) if files
         else ScenarioSpec.from_dict(provenance["scenario"])))
     initial = None if meta.get("initial") is None else recorded("initial", lambda state: NavState(
-        *(np.asarray(state[key], dtype=float) for key in _INITIAL_FIELDS)))
+        *(state[key] for key in _INITIAL_FIELDS)))
     out_path = Path(args.out) if args.out else recorded("output", Path)
     epochs = _load_epoch_dir(*source) if files else generate(source).epochs()
     digest = hash_epochs(epochs)

@@ -20,14 +20,12 @@ preconditioner is carried over unchanged.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError
+from .errors import DivergenceError, NumericalError, _count, _real
 
 __all__ = [
     "WindowModel",
@@ -77,8 +75,8 @@ class IpgParams:
 
     ``alpha`` (preconditioner) and ``delta`` (iterate) are the step sizes of
     every inner iteration; ``k0_scale * I`` is the initial preconditioner.
-    The counts must be integers and the step sizes real numbers: a string or a
-    bool is refused.
+    The counts (``horizon`` >= 2, ``iterations`` >= 1) and the step sizes
+    (finite, > 0) are checked by the rules of ``errors``.
     """
 
     horizon: int = 5
@@ -89,22 +87,9 @@ class IpgParams:
 
     def __post_init__(self):
         for name, least in (("horizon", 2), ("iterations", 1)):
-            value = getattr(self, name)
-            # numbers.Integral covers numpy integers; a bool is not a count.
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
         for name in ("k0_scale", "alpha", "delta"):
-            value = getattr(self, name)
-            # A numeric string would convert; a bool is not a step size.
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
-            if not 0.0 < value < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name), "positive"))
 
 
 @dataclass(frozen=True)

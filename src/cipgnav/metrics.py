@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, _count, _one_of, _real
 from .preintegration import NavState
 from .quat import (
     hemisphere_align,
@@ -69,7 +69,7 @@ class MetricsConfig:
     ``n_align_fixes`` (an integer >= 2) is the yaw+translation alignment window
     used when ``align`` is set; ``rpe_delta`` (finite, > 0) is the RPE horizon in
     seconds; ``lever_arm`` (finite, >= 0) converts orientation error (radians)
-    to metres.  A bad value raises ValueError naming the field.
+    to metres.  A bad value raises SpecError naming the field (see ``errors``).
     """
 
     n_align_fixes: int = 10
@@ -79,12 +79,11 @@ class MetricsConfig:
     use_orientation: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.n_align_fixes, (int, np.integer)) and self.n_align_fixes >= 2):
-            raise ValueError(f"n_align_fixes must be an integer >= 2, got {self.n_align_fixes}")
-        if not 0.0 < self.rpe_delta < math.inf:  # also rejects NaN
-            raise ValueError(f"rpe_delta must be finite and positive, got {self.rpe_delta}")
-        if not 0.0 <= self.lever_arm < math.inf:
-            raise ValueError(f"lever_arm must be finite and >= 0, got {self.lever_arm}")
+        vars(self).update(n_align_fixes=_count("n_align_fixes", self.n_align_fixes, 2),
+                          rpe_delta=_real("rpe_delta", self.rpe_delta, "positive"),
+                          lever_arm=_real("lever_arm", self.lever_arm, ">= 0"))
+        for name in ("align", "use_orientation"):
+            _one_of(name, getattr(self, name), (False, True))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError
+from .errors import DegenerateQuaternionError, NumericalError, _finite3, _one_of
 from .quat import (
     _NORM_EPS,
     quat_normalize,
@@ -55,21 +55,6 @@ _GRAVITY_RANGE = (9.7, 9.9)
 _BLOCK = 128  # bursts per block of BurstInput.from_epochs: bounds its temporary arrays
 
 
-def _vec3(v, name):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    return v
-
-
-def _finite_vec3(v, name):
-    v = _vec3(v, name).copy()  # read-only below, as the configs holding it are frozen
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite, got {v.tolist()}")
-    v.setflags(write=False)
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class ImuBiases:
     """Additive sensor biases, subtracted from raw IMU readings.
@@ -82,8 +67,9 @@ class ImuBiases:
     gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "accel", _finite_vec3(self.accel, "accel bias"))
-        object.__setattr__(self, "gyro", _finite_vec3(self.gyro, "gyro bias"))
+        for name in ("accel", "gyro"):
+            object.__setattr__(self, name, _finite3(f"{name} bias", getattr(self, name)))
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +85,9 @@ class GravityModel:
     allow_nonstandard: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", _finite_vec3(self.vector, "gravity vector"))
+        object.__setattr__(self, "vector", _finite3("gravity vector", self.vector))
+        self.vector.setflags(write=False)
+        _one_of("allow_nonstandard", self.allow_nonstandard, (False, True))
         mag = self.magnitude
         if not self.allow_nonstandard and not (_GRAVITY_RANGE[0] <= mag <= _GRAVITY_RANGE[1]):
             raise ValueError(
@@ -121,8 +109,8 @@ class NavState:
     orientation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        self.position = _vec3(self.position, "position")
-        self.velocity = _vec3(self.velocity, "velocity")
+        self.position = _finite3("position", self.position)
+        self.velocity = _finite3("velocity", self.velocity)
         self.orientation = quat_normalize(self.orientation)
 
     @classmethod
@@ -292,7 +280,9 @@ class BurstInput:
         ``dts @ body_accel`` too), so row j equals burst j alone, bit for bit.
         Raises and warns as ``unpack_burst`` and ``unit_rows`` on the running
         products, the last one included, in epoch order; the error of a product
-        names the epoch's ``t``."""
+        names the epoch's ``t``.  A non-finite accelerometer reading raises
+        NumericalError naming the epoch's ``t`` and the IMU row's, after the
+        burst's other checks."""
         table = cls(*(np.empty((len(epochs), *shape)) for shape in [(4,), (3,), (), (3,), ()]))
         for first in range(0, len(epochs), _BLOCK):
             lengths = np.array([len(e.imu_burst) for e in epochs[first:first + _BLOCK]])
@@ -300,12 +290,17 @@ class BurstInput:
                        for rows in map(np.flatnonzero, lengths == np.unique(lengths)[:, None])]
             # Bursts to reject or warn about rerun alone, in epoch order, to raise and warn.
             for e in (epochs[j] for j in np.sort(np.concatenate(flagged))):
-                dts, _, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
+                dts, accel, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
                 try:
                     unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro))
                 except DegenerateQuaternionError as exc:
                     raise DegenerateQuaternionError(
                         f"IMU burst of the epoch at t={e.t!r}: {exc}") from exc
+                bad = np.flatnonzero(~np.isfinite(accel).all(axis=1))
+                if bad.size:
+                    raise NumericalError(f"IMU burst of the epoch at t={e.t!r}: non-finite "
+                                         "accelerometer reading in the IMU row at "
+                                         f"t={float(e.imu_burst[bad[0], 0])!r}")
         return table
 
     def _fill(self, rows, epochs, biases: ImuBiases) -> np.ndarray:
@@ -317,22 +312,24 @@ class BurstInput:
         increments = np.concatenate((np.ones((*dts.shape, 1)), 0.5 * dts[:, :, None] * gyro),
                                     axis=2)
         products = [np.tile([1.0, 0.0, 0.0, 0.0], (len(rows), 1))]
-        with np.errstate(all="ignore"):  # as running_product's float loop, which never warns
+        # Silent as running_product's float loop; from_epochs refuses non-finite readings.
+        with np.errstate(all="ignore"):
             for increment in increments.transpose(1, 0, 2):
                 products.append(quat_product(products[-1], increment))
             products = np.stack(products, axis=1)  # (B, M+1, 4)
             norms = row_norms(products)  # an overflowing one is inf, and passes
             prefixes = (products[:, :-1] / norms[:, :-1, None]).reshape(-1, 4)
-        body_accel = rotation_rows(prefixes) @ accel.reshape(-1, 3)[:, :, None]
-        body_accel = body_accel.reshape(accel.shape)
-        duration = dts.sum(axis=1)
-        weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
+            body_accel = rotation_rows(prefixes) @ accel.reshape(-1, 3)[:, :, None]
+            body_accel = body_accel.reshape(accel.shape)
+            duration = dts.sum(axis=1)
+            weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
+            self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
+            self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
         self.rot_increment[rows], self.duration[rows] = products[:, -1], duration
-        self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
-        self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
         self.dp_weight[rows] = weights.sum(axis=1)
         return rows[~(dts > 0.0).all(axis=1) | ~(norms > _NORM_EPS).all(axis=1)
-                    | (np.max(dts, axis=1, initial=0.0) > _DT_WARN)]
+                    | (np.max(dts, axis=1, initial=0.0) > _DT_WARN)
+                    | ~np.isfinite(accel).all(axis=(1, 2))]
 
 
 def dead_reckon(nav: NavState, bursts: BurstInput, k: int, g: np.ndarray) -> NavState:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, _count, _finite3, _one_of, _real
 from .preintegration import GravityModel, ImuBiases, NavState
 from .quat import quat_from_rotvec, quat_from_yaw, quat_product, quat_to_rotation, unit_rows
 from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream, synchronize
@@ -74,10 +74,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("accel_density", "gyro_density", "dvl_std", "ahrs_std"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise SpecError(f"noise.{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(name, getattr(self, name), ">= 0"))
 
     @classmethod
     def bluerov2(cls) -> "NoiseSpec":
@@ -113,41 +110,29 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SpecError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
-        for name in ("duration", "imu_rate", "meas_rate"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise SpecError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        v = float(self.speed)
-        if not math.isfinite(v) or v < 0.0:
-            raise SpecError(f"speed must be finite and >= 0, got {v!r}")
-        object.__setattr__(self, "speed", v)
-        for name in ("circle_radius", "lawnmower_leg", "lawnmower_spacing"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise SpecError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not math.isfinite(float(self.initial_heading)):
-            raise SpecError(f"initial_heading must be finite, got {self.initial_heading!r}")
+        positive = ("duration", "imu_rate", "meas_rate", "circle_radius", "lawnmower_leg",
+                    "lawnmower_spacing")
+        vars(self).update(
+            kind=_one_of("kind", self.kind, KINDS),
+            **{name: _real(name, getattr(self, name), "positive") for name in positive},
+            speed=_real("speed", self.speed, ">= 0"),
+            initial_heading=_real("initial_heading", self.initial_heading),
+            dvl_frame=_one_of("dvl_frame", self.dvl_frame, ("nav", "body")),
+            seed=_count("seed", self.seed, 0),
+        )
         if self.imu_rate < 2.0 * self.meas_rate:
             raise SpecError(
                 f"imu_rate ({self.imu_rate}) must be at least twice meas_rate "
                 f"({self.meas_rate}) so every epoch gets an IMU burst"
             )
-        if self.dvl_frame not in ("nav", "body"):
-            raise SpecError(f"dvl_frame must be 'nav' or 'body', got {self.dvl_frame!r}")
+        if self.waypoints is not None:
+            points = (_finite3(f"waypoints[{i}]", w) for i, w in enumerate(self.waypoints))
+            object.__setattr__(self, "waypoints", tuple(tuple(p.tolist()) for p in points))
         if self.kind == "waypoints":
             if self.waypoints is None or len(self.waypoints) < 2:
                 raise SpecError("waypoints kind needs at least two waypoints")
             if self.speed <= 0.0:
                 raise SpecError("waypoints kind needs speed > 0")
-            object.__setattr__(
-                self, "waypoints", tuple(tuple(float(c) for c in w) for w in self.waypoints)
-            )
-            if any(len(w) != 3 for w in self.waypoints):
-                raise SpecError("each waypoint must be an (x, y, z) triple")
         if self.kind in ("line", "circle", "lawnmower") and self.speed <= 0.0:
             raise SpecError(f"{self.kind} kind needs speed > 0")
 
@@ -162,7 +147,6 @@ class ScenarioSpec:
             "noise": asdict(self.noise),
             "biases": {"accel": self.biases.accel.tolist(), "gyro": self.biases.gyro.tolist()},
             "gravity": self.gravity.vector.tolist(),
-            "seed": int(self.seed),
         }
 
     @classmethod
@@ -172,26 +156,22 @@ class ScenarioSpec:
         _check_keys("scenario", data, [f.name for f in fields(cls)])
         _check_keys("scenario noise", data.get("noise", {}), [f.name for f in fields(NoiseSpec)])
         _check_keys("scenario biases", data.get("biases", {}), ["accel", "gyro"])
-        noise = NoiseSpec(**data.pop("noise", {}))
-        b = data.pop("biases", {})
-        biases = ImuBiases(np.asarray(b.get("accel", np.zeros(3))),
-                           np.asarray(b.get("gyro", np.zeros(3))))
-        g = data.pop("gravity", [0.0, 0.0, 9.81])
-        gravity = GravityModel(np.asarray(g, dtype=float), allow_nonstandard=True)
-        wp = data.pop("waypoints", None)
         return cls(
-            noise=noise,
-            biases=biases,
-            gravity=gravity,
-            waypoints=None if wp is None else tuple(tuple(w) for w in wp),
+            noise=NoiseSpec(**data.pop("noise", {})),
+            biases=ImuBiases(**data.pop("biases", {})),
+            gravity=GravityModel(data.pop("gravity", [0.0, 0.0, 9.81]), allow_nonstandard=True),
             **data,
         )
+
+
+class _UnknownKeys(SpecError):
+    """Keys of a scenario dict that name no field; the message names the part of the scenario."""
 
 
 def _check_keys(what: str, data: dict, known) -> None:
     unknown = [k for k in data if k not in known]
     if unknown:
-        raise SpecError(f"{what}: unknown keys {unknown}; expected some of {list(known)}")
+        raise _UnknownKeys(f"{what}: unknown keys {unknown}; expected some of {list(known)}")
 
 
 class _Model:

@@ -520,6 +520,39 @@ class TestNonFiniteMeasurement:
             f"{run_filter.__name__}: non-finite {stream} measurement at epoch 20 "
             f"(t={epochs[20].t!r})")
 
+    @pytest.mark.parametrize("column", [1, 4], ids=["accel", "gyro"])
+    @pytest.mark.parametrize("sample", [0, 5, -1], ids=["first", "mid", "last"])
+    @pytest.mark.parametrize("run_filter", [run_ekf, run_inekf], ids=["ekf", "inekf"])
+    def test_names_filter_epoch_and_imu_row(self, run_filter, sample, column):
+        # Once a ValueError about a rotation vector or a DegenerateQuaternionError
+        # about a norm, neither naming the epoch.
+        run = generate(benchmark_scenario(0, 30.0))
+        epochs = run.epochs()
+        burst = epochs[20].imu_burst.copy()
+        burst[sample, column] = np.nan
+        epochs[20] = replace(epochs[20], imu_burst=burst)
+        with pytest.raises(NumericalError) as exc_info:
+            run_filter(epochs, FilterConfig(), initial=run.initial_nav())
+        assert str(exc_info.value) == (f"{run_filter.__name__}: non-finite imu measurement at "
+                                       f"epoch 20 (t={epochs[20].t!r}): {burst[sample].tolist()!r}")
+
+    @pytest.mark.parametrize("run_filter", [run_ekf, run_inekf], ids=["ekf", "inekf"])
+    def test_readings_are_checked_dvl_first_and_other_errors_pass(self, run_filter):
+        run = generate(benchmark_scenario(0, 30.0))
+        epochs = run.epochs()
+        burst = epochs[20].imu_burst.copy()
+        burst[3, 1] = burst[4, 4] = np.nan
+        dvl = epochs[20].dvl.copy()
+        dvl[2] = np.nan
+        bad = replace(epochs[20], imu_burst=burst, dvl=dvl)
+        with pytest.raises(NumericalError, match="non-finite dvl measurement at epoch 20 "):
+            run_filter([*epochs[:20], bad], FilterConfig(), initial=run.initial_nav())
+        burst = epochs[20].imu_burst.copy()
+        burst[2, 0] = burst[1, 0]  # finite readings, and a zero spacing
+        bad = replace(epochs[20], imu_burst=burst)
+        with pytest.raises(ValueError, match="^non-positive IMU sample spacing at t="):
+            run_filter([*epochs[:20], bad], FilterConfig(), initial=run.initial_nav())
+
     @pytest.mark.parametrize("stream", ["dvl", "ahrs"])
     @pytest.mark.parametrize("kind", ["ekf", "inekf"])
     def test_update_refuses_it(self, kind, stream):

@@ -214,6 +214,44 @@ class TestBurstTable:
                 error = (type(exc), str(exc))
         assert ([str(w.message) for w in caught], error) == expected
 
+    @pytest.mark.parametrize("faults", [
+        {2: "gap", 5: "accel", 8: "spacing"},
+        {3: "gap", 6: "accel", 9: "nan"},
+        {1: "accel", 2: "nan"},
+        {2: "nan", 6: "accel"},
+        {4: "spacing", 7: "accel"},
+        {5: "accel-and-nan"},
+    ], ids=["warn-then-accel", "accel-before-nan", "accel-first", "nan-first",
+            "reject-first", "nan-in-the-same-burst"])
+    def test_accel_error_in_epoch_order(self, rng, monkeypatch, faults):
+        # A non-finite accelerometer reading raises in epoch order among the other
+        # burst errors and warnings, after the checks of its own burst.
+        monkeypatch.setattr(preintegration, "_BLOCK", 4)
+        epochs = epoch_chain(rng, [13, 13, 5, 12] * 3)
+        for j, fault in faults.items():
+            burst = epochs[j].imu_burst.copy()
+            if fault == "gap":
+                epochs[j] = replace(epochs[j], t_prev=epochs[j].t_prev - 0.1 * (j + 1))
+                continue
+            if fault == "spacing":
+                burst[2, 0] = burst[1, 0]
+            if fault in ("nan", "accel-and-nan"):
+                burst[1, 4] = np.nan
+            if fault in ("accel", "accel-and-nan"):
+                burst[3, 2] = np.nan
+            epochs[j] = replace(epochs[j], imu_burst=burst)
+        j = min(k for k, fault in faults.items() if fault.startswith("accel"))
+        caught, error = self.oracle_events(epochs[:j + 1], self.BIASES)
+        if error is None:
+            error = (NumericalError, f"IMU burst of the epoch at t={epochs[j].t!r}: non-finite "
+                                     "accelerometer reading in the IMU row at "
+                                     f"t={float(epochs[j].imu_burst[3, 0])!r}")
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            with pytest.raises(error[0]) as exc_info:
+                BurstInput.from_epochs(epochs, self.BIASES)
+        assert ([str(w.message) for w in got], str(exc_info.value)) == (caught, error[1])
+
 
 class TestBurst:
     def test_rot_increment_matches_stepwise_propagation(self, rng):
@@ -261,6 +299,24 @@ class TestBurst:
                             "cannot normalize quaternion with norm nan")
         with pytest.raises(DegenerateQuaternionError, match=f"^{message}$"):
             CascadeState.start(CascadeConfig(), epochs)
+
+    @pytest.mark.parametrize("fallback", ["abort", "deadreckon"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("sample", [0, 5, -1], ids=["first", "mid", "last"])
+    def test_non_finite_accel_reading_raises_in_start_naming_the_epoch_and_row(
+            self, sample, bad, fallback):
+        # Once a NaN ax gave NaN positions flagged ok under deadreckon, and a
+        # DivergenceError at the velocity stage under abort.
+        _, epochs = circle_run(duration=20.0)
+        burst = epochs[30].imu_burst.copy()
+        burst[sample, 1] = bad
+        epochs[30] = replace(epochs[30], imu_burst=burst)
+        message = re.escape(f"IMU burst of the epoch at t={epochs[30].t!r}: non-finite "
+                            f"accelerometer reading in the IMU row at t={float(burst[sample, 0])!r}")
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            CascadeState.start(CascadeConfig(fallback=fallback), epochs)
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            run_cascade(epochs, CascadeConfig(fallback=fallback))
 
     def test_preintegrated_velocity_matches_stepwise_sum(self, rng):
         gravity = GravityModel()

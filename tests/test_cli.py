@@ -397,11 +397,10 @@ class TestEstimate:
 
     @pytest.mark.parametrize("edit, key", [
         (lambda m: m.update(input=5), "input"),
-        (lambda m: m["params"].update(r_scale="x"), "params"),
         (lambda m: m["input"].update(scenario=5), "input"),
         (lambda m: m.update(epoch_hash=5), "epoch_hash"),
         (lambda m: m.update(params=5), "params"),
-    ], ids=["input", "r-scale", "scenario", "epoch-hash", "params"])
+    ], ids=["input", "scenario", "epoch-hash", "params"])
     def test_metadata_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, edit, key):
         # Each once escaped as a TypeError or AttributeError traceback with exit 1.
         assert main(["estimate", *SHORT_SIM, "--estimator", "ekf",
@@ -424,8 +423,9 @@ class TestEstimate:
         ("ekf", "q_pos", "x", "q_pos must be a real number, got 'x'"),
         ("cipg", "alpha", "0.5", "alpha must be a real number, got '0.5'"),
         ("ekf", "q_pos", "5", "q_pos must be a real number, got '5'"),
+        ("ekf", "r_scale", "x", "r_scale must be a real number, got 'x'"),
     ], ids=["cascade-float", "cascade-integer", "filter-float", "cascade-numeric-string",
-            "filter-numeric-string"])
+            "filter-numeric-string", "r-scale"])
     def test_metadata_parameter_a_config_refuses_is_usage_error(
             self, tmp_path, capsys, estimator, key, value, reason):
         # Each once printed the config class's message alone, without the file,
@@ -442,6 +442,37 @@ class TestEstimate:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}: the metadata's {key!r} is refused: {reason}\n"
         assert not replay.exists()
+
+    @pytest.mark.parametrize("part, key, value, reason", [
+        ("input", "seed", 1.5, "seed must be an integer, got 1.5"),
+        ("input", "seed", "x", "seed must be an integer, got 'x'"),
+        ("input", "seed", -1, "seed must be >= 0, got -1"),
+        ("input", "duration", True, "duration must be a real number, got True"),
+        ("input", "kind", "spiral", "kind must be one of ('stationary', 'line', 'circle', "
+                                    "'lawnmower', 'waypoints'), got 'spiral'"),
+        ("initial", "position", float("nan"), "position must be 3 finite values, got {}"),
+        ("initial", "velocity", float("-inf"), "velocity must be 3 finite values, got {}"),
+    ], ids=["seed-float", "seed-str", "seed-negative", "duration-bool", "kind", "initial-nan",
+            "initial-inf"])
+    def test_metadata_scenario_or_initial_value_refused_names_file_and_key(
+            self, tmp_path, capsys, part, key, value, reason):
+        # Each once ended in a traceback, a message naming no file (numpy's, or an
+        # epoch digest mismatch), or, for the initial state, a replay writing NaN rows.
+        assert main(["estimate", *SHORT_SIM, "--out", str(tmp_path / "traj.csv")]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        if part == "input":
+            meta["input"]["scenario"][key] = value
+        else:
+            meta["initial"][key][0] = value
+            reason = reason.format(meta["initial"][key])
+        bad = tmp_path / "bad.meta.json"
+        bad.write_text(json.dumps(meta))
+        replay = tmp_path / "replay.csv"
+        rc = main(["estimate", "--from-metadata", str(bad), "--out", str(replay)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: the metadata's {part!r} is refused: {reason}\n"
+        assert not replay.exists() and not replay.with_suffix(".meta.json").exists()
 
     def test_metadata_parameters_refused_together_name_the_file(self, tmp_path, capsys):
         # alpha * horizon = 2.1: each value alone is accepted.
@@ -630,7 +661,7 @@ class TestEvaluate:
         (["evaluate", "--rpe-delta", "nan"], "rpe_delta must be finite and positive, got nan"),
         (["evaluate", "--lever-arm=-1"], "lever_arm must be finite and >= 0, got -1.0"),
         (["evaluate", "--n-align-fixes", "0", "--align"],
-         "n_align_fixes must be an integer >= 2, got 0"),
+         "n_align_fixes must be >= 2, got 0"),
         (["evaluate", "--rpe-delta", "0"], "rpe_delta must be finite and positive, got 0.0"),
         (["compare", "--lever-arm", "inf"], "lever_arm must be finite and >= 0, got inf"),
     ], ids=["lever-arm-nan", "rpe-delta-nan", "lever-arm-negative", "n-align-fixes-0",

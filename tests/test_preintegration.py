@@ -41,14 +41,14 @@ class TestGravityModel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("allow_nonstandard", [False, True])
     def test_rejects_non_finite(self, bad, allow_nonstandard):
-        with pytest.raises(ValueError, match="gravity vector must be finite"):
+        with pytest.raises(ValueError, match="gravity vector must be 3 finite values"):
             GravityModel(np.array([0.0, bad, 9.81]), allow_nonstandard=allow_nonstandard)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["accel", "gyro"])
 def test_imu_biases_reject_non_finite(field, bad):
-    with pytest.raises(ValueError, match=f"{field} bias must be finite"):
+    with pytest.raises(ValueError, match=f"{field} bias must be 3 finite values"):
         ImuBiases(**{field: np.array([bad, 0.0, 0.0])})
 
 
