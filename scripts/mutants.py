@@ -18,7 +18,8 @@ exactly once in its file (the table no longer matches the source).
 
 The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
-finiteness checks, and the per-block lists of window terms), of the
+finiteness checks, the per-block lists of window terms, and the orientation
+stage's hemisphere signs and the test that reruns their pass), of the
 filters (the EKF's error transition, the measurement updates on Python
 floats, the InEKF's measurement rows and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's accelerometer
@@ -96,11 +97,20 @@ MUTANTS = [
     Mutant("cascade.py", "W.tolist(), M[:, 0].tolist(),\n                       M[:, -1].tolist()",
            "W.tolist(), M[:, -1].tolist(),\n                       M[:, 0].tolist()",
            "block-first-last-swapped", True),
-    Mutant("cascade.py", "ahrs[first:first + count].tolist()",
-           "ahrs[first + 1:first + 1 + count].tolist()", "block-start-row", True),
-    Mutant("cascade.py", "s = -1.0 if z0 * a + z1 * b + z2 * c + z3 * d < 0.0 else 1.0",
-           "s = -1.0 if z0 * a + z1 * b + z2 * c + z3 * d <= 0.0 else 1.0",
+    Mutant("cascade.py", "start = ahrs[first:first + count]",
+           "start = ahrs[first + 1:first + 1 + count]", "block-start-row", True),
+    # The row pass of the orientation stage: the hemisphere signs of z_0 and of the
+    # W_j, and the test that reruns it once the iterate may have crossed a hemisphere.
+    Mutant("cascade.py", "s = -1.0 if dot < 0.0 else 1.0", "s = -1.0 if dot <= 0.0 else 1.0",
            "hemisphere-zero-dot", True),
+    Mutant("cascade.py", "if dot < 0.0:\n                    p, q, r, t, dot",
+           "if dot <= 0.0:\n                    p, q, r, t, dot", "row-zero-dot", True),
+    Mutant("cascade.py", "if not e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3 < bound:", "if i == 0:",
+           "row-pass-never-reruns", True),
+    Mutant("cascade.py", "margin = low / (2.0 * w_max)", "margin = low / w_max",
+           "row-pass-margin-not-halved", True),
+    Mutant("cascade.py", "margin = low / (2.0 * w_max)", "margin = low / 2.0",
+           "row-pass-margin-without-w-max", True),
     # The overflowing window's IMU row.
     Mutant("cascade.py", "return float(epoch.imu_burst[bad[0] if bad.size else -1, 0])",
            "return float(epoch.imu_burst[-1, 0])", "overflow-row-last", True),
@@ -133,10 +143,14 @@ MUTANTS = [
            "real-positive-inclusive", True),
     Mutant("errors.py", "if not (within and math.isfinite(value)):", "if not within:",
            "real-finiteness-dropped", True),
+    Mutant("errors.py", "except OverflowError:", "except ZeroDivisionError:",
+           "real-overflow-escapes", True),
     Mutant("errors.py", "and all(map(math.isfinite, xs)) and", "and",
            "vector-finiteness-dropped", True),
     Mutant("errors.py", "(not positive or min(xs) > 0)", "(not positive or min(xs) >= 0)",
            "vector-positive-inclusive", True),
+    Mutant("errors.py", "shown = xs if value is v else value", "shown = xs",
+           "vector-quotes-converted", True),
     Mutant("errors.py", "isinstance(value, numbers.Integral)", "isinstance(value, numbers.Real)",
            "count-accepts-float", True),
     Mutant("errors.py", "type(value) is type(option) and value == option", "value == option",

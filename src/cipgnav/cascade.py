@@ -16,9 +16,13 @@ Each epoch then runs on floats end to end: the iterates and preconditioners
 cross epochs as floats (zeta as 4, K as 16), and only the emitted NavState
 holds arrays, because on 4-vectors and 4x4 matrices the overhead of a numpy
 call outweighs its arithmetic.  K is updated in reduced form, three float
-operations per entry.  The tests state the same stage as a generic
-``WindowModel`` for ``ipg_step``, the reference the closed form is tested
-against.
+operations per entry.  The hemisphere signs s_j = sign(W_j . zeta) come
+from one pass over the N-1 rows at the first inner iteration, and again only
+once the iterate has moved by low / (2 w_max) from where they were found, low
+the least |dot| and w_max the largest row norm: short of that no sign can
+change, so the other iterations read no row and cost O(1), whatever N.  The
+tests state the same stage as a generic ``WindowModel`` for ``ipg_step``, the
+reference the closed form is tested against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated into a rotation increment and a body-frame velocity
@@ -100,6 +104,7 @@ class _Window(NamedTuple):
     first: list  # M_1 as 4 rows of 4 floats: M_1 zeta is the warm-started iterate
     last: list  # M_{N-1} as 4 rows: M_{N-1} zeta is the current-epoch estimate
     sums: list  # the velocity stage's 18 sums
+    w_max: float  # max(1, |z_0|, max_j |W_j|): bounds how far a move turns each dot
     fault: Optional[np.ndarray] = None  # the window's M when a |U_j| is zero, NaN or infinite
 
 
@@ -146,8 +151,10 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
         sums = np.concatenate([offsets.sum(axis=1),
                                spans.sum(axis=1)[:, None] * g - dvl[rows].sum(axis=1),
                                offsets[:, -1], spans[:, -1:] * g, c[:, 0], d[:, :1] * g], axis=1)
-    windows = list(map(_Window, ahrs[first:first + count].tolist(), W.tolist(), M[:, 0].tolist(),
-                       M[:, -1].tolist(), sums.tolist()))
+        start = ahrs[first:first + count]
+        w_max = np.maximum(np.maximum(row_norms(W).max(axis=1), row_norms(start)), 1.0)
+    windows = list(map(_Window, start.tolist(), W.tolist(), M[:, 0].tolist(),
+                       M[:, -1].tolist(), sums.tolist(), w_max.tolist()))
     for i in np.flatnonzero(~ok).tolist():
         windows[i] = windows[i]._replace(fault=M[i].copy())
     return windows
@@ -201,6 +208,19 @@ def _orientation_step(params: IpgParams, zeta, K, window: _Window):
     preconditioner update K - alpha (J^T J K - I) is then, in reduced form,
     c K + alpha (N-1) zeta (zeta^T K) + alpha I with c = 1 - alpha N.
 
+    The signs change only where the iterate crosses a hemisphere, so the row
+    pass, the only loop over the N-1 rows, runs at iteration 0 and then only
+    when the iterate x may have crossed one.  It forms s_0, the s_j, v = sum_j
+    s_j W_j, u = s_0 z_0 + v, the scale 1 + sum_j |W_j . x| and low, the
+    least |dot|, z_0's included, and keeps x as the anchor x_a.  As |W_j . (x
+    - x_a)| <= w_max |x - x_a|, with w_max = max(1, |z_0|, max_j |W_j|) from
+    ``_window_terms``, no dot can change sign while |x - x_a| < low / (2
+    w_max); the other half of low is kept for the rounding of the dots, a few
+    ulps of w_max each.  Until then an iteration keeps the signs and u and
+    takes scale = 1 + v . x, the same sum to rounding: four products,
+    whatever N.  A zero margin (a dot of exactly 0) or a NaN distance reruns
+    the pass.
+
     Everything runs on Python floats, zeta as 4 floats and K as 16 in
     row-major order, because each numpy call on a 4-vector costs more in
     overhead than in arithmetic.  A zero or NaN |U_j| raises
@@ -216,24 +236,37 @@ def _orientation_step(params: IpgParams, zeta, K, window: _Window):
     DivergenceError, NumericalError and DegenerateQuaternionError where
     ipg_step does.
     """
-    (z0, z1, z2, z3), W_rows, first, last, _, fault = window
+    (z0, z1, z2, z3), W_rows, first, last, _, w_max, fault = window
     if fault is not None:
         raise _fault(fault)
     rows, alpha, delta = len(W_rows), params.alpha, params.delta
     keep, pull = 1.0 - alpha * (1.0 + rows), alpha * rows
     x, k = zeta, K
+    h0, h1, h2, h3 = x  # the anchor: the iterate of the last row pass
+    bound = 0.0  # a zero bound runs the row pass at iteration 0
     for i in range(params.iterations):
         a, b, c, d = x
-        # u = s_0 z_0 + sum_j s_j W_j and scale = 1 + sum_j |W_j . zeta|
-        s = -1.0 if z0 * a + z1 * b + z2 * c + z3 * d < 0.0 else 1.0
-        u0, u1, u2, u3 = s * z0, s * z1, s * z2, s * z3
-        scale = 1.0
-        for p, q, r, t in W_rows:
-            dot = p * a + q * b + r * c + t * d
-            if dot < 0.0:
-                u0, u1, u2, u3, scale = u0 - p, u1 - q, u2 - r, u3 - t, scale - dot
-            else:
+        e0, e1, e2, e3 = a - h0, b - h1, c - h2, d - h3
+        if not e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3 < bound:  # also on a NaN distance
+            # The row pass: u = s_0 z_0 + v, v = sum_j s_j W_j, scale = 1 + sum_j
+            # |W_j . x| and low, the least |dot|, z_0's included.
+            dot = z0 * a + z1 * b + z2 * c + z3 * d
+            s = -1.0 if dot < 0.0 else 1.0
+            u0, u1, u2, u3, low = s * z0, s * z1, s * z2, s * z3, abs(dot)
+            v0 = v1 = v2 = v3 = 0.0
+            scale = 1.0
+            for p, q, r, t in W_rows:
+                dot = p * a + q * b + r * c + t * d
+                if dot < 0.0:
+                    p, q, r, t, dot = -p, -q, -r, -t, -dot
                 u0, u1, u2, u3, scale = u0 + p, u1 + q, u2 + r, u3 + t, scale + dot
+                v0, v1, v2, v3 = v0 + p, v1 + q, v2 + r, v3 + t
+                if dot < low:
+                    low = dot
+            margin = low / (2.0 * w_max)
+            h0, h1, h2, h3, bound = a, b, c, d, margin * margin
+        else:  # no sign can have flipped since the anchor
+            scale = 1.0 + (v0 * a + v1 * b + v2 * c + v3 * d)
         g0, g1, g2, g3 = a * scale - u0, b * scale - u1, c * scale - u2, d * scale - u3  # J^T r
         k00, k01, k02, k03, k10, k11, k12, k13, k20, k21, k22, k23, k30, k31, k32, k33 = k
         m0, m1, m2, m3 = (a * k00 + b * k10 + c * k20 + d * k30,  # zeta^T K
@@ -464,9 +497,10 @@ def cascade_step(state: CascadeState, epoch):
         state.q_iterate = state.v_iterate = None
         return state, TrajectoryPoint(epoch.t, nav, "fallback")
 
-    velocity = np.array(velocity)
-    position = state.nav.position + velocity * (epoch.t - epochs[k - 1].t)
-    nav = NavState.exact(position, velocity, np.array(orientation))  # stage 1's estimate is unit
+    dt = epoch.t - epochs[k - 1].t
+    position = [p + v * dt for p, v in zip(state.nav.position.tolist(), velocity)]
+    # Stage 1's estimate is unit.
+    nav = NavState.exact(np.array(position), np.array(velocity), np.array(orientation))
 
     state.q_iterate, state.q_precond = q_iterate, q_precond
     state.v_iterate, state.v_gain = v_iterate, v_gain

@@ -84,7 +84,11 @@ def _real(name: str, value, bound: str = "") -> float:
     """A finite real number that is ``bound``: "positive", ">= 0" or any ("")."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise SpecError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
+        raise SpecError(f"{name} must be finite{bound and ' and ' + bound}, "
+                        f"got a value beyond the float range") from None
     within = {"": True, ">= 0": value >= 0.0, "positive": value > 0.0}[bound]
     if not (within and math.isfinite(value)):
         raise SpecError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
@@ -108,7 +112,8 @@ def _finite3(name: str, value, positive: bool = False) -> np.ndarray:
     if (v.dtype.kind in "iuf" and v.shape == (3,) and (value is v or bool not in map(type, value))
             and all(map(math.isfinite, xs)) and (not positive or min(xs) > 0)):
         return v.astype(float)
-    raise SpecError(f"{name} must be 3 finite values{' > 0' if positive else ''}, got {xs}")
+    shown = xs if value is v else value  # an array as its list, anything else as passed
+    raise SpecError(f"{name} must be 3 finite values{' > 0' if positive else ''}, got {shown!r}")
 
 
 def _one_of(name: str, value, options: tuple):

@@ -47,6 +47,7 @@ from cipgnav.quat import (
     quat_product,
     quat_to_rotation,
     rotation_rows,
+    row_norms,
     unit_rows,
 )
 from cipgnav.sensors import SyncedEpoch
@@ -109,6 +110,16 @@ def one_window(ahrs, increments, body_dv=None, duration=None, dvl=None, g=GRAVIT
         np.zeros((n, 3)), np.zeros(n))
     dvl = np.zeros((n, 3)) if dvl is None else np.asarray(dvl, dtype=float)
     return _window_terms(ahrs, dvl, bursts, g, n, 0, 1)[0]
+
+
+class CountingRows(list):
+    """A window's rows W that count the passes that read them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
 
 
 def identity_precond(k0) -> list:
@@ -858,6 +869,85 @@ class TestOrientationStage:
         np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(K_out, ref.window.precond, rtol=0.0, atol=1e-12)
 
+    X0 = np.array([1.0, 0.0, 0.0, 0.0])  # the iterate; also an identity increment
+
+    def against_ipg_step(self, params, ahrs, K):
+        """``_orientation_step`` from x_0 = 1 on ``ahrs`` (N, 4) with identity
+        increments, so that W_j = Z_j and each dot at x_0 is its row's first
+        entry, exactly, here and in ``ipg_step``, which it must match.  Returns
+        the iterate and the number of row passes."""
+        increments = (self.X0,) * (len(ahrs) - 1)
+        window = one_window(ahrs, increments)
+        rows = CountingRows(window.W)
+        estimate, warm, K_out, zeta = _orientation_step(
+            params, self.X0.tolist(), np.ravel(K).tolist(), window._replace(W=rows))
+        ref = ipg_step(ORIENTATION_MODEL, params, IpgWindow(increments, tuple(ahrs), self.X0, K))
+        np.testing.assert_allclose(estimate, ref.estimate, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(warm, ref.window.iterate, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.reshape(K_out, (4, 4)), ref.window.precond,
+                                   rtol=0.0, atol=1e-12)
+        return np.array(zeta), rows.passes
+
+    @pytest.mark.parametrize("margin", [1e-6, 2e-15, 1e-15, -1e-15, 0.0],
+                             ids=["1e-6", "2e-15", "1e-15", "-1e-15", "zero"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hemisphere_flip_at_iteration_1_like_ipg_step(self, rng, margin):
+        # Row 1 has dot `margin` with x_0 (a zero dot counts as +), and its
+        # tangent part is minus s_1 times half the tangent part p of the other
+        # rows' pull s_0 z_0 + sum_{j != 1} s_j W_j: the step from x_0 turns
+        # its dot by about -s_1 delta k0 |p|^2 / 4, into the other hemisphere.
+        # So the row pass must rerun at iteration 1, as the margin (at most
+        # |margin|) is far below the move.
+        horizon = 6
+        params = IpgParams(horizon=horizon, iterations=4, k0_scale=0.05)
+        ahrs = np.array([quat_normalize(self.X0 + rng.normal(scale=0.4, size=4))
+                         for _ in range(horizon)])
+        ahrs *= rng.choice([-1.0, 1.0], size=(horizon, 1))
+        signs = np.where(ahrs[:, 0] < 0.0, -1.0, 1.0)
+        pull = signs[0] * ahrs[0] + signs[2:] @ ahrs[2:]
+        s = -1.0 if margin < 0.0 else 1.0
+        ahrs[1] = [margin, *(-0.5 * s * pull[1:])]
+        K = params.k0_scale * np.eye(4)
+        x1, passes = self.against_ipg_step(replace(params, iterations=1), ahrs, K)
+        assert passes == 1 and s * (ahrs[1] @ x1) < -1e-4  # flipped, far beyond rounding
+        _, passes = self.against_ipg_step(params, ahrs, K)
+        assert passes >= 2
+        # K grows about alpha N = 3e50 times per iteration, and the iterate's norm
+        # overflows a few iterations in, at the same one in both.
+        diverging = replace(params, alpha=5e49, iterations=10)
+        with pytest.raises(DivergenceError) as batched:
+            self.step(diverging, ahrs, self.X0, K, [self.X0] * (horizon - 1))
+        with pytest.raises(DivergenceError) as generic_exc:
+            ipg_step(ORIENTATION_MODEL, diverging,
+                     IpgWindow((self.X0,) * (horizon - 1), tuple(ahrs), self.X0, K))
+        assert batched.value.iteration == generic_exc.value.iteration > 1
+
+    @pytest.mark.parametrize("move, passes", [(0.5, 1), (1.5, 2), (6.0, 2)],
+                             ids=["within-half-margin", "past-half-margin", "flips-row-2"])
+    def test_row_pass_reruns_once_a_dot_may_change_sign(self, move, passes):
+        # At x_0 = 1 the least |dot| is row 2's 0.1 and w_max = |Z_2| ~ 9.9.  A
+        # rank-one K_0 = (x_0 - x_1) g^T / (delta g . g), g = J^T r, sends the
+        # first step to a unit x_1 at distance move * 0.1 / (2 w_max), turned
+        # against Z_2's tangent part: the pass reruns at iteration 1 from move 1
+        # on, and row 2's dot turns negative from move 2 on, which a margin of
+        # 0.1 / 2 without w_max would not see.
+        params = IpgParams(horizon=4, iterations=2)
+        ahrs = np.array([[0.9, 0.3, -0.2, 0.1], [-0.8, 0.1, 0.4, -0.3],
+                         [0.1, 0.0, 9.9, 0.0], [0.7, -0.2, 0.1, 0.5]])
+        w_max = np.linalg.norm(ahrs[2])
+        distance = move * 0.1 / (2.0 * w_max)
+        theta = 2.0 * np.arcsin(distance / 2.0)
+        x1 = np.array([np.cos(theta), 0.0, -np.sin(theta), 0.0])
+        increments = (self.X0,) * 3
+        predicted = stacked_map(ORIENTATION_MODEL, increments, self.X0)
+        J = stacked_jacobian(ORIENTATION_MODEL, increments, self.X0)
+        g = J.T @ (predicted - ORIENTATION_MODEL.align_measurements(predicted, ahrs.reshape(-1)))
+        K = np.outer(self.X0 - x1, g) / (params.delta * (g @ g))
+        zeta, _ = self.against_ipg_step(replace(params, iterations=1), ahrs, K)
+        np.testing.assert_allclose(np.linalg.norm(zeta - self.X0), distance, rtol=1e-9)
+        assert (ahrs[2] @ zeta < 0.0) == (move > 2.0)
+        assert self.against_ipg_step(params, ahrs, K)[1] == passes
+
     def test_collapsed_iterate_raises_like_ipg_step(self, rng):
         # K = zeta g^T / (delta g . g) with g = J^T r sends zeta - delta K g to about 0.
         params = IpgParams()
@@ -982,9 +1072,9 @@ class TestOrientationStage:
 class TestWindowTerms:
     """``cascade_step``'s block-built window terms against one-window oracles,
     window by window, and their errors at the window's epoch: the maps M_1 and
-    M_{N-1} and W bit for bit against ``window_terms``, the sums bit for bit against a block of one
-    window, and the velocity stage on them against the array oracle
-    ``velocity_step``."""
+    M_{N-1}, W and w_max bit for bit against ``window_terms``, the sums bit for
+    bit against a block of one window, and the velocity stage on them against
+    the array oracle ``velocity_step``."""
 
     @staticmethod
     def stepped_terms(monkeypatch, epochs, horizon):
@@ -1030,6 +1120,8 @@ class TestWindowTerms:
                 assert same_bits(window.start, state.ahrs[w])
                 assert same_bits(window.first, M_ref[0]) and same_bits(window.last, M_ref[-1])
                 assert same_bits(window.W, W_ref)
+                assert same_bits(window.w_max,
+                                 max(1.0, *row_norms(np.vstack([state.ahrs[w], W_ref]))))
                 alone = _window_terms(state.ahrs, state.dvl, bursts, GRAVITY, horizon, w, 1)[0]
                 assert same_bits(window.sums, alone.sums) and args[4] is window.sums
                 # The velocity stage from the window-start orientation q, against

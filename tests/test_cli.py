@@ -448,12 +448,14 @@ class TestEstimate:
         ("input", "seed", "x", "seed must be an integer, got 'x'"),
         ("input", "seed", -1, "seed must be >= 0, got -1"),
         ("input", "duration", True, "duration must be a real number, got True"),
+        ("input", "duration", 10**400, "duration must be finite and positive, got a value "
+                                       "beyond the float range"),
         ("input", "kind", "spiral", "kind must be one of ('stationary', 'line', 'circle', "
                                     "'lawnmower', 'waypoints'), got 'spiral'"),
         ("initial", "position", float("nan"), "position must be 3 finite values, got {}"),
         ("initial", "velocity", float("-inf"), "velocity must be 3 finite values, got {}"),
-    ], ids=["seed-float", "seed-str", "seed-negative", "duration-bool", "kind", "initial-nan",
-            "initial-inf"])
+    ], ids=["seed-float", "seed-str", "seed-negative", "duration-bool", "duration-beyond-float",
+            "kind", "initial-nan", "initial-inf"])
     def test_metadata_scenario_or_initial_value_refused_names_file_and_key(
             self, tmp_path, capsys, part, key, value, reason):
         # Each once ended in a traceback, a message naming no file (numpy's, or an

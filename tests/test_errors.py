@@ -26,19 +26,22 @@ from cipgnav.sim import KINDS, NoiseSpec, ScenarioSpec
 TINY = 5e-324  # the least positive float
 NOT_NUMBERS = ["1", b"1", True, False, np.True_, None, [1.0]]
 NON_FINITE = [math.nan, math.inf, -math.inf]
+BEYOND_FLOAT = [10**400, -10**400]  # integers that float() cannot convert
 
 
 class Rule(NamedTuple):
     refused: list
     accepted: list
     stored: type  # the type each accepted value is stored as
+    quoted: tuple = ()  # (refused value, how its message quotes it) pairs
 
 
 def real(bound: str) -> Rule:
     outside = {"positive": [0.0, -0.0, -1.0], ">= 0": [-TINY, -1.0], "": []}[bound]
     inside = {"positive": [TINY], ">= 0": [0.0, TINY], "": [-1e300, 0.0]}[bound]
-    return Rule(NOT_NUMBERS + NON_FINITE + outside,
-                inside + [np.float64(1.5), np.int64(2), np.float32(0.5), 7], float)
+    return Rule(NOT_NUMBERS + NON_FINITE + BEYOND_FLOAT + outside,
+                inside + [np.float64(1.5), np.int64(2), np.float32(0.5), 7], float,
+                ((10**400, "a value beyond the float range"), ("1", "'1'")))
 
 
 def count(least: int) -> Rule:
@@ -55,7 +58,10 @@ def vector(positive: bool = False) -> Rule:
         refused += [[1.0, 0.0, 1.0], [1.0, -TINY, 1.0]]
     accepted = [np.array([1, 2, 3]), [np.float64(0.5), 2, np.int64(3)], (TINY, TINY, TINY),
                 np.array([1.0, 2.0, 3.0], dtype=np.float32)]
-    return Rule(refused, accepted, np.ndarray)
+    # A bool among integers: once quoted as numpy converted it, [1, 1, 3].
+    quoted = (([1, True, 3], "[1, True, 3]"), (np.array([1.0, np.nan, 1.0]), "[1.0, nan, 1.0]"),
+              ((1.0, 2.0), "(1.0, 2.0)"))
+    return Rule(refused, accepted, np.ndarray, quoted)
 
 
 def one_of(options) -> Rule:
@@ -123,6 +129,15 @@ def test_refused_values_name_the_field(row, value):
     with pytest.raises(SpecError) as exc_info:
         row.cls(**{**row.context, row.field: value})
     assert str(exc_info.value).startswith(f"{row.name or row.field} must be ")
+
+
+@pytest.mark.parametrize("row, value, quoted", [
+    pytest.param(row, value, quoted, id=f"{row.cls.__name__}.{row.field}-{k}")
+    for row in ROWS for k, (value, quoted) in enumerate(row.rule.quoted)])
+def test_refusals_quote_the_value_as_passed(row, value, quoted):
+    with pytest.raises(SpecError) as exc_info:
+        row.cls(**{**row.context, row.field: value})
+    assert str(exc_info.value).endswith(f", got {quoted}")
 
 
 @pytest.mark.parametrize("row, value", _cases(accepted=True))
