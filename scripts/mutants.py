@@ -20,10 +20,11 @@ The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
 finiteness checks, the per-block lists of window terms, and the orientation
 stage's hemisphere signs and the test that reruns their pass), of the
-filters (the EKF's error transition, the measurement updates on Python
-floats, the InEKF's measurement rows and the runners' reading check), of
-the field rules in ``errors.py``, of the burst table's accelerometer
-refusal and of the CLI's naming of a refused metadata value.  A row that
+filters (the EKF predict's float loop: its spacing refusal, gyro bias,
+strapdown order, attitude and error-transition blocks; the measurement
+updates on Python floats, the InEKF's measurement rows and the runners'
+reading check), of the field rules in ``errors.py``, of the burst table's
+accelerometer refusal and of the CLI's naming of a refused metadata value.  A row that
 may survive says why.  Each mutant takes one pytest run of its target,
 about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
 and 3 s for the others; none of this runs in tier-1.
@@ -117,9 +118,26 @@ MUTANTS = [
     # May survive: normalizing M_1 zeta once instead of twice moves the warm
     # start by at most an ulp, which no tolerance of ipg_step's comparison sees.
     Mutant("cascade.py", "_unit(_unit(warm))", "_unit(warm)", "warm-single-normalize", False),
-    # The filters: the EKF's error transition, the updates' float algebra and H.
-    Mutant("baselines.py", "F[:, 3:6, 6:9] = -dt * (R @ _skew(a))",
-           "F[:, 3:6, 6:9] = dt * (R @ _skew(a))", "ekf-transition-sign", True),
+    # The filters: the EKF predict's float loop (its refusal, bias, strapdown order,
+    # attitude and transition blocks), the updates' float algebra and H.
+    Mutant("baselines.py", "ndt = -dt", "ndt = dt", "ekf-transition-sign", True),
+    Mutant("baselines.py",
+           "H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]",
+           "H += [1.0, -(dt * w2), dt * w1, dt * w2, 1.0, -(dt * w0), -(dt * w1), dt * w0, 1.0]",
+           "ekf-gyro-block-sign", True),
+    Mutant("baselines.py", "w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2", "ekf-gyro-bias-kept", True),
+    Mutant("baselines.py",
+           "p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2\n"
+           "            v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)",
+           "v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)\n"
+           "            p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2",
+           "ekf-position-end-velocity", True),
+    Mutant("baselines.py", "rotation_entries(\n                _unit((qw, qx, qy, qz)))",
+           "rotation_entries(\n                (qw, qx, qy, qz))", "ekf-unnormalized-attitude", True),
+    Mutant("baselines.py", "if dt <= 0.0:", "if dt < 0.0:", "ekf-zero-spacing-accepted", True),
+    Mutant("baselines.py",
+           "unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)\n        raise",
+           "raise", "ekf-degenerate-before-spacing", True),
     Mutant("baselines.py", "q_meas = [-mw, -mx, -my, -mz]", "q_meas = [mw, mx, my, mz]",
            "ekf-no-hemisphere-flip", True),
     Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",

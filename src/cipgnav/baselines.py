@@ -1,6 +1,6 @@
 """Filter baselines over the same epoch streams: error-state EKF and InEKF.
 
-Both filters propagate their mean with the strapdown kernels of
+Both filters propagate their mean with the strapdown expressions of
 ``preintegrate_burst`` and fuse the DVL velocity and AHRS attitude at every
 epoch with Joseph-form covariance updates.
 
@@ -10,13 +10,17 @@ velocity, position) with a right-invariant error; its deterministic error
 propagation is state-independent, which makes the group-affine invariance
 checks exact up to floating point.
 
-Prediction works on a whole IMU burst at a time.  The burst is unpacked once
-into arrays of spacings and bias-corrected readings; the per-sample
-attitudes, velocities and positions, the error transitions F_k and the
-process noise Q_k are formed with array operations over the burst.  The EKF
-propagates its covariance in burst form: one backward pass of suffix
-products F_M ... F_{k+1}, one 9x9 product per sample, and one product for the
-whole noise sum.  The InEKF steps its covariance recursion
+Prediction works on a whole IMU burst at a time.  The EKF reads the burst
+once as Python floats and walks it in one loop that forms each sample's
+attitude, velocity and position and the two state-dependent blocks of its
+error transition F_k.  No BLAS call forms its predicted mean, which is
+therefore the same bits under every BLAS kernel (OpenBLAS picks one per CPU
+at run time).  It propagates its covariance in burst form, with BLAS
+products: one backward pass of suffix products F_M ... F_{k+1}, one 9x9
+product per sample, and one product for the whole noise sum.  The InEKF
+unpacks the burst once into arrays of spacings and bias-corrected readings,
+forms the per-sample attitudes, velocities, positions, F_k and process noise
+Q_k with array operations, and steps its covariance recursion
 P <- F_k P F_k^T + Q_k and its 3x3 rotation chain sample by sample.  The EKF
 update uses that its measurements select error-state rows 3..8 and forms no
 product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
@@ -40,25 +44,25 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError, _finite3, _one_of, _real
+from .errors import DegenerateQuaternionError, NumericalError, _finite3, _one_of, _real
 from .preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
+    _check_dt,
     _strapdown,
-    running_product,
     unpack_burst,
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
+    _unit,
     product_entries,
     quat_from_rotvec,
     quat_normalize,
     quat_to_rotation,
     quat_to_rotvec,
-    rotation_rows,
+    rotation_entries,
     rotation_to_quat,
-    unit_rows,
 )
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
@@ -239,31 +243,81 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     F_k = [[I, dt I, 0], [0, I, -dt R [a]x], [0, 0, I - dt [w]x]], with
     diagonal process noise Q_k = diag(q) dt_k.
 
-    The burst is evaluated as a whole: one running quaternion product gives
-    every per-sample attitude, ``cumsum`` the velocities and positions, and
-    the F_k stack is built in a few array operations.  The covariance is
-    propagated in burst form, as preintegrated noise is (Forster et al.,
-    IEEE T-RO 33(1), 2017): one backward pass forms the suffix products
-    Phi_k = F_M ... F_{k+1}, one 9x9 product per sample, and then
-    P <- Phi_0 P Phi_0^T + sum_k Phi_k Q_k Phi_k^T, the sum as a single
+    The burst is read once as Python floats and walked in one loop.  Per
+    sample it forms the spacing and the bias-corrected readings; the running
+    product, with the expressions of ``running_product``; the product so far
+    over its norm (``_unit``: the root of its ordered sum of squares) and
+    its rotation (``rotation_entries``); position and velocity as
+    ``_strapdown`` updates them, p with the velocity at the start of the
+    sample; and the blocks E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x of
+    F_k, 9 floats each.  No BLAS call forms the mean, so it is the same bits
+    under every BLAS kernel.  A non-positive spacing raises ValueError
+    naming its row's ``t``; after the loop the largest spacing warns once
+    through ``_check_dt``.  A degenerate product (from a NaN reading) is
+    reported in ``unpack_burst``'s order: after a later non-positive spacing
+    and after the warning.
+
+    The covariance is propagated in burst form, as preintegrated noise is
+    (Forster et al., IEEE T-RO 33(1), 2017): one backward pass forms the
+    suffix products Phi_k = F_M ... F_{k+1}, one 9x9 product per sample, and
+    then P <- Phi_0 P Phi_0^T + sum_k Phi_k Q_k Phi_k^T, the sum as a single
     (9, 9M) @ (9M, 9) product.  It equals the per-sample recursion
     P <- F_k P F_k^T + Q_k up to rounding.  An empty burst leaves the state
     as it is and only symmetrizes P.
     """
     nav = state.nav
-    dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
-    if not len(dts):
+    rows = burst.tolist()
+    if not rows:
         return EkfState(nav.copy(), _finish_cov(state.cov, config, "ekf_predict"))
-    quats, _ = unit_rows(running_product(nav.orientation, dts, w))
-    R = rotation_rows(quats[:-1])
-    ps, vs = _strapdown(nav.position, nav.velocity, R, dts, a, config.gravity.vector)
+    b0, b1, b2 = config.biases.accel.tolist()
+    c0, c1, c2 = config.biases.gyro.tolist()
+    g0, g1, g2 = config.gravity.vector.tolist()
+    p0, p1, p2 = nav.position.tolist()
+    v0, v1, v2 = nav.velocity.tolist()
+    qw, qx, qy, qz = nav.orientation.tolist()
+    t_prev = float(t_start)
+    dts, E, H = [], [], []  # E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x, row-major
+    try:
+        for t, a0, a1, a2, w0, w1, w2 in rows:
+            dt = t - t_prev
+            if dt <= 0.0:
+                raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
+            t_prev = t
+            a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
+            r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(
+                _unit((qw, qx, qy, qz)))
+            f0 = r00 * a0 + r01 * a1 + r02 * a2
+            f1 = r10 * a0 + r11 * a1 + r12 * a2
+            f2 = r20 * a0 + r21 * a1 + r22 * a2
+            ndt = -dt
+            E += [ndt * (r01 * a2 - r02 * a1), ndt * (r02 * a0 - r00 * a2),
+                  ndt * (r00 * a1 - r01 * a0), ndt * (r11 * a2 - r12 * a1),
+                  ndt * (r12 * a0 - r10 * a2), ndt * (r10 * a1 - r11 * a0),
+                  ndt * (r21 * a2 - r22 * a1), ndt * (r22 * a0 - r20 * a2),
+                  ndt * (r20 * a1 - r21 * a0)]
+            H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]
+            p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
+            v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
+            h = 0.5 * dt
+            hx, hy, hz = h * w0, h * w1, h * w2
+            qw, qx, qy, qz = (qw - qx * hx - qy * hy - qz * hz,
+                              qw * hx + qx + qy * hz - qz * hy,
+                              qw * hy - qx * hz + qy + qz * hx,
+                              qw * hz + qx * hy - qy * hx + qz)
+            dts.append(dt)
+        orientation = _unit((qw, qx, qy, qz))
+    except DegenerateQuaternionError:
+        # A later non-positive spacing, and the large-spacing warning, come first.
+        unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
+        raise
+    dts = np.array(dts)
+    _check_dt(dts.max())
 
-    dt = dts[:, None, None]
     F = np.empty((len(dts), 9, 9))
     F[:] = _EYE9
-    F[:, 0:3, 3:6] = dt * _EYE3
-    F[:, 3:6, 6:9] = -dt * (R @ _skew(a))
-    F[:, 6:9, 6:9] = _EYE3 - dt * _skew(w)
+    F[:, 0:3, 3:6] = dts[:, None, None] * _EYE3
+    F[:, 3:6, 6:9] = np.array(E).reshape(-1, 3, 3)
+    F[:, 6:9, 6:9] = np.array(H).reshape(-1, 3, 3)
     phi = [_EYE9]  # phi[j] = F_{M-1} ... F_{M-j} (0-based F): the last j samples' transition
     for Fk in F[::-1]:
         phi.append(phi[-1].dot(Fk))  # ndarray.dot: less call overhead than @ on 9x9
@@ -271,7 +325,8 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     B = np.concatenate(phi[:-1], axis=1)
     noise = (B * (dts[::-1, None] * config._q).ravel()) @ B.T
     P = phi[-1].dot(state.cov).dot(phi[-1].T) + noise
-    return EkfState(NavState.exact(ps[-1], vs[-1], quats[-1]),
+    return EkfState(NavState.exact(np.array([p0, p1, p2]), np.array([v0, v1, v2]),
+                                   np.array(orientation)),
                     _finish_cov(P, config, "ekf_predict"))
 
 

@@ -76,6 +76,7 @@ from .preintegration import (
 )
 from .quat import (
     _NORM_EPS,
+    _unit,
     quat_normalize,
     quat_right_matrix,
     rotation_entries,
@@ -158,16 +159,6 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
     for i in np.flatnonzero(~ok).tolist():
         windows[i] = windows[i]._replace(fault=M[i].copy())
     return windows
-
-
-def _unit(y) -> list:
-    """A 4-vector of floats over its norm; a norm of at most ``_NORM_EPS``, or
-    NaN, raises DegenerateQuaternionError, as in ``unit_rows``."""
-    y0, y1, y2, y3 = y
-    norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
-    if not norm > _NORM_EPS:
-        raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
-    return [y0 / norm, y1 / norm, y2 / norm, y3 / norm]
 
 
 def _fault(M) -> Exception:

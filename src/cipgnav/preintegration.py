@@ -13,9 +13,11 @@ accelerometer reads (0, 0, -|g|).
 
 This module is the one place that knows how a burst is integrated: the
 per-sample kernels, their burst forms (``unpack_burst``, ``running_product``,
-``_strapdown``) that the filters step through, and the per-run table
-``BurstInput`` with ``dead_reckon`` that the cascade reads.  Quaternion
-products and rotations are ``quat.py``'s.
+``_strapdown``) that the InEKF predict and the cascade's burst checks step
+through, and the per-run table ``BurstInput`` with ``dead_reckon`` that the
+cascade reads.  The EKF predict writes the same expressions on Python floats
+in one loop (see ``baselines``).  Quaternion products and rotations are
+``quat.py``'s.
 """
 
 from __future__ import annotations

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import cipgnav
 from cipgnav.baselines import (
     EkfState,
     FilterConfig,
@@ -25,7 +31,7 @@ from cipgnav.baselines import (
     run_inekf,
     se23_exp,
 )
-from cipgnav.errors import NumericalError
+from cipgnav.errors import DegenerateQuaternionError, NumericalError
 from cipgnav.preintegration import ImuBiases, NavState
 from cipgnav.quat import (
     quat_angular_distance,
@@ -117,6 +123,21 @@ def random_burst(rng, t_start, n):
     ]).reshape(n, 7)
 
 
+def predict_from_rest(predict, burst, t_start=0.0):
+    """``predict`` (ekf_predict or inekf_predict) of a burst from rest, at the defaults."""
+    config = FilterConfig()
+    start = EkfState.start if predict is ekf_predict else InekfState.start
+    return predict(start(NavState(), config), burst, config, t_start)
+
+
+def nav_of(state):
+    return state.nav if isinstance(state, EkfState) else state.nav()
+
+
+def large_spacing_warnings(caught):
+    return [w for w in caught if "is large" in str(w.message)]
+
+
 def random_config(rng, validate=False):
     biases = ImuBiases(accel=rng.normal(scale=0.2, size=3), gyro=rng.normal(scale=0.01, size=3))
     return FilterConfig(biases=biases, validate=validate)
@@ -184,24 +205,133 @@ class TestBatchedPredict:
 
     @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
     def test_zero_spacing_raises(self, rng, predict):
-        config = FilterConfig()
-        start = EkfState.start if predict is ekf_predict else InekfState.start
         burst = random_burst(rng, 0.0, 5)
         burst[2, 0] = burst[1, 0]
         with pytest.raises(ValueError, match="spacing"):
-            predict(start(NavState(), config), burst, config, 0.0)
+            predict_from_rest(predict, burst)
 
     @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
     def test_large_spacing_warns_once(self, rng, predict):
-        config = FilterConfig()
-        start = EkfState.start if predict is ekf_predict else InekfState.start
         burst = random_burst(rng, 0.0, 10)
         burst[4:, 0] += 0.1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            predict(start(NavState(), config), burst, config, 0.0)
-        large = [w for w in caught if "is large" in str(w.message)]
-        assert len(large) == 1
+            predict_from_rest(predict, burst)
+        assert len(large_spacing_warnings(caught)) == 1
+
+    # The refusals and the warning pin the array form's behaviour, in its order:
+    # every spacing is checked, then the largest one warns, then the products.
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_zero_first_spacing_names_row_0(self, rng, predict):
+        burst = random_burst(rng, 5.0, 4)
+        with pytest.raises(ValueError) as exc_info:
+            predict_from_rest(predict, burst, t_start=float(burst[0, 0]))
+        assert str(exc_info.value) == f"non-positive IMU sample spacing at t={float(burst[0, 0])!r}"
+
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_zero_spacing_after_a_large_one_raises_without_warning(self, rng, predict):
+        burst = random_burst(rng, 0.0, 6)
+        burst[1:, 0] += 0.1  # row 1's spacing is above 0.1 s
+        burst[3, 0] = burst[2, 0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc_info:
+                predict_from_rest(predict, burst)
+        assert str(exc_info.value) == f"non-positive IMU sample spacing at t={float(burst[3, 0])!r}"
+        assert large_spacing_warnings(caught) == []
+
+    @pytest.mark.parametrize("sample", [0, 2, -1], ids=["first", "mid", "last"])
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_nan_gyro_reading_is_a_degenerate_quaternion(self, rng, predict, sample):
+        burst = random_burst(rng, 0.0, 5)
+        burst[sample, 5] = np.nan
+        with pytest.raises(DegenerateQuaternionError) as exc_info:
+            predict_from_rest(predict, burst)
+        assert str(exc_info.value) == "cannot normalize quaternion with norm nan"
+
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_degenerate_product_comes_after_the_spacing_checks(self, rng, predict):
+        burst = random_burst(rng, 0.0, 6)
+        burst[1, 4] = np.nan
+        zero = burst.copy()
+        zero[3, 0] = zero[2, 0]
+        with pytest.raises(ValueError) as exc_info:
+            predict_from_rest(predict, zero)
+        assert str(exc_info.value) == f"non-positive IMU sample spacing at t={float(zero[3, 0])!r}"
+        burst[3:, 0] += 0.1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateQuaternionError, match="norm nan$"):
+                predict_from_rest(predict, burst)
+        assert len(large_spacing_warnings(caught)) == 1
+
+    @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
+    def test_nan_accelerometer_reading_passes(self, rng, predict):
+        # run_ekf and run_inekf name the IMU row (TestNonFiniteMeasurement); the
+        # predict itself returns a NaN position and velocity and the clean attitude.
+        burst = random_burst(rng, 0.0, 5)
+        clean = predict_from_rest(predict, burst)
+        burst[2, 2] = np.nan
+        out = nav_of(predict_from_rest(predict, burst))
+        assert np.isnan(out.position).all() and np.isnan(out.velocity).all()
+        np.testing.assert_array_equal(out.orientation, nav_of(clean).orientation)
+
+
+BLAS_INPUT_KEYS = ("t_start", "length", "bias", "position", "velocity", "orientation", "burst")
+
+
+def ekf_means(inputs) -> np.ndarray:
+    """ekf_predict's position, velocity and orientation, one row of 10 per input of
+    ``blas_inputs``.  The start state is wrapped as it is: NavState would normalize
+    its orientation again, through a BLAS dot product."""
+    means = []
+    for t0, n, bias, p, v, q, burst in zip(*(inputs[key] for key in BLAS_INPUT_KEYS)):
+        config = FilterConfig(biases=ImuBiases(accel=bias[:3], gyro=bias[3:]))
+        state = EkfState.start(NavState.exact(p, v, q), config)
+        nav = ekf_predict(state, burst[:n], config, t0).nav
+        means.append(np.concatenate([nav.position, nav.velocity, nav.orientation]))
+    return np.array(means)
+
+
+
+def blas_inputs(rng, count=400, longest=25):
+    """``count`` (nav, burst of 1 to ``longest`` samples, t_start, biases) draws as
+    arrays, each burst padded to ``longest`` rows."""
+    t_start = rng.uniform(0.0, 100.0, count)
+    length = rng.integers(1, longest + 1, count)
+    bursts = np.zeros((count, longest, 7))
+    for burst, t0, n in zip(bursts, t_start, length):
+        burst[:n] = random_burst(rng, t0, n)
+    return dict(t_start=t_start, length=length,
+                bias=rng.normal(scale=[0.2] * 3 + [0.01] * 3, size=(count, 6)),
+                position=rng.normal(scale=10.0, size=(count, 3)),
+                velocity=rng.normal(size=(count, 3)),
+                orientation=np.array([random_unit_quat(rng) for _ in range(count)]),
+                burst=bursts)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS kernels named are x86-64 ones")
+class TestBlasKernel:
+    """The EKF's predicted mean uses no BLAS call, so an OpenBLAS build that picks
+    its kernel at run time gives it the same bits under every kernel."""
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_ekf_mean_is_the_same_under_another_kernel(self, rng, tmp_path, core):
+        inputs = blas_inputs(rng)
+        np.savez(tmp_path / "inputs.npz", **inputs)
+        root = Path(__file__).resolve().parents[1]
+        src = Path(cipgnav.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join([str(src), str(root)])}
+        child = ("import sys, numpy as np; from tests.test_baselines import ekf_means; "
+                 "np.save(sys.argv[2], ekf_means(np.load(sys.argv[1])))")
+        subprocess.run([sys.executable, "-c", child, str(tmp_path / "inputs.npz"),
+                        str(tmp_path / "means.npy")], env=env, cwd=root, check=True)
+        theirs = np.load(tmp_path / "means.npy")
+        ours = ekf_means(inputs)
+        differing = int((theirs != ours).any(axis=1).sum())
+        assert differing == 0, f"{differing} of {len(ours)} predicted means differ under {core}"
 
 
 class TestKalmanUpdate:
