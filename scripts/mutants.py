@@ -24,8 +24,9 @@ filters (the EKF predict's float loop: its spacing refusal, gyro bias,
 strapdown order, attitude and error-transition blocks; the measurement
 updates on Python floats, the InEKF's measurement rows and the runners'
 reading check), of the field rules in ``errors.py``, of the burst table's
-accelerometer refusal and of the CLI's naming of a refused metadata value.  A row that
-may survive says why.  Each mutant takes one pytest run of its target,
+accelerometer refusal, of the CLI's naming of a refused metadata value, of
+the fixed-order kernel ``quat.ordered_matmul`` and of the simulator's
+navigation-to-body rotation.  A row that may survive says why.  Each mutant takes one pytest run of its target,
 about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
 and 3 s for the others; none of this runs in tier-1.
 
@@ -184,6 +185,18 @@ MUTANTS = [
     Mutant("cli.py", "except ValueError as exc:\n            raise SpecError(",
            "except OSError as exc:\n            raise SpecError(", "metadata-refusal-unnamed",
            True),
+    # The fixed-order kernel: row norms back on BLAS matmul, whose rounding the
+    # run-time kernel decides, and the sum taken from the last index.
+    Mutant("quat.py", "return np.sqrt(_ordered_sum(X * X))",
+           "return np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0, 0]", "row-norms-on-blas",
+           True, "tests/test_baselines.py::TestBlasKernel"),
+    Mutant("quat.py", "total = P[..., 0]\n    for i in range(1, P.shape[-1]):",
+           "total = P[..., -1]\n    for i in range(P.shape[-1] - 2, -1, -1):",
+           "kernel-sum-reversed", True, "tests/test_quat.py"),
+    # The simulator's navigation-to-body rotation of the specific force and DVL rows.
+    Mutant("sim.py", "ordered_matmul(np.swapaxes(R, 1, 2), X[:, :, None])",
+           "ordered_matmul(R, X[:, :, None])", "sim-body-untransposed", True,
+           "tests/test_sim.py::TestBlockGeneration"),
 ]
 
 

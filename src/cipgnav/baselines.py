@@ -29,9 +29,9 @@ product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
 For the same reason both updates run their vector algebra on Python floats:
 the innovation, the hemisphere test, the Hamilton products, the rotation
 vector maps and the mean correction, with math's cos and sin (see ``quat``).
-Elementwise float arithmetic rounds as numpy's does, so only the matrix
-products and the norms formed as ``v @ v`` are left to numpy, and each
-update's result equals its array form bit for bit (the InEKF amplifies a
+Elementwise float arithmetic rounds as numpy's does, and norms are summed in
+index order (``quat``), so only the matrix products are left to numpy, and
+each update's result equals its array form bit for bit (the InEKF amplifies a
 last-bit change about 10^4-fold over a run).  Both updates refuse a
 non-finite DVL or AHRS reading with NumericalError.
 """
@@ -55,6 +55,7 @@ from .preintegration import (
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
+    _norm,
     _unit,
     product_entries,
     quat_from_rotvec,
@@ -390,7 +391,7 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
 
 def _left_jacobian_so3(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    angle = math.sqrt(theta @ theta)  # np.linalg.norm(theta), without its overhead
+    angle = _norm(theta.tolist())
     S = _skew(theta)
     if angle < 1e-8:
         return _EYE3 + 0.5 * S + S @ S / 6.0

@@ -77,6 +77,7 @@ from .preintegration import (
 from .quat import (
     _NORM_EPS,
     _unit,
+    ordered_matmul,
     quat_normalize,
     quat_right_matrix,
     rotation_entries,
@@ -139,14 +140,14 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
         # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
         M = quat_right_matrix(bursts.rot_increment[inputs])
         for j in range(1, horizon - 1):
-            M[:, j] = M[:, j] @ M[:, j - 1]
+            M[:, j] = ordered_matmul(M[:, j], M[:, j - 1])
         U = M[:, :, :, 0]  # column 0 of M_j is U_j
         norms = row_norms(U)
-        W = (ahrs[inputs][:, :, None, :] @ M)[:, :, 0, :] / norms[:, :, None]
+        W = ordered_matmul(ahrs[inputs][:, :, None, :], M)[:, :, 0, :] / norms[:, :, None]
         ok = ((norms > _NORM_EPS) & (norms < math.inf)).all(axis=1)
         c = bursts.body_dv[inputs]  # c_0 = body_dv_0, as U_0 = 1
-        c[:, 1:] = (rotation_rows(U[:, :-1] / norms[:, :-1, None])
-                    @ bursts.body_dv[inputs[:, 1:], :, None])[..., 0]
+        c[:, 1:] = ordered_matmul(rotation_rows(U[:, :-1] / norms[:, :-1, None]),
+                                  bursts.body_dv[inputs[:, 1:], :, None])[..., 0]
         d = bursts.duration[inputs]
         offsets, spans = np.cumsum(c, axis=1), np.cumsum(d, axis=1)  # parts of o_1..o_{N-1}
         sums = np.concatenate([offsets.sum(axis=1),

@@ -509,7 +509,9 @@ def _estimate_from_metadata(args) -> int:
     if digest != meta["epoch_hash"]:
         raise SpecError(
             "epoch stream does not match the metadata "
-            f"(got {digest}, recorded {meta['epoch_hash']}); the input data changed"
+            f"(got {digest}, recorded {meta['epoch_hash']}): the input data changed, or a "
+            "cipgnav whose streams round differently recorded the metadata; re-run "
+            "`cipgnav estimate` with the same input and options to record this version's digest"
         )
     points, meta = _run_and_write(args, meta, epochs, config, initial, out_path)
     print(f"replayed {meta['estimator']}: {len(points)} epochs -> {out_path}")

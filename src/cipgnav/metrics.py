@@ -30,6 +30,7 @@ from .errors import AlignmentError, _count, _one_of, _real
 from .preintegration import NavState
 from .quat import (
     hemisphere_align,
+    ordered_matmul,
     quat_angular_distance,
     quat_from_yaw,
     quat_product,
@@ -200,13 +201,12 @@ def align_pair(pair: AlignedPair, n_fixes: int = 10) -> AlignedPair:
     yaw = math.atan2(cross, dot)
     c, s = math.cos(yaw), math.sin(yaw)
     dz = float((pair.gt_position[:n, 2] - pair.est_position[:n, 2]).mean())
-    offset = np.append(gt_c - np.array([[c, -s], [s, c]]) @ est_c, dz)
+    offset = np.append(gt_c - ordered_matmul([[c, -s], [s, c]], est_c[:, None])[:, 0], dz)
     Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    # Rz @ rows[:, :, None] rounds as Rz @ row does; rows @ Rz.T does not.
     return replace(
         pair,
-        est_position=(Rz @ pair.est_position[:, :, None])[:, :, 0] + offset,
-        est_velocity=(Rz @ pair.est_velocity[:, :, None])[:, :, 0],
+        est_position=ordered_matmul(Rz, pair.est_position[:, :, None])[:, :, 0] + offset,
+        est_velocity=ordered_matmul(Rz, pair.est_velocity[:, :, None])[:, :, 0],
         est_orientation=_unit_twice(quat_product(quat_from_yaw(yaw), pair.est_orientation)),
     )
 

@@ -30,9 +30,11 @@ import numpy as np
 from .errors import DegenerateQuaternionError, NumericalError, _finite3, _one_of
 from .quat import (
     _NORM_EPS,
+    ordered_matmul,
     quat_normalize,
     quat_product,
     quat_to_rotation,
+    rotate_vector,
     rotation_rows,
     row_norms,
     unit_rows,
@@ -246,7 +248,7 @@ def _strapdown(p, v, R, dts, accel, g):
     """
     vs = np.empty((len(dts) + 1, 3))
     vs[0] = v
-    vs[1:] = dts[:, None] * ((R @ accel[:, :, None])[:, :, 0] + g)
+    vs[1:] = dts[:, None] * (ordered_matmul(R, accel[:, :, None])[:, :, 0] + g)
     np.cumsum(vs, axis=0, out=vs)
     ps = np.empty_like(vs)
     ps[0] = p
@@ -278,8 +280,8 @@ class BurstInput:
     @classmethod
     def from_epochs(cls, epochs, biases: ImuBiases) -> "BurstInput":
         """Preintegrate every epoch's burst, ``_BLOCK`` at a time, each step on all
-        bursts of one length at once and rounding as on one burst (sums and
-        ``dts @ body_accel`` too), so row j equals burst j alone, bit for bit.
+        bursts of one length at once and rounding as on one burst (sums too),
+        so row j equals burst j alone, bit for bit.
         Raises and warns as ``unpack_burst`` and ``unit_rows`` on the running
         products, the last one included, in epoch order; the error of a product
         names the epoch's ``t``.  A non-finite accelerometer reading raises
@@ -321,12 +323,12 @@ class BurstInput:
             products = np.stack(products, axis=1)  # (B, M+1, 4)
             norms = row_norms(products)  # an overflowing one is inf, and passes
             prefixes = (products[:, :-1] / norms[:, :-1, None]).reshape(-1, 4)
-            body_accel = rotation_rows(prefixes) @ accel.reshape(-1, 3)[:, :, None]
+            body_accel = ordered_matmul(rotation_rows(prefixes), accel.reshape(-1, 3)[:, :, None])
             body_accel = body_accel.reshape(accel.shape)
             duration = dts.sum(axis=1)
             weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
-            self.body_dv[rows] = (dts[:, None, :] @ body_accel)[:, 0, :]
-            self.body_dp[rows] = (weights[:, None, :] @ body_accel)[:, 0, :]
+            self.body_dv[rows] = ordered_matmul(dts[:, None, :], body_accel)[:, 0, :]
+            self.body_dp[rows] = ordered_matmul(weights[:, None, :], body_accel)[:, 0, :]
         self.rot_increment[rows], self.duration[rows] = products[:, -1], duration
         self.dp_weight[rows] = weights.sum(axis=1)
         return rows[~(dts > 0.0).all(axis=1) | ~(norms > _NORM_EPS).all(axis=1)
@@ -339,10 +341,10 @@ def dead_reckon(nav: NavState, bursts: BurstInput, k: int, g: np.ndarray) -> Nav
     Euler position update p_i = p_{i-1} + dt_i * v_{i-1} sums to duration * v +
     sum_i w_i * (R(q) @ a_i + g) = duration * v + R(q) @ body_dp + dp_weight * g
     (see ``BurstInput``)."""
-    R = quat_to_rotation(nav.orientation)
-    duration = bursts.duration[k]
+    q, duration = nav.orientation, bursts.duration[k]
     return NavState(
-        nav.position + duration * nav.velocity + R @ bursts.body_dp[k] + bursts.dp_weight[k] * g,
-        nav.velocity + R @ bursts.body_dv[k] + duration * g,
-        quat_product(nav.orientation, bursts.rot_increment[k]),
+        nav.position + duration * nav.velocity + rotate_vector(q, bursts.body_dp[k])
+        + bursts.dp_weight[k] * g,
+        nav.velocity + rotate_vector(q, bursts.body_dv[k]) + duration * g,
+        quat_product(q, bursts.rot_increment[k]),
     )

@@ -11,16 +11,17 @@ Each quaternion and rotation formula of the package is written here once.
 ``quat_right_matrix`` also take rows, (n, 4), (n, 3) or (n,), and row k equals
 the call on row k bit for bit, signed zeros included (``np.array_equal``
 ignores their sign, ``np.signbit`` does not); ``row_norms``, ``unit_rows`` and
-``rotation_rows`` are the kernels under them.  Row results are C-contiguous,
-as numpy's matmul rounds by memory layout.  One value skips the row machinery,
-whose numpy calls cost more than their arithmetic:
-``rotation_rows``, ``quat_product``, ``quat_from_rotvec``, ``quat_to_rotvec``
-and ``rotation_to_quat`` run on Python floats, which round as numpy does
-(``rotation_entries`` and ``product_entries`` are those paths for a caller on
-floats); norms stay ``v @ v``.  A caller on floats normalizes with ``_unit``,
-by an ordered sum of squares that no BLAS kernel rounds.  One rotation
-vector's cos and sin are math's, which matched numpy's on every one of
-700,000 draws on an AVX-512 x86-64 host with numpy 2.4; arctan2 stays
+``rotation_rows`` are the kernels under them.  Every sum of products that a
+result is built from (a row norm, a dot or a small stacked matrix product) is
+summed in index order by elementwise multiply and add (``ordered_matmul``),
+which no BLAS kernel, memory layout or SIMD width rounds differently.  One
+value skips the row machinery, whose numpy calls cost more than their
+arithmetic: ``rotation_rows``, ``quat_product``, ``quat_from_rotvec``,
+``quat_to_rotvec`` and ``rotation_to_quat`` run on Python floats, which round
+as numpy does (``rotation_entries`` and ``product_entries`` are those paths for
+a caller on floats), and a norm of floats is ``_norm``, the same ordered sum.
+One rotation vector's cos and sin are math's, which matched numpy's on every
+one of 700,000 draws on an AVX-512 x86-64 host with numpy 2.4; arctan2 stays
 numpy's, as math's differed from it on about 1.5% of draws there.
 """
 
@@ -34,6 +35,7 @@ from .errors import DegenerateQuaternionError
 
 __all__ = [
     "quat_normalize",
+    "ordered_matmul",
     "row_norms",
     "unit_rows",
     "quat_product",
@@ -74,7 +76,7 @@ def quat_normalize(q) -> np.ndarray:
     most ``_NORM_EPS`` or a norm that overflows (components of 1e154 or more).
     """
     q = np.asarray(q, dtype=float)
-    n = math.sqrt(q @ q)  # NaN or inf for a non-finite component
+    n = _norm(q.tolist())  # NaN or inf for a non-finite component
     if not _NORM_EPS < n < math.inf:
         if not np.isfinite(q).all():
             raise DegenerateQuaternionError(f"non-finite quaternion: {q!r}")
@@ -82,11 +84,40 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
+def _norm(v) -> float:
+    """The norm of a vector of Python floats: the square root of its sum of squares
+    in index order, as ``row_norms`` rounds a row."""
+    total = 0.0  # adds nothing: a square is never -0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
+
+
+def _ordered_sum(P) -> np.ndarray:
+    """The sum over the last axis of P in index order, ((P_0 + P_1) + P_2) + ...,
+    and 0.0 over an empty axis, as numpy's matmul gives it."""
+    if not P.shape[-1]:
+        return np.zeros(P.shape[:-1])
+    total = P[..., 0]
+    for i in range(1, P.shape[-1]):
+        total = total + P[..., i]
+    return total
+
+
+def ordered_matmul(A, B) -> np.ndarray:
+    """``A @ B`` over the last two axes, broadcast over the others, each entry the
+    sum of its products in index order by elementwise multiply and add: no BLAS
+    kernel, memory layout or SIMD width changes its bits, and a Python-float sum
+    in the same order equals it."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return _ordered_sum(A[..., :, None, :] * B.swapaxes(-1, -2)[..., None, :, :])
+
+
 def row_norms(X) -> np.ndarray:
-    """Norms of the rows of an (n, k) array (0-d for one k-vector), each rounded as
-    ``sqrt(x @ x)`` in ``quat_normalize`` and ``np.linalg.norm(x)`` round."""
-    X = np.ascontiguousarray(X, dtype=float)
-    return np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0, 0]
+    """Norms of the rows of an (n, k) array (0-d for one k-vector): the square root
+    of ``ordered_matmul(x[None], x[:, None])``, and of ``_norm`` of the floats."""
+    X = np.asarray(X, dtype=float)
+    return np.sqrt(_ordered_sum(X * X))
 
 
 def unit_rows(Y):
@@ -94,7 +125,7 @@ def unit_rows(Y):
 
     An infinite norm passes: a caller that needs finite rows checks the norms.
     """
-    Y = np.ascontiguousarray(Y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     norms = row_norms(Y)
     if not (norms > _NORM_EPS).all():  # also catches NaN
         raise DegenerateQuaternionError(
@@ -174,13 +205,12 @@ def rotation_entries(q) -> list:
 
 
 def _unit(y) -> list:
-    """A 4-vector of floats over its norm, the square root of its ordered sum of
-    squares; a norm of at most ``_NORM_EPS``, or NaN, raises
-    DegenerateQuaternionError, as in ``unit_rows``."""
-    y0, y1, y2, y3 = y
-    norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
+    """A 4-vector of floats over its norm (``_norm``); a norm of at most
+    ``_NORM_EPS``, or NaN, raises DegenerateQuaternionError, as in ``unit_rows``."""
+    norm = _norm(y)
     if not norm > _NORM_EPS:
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
+    y0, y1, y2, y3 = y
     return [y0 / norm, y1 / norm, y2 / norm, y3 / norm]
 
 
@@ -194,7 +224,6 @@ def rotation_rows(unit) -> np.ndarray:
         return np.array(rotation_entries(unit.tolist())).reshape(3, 3)
     rows = unit.shape[:-1]
     qq = ((2.0 * unit)[..., :, None] * unit[..., None, :]).reshape(*rows, 16)
-    # take, unlike qq[..., _ROT_A], returns C-contiguous rows.
     R = _ROT_BASE + _ROT_OUTER * (qq.take(_ROT_A, axis=-1) + _ROT_INNER * qq.take(_ROT_B, axis=-1))
     return R.reshape(*rows, 3, 3)
 
@@ -244,8 +273,7 @@ def quat_angular_distance(a, b):
     Rows use math.atan2, as one value does.
     """
     a, b = (quat_normalize(q) if np.ndim(q) == 1 else unit_rows(q)[0] for q in (a, b))
-    dots = (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # matmul, as row_norms rounds
-    b = np.where(dots[..., None] < 0.0, -b, b)
+    b = np.where(_ordered_sum(a * b)[..., None] < 0.0, -b, b)
     num, den = row_norms(a - b), row_norms(a + b)
     if num.ndim == 0:
         return 4.0 * math.atan2(num, den)
@@ -257,9 +285,9 @@ def quat_from_rotvec(v) -> np.ndarray:
 
     A non-finite component, or an angle that overflows, raises ValueError.
     """
-    v = np.ascontiguousarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     one = v.ndim == 1
-    angle = math.sqrt(v @ v) if one else row_norms(v)[..., None]  # as row_norms rounds
+    angle = _norm(v.tolist()) if one else row_norms(v)[..., None]
     if not (angle < math.inf if one else (angle < math.inf).all()):  # also NaN
         raise ValueError(f"non-finite rotation vector or angle: {v!r}")
     small = angle < 1e-12
@@ -282,10 +310,8 @@ def quat_from_rotvec(v) -> np.ndarray:
 def quat_to_rotvec(q) -> np.ndarray:
     """Rotation vector of a unit quaternion (inverse of quat_from_rotvec), taken on the
     w >= 0 hemisphere; arctan2 is numpy's."""
-    q = quat_normalize(q)
-    vec = q[1:]
-    s = math.sqrt(vec @ vec)  # np.linalg.norm(vec), without its overhead; the same for -vec
-    w, x, y, z = q.tolist()
+    w, x, y, z = quat_normalize(q).tolist()
+    s = _norm((x, y, z))
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     if s < 1e-12:
@@ -328,9 +354,7 @@ def euler_from_quat(q) -> np.ndarray:
 def rotate_vector(q, v) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion (body -> navigation frame), or row
     k of an (n, 3) array by row k of an (n, 4) one."""
-    R = quat_to_rotation(q)
-    v = np.asarray(v, dtype=float)
-    return R @ v if v.ndim == 1 else (R @ v[:, :, None])[:, :, 0]
+    return ordered_matmul(quat_to_rotation(q), np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def hemisphere_align(quats) -> np.ndarray:
@@ -338,12 +362,12 @@ def hemisphere_align(quats) -> np.ndarray:
 
     The first quaternion keeps its sign; every later one is flipped when its
     dot product with the (already fixed) predecessor is negative: row k keeps
-    the sign of row k-1 when the dot d_k of input rows k and k-1 (rounded as 1-D
-    ``@``) is > 0, flips it when d_k < 0 and resets it to + when d_k is 0 or NaN.
+    the sign of row k-1 when the dot d_k of input rows k and k-1 (summed in index
+    order) is > 0, flips it when d_k < 0 and resets it to + when d_k is 0 or NaN.
     """
-    out = np.array(quats, dtype=float, order="C")
+    out = np.array(quats, dtype=float)
     if len(out) > 1:
-        dots = (out[1:, None, :] @ out[:-1, :, None])[:, 0, 0]
+        dots = _ordered_sum(out[1:] * out[:-1])
         count = np.cumsum(np.concatenate(([0], dots < 0.0)))  # negative dots up to row k
         reset = np.concatenate(([0], np.where((dots < 0.0) | (dots > 0.0), 0, np.arange(1, len(out)))))
         flip = (count - count[np.maximum.accumulate(reset)]) % 2 == 1

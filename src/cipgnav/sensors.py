@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateQuaternionError, ParseError, StreamOrderError, SyncGapError
 from .preintegration import NavState
-from .quat import _NORM_EPS, hemisphere_align, quat_normalize, rotate_vector, row_norms
+from .quat import _NORM_EPS, _norm, hemisphere_align, quat_normalize, rotate_vector, row_norms
 
 __all__ = [
     "GroundTruthSample",
@@ -213,12 +213,11 @@ def _load_rows(path, kind):
                                        f"(line {line_no})")
             prev_t = t
             if quat is not None:
-                try:
-                    with np.errstate(over="raise"):
-                        quat_normalize(values[quat])  # raises on a norm it cannot divide by
-                except FloatingPointError:
+                if _norm(values[quat]) == math.inf:  # a component of 1e154 or more
                     raise ParseError(f"quaternion {values[quat]} has a norm too large to "
-                                     "normalize", line=line_no, path=path) from None
+                                     "normalize", line=line_no, path=path)
+                try:
+                    quat_normalize(values[quat])  # raises on a norm it cannot divide by
                 except DegenerateQuaternionError as exc:
                     raise ParseError(str(exc), line=line_no, path=path) from None
             rows.append(values)

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import SpecError, _count, _finite3, _one_of, _real
 from .preintegration import GravityModel, ImuBiases, NavState
-from .quat import quat_from_rotvec, quat_from_yaw, quat_product, quat_to_rotation, unit_rows
+from .quat import (ordered_matmul, quat_from_rotvec, quat_from_yaw, quat_product,
+                   quat_to_rotation, unit_rows)
 from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream, synchronize
 from .trajectory import TrajectoryPoint
 
@@ -395,8 +396,8 @@ def _timestamps(rate: float, duration: float) -> np.ndarray:
 
 
 def _to_body(R: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows ``R[k].T @ X[k]``; the batched matmul rounds as the single one does."""
-    return (np.swapaxes(R, 1, 2) @ X[:, :, None])[:, :, 0]
+    """Rows ``R[k].T @ X[k]``."""
+    return ordered_matmul(np.swapaxes(R, 1, 2), X[:, :, None])[:, :, 0]
 
 
 def generate(spec: ScenarioSpec) -> SyntheticRun:

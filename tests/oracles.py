@@ -34,6 +34,11 @@ norm crashes it, where the package drops and counts the row.
 field by field, before it was built from ``dataclasses.fields``: the package's
 must give an equal dict, with its keys in the same order.
 
+``float_dot``, ``float_norm`` and ``float_matmul`` are sums of products on Python
+floats in index order, written out on their own: the order in which
+``quat.ordered_matmul`` sums, and so the reference for every row norm, dot and
+small stacked product the package forms through it.
+
 ``ekf_update`` and ``inekf_update`` are the filters' measurement updates as
 they were on numpy arrays, before their vector algebra ran on Python floats:
 the innovation, the Hamilton products and the rotation-vector maps on 3- and
@@ -87,6 +92,31 @@ from cipgnav.sensors import GroundTruthSample, dvl_body_to_nav, open_csv, save_s
 from cipgnav.trajectory import FLAGS, TRAJECTORY_COLUMNS, TrajectoryPoint
 
 
+def float_dot(a, b) -> float:
+    """sum_i a_i b_i on Python floats, ((a_0 b_0 + a_1 b_1) + a_2 b_2) + ..., and
+    0.0 for empty vectors."""
+    products = [x * y for x, y in zip(np.asarray(a, dtype=float).tolist(),
+                                      np.asarray(b, dtype=float).tolist())]
+    total = products[0] if products else 0.0
+    for p in products[1:]:
+        total += p
+    return total
+
+
+def float_norm(v) -> float:
+    """sqrt(float_dot(v, v))."""
+    return math.sqrt(float_dot(v, v))
+
+
+def float_matmul(A, B) -> np.ndarray:
+    """A @ B of a 2-D A and a 1-D or 2-D B, each entry a ``float_dot``."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        return np.array([float_dot(row, B) for row in A], dtype=float)
+    return np.array([[float_dot(row, col) for col in B.T] for row in A], dtype=float).reshape(
+        len(A), B.shape[1])
+
+
 def normalize_jacobian(y) -> np.ndarray:
     """Jacobian of y -> y/|y| evaluated at y (any dimension)."""
     y = np.asarray(y, dtype=float)
@@ -134,11 +164,13 @@ def window_terms(ahrs, rot_increments):
     # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
     M = quat_right_matrix(rot_increments)
     for j in range(1, len(M)):
-        M[j] = M[j] @ M[j - 1]
-    _, norms = unit_rows(M[:, :, 0])  # column 0 of M_j is U_j
+        M[j] = float_matmul(M[j], M[j - 1])
+    norms = np.array([float_norm(u) for u in M[:, :, 0]])  # column 0 of M_j is U_j
+    if not (norms > _NORM_EPS).all():
+        raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norms.min():.3e}")
     if not np.isfinite(norms).all():
         raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
-    return M, (ahrs[1:, None, :] @ M)[:, 0, :] / norms[:, None]
+    return M, np.array([float_matmul(m.T, z) for m, z in zip(M, ahrs[1:])]) / norms[:, None]
 
 
 def burst_start_orientations(M, zeta) -> np.ndarray:
@@ -445,8 +477,8 @@ def _quat_multiply(a, b):
 def _rotvec_to_quat(v):
     """quat_from_rotvec of one vector with numpy's cos and sin; its first-order
     branch is the package's rows."""
-    v = np.ascontiguousarray(_as_finite(v, "rotation vector"))
-    angle = math.sqrt(v @ v)
+    v = _as_finite(v, "rotation vector")
+    angle = float_norm(v)
     if angle < 1e-12:
         return quat_from_rotvec(v[None])[0]
     half = 0.5 * angle
@@ -459,7 +491,7 @@ def _quat_to_rotvec(q):
         q = -q
     w = min(float(q[0]), 1.0)
     vec = q[1:]
-    s = math.sqrt(vec @ vec)
+    s = float_norm(vec)
     if s < 1e-12:
         return 2.0 * vec
     angle = 2.0 * np.arctan2(s, w)
@@ -491,7 +523,7 @@ def _se23_exp(xi):
     xi = np.asarray(xi, dtype=float)
     theta, dv, dp = xi[0:3], xi[3:6], xi[6:9]
     R = quat_to_rotation(_rotvec_to_quat(theta))
-    angle = math.sqrt(theta @ theta)
+    angle = float_norm(theta)
     S = _skew(theta)
     if angle < 1e-8:
         J = np.eye(3) + 0.5 * S + S @ S / 6.0
@@ -505,7 +537,7 @@ def _se23_exp(xi):
 def ekf_update(state, dvl, ahrs, config):
     nav, P = state.nav, state.cov
     q_meas = np.asarray(ahrs, dtype=float)
-    if float(q_meas @ nav.orientation) < 0.0:
+    if float_dot(q_meas, nav.orientation) < 0.0:
         q_meas = -q_meas
     q_est = nav.orientation
     attitude = 2.0 * _quat_multiply(np.array([q_est[0], -q_est[1], -q_est[2], -q_est[3]]),

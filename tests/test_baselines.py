@@ -31,6 +31,8 @@ from cipgnav.baselines import (
     run_inekf,
     se23_exp,
 )
+from cipgnav.cascade import CascadeConfig, run_cascade
+from cipgnav.cli import hash_epochs
 from cipgnav.errors import DegenerateQuaternionError, NumericalError
 from cipgnav.preintegration import ImuBiases, NavState
 from cipgnav.quat import (
@@ -282,16 +284,36 @@ BLAS_INPUT_KEYS = ("t_start", "length", "bias", "position", "velocity", "orienta
 
 def ekf_means(inputs) -> np.ndarray:
     """ekf_predict's position, velocity and orientation, one row of 10 per input of
-    ``blas_inputs``.  The start state is wrapped as it is: NavState would normalize
-    its orientation again, through a BLAS dot product."""
+    ``blas_inputs``."""
     means = []
     for t0, n, bias, p, v, q, burst in zip(*(inputs[key] for key in BLAS_INPUT_KEYS)):
         config = FilterConfig(biases=ImuBiases(accel=bias[:3], gyro=bias[3:]))
-        state = EkfState.start(NavState.exact(p, v, q), config)
+        state = EkfState.start(NavState(p, v, q), config)
         nav = ekf_predict(state, burst[:n], config, t0).nav
         means.append(np.concatenate([nav.position, nav.velocity, nav.orientation]))
     return np.array(means)
 
+
+def scenario_outputs() -> dict:
+    """The streams of a 20 s ``benchmark_scenario``, the digest of its epochs and
+    its cipg trajectory (t, position, velocity, orientation per row)."""
+    run = generate(benchmark_scenario(0, 20.0))
+    epochs = run.epochs()
+    points = run_cascade(epochs, CascadeConfig())
+    return dict(imu=run.imu, dvl=run.dvl, ahrs=run.ahrs, digest=hash_epochs(epochs),
+                cipg=np.array([[p.t, *p.nav.position, *p.nav.velocity, *p.nav.orientation]
+                               for p in points]))
+
+
+def under_core(core, tmp_path, statement) -> None:
+    """Run ``statement`` with the directory ``tmp_path`` as sys.argv[1] in a child
+    Python whose environment alone sets OPENBLAS_CORETYPE to ``core``."""
+    root = Path(__file__).resolve().parents[1]
+    src = Path(cipgnav.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join([str(src), str(root)])}
+    subprocess.run([sys.executable, "-c", statement, str(tmp_path)], env=env, cwd=root,
+                   check=True)
 
 
 def blas_inputs(rng, count=400, longest=25):
@@ -313,25 +335,31 @@ def blas_inputs(rng, count=400, longest=25):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the OpenBLAS kernels named are x86-64 ones")
 class TestBlasKernel:
-    """The EKF's predicted mean uses no BLAS call, so an OpenBLAS build that picks
-    its kernel at run time gives it the same bits under every kernel."""
+    """The simulated streams, their epoch digest, the cipg trajectory and the EKF's
+    predicted mean use no BLAS call, so an OpenBLAS build that picks its kernel at
+    run time gives them the same bits under every kernel."""
 
     @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
     def test_ekf_mean_is_the_same_under_another_kernel(self, rng, tmp_path, core):
         inputs = blas_inputs(rng)
         np.savez(tmp_path / "inputs.npz", **inputs)
-        root = Path(__file__).resolve().parents[1]
-        src = Path(cipgnav.__file__).resolve().parents[1]
-        env = {**os.environ, "OPENBLAS_CORETYPE": core,
-               "PYTHONPATH": os.pathsep.join([str(src), str(root)])}
-        child = ("import sys, numpy as np; from tests.test_baselines import ekf_means; "
-                 "np.save(sys.argv[2], ekf_means(np.load(sys.argv[1])))")
-        subprocess.run([sys.executable, "-c", child, str(tmp_path / "inputs.npz"),
-                        str(tmp_path / "means.npy")], env=env, cwd=root, check=True)
+        under_core(core, tmp_path, "import sys, numpy as np; "
+                   "from tests.test_baselines import ekf_means; "
+                   "np.save(sys.argv[1] + '/means.npy', "
+                   "ekf_means(np.load(sys.argv[1] + '/inputs.npz')))")
         theirs = np.load(tmp_path / "means.npy")
         ours = ekf_means(inputs)
         differing = int((theirs != ours).any(axis=1).sum())
         assert differing == 0, f"{differing} of {len(ours)} predicted means differ under {core}"
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_streams_digest_and_cipg_are_the_same_under_another_kernel(self, tmp_path, core):
+        under_core(core, tmp_path, "import sys, numpy as np; "
+                   "from tests.test_baselines import scenario_outputs; "
+                   "np.savez(sys.argv[1] + '/theirs.npz', **scenario_outputs())")
+        theirs = np.load(tmp_path / "theirs.npz")
+        for name, ours in scenario_outputs().items():
+            assert np.asarray(ours).tobytes() == theirs[name].tobytes(), f"{name} under {core}"
 
 
 class TestKalmanUpdate:

@@ -56,6 +56,7 @@ from tests.conftest import central_difference, random_unit_quat
 from tests.oracles import (
     ORIENTATION_MODEL,
     burst_start_orientations,
+    float_matmul,
     velocity_increments,
     velocity_step,
     window_terms,
@@ -79,10 +80,12 @@ def burst_oracle(epoch, biases: ImuBiases):
     dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, biases.gyro, biases.accel)
     products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
     prefixes = unit_rows(products)[0][:-1]  # the last product is checked too
-    body_accel = (rotation_rows(prefixes) @ accel[:, :, None])[:, :, 0]
+    body_accel = np.array([float_matmul(R, a) for R, a in zip(rotation_rows(prefixes), accel)])
+    body_accel = body_accel.reshape(len(dts), 3)
     duration = float(dts.sum())
     weights = dts * (duration - np.cumsum(dts))
-    return products[-1], dts @ body_accel, duration, weights @ body_accel, weights.sum()
+    return (products[-1], float_matmul(body_accel.T, dts), duration,
+            float_matmul(body_accel.T, weights), weights.sum())
 
 
 def table_rows(table: BurstInput):

@@ -310,6 +310,24 @@ class TestEstimate:
         assert rc == 2
         assert "does not match the metadata" in capsys.readouterr().err
 
+    def test_replay_names_both_causes_of_a_digest_mismatch(self, tmp_path, capsys):
+        # A scenario run recorded by a version whose simulated streams rounded
+        # differently: its digest is not the one this version computes.
+        assert main(["estimate", *SHORT_SIM, "--out", str(tmp_path / "traj.csv")]) == 0
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        digest, meta["epoch_hash"] = meta["epoch_hash"], "sha256-v2:" + "0" * 64
+        old_meta = tmp_path / "old.meta.json"
+        old_meta.write_text(json.dumps(meta, indent=2))
+        capsys.readouterr()
+        rc = main(["estimate", "--from-metadata", str(old_meta), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: epoch stream does not match the metadata (got {digest}, recorded "
+            f"sha256-v2:{'0' * 64}): the input data changed, or a cipgnav whose streams "
+            "round differently recorded the metadata; re-run `cipgnav estimate` with the "
+            "same input and options to record this version's digest\n")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["estimate", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
         (["compare", "--horizon", "1"], "horizon must be >= 2, got 1"),
@@ -569,7 +587,7 @@ class TestHashEpochs:
 
     def test_benchmark_scenario_digest(self):
         assert hash_epochs(generate(benchmark_scenario(0, 20.0)).epochs()) == (
-            "sha256-v2:c34301d4f21711a49faa00d42442f0dd33ae97331a754f06a13e4a100664859f")
+            "sha256-v2:6bffdbec59e1cc7367c8be50c5991314d95a4f7f32b7bd69d52bf57363ea9341")
 
     def test_digest_is_sha256_of_documented_arrays(self):
         epochs = generate(benchmark_scenario(1, 5.0)).epochs()

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from cipgnav.errors import DegenerateQuaternionError
 from cipgnav.preintegration import NavState
 from cipgnav.quat import (
+    _norm,
+    _unit,
     euler_from_quat,
     hemisphere_align,
+    ordered_matmul,
     quat_angular_distance,
     quat_conjugate,
     quat_from_euler,
@@ -32,7 +35,7 @@ from cipgnav.quat import (
 )
 from tests.conftest import central_difference, random_unit_quat
 from tests import oracles
-from tests.oracles import normalize_jacobian
+from tests.oracles import float_dot, float_matmul, float_norm, normalize_jacobian
 
 unit_quats = st.builds(
     lambda seed: random_unit_quat(np.random.default_rng(seed)),
@@ -378,7 +381,7 @@ class TestHemisphereAlign:
         """The per-row loop hemisphere_align replaced: the reference, bit for bit."""
         out = np.array(quats, dtype=float)
         for k in range(1, len(out)):
-            if float(out[k] @ out[k - 1]) < 0.0:
+            if float_dot(out[k], out[k - 1]) < 0.0:
                 out[k] = -out[k]
         return out
 
@@ -390,7 +393,7 @@ class TestHemisphereAlign:
             n = int(rng.integers(2, 40))
             q = rng.normal(size=(n, 4)) * rng.choice([-1.0, 1.0], size=(n, 1))
             for k in np.flatnonzero(rng.random(n - 1) < 0.5) + 1:
-                q[k] -= (q[k] @ q[k - 1]) / (q[k - 1] @ q[k - 1]) * q[k - 1]
+                q[k] -= float_dot(q[k], q[k - 1]) / float_dot(q[k - 1], q[k - 1]) * q[k - 1]
             q[rng.random((n, 4)) < 0.05] = 0.0
             q[rng.random((n, 4)) < 0.05] = -0.0
             if rng.random() < 0.2:
@@ -434,19 +437,19 @@ def rotation_formula(q):
 
 def rotvec_formula(v):
     """quat_from_rotvec of one vector on Python floats, with its first-order branch."""
-    angle = float(np.linalg.norm(v))
+    angle = float_norm(v)
     if angle < 1e-12:
         q = np.concatenate(([1.0], 0.5 * v))
-        return q / float(np.sqrt(q @ q))
+        return q / float_norm(q)
     half = 0.5 * angle
     return np.concatenate(([np.cos(half)], np.sin(half) * (v / angle)))
 
 
 def angle_formula(a, b):
-    """quat_angular_distance of one pair as documented, with a @ b and np.linalg.norm."""
+    """quat_angular_distance of one pair as documented, with dots and norms on floats."""
     a, b = quat_normalize(a), quat_normalize(b)
-    b = -b if a @ b < 0.0 else b
-    return 4.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+    b = -b if float_dot(a, b) < 0.0 else b
+    return 4.0 * math.atan2(float_norm(a - b), float_norm(a + b))
 
 
 def euler_formula(roll, pitch, yaw):
@@ -489,6 +492,35 @@ def rotvec_rows(rng, n=200):
     ])
 
 
+class TestOrderedMatmul:
+    """ordered_matmul against products summed in index order on Python floats, entry
+    by entry, broadcast over the leading axes, on either memory layout."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 3), (3, 1)), ((4, 4), (4, 4)), ((7, 1, 4), (7, 4, 4)), ((2, 3), (5, 3, 4)),
+        ((6, 2, 10), (6, 10, 3)), ((3, 9, 1, 4), (3, 9, 4, 4)), ((5, 3, 0), (5, 0, 2)),
+    ])
+    def test_entries_are_ordered_float_sums(self, rng, layout, a_shape, b_shape):
+        # Magnitudes over 16 decades with both signs, so that the order of the
+        # sum decides the last bits, and a tenth of the entries +0.0 or -0.0.
+        A, B = (rng.normal(size=s) * 10.0 ** rng.uniform(-8.0, 8.0, s) for s in (a_shape, b_shape))
+        for X in (A, B):
+            zero = rng.random(X.shape) < 0.1
+            X[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+        pairs = zip(*(np.broadcast_to(X, batch + X.shape[-2:]).reshape(
+            math.prod(batch), *X.shape[-2:]) for X in (A, B)))
+        expected = np.array([float_matmul(a, b) for a, b in pairs]).reshape(
+            batch + (a_shape[-2], b_shape[-1]))
+        assert same_bits(ordered_matmul(layout(A), layout(B)), expected)
+
+    def test_signed_zero_sums(self):
+        # -0.0 + -0.0 is -0.0 and -0.0 + 0.0 is 0.0; an empty sum is 0.0.
+        A = np.array([[-0.0, 1.0], [0.0, 1.0]])
+        assert same_bits(ordered_matmul(A, [[1.0], [-0.0]]), [[-0.0], [0.0]])
+        assert same_bits(ordered_matmul(np.zeros((2, 0)), np.zeros((0, 3))), np.zeros((2, 3)))
+
+
 class TestRowKernels:
     """Each row form equals the per-row call bit for bit, on either memory layout."""
 
@@ -496,16 +528,16 @@ class TestRowKernels:
         for X in (quat_rows(rng), rotvec_rows(rng)):
             norms = row_norms(layout(X))
             assert norms.shape == (len(X),)
-            assert same_bits(norms, [np.sqrt(x @ x) for x in X])
-            assert same_bits(norms, [np.linalg.norm(x) for x in X])
-            assert same_bits(row_norms(X[7]), np.sqrt(X[7] @ X[7]))
+            assert same_bits(norms, [float_norm(x) for x in X])
+            assert same_bits(norms, [_norm(x.tolist()) for x in X])  # the float form
+            assert same_bits(row_norms(X[7]), float_norm(X[7]))
 
     def test_unit_rows_equal_quat_normalize(self, rng, layout):
         Q = quat_rows(rng)
         unit, norms = unit_rows(layout(Q))
-        assert unit.flags.c_contiguous
         assert same_bits(unit, [quat_normalize(q) for q in Q])
-        assert same_bits(norms, [np.sqrt(q @ q) for q in Q])
+        assert same_bits(unit, [_unit(q.tolist()) for q in Q])  # the float form
+        assert same_bits(norms, [float_norm(q) for q in Q])
         with pytest.raises(DegenerateQuaternionError):
             unit_rows(np.vstack([Q[:3], np.zeros(4)]))
 
@@ -513,27 +545,23 @@ class TestRowKernels:
         A = quat_rows(rng)
         B = A[rng.permutation(len(A))]
         P = quat_product(layout(A), layout(B))
-        assert P.flags.c_contiguous
         assert same_bits(P, [quat_product(a, b) for a, b in zip(A, B)])
 
     def test_quat_to_rotation(self, rng, layout):
         Q = quat_rows(rng)
         R = quat_to_rotation(layout(Q))
-        assert R.flags.c_contiguous
         assert same_bits(R, [quat_to_rotation(q) for q in Q])
         assert same_bits(R, [rotation_formula(quat_normalize(q)) for q in Q])
 
     def test_rotation_rows_equal_the_formulas_on_unit_rows(self, rng, layout):
         U = unit_rows(quat_rows(rng))[0]
         R = rotation_rows(layout(U))
-        assert R.flags.c_contiguous
         assert same_bits(R, [rotation_rows(u) for u in U])
         assert same_bits(R, [rotation_formula(u) for u in U])
 
     def test_quat_right_matrix(self, rng, layout):
         Q = quat_rows(rng)
         M = quat_right_matrix(layout(Q))
-        assert M.flags.c_contiguous
         assert same_bits(M, [quat_right_matrix(r) for r in Q])
         rw, rx, ry, rz = Q[-1]
         assert same_bits(quat_right_matrix(Q[-1]), [[rw, -rx, -ry, -rz], [rx, rw, rz, -ry],
@@ -542,7 +570,6 @@ class TestRowKernels:
     def test_quat_from_rotvec(self, rng, layout):
         E = rotvec_rows(rng)
         Q = quat_from_rotvec(layout(E))
-        assert Q.flags.c_contiguous
         assert same_bits(Q, [quat_from_rotvec(e) for e in E])
         assert same_bits(Q, [rotvec_formula(e) for e in E])
 
@@ -560,7 +587,6 @@ class TestRowKernels:
     def test_quat_from_yaw(self, rng):
         yaw = np.concatenate([[0.0, -0.0, np.pi, -np.pi], rng.uniform(-20.0, 20.0, 300)])
         Q = quat_from_yaw(yaw)
-        assert Q.flags.c_contiguous
         assert same_bits(Q, [quat_from_yaw(y) for y in yaw])
         assert same_bits(Q, [[np.cos(0.5 * y), 0.0, 0.0, np.sin(0.5 * y)] for y in yaw])
 
@@ -569,7 +595,6 @@ class TestRowKernels:
                        rng.uniform(-4.0, 4.0, (300, 3)),
                        np.deg2rad(rng.uniform(-180.0, 180.0, (300, 3)))])
         Q = quat_from_euler(*layout(E).T)  # strided columns, or contiguous ones
-        assert Q.flags.c_contiguous
         assert same_bits(Q, [quat_from_euler(*e) for e in E])
         assert same_bits(Q, [euler_formula(*e) for e in E])
 
@@ -578,6 +603,5 @@ class TestRowKernels:
         V = rng.normal(size=(len(Q), 3)) * rng.uniform(0.01, 100.0, size=(len(Q), 1))
         V[::7] = [0.0, -0.0, 0.0]
         out = rotate_vector(layout(Q), layout(V))
-        assert out.flags.c_contiguous
         assert same_bits(out, [rotate_vector(q, v) for q, v in zip(Q, V)])
-        assert same_bits(out, [quat_to_rotation(q) @ v for q, v in zip(Q, V)])
+        assert same_bits(out, [float_matmul(quat_to_rotation(q), v) for q, v in zip(Q, V)])

@@ -1,12 +1,14 @@
 """scripts/trajectory_diff.py: the one comparison rule behind its 1e-12 gate, and
 the items each tree's run gives it; scripts/mutants.py: its table against the
-source, and one must-kill mutant killed."""
+source, and one must-kill mutant killed; scripts/kernel_spread.py: its verdict,
+and one run under another OpenBLAS kernel."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib
 import importlib.util
+import platform
 import shutil
 import sys
 from dataclasses import replace
@@ -33,6 +35,47 @@ def trajectory_diff():
 @pytest.fixture(scope="module")
 def mutants():
     return load_script("mutants")
+
+
+@pytest.fixture(scope="module")
+def kernel_spread():
+    return load_script("kernel_spread")
+
+
+def spread_arrays(rng) -> dict:
+    """Arrays as ``kernel_spread.under_core`` returns them, for seeds 0 and 1."""
+    return {f"{seed} {name}": rng.normal(size=(5, 10 if name in ("cipg", "ekf", "inekf") else 4))
+            for seed in (0, 1) for name in ("imu", "dvl", "ahrs", "cipg", "ekf", "inekf")}
+
+
+@pytest.mark.parametrize("edit, status", [(None, 0), ("1 ahrs", 1), ("0 cipg", 1)],
+                         ids=["filters-only", "ahrs", "cipg"])
+def test_kernel_spread_requires_bit_equal_streams_and_cipg(kernel_spread, monkeypatch, capsys,
+                                                           edit, status):
+    base = spread_arrays(np.random.default_rng(3))
+    base["1 ekf"][2, 4], base["0 inekf"][4, 7] = 1.0, 0.5
+    other = {key: value.copy() for key, value in base.items()}
+    other["1 ekf"][2, 4] += 2.0**-43  # the filters move by their BLAS products
+    other["0 inekf"][4, 7] -= 2.0**-49
+    if edit:
+        other[edit][0, 0] = np.nextafter(other[edit][0, 0], np.inf)
+    monkeypatch.setattr(kernel_spread, "under_core",
+                        lambda src, core, seeds, out: base if core is None else other)
+    assert kernel_spread.main(["src", "--cores", "Prescott"]) == status
+    row = capsys.readouterr().out
+    verdict = f"{edit.split()[1]} DIFFER" if edit else "streams and cipg bit-equal"
+    assert row == (f"Prescott   {verdict}; ekf max|d position| 0 max|d velocity| 1.14e-13 "
+                   "max|d quaternion| 0; inekf max|d position| 0 max|d velocity| 0 "
+                   "max|d quaternion| 1.78e-15\n")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS kernels named are x86-64 ones")
+def test_kernel_spread_under_another_kernel(kernel_spread, monkeypatch, capsys):
+    monkeypatch.setattr(kernel_spread, "DURATION", 10.0)
+    src = Path(importlib.import_module("cipgnav").__file__).resolve().parents[1]
+    assert kernel_spread.main([str(src), "--seeds", "0", "--cores", "Prescott"]) == 0
+    assert capsys.readouterr().out.startswith("Prescott   streams and cipg bit-equal; ekf ")
 
 
 def test_mutant_table_matches_the_source(mutants):

@@ -33,6 +33,7 @@ from cipgnav.sim import (
     generate,
 )
 from tests import oracles
+from tests.oracles import float_matmul
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -386,7 +387,8 @@ def reference_run(spec):
     for row, t in zip(imu, imu_t):
         _, _, a_nav, yaw, yaw_rate = reference_state(model, t)
         R = quat_to_rotation(quat_from_yaw(yaw))
-        row[1:4] = R.T @ (a_nav - g) + spec.biases.accel + sigma_a * rng_accel.standard_normal(3)
+        row[1:4] = (float_matmul(R.T, a_nav - g) + spec.biases.accel
+                    + sigma_a * rng_accel.standard_normal(3))
         row[4:7] = (np.array([0.0, 0.0, yaw_rate]) + spec.biases.gyro
                     + sigma_w * rng_gyro.standard_normal(3))
 
@@ -401,7 +403,7 @@ def reference_run(spec):
         q = quat_from_yaw(yaw)
         v_meas = v + spec.noise.dvl_std * rng_dvl.standard_normal(3)
         if spec.dvl_frame == "body":
-            v_meas = quat_to_rotation(q).T @ v_meas
+            v_meas = float_matmul(quat_to_rotation(q).T, v_meas)
         dvl_row[1:] = v_meas
         q_meas = q
         if spec.noise.ahrs_std > 0.0:
