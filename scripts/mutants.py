@@ -18,15 +18,19 @@ exactly once in its file (the table no longer matches the source).
 
 The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
-finiteness checks, the per-block lists of window terms, and the orientation
-stage's hemisphere signs and the test that reruns their pass), of the
-filters (the EKF predict's float loop: its spacing refusal, gyro bias,
-strapdown order, attitude and error-transition blocks; the measurement
-updates on Python floats, the InEKF's measurement rows and the runners'
-reading check), of the field rules in ``errors.py``, of the burst table's
-accelerometer refusal, of the CLI's naming of a refused metadata value, of
-the fixed-order kernel ``quat.ordered_matmul`` and of the simulator's
-navigation-to-body rotation.  A row that may survive says why.  Each mutant takes one pytest run of its target,
+finiteness checks, the per-block lists of window terms and the conjugate in
+their rows, and the orientation stage's hemisphere signs and the test that
+reruns their pass), of the filters (the EKF predict's float loop: its
+spacing refusal, gyro bias, strapdown order, attitude and error-transition
+blocks; the measurement updates on Python floats, the InEKF's measurement
+rows and the runners' reading check), of the field rules in ``errors.py``,
+of the burst table's refusal of a non-finite reading, of the CLI's naming
+of a refused metadata value, of the fixed-order kernel
+``quat.ordered_matmul``, of products put back on BLAS, of ``synchronize``
+(the epoch bounds, the nearest-AHRS rule, the order check), of the CSV
+loader's unit-norm rule through each parse path, of ``truth_from_gt``'s end
+rows and of the simulator's navigation-to-body rotation.  A row that may
+survive says why.  Each mutant takes one pytest run of its target,
 about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
 and 3 s for the others; none of this runs in tier-1.
 
@@ -95,10 +99,13 @@ MUTANTS = [
     Mutant("cascade.py", "if not math.isfinite(norm + sum(k_next)) and not (",
            "if not math.isfinite(norm + sum(k_next)) or not (", "orientation-check-sum-only",
            True),
-    # The per-block lists: the maps for the warm start (M_1) and the estimate (M_{N-1}).
-    Mutant("cascade.py", "W.tolist(), M[:, 0].tolist(),\n                       M[:, -1].tolist()",
-           "W.tolist(), M[:, -1].tolist(),\n                       M[:, 0].tolist()",
+    # The per-block lists: the rotations for the warm start (U_1) and the estimate
+    # (U_{N-1}), and the conjugate in W_j = Z_j * conj(U_j) / |U_j|.
+    Mutant("cascade.py", "W.tolist(), U[:, 0].tolist(),\n                       U[:, -1].tolist()",
+           "W.tolist(), U[:, -1].tolist(),\n                       U[:, 0].tolist()",
            "block-first-last-swapped", True),
+    Mutant("cascade.py", "(U * _CONJUGATE).reshape(-1, 4)", "U.reshape(-1, 4)",
+           "window-conjugate-dropped", True),
     Mutant("cascade.py", "start = ahrs[first:first + count]",
            "start = ahrs[first + 1:first + 1 + count]", "block-start-row", True),
     # The row pass of the orientation stage: the hemisphere signs of z_0 and of the
@@ -174,10 +181,17 @@ MUTANTS = [
            "count-accepts-float", True),
     Mutant("errors.py", "type(value) is type(option) and value == option", "value == option",
            "one-of-any-type", True),
-    # The accelerometer refusal of BurstInput.from_epochs: the raise, and the flag
-    # that sends a burst with a non-finite reading to it.
-    Mutant("preintegration.py", "if bad.size:\n                    raise NumericalError(",
-           "if False:\n                    raise NumericalError(", "accel-refusal-removed", True,
+    # The reading refusal of BurstInput.from_epochs: the raise, its gyro half, the
+    # sensor it names, and the flag that sends a burst with a non-finite
+    # accelerometer reading to it (a non-finite gyro one makes the norms NaN).
+    Mutant("preintegration.py", "if bad.size:\n                    sensor =",
+           "if False:\n                    sensor =", "accel-refusal-removed", True,
+           "tests/test_cascade.py"),
+    Mutant("preintegration.py", "bad = np.flatnonzero(~(accel_ok & gyro_ok))",
+           "bad = np.flatnonzero(~accel_ok)", "gyro-refusal-dropped", True,
+           "tests/test_cascade.py"),
+    Mutant("preintegration.py", '"gyro" if accel_ok[bad[0]] else "accelerometer"',
+           '"gyro" if gyro_ok[bad[0]] else "accelerometer"', "reading-sensor-misnamed", True,
            "tests/test_cascade.py"),
     Mutant("preintegration.py", "\n                    | ~np.isfinite(accel).all(axis=(1, 2))]",
            "]", "accel-flag-dropped", True, "tests/test_cascade.py"),
@@ -193,6 +207,40 @@ MUTANTS = [
     Mutant("quat.py", "total = P[..., 0]\n    for i in range(1, P.shape[-1]):",
            "total = P[..., -1]\n    for i in range(P.shape[-1] - 2, -1, -1):",
            "kernel-sum-reversed", True, "tests/test_quat.py"),
+    # The window terms back on BLAS matmul, which the product guard refuses.
+    Mutant("cascade.py", "ordered_matmul(rotation_rows(U[:, :-1] / norms[:, :-1, None]),\n"
+           "                                  bursts.body_dv[inputs[:, 1:], :, None])",
+           "(rotation_rows(U[:, :-1] / norms[:, :-1, None])\n"
+           "                                  @ bursts.body_dv[inputs[:, 1:], :, None])",
+           "window-terms-on-blas", True, "tests/test_package.py"),
+    # The per-sample references back on BLAS, against the cross-kernel oracle.
+    Mutant("preintegration.py", "v + dt * (rotate_vector(q, specific_force) + g),",
+           "v + dt * (quat_to_rotation(q) @ specific_force + g),", "per-sample-on-blas", True,
+           "tests/test_baselines.py::TestBlasKernel"),
+    # synchronize: the IMU rows an epoch takes (those up to and at its t), the
+    # nearest AHRS sample (the earlier on a tie) and the order check.
+    Mutant("sensors.py", 'his = np.searchsorted(imu_t, ts, side="right")',
+           'his = np.searchsorted(imu_t, ts, side="left")', "sync-epoch-bound-left", True),
+    Mutant("sensors.py", "nearest = np.where(d_after < d_before, after, before)",
+           "nearest = np.where(d_after <= d_before, after, before)", "sync-tie-takes-later",
+           True),
+    Mutant("sensors.py", "~(stream[1:, 0] > stream[:-1, 0])", "~(stream[1:, 0] >= stream[:-1, 0])",
+           "sync-order-accepts-repeat", True),
+    # The loader's unit-norm test, through each parse path's tests: a norm below 1
+    # kept as read.  The strict comparison is equivalent: a norm kept or divided
+    # by 1.0 gives the same bits, and |n - 1|, a multiple of 2^-53 near 1, never
+    # equals 1e-12 exactly.
+    Mutant("sensors.py", "np.abs(norms - 1.0)[:, None] <= fmt.unit_tol",
+           "(norms - 1.0)[:, None] <= fmt.unit_tol", "unit-tol-one-sided-bulk", True,
+           "tests/test_sensors.py::TestLoaderPaths::test_quaternion_norm_rule[bulk]"),
+    Mutant("sensors.py", "np.abs(norms - 1.0)[:, None] <= fmt.unit_tol",
+           "(norms - 1.0)[:, None] <= fmt.unit_tol", "unit-tol-one-sided-rows", True,
+           "tests/test_sensors.py::TestLoaderPaths::test_quaternion_norm_rule[rows]"),
+    Mutant("sensors.py", "np.abs(norms - 1.0)[:, None] <= fmt.unit_tol",
+           "np.abs(norms - 1.0)[:, None] < fmt.unit_tol", "unit-tol-strict", False),
+    # truth_from_gt's velocities: one-sided first differences at the two ends.
+    Mutant("metrics.py", "vel = np.gradient(pos, t, axis=0)",
+           "vel = np.gradient(pos, t, axis=0, edge_order=2)", "truth-edge-order-2", True),
     # The simulator's navigation-to-body rotation of the specific force and DVL rows.
     Mutant("sim.py", "ordered_matmul(np.swapaxes(R, 1, 2), X[:, :, None])",
            "ordered_matmul(R, X[:, :, None])", "sim-body-untransposed", True,

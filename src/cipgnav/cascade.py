@@ -4,25 +4,26 @@ Stage 1 estimates orientation: the window dynamics integrate gyro bursts and
 the measurements are AHRS quaternions (identity measurement map, hemisphere
 aligned to the prediction, renormalized after every inner iteration).  Each
 burst is one preintegrated rotation increment r_j, and normalization only
-rescales, so window row j is normalize(zeta * U_j) with U_j = r_1 * ... * r_j:
-a fixed 4x4 map M_j of the window-start iterate zeta, with M_j^T M_j =
-|U_j|^2 I, followed by row normalization.  The stage's normal equations are
-therefore closed-form in zeta and a per-window (N-1, 4) array, and
-``_orientation_step`` forms no Jacobian.  The M_j and that array depend only
-on the AHRS rows and the increments, never on the iterates, so
-``cascade_step`` builds them for a block of consecutive windows at once
-(``_window_terms``) and lists each block's terms as Python floats once.
-Each epoch then runs on floats end to end: the iterates and preconditioners
-cross epochs as floats (zeta as 4, K as 16), and only the emitted NavState
-holds arrays, because on 4-vectors and 4x4 matrices the overhead of a numpy
-call outweighs its arithmetic.  K is updated in reduced form, three float
-operations per entry.  The hemisphere signs s_j = sign(W_j . zeta) come
-from one pass over the N-1 rows at the first inner iteration, and again only
-once the iterate has moved by low / (2 w_max) from where they were found, low
-the least |dot| and w_max the largest row norm: short of that no sign can
-change, so the other iterations read no row and cost O(1), whatever N.  The
-tests state the same stage as a generic ``WindowModel`` for ``ipg_step``, the
-reference the closed form is tested against.
+rescales, so window row j is normalize(zeta * U_j), with U_j = r_1 * ... * r_j
+the window's composed rotation, a Hamilton product of quaternions: right
+multiplication by U_j scales every norm by |U_j|.  The stage's normal
+equations are therefore closed-form in zeta and the window's rows W_j = Z_j *
+conj(U_j) / |U_j|, Z_j its AHRS rows, and ``_orientation_step`` forms no
+Jacobian.  The U_j and W_j depend only on the AHRS rows and the increments,
+never on the iterates, so ``cascade_step`` builds them for a block of
+consecutive windows at once (``_window_terms``) and lists each block's terms
+as Python floats once.  Each epoch then runs on floats end to end: the
+iterates and preconditioners cross epochs as floats (zeta as 4, K as 16), and
+only the emitted NavState holds arrays, because on 4-vectors and 4x4 matrices
+the overhead of a numpy call outweighs its arithmetic.  K is updated in
+reduced form, three float operations per entry.  The hemisphere signs s_j =
+sign(W_j . zeta) come from one pass over the N-1 rows at the first inner
+iteration, and again only once the iterate has moved by low / (2 w_max) from
+where they were found, low the least |dot| and w_max the largest row norm:
+short of that no sign can change, so the other iterations read no row and
+cost O(1), whatever N.  The tests state the same stage as a generic
+``WindowModel`` for ``ipg_step``, the reference the closed form is tested
+against.
 
 Stage 2 estimates velocity: the measurements are DVL velocities and each
 burst is preintegrated into a rotation increment and a body-frame velocity
@@ -78,8 +79,9 @@ from .quat import (
     _NORM_EPS,
     _unit,
     ordered_matmul,
+    product_entries,
     quat_normalize,
-    quat_right_matrix,
+    quat_product,
     rotation_entries,
     rotation_rows,
     row_norms,
@@ -96,6 +98,7 @@ __all__ = [
 
 FALLBACK_MODES = ("abort", "deadreckon")
 _BLOCK = 128  # windows per block of _window_terms: bounds its arrays
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJUGATE is conj(q)
 
 
 class _Window(NamedTuple):
@@ -103,22 +106,23 @@ class _Window(NamedTuple):
 
     start: list  # z_0, the AHRS row at the window start (4 floats)
     W: list  # the rows W_j, j = 1..N-1 (N-1 lists of 4 floats)
-    first: list  # M_1 as 4 rows of 4 floats: M_1 zeta is the warm-started iterate
-    last: list  # M_{N-1} as 4 rows: M_{N-1} zeta is the current-epoch estimate
+    first: list  # U_1 (4 floats): zeta * U_1 is the warm-started iterate
+    last: list  # U_{N-1} (4 floats): zeta * U_{N-1} is the current-epoch estimate
     sums: list  # the velocity stage's 18 sums
     w_max: float  # max(1, |z_0|, max_j |W_j|): bounds how far a move turns each dot
-    fault: Optional[np.ndarray] = None  # the window's M when a |U_j| is zero, NaN or infinite
+    fault: Optional[np.ndarray] = None  # its U (N-1, 4) when a |U_j| is zero, NaN or infinite
 
 
 def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, count: int) -> list:
     """Terms of the ``count`` windows from window ``first`` on, one ``_Window`` per
-    window: its AHRS start row, W and two maps for ``_orientation_step`` and
+    window: its AHRS start row, W, U_1 and U_{N-1} for ``_orientation_step`` and
     its sums for ``_velocity_step``.
 
     Window i spans AHRS and DVL rows i..i+N-1 and ``bursts`` rows i+1..i+N-1.
-    With M_j (4, 4) the map of U_j, the rows are W_j = M_j^T Z_j / |U_j|, and a
-    window where a norm |U_j| is zero, NaN or infinite keeps its M (N-1, 4,
-    4) as ``fault`` for the error it raises at its epoch.
+    Its rotations are U_1 = r_1 and U_j = U_{j-1} * r_j, one Hamilton product
+    per step, and its rows W_j = Z_j * conj(U_j) / |U_j|.  A window where a
+    norm |U_j| is zero, NaN or infinite keeps its U (N-1, 4) as ``fault`` for
+    the error it raises at its epoch.
 
     Burst j = 0..N-2 of the window starts at stage 1's orientation zeta * U_j
     / |U_j| (U_0 = 1), so its velocity increment is R(zeta) c_j + d_j g, with
@@ -137,13 +141,12 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
     rows = first + np.arange(count)[:, None] + np.arange(horizon)  # (count, N)
     inputs = rows[:, 1:]  # the bursts of each window
     with np.errstate(all="ignore"):
-        # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
-        M = quat_right_matrix(bursts.rot_increment[inputs])
+        U = bursts.rot_increment[inputs]  # r_j, overwritten by U_j in place
         for j in range(1, horizon - 1):
-            M[:, j] = ordered_matmul(M[:, j], M[:, j - 1])
-        U = M[:, :, :, 0]  # column 0 of M_j is U_j
+            U[:, j] = quat_product(U[:, j - 1], U[:, j])
         norms = row_norms(U)
-        W = ordered_matmul(ahrs[inputs][:, :, None, :], M)[:, :, 0, :] / norms[:, :, None]
+        W = quat_product(ahrs[inputs].reshape(-1, 4), (U * _CONJUGATE).reshape(-1, 4))
+        W = W.reshape(U.shape) / norms[:, :, None]
         ok = ((norms > _NORM_EPS) & (norms < math.inf)).all(axis=1)
         c = bursts.body_dv[inputs]  # c_0 = body_dv_0, as U_0 = 1
         c[:, 1:] = ordered_matmul(rotation_rows(U[:, :-1] / norms[:, :-1, None]),
@@ -155,19 +158,19 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
                                offsets[:, -1], spans[:, -1:] * g, c[:, 0], d[:, :1] * g], axis=1)
         start = ahrs[first:first + count]
         w_max = np.maximum(np.maximum(row_norms(W).max(axis=1), row_norms(start)), 1.0)
-    windows = list(map(_Window, start.tolist(), W.tolist(), M[:, 0].tolist(),
-                       M[:, -1].tolist(), sums.tolist(), w_max.tolist()))
+    windows = list(map(_Window, start.tolist(), W.tolist(), U[:, 0].tolist(),
+                       U[:, -1].tolist(), sums.tolist(), w_max.tolist()))
     for i in np.flatnonzero(~ok).tolist():
-        windows[i] = windows[i]._replace(fault=M[i].copy())
+        windows[i] = windows[i]._replace(fault=U[i].copy())
     return windows
 
 
-def _fault(M) -> Exception:
-    """The error of a window whose M (N-1, 4, 4) has a zero, NaN or infinite |U_j|:
+def _fault(U) -> Exception:
+    """The error of a window whose U (N-1, 4) has a zero, NaN or infinite |U_j|:
     DegenerateQuaternionError for a zero or NaN one, as ``unit_rows`` raises it,
     else NumericalError.  Computed without numpy's overflow warnings."""
     with np.errstate(all="ignore"):
-        norms = row_norms(M[:, :, 0])
+        norms = row_norms(U)
     if not (norms > _NORM_EPS).all():  # also catches NaN
         return DegenerateQuaternionError(
             f"cannot normalize quaternion with norm {norms.min():.3e}")
@@ -184,21 +187,22 @@ def _orientation_step(params: IpgParams, zeta, K, window: _Window):
 
     ``window`` holds the window's terms from ``_window_terms``, which are built
     per block of windows: z_0, the AHRS quaternion at the window start, the
-    rows W_j and the maps M_1 and M_{N-1}.  With U_0 = 1 and U_j = U_{j-1} *
-    r_j, r_j the window's j-th rotation increment, row j >= 1 of the stacked
-    map is P_j = Y_j / |Y_j|, Y_j = M_j zeta with M_j the right-multiplication
-    matrix of U_j, and its Jacobian block is J_j = (I - P_j P_j^T) M_j / |Y_j|,
-    as normalize(normalize(y) * u) equals normalize(y * u).
-    Row 0 is zeta with an identity block.  As M_j^T M_j = |U_j|^2 I, a unit
-    zeta gives J_j^T J_j = I - zeta zeta^T, and the AHRS block Z_j, flipped
-    onto the hemisphere of P_j by s_j = sign(W_j . zeta), gives J_j^T (P_j -
-    s_j Z_j) = -s_j (I - zeta zeta^T) W_j with W_j = M_j^T Z_j / |U_j|.  So
-    J^T J = I + (N-1)(I - zeta zeta^T) and J^T r = r_0 + zeta (zeta . w) - w,
-    w = sum_j s_j W_j: no Jacobian is formed in the inner iterations.  With
-    r_0 = zeta - s_0 z_0, this is J^T r = zeta (1 + sum_j |W_j . zeta|) -
-    (s_0 z_0 + w), and a dot of exactly 0 or NaN gives s = +1.  The
-    preconditioner update K - alpha (J^T J K - I) is then, in reduced form,
-    c K + alpha (N-1) zeta (zeta^T K) + alpha I with c = 1 - alpha N.
+    rows W_j and the rotations U_1 and U_{N-1}.  With U_0 = 1 and U_j =
+    U_{j-1} * r_j, r_j the window's j-th rotation increment, row j >= 1 of the
+    stacked map is P_j = Y_j / |Y_j|, Y_j = zeta * U_j, and its Jacobian block
+    is J_j = (I - P_j P_j^T) D_j / |Y_j|, D_j the linear map q -> q * U_j, as
+    normalize(normalize(y) * u) equals normalize(y * u).  Row 0 is zeta with
+    an identity block.  D_j^T is q -> q * conj(U_j), so D_j^T D_j = |U_j|^2 I,
+    and a unit zeta has |Y_j| = |U_j|: J_j^T J_j = I - zeta zeta^T, and the
+    AHRS block Z_j, flipped onto the hemisphere of P_j by s_j = sign(W_j .
+    zeta), gives J_j^T (P_j - s_j Z_j) = -s_j (I - zeta zeta^T) W_j with W_j =
+    D_j^T Z_j / |U_j| = Z_j * conj(U_j) / |U_j|.  So J^T J = I + (N-1)(I -
+    zeta zeta^T) and J^T r = r_0 + zeta (zeta . w) - w, w = sum_j s_j W_j: no
+    Jacobian is formed in the inner iterations.  With r_0 = zeta - s_0 z_0,
+    this is J^T r = zeta (1 + sum_j |W_j . zeta|) - (s_0 z_0 + w), and a dot
+    of exactly 0 or NaN gives s = +1.  The preconditioner update K - alpha
+    (J^T J K - I) is then, in reduced form, c K + alpha (N-1) zeta (zeta^T K)
+    + alpha I with c = 1 - alpha N.
 
     The signs change only where the iterate crosses a hemisphere, so the row
     pass, the only loop over the N-1 rows, runs at iteration 0 and then only
@@ -289,9 +293,7 @@ def _orientation_step(params: IpgParams, zeta, K, window: _Window):
         if norm <= _NORM_EPS:
             raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
         x, k = [y0 / norm, y1 / norm, y2 / norm, y3 / norm], k_next
-    a, b, c, d = x
-    warm, estimate = ([p * a + q * b + r * c + t * d for p, q, r, t in m]
-                      for m in (first, last))  # M_1 zeta and M_{N-1} zeta
+    warm, estimate = product_entries(x, first), product_entries(x, last)
     return _unit(estimate), _unit(_unit(warm)), k, x
 
 
@@ -377,11 +379,11 @@ class CascadeState:
     ``start`` keeps the run's ``epochs``, preintegrates every burst into
     ``bursts`` and stacks every epoch's ``ahrs`` and ``dvl``; at epoch k =
     ``cursor`` the windows are their rows k-N+1..k and rows k-N+2..k of
-    ``bursts``.  The
-    orientation stage's window terms depend only on those rows, so
-    ``cascade_step`` builds them ``_BLOCK`` windows at a time: ``terms`` holds
-    those of windows ``terms_first`` on (window k-N+1 at epoch k).  The
-    iterates estimate the window start from the first epoch's dead reckoning
+    ``bursts``.  The window terms (each window's U_j, W_j and sums) depend
+    only on those rows, so ``cascade_step`` builds them ``_BLOCK`` windows at
+    a time, as epochs come in order: ``terms`` holds those of windows b
+    ``_BLOCK`` on, for the block b of window w = k-N+1, at index w mod
+    ``_BLOCK``.  The iterates estimate the window start from the first epoch's dead reckoning
     on; after a fallback epoch (None) the next reseeds them from row 0.  They
     and the preconditioners cross epochs as Python floats.
     """
@@ -397,8 +399,7 @@ class CascadeState:
     cursor: int = 0
     q_iterate: Optional[list] = None  # 4 floats
     v_iterate: Optional[list] = None  # 3 floats
-    terms: list = field(default_factory=list)  # _window_terms of windows terms_first on
-    terms_first: int = 0
+    terms: list = field(default_factory=list)  # _window_terms of the current block
 
     @classmethod
     def start(cls, config: CascadeConfig, epochs) -> "CascadeState":
@@ -409,17 +410,17 @@ class CascadeState:
                    np.array([e.dvl for e in epochs], dtype=float), _precond(k0), k0)
 
 
-def _overflow_row(state: CascadeState, w: int, M) -> float:
+def _overflow_row(state: CascadeState, w: int, U) -> float:
     """The ``t`` of the IMU row where window w's rotation first overflows: with
-    j the first infinite |U_j| of its M, the first row of burst w+1+j whose
+    j the first infinite |U_j| of its U, the first row of burst w+1+j whose
     running product from U_{j-1} has an infinite norm (the burst's last row
     if rounding moves the overflow past it)."""
     biases = state.config.biases
     with np.errstate(all="ignore"):
-        j = int(np.flatnonzero(~(row_norms(M[:, :, 0]) < math.inf))[0])
+        j = int(np.flatnonzero(~(row_norms(U) < math.inf))[0])
         epoch = state.epochs[w + 1 + j]
         dts, _, gyro = _columns(epoch.imu_burst, [epoch.t_prev], biases.gyro, biases.accel)
-        start = M[j - 1, :, 0] if j else (1.0, 0.0, 0.0, 0.0)
+        start = U[j - 1] if j else (1.0, 0.0, 0.0, 0.0)
         bad = np.flatnonzero(~(row_norms(running_product(start, dts, gyro))[1:] < math.inf))
     return float(epoch.imu_burst[bad[0] if bad.size else -1, 0])
 
@@ -453,13 +454,12 @@ def cascade_step(state: CascadeState, epoch):
         return state, TrajectoryPoint(epoch.t, nav, "warmup")
 
     w = k + 1 - horizon  # the window: AHRS and DVL rows w..k, bursts w+1..k
-    if not 0 <= w - state.terms_first < len(state.terms):
+    if w % _BLOCK == 0:
         state.terms = []  # free the old block first: two at once double its memory
         count = min(_BLOCK, len(epochs) - k)
         state.terms = _window_terms(state.ahrs, state.dvl, bursts, config.gravity.vector,
                                     horizon, w, count)
-        state.terms_first = w
-    window = state.terms[w - state.terms_first]
+    window = state.terms[w % _BLOCK]
     if state.q_iterate is None:
         # After a fallback epoch, restart from the direct measurements of the
         # window start (identity measurement maps).

@@ -103,7 +103,10 @@ class AlignedPair:
 def truth_from_gt(samples) -> tuple[list[TrajectoryPoint], bool]:
     """Turn a ground-truth sensor stream into trajectory points.
 
-    Velocities are central finite differences of the positions.  Returns the
+    Velocities are finite differences of the positions (``np.gradient``): each
+    inner row the three-point difference of its two neighbours, exact on a
+    quadratic path over an uneven clock, and the first and last rows the
+    one-sided first difference to their one neighbour.  Returns the
     points plus whether the stream carried orientation (when it did not,
     identity quaternions are filled in and orientation metrics should be
     ignored).

@@ -33,7 +33,6 @@ from .quat import (
     ordered_matmul,
     quat_normalize,
     quat_product,
-    quat_to_rotation,
     rotate_vector,
     rotation_rows,
     row_norms,
@@ -203,7 +202,7 @@ def propagate_velocity(v, q, accel, accel_bias, gravity, dt) -> np.ndarray:
     dt = _check_dt(dt)
     specific_force = np.asarray(accel, dtype=float) - np.asarray(accel_bias, dtype=float)
     g = gravity.vector if isinstance(gravity, GravityModel) else np.asarray(gravity, dtype=float)
-    return np.asarray(v, dtype=float) + dt * (quat_to_rotation(q) @ specific_force + g)
+    return np.asarray(v, dtype=float) + dt * (rotate_vector(q, specific_force) + g)
 
 
 def propagate_position(p, v, dt) -> np.ndarray:
@@ -233,7 +232,7 @@ def preintegrate_burst(state: NavState, burst, biases: ImuBiases, gravity: Gravi
         rate = row[4:7] - biases.gyro
         increment = np.concatenate(([1.0], 0.5 * dt * rate))
         p, v, q = (p + dt * v,
-                   v + dt * (quat_to_rotation(q) @ specific_force + g),
+                   v + dt * (rotate_vector(q, specific_force) + g),
                    quat_normalize(quat_product(q, increment)))
         t_prev = row[0]
     return NavState(p, v, q)
@@ -284,9 +283,10 @@ class BurstInput:
         so row j equals burst j alone, bit for bit.
         Raises and warns as ``unpack_burst`` and ``unit_rows`` on the running
         products, the last one included, in epoch order; the error of a product
-        names the epoch's ``t``.  A non-finite accelerometer reading raises
-        NumericalError naming the epoch's ``t`` and the IMU row's, after the
-        burst's other checks."""
+        names the epoch's ``t``.  The first IMU row of a burst with a non-finite
+        accelerometer or gyro reading raises NumericalError naming the epoch's
+        ``t``, the row's and the sensor, after the burst's spacing checks and
+        before its products are (a NaN gyro reading makes them NaN)."""
         table = cls(*(np.empty((len(epochs), *shape)) for shape in [(4,), (3,), (), (3,), ()]))
         for first in range(0, len(epochs), _BLOCK):
             lengths = np.array([len(e.imu_burst) for e in epochs[first:first + _BLOCK]])
@@ -295,16 +295,18 @@ class BurstInput:
             # Bursts to reject or warn about rerun alone, in epoch order, to raise and warn.
             for e in (epochs[j] for j in np.sort(np.concatenate(flagged))):
                 dts, accel, gyro = unpack_burst(e.imu_burst, e.t_prev, biases.gyro, biases.accel)
+                accel_ok, gyro_ok = np.isfinite(accel).all(axis=1), np.isfinite(gyro).all(axis=1)
+                bad = np.flatnonzero(~(accel_ok & gyro_ok))
+                if bad.size:
+                    sensor = "gyro" if accel_ok[bad[0]] else "accelerometer"
+                    raise NumericalError(f"IMU burst of the epoch at t={e.t!r}: non-finite "
+                                         f"{sensor} reading in the IMU row at "
+                                         f"t={float(e.imu_burst[bad[0], 0])!r}")
                 try:
                     unit_rows(running_product((1.0, 0.0, 0.0, 0.0), dts, gyro))
                 except DegenerateQuaternionError as exc:
                     raise DegenerateQuaternionError(
                         f"IMU burst of the epoch at t={e.t!r}: {exc}") from exc
-                bad = np.flatnonzero(~np.isfinite(accel).all(axis=1))
-                if bad.size:
-                    raise NumericalError(f"IMU burst of the epoch at t={e.t!r}: non-finite "
-                                         "accelerometer reading in the IMU row at "
-                                         f"t={float(e.imu_burst[bad[0], 0])!r}")
         return table
 
     def _fill(self, rows, epochs, biases: ImuBiases) -> np.ndarray:

@@ -7,19 +7,19 @@ rotation (double cover), so angular distances are computed on the quotient.
 
 Each quaternion and rotation formula of the package is written here once.
 ``quat_product``, ``quat_to_rotation``, ``quat_from_rotvec``, ``quat_from_yaw``,
-``quat_from_euler``, ``quat_angular_distance``, ``rotate_vector`` and
-``quat_right_matrix`` also take rows, (n, 4), (n, 3) or (n,), and row k equals
-the call on row k bit for bit, signed zeros included (``np.array_equal``
-ignores their sign, ``np.signbit`` does not); ``row_norms``, ``unit_rows`` and
-``rotation_rows`` are the kernels under them.  Every sum of products that a
-result is built from (a row norm, a dot or a small stacked matrix product) is
-summed in index order by elementwise multiply and add (``ordered_matmul``),
-which no BLAS kernel, memory layout or SIMD width rounds differently.  One
-value skips the row machinery, whose numpy calls cost more than their
-arithmetic: ``rotation_rows``, ``quat_product``, ``quat_from_rotvec``,
-``quat_to_rotvec`` and ``rotation_to_quat`` run on Python floats, which round
-as numpy does (``rotation_entries`` and ``product_entries`` are those paths for
-a caller on floats), and a norm of floats is ``_norm``, the same ordered sum.
+``quat_from_euler``, ``quat_angular_distance`` and ``rotate_vector`` also take
+rows, (n, 4), (n, 3) or (n,), and row k equals the call on row k bit for bit,
+signed zeros included (``np.array_equal`` ignores their sign, ``np.signbit``
+does not); ``row_norms``, ``unit_rows`` and ``rotation_rows`` are the kernels
+under them.  Every sum of products that a result is built from (a row norm, a
+dot or a small stacked matrix product) is summed in index order by
+elementwise multiply and add (``ordered_matmul``), which no BLAS kernel,
+memory layout or SIMD width rounds differently.  One value skips the row
+machinery, whose numpy calls cost more than their arithmetic:
+``rotation_rows``, ``quat_product``, ``quat_from_rotvec``, ``quat_to_rotvec``
+and ``rotation_to_quat`` run on Python floats, which round as numpy does
+(``rotation_entries`` and ``product_entries`` are those paths for a caller on
+floats), and a norm of floats is ``_norm``, the same ordered sum.
 One rotation vector's cos and sin are math's, which matched numpy's on every
 one of 700,000 draws on an AVX-512 x86-64 host with numpy 2.4; arctan2 stays
 numpy's, as math's differed from it on about 1.5% of draws there.
@@ -54,7 +54,6 @@ __all__ = [
     "euler_from_quat",
     "rotate_vector",
     "hemisphere_align",
-    "quat_right_matrix",
 ]
 
 _NORM_EPS = 1e-12
@@ -373,16 +372,4 @@ def hemisphere_align(quats) -> np.ndarray:
         flip = (count - count[np.maximum.accumulate(reset)]) % 2 == 1
         out[flip] = -out[flip]
     return out
-
-
-# r.take(_RIGHT_INDEX, axis=-1) * _RIGHT_SIGN is [[rw, -rx, -ry, -rz], [rx, rw, rz, -ry],
-# [ry, -rz, rw, rx], [rz, ry, -rx, rw]].
-_RIGHT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
-                        [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
-
-
-def quat_right_matrix(r) -> np.ndarray:
-    """4x4 matrix M with ``M @ q == quat_product(q, r)`` for every q, or (n, 4, 4) of rows."""
-    return np.asarray(r, dtype=float).take(_RIGHT_INDEX, axis=-1) * _RIGHT_SIGN
 

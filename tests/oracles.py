@@ -5,8 +5,11 @@
 ``rot_increment``, with the gyro bias already folded in).  The cascade runs
 the closed form ``cascade._orientation_step`` instead, which must match it.
 ``window_terms`` builds one window's terms of that closed form on its own,
-the reference for ``cascade._window_terms``, which builds them per block of
-windows.
+its rotations U_j and rows W_j as Hamilton products on Python floats, the
+reference for ``cascade._window_terms``, which builds them per block of
+windows.  ``window_maps`` chains the same rotations as 4x4
+right-multiplication matrices (``right_matrix``), the independent reference
+whose column 0 must equal U_j bit for bit.
 
 ``velocity_step`` is the velocity stage on arrays: each burst's increment
 rotated from the orientation where it starts (``burst_start_orientations``
@@ -82,7 +85,6 @@ from cipgnav.quat import (
     quat_from_rotvec,
     quat_normalize,
     quat_product,
-    quat_right_matrix,
     quat_to_rotation,
     rotation_rows,
     rotation_to_quat,
@@ -117,6 +119,23 @@ def float_matmul(A, B) -> np.ndarray:
         len(A), B.shape[1])
 
 
+def float_product(a, b) -> list:
+    """The Hamilton product a * b of two quaternions on Python floats."""
+    aw, ax, ay, az = np.asarray(a, dtype=float).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=float).tolist()
+    return [aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw]
+
+
+def right_matrix(r) -> np.ndarray:
+    """The 4x4 matrix M with M q = q * r for every quaternion q."""
+    rw, rx, ry, rz = np.asarray(r, dtype=float).tolist()
+    return np.array([[rw, -rx, -ry, -rz], [rx, rw, rz, -ry], [ry, -rz, rw, rx],
+                     [rz, ry, -rx, rw]])
+
+
 def normalize_jacobian(y) -> np.ndarray:
     """Jacobian of y -> y/|y| evaluated at y (any dimension)."""
     y = np.asarray(y, dtype=float)
@@ -142,7 +161,7 @@ def _orientation_dynamics(q, rot_increment):
 
 def _orientation_dynamics_jacobian(q, rot_increment):
     raw = quat_product(np.asarray(q, dtype=float), rot_increment)
-    return normalize_jacobian(raw) @ quat_right_matrix(rot_increment)
+    return normalize_jacobian(raw) @ right_matrix(rot_increment)
 
 
 ORIENTATION_MODEL = WindowModel(
@@ -157,20 +176,33 @@ ORIENTATION_MODEL = WindowModel(
 )
 
 
+def window_maps(rot_increments) -> np.ndarray:
+    """One window's rotations as 4x4 maps M_j (N-1, 4, 4), M_j q = q * U_j, from its
+    increments (N-1, 4): q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j)
+    @ M_{j-1}, each product a ``float_matmul``, with R(r) = ``right_matrix(r)``."""
+    M = [right_matrix(rot_increments[0])]
+    for r in rot_increments[1:]:
+        M.append(float_matmul(right_matrix(r), M[-1]))
+    return np.array(M).reshape(len(rot_increments), 4, 4)
+
+
 def window_terms(ahrs, rot_increments):
-    """One window's M_j (N-1, 4, 4) and W_j = M_j^T Z_j / |U_j| (N-1, 4), from its
-    AHRS rows (N, 4) and increments (N-1, 4), raising DegenerateQuaternionError
-    on a zero or NaN |U_j| and NumericalError on an infinite one."""
-    # q * U_{j-1} * r_j = R(r_j) R(U_{j-1}) q, so M_j = R(r_j) @ M_{j-1}.
-    M = quat_right_matrix(rot_increments)
-    for j in range(1, len(M)):
-        M[j] = float_matmul(M[j], M[j - 1])
-    norms = np.array([float_norm(u) for u in M[:, :, 0]])  # column 0 of M_j is U_j
+    """One window's rotations U_1 = r_1, U_j = U_{j-1} * r_j (N-1, 4) and rows W_j =
+    Z_j * conj(U_j) / |U_j| (N-1, 4), from its AHRS rows Z_j (N, 4) and
+    increments r_j (N-1, 4), as Hamilton products on Python floats; raises
+    DegenerateQuaternionError on a zero or NaN |U_j| and NumericalError on an
+    infinite one."""
+    U = [np.asarray(rot_increments[0], dtype=float).tolist()]
+    for r in rot_increments[1:]:
+        U.append(float_product(U[-1], r))
+    norms = np.array([float_norm(u) for u in U])
     if not (norms > _NORM_EPS).all():
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norms.min():.3e}")
     if not np.isfinite(norms).all():
         raise NumericalError("non-finite stacked Jacobian entry in the orientation window")
-    return M, np.array([float_matmul(m.T, z) for m, z in zip(M, ahrs[1:])]) / norms[:, None]
+    W = [[c / n for c in float_product(z, [uw, -ux, -uy, -uz])]
+         for z, (uw, ux, uy, uz), n in zip(ahrs[1:], U, norms.tolist())]
+    return np.array(U).reshape(-1, 4), np.array(W).reshape(-1, 4)
 
 
 def burst_start_orientations(M, zeta) -> np.ndarray:

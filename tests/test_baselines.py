@@ -34,7 +34,7 @@ from cipgnav.baselines import (
 from cipgnav.cascade import CascadeConfig, run_cascade
 from cipgnav.cli import hash_epochs
 from cipgnav.errors import DegenerateQuaternionError, NumericalError
-from cipgnav.preintegration import ImuBiases, NavState
+from cipgnav.preintegration import GravityModel, ImuBiases, NavState, preintegrate_burst
 from cipgnav.quat import (
     quat_angular_distance,
     quat_from_rotvec,
@@ -305,6 +305,18 @@ def scenario_outputs() -> dict:
                                for p in points]))
 
 
+def dead_reckoned_states() -> np.ndarray:
+    """The states (position, velocity, orientation per row) of the epochs of a 20 s
+    ``benchmark_scenario``, dead-reckoned from its initial state through the
+    per-sample reference ``preintegrate_burst``, burst by burst."""
+    run = generate(benchmark_scenario(0, 20.0))
+    nav, states = run.initial_nav(), []
+    for epoch in run.epochs():
+        nav = preintegrate_burst(nav, epoch.imu_burst, ImuBiases(), GravityModel(), epoch.t_prev)
+        states.append(np.concatenate([nav.position, nav.velocity, nav.orientation]))
+    return np.array(states)
+
+
 def under_core(core, tmp_path, statement) -> None:
     """Run ``statement`` with the directory ``tmp_path`` as sys.argv[1] in a child
     Python whose environment alone sets OPENBLAS_CORETYPE to ``core``."""
@@ -335,9 +347,10 @@ def blas_inputs(rng, count=400, longest=25):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the OpenBLAS kernels named are x86-64 ones")
 class TestBlasKernel:
-    """The simulated streams, their epoch digest, the cipg trajectory and the EKF's
-    predicted mean use no BLAS call, so an OpenBLAS build that picks its kernel at
-    run time gives them the same bits under every kernel."""
+    """The simulated streams, their epoch digest, the cipg trajectory, the EKF's
+    predicted mean and the per-sample reference ``preintegrate_burst`` use no BLAS
+    call, so an OpenBLAS build that picks its kernel at run time gives them the
+    same bits under every kernel."""
 
     @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
     def test_ekf_mean_is_the_same_under_another_kernel(self, rng, tmp_path, core):
@@ -360,6 +373,16 @@ class TestBlasKernel:
         theirs = np.load(tmp_path / "theirs.npz")
         for name, ours in scenario_outputs().items():
             assert np.asarray(ours).tobytes() == theirs[name].tobytes(), f"{name} under {core}"
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_per_sample_dead_reckoning_is_the_same_under_another_kernel(self, tmp_path, core):
+        under_core(core, tmp_path, "import sys, numpy as np; "
+                   "from tests.test_baselines import dead_reckoned_states; "
+                   "np.save(sys.argv[1] + '/states.npy', dead_reckoned_states())")
+        theirs = np.load(tmp_path / "states.npy")
+        ours = dead_reckoned_states()
+        differing = int((theirs != ours).any(axis=1).sum())
+        assert differing == 0, f"{differing} of {len(ours)} dead-reckoned states differ under {core}"
 
 
 class TestKalmanUpdate:

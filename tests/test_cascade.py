@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -59,6 +60,7 @@ from tests.oracles import (
     float_matmul,
     velocity_increments,
     velocity_step,
+    window_maps,
     window_terms,
 )
 
@@ -76,8 +78,15 @@ def circle_run(duration=20.0, radius=10.0, noise=QUIET, seed=0):
 def burst_oracle(epoch, biases: ImuBiases):
     """One epoch's burst preintegrated alone, with the per-burst kernels:
     (rot_increment, body_dv, duration, body_dp, dp_weight), the reference each
-    row of ``BurstInput.from_epochs`` must equal bit for bit."""
+    row of ``BurstInput.from_epochs`` must equal bit for bit.  After
+    ``unpack_burst``'s checks, the first IMU row with a non-finite reading
+    raises NumericalError naming the row's ``t`` and its sensor, the
+    accelerometer before the gyro."""
     dts, accel, gyro = unpack_burst(epoch.imu_burst, epoch.t_prev, biases.gyro, biases.accel)
+    for row, readings in zip(epoch.imu_burst.tolist(), np.hstack([accel, gyro]).tolist()):
+        for sensor, values in (("accelerometer", readings[:3]), ("gyro", readings[3:])):
+            if not all(map(math.isfinite, values)):
+                raise NumericalError(f"non-finite {sensor} reading in the IMU row at t={row[0]!r}")
     products = running_product((1.0, 0.0, 0.0, 0.0), dts, gyro)
     prefixes = unit_rows(products)[0][:-1]  # the last product is checked too
     body_accel = np.array([float_matmul(R, a) for R, a in zip(rotation_rows(prefixes), accel)])
@@ -179,14 +188,15 @@ class TestBurstTable:
     @staticmethod
     def oracle_events(epochs, biases):
         """Warning messages and the first error of ``burst_oracle`` over epochs in
-        order, the error of a running product prefixed with its epoch's t."""
+        order, the error of a reading or a running product prefixed with its
+        epoch's t."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             error = None
             for epoch in epochs:
                 try:
                     burst_oracle(epoch, biases)
-                except DegenerateQuaternionError as exc:  # a ValueError, so caught first
+                except (NumericalError, DegenerateQuaternionError) as exc:  # before ValueError
                     error = (type(exc), f"IMU burst of the epoch at t={epoch.t!r}: {exc}")
                 except ValueError as exc:
                     error = (type(exc), str(exc))
@@ -224,7 +234,7 @@ class TestBurstTable:
             error = None
             try:
                 BurstInput.from_epochs(epochs, self.BIASES)
-            except (ValueError, DegenerateQuaternionError) as exc:
+            except (ValueError, NumericalError) as exc:
                 error = (type(exc), str(exc))
         assert ([str(w.message) for w in caught], error) == expected
 
@@ -235,11 +245,15 @@ class TestBurstTable:
         {2: "nan", 6: "accel"},
         {4: "spacing", 7: "accel"},
         {5: "accel-and-nan"},
+        {4: "gap", 6: "both-in-one-row"},
     ], ids=["warn-then-accel", "accel-before-nan", "accel-first", "nan-first",
-            "reject-first", "nan-in-the-same-burst"])
+            "reject-first", "nan-in-the-same-burst", "both-in-one-row"])
     def test_accel_error_in_epoch_order(self, rng, monkeypatch, faults):
-        # A non-finite accelerometer reading raises in epoch order among the other
-        # burst errors and warnings, after the checks of its own burst.
+        # A non-finite accelerometer or gyro reading raises in epoch order among
+        # the other burst errors and warnings, after the spacing checks of its own
+        # burst and before its running products: the burst's first such row is
+        # named, with its sensor (a NaN gyro reading in row 1, an accelerometer
+        # one in row 3, or both in row 1, where the accelerometer is named).
         monkeypatch.setattr(preintegration, "_BLOCK", 4)
         epochs = epoch_chain(rng, [13, 13, 5, 12] * 3)
         for j, fault in faults.items():
@@ -253,13 +267,17 @@ class TestBurstTable:
                 burst[1, 4] = np.nan
             if fault in ("accel", "accel-and-nan"):
                 burst[3, 2] = np.nan
+            if fault == "both-in-one-row":
+                burst[1, 2] = burst[1, 4] = np.nan
             epochs[j] = replace(epochs[j], imu_burst=burst)
-        j = min(k for k, fault in faults.items() if fault.startswith("accel"))
-        caught, error = self.oracle_events(epochs[:j + 1], self.BIASES)
-        if error is None:
-            error = (NumericalError, f"IMU burst of the epoch at t={epochs[j].t!r}: non-finite "
-                                     "accelerometer reading in the IMU row at "
-                                     f"t={float(epochs[j].imu_burst[3, 0])!r}")
+        caught, error = self.oracle_events(epochs, self.BIASES)
+        j = min(k for k, fault in faults.items() if fault != "gap")
+        if faults[j] != "spacing":
+            row, sensor = {"accel": (3, "accelerometer"), "both-in-one-row": (1, "accelerometer")
+                           }.get(faults[j], (1, "gyro"))
+            assert error == (NumericalError, f"IMU burst of the epoch at t={epochs[j].t!r}: "
+                                             f"non-finite {sensor} reading in the IMU row at "
+                                             f"t={float(epochs[j].imu_burst[row, 0])!r}")
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
             with pytest.raises(error[0]) as exc_info:
@@ -304,14 +322,15 @@ class TestBurst:
     @pytest.mark.parametrize("sample", [0, 5, -1], ids=["first", "mid", "last"])
     def test_nan_gyro_reading_raises_in_start_naming_the_epoch(self, sample):
         # The last sample's reading enters only the final running product, which
-        # is the burst's rotation increment: start checks it with the others.
+        # is the burst's rotation increment: start checks it with the others,
+        # and names the row, as for an accelerometer reading.
         _, epochs = circle_run(duration=20.0)
         burst = epochs[30].imu_burst.copy()
         burst[sample, 4] = np.nan
         epochs[30] = replace(epochs[30], imu_burst=burst)
-        message = re.escape(f"IMU burst of the epoch at t={epochs[30].t!r}: "
-                            "cannot normalize quaternion with norm nan")
-        with pytest.raises(DegenerateQuaternionError, match=f"^{message}$"):
+        message = re.escape(f"IMU burst of the epoch at t={epochs[30].t!r}: non-finite "
+                            f"gyro reading in the IMU row at t={float(burst[sample, 0])!r}")
+        with pytest.raises(NumericalError, match=f"^{message}$"):
             CascadeState.start(CascadeConfig(), epochs)
 
     @pytest.mark.parametrize("fallback", ["abort", "deadreckon"])
@@ -744,7 +763,7 @@ class TestVelocityStage:
         ahrs = np.array([random_unit_quat(rng) for _ in range(horizon)])
         dvl = rng.normal(size=(horizon, 3))
         window = one_window(ahrs, table.rot_increment, table.body_dv, table.duration, dvl)
-        M, _ = window_terms(ahrs, table.rot_increment)
+        M = window_maps(table.rot_increment)
         q, iterate = random_unit_quat(rng), rng.normal(size=3)
         quats = burst_start_orientations(M, q)
         increments = velocity_increments(table.body_dv, table.duration, quats, GRAVITY)
@@ -852,9 +871,8 @@ class TestOrientationStage:
             # orientations from it are rows 0..N-2 of the stacked map.
             expected = stacked_map(model, generic.inputs, ref.window_start).reshape(-1, 4)[:-1]
             np.testing.assert_allclose(zeta, expected[0], rtol=0.0, atol=1e-12)
-            M, _ = window_terms(args[0], args[3])
-            np.testing.assert_allclose(burst_start_orientations(M, zeta), expected,
-                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(burst_start_orientations(window_maps(args[3]), zeta),
+                                       expected, rtol=0.0, atol=1e-12)
 
     def test_zero_dot_counts_as_positive_like_ipg_step(self):
         # Identity increments make W_j = Z_j, and every block is orthogonal to
@@ -1074,10 +1092,11 @@ class TestOrientationStage:
 
 class TestWindowTerms:
     """``cascade_step``'s block-built window terms against one-window oracles,
-    window by window, and their errors at the window's epoch: the maps M_1 and
-    M_{N-1}, W and w_max bit for bit against ``window_terms``, the sums bit for
-    bit against a block of one window, and the velocity stage on them against
-    the array oracle ``velocity_step``."""
+    window by window, and their errors at the window's epoch: the rotations
+    U_1 and U_{N-1}, W and w_max bit for bit against ``window_terms``, the sums
+    bit for bit against a block of one window, and the velocity stage on them
+    against the array oracle ``velocity_step``.  ``window_terms``' Hamilton
+    products against the 4x4 chain of ``window_maps``."""
 
     @staticmethod
     def stepped_terms(monkeypatch, epochs, horizon):
@@ -1117,11 +1136,13 @@ class TestWindowTerms:
             assert blocks == [(first, min(size, count - first)) for first in range(0, count, size)]
             bursts = state.bursts
             for w, (window, (args, result)) in enumerate(zip(seen, velocity)):
-                M_ref, W_ref = window_terms(state.ahrs[w:w + horizon],
+                U_ref, W_ref = window_terms(state.ahrs[w:w + horizon],
                                             bursts.rot_increment[w + 1:w + horizon])
+                M_ref = window_maps(bursts.rot_increment[w + 1:w + horizon])
+                assert same_bits(M_ref[:, :, 0], U_ref)  # column 0 of M_j is U_j
                 assert window.fault is None
                 assert same_bits(window.start, state.ahrs[w])
-                assert same_bits(window.first, M_ref[0]) and same_bits(window.last, M_ref[-1])
+                assert same_bits(window.first, U_ref[0]) and same_bits(window.last, U_ref[-1])
                 assert same_bits(window.W, W_ref)
                 assert same_bits(window.w_max,
                                  max(1.0, *row_norms(np.vstack([state.ahrs[w], W_ref]))))
@@ -1137,6 +1158,23 @@ class TestWindowTerms:
                                          increments)
                 for got, ref in zip(result, expected):
                     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+    def test_hamilton_rotations_equal_the_4x4_chain(self, rng):
+        # U_j from one Hamilton product per step equals column 0 of the chained
+        # 4x4 maps bit for bit, signed zeros included (increments with zero and
+        # negative-zero vector parts), and W_j = Z_j * conj(U_j) / |U_j| equals
+        # M_j^T Z_j / |U_j| to rounding.
+        for _ in range(300):
+            horizon = int(rng.integers(2, 12))
+            increments = rng.normal(size=(horizon - 1, 4))
+            increments[:, 1:] *= rng.choice([0.0, -0.0, 1.0, 1.0], size=(horizon - 1, 3))
+            ahrs = np.array([random_unit_quat(rng) for _ in range(horizon)])
+            U, W = window_terms(ahrs, increments)
+            M = window_maps(increments)
+            assert same_bits(M[:, :, 0], U)
+            norms = row_norms(U)
+            expected = [float_matmul(m.T, z) / n for m, z, n in zip(M, ahrs[1:], norms)]
+            np.testing.assert_allclose(W, expected, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("block", [None, 7], ids=["default", "7"])
     @pytest.mark.parametrize("fault", ["overflow", "nan"])

@@ -292,6 +292,21 @@ class TestTruthFromGt:
         for p in points:
             np.testing.assert_allclose(p.nav.velocity, [2.0, 0.0, 0.0], atol=1e-12)
 
+    def test_end_rows_are_one_sided_first_differences(self):
+        # On a quadratic path over an uneven clock the two end rows take the first
+        # difference to their one neighbour, and the inner rows the three-point
+        # difference of an uneven clock, which is exact on a quadratic.
+        t = np.array([0.0, 0.1, 0.25, 0.45, 0.7])
+        pos = np.stack([t * t, 3.0 * t - t * t, 2.0 * t * t + 1.0], axis=1)
+        points, _ = truth_from_gt([GroundTruthSample(t=float(s), position=p)
+                                   for s, p in zip(t, pos)])
+        velocity = np.array([p.nav.velocity for p in points])
+        assert velocity[0].tobytes() == ((pos[1] - pos[0]) / (t[1] - t[0])).tobytes()
+        assert velocity[-1].tobytes() == ((pos[-1] - pos[-2]) / (t[-1] - t[-2])).tobytes()
+        exact = np.stack([2.0 * t, 3.0 - 2.0 * t, 4.0 * t], axis=1)
+        np.testing.assert_allclose(velocity[1:-1], exact[1:-1], rtol=0.0, atol=1e-12)
+        assert np.abs(velocity[[0, -1]] - exact[[0, -1]]).min() > 0.01
+
     def test_missing_orientation_flagged(self):
         samples = [GroundTruthSample(t=float(k), position=np.zeros(3)) for k in range(3)]
         points, has_orientation = truth_from_gt(samples)

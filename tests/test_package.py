@@ -1,10 +1,13 @@
-"""Package surface: every name a module exports resolves, and every module
-attribute the benchmark's tracer rebinds (``perfbench/workloads.py``) exists."""
+"""Package surface: every name a module exports resolves, every module
+attribute the benchmark's tracer rebinds (``perfbench/workloads.py``) exists,
+and every product that may run on BLAS sits in a function allowed to."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +38,61 @@ def test_traced_attributes_exist(name):
     module = importlib.import_module(f"cipgnav.{name}")
     missing = [attr for attr in TRACED[name] if not callable(getattr(module, attr, None))]
     assert not missing, f"cipgnav.{name} lacks attributes the benchmark tracer rebinds: {missing}"
+
+
+# module -> functions whose products may run on BLAS: the filters' covariance
+# algebra, the gain solve and the InEKF's rotation chain, the generic window
+# solver, and the orthogonality test of a rotation matrix.  Every other product
+# goes through quat.ordered_matmul or Python floats, which round alike under
+# every BLAS kernel.
+BLAS_PRODUCTS = {
+    "baselines": {"kalman_update", "_propagate_cov", "ekf_predict", "ekf_update",
+                  "_left_jacobian_so3", "se23_exp", "inekf_predict", "_inekf_measurement",
+                  "inekf_update"},
+    "ipg": {"_stacked_jacobian_chain", "precondition_update", "iterate_update", "ipg_step"},
+    "quat": {"rotation_to_quat"},
+}
+
+
+def _is_product(node) -> bool:
+    """Whether ``node`` is an ``@``, an ``@=`` or a call of a ``.dot`` or ``.matmul``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dot", "matmul"))
+
+
+def blas_products(source: str) -> list:
+    """(innermost enclosing function, line) of each product in ``source`` that
+    ``_is_product`` finds; the function is None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if _is_product(child):
+                found.append((function, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("name", [m.rsplit(".", 1)[1] for m in MODULES[1:]])
+def test_blas_products_sit_in_allowed_functions(name):
+    module = importlib.import_module(f"cipgnav.{name}")
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    allowed = BLAS_PRODUCTS.get(name, set())
+    stray = [f"{function or '<module>'} (line {line})"
+             for function, line in blas_products(source) if function not in allowed]
+    assert not stray, f"cipgnav.{name} forms products on BLAS outside {sorted(allowed)}: {stray}"
+
+
+def test_blas_product_finder():
+    source = ("import numpy as np\n"
+              "def f(a, b):\n    return a @ b\n"
+              "def g(a, b):\n    a @= b\n    return np.dot(a, b), np.matmul(a, b), a.dot(b)\n"
+              "def h(a, b):\n    def inner():\n        return a @ b\n    return inner\n"
+              "x = np.eye(2) @ np.eye(2)\n")
+    assert blas_products(source) == [("f", 3), ("g", 5), ("g", 6), ("g", 6), ("g", 6),
+                                     ("inner", 9), (None, 11)]

@@ -24,7 +24,6 @@ from cipgnav.quat import (
     quat_from_yaw,
     quat_normalize,
     quat_product,
-    quat_right_matrix,
     quat_to_rotation,
     quat_to_rotvec,
     rotate_vector,
@@ -82,11 +81,12 @@ class TestProduct:
         assert np.linalg.norm(quat_product(a, b)) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_matrix_identity(self, rng):
+        # The 4x4 map of the window oracle ``oracles.window_maps``.
         for _ in range(20):
             q = rng.normal(size=4)
             r = rng.normal(size=4)
             np.testing.assert_allclose(
-                quat_right_matrix(r) @ q, quat_product(q, r), atol=1e-12
+                oracles.right_matrix(r) @ q, quat_product(q, r), atol=1e-12
             )
 
 
@@ -558,14 +558,6 @@ class TestRowKernels:
         R = rotation_rows(layout(U))
         assert same_bits(R, [rotation_rows(u) for u in U])
         assert same_bits(R, [rotation_formula(u) for u in U])
-
-    def test_quat_right_matrix(self, rng, layout):
-        Q = quat_rows(rng)
-        M = quat_right_matrix(layout(Q))
-        assert same_bits(M, [quat_right_matrix(r) for r in Q])
-        rw, rx, ry, rz = Q[-1]
-        assert same_bits(quat_right_matrix(Q[-1]), [[rw, -rx, -ry, -rz], [rx, rw, rz, -ry],
-                                                     [ry, -rz, rw, rx], [rz, ry, -rx, rw]])
 
     def test_quat_from_rotvec(self, rng, layout):
         E = rotvec_rows(rng)

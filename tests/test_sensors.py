@@ -178,6 +178,27 @@ class TestLoaderPaths:
         path.write_text(text, newline="")
         assert _outcome(_load, path, kind) == _outcome(_per_row_load, path, kind)
 
+    @pytest.mark.parametrize("load", [_load, _per_row_load], ids=["bulk", "rows"])
+    def test_quaternion_norm_rule(self, tmp_path, load):
+        # A quaternion is divided by its norm unless that norm is within the
+        # format's tolerance of 1, on either side: 1e-12 in a trajectory, 0 in a
+        # stream.  Norms 0.5 and 2 give halves exactly.
+        near = [[0.5, 0.5, 0.5, 0.5 - 1e-13], [0.5, 0.5, 0.5, 0.5 + 1e-13]]
+        far = [[0.5, 0.5, 0.5, 0.5 - 1e-9], [0.5, 0.5, 0.5, 0.5 + 1e-9]]
+        quats = np.array([[0.25] * 4, [1.0] * 4, *near, *far])
+        for kind, width, q in (("ahrs", 5, slice(1, 5)), ("trajectory", 12, slice(7, 11))):
+            rows = np.zeros((len(quats), width))
+            rows[:, 0], rows[:, q] = np.arange(len(quats)) + 1.0, quats
+            path = tmp_path / f"{kind}.csv"
+            sensors.write_csv(rows, path, kind)
+            assert sensors._load_bulk(path, kind) is not None  # "rows" disables that path
+            got = load(path, kind)[:, q]
+            assert got[:2].tobytes() == np.full((2, 4), 0.5).tobytes()
+            for read, given in zip(got[2:], quats[2:].tolist()):
+                kept = kind == "trajectory" and given in near
+                assert (read.tolist() == given) == kept, (kind, given)
+                assert kept or abs(float(np.sqrt(np.sum(read * read))) - 1.0) < 1e-15
+
     IMU = "t,ax,ay,az,gx,gy,gz\n0.01,1,2,3,4,5,6\n0.02,1,2,3,4,5,6\n"
     AHRS = "t,qw,qx,qy,qz\n0.2,1,0,0,0\n0.4,0.5,0.5,0.5,0.5\n"
 
