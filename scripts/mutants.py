@@ -20,17 +20,17 @@ The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
 finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
-reruns their pass), of the filters (the EKF predict's float loop: its
-spacing refusal, gyro bias, strapdown order, attitude and error-transition
-blocks; the measurement updates on Python floats, the InEKF's measurement
-rows and the runners' reading check), of the field rules in ``errors.py``,
-of the burst table's refusal of a non-finite reading, of the CLI's naming
-of a refused metadata value, of the fixed-order kernel
-``quat.ordered_matmul``, of products put back on BLAS, of ``synchronize``
-(the epoch bounds, the nearest-AHRS rule, the order check), of the CSV
-loader's unit-norm rule through each parse path, of ``truth_from_gt``'s end
-rows and of the simulator's navigation-to-body rotation.  A row that may
-survive says why.  Each mutant takes one pytest run of its target,
+reruns their pass), of the filters (both predicts' float loops: their
+spacing refusal, gyro bias, strapdown order and error order, the EKF's
+attitude and error-transition blocks; the measurement updates on Python
+floats, the InEKF's measurement rows and the runners' reading check), of
+the field rules in ``errors.py``, of the burst table's refusal of a
+non-finite reading, of the CLI's naming of a refused metadata value, of the
+fixed-order kernel ``quat.ordered_matmul``, of products put back on BLAS,
+of ``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order
+check), of the CSV loader's unit-norm rule through each parse path, of
+``truth_from_gt``'s end rows and of the simulator's navigation-to-body
+rotation.  A row that may survive says why.  Each mutant takes one pytest run of its target,
 about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
 and 3 s for the others; none of this runs in tier-1.
 
@@ -66,6 +66,15 @@ class Mutant(NamedTuple):
         return self.tests or f"tests/test_{Path(self.file).stem}.py"
 
 
+# Text the two filters' predict loops share, which a row of either lengthens to one match.
+_LOOP_START = ("        for t, a0, a1, a2, w0, w1, w2 in rows:\n"
+               "            dt = t - t_prev\n            ")
+_UNPACK = "        unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)\n"
+_RERUN = ("    except DegenerateQuaternionError:\n"
+          "        # A later non-positive spacing, and the large-spacing warning, come first.\n"
+          + _UNPACK + "        raise")
+_INEKF_ORACLE = "tests/test_baselines.py::TestInekfPredictAgainstArrayOracle"
+
 MUTANTS = [
     # The reduced preconditioner update K' = c K + alpha (N-1) zeta (zeta^T K) + alpha I.
     Mutant("cascade.py", "keep, pull = 1.0 - alpha * (1.0 + rows), alpha * rows",
@@ -88,8 +97,8 @@ MUTANTS = [
            "velocity-gain-sign", True),
     Mutant("cascade.py", "x = [A * a + B * m for a, m in zip(zeta, misfit)]",
            "x = [A * a - B * m for a, m in zip(zeta, misfit)]", "velocity-compose-sign", True),
-    Mutant("cascade.py", "for a, b, c, u, v, w in (sums[:6], sums[6:12], sums[12:]))",
-           "for a, b, c, u, v, w in (sums[:6], sums[12:], sums[6:12]))",
+    Mutant("cascade.py", "b0, b1, b2, v0, v1, v2, c0, c1, c2, w0, w1, w2 = sums",
+           "c0, c1, c2, w0, w1, w2, b0, b1, b2, v0, v1, v2 = sums",
            "velocity-sums-order", True),
     # The finiteness checks.
     Mutant("cascade.py", "if not (all(map(math.isfinite, x)) and math.isfinite(gain)):",
@@ -127,7 +136,8 @@ MUTANTS = [
     # start by at most an ulp, which no tolerance of ipg_step's comparison sees.
     Mutant("cascade.py", "_unit(_unit(warm))", "_unit(warm)", "warm-single-normalize", False),
     # The filters: the EKF predict's float loop (its refusal, bias, strapdown order,
-    # attitude and transition blocks), the updates' float algebra and H.
+    # attitude and transition blocks), the updates' float algebra and H.  Where
+    # the two predicts' loops share lines, a row takes enough text to match once.
     Mutant("baselines.py", "ndt = -dt", "ndt = dt", "ekf-transition-sign", True),
     Mutant("baselines.py",
            "H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]",
@@ -142,10 +152,11 @@ MUTANTS = [
            "ekf-position-end-velocity", True),
     Mutant("baselines.py", "rotation_entries(\n                _unit((qw, qx, qy, qz)))",
            "rotation_entries(\n                (qw, qx, qy, qz))", "ekf-unnormalized-attitude", True),
-    Mutant("baselines.py", "if dt <= 0.0:", "if dt < 0.0:", "ekf-zero-spacing-accepted", True),
-    Mutant("baselines.py",
-           "unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)\n        raise",
-           "raise", "ekf-degenerate-before-spacing", True),
+    Mutant("baselines.py", "row-major\n    try:\n" + _LOOP_START + "if dt <= 0.0:",
+           "row-major\n    try:\n" + _LOOP_START + "if dt < 0.0:", "ekf-zero-spacing-accepted", True),
+    Mutant("baselines.py", "orientation = _unit((qw, qx, qy, qz))\n" + _RERUN,
+           "orientation = _unit((qw, qx, qy, qz))\n" + _RERUN.replace(_UNPACK, ""),
+           "ekf-degenerate-before-spacing", True),
     Mutant("baselines.py", "q_meas = [-mw, -mx, -my, -mz]", "q_meas = [mw, mx, my, mz]",
            "ekf-no-hemisphere-flip", True),
     Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",
@@ -155,8 +166,24 @@ MUTANTS = [
     Mutant("quat.py", "half = 0.5 * angle\n        s = math.sin(half)",
            "half = angle\n        s = math.sin(half)", "correction-full-angle", True,
            "tests/test_baselines.py"),
-    Mutant("baselines.py", "H[0:3, 0:3] = _skew(state.velocity)",
-           "H[0:3, 0:3] = -_skew(state.velocity)", "inekf-velocity-row-sign", True),
+    # The InEKF predict's float loop, against its array form in tests/oracles.py.
+    Mutant("baselines.py", "h * (w0 - c0), h * (w1 - c1),", "h * w0, h * w1,",
+           "inekf-gyro-bias-kept", True, _INEKF_ORACLE),
+    Mutant("baselines.py",
+           "p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2\n"
+           "        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)",
+           "v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)\n"
+           "        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2",
+           "inekf-position-end-velocity", True, _INEKF_ORACLE),
+    Mutant("baselines.py", "increments = [], [], []\n    try:\n" + _LOOP_START + "if dt <= 0.0:",
+           "increments = [], [], []\n    try:\n" + _LOOP_START + "if dt < 0.0:",
+           "inekf-zero-spacing-accepted", True, _INEKF_ORACLE),
+    Mutant("baselines.py", "dts.append(dt)\n" + _RERUN,
+           "dts.append(dt)\n" + _RERUN.replace(_UNPACK, ""), "inekf-degenerate-before-spacing",
+           True, _INEKF_ORACLE),
+    Mutant("baselines.py", "H[0:3, 0:3] = [[0.0, -v2, v1], [v2, 0.0, -v0], [-v1, v0, 0.0]]",
+           "H[0:3, 0:3] = [[0.0, v2, -v1], [-v2, 0.0, v0], [v1, -v0, 0.0]]",
+           "inekf-velocity-row-sign", True),
     Mutant("baselines.py", '("ahrs", epoch.ahrs), *rows]', '("ahrs", epoch.ahrs)]',
            "filter-imu-readings-unchecked", True),
     # The field rules, through the table of tests/test_errors.py.

@@ -18,10 +18,10 @@ therefore the same bits under every BLAS kernel (OpenBLAS picks one per CPU
 at run time).  It propagates its covariance in burst form, with BLAS
 products: one backward pass of suffix products F_M ... F_{k+1}, one 9x9
 product per sample, and one product for the whole noise sum.  The InEKF
-unpacks the burst once into arrays of spacings and bias-corrected readings,
-forms the per-sample attitudes, velocities, positions, F_k and process noise
-Q_k with array operations, and steps its covariance recursion
-P <- F_k P F_k^T + Q_k and its 3x3 rotation chain sample by sample.  The EKF
+reads the burst as floats in two such loops around its chain of 3x3 BLAS
+rotation products, so its mean is its array form's bit for bit; it builds F_k
+and process noise Q_k with array operations and steps its covariance
+recursion P <- F_k P F_k^T + Q_k sample by sample.  The EKF
 update uses that its measurements select error-state rows 3..8 and forms no
 product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
 9-element arrays a numpy call costs more than its arithmetic.
@@ -50,11 +50,11 @@ from .preintegration import (
     ImuBiases,
     NavState,
     _check_dt,
-    _strapdown,
     unpack_burst,
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
+    _NORM_EPS,
     _norm,
     _unit,
     product_entries,
@@ -93,16 +93,9 @@ _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter a
 
 
 def _skew(v) -> np.ndarray:
-    """[v]x of a 3-vector, or of each row of an (..., 3) array as (..., 3, 3)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:  # one vector: its entries on Python floats
-        x, y, z = v.tolist()
-        return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    S = np.zeros(v.shape[:-1] + (3, 3))
-    S[..., 0, 1], S[..., 0, 2], S[..., 1, 2] = -z, y, -x
-    S[..., 1, 0], S[..., 2, 0], S[..., 2, 1] = z, -y, x
-    return S
+    """[v]x of a 3-vector, its entries formed on Python floats."""
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +207,8 @@ def kalman_update(P, H, R, innovation):
     m = len(H)
     R = np.asarray(R, dtype=float).reshape(m, m)
     y = np.asarray(innovation, dtype=float).reshape(m)
-    K = _gain(H @ P @ H.T + R, H @ P)
+    HP = H @ P
+    K = _gain(HP @ H.T + R, HP)
     dx = K @ y
     IKH = (_EYE9 if len(P) == 9 else np.eye(len(P))) - K @ H
     P_post = IKH @ P @ IKH.T + K @ R @ K.T
@@ -428,23 +422,59 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     by the adjoint of the state at the start of the sample,
     Q_k = Ad_k Qb Ad_k^T dt (Hartley et al., IJRR 39(4), 2020).
 
-    The burst is evaluated as a whole: the per-sample increment matrices are
-    built in one batched operation and chained onto the start rotation,
-    ``cumsum`` gives the velocities and positions, and the F_k, Ad_k and Q_k
-    stacks are built in a few array operations.  Only the 3x3 rotation chain
-    and the covariance recursion P <- F_k P F_k^T + Q_k step through the
-    samples.
+    The burst is read once as Python floats.  A first loop forms the spacings,
+    with ``ekf_predict``'s refusals, warning and error order, the readings and
+    each increment's rotation (``rotation_entries`` of its ``_unit``), chained
+    on by 3x3 BLAS products in sample order; a second forms R_k a_k in index
+    order and advances p with the velocity at the start of the sample, then v.
+    So the mean equals the array form bit for bit.  The F_k, Ad_k and Q_k
+    stacks take a few array operations, and P <- F_k P F_k^T + Q_k steps
+    through the samples.
     """
-    dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
-    increments = np.concatenate([np.ones((len(dts), 1)), 0.5 * dts[:, None] * w], axis=1)
-    # Chained in sample order, as the per-sample loop does: the single product
-    # R0 * R(r_1 * ... * r_k) moved this filter's 100 s trajectories by 2e-12 m.
+    rows = burst.tolist()
+    if not rows:
+        return InekfState(state.rotation.copy(), state.velocity.copy(), state.position.copy(),
+                          _finish_cov(state.cov, config, "inekf_predict"))
+    b0, b1, b2 = config.biases.accel.tolist()
+    c0, c1, c2 = config.biases.gyro.tolist()
+    t_prev = float(t_start)
+    dts, accel, increments = [], [], []
+    try:
+        for t, a0, a1, a2, w0, w1, w2 in rows:
+            dt = t - t_prev
+            if dt <= 0.0:
+                raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
+            t_prev = t
+            h = 0.5 * dt
+            increments += rotation_entries(_unit((1.0, h * (w0 - c0), h * (w1 - c1),
+                                                  h * (w2 - c2))))
+            accel.append((a0 - b0, a1 - b1, a2 - b2))
+            dts.append(dt)
+    except DegenerateQuaternionError:
+        # A later non-positive spacing, and the large-spacing warning, come first.
+        unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
+        raise
+    # Chained in sample order: the single product R0 * R(r_1 * ... * r_k)
+    # moved this filter's 100 s trajectories by 2e-12 m.
     chain = [state.rotation]
-    for dR in quat_to_rotation(increments):
-        chain.append(chain[-1].dot(dR))  # faster than np.dot(..., out=) into one array
-    rotations = np.array(chain)
-    R = rotations[:-1]
-    ps, vs = _strapdown(state.position, state.velocity, R, dts, a, config.gravity.vector)
+    for dR in np.array(increments).reshape(-1, 3, 3):
+        chain.append(chain[-1].dot(dR))
+    R = np.array(chain[:-1])
+    g0, g1, g2 = config.gravity.vector.tolist()
+    p0, p1, p2 = state.position.tolist()
+    v0, v1, v2 = state.velocity.tolist()
+    sv, sp = [], []  # [v]x and [p]x at the start of each sample, row-major
+    for dt, (a0, a1, a2), (r00, r01, r02, r10, r11, r12, r20, r21, r22) in zip(
+            dts, accel, R.reshape(-1, 9).tolist()):
+        sv += (0.0, -v2, v1, v2, 0.0, -v0, -v1, v0, 0.0)
+        sp += (0.0, -p2, p1, p2, 0.0, -p0, -p1, p0, 0.0)
+        f0 = r00 * a0 + r01 * a1 + r02 * a2
+        f1 = r10 * a0 + r11 * a1 + r12 * a2
+        f2 = r20 * a0 + r21 * a1 + r22 * a2
+        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
+        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
+    dts = np.array(dts)
+    _check_dt(dts.max())
 
     dt = dts[:, None, None]
     F = np.empty((len(dts), 9, 9))
@@ -453,22 +483,27 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     F[:, 6:9, 3:6] = dt * _EYE3
     Ad = np.zeros((len(dts), 9, 9))
     Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
-    Ad[:, 3:6, 0:3] = _skew(vs[:-1]) @ R
-    Ad[:, 6:9, 0:3] = _skew(ps[:-1]) @ R
+    Ad[:, 3:6, 0:3] = np.array(sv).reshape(-1, 3, 3) @ R
+    Ad[:, 6:9, 0:3] = np.array(sp).reshape(-1, 3, 3) @ R
     qb = config.q_diag()[::-1]  # (attitude, velocity, position), each block constant
     Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
     P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
-    return InekfState(rotations[-1], vs[-1], ps[-1], P)
+    return InekfState(chain[-1], np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
 
 
-def _inekf_measurement(state: InekfState, d, ahrs):
-    """The InEKF's innovation y and measurement rows H for DVL floats ``d`` and an
-    AHRS quaternion: y = H xi to first order in the error xi (see ``inekf_update``)."""
+def _inekf_measurement(state: InekfState, d, q):
+    """The InEKF's innovation y and measurement rows H for DVL floats ``d`` and AHRS
+    floats ``q``: y = H xi to first order in the error xi (see ``inekf_update``).
+    R_meas is ``quat_to_rotation(q)`` on floats, with its refusal of a zero or
+    overflowing norm."""
     (d0, d1, d2), (v0, v1, v2) = d, state.velocity.tolist()
-    R_meas = quat_to_rotation(ahrs)
+    norm = _norm(q)
+    if not _NORM_EPS < norm < math.inf:
+        raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
+    R_meas = np.array(rotation_entries([c / norm for c in q])).reshape(3, 3)
     y_att = quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
     H = _H_INEKF.copy()
-    H[0:3, 0:3] = _skew(state.velocity)
+    H[0:3, 0:3] = [[0.0, -v2, v1], [v2, 0.0, -v0], [-v1, v0, 0.0]]
     return np.array([d0 - v0, d1 - v1, d2 - v2, *y_att.tolist()]), H
 
 
@@ -481,7 +516,7 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
     Log(R_meas R_est^T); the correction applies as X <- Exp(-K y) * X.
     A non-finite reading raises NumericalError.
     """
-    y, H = _inekf_measurement(state, _readings("inekf_update", dvl, ahrs)[0], ahrs)
+    y, H = _inekf_measurement(state, *_readings("inekf_update", dvl, ahrs))
     dx, P = kalman_update(state.cov, H, config._r_matrix, y)
 
     Rc, dv, dp = se23_exp(-dx)

@@ -332,10 +332,13 @@ def _velocity_step(params: IpgParams, q, zeta, k: float, sums):
     iteration ipg_step does.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q)
-    misfit, last, first = ([r00 * a + r01 * b + r02 * c + u,
-                            r10 * a + r11 * b + r12 * c + v,
-                            r20 * a + r21 * b + r22 * c + w]
-                           for a, b, c, u, v, w in (sums[:6], sums[6:12], sums[12:]))
+    a0, a1, a2, u0, u1, u2, b0, b1, b2, v0, v1, v2, c0, c1, c2, w0, w1, w2 = sums
+    misfit = [r00 * a0 + r01 * a1 + r02 * a2 + u0, r10 * a0 + r11 * a1 + r12 * a2 + u1,
+              r20 * a0 + r21 * a1 + r22 * a2 + u2]
+    last = [r00 * b0 + r01 * b1 + r02 * b2 + v0, r10 * b0 + r11 * b1 + r12 * b2 + v1,
+            r20 * b0 + r21 * b1 + r22 * b2 + v2]
+    first = [r00 * c0 + r01 * c1 + r02 * c2 + w0, r10 * c0 + r11 * c1 + r12 * c2 + w1,
+             r20 * c0 + r21 * c1 + r22 * c2 + w2]
     n, alpha, delta, gain = params.horizon, params.alpha, params.delta, k
     A, B = 1.0, 0.0  # zeta_i = A zeta + B misfit
     for _ in range(params.iterations):

@@ -12,12 +12,11 @@ is NED-like with gravity pointing along +z by default, so a stationary
 accelerometer reads (0, 0, -|g|).
 
 This module is the one place that knows how a burst is integrated: the
-per-sample kernels, their burst forms (``unpack_burst``, ``running_product``,
-``_strapdown``) that the InEKF predict and the cascade's burst checks step
-through, and the per-run table ``BurstInput`` with ``dead_reckon`` that the
-cascade reads.  The EKF predict writes the same expressions on Python floats
-in one loop (see ``baselines``).  Quaternion products and rotations are
-``quat.py``'s.
+per-sample kernels, their burst forms (``unpack_burst``, ``running_product``)
+that the cascade's burst checks step through, and the per-run table
+``BurstInput`` with ``dead_reckon`` that the cascade reads.  Both filters'
+predicts write the same expressions on Python floats (see ``baselines``).
+Quaternion products and rotations are ``quat.py``'s.
 """
 
 from __future__ import annotations
@@ -236,24 +235,6 @@ def preintegrate_burst(state: NavState, burst, biases: ImuBiases, gravity: Gravi
                    quat_normalize(quat_product(q, increment)))
         t_prev = row[0]
     return NavState(p, v, q)
-
-
-def _strapdown(p, v, R, dts, accel, g):
-    """Positions and velocities at the M+1 sample boundaries, each (M+1, 3).
-
-    R[k] is the attitude at the start of sample k; the updates are those of
-    ``propagate_position`` and ``propagate_velocity``, accumulated in sample
-    order by ``cumsum``, in place.
-    """
-    vs = np.empty((len(dts) + 1, 3))
-    vs[0] = v
-    vs[1:] = dts[:, None] * (ordered_matmul(R, accel[:, :, None])[:, :, 0] + g)
-    np.cumsum(vs, axis=0, out=vs)
-    ps = np.empty_like(vs)
-    ps[0] = p
-    np.multiply(dts[:, None], vs[:-1], out=ps[1:])
-    np.cumsum(ps, axis=0, out=ps)
-    return ps, vs
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,12 @@ the innovation, the Hamilton products and the rotation-vector maps on 3- and
 4-element arrays with numpy's cos and sin, H built from ``np.zeros``, and
 ``kalman_update`` through ``np.atleast_2d`` and ``np.eye``.  The package's
 updates must equal them bit for bit.
+
+``inekf_predict`` is the InEKF predict as it was on arrays, before its mean
+ran on Python floats: the burst unpacked once, the increments' rotations
+built in one batched call and chained in sample order, and ``cumsum`` giving
+the velocities and positions (``strapdown``).  The package's predict must
+equal it bit for bit, and raise and warn as it does.
 """
 
 from __future__ import annotations
@@ -68,7 +74,15 @@ from cipgnav.adapters import (
     StreamLog,
     load_adapter,
 )
-from cipgnav.baselines import EkfState, InekfState, _check_cov, _gain, _PSD_TOL
+from cipgnav.baselines import (
+    EkfState,
+    InekfState,
+    _check_cov,
+    _finish_cov,
+    _gain,
+    _propagate_cov,
+    _PSD_TOL,
+)
 from cipgnav.errors import (
     DegenerateQuaternionError,
     DivergenceError,
@@ -77,10 +91,11 @@ from cipgnav.errors import (
     StreamOrderError,
 )
 from cipgnav.ipg import IpgParams, WindowModel
-from cipgnav.preintegration import NavState
+from cipgnav.preintegration import NavState, unpack_burst
 from cipgnav.quat import (
     _NORM_EPS,
     hemisphere_align,
+    ordered_matmul,
     quat_from_euler,
     quat_from_rotvec,
     quat_normalize,
@@ -603,3 +618,41 @@ def inekf_update(state, dvl, ahrs, config):
     position = Rc @ state.position + dp
     P = _check_cov(P, _PSD_TOL, "inekf_update") if config.validate else P
     return InekfState(rotation, velocity, position, P)
+
+
+def strapdown(p, v, R, dts, accel, g):
+    """Positions and velocities at the M+1 sample boundaries, each (M+1, 3), from
+    the attitudes R[k] at the start of each sample, accumulated by ``cumsum``."""
+    vs = np.empty((len(dts) + 1, 3))
+    vs[0] = v
+    vs[1:] = dts[:, None] * (ordered_matmul(R, accel[:, :, None])[:, :, 0] + g)
+    np.cumsum(vs, axis=0, out=vs)
+    ps = np.empty_like(vs)
+    ps[0] = p
+    np.multiply(dts[:, None], vs[:-1], out=ps[1:])
+    np.cumsum(ps, axis=0, out=ps)
+    return ps, vs
+
+
+def inekf_predict(state, burst, config, t_start):
+    dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
+    increments = np.concatenate([np.ones((len(dts), 1)), 0.5 * dts[:, None] * w], axis=1)
+    chain = [state.rotation]
+    for dR in quat_to_rotation(increments):
+        chain.append(chain[-1].dot(dR))
+    rotations = np.array(chain)
+    R = rotations[:-1]
+    ps, vs = strapdown(state.position, state.velocity, R, dts, a, config.gravity.vector)
+    dt = dts[:, None, None]
+    F = np.empty((len(dts), 9, 9))
+    F[:] = np.eye(9)
+    F[:, 3:6, 0:3] = dt * config._g_skew
+    F[:, 6:9, 3:6] = dt * np.eye(3)
+    Ad = np.zeros((len(dts), 9, 9))
+    Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
+    Ad[:, 3:6, 0:3] = _skew(vs[:-1]) @ R
+    Ad[:, 6:9, 0:3] = _skew(ps[:-1]) @ R
+    qb = config.q_diag()[::-1]
+    Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
+    P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
+    return InekfState(rotations[-1], vs[-1], ps[-1], P)

@@ -279,6 +279,91 @@ class TestBatchedPredict:
         np.testing.assert_array_equal(out.orientation, nav_of(clean).orientation)
 
 
+def predict_outcome(predict, state, burst, config, t_start):
+    """What ``predict`` gives: its state's arrays as (shape, bytes), or the type and
+    text of the error it raises, and the large-spacing warnings it issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = predict(state, burst, config, t_start)
+            result = [(a.shape, a.tobytes()) for a in vars(out).values()]
+        except (ValueError, RuntimeError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in large_spacing_warnings(caught)]
+
+
+def random_inekf_state(rng, config):
+    """A random 6-DOF InEKF state with a slightly asymmetric covariance."""
+    nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+    cov = random_cov(rng) + 1e-9 * rng.normal(size=(9, 9))
+    return replace(InekfState.start(nav, config), cov=cov)
+
+
+class TestInekfPredictAgainstArrayOracle:
+    """inekf_predict against the array form it replaced, ``oracles.inekf_predict``:
+    byte for byte, and the same errors and warnings in the same order."""
+
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 25])
+    def test_bitwise(self, rng, n, validate):
+        for _ in range(20):
+            config = random_config(rng, validate)
+            state = random_inekf_state(rng, config)
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, n)
+            out, ref = (predict_outcome(predict, state, burst, config, t0)
+                        for predict in (inekf_predict, oracles.inekf_predict))
+            assert isinstance(out[0], list) and out == ref
+
+    # Each case edits a 6-row burst from t = 0 by (row, column, edit): NaN sets the
+    # reading, a number is added to the time, "=2" repeats row 2's time and "=start"
+    # measures the first spacing from row 0's own time.
+    CASES = {
+        "zero-spacing": [(3, 0, "=2")],
+        "zero-first-spacing": [(0, 0, "=start")],
+        "negative-spacing": [(3, 0, -0.05)],
+        "large-spacing": [(slice(3, None), 0, 0.1)],
+        "large-then-zero-spacing": [(slice(1, None), 0, 0.1), (3, 0, "=2")],
+        "nan-gyro": [(2, 5, np.nan)],
+        "nan-gyro-before-zero-spacing": [(1, 4, np.nan), (3, 0, "=2")],
+        "nan-gyro-before-large-spacing": [(1, 4, np.nan), (slice(3, None), 0, 0.1)],
+        "nan-accelerometer": [(2, 2, np.nan)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_errors_and_warnings(self, rng, case):
+        config = random_config(rng)
+        state = random_inekf_state(rng, config)
+        burst, t0 = random_burst(rng, 0.0, 6), 0.0
+        for row, column, edit in self.CASES[case]:
+            if edit == "=2":
+                burst[row, column] = burst[2, 0]
+            elif edit == "=start":
+                t0 = float(burst[0, 0])
+            elif np.isnan(edit):
+                burst[row, column] = edit
+            else:
+                burst[row, column] += edit
+        out, ref = (predict_outcome(predict, state, burst, config, t0)
+                    for predict in (inekf_predict, oracles.inekf_predict))
+        assert out == ref
+        result, large = out
+        if "zero" in case or "negative" in case:  # the spacing's refusal comes first
+            assert result[0] is ValueError and large == []
+        if case.endswith("large-spacing"):
+            assert len(large) == 1
+
+    def test_empty_burst_returns_new_arrays(self, rng):
+        config = random_config(rng)
+        state = random_inekf_state(rng, config)
+        out = inekf_predict(state, np.empty((0, 7)), config, 1.0)
+        for got, given in zip(vars(out).values(), vars(state).values()):
+            assert not np.shares_memory(got, given)
+        for name in ("rotation", "velocity", "position"):
+            assert getattr(out, name).tobytes() == getattr(state, name).tobytes()
+        assert out.cov.tobytes() == (0.5 * (state.cov + state.cov.T)).tobytes()
+
+
 BLAS_INPUT_KEYS = ("t_start", "length", "bias", "position", "velocity", "orientation", "burst")
 
 
@@ -533,7 +618,7 @@ class TestUpdateLinearization:
         # Exp(-K y), so the innovation of the moved state is +H xi to first order.
         for _ in range(20):
             state = InekfState.start(self.state(rng), FilterConfig())
-            dvl, ahrs = state.velocity.tolist(), rotation_to_quat(state.rotation)
+            dvl, ahrs = state.velocity.tolist(), rotation_to_quat(state.rotation).tolist()
             _, H = _inekf_measurement(state, dvl, ahrs)
 
             def innovation(xi):
