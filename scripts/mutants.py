@@ -22,11 +22,14 @@ finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
 reruns their pass), of the filters (both predicts' float loops: their
 spacing refusal, gyro bias, strapdown order and error order, the EKF's
-attitude and error-transition blocks; the measurement updates on Python
-floats, the InEKF's measurement rows and the runners' reading check), of
+attitude increment and error-transition blocks; the measurement updates on
+Python floats, the InEKF's measurement rows and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
-fixed-order kernel ``quat.ordered_matmul``, of products put back on BLAS,
+fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
+rotation entry's sign, the columns of rows of any leading shape) and the
+running product's increment, of the two stages' closed-form fixed points
+(``tests/oracles.py``), of products put back on BLAS,
 of ``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order
 check), of the CSV loader's unit-norm rule through each parse path, of
 ``truth_from_gt``'s end rows and of the simulator's navigation-to-body
@@ -113,8 +116,8 @@ MUTANTS = [
     Mutant("cascade.py", "W.tolist(), U[:, 0].tolist(),\n                       U[:, -1].tolist()",
            "W.tolist(), U[:, -1].tolist(),\n                       U[:, 0].tolist()",
            "block-first-last-swapped", True),
-    Mutant("cascade.py", "(U * _CONJUGATE).reshape(-1, 4)", "U.reshape(-1, 4)",
-           "window-conjugate-dropped", True),
+    Mutant("cascade.py", "quat_product(ahrs[inputs], quat_conjugate(U))",
+           "quat_product(ahrs[inputs], U)", "window-conjugate-dropped", True),
     Mutant("cascade.py", "start = ahrs[first:first + count]",
            "start = ahrs[first + 1:first + 1 + count]", "block-start-row", True),
     # The row pass of the orientation stage: the hemisphere signs of z_0 and of the
@@ -152,6 +155,8 @@ MUTANTS = [
            "ekf-position-end-velocity", True),
     Mutant("baselines.py", "rotation_entries(\n                _unit((qw, qx, qy, qz)))",
            "rotation_entries(\n                (qw, qx, qy, qz))", "ekf-unnormalized-attitude", True),
+    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2)", "(1.0, h * w1, h * w0, h * w2)",
+           "ekf-increment-rates-swapped", True),
     Mutant("baselines.py", "row-major\n    try:\n" + _LOOP_START + "if dt <= 0.0:",
            "row-major\n    try:\n" + _LOOP_START + "if dt < 0.0:", "ekf-zero-spacing-accepted", True),
     Mutant("baselines.py", "orientation = _unit((qw, qx, qy, qz))\n" + _RERUN,
@@ -240,6 +245,25 @@ MUTANTS = [
            "(rotation_rows(U[:, :-1] / norms[:, :-1, None])\n"
            "                                  @ bursts.body_dv[inputs[:, 1:], :, None])",
            "window-terms-on-blas", True, "tests/test_package.py"),
+    # Each quaternion formula's one set of expressions: a sign in rotation_entries,
+    # the columns of rows (..., k) taken as X.T, which reverses every axis, and
+    # the Euler increment of running_product with two rates swapped.
+    Mutant("quat.py", "return [1.0 - (yy + zz), xy - wz, xz + wy,",
+           "return [1.0 - (yy + zz), xy + wz, xz + wy,", "rotation-entry-sign", True,
+           "tests/test_quat.py"),
+    Mutant("quat.py", "else np.moveaxis(X, -1, 0)", "else X.T", "components-all-axes-reversed",
+           True, "tests/test_quat.py::TestRowKernels::test_rows_of_any_leading_shape"),
+    Mutant("preintegration.py", "product_entries(rows[-1], (1.0, hx, hy, hz))",
+           "product_entries(rows[-1], (1.0, hy, hx, hz))", "running-product-rates-swapped",
+           True, "tests/test_cascade.py"),
+    # The stages' closed-form fixed points (tests/oracles.py): the velocity
+    # misfit with its gravity-and-DVL part negated, and z_0 left out of u.
+    Mutant("cascade.py", "misfit = [r00 * a0 + r01 * a1 + r02 * a2 + u0,",
+           "misfit = [r00 * a0 + r01 * a1 + r02 * a2 - u0,", "fixed-point-velocity-misfit",
+           True, "tests/test_cascade.py::TestFixedPoints"),
+    Mutant("cascade.py", "u0, u1, u2, u3, low = s * z0, s * z1, s * z2, s * z3, abs(dot)",
+           "u0, u1, u2, u3, low = 0.0, 0.0, 0.0, 0.0, abs(dot)", "fixed-point-orientation-z0",
+           True, "tests/test_cascade.py::TestFixedPoints"),
     # The per-sample references back on BLAS, against the cross-kernel oracle.
     Mutant("preintegration.py", "v + dt * (rotate_vector(q, specific_force) + g),",
            "v + dt * (quat_to_rotation(q) @ specific_force + g),", "per-sample-on-blas", True,

@@ -327,7 +327,7 @@ def adapt(adapter, src_dir, out_dir) -> ConversionLog:
         clog.streams[kind] = StreamLog(file=str(cfg["file"]))
         converted[kind] = _convert(path, kind, cfg, clog.streams[kind])
 
-    norms = np.linalg.norm(converted["imu"][:200, 1:4], axis=1)
+    norms = row_norms(converted["imu"][:200, 1:4])
     mean_norm = float(np.mean(norms))
     if not 5.0 <= mean_norm <= 15.0:
         advice = ("below gravity; the source may be gravity-compensated, which this pipeline "

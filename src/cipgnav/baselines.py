@@ -240,13 +240,14 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
 
     The burst is read once as Python floats and walked in one loop.  Per
     sample it forms the spacing and the bias-corrected readings; the running
-    product, with the expressions of ``running_product``; the product so far
-    over its norm (``_unit``: the root of its ordered sum of squares) and
-    its rotation (``rotation_entries``); position and velocity as
-    ``_strapdown`` updates them, p with the velocity at the start of the
-    sample; and the blocks E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x of
-    F_k, 9 floats each.  No BLAS call forms the mean, so it is the same bits
-    under every BLAS kernel.  A non-positive spacing raises ValueError
+    product by the increment (1, dt/2 w) (``product_entries``, as
+    ``running_product`` steps); the product so far over its norm (``_unit``:
+    the root of its ordered sum of squares) and its rotation
+    (``rotation_entries``); position and velocity as ``preintegrate_burst``
+    updates them, p with the velocity at the start of the sample; and the
+    blocks E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x of F_k, 9 floats
+    each.  No BLAS call forms the mean, so it is the same bits under every
+    BLAS kernel.  A non-positive spacing raises ValueError
     naming its row's ``t``; after the loop the largest spacing warns once
     through ``_check_dt``.  A degenerate product (from a NaN reading) is
     reported in ``unpack_burst``'s order: after a later non-positive spacing
@@ -294,11 +295,7 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
             p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
             v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
             h = 0.5 * dt
-            hx, hy, hz = h * w0, h * w1, h * w2
-            qw, qx, qy, qz = (qw - qx * hx - qy * hy - qz * hz,
-                              qw * hx + qx + qy * hz - qz * hy,
-                              qw * hy - qx * hz + qy + qz * hx,
-                              qw * hz + qx * hy - qy * hx + qz)
+            qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
             dts.append(dt)
         orientation = _unit((qw, qx, qy, qz))
     except DegenerateQuaternionError:

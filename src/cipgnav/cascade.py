@@ -80,6 +80,7 @@ from .quat import (
     _unit,
     ordered_matmul,
     product_entries,
+    quat_conjugate,
     quat_normalize,
     quat_product,
     rotation_entries,
@@ -98,7 +99,6 @@ __all__ = [
 
 FALLBACK_MODES = ("abort", "deadreckon")
 _BLOCK = 128  # windows per block of _window_terms: bounds its arrays
-_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJUGATE is conj(q)
 
 
 class _Window(NamedTuple):
@@ -145,8 +145,7 @@ def _window_terms(ahrs, dvl, bursts: BurstInput, g, horizon: int, first: int, co
         for j in range(1, horizon - 1):
             U[:, j] = quat_product(U[:, j - 1], U[:, j])
         norms = row_norms(U)
-        W = quat_product(ahrs[inputs].reshape(-1, 4), (U * _CONJUGATE).reshape(-1, 4))
-        W = W.reshape(U.shape) / norms[:, :, None]
+        W = quat_product(ahrs[inputs], quat_conjugate(U)) / norms[:, :, None]
         ok = ((norms > _NORM_EPS) & (norms < math.inf)).all(axis=1)
         c = bursts.body_dv[inputs]  # c_0 = body_dv_0, as U_0 = 1
         c[:, 1:] = ordered_matmul(rotation_rows(U[:, :-1] / norms[:, :-1, None]),

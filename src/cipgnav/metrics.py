@@ -252,7 +252,7 @@ def total_variance(errors) -> float:
 
 def ate(pair: AlignedPair) -> tuple[float, np.ndarray]:
     """Absolute trajectory error: RMSE and per-sample series of |p_est - p_gt|."""
-    series = np.linalg.norm(pair.est_position - pair.gt_position, axis=1)
+    series = row_norms(pair.est_position - pair.gt_position)
     return float(np.sqrt(np.mean(series**2))), series
 
 
@@ -364,7 +364,7 @@ def write_report(path, report: TrajectoryReport) -> None:
 def write_error_series(path, pair: AlignedPair) -> None:
     """Write per-sample signed position errors plus ATE series as CSV."""
     err = pair.est_position - pair.gt_position
-    rows = np.column_stack([pair.t, err, np.linalg.norm(err, axis=1)])
+    rows = np.column_stack([pair.t, err, row_norms(err)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,ex,ey,ez,ate\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())

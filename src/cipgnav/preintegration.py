@@ -29,7 +29,9 @@ import numpy as np
 from .errors import DegenerateQuaternionError, NumericalError, _finite3, _one_of
 from .quat import (
     _NORM_EPS,
+    _norm,
     ordered_matmul,
+    product_entries,
     quat_normalize,
     quat_product,
     rotate_vector,
@@ -99,7 +101,7 @@ class GravityModel:
 
     @property
     def magnitude(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        return _norm(self.vector.tolist())
 
 
 @dataclass
@@ -168,17 +170,13 @@ def running_product(q0, dts: np.ndarray, gyro: np.ndarray) -> np.ndarray:
 
     r_i = (1, dt_i/2 * gyro_i) is the Euler increment of ``propagate_orientation``
     before its renormalization, which only rescales, so row k normalized is
-    the orientation after k samples.  The product runs on Python floats with
-    the operations of ``quat_product``, without per-sample arrays.
+    the orientation after k samples.  Each step is ``product_entries`` on
+    Python floats, the expressions of ``quat_product``, without per-sample
+    arrays.
     """
-    w, x, y, z = (float(c) for c in q0)
-    rows = [(w, x, y, z)]
+    rows = [[float(c) for c in q0]]
     for hx, hy, hz in (0.5 * dts[:, None] * gyro).tolist():
-        w, x, y, z = (w - x * hx - y * hy - z * hz,
-                      w * hx + x + y * hz - z * hy,
-                      w * hy - x * hz + y + z * hx,
-                      w * hz + x * hy - y * hx + z)
-        rows.append((w, x, y, z))
+        rows.append(product_entries(rows[-1], (1.0, hx, hy, hz)))
     return np.array(rows)
 
 
@@ -305,9 +303,8 @@ class BurstInput:
                 products.append(quat_product(products[-1], increment))
             products = np.stack(products, axis=1)  # (B, M+1, 4)
             norms = row_norms(products)  # an overflowing one is inf, and passes
-            prefixes = (products[:, :-1] / norms[:, :-1, None]).reshape(-1, 4)
-            body_accel = ordered_matmul(rotation_rows(prefixes), accel.reshape(-1, 3)[:, :, None])
-            body_accel = body_accel.reshape(accel.shape)
+            body_accel = ordered_matmul(rotation_rows(products[:, :-1] / norms[:, :-1, None]),
+                                        accel[..., None])[..., 0]
             duration = dts.sum(axis=1)
             weights = dts * (duration[:, None] - np.cumsum(dts, axis=1))
             self.body_dv[rows] = ordered_matmul(dts[:, None, :], body_accel)[:, 0, :]

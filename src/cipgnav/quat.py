@@ -5,21 +5,27 @@ represents the attitude of the body frame; ``quat_to_rotation(q)`` maps
 body-frame vectors into the navigation frame.  q and -q encode the same
 rotation (double cover), so angular distances are computed on the quotient.
 
-Each quaternion and rotation formula of the package is written here once.
-``quat_product``, ``quat_to_rotation``, ``quat_from_rotvec``, ``quat_from_yaw``,
-``quat_from_euler``, ``quat_angular_distance`` and ``rotate_vector`` also take
-rows, (n, 4), (n, 3) or (n,), and row k equals the call on row k bit for bit,
-signed zeros included (``np.array_equal`` ignores their sign, ``np.signbit``
-does not); ``row_norms``, ``unit_rows`` and ``rotation_rows`` are the kernels
+Each quaternion and rotation formula of the package is written here once, as
+one set of expressions that evaluates either one value's components as Python
+floats, which round as numpy does and skip the row machinery whose numpy calls
+cost more than their arithmetic, or the columns of rows (``_components``),
+stacked back along the last axis: ``product_entries`` serves ``quat_product``
+and ``rotation_entries`` serves ``rotation_rows``, and a caller on floats calls
+them directly.  ``quat_product``, ``quat_conjugate``, ``quat_to_rotation`` and
+``rotation_rows`` take rows of any leading shape, (..., 4); ``quat_from_rotvec``,
+``quat_from_yaw``, ``quat_from_euler``, ``quat_angular_distance`` and
+``rotate_vector`` take (n, 4), (n, 3) or (n,) rows.  Row k equals the call on
+row k bit for bit, signed zeros included (``np.array_equal`` ignores their
+sign, ``np.signbit`` does not); ``row_norms`` and ``unit_rows`` are the kernels
 under them.  Every sum of products that a result is built from (a row norm, a
 dot or a small stacked matrix product) is summed in index order by
 elementwise multiply and add (``ordered_matmul``), which no BLAS kernel,
-memory layout or SIMD width rounds differently.  One value skips the row
-machinery, whose numpy calls cost more than their arithmetic:
-``rotation_rows``, ``quat_product``, ``quat_from_rotvec``, ``quat_to_rotvec``
-and ``rotation_to_quat`` run on Python floats, which round as numpy does
-(``rotation_entries`` and ``product_entries`` are those paths for a caller on
-floats), and a norm of floats is ``_norm``, the same ordered sum.
+memory layout or SIMD width rounds differently, and a norm of floats is
+``_norm``, the same ordered sum; no norm of the package is numpy's
+linear-algebra norm, whose 1-D form is a BLAS dot.  ``quat_from_rotvec``,
+``quat_to_rotvec`` and ``rotation_to_quat`` also run one value on Python
+floats.  No other module writes a quaternion formula out: the per-sample
+loops of ``running_product`` and the filters call the float forms.
 One rotation vector's cos and sin are math's, which matched numpy's on every
 one of 700,000 draws on an AVX-512 x86-64 host with numpy 2.4; arctan2 stays
 numpy's, as math's differed from it on about 1.5% of draws there.
@@ -58,6 +64,7 @@ __all__ = [
 
 _NORM_EPS = 1e-12
 _EYE3 = np.eye(3)
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJUGATE is conj(q)
 _ORTHO_TOL = 1e-6 + 1e-5 * _EYE3
 
 
@@ -113,14 +120,14 @@ def ordered_matmul(A, B) -> np.ndarray:
 
 
 def row_norms(X) -> np.ndarray:
-    """Norms of the rows of an (n, k) array (0-d for one k-vector): the square root
+    """Norms of the rows of an (..., k) array (0-d for one k-vector): the square root
     of ``ordered_matmul(x[None], x[:, None])``, and of ``_norm`` of the floats."""
     X = np.asarray(X, dtype=float)
     return np.sqrt(_ordered_sum(X * X))
 
 
 def unit_rows(Y):
-    """Rows Y_j / |Y_j| of an (M, n) array and the norms |Y_j|, guarded like quat_normalize.
+    """Rows Y_j / |Y_j| of an (..., n) array and the norms |Y_j|, guarded like quat_normalize.
 
     An infinite norm passes: a caller that needs finite rows checks the norms.
     """
@@ -129,14 +136,14 @@ def unit_rows(Y):
     if not (norms > _NORM_EPS).all():  # also catches NaN
         raise DegenerateQuaternionError(
             f"cannot normalize quaternion with norm {norms.min():.3e}")
-    return Y / norms[:, None], norms
+    return Y / norms[..., None], norms
 
 
 def _components(X):
     """One vector's components as Python floats (cheaper than numpy scalars, and
-    rounded alike), or the columns of (n, k) rows."""
+    rounded alike), or the columns of rows (..., k), each of shape (...)."""
     X = np.asarray(X, dtype=float)
-    return X.tolist() if X.ndim == 1 else X.T
+    return X.tolist() if X.ndim == 1 else np.moveaxis(X, -1, 0)
 
 
 def _stack_last(*components) -> np.ndarray:
@@ -147,14 +154,15 @@ def _stack_last(*components) -> np.ndarray:
 
 
 def quat_product(a, b) -> np.ndarray:
-    """Hamilton product a*b without renormalization (inputs may be non-unit), or of rows."""
+    """Hamilton product a*b without renormalization (inputs may be non-unit), or of
+    rows (..., 4): ``product_entries`` on one pair's floats or on the columns."""
     return _stack_last(*product_entries(_components(a), _components(b)))
 
 
 def product_entries(a, b) -> list:
     """The 4 components of the Hamilton product a*b of two quaternions given as 4
     Python floats each, on Python floats: ``quat_product`` of one pair.  The same
-    expressions evaluate columns of rows for ``quat_product``."""
+    expressions evaluate the columns of rows for ``quat_product``."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return [
@@ -173,26 +181,14 @@ def quat_multiply(a, b) -> np.ndarray:
 
 
 def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-# Entry (i, j) of R(q) is BASE + OUTER * (qq[A] + INNER * qq[B]) with qq = 2 q q^T
-# flattened; e.g. R[0, 1] = 2xy - 2wz, R[0, 0] = 1 - (2yy + 2zz).  BASE is -0.0 off
-# the diagonal, which adds nothing to any value, -0.0 included.
-_ROT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])
-_ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])
-_ROT_INNER = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-_ROT_BASE = np.where(_EYE3, 1.0, -0.0).ravel()
-_ROT_OUTER = np.where(_EYE3, -1.0, 1.0).ravel()
+    """Conjugate (w, -x, -y, -z) of a quaternion, or of rows (..., 4)."""
+    return np.asarray(q, dtype=float) * _CONJUGATE
 
 
 def rotation_entries(q) -> list:
     """The 9 entries, row-major, of the rotation matrix of a unit quaternion given
-    as 4 Python floats, on Python floats: ``rotation_rows`` of one value.
-
-    These are the table's expressions written out: the products (2 q_a) q_b of
-    qq, and multiplications by +-1 and additions of -0.0, which are exact, left out.
+    as 4 Python floats, on Python floats.  The same expressions evaluate the
+    columns of rows for ``rotation_rows``.
     """
     w, x, y, z = q
     w2, x2, y2, z2 = 2.0 * w, 2.0 * x, 2.0 * y, 2.0 * z
@@ -214,22 +210,18 @@ def _unit(y) -> list:
 
 
 def rotation_rows(unit) -> np.ndarray:
-    """Rotation matrices (n, 3, 3) of unit quaternion rows (n, 4), or (3, 3) of one.
+    """Rotation matrices (..., 3, 3) of unit quaternion rows (..., 4), or (3, 3) of
+    one: ``rotation_entries`` on their columns, or on one value's floats.
 
     The quaternions are used as given, neither checked nor renormalized.
     """
     unit = np.asarray(unit, dtype=float)
-    if unit.ndim == 1:  # the table's expressions on Python floats
-        return np.array(rotation_entries(unit.tolist())).reshape(3, 3)
-    rows = unit.shape[:-1]
-    qq = ((2.0 * unit)[..., :, None] * unit[..., None, :]).reshape(*rows, 16)
-    R = _ROT_BASE + _ROT_OUTER * (qq.take(_ROT_A, axis=-1) + _ROT_INNER * qq.take(_ROT_B, axis=-1))
-    return R.reshape(*rows, 3, 3)
+    return _stack_last(*rotation_entries(_components(unit))).reshape(*unit.shape[:-1], 3, 3)
 
 
 def quat_to_rotation(q) -> np.ndarray:
     """3x3 rotation matrix (body -> navigation frame) of a quaternion, normalized
-    first, or the (n, 3, 3) matrices of (n, 4) rows."""
+    first, or the (..., 3, 3) matrices of rows (..., 4)."""
     q = np.asarray(q, dtype=float)
     return rotation_rows(quat_normalize(q) if q.ndim == 1 else unit_rows(q)[0])
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import SpecError, _count, _finite3, _one_of, _real
 from .preintegration import GravityModel, ImuBiases, NavState
 from .quat import (ordered_matmul, quat_from_rotvec, quat_from_yaw, quat_product,
-                   quat_to_rotation, unit_rows)
+                   quat_to_rotation, row_norms, unit_rows)
 from .sensors import GroundTruthSample, dvl_body_to_nav, save_stream, synchronize
 from .trajectory import TrajectoryPoint
 
@@ -310,7 +310,7 @@ class _Waypoints(_Model):
         from scipy.interpolate import CubicSpline
 
         pts = np.array(spec.waypoints, dtype=float)
-        chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        chords = row_norms(np.diff(pts, axis=0))
         if np.any(chords <= 0.0):
             raise SpecError("waypoints must be pairwise distinct")
         knots = np.concatenate([[0.0], np.cumsum(chords)]) / spec.speed

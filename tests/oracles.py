@@ -17,6 +17,12 @@ and ``velocity_increments``), the offsets their running sums, and the
 scalar-gain recursion on the window's misfit.  ``cascade._velocity_step``
 gets the same from per-window sums in O(1) and must match it.
 
+``velocity_fixed_point`` and ``orientation_fixed_point`` are where the two
+stages stop as the inner iterations go on, in closed form and without
+``ipg_step``: the mean of the DVL rows minus the increment offsets, and
+the sign-aligned mean of the AHRS rows carried back to the window start,
+normalized.  Both stages must reach them at a large iteration count.
+
 ``read_trajectory`` and ``write_trajectory`` are the trajectory CSV reader,
 which parsed each row on its own, and writer that ``trajectory.py`` had
 before it went through ``sensors.load_csv`` and ``sensors.write_csv``: the
@@ -252,6 +258,36 @@ def velocity_step(params: IpgParams, dvl, zeta, k: float, increments):
         x, k = x_next, k_next
     zeta = np.array(x)
     return zeta + offsets[-1], zeta + increments[0], k
+
+
+def velocity_fixed_point(dvl, increments) -> np.ndarray:
+    """Where ``velocity_step``'s recursion stops, from a window's DVL rows (N, 3)
+    and increments (N-1, 3): N zeta + misfit = 0, so zeta* = -misfit / N, the
+    mean of the DVL rows minus the offsets c_i.  Returns zeta* + c_{N-1}, the
+    estimate the stage emits there."""
+    offsets = np.vstack([np.zeros(3), np.cumsum(increments, axis=0)])
+    return -np.sum(offsets - dvl, axis=0) / len(dvl) + offsets[-1]
+
+
+def orientation_fixed_point(ahrs, rot_increments, start, passes: int = 10):
+    """Where the orientation stage stops, from a window's AHRS rows (N, 4) and
+    increments (N-1, 4): zeta* = u / |u|, u = s_0 z_0 + sum_j s_j W_j (W_j from
+    ``window_terms``), the signs s = sign(row . zeta*), +1 on a zero dot,
+    consistent with zeta*.  The signs start at ``start`` and are iterated
+    until they repeat, in at most ``passes`` passes.  Returns zeta* and the
+    estimate zeta* * U_{N-1}, normalized."""
+    U, W = window_terms(ahrs, rot_increments)
+    rows = np.vstack([ahrs[0], W])
+    zeta, signs = np.asarray(start, dtype=float), None
+    for _ in range(passes):
+        dots = np.array([float_dot(row, zeta) for row in rows])
+        now = np.where(dots < 0.0, -1.0, 1.0)
+        if signs is not None and (now == signs).all():
+            return zeta, quat_normalize(float_product(zeta, U[-1]))
+        signs = now
+        u = np.sum(signs[:, None] * rows, axis=0)
+        zeta = u / float_norm(u)
+    raise AssertionError(f"the hemisphere signs did not settle in {passes} passes")
 
 
 def scenario_to_dict(spec) -> dict:

@@ -52,12 +52,14 @@ from cipgnav.quat import (
     unit_rows,
 )
 from cipgnav.sensors import SyncedEpoch
-from cipgnav.sim import NoiseSpec, ScenarioSpec, generate
+from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from tests.conftest import central_difference, random_unit_quat
 from tests.oracles import (
     ORIENTATION_MODEL,
     burst_start_orientations,
     float_matmul,
+    orientation_fixed_point,
+    velocity_fixed_point,
     velocity_increments,
     velocity_step,
     window_maps,
@@ -1088,6 +1090,66 @@ class TestOrientationStage:
         with pytest.raises(DivergenceError) as generic_exc:
             ipg_step(ORIENTATION_MODEL, params, generic)
         assert batched.value.iteration == generic_exc.value.iteration == 0
+
+
+class TestFixedPoints:
+    """At a large iteration count each stage stops at its closed-form fixed point
+    (``oracles.orientation_fixed_point`` and ``velocity_fixed_point``, which do
+    not call ``ipg_step``), on 100 windows of a 60 s benchmark survey at N = 5
+    and N = 10.  At the default step sizes the preconditioner's error shrinks
+    by |1 - alpha| = 0.9 per iteration or faster, and once it is small each
+    iterate's by about |1 - delta k N|, near 0: at 300 iterations both gaps
+    are rounding."""
+
+    ITERATIONS = 300
+
+    @pytest.fixture(scope="class")
+    def survey(self):
+        """The survey's AHRS rows (n, 4), DVL rows (n, 3) and burst table."""
+        epochs = generate(benchmark_scenario(0, duration=60.0)).epochs()
+        return (np.array([e.ahrs for e in epochs]), np.array([e.dvl for e in epochs]),
+                BurstInput.from_epochs(epochs, ImuBiases()))
+
+    def windows(self, survey, horizon):
+        """(first row, _Window) of 100 windows spread over the survey."""
+        ahrs, dvl, bursts = survey
+        for w in np.linspace(0, len(ahrs) - horizon, 100).astype(int).tolist():
+            yield w, _window_terms(ahrs, dvl, bursts, GRAVITY, horizon, w, 1)[0]
+
+    @pytest.mark.parametrize("horizon", [5, 10])
+    def test_orientation_stage_reaches_the_aligned_mean(self, rng, survey, horizon):
+        # From the window's first AHRS row perturbed, and negated half of the time,
+        # so that the fixed point's hemisphere follows the start's.
+        params = IpgParams(horizon=horizon, iterations=self.ITERATIONS)
+        ahrs, _, bursts = survey
+        for w, window in self.windows(survey, horizon):
+            start = quat_normalize(ahrs[w] + rng.normal(scale=0.1, size=4))
+            start *= rng.choice([-1.0, 1.0])
+            estimate, _, _, zeta = _orientation_step(
+                params, start.tolist(), identity_precond(params.k0_scale), window)
+            expected, expected_estimate = orientation_fixed_point(
+                ahrs[w:w + horizon], bursts.rot_increment[w + 1:w + horizon], start)
+            np.testing.assert_allclose(zeta, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(estimate, expected_estimate, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("horizon", [5, 10])
+    def test_velocity_stage_reaches_the_offset_mean(self, rng, survey, horizon):
+        # From the window's first DVL row plus a unit-scale offset, with stage 1's
+        # window-start orientation taken as the first AHRS row.
+        params = IpgParams(horizon=horizon, iterations=self.ITERATIONS)
+        ahrs, dvl, bursts = survey
+        for w, window in self.windows(survey, horizon):
+            inputs = slice(w + 1, w + horizon)
+            q = quat_normalize(ahrs[w])
+            quats = burst_start_orientations(window_maps(bursts.rot_increment[inputs]), q)
+            increments = velocity_increments(bursts.body_dv[inputs], bursts.duration[inputs],
+                                             quats, GRAVITY)
+            estimate, _, gain = _velocity_step(params, q.tolist(),
+                                               (dvl[w] + rng.normal(size=3)).tolist(),
+                                               params.k0_scale, window.sums)
+            expected = velocity_fixed_point(dvl[w:w + horizon], increments)
+            np.testing.assert_allclose(estimate, expected, rtol=0.0, atol=1e-12)
+            assert gain == pytest.approx(1.0 / horizon, rel=1e-12)
 
 
 class TestWindowTerms:

@@ -1,6 +1,7 @@
 """Package surface: every name a module exports resolves, every module
 attribute the benchmark's tracer rebinds (``perfbench/workloads.py``) exists,
-and every product that may run on BLAS sits in a function allowed to."""
+every product that may run on BLAS sits in a function allowed to, and no
+norm is numpy's ``linalg.norm``."""
 
 from __future__ import annotations
 
@@ -96,3 +97,37 @@ def test_blas_product_finder():
               "x = np.eye(2) @ np.eye(2)\n")
     assert blas_products(source) == [("f", 3), ("g", 5), ("g", 6), ("g", 6), ("g", 6),
                                      ("inner", 9), (None, 11)]
+
+
+def linalg_norms(source: str) -> list:
+    """Lines of ``source`` that name numpy's ``linalg.norm``, whose 1-D norm is a
+    BLAS dot: as an attribute (``np.linalg.norm``, ``linalg.norm``) or imported
+    from ``numpy.linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "norm":
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                    or isinstance(owner, ast.Name) and owner.id == "linalg"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name == "norm" for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", [m.rsplit(".", 1)[1] for m in MODULES[1:]])
+def test_norms_go_through_quat(name):
+    # Every norm is quat.row_norms or quat._norm: the sum of squares in index
+    # order, which no BLAS kernel rounds differently.
+    module = importlib.import_module(f"cipgnav.{name}")
+    lines = linalg_norms(Path(module.__file__).read_text(encoding="utf-8"))
+    assert not lines, f"cipgnav.{name} calls numpy's linalg.norm at lines {lines}"
+
+
+def test_linalg_norm_finder():
+    source = ("import numpy as np\nfrom numpy import linalg\n"
+              "from numpy.linalg import norm, solve\n"
+              "def f(a):\n    return np.linalg.norm(a), linalg.norm(a), norm(a)\n"
+              "def g(a):\n    return np.linalg.solve(a, a), a.norm, np.norm\n")
+    assert linalg_norms(source) == [3, 5, 5]

@@ -426,7 +426,7 @@ def same_bits(a, b) -> bool:
 
 
 def rotation_formula(q):
-    """R(q) of a unit quaternion by the textbook formulas, the oracle of the table kernel."""
+    """R(q) of a unit quaternion by the textbook formulas, the oracle of the row kernel."""
     w, x, y, z = q
     return np.array([
         [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
@@ -597,3 +597,28 @@ class TestRowKernels:
         out = rotate_vector(layout(Q), layout(V))
         assert same_bits(out, [rotate_vector(q, v) for q, v in zip(Q, V)])
         assert same_bits(out, [float_matmul(quat_to_rotation(q), v) for q, v in zip(Q, V)])
+
+    @pytest.mark.parametrize("view", ["contiguous", "reversed-strides"])
+    def test_rows_of_any_leading_shape(self, rng, view):
+        # (3, 400, 4) stacks, C-contiguous or as a view whose memory runs along
+        # the first axis: each result keeps the leading shape (3, 400), and
+        # entry (i, j) equals the call on row (i, j).
+        def stack(X):
+            X = X.reshape(3, 400, -1)
+            if view == "contiguous":
+                return np.ascontiguousarray(X)
+            return np.ascontiguousarray(X.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+        A = quat_rows(rng)[:1200]
+        B = A[rng.permutation(len(A))]
+        U = unit_rows(A)[0]
+        for result, rows, per_row in [
+            (quat_product(stack(A), stack(B)), zip(A, B), quat_product),
+            (quat_to_rotation(stack(A)), zip(A), quat_to_rotation),
+            (rotation_rows(stack(U)), zip(U), rotation_rows),
+            (quat_conjugate(stack(A)), zip(A), quat_conjugate),
+        ]:
+            expected = np.array([per_row(*row) for row in rows])
+            assert same_bits(result, expected.reshape(3, 400, *expected.shape[1:]))
+        # The conjugate's formula, signed zeros included (the negated yaw rows).
+        assert same_bits(quat_conjugate(A), [[w, -x, -y, -z] for w, x, y, z in A])
