@@ -23,11 +23,13 @@ their rows, and the orientation stage's hemisphere signs and the test that
 reruns their pass), of the filters (both predicts' float loops: their
 spacing refusal, gyro bias, strapdown order and error order, the EKF's
 attitude increment and error-transition blocks; the measurement updates on
-Python floats, the InEKF's measurement rows and the runners' reading check), of
+Python floats, the InEKF's measurement rows, left Jacobian and ``nav()``
+read-out, and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
-rotation entry's sign, the columns of rows of any leading shape) and the
+rotation entry's sign, the columns of rows of any leading shape, the rotation
+vector's hemisphere and the orthogonality test of Shepperd's method) and the
 running product's increment, of the two stages' closed-form fixed points
 (``tests/oracles.py``), of products put back on BLAS,
 of ``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order
@@ -77,6 +79,7 @@ _RERUN = ("    except DegenerateQuaternionError:\n"
           "        # A later non-positive spacing, and the large-spacing warning, come first.\n"
           + _UNPACK + "        raise")
 _INEKF_ORACLE = "tests/test_baselines.py::TestInekfPredictAgainstArrayOracle"
+_UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
 
 MUTANTS = [
     # The reduced preconditioner update K' = c K + alpha (N-1) zeta (zeta^T K) + alpha I.
@@ -186,9 +189,23 @@ MUTANTS = [
     Mutant("baselines.py", "dts.append(dt)\n" + _RERUN,
            "dts.append(dt)\n" + _RERUN.replace(_UNPACK, ""), "inekf-degenerate-before-spacing",
            True, _INEKF_ORACLE),
-    Mutant("baselines.py", "H[0:3, 0:3] = [[0.0, -v2, v1], [v2, 0.0, -v0], [-v1, v0, 0.0]]",
-           "H[0:3, 0:3] = [[0.0, v2, -v1], [-v2, 0.0, v0], [v1, -v0, 0.0]]",
-           "inekf-velocity-row-sign", True),
+    # The InEKF update's float forms: one sign of H's [v]x block, the left
+    # Jacobian's first-order factor, nav()'s second normalization, and in quat
+    # the rotation vector's hemisphere flip and R R^T's entry (0, 1) summed as
+    # (R^T R)_01, which passes every rotation but misjudges perturbed ones.
+    Mutant("baselines.py", "= -v2, v1, v2, -v0, -v1, v0", "= -v2, v1, v2, v0, -v1, v0",
+           "inekf-velocity-row-sign", True, _UPDATE_ORACLE),
+    Mutant("baselines.py", "J = [(e + 0.5 * a) + b / 6.0", "J = [(e + 1.0 * a) + b / 6.0",
+           "se23-first-order-factor", True, "tests/test_baselines.py::TestSe23Exp"),
+    Mutant("baselines.py", "q = _unit(shepperd_entries(self.rotation.ravel().tolist()))",
+           "q = shepperd_entries(self.rotation.ravel().tolist())", "nav-single-normalize", True,
+           "tests/test_baselines.py::TestInekf::test_nav_against_array_form"),
+    Mutant("quat.py", "if w < 0.0:\n        w, x, y, z = -w, -x, -y, -z",
+           "if False:\n        w, x, y, z = -w, -x, -y, -z", "rotvec-hemisphere-flip-dropped", True,
+           "tests/test_quat.py::TestRotvec"),
+    Mutant("quat.py", "abs(r00 * r10 + r01 * r11 + r02 * r12)", "abs(r00 * r01 + r10 * r11 + r20 * r21)",
+           "orthogonality-index-swapped", True,
+           "tests/test_quat.py::TestRotationToQuatOracle::test_refusal_table"),
     Mutant("baselines.py", '("ahrs", epoch.ahrs), *rows]', '("ahrs", epoch.ahrs)]',
            "filter-imu-readings-unchecked", True),
     # The field rules, through the table of tests/test_errors.py.

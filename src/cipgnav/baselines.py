@@ -20,15 +20,18 @@ products: one backward pass of suffix products F_M ... F_{k+1}, one 9x9
 product per sample, and one product for the whole noise sum.  The InEKF
 reads the burst as floats in two such loops around its chain of 3x3 BLAS
 rotation products, so its mean is its array form's bit for bit; it builds F_k
-and process noise Q_k with array operations and steps its covariance
-recursion P <- F_k P F_k^T + Q_k sample by sample.  The EKF
+= I + dt_k A from the config's A and process noise Q_k with array operations
+and steps its covariance recursion P <- F_k P F_k^T + Q_k sample by sample.  The EKF
 update uses that its measurements select error-state rows 3..8 and forms no
 product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
 9-element arrays a numpy call costs more than its arithmetic.
 
 For the same reason both updates run their vector algebra on Python floats:
 the innovation, the hemisphere test, the Hamilton products, the rotation
-vector maps and the mean correction, with math's cos and sin (see ``quat``).
+vector maps and the mean correction, with math's cos and sin (see ``quat``);
+in the InEKF that is Shepperd's method and the rotation vector through their
+float forms in ``quat``, H's [v]x block and ``se23_exp``'s rotation and left
+Jacobian, and ``InekfState.nav`` reads its quaternion out the same way.
 Elementwise float arithmetic rounds as numpy's does, and norms are summed in
 index order (``quat``), so only the matrix products are left to numpy, and
 each update's result equals its array form bit for bit (the InEKF amplifies a
@@ -54,16 +57,16 @@ from .preintegration import (
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
-    _NORM_EPS,
+    _checked_norm,
     _norm,
     _unit,
     product_entries,
     quat_from_rotvec,
     quat_normalize,
     quat_to_rotation,
-    quat_to_rotvec,
     rotation_entries,
-    rotation_to_quat,
+    rotvec_entries,
+    shepperd_entries,
 )
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
@@ -84,6 +87,7 @@ __all__ = [
 
 
 _EYE3 = np.eye(3)
+_EYE3_ENTRIES = _EYE3.ravel().tolist()
 _EYE9 = np.eye(9)
 # The InEKF's measurement rows without their one state-dependent block, [v]x at H[0:3, 0:3].
 _H_INEKF = np.zeros((6, 9))
@@ -131,8 +135,11 @@ class FilterConfig:
         _one_of("validate", self.validate, (False, True))
         q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
         r = np.concatenate([self.r_vel, self.r_att])
-        vars(self).update(_q=q, _g_skew=_skew(self.gravity.vector), _r=r, _r_matrix=np.diag(r))
-        for value in (self.r_vel, self.r_att, self._q, self._g_skew, self._r, self._r_matrix):
+        # The InEKF's error dynamics on (attitude, velocity, position): F_k = I + dt_k A.
+        A = np.zeros((9, 9))
+        A[3:6, 0:3], A[6:9, 3:6] = _skew(self.gravity.vector), _EYE3
+        vars(self).update(_q=q, _A=A, _r=r, _r_matrix=np.diag(r))
+        for value in (self.r_vel, self.r_att, self._q, self._A, self._r, self._r_matrix):
             value.setflags(write=False)
 
     def q_diag(self) -> np.ndarray:
@@ -173,8 +180,9 @@ class InekfState:
         )
 
     def nav(self) -> NavState:
-        return NavState.exact(self.position.copy(), self.velocity.copy(),
-                              quat_normalize(rotation_to_quat(self.rotation)))
+        # Normalized again after shepperd_entries: dropping it changes last bits.
+        q = _unit(shepperd_entries(self.rotation.ravel().tolist()))
+        return NavState.exact(self.position.copy(), self.velocity.copy(), np.array(q))
 
 
 def _check_cov(P: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -380,30 +388,35 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     return EkfState(NavState.exact(position, velocity, orientation), P)
 
 
-def _left_jacobian_so3(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    angle = _norm(theta.tolist())
-    S = _skew(theta)
+def _left_jacobian_so3(x, y, z, angle) -> np.ndarray:
+    """The SO(3) left Jacobian of theta = (x, y, z), given as floats with its norm
+    ``angle``: I + c1 S + c2 S S, S = [theta]x, its entries formed on floats around
+    the one BLAS product S S (as ``_EYE3 + c1 * S + c2 * (S @ S)`` rounds them)."""
+    s = [0.0, -z, y, z, 0.0, -x, -y, x, 0.0]
+    S = np.array(s).reshape(3, 3)
+    SS = (S @ S).ravel().tolist()
     if angle < 1e-8:
-        return _EYE3 + 0.5 * S + S @ S / 6.0
-    a2 = angle * angle
-    return (
-        _EYE3
-        + (1.0 - math.cos(angle)) / a2 * S
-        + (angle - math.sin(angle)) / (a2 * angle) * (S @ S)
-    )
+        J = [(e + 0.5 * a) + b / 6.0 for e, a, b in zip(_EYE3_ENTRIES, s, SS)]
+    else:
+        a2 = angle * angle
+        c1, c2 = (1.0 - math.cos(angle)) / a2, (angle - math.sin(angle)) / (a2 * angle)
+        J = [(e + c1 * a) + c2 * b for e, a, b in zip(_EYE3_ENTRIES, s, SS)]
+    return np.array(J).reshape(3, 3)
 
 
 def se23_exp(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponential of a (attitude, velocity, position) tangent vector.
 
     Returns the group element blocks (rotation, velocity offset, position
-    offset) using the closed-form SO(3) exponential and left Jacobian.
+    offset) using the closed-form SO(3) exponential and left Jacobian.  The
+    rotation is ``quat_to_rotation(quat_from_rotvec(theta))`` on floats and
+    the left Jacobian J is formed on floats; J dv and J dp are BLAS products.
     """
     xi = np.asarray(xi, dtype=float)
     theta, dv, dp = xi[0:3], xi[3:6], xi[6:9]
-    R = quat_to_rotation(quat_from_rotvec(theta))
-    J = _left_jacobian_so3(theta)
+    R = np.array(rotation_entries(_unit(quat_from_rotvec(theta).tolist()))).reshape(3, 3)
+    x, y, z = theta.tolist()
+    J = _left_jacobian_so3(x, y, z, _norm((x, y, z)))
     return R, J @ dv, J @ dp
 
 
@@ -424,9 +437,10 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     each increment's rotation (``rotation_entries`` of its ``_unit``), chained
     on by 3x3 BLAS products in sample order; a second forms R_k a_k in index
     order and advances p with the velocity at the start of the sample, then v.
-    So the mean equals the array form bit for bit.  The F_k, Ad_k and Q_k
-    stacks take a few array operations, and P <- F_k P F_k^T + Q_k steps
-    through the samples.
+    So the mean equals the array form bit for bit.  The F_k stack is I + dt_k A
+    (``FilterConfig``'s A); Ad_k's [v]x R and [p]x R blocks come from one
+    batched product, each entry the 3x3 BLAS product it was, and Q_k from a
+    few array operations; P <- F_k P F_k^T + Q_k steps through the samples.
     """
     rows = burst.tolist()
     if not rows:
@@ -474,14 +488,11 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     _check_dt(dts.max())
 
     dt = dts[:, None, None]
-    F = np.empty((len(dts), 9, 9))
-    F[:] = _EYE9
-    F[:, 3:6, 0:3] = dt * config._g_skew
-    F[:, 6:9, 3:6] = dt * _EYE3
+    F = _EYE9 + dt * config._A
     Ad = np.zeros((len(dts), 9, 9))
     Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
-    Ad[:, 3:6, 0:3] = np.array(sv).reshape(-1, 3, 3) @ R
-    Ad[:, 6:9, 0:3] = np.array(sp).reshape(-1, 3, 3) @ R
+    # One batched product: each sample's [v]x R and [p]x R, the same 3x3 BLAS products.
+    Ad[:, 3:6, 0:3], Ad[:, 6:9, 0:3] = np.array([sv, sp]).reshape(2, -1, 3, 3) @ R
     qb = config.q_diag()[::-1]  # (attitude, velocity, position), each block constant
     Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
     P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
@@ -492,16 +503,16 @@ def _inekf_measurement(state: InekfState, d, q):
     """The InEKF's innovation y and measurement rows H for DVL floats ``d`` and AHRS
     floats ``q``: y = H xi to first order in the error xi (see ``inekf_update``).
     R_meas is ``quat_to_rotation(q)`` on floats, with its refusal of a zero or
-    overflowing norm."""
+    overflowing norm, and Log(R_meas R^T) is ``rotvec_entries`` of
+    ``shepperd_entries``: its quaternion is normalized in each, twice as in the
+    array form, so the InEKF keeps its bits."""
     (d0, d1, d2), (v0, v1, v2) = d, state.velocity.tolist()
-    norm = _norm(q)
-    if not _NORM_EPS < norm < math.inf:
-        raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
+    norm = _checked_norm(q)
     R_meas = np.array(rotation_entries([c / norm for c in q])).reshape(3, 3)
-    y_att = quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
-    H = _H_INEKF.copy()
-    H[0:3, 0:3] = [[0.0, -v2, v1], [v2, 0.0, -v0], [-v1, v0, 0.0]]
-    return np.array([d0 - v0, d1 - v1, d2 - v2, *y_att.tolist()]), H
+    y_att = rotvec_entries(shepperd_entries((R_meas @ state.rotation.T).ravel().tolist()))
+    H = _H_INEKF.copy()  # [v]x at H[0:3, 0:3], its zero diagonal already there
+    H[0, 1], H[0, 2], H[1, 0], H[1, 2], H[2, 0], H[2, 1] = -v2, v1, v2, -v0, -v1, v0
+    return np.array([d0 - v0, d1 - v1, d2 - v2, *y_att]), H
 
 
 def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfState:

@@ -11,9 +11,9 @@ floats, which round as numpy does and skip the row machinery whose numpy calls
 cost more than their arithmetic, or the columns of rows (``_components``),
 stacked back along the last axis: ``product_entries`` serves ``quat_product``
 and ``rotation_entries`` serves ``rotation_rows``, and a caller on floats calls
-them directly.  ``quat_product``, ``quat_conjugate``, ``quat_to_rotation`` and
-``rotation_rows`` take rows of any leading shape, (..., 4); ``quat_from_rotvec``,
-``quat_from_yaw``, ``quat_from_euler``, ``quat_angular_distance`` and
+them directly.  ``quat_product``, ``quat_conjugate``, ``quat_to_rotation``,
+``rotation_rows`` and ``quat_angular_distance`` take rows of any leading shape,
+(..., 4); ``quat_from_rotvec``, ``quat_from_yaw``, ``quat_from_euler`` and
 ``rotate_vector`` take (n, 4), (n, 3) or (n,) rows.  Row k equals the call on
 row k bit for bit, signed zeros included (``np.array_equal`` ignores their
 sign, ``np.signbit`` does not); ``row_norms`` and ``unit_rows`` are the kernels
@@ -22,10 +22,13 @@ dot or a small stacked matrix product) is summed in index order by
 elementwise multiply and add (``ordered_matmul``), which no BLAS kernel,
 memory layout or SIMD width rounds differently, and a norm of floats is
 ``_norm``, the same ordered sum; no norm of the package is numpy's
-linear-algebra norm, whose 1-D form is a BLAS dot.  ``quat_from_rotvec``,
-``quat_to_rotvec`` and ``rotation_to_quat`` also run one value on Python
-floats.  No other module writes a quaternion formula out: the per-sample
-loops of ``running_product`` and the filters call the float forms.
+linear-algebra norm, whose 1-D form is a BLAS dot; this module forms no product
+on BLAS.  ``quat_from_rotvec`` also runs one value on Python floats, and
+``rotation_to_quat`` and ``quat_to_rotvec`` are thin array wrappers around
+their float forms, ``shepperd_entries`` (whose orthogonality test sums each
+entry of R R^T in index order) and ``rotvec_entries``.  No other module writes
+a quaternion formula out: the per-sample loops of ``running_product`` and the
+filters call the float forms.
 One rotation vector's cos and sin are math's, which matched numpy's on every
 one of 700,000 draws on an AVX-512 x86-64 host with numpy 2.4; arctan2 stays
 numpy's, as math's differed from it on about 1.5% of draws there.
@@ -52,9 +55,11 @@ __all__ = [
     "rotation_rows",
     "rotation_entries",
     "rotation_to_quat",
+    "shepperd_entries",
     "quat_angular_distance",
     "quat_from_rotvec",
     "quat_to_rotvec",
+    "rotvec_entries",
     "quat_from_yaw",
     "quat_from_euler",
     "euler_from_quat",
@@ -63,9 +68,9 @@ __all__ = [
 ]
 
 _NORM_EPS = 1e-12
-_EYE3 = np.eye(3)
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJUGATE is conj(q)
-_ORTHO_TOL = 1e-6 + 1e-5 * _EYE3
+# rotation_to_quat's bounds on |R R^T - I|, 1e-6 + 1e-5 I as np.allclose forms them.
+_OFF_DIAG_TOL, _DIAG_TOL = 1e-6, 1e-6 + 1e-5
 
 
 def _as_finite(q, name):
@@ -82,12 +87,18 @@ def quat_normalize(q) -> np.ndarray:
     most ``_NORM_EPS`` or a norm that overflows (components of 1e154 or more).
     """
     q = np.asarray(q, dtype=float)
-    n = _norm(q.tolist())  # NaN or inf for a non-finite component
+    return q / _checked_norm(q.tolist())
+
+
+def _checked_norm(q) -> float:
+    """``_norm`` of a quaternion given as 4 Python floats, refused as ``quat_normalize``
+    refuses it: DegenerateQuaternionError unless ``_NORM_EPS`` < norm < inf."""
+    n = _norm(q)  # NaN or inf for a non-finite component
     if not _NORM_EPS < n < math.inf:
-        if not np.isfinite(q).all():
-            raise DegenerateQuaternionError(f"non-finite quaternion: {q!r}")
+        if not all(map(math.isfinite, q)):
+            raise DegenerateQuaternionError(f"non-finite quaternion: {np.array(q)!r}")
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {n:.3e}")
-    return q / n
+    return n
 
 
 def _norm(v) -> float:
@@ -227,14 +238,30 @@ def quat_to_rotation(q) -> np.ndarray:
 
 
 def rotation_to_quat(R) -> np.ndarray:
-    """Unit quaternion of a rotation matrix (Shepperd's method, w >= 0)."""
+    """Unit quaternion of a rotation matrix (Shepperd's method, w >= 0): ``shepperd_entries``
+    of its 9 entries."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected 3x3 rotation matrix, got shape {R.shape}")
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
-    # |R R^T - I| <= 1e-6 + 1e-5 |I| elementwise, as np.allclose tests it (NaN fails).  A
-    # matrix that passes has |det R| near 1, so the sign of the triple product is exact.
-    if not (np.abs(R @ R.T - _EYE3) <= _ORTHO_TOL).all() or (
+    return np.array(shepperd_entries(R.ravel().tolist()))
+
+
+def shepperd_entries(r) -> list:
+    """The unit quaternion (Shepperd's method, w >= 0) of a rotation matrix given as
+    its 9 entries, row-major, as Python floats, on Python floats: ``rotation_to_quat``
+    of one matrix.  A matrix with |R R^T - I| > 1e-6 + 1e-5 I in an entry (NaN
+    included) or with det R < 0 raises ValueError."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    # |R R^T - I| <= 1e-6 + 1e-5 |I| elementwise, as np.allclose tests it, each entry of
+    # R R^T summed in index order; R R^T is then exactly symmetric, so six sums cover
+    # it.  A matrix that passes has |det R| near 1, so the sign of the triple product
+    # is exact.
+    if not (abs(r00 * r00 + r01 * r01 + r02 * r02 - 1.0) <= _DIAG_TOL
+            and abs(r10 * r10 + r11 * r11 + r12 * r12 - 1.0) <= _DIAG_TOL
+            and abs(r20 * r20 + r21 * r21 + r22 * r22 - 1.0) <= _DIAG_TOL
+            and abs(r00 * r10 + r01 * r11 + r02 * r12) <= _OFF_DIAG_TOL
+            and abs(r00 * r20 + r01 * r21 + r02 * r22) <= _OFF_DIAG_TOL
+            and abs(r10 * r20 + r11 * r21 + r12 * r22) <= _OFF_DIAG_TOL) or (
             r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
             + r02 * (r10 * r21 - r11 * r20)) < 0.0:
         raise ValueError("matrix is not a rotation: R @ R.T != I or det(R) < 0")
@@ -251,13 +278,13 @@ def rotation_to_quat(R) -> np.ndarray:
     else:
         s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
         q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
-    q = quat_normalize(q)
-    return -q if q[0] < 0.0 else q
+    q = _unit(q)
+    return [-c for c in q] if q[0] < 0.0 else q
 
 
 def quat_angular_distance(a, b):
     """Rotation angle (rad) between two unit quaternions, sign-invariant, or the
-    angles of (n, 4) row pairs as an (n,) array.
+    angles of (..., 4) row pairs as a (...) array.
 
     Returns ``2*acos(|<a, b>|)`` in [0, pi], treating q and -q as one attitude,
     as ``4*atan2(|a - b|, |a + b|)`` with b on a's hemisphere (acos loses digits near 0).
@@ -268,7 +295,8 @@ def quat_angular_distance(a, b):
     num, den = row_norms(a - b), row_norms(a + b)
     if num.ndim == 0:
         return 4.0 * math.atan2(num, den)
-    return 4.0 * np.array(list(map(math.atan2, num.tolist(), den.tolist())))
+    angles = map(math.atan2, num.ravel().tolist(), den.ravel().tolist())
+    return 4.0 * np.array(list(angles)).reshape(num.shape)
 
 
 def quat_from_rotvec(v) -> np.ndarray:
@@ -299,16 +327,24 @@ def quat_from_rotvec(v) -> np.ndarray:
 
 
 def quat_to_rotvec(q) -> np.ndarray:
-    """Rotation vector of a unit quaternion (inverse of quat_from_rotvec), taken on the
-    w >= 0 hemisphere; arctan2 is numpy's."""
-    w, x, y, z = quat_normalize(q).tolist()
+    """Rotation vector of a unit quaternion (inverse of quat_from_rotvec): ``rotvec_entries``
+    of its 4 components."""
+    return np.array(rotvec_entries(np.asarray(q, dtype=float).tolist()))
+
+
+def rotvec_entries(q) -> list:
+    """The rotation vector, as 3 Python floats, of a quaternion given as 4 Python floats,
+    normalized (refused as ``quat_normalize`` refuses it) and taken on the w >= 0
+    hemisphere: ``quat_to_rotvec`` of one value.  arctan2 is numpy's."""
+    n = _checked_norm(q)
+    w, x, y, z = [c / n for c in q]
     s = _norm((x, y, z))
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     if s < 1e-12:
-        return np.array([2.0 * x, 2.0 * y, 2.0 * z])
+        return [2.0 * x, 2.0 * y, 2.0 * z]
     angle = 2.0 * float(np.arctan2(s, min(w, 1.0)))
-    return np.array([angle * x / s, angle * y / s, angle * z / s])
+    return [angle * x / s, angle * y / s, angle * z / s]
 
 
 def quat_from_yaw(yaw) -> np.ndarray:

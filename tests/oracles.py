@@ -48,12 +48,21 @@ floats in index order, written out on their own: the order in which
 ``quat.ordered_matmul`` sums, and so the reference for every row norm, dot and
 small stacked product the package forms through it.
 
+``rotation_to_quat`` is Shepperd's method as it was written on numpy scalars,
+with ``np.linalg.det``: the oracle of ``quat.shepperd_entries``, refusals
+included.  Its test |R R^T - I| <= 1e-6 + 1e-5 I forms R R^T by
+``float_matmul``, each entry summed in index order as the package sums it;
+on BLAS the kernel decided the last bit of each entry, and so the verdict of
+a matrix at the bound.
+
 ``ekf_update`` and ``inekf_update`` are the filters' measurement updates as
 they were on numpy arrays, before their vector algebra ran on Python floats:
 the innovation, the Hamilton products and the rotation-vector maps on 3- and
-4-element arrays with numpy's cos and sin, H built from ``np.zeros``, and
-``kalman_update`` through ``np.atleast_2d`` and ``np.eye``.  The package's
-updates must equal them bit for bit.
+4-element arrays with numpy's cos and sin, H built from ``np.zeros``, the
+left Jacobian from ``np.eye`` and 3x3 array operations, and ``kalman_update``
+through ``np.atleast_2d`` and ``np.eye``.  ``inekf_nav`` is ``InekfState.nav``
+on arrays, its quaternion normalized by ``rotation_to_quat`` and again by
+``quat_normalize``.  The package's must equal them bit for bit.
 
 ``inekf_predict`` is the InEKF predict as it was on arrays, before its mean
 ran on Python floats: the burst unpacked once, the increments' rotations
@@ -108,7 +117,6 @@ from cipgnav.quat import (
     quat_product,
     quat_to_rotation,
     rotation_rows,
-    rotation_to_quat,
     unit_rows,
 )
 from cipgnav.sensors import GroundTruthSample, dvl_body_to_nav, open_csv, save_stream
@@ -568,6 +576,36 @@ def _rotvec_to_quat(v):
     return np.concatenate([np.atleast_1d(np.cos(half)), np.sin(half) * (v / angle)])
 
 
+def rotation_to_quat(R):
+    R = np.asarray(R, dtype=float)
+    if not (np.abs(float_matmul(R, R.T) - np.eye(3)) <= 1e-6 + 1e-5 * np.eye(3)).all() \
+            or np.linalg.det(R) < 0.0:
+        raise ValueError("matrix is not a rotation")
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    q = quat_normalize(q)
+    return -q if q[0] < 0.0 else q
+
+
 def _quat_to_rotvec(q):
     q = quat_normalize(q)
     if q[0] < 0.0:
@@ -656,6 +694,11 @@ def inekf_update(state, dvl, ahrs, config):
     return InekfState(rotation, velocity, position, P)
 
 
+def inekf_nav(state):
+    return NavState.exact(state.position.copy(), state.velocity.copy(),
+                          quat_normalize(rotation_to_quat(state.rotation)))
+
+
 def strapdown(p, v, R, dts, accel, g):
     """Positions and velocities at the M+1 sample boundaries, each (M+1, 3), from
     the attitudes R[k] at the start of each sample, accumulated by ``cumsum``."""
@@ -682,7 +725,7 @@ def inekf_predict(state, burst, config, t_start):
     dt = dts[:, None, None]
     F = np.empty((len(dts), 9, 9))
     F[:] = np.eye(9)
-    F[:, 3:6, 0:3] = dt * config._g_skew
+    F[:, 3:6, 0:3] = dt * _skew(config.gravity.vector)
     F[:, 6:9, 3:6] = dt * np.eye(3)
     Ad = np.zeros((len(dts), 9, 9))
     Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R

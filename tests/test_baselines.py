@@ -666,6 +666,16 @@ class TestSe23Exp:
             np.testing.assert_allclose(v, M[:3, 3], atol=1e-9)
             np.testing.assert_allclose(p, M[:3, 4], atol=1e-9)
 
+    @pytest.mark.parametrize("angle", [0.0, 1e-13, 5e-13, 1e-10, 5e-9, 1e-8, 1e-3, 1.0, 3.0])
+    def test_bitwise_against_array_form(self, rng, angle):
+        # Below 1e-12 the rotation takes quat_from_rotvec's first-order branch and
+        # below 1e-8 the left Jacobian its series; each equals the array form's bits.
+        for _ in range(20):
+            xi = rng.normal(size=9)
+            xi[:3] *= angle / np.linalg.norm(xi[:3])
+            for got, want in zip(se23_exp(xi), oracles._se23_exp(xi)):
+                assert got.tobytes() == want.tobytes()
+
     def test_zero_is_identity(self):
         R, v, p = se23_exp(np.zeros(9))
         np.testing.assert_allclose(R, np.eye(3))
@@ -733,6 +743,21 @@ class TestInekf:
         back = state.nav()
         np.testing.assert_allclose(back.position, nav.position)
         np.testing.assert_allclose(back.velocity, nav.velocity)
+
+    def test_nav_against_array_form(self, rng):
+        # Random attitudes, products of three (off unit by a few ulps, as a run's
+        # rotations are) and turns near pi about each axis, where the quaternion
+        # comes from Shepperd's branches of trace <= 0.
+        rotations = [quat_to_rotation(random_unit_quat(rng)) for _ in range(300)]
+        rotations += [rotations[k] @ rotations[k + 1] @ rotations[k + 2] for k in range(0, 297, 3)]
+        rotations += [quat_to_rotation(quat_from_rotvec((np.pi - 0.01 * k) * np.eye(3)[axis]))
+                      for axis in range(3) for k in range(5)]
+        for R in rotations:
+            state = InekfState(R, rng.normal(size=3), rng.normal(size=3), np.eye(9))
+            got, want = state.nav(), oracles.inekf_nav(state)
+            for name in ("position", "velocity", "orientation"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.position is not state.position and got.velocity is not state.velocity
 
     def test_left_translation_equivariance(self):
         # Rotating the world about gravity and translating it transforms the

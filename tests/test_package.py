@@ -51,7 +51,6 @@ BLAS_PRODUCTS = {
                   "_left_jacobian_so3", "se23_exp", "inekf_predict", "_inekf_measurement",
                   "inekf_update"},
     "ipg": {"_stacked_jacobian_chain", "precondition_update", "iterate_update", "ipg_step"},
-    "quat": {"rotation_to_quat"},
 }
 
 

@@ -29,7 +29,9 @@ from cipgnav.quat import (
     rotate_vector,
     rotation_rows,
     rotation_to_quat,
+    rotvec_entries,
     row_norms,
+    shepperd_entries,
     unit_rows,
 )
 from tests.conftest import central_difference, random_unit_quat
@@ -132,43 +134,15 @@ class TestRotation:
         with pytest.raises(ValueError):
             rotation_to_quat(2.0 * np.eye(3))
 
-    @pytest.mark.parametrize("R", [np.full((3, 3), np.nan), np.diag([1.0, 1.0, -1.0])],
-                             ids=["nan", "reflection"])
+    @pytest.mark.parametrize("R", [
+        np.full((3, 3), np.nan), np.diag([1.0, 1.0, -1.0]),
+        np.where(np.eye(3, k=1) > 0.0, np.nan, quat_to_rotation([0.8, 0.2, -0.5, 0.3])),
+        -quat_to_rotation([0.8, 0.2, -0.5, 0.3]),
+    ], ids=["nan", "reflection", "one-nan", "det-negative"])
     def test_rejects_nan_and_reflection(self, R):
-        with pytest.raises(ValueError):
-            rotation_to_quat(R)
-
-
-def shepperd_oracle(R):
-    """rotation_to_quat as it was written on numpy scalars, with np.linalg.det: the
-    oracle of the version on Python floats, refusals included."""
-    R = np.asarray(R, dtype=float)
-    if not (np.abs(R @ R.T - np.eye(3)) <= 1e-6 + 1e-5 * np.eye(3)).all() \
-            or np.linalg.det(R) < 0.0:
-        raise ValueError("matrix is not a rotation")
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    q = quat_normalize(q)
-    return -q if q[0] < 0.0 else q
+        for convert in (rotation_to_quat, lambda R: shepperd_entries(R.ravel().tolist())):
+            with pytest.raises(ValueError, match="not a rotation"):
+                convert(R)
 
 
 def shepperd_branch(R) -> int:
@@ -183,13 +157,54 @@ class TestRotationToQuatOracle:
     @staticmethod
     def assert_same_outcome(R):
         try:
-            expected = shepperd_oracle(R)
+            expected = oracles.rotation_to_quat(R)
         except ValueError:
-            with pytest.raises(ValueError, match="not a rotation"):
-                rotation_to_quat(R)
+            for convert in (rotation_to_quat, lambda R: shepperd_entries(R.ravel().tolist())):
+                with pytest.raises(ValueError, match="not a rotation"):
+                    convert(R)
             return "refused"
         assert same_bits(rotation_to_quat(R), expected)
+        assert same_bits(shepperd_entries(R.ravel().tolist()), expected)
         return "accepted"
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_branches_near_half_turns(self, rng, axis):
+        # Turns within 0.1 rad of pi about each axis, and about axes tilted off it:
+        # trace <= 0, and the branch of the largest diagonal entry, that axis.
+        for angle in np.concatenate([[np.pi, np.pi - 1e-9], np.pi - rng.uniform(0.0, 0.1, 30)]):
+            for tilt in (0.0, 0.01, 0.1):
+                direction = np.eye(3)[axis] + tilt * rng.normal(size=3)
+                R = quat_to_rotation(quat_from_rotvec(angle * direction / np.linalg.norm(direction)))
+                assert np.trace(R) <= 0.0 and shepperd_branch(R) == axis + 1
+                assert self.assert_same_outcome(R) == "accepted"
+                assert self.assert_same_outcome(R.T) == "accepted"
+
+    @staticmethod
+    def off_by(entry, e):
+        """A rotation changed so that entry (i, j) of R R^T - I is about e: row i scaled
+        by sqrt(1 + e) for i = j, else R <- (I + E) R with E_ij = E_ji = e / 2."""
+        R = quat_to_rotation([0.8, 0.2, -0.5, 0.3])
+        i, j = entry
+        if i == j:
+            R[i] *= math.sqrt(1.0 + e)
+            return R
+        E = np.eye(3)
+        E[i, j] = E[j, i] = 0.5 * e
+        return E @ R
+
+    # R R^T - I at half and twice the bounds, 1e-6 off the diagonal and 1.1e-5 on
+    # it, either sign, in each entry; the verdicts are the ones rotation_to_quat
+    # gave when it formed R R^T on BLAS.
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor, verdict", [(0.5, "accepted"), (2.0, "refused")])
+    def test_refusal_table(self, entry, sign, factor, verdict):
+        bound = 1.1e-5 if entry[0] == entry[1] else 1e-6
+        R = self.off_by(entry, sign * factor * bound)
+        deviation = float_matmul(R, R.T) - np.eye(3)
+        assert abs(deviation[entry]) == pytest.approx(factor * bound, rel=1e-6)
+        assert self.assert_same_outcome(R) == verdict
+        self.assert_same_outcome(R.T)  # R^T R - I, spread over other entries
 
     def test_every_branch(self, rng):
         # One quaternion dominated by each component, plus random ones; as
@@ -239,7 +254,7 @@ class TestRotationToQuatOracle:
             if mid in (lo, hi):
                 break
             try:
-                shepperd_oracle(perturbed(mid))
+                oracles.rotation_to_quat(perturbed(mid))
                 lo = mid
             except ValueError:
                 hi = mid
@@ -274,6 +289,22 @@ class TestRotvec:
         v = np.array([[0.1, 0.2, 0.3], bad]) if rows else np.array(bad)
         with pytest.raises(ValueError, match="^non-finite rotation vector or angle: "):
             quat_from_rotvec(v)
+
+    def test_to_rotvec_branches(self, rng):
+        # Either hemisphere with a vector part above and below 1e-12, and non-unit
+        # scales: w < 0 gives the rotation vector of -q, and below 1e-12 it is 2 vec(q).
+        for _ in range(50):
+            q = random_unit_quat(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+            tiny = np.concatenate([q[:1], 1e-14 * q[1:]])
+            for p in (q, tiny):
+                for signed in (p, -p):
+                    got = quat_to_rotvec(signed)
+                    assert got.tobytes() == oracles._quat_to_rotvec(signed).tobytes()
+                    assert got.tobytes() == np.array(rotvec_entries(signed.tolist())).tobytes()
+                    assert got.tobytes() == quat_to_rotvec(-signed if signed[0] < 0.0
+                                                           else signed).tobytes()
+            unit = quat_normalize(tiny)
+            assert same_bits(quat_to_rotvec(tiny), 2.0 * (unit[1:] if unit[0] > 0 else -unit[1:]))
 
     def test_to_rotvec_on_floats_equals_array_form(self, rng):
         # Non-unit scales, both hemispheres, signed zeros, and vector parts below 1e-12.
@@ -617,6 +648,7 @@ class TestRowKernels:
             (quat_to_rotation(stack(A)), zip(A), quat_to_rotation),
             (rotation_rows(stack(U)), zip(U), rotation_rows),
             (quat_conjugate(stack(A)), zip(A), quat_conjugate),
+            (quat_angular_distance(stack(A), stack(B)), zip(A, B), quat_angular_distance),
         ]:
             expected = np.array([per_row(*row) for row in rows])
             assert same_bits(result, expected.reshape(3, 400, *expected.shape[1:]))
