@@ -34,8 +34,12 @@ running product's increment, of the two stages' closed-form fixed points
 (``tests/oracles.py``), of products put back on BLAS,
 of ``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order
 check), of the CSV loader's unit-norm rule through each parse path, of
-``truth_from_gt``'s end rows and of the simulator's navigation-to-body
-rotation.  A row that may survive says why.  Each mutant takes one pytest run of its target,
+``truth_from_gt``'s end rows, of the simulator's navigation-to-body
+rotation, of the CLI's choice of the gt row for the initial state, and rows
+that the symmetry table ``tests/test_equivariance.py`` must kill (the EKF's
+attitude innovation in the navigation frame, body-frame DVL rotated by the
+conjugate, and the epoch period on float32 times).  A row that may survive
+says why.  Each mutant takes one pytest run of its target,
 about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
 and 3 s for the others; none of this runs in tier-1.
 
@@ -80,6 +84,7 @@ _RERUN = ("    except DegenerateQuaternionError:\n"
           + _UNPACK + "        raise")
 _INEKF_ORACLE = "tests/test_baselines.py::TestInekfPredictAgainstArrayOracle"
 _UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
+_TABLE = "tests/test_equivariance.py"
 
 MUTANTS = [
     # The reduced preconditioner update K' = c K + alpha (N-1) zeta (zeta^T K) + alpha I.
@@ -313,6 +318,22 @@ MUTANTS = [
     Mutant("sim.py", "ordered_matmul(np.swapaxes(R, 1, 2), X[:, :, None])",
            "ordered_matmul(R, X[:, :, None])", "sim-body-untransposed", True,
            "tests/test_sim.py::TestBlockGeneration"),
+    # The symmetry table (tests/test_equivariance.py): the EKF's attitude innovation
+    # taken in the navigation frame, q_meas * q_est^-1, which a yaw turns; body-frame
+    # DVL rotated by the AHRS reading's conjugate; and the epoch period on float32
+    # times, which loses the clock's digits at t = 1e6 s.
+    Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",
+           "product_entries(q_meas, [w, -x, -y, -z])", "ekf-innovation-nav-frame", True,
+           _TABLE),
+    Mutant("sensors.py", "rotate_vector(ahrs[nearest, 1:], out[:, 1:])",
+           "rotate_vector(ahrs[nearest, 1:] * [1.0, -1.0, -1.0, -1.0], out[:, 1:])",
+           "dvl-body-conjugated", True, _TABLE),
+    Mutant("cascade.py", "dt = epoch.t - epochs[k - 1].t",
+           "dt = float(np.float32(epoch.t) - np.float32(epochs[k - 1].t))",
+           "epoch-period-float32", True, _TABLE),
+    # --input's initial state taken from gt.csv's first row, not the stream start's.
+    Mutant("cli.py", "first = gt[k]", "first = gt[0]", "initial-from-first-gt-row", True,
+           "tests/test_cli.py::TestInitialStateFromGt"),
 ]
 
 

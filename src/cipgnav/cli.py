@@ -316,9 +316,21 @@ def _load_epoch_dir(input_dir: Path, dvl_frame: str):
 
 
 def _initial_from_gt(gt, epochs):
-    if not gt or gt[0].t > epochs[0].t:
+    """The initial state at the stream start ``epochs[0].t_prev``: the position (and
+    orientation, if given) of the gt row paired with it by the rule by which
+    ``synchronize`` pairs an AHRS row with a DVL one, the nearest row (the earlier on
+    a tie) within half the median epoch period (0.1 s for a single epoch), and the
+    first DVL velocity.  None when no row pairs: each estimator then starts from its
+    own default."""
+    if not gt:
         return None
-    first = gt[0]
+    ts = [e.t for e in epochs]
+    tolerance = 0.5 * float(np.median(np.diff(ts))) if len(ts) >= 2 else 0.1
+    gap = np.abs(np.array([sample.t for sample in gt]) - epochs[0].t_prev)
+    k = int(np.argmin(gap))
+    if gap[k] > tolerance:
+        return None
+    first = gt[k]
     orientation = first.orientation if first.orientation is not None else epochs[0].ahrs
     return NavState(first.position, epochs[0].dvl, orientation)
 

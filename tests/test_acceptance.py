@@ -49,12 +49,7 @@ from cipgnav.metrics import (
     total_error,
 )
 from cipgnav.preintegration import BurstInput, ImuBiases, NavState
-from cipgnav.quat import (
-    quat_angular_distance,
-    quat_from_yaw,
-    quat_product,
-    quat_to_rotation,
-)
+from cipgnav.quat import quat_angular_distance
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from cipgnav.trajectory import TrajectoryPoint
@@ -344,8 +339,8 @@ class TestReplayReproducibility:
 
 class TestBaselineValidity:
     """Both baselines must stay numerically sound (symmetric PSD covariance)
-    on noisy data, track noiseless data to < 1e-2 m over 100 s, and the
-    InEKF must be exactly equivariant under left translations."""
+    on noisy data and track noiseless data to < 1e-2 m over 100 s.  The InEKF's
+    equivariance under left translations is a row of ``test_equivariance.py``."""
 
     def test_covariances_stay_symmetric_psd(self):
         run = generate(benchmark_scenario(seed=2, duration=60.0))
@@ -373,35 +368,3 @@ class TestBaselineValidity:
         truth = {p.t: p.nav for p in run.truth}
         errs = [np.linalg.norm(p.nav.position - truth[p.t].position) for p in points]
         assert max(errs) < 1e-2
-
-    def test_inekf_left_translation_equivariance(self):
-        run = generate(ScenarioSpec(kind="circle", duration=10.0, speed=0.5,
-                                    circle_radius=10.0, noise=NoiseSpec.bluerov2(), seed=6))
-        epochs = run.epochs()
-        config = FilterConfig()
-
-        def skew(v):
-            return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0.0]])
-
-        Rg = quat_to_rotation(quat_from_yaw(1.1))
-        qg = quat_from_yaw(1.1)
-        pg = np.array([-4.0, 7.0, 0.5])
-        Ad = np.zeros((9, 9))
-        Ad[0:3, 0:3] = Rg
-        Ad[3:6, 3:6] = Rg
-        Ad[6:9, 6:9] = Rg
-        Ad[6:9, 0:3] = skew(pg) @ Rg
-
-        a = InekfState.start(run.initial_nav(), config)
-        b = InekfState(Rg @ a.rotation, Rg @ a.velocity, Rg @ a.position + pg,
-                       Ad @ a.cov @ Ad.T)
-        t_prev = epochs[0].t_prev
-        for epoch in epochs:
-            a = inekf_update(inekf_predict(a, epoch.imu_burst, config, t_prev),
-                             epoch.dvl, epoch.ahrs, config)
-            b = inekf_update(inekf_predict(b, epoch.imu_burst, config, t_prev),
-                             Rg @ epoch.dvl, quat_product(qg, epoch.ahrs), config)
-            t_prev = epoch.t
-        np.testing.assert_allclose(b.rotation, Rg @ a.rotation, atol=1e-9)
-        np.testing.assert_allclose(b.velocity, Rg @ a.velocity, atol=1e-9)
-        np.testing.assert_allclose(b.position, Rg @ a.position + pg, atol=1e-9)

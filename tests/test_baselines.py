@@ -1,4 +1,4 @@
-"""Kalman baselines: hand-computed updates, tracking, and group equivariance."""
+"""Kalman baselines: hand-computed updates, tracking, and their array-form oracles."""
 
 from __future__ import annotations
 
@@ -758,42 +758,6 @@ class TestInekf:
             for name in ("position", "velocity", "orientation"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.position is not state.position and got.velocity is not state.velocity
-
-    def test_left_translation_equivariance(self):
-        # Rotating the world about gravity and translating it transforms the
-        # filter output exactly, provided the initial covariance is carried
-        # through the adjoint: X'_k = Gamma * X_k for every epoch.
-        run, epochs = circle_epochs(duration=10.0, noise=NoiseSpec.bluerov2(), seed=4)
-        config = FilterConfig()
-
-        gamma_yaw = 0.8
-        Rg = quat_to_rotation(quat_from_yaw(gamma_yaw))
-        pg = np.array([5.0, -3.0, 2.0])
-        Ad = np.zeros((9, 9))
-        Ad[0:3, 0:3] = Rg
-        Ad[3:6, 3:6] = Rg
-        Ad[6:9, 6:9] = Rg
-        Ad[6:9, 0:3] = skew(pg) @ Rg
-
-        nav0 = run.initial_nav()
-        a = InekfState.start(nav0, config)
-        b = InekfState(
-            rotation=Rg @ a.rotation,
-            velocity=Rg @ a.velocity,
-            position=Rg @ a.position + pg,
-            cov=Ad @ a.cov @ Ad.T,
-        )
-        qg = quat_from_yaw(gamma_yaw)
-        t_prev = epochs[0].t_prev
-        for epoch in epochs:
-            a = inekf_predict(a, epoch.imu_burst, config, t_prev)
-            b = inekf_predict(b, epoch.imu_burst, config, t_prev)
-            a = inekf_update(a, epoch.dvl, epoch.ahrs, config)
-            b = inekf_update(b, Rg @ epoch.dvl, quat_product(qg, epoch.ahrs), config)
-            t_prev = epoch.t
-            np.testing.assert_allclose(b.rotation, Rg @ a.rotation, atol=1e-9)
-            np.testing.assert_allclose(b.velocity, Rg @ a.velocity, atol=1e-9)
-            np.testing.assert_allclose(b.position, Rg @ a.position + pg, atol=1e-9)
 
 
 class TestNonFiniteMeasurement:

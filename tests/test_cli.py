@@ -29,7 +29,7 @@ from cipgnav.ipg import IpgParams
 from cipgnav.metrics import MetricsConfig, truth_from_gt
 from cipgnav.preintegration import GravityModel, ImuBiases, NavState
 from cipgnav.quat import quat_from_yaw, quat_multiply, quat_to_rotation
-from cipgnav.sensors import load_stream, synchronize
+from cipgnav.sensors import load_stream, save_stream, synchronize
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from cipgnav.trajectory import TrajectoryPoint, read_trajectory, write_trajectory
 from tests.conftest import make_streams
@@ -123,6 +123,50 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert ":1: expected 'key = value'" in capsys.readouterr().err
+
+
+def trimmed_input(tmp_path):
+    """A noiseless 20 s line at 1 m/s along x whose IMU, DVL and AHRS rows start
+    after t = 10 s, beside its whole gt.csv: the run starts at x = 10 m."""
+    out = tmp_path / "trimmed"
+    assert main(["simulate", "--scenario", "line", "--duration", "20", "--speed", "1",
+                 "--out", str(out)]) == 0
+    for kind in ("imu", "dvl", "ahrs"):
+        rows = load_stream(out / f"{kind}.csv", kind)
+        save_stream(rows[rows[:, 0] > 10.0], out / f"{kind}.csv", kind)
+    return out
+
+
+class TestInitialStateFromGt:
+    """``--input`` takes the initial state from the gt row at the stream start, not
+    from gt.csv's first row."""
+
+    @pytest.mark.parametrize("estimator", ["cipg", "ekf", "inekf"])
+    def test_estimate_starts_at_the_stream_start(self, tmp_path, estimator):
+        traj = tmp_path / "traj.csv"
+        assert main(["estimate", "--input", str(trimmed_input(tmp_path)),
+                     "--estimator", estimator, "--out", str(traj)]) == 0
+        meta = json.loads(traj.with_suffix(".meta.json").read_text())
+        assert meta["initial"]["position"] == [10.0, 0.0, 0.0]
+        points = read_trajectory(traj)
+        truth = np.array([[p.t, 0.0, 0.0] for p in points])  # x = t on this line
+        assert np.abs(np.array([p.nav.position for p in points]) - truth).max() < 1e-6
+
+    def test_compare_scores_the_stream_start(self, tmp_path, capsys):
+        assert main(["compare", "--input", str(trimmed_input(tmp_path))]) == 0
+        rows = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert all(float(ate) < 1e-6 for ate in rows["ate_rmse_m"].split())
+
+    def test_no_gt_row_at_the_stream_start(self, tmp_path):
+        # gt.csv starts at t = 10.2 s, past half the 0.2 s epoch period from the
+        # stream start at t = 10 s: the run starts from the first readings.
+        data = trimmed_input(tmp_path)
+        gt = load_stream(data / "gt.csv", "gt")
+        save_stream([s for s in gt if s.t > 10.1], data / "gt.csv", "gt")
+        traj = tmp_path / "traj.csv"
+        assert main(["estimate", "--input", str(data), "--estimator", "ekf",
+                     "--out", str(traj)]) == 0
+        assert json.loads(traj.with_suffix(".meta.json").read_text())["initial"] is None
 
 
 class TestEstimate:
