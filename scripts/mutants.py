@@ -29,7 +29,8 @@ the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
 rotation entry's sign, the columns of rows of any leading shape, the rotation
-vector's hemisphere and the orthogonality test of Shepperd's method) and the
+vector's hemisphere, the rotation-vector map's half angle and first-order
+branch, and the orthogonality test of Shepperd's method) and the
 running product's increment, of the two stages' closed-form fixed points
 (``tests/oracles.py``), of products put back on BLAS,
 of ``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order
@@ -174,10 +175,11 @@ MUTANTS = [
            "ekf-no-hemisphere-flip", True),
     Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",
            "product_entries([w, x, y, z], q_meas)", "ekf-innovation-conjugate", True),
-    Mutant("baselines.py", "P = IKH @ P @ IKH.T + (K * config._r) @ K.T", "P = IKH @ P @ IKH.T",
+    Mutant("baselines.py", "P = IKH.dot(P).dot(IKH.T) + (K * config._r).dot(K.T)",
+           "P = IKH.dot(P).dot(IKH.T)",
            "ekf-joseph-no-krk", True),
-    Mutant("quat.py", "half = 0.5 * angle\n        s = math.sin(half)",
-           "half = angle\n        s = math.sin(half)", "correction-full-angle", True,
+    Mutant("quat.py", "half = 0.5 * angle\n    s = math.sin(half)",
+           "half = angle\n    s = math.sin(half)", "correction-full-angle", True,
            "tests/test_baselines.py"),
     # The InEKF predict's float loop, against its array form in tests/oracles.py.
     Mutant("baselines.py", "h * (w0 - c0), h * (w1 - c1),", "h * w0, h * w1,",
@@ -205,6 +207,13 @@ MUTANTS = [
     Mutant("baselines.py", "q = _unit(shepperd_entries(self.rotation.ravel().tolist()))",
            "q = shepperd_entries(self.rotation.ravel().tolist())", "nav-single-normalize", True,
            "tests/test_baselines.py::TestInekf::test_nav_against_array_form"),
+    # The rotation-vector map's float core against its rows and the array oracle:
+    # the full angle in place of the half angle, and the first-order branch dropped.
+    Mutant("quat.py", "half = 0.5 * angle\n    s = math.sin(half)",
+           "half = angle\n    s = math.sin(half)", "rotvec-core-full-angle", True,
+           "tests/test_quat.py::TestRotvec"),
+    Mutant("quat.py", "if angle < 1e-12:", "if angle < 0.0:", "rotvec-core-first-order-dropped",
+           True, "tests/test_quat.py::TestRotvec"),
     Mutant("quat.py", "if w < 0.0:\n        w, x, y, z = -w, -x, -y, -z",
            "if False:\n        w, x, y, z = -w, -x, -y, -z", "rotvec-hemisphere-flip-dropped", True,
            "tests/test_quat.py::TestRotvec"),

@@ -26,17 +26,22 @@ update uses that its measurements select error-state rows 3..8 and forms no
 product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
 9-element arrays a numpy call costs more than its arithmetic.
 
-For the same reason both updates run their vector algebra on Python floats:
-the innovation, the hemisphere test, the Hamilton products, the rotation
-vector maps and the mean correction, with math's cos and sin (see ``quat``);
-in the InEKF that is Shepperd's method and the rotation vector through their
-float forms in ``quat``, H's [v]x block and ``se23_exp``'s rotation and left
-Jacobian, and ``InekfState.nav`` reads its quaternion out the same way.
-Elementwise float arithmetic rounds as numpy's does, and norms are summed in
-index order (``quat``), so only the matrix products are left to numpy, and
-each update's result equals its array form bit for bit (the InEKF amplifies a
-last-bit change about 10^4-fold over a run).  Both updates refuse a
-non-finite DVL or AHRS reading with NumericalError.
+For the same reason both updates run their vector algebra on Python floats,
+with math's cos and sin (see ``quat``).  In the EKF that is everything but
+the gain solve, K y and the Joseph products: the innovation with its
+hemisphere test and normalized Hamilton product, and the mean correction,
+whose rotation vector goes through ``from_rotvec_entries`` and whose product
+is normalized over ``_checked_norm``.  In the InEKF it is the measurement's
+rotation, Shepperd's method and the rotation vector through their float forms
+in ``quat``, H's [v]x block, and ``se23_exp``'s rotation (from the same
+``from_rotvec_entries``) and left Jacobian; the product R_meas R^T, the
+Joseph update (``kalman_update``, called through its module attribute) and the
+group product stay on numpy, and ``InekfState.nav`` reads its quaternion out
+on floats.  Elementwise float arithmetic rounds as numpy's does, and norms are
+summed in index order (``quat``), so each update's result equals its array
+form bit for bit (the InEKF amplifies a last-bit change about 10^4-fold over a
+run).  Both updates refuse a non-finite DVL or AHRS reading with
+NumericalError.
 """
 
 from __future__ import annotations
@@ -60,9 +65,8 @@ from .quat import (
     _checked_norm,
     _norm,
     _unit,
+    from_rotvec_entries,
     product_entries,
-    quat_from_rotvec,
-    quat_normalize,
     quat_to_rotation,
     rotation_entries,
     rotvec_entries,
@@ -343,15 +347,18 @@ def _readings(what: str, dvl, ahrs):
 def _attitude_innovation(q_est, q_meas) -> list:
     """Small-angle body-frame attitude innovation 2 * vec(q_est^-1 * q_meas), as 3 floats.
 
-    q_est is a float array and q_meas 4 floats, taken on q_est's hemisphere: it
-    is negated when the ordered float sum of their dot product is negative.
+    q_est and q_meas are 4 floats each, q_meas taken on q_est's hemisphere: it
+    is negated when the ordered float sum of their dot product is negative.  The
+    product is normalized on floats over ``_checked_norm``, refused as
+    ``quat_normalize`` refuses it.
     """
-    w, x, y, z = q_est.tolist()
+    w, x, y, z = q_est
     mw, mx, my, mz = q_meas
     if w * mw + x * mx + y * my + z * mz < 0.0:
         q_meas = [-mw, -mx, -my, -mz]
-    _, *vec = quat_normalize(np.array(product_entries([w, -x, -y, -z], q_meas))).tolist()
-    return [2.0 * c for c in vec]
+    p = product_entries([w, -x, -y, -z], q_meas)
+    n = _checked_norm(p)
+    return [2.0 * (c / n) for c in p[1:]]
 
 
 def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
@@ -363,26 +370,31 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     I - K H is the identity with K subtracted from columns 3..8, and, R
     being diagonal, K R K^T = (K r) K^T.  Each of these equals its product
     with H exactly, so the result is ``kalman_update(P, H, R, y)`` bit for
-    bit, with the same NumericalError on a singular S.  The innovation and the
-    mean correction are formed on Python floats; a non-finite reading raises
+    bit, with the same NumericalError on a singular S.  The innovation
+    (``_attitude_innovation``) and the mean correction are formed on Python
+    floats, the correction's rotation by ``from_rotvec_entries`` and its
+    product normalized over ``_checked_norm``: only the gain solve, K y and
+    the Joseph products are numpy calls.  A non-finite reading raises
     NumericalError.
     """
     nav, P = state.nav, state.cov
-    (d0, d1, d2), q = _readings("ekf_update", dvl, ahrs)
+    (d0, d1, d2), q_meas = _readings("ekf_update", dvl, ahrs)
+    q_est = nav.orientation.tolist()
     v0, v1, v2 = nav.velocity.tolist()
-    y = np.array([d0 - v0, d1 - v1, d2 - v2, *_attitude_innovation(nav.orientation, q)])
+    y = np.array([d0 - v0, d1 - v1, d2 - v2, *_attitude_innovation(q_est, q_meas)])
     K = _gain(P[3:, 3:] + config._r_matrix, P[3:])
-    dx = K @ y
+    dx = K.dot(y)  # ndarray.dot: less call overhead than @, the same bits
     IKH = _EYE9.copy()
     IKH[:, 3:] -= K
-    P = IKH @ P @ IKH.T + (K * config._r) @ K.T
+    P = IKH.dot(P).dot(IKH.T) + (K * config._r).dot(K.T)
     P = 0.5 * (P + P.T)
     p0, p1, p2 = nav.position.tolist()
-    c = dx.tolist()
-    position = np.array([p0 + c[0], p1 + c[1], p2 + c[2]])
-    velocity = np.array([v0 + c[3], v1 + c[4], v2 + c[5]])
-    dq = quat_from_rotvec(dx[6:9]).tolist()
-    orientation = quat_normalize(np.array(product_entries(nav.orientation.tolist(), dq)))
+    c0, c1, c2, c3, c4, c5, *theta = dx.tolist()
+    position = np.array([p0 + c0, p1 + c1, p2 + c2])
+    velocity = np.array([v0 + c3, v1 + c4, v2 + c5])
+    q = product_entries(q_est, from_rotvec_entries(theta))
+    n = _checked_norm(q)
+    orientation = np.array([c / n for c in q])
     # The covariance is exactly symmetric: only a validating filter checks it.
     P = _check_cov(P, _PSD_TOL, "ekf_update") if config.validate else P
     return EkfState(NavState.exact(position, velocity, orientation), P)
@@ -409,15 +421,15 @@ def se23_exp(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns the group element blocks (rotation, velocity offset, position
     offset) using the closed-form SO(3) exponential and left Jacobian.  The
-    rotation is ``quat_to_rotation(quat_from_rotvec(theta))`` on floats and
-    the left Jacobian J is formed on floats; J dv and J dp are BLAS products.
+    rotation is ``quat_to_rotation(quat_from_rotvec(theta))`` formed on floats
+    (``rotation_entries`` of the ``_unit`` of ``from_rotvec_entries``), and the
+    left Jacobian J is formed on floats; J dv and J dp are BLAS products.
     """
     xi = np.asarray(xi, dtype=float)
-    theta, dv, dp = xi[0:3], xi[3:6], xi[6:9]
-    R = np.array(rotation_entries(_unit(quat_from_rotvec(theta).tolist()))).reshape(3, 3)
-    x, y, z = theta.tolist()
+    x, y, z = xi[0:3].tolist()
+    R = np.array(rotation_entries(_unit(from_rotvec_entries((x, y, z))))).reshape(3, 3)
     J = _left_jacobian_so3(x, y, z, _norm((x, y, z)))
-    return R, J @ dv, J @ dp
+    return R, J @ xi[3:6], J @ xi[6:9]
 
 
 def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float) -> InekfState:

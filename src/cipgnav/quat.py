@@ -23,10 +23,11 @@ elementwise multiply and add (``ordered_matmul``), which no BLAS kernel,
 memory layout or SIMD width rounds differently, and a norm of floats is
 ``_norm``, the same ordered sum; no norm of the package is numpy's
 linear-algebra norm, whose 1-D form is a BLAS dot; this module forms no product
-on BLAS.  ``quat_from_rotvec`` also runs one value on Python floats, and
-``rotation_to_quat`` and ``quat_to_rotvec`` are thin array wrappers around
-their float forms, ``shepperd_entries`` (whose orthogonality test sums each
-entry of R R^T in index order) and ``rotvec_entries``.  No other module writes
+on BLAS.  ``quat_from_rotvec`` on one vector, ``rotation_to_quat`` and
+``quat_to_rotvec`` are thin array wrappers around their float forms,
+``from_rotvec_entries`` (the rotation-vector map with its first-order branch),
+``shepperd_entries`` (whose orthogonality test sums each entry of R R^T in index
+order) and ``rotvec_entries``.  No other module writes
 a quaternion formula out: the per-sample loops of ``running_product`` and the
 filters call the float forms.
 One rotation vector's cos and sin are math's, which matched numpy's on every
@@ -58,6 +59,7 @@ __all__ = [
     "shepperd_entries",
     "quat_angular_distance",
     "quat_from_rotvec",
+    "from_rotvec_entries",
     "quat_to_rotvec",
     "rotvec_entries",
     "quat_from_yaw",
@@ -300,23 +302,19 @@ def quat_angular_distance(a, b):
 
 
 def quat_from_rotvec(v) -> np.ndarray:
-    """Unit quaternion for a rotation vector (axis * angle, rad), or for each row.
+    """Unit quaternion for a rotation vector (axis * angle, rad), or for each row:
+    ``from_rotvec_entries`` of one vector's floats, and its expressions on the
+    rows with numpy's cos and sin.
 
     A non-finite component, or an angle that overflows, raises ValueError.
     """
     v = np.asarray(v, dtype=float)
-    one = v.ndim == 1
-    angle = _norm(v.tolist()) if one else row_norms(v)[..., None]
-    if not (angle < math.inf if one else (angle < math.inf).all()):  # also NaN
+    if v.ndim == 1:
+        return np.array(from_rotvec_entries(v.tolist()))
+    angle = row_norms(v)[..., None]
+    if not (angle < math.inf).all():  # also NaN
         raise ValueError(f"non-finite rotation vector or angle: {v!r}")
     small = angle < 1e-12
-    if one and small:
-        return quat_from_rotvec(v[None])[0]
-    if one:  # on Python floats; math's cos and sin round as numpy's on the hosts tested
-        half = 0.5 * angle
-        s = math.sin(half)
-        x, y, z = v.tolist()
-        return np.array([math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)])
     if small.any():
         # First-order expansion keeps the map smooth through zero; other rows are exact.
         first = np.concatenate([np.ones_like(angle), 0.5 * v], axis=-1)
@@ -324,6 +322,24 @@ def quat_from_rotvec(v) -> np.ndarray:
                         quat_from_rotvec(np.where(small, 1.0, v)))
     half = 0.5 * angle
     return np.concatenate([np.cos(half), np.sin(half) * (v / angle)], axis=-1)
+
+
+def from_rotvec_entries(v) -> list:
+    """The unit quaternion, as 4 Python floats, of a rotation vector (axis * angle,
+    rad) given as 3 Python floats, on Python floats: ``quat_from_rotvec`` of one
+    vector, the twin of ``rotvec_entries``.  Below an angle of 1e-12 it is the
+    first-order (1, v / 2) over its norm (``_unit``), as the rows take it, and
+    otherwise (cos, sin * axis) of the half angle with math's cos and sin.  A
+    non-finite component, or an angle that overflows, raises ValueError."""
+    angle = _norm(v)
+    if not angle < math.inf:  # also NaN
+        raise ValueError(f"non-finite rotation vector or angle: {np.array(v)!r}")
+    x, y, z = v
+    if angle < 1e-12:
+        return _unit((1.0, 0.5 * x, 0.5 * y, 0.5 * z))
+    half = 0.5 * angle
+    s = math.sin(half)
+    return [math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)]
 
 
 def quat_to_rotvec(q) -> np.ndarray:

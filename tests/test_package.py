@@ -1,7 +1,8 @@
 """Package surface: every name a module exports resolves, every module
-attribute the benchmark's tracer rebinds (``perfbench/workloads.py``) exists,
-every product that may run on BLAS sits in a function allowed to, and no
-norm is numpy's ``linalg.norm``."""
+attribute the benchmark's tracer rebinds (``perfbench/workloads.py``) exists
+and the InEKF update reaches ``kalman_update`` through it, every product that
+may run on BLAS sits in a function allowed to, and no norm is numpy's
+``linalg.norm``."""
 
 from __future__ import annotations
 
@@ -39,6 +40,25 @@ def test_traced_attributes_exist(name):
     module = importlib.import_module(f"cipgnav.{name}")
     missing = [attr for attr in TRACED[name] if not callable(getattr(module, attr, None))]
     assert not missing, f"cipgnav.{name} lacks attributes the benchmark tracer rebinds: {missing}"
+
+
+def test_inekf_update_calls_kalman_update_through_its_module_attribute(monkeypatch):
+    # The tracer's baselines.kalman_update span rebinds this attribute: an InEKF
+    # update that called its Joseph form any other way would leave the span at 0.
+    from cipgnav import baselines
+
+    calls = []
+    kalman_update = baselines.kalman_update
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kalman_update(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "kalman_update", counting)
+    config = baselines.FilterConfig()
+    state = baselines.InekfState.start(cipgnav.NavState(velocity=[1.0, 0.0, 0.0]), config)
+    baselines.inekf_update(state, [1.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], config)
+    assert len(calls) == 1
 
 
 # module -> functions whose products may run on BLAS: the filters' covariance

@@ -15,6 +15,7 @@ from cipgnav.quat import (
     _norm,
     _unit,
     euler_from_quat,
+    from_rotvec_entries,
     hemisphere_align,
     ordered_matmul,
     quat_angular_distance,
@@ -282,13 +283,31 @@ class TestRotvec:
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], [1e200, 0.0, 0.0]],
                              ids=["nan", "inf", "overflow"])
-    @pytest.mark.parametrize("rows", [False, True], ids=["one", "rows"])
+    @pytest.mark.parametrize("form", ["one", "rows", "core"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_from_rotvec_refuses_a_non_finite_angle(self, bad, rows):
+    def test_from_rotvec_refuses_a_non_finite_angle(self, bad, form):
         # An overflowing angle once gave a NaN quaternion and a RuntimeWarning.
-        v = np.array([[0.1, 0.2, 0.3], bad]) if rows else np.array(bad)
+        v = np.array([[0.1, 0.2, 0.3], bad]) if form == "rows" else np.array(bad)
         with pytest.raises(ValueError, match="^non-finite rotation vector or angle: "):
-            quat_from_rotvec(v)
+            quat_from_rotvec(v) if form != "core" else from_rotvec_entries(v.tolist())
+
+    def test_from_rotvec_on_floats_equals_rows_and_array_form(self, rng):
+        # Scales from 1e-14 to 1e2; angles of exactly 1e-12 and the floats on either
+        # side of it, on the axes (whose norm is exact), with both signs; signed zeros.
+        V = rng.normal(size=(588, 3)) * 10.0 ** rng.uniform(-14.0, 2.0, (588, 1))
+        V[1::7, 0] = -0.0
+        V[2::7, 1:] = [0.0, -0.0]
+        edge = [np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0)]
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        zeros = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]]
+        V = np.concatenate([V, zeros, np.concatenate([a * axes for a in edge])])
+        assert [_norm(v) for v in V[-18:].tolist()] == np.repeat(edge, 6).tolist()
+        rows = quat_from_rotvec(V)  # one (n, 3) call
+        for v, row in zip(V, rows):
+            got = np.array(from_rotvec_entries(v.tolist()))
+            assert same_bits(got, row)
+            assert same_bits(got, oracles._rotvec_to_quat(v))
+            assert same_bits(got, quat_from_rotvec(v))
 
     def test_to_rotvec_branches(self, rng):
         # Either hemisphere with a vector part above and below 1e-12, and non-unit
