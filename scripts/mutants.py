@@ -22,9 +22,10 @@ finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
 reruns their pass), of the filters (both predicts' float loops: their
 spacing refusal, gyro bias, strapdown order and error order, the EKF's
-attitude increment and error-transition blocks; the measurement updates on
-Python floats, the InEKF's measurement rows, left Jacobian and ``nav()``
-read-out, and the runners' reading check), of
+attitude increment and error-transition blocks; the InEKF's closed-form
+covariance: its suffix sums of the spacings, its transition and a noise
+block; the measurement updates on Python floats, the InEKF's measurement
+rows, left Jacobian and ``nav()`` read-out, and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
@@ -84,6 +85,7 @@ _RERUN = ("    except DegenerateQuaternionError:\n"
           "        # A later non-positive spacing, and the large-spacing warning, come first.\n"
           + _UNPACK + "        raise")
 _INEKF_ORACLE = "tests/test_baselines.py::TestInekfPredictAgainstArrayOracle"
+_INEKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_inekf_matches_per_sample_loop"
 _UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
 _TABLE = "tests/test_equivariance.py"
 
@@ -196,6 +198,16 @@ MUTANTS = [
     Mutant("baselines.py", "dts.append(dt)\n" + _RERUN,
            "dts.append(dt)\n" + _RERUN.replace(_UNPACK, ""), "inekf-degenerate-before-spacing",
            True, _INEKF_ORACLE),
+    # The InEKF predict's covariance in closed form, against the per-sample Ad
+    # recursion: a_k summing its own sample's spacing, Phi without its A^2 term,
+    # and one sign of the noise's -q_att [sum dt u]x block.
+    Mutant("baselines.py", "after.append((a, b))\n        a, b = a + dt, b + dt * a",
+           "a, b = a + dt, b + dt * a\n        after.append((a, b))", "inekf-suffix-own-spacing",
+           True, _INEKF_LOOP),
+    Mutant("baselines.py", "Phi = _EYE9 + a * config._A + b * config._A2",
+           "Phi = _EYE9 + a * config._A", "inekf-transition-without-a2", True, _INEKF_LOOP),
+    Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",
+           "inekf-noise-cross-sign", True, _INEKF_LOOP),
     # The InEKF update's float forms: one sign of H's [v]x block, the left
     # Jacobian's first-order factor, nav()'s second normalization, and in quat
     # the rotation vector's hemisphere flip and R R^T's entry (0, 1) summed as

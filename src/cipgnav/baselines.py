@@ -19,9 +19,10 @@ at run time).  It propagates its covariance in burst form, with BLAS
 products: one backward pass of suffix products F_M ... F_{k+1}, one 9x9
 product per sample, and one product for the whole noise sum.  The InEKF
 reads the burst as floats in two such loops around its chain of 3x3 BLAS
-rotation products, so its mean is its array form's bit for bit; it builds F_k
-= I + dt_k A from the config's A and process noise Q_k with array operations
-and steps its covariance recursion P <- F_k P F_k^T + Q_k sample by sample.  The EKF
+rotation products, so its mean is its array form's bit for bit.  Its F_k =
+I + dt_k A do not depend on the state and A^3 = 0, so its covariance needs no
+per-sample matrix: the burst's transition is I + T A + T2 A^2, and its noise
+sum is formed from one 8x8 moment product (see ``inekf_predict``).  The EKF
 update uses that its measurements select error-state rows 3..8 and forms no
 product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
 9-element arrays a numpy call costs more than its arithmetic.
@@ -139,11 +140,14 @@ class FilterConfig:
         _one_of("validate", self.validate, (False, True))
         q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
         r = np.concatenate([self.r_vel, self.r_att])
-        # The InEKF's error dynamics on (attitude, velocity, position): F_k = I + dt_k A.
-        A = np.zeros((9, 9))
-        A[3:6, 0:3], A[6:9, 3:6] = _skew(self.gravity.vector), _EYE3
-        vars(self).update(_q=q, _A=A, _r=r, _r_matrix=np.diag(r))
-        for value in (self.r_vel, self.r_att, self._q, self._A, self._r, self._r_matrix):
+        # The InEKF's error dynamics on (attitude, velocity, position): F_k = I + dt_k A,
+        # with A^2 = [g]x at rows 6..8, columns 0..2, and A^3 = 0.
+        A, A2 = np.zeros((9, 9)), np.zeros((9, 9))
+        A[3:6, 0:3] = A2[6:9, 0:3] = _skew(self.gravity.vector)
+        A[6:9, 3:6] = _EYE3
+        vars(self).update(_q=q, _A=A, _A2=A2, _r=r, _r_matrix=np.diag(r))
+        for value in (self.r_vel, self.r_att, self._q, self._A, self._A2, self._r,
+                      self._r_matrix):
             value.setflags(write=False)
 
     def q_diag(self) -> np.ndarray:
@@ -219,11 +223,11 @@ def kalman_update(P, H, R, innovation):
     m = len(H)
     R = np.asarray(R, dtype=float).reshape(m, m)
     y = np.asarray(innovation, dtype=float).reshape(m)
-    HP = H @ P
-    K = _gain(HP @ H.T + R, HP)
-    dx = K @ y
-    IKH = (_EYE9 if len(P) == 9 else np.eye(len(P))) - K @ H
-    P_post = IKH @ P @ IKH.T + K @ R @ K.T
+    HP = H.dot(P)  # ndarray.dot: less call overhead than @ on arrays this small
+    K = _gain(HP.dot(H.T) + R, HP)
+    dx = K.dot(y)
+    IKH = (_EYE9 if len(P) == 9 else np.eye(len(P))) - K.dot(H)
+    P_post = IKH.dot(P).dot(IKH.T) + K.dot(R).dot(K.T)
     return dx, 0.5 * (P_post + P_post.T)
 
 
@@ -232,13 +236,6 @@ def _finish_cov(P: np.ndarray, config: FilterConfig, what: str) -> np.ndarray:
     if config.validate:
         return _check_cov(P, _PSD_TOL, what)
     return 0.5 * (P + P.T)
-
-
-def _propagate_cov(P, F, Q):
-    """P <- F[k] P F[k]^T + Q[k] for each sample k in turn."""
-    for Fk, Qk in zip(F, Q):
-        P = Fk.dot(P).dot(Fk.T) + Qk  # ndarray.dot: less call overhead than @ on 9x9
-    return P
 
 
 def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) -> EkfState:
@@ -449,10 +446,25 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     each increment's rotation (``rotation_entries`` of its ``_unit``), chained
     on by 3x3 BLAS products in sample order; a second forms R_k a_k in index
     order and advances p with the velocity at the start of the sample, then v.
-    So the mean equals the array form bit for bit.  The F_k stack is I + dt_k A
-    (``FilterConfig``'s A); Ad_k's [v]x R and [p]x R blocks come from one
-    batched product, each entry the 3x3 BLAS product it was, and Q_k from a
-    few array operations; P <- F_k P F_k^T + Q_k steps through the samples.
+    So the mean equals the array form bit for bit.
+
+    The covariance takes closed forms (Forster et al., IEEE T-RO 33(1), 2017,
+    propagate the noise of a burst in the same way).  A^3 = 0, so the F_k
+    commute and the samples after k carry the error by F_M ... F_{k+1} =
+    I + a_k A + b_k A^2, with a_k the sum of their spacings and b_k the sum of
+    their pairwise products; the whole burst by Phi = I + T A + T2 A^2
+    (``FilterConfig``'s A and A^2).  Each block of Qb is a multiple of I, so R
+    drops out of the noise, and with u_k = a_k g + v_k and w_k = b_k g +
+    a_k v_k + p_k (v_k, p_k at the start of sample k) the noise sum
+    N = sum_k (F_M ... F_{k+1}) Q_k (F_M ... F_{k+1})^T has the blocks
+    N_thth = q_att S I, N_thv = -q_att [sum dt u]x, N_thp = -q_att [sum dt w]x,
+    N_vv = q_att (tr U - U) + q_vel S I,
+    N_vp = q_att (tr X - X) + q_vel (sum dt a) I
+    and N_pp = q_att (tr W - W) + (q_vel sum dt a^2 + q_pos S) I, where S is
+    the sum of dt, U = sum dt u u^T, X = sum dt w u^T and W = sum dt w w^T.
+    The second loop appends each sample's (u_k, w_k, a_k, 1) to an (M, 8)
+    table x, one BLAS product gives every sum as sum_k dt_k x_k x_k^T, N's
+    entries are formed on floats, and P <- Phi P Phi^T + N.
     """
     rows = burst.tolist()
     if not rows:
@@ -482,15 +494,23 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     chain = [state.rotation]
     for dR in np.array(increments).reshape(-1, 3, 3):
         chain.append(chain[-1].dot(dR))
-    R = np.array(chain[:-1])
+    # a_k, b_k: the first and second elementary symmetric sums of the spacings
+    # after sample k, so that F_M ... F_{k+1} = I + a_k A + b_k A^2 (A^3 = 0).
+    a = b = 0.0
+    after = []
+    for dt in reversed(dts):
+        after.append((a, b))
+        a, b = a + dt, b + dt * a
+    after.reverse()
     g0, g1, g2 = config.gravity.vector.tolist()
     p0, p1, p2 = state.position.tolist()
     v0, v1, v2 = state.velocity.tolist()
-    sv, sp = [], []  # [v]x and [p]x at the start of each sample, row-major
-    for dt, (a0, a1, a2), (r00, r01, r02, r10, r11, r12, r20, r21, r22) in zip(
-            dts, accel, R.reshape(-1, 9).tolist()):
-        sv += (0.0, -v2, v1, v2, 0.0, -v0, -v1, v0, 0.0)
-        sp += (0.0, -p2, p1, p2, 0.0, -p0, -p1, p0, 0.0)
+    moments = []  # per sample (u_k, w_k, a_k, 1), from v and p at its start
+    for dt, (a0, a1, a2), (r00, r01, r02, r10, r11, r12, r20, r21, r22), (ak, bk) in zip(
+            dts, accel, np.array(chain[:-1]).reshape(-1, 9).tolist(), after):
+        moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,
+                    bk * g0 + ak * v0 + p0, bk * g1 + ak * v1 + p1, bk * g2 + ak * v2 + p2,
+                    ak, 1.0)
         f0 = r00 * a0 + r01 * a1 + r02 * a2
         f1 = r10 * a0 + r11 * a1 + r12 * a2
         f2 = r20 * a0 + r21 * a1 + r22 * a2
@@ -499,16 +519,38 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     dts = np.array(dts)
     _check_dt(dts.max())
 
-    dt = dts[:, None, None]
-    F = _EYE9 + dt * config._A
-    Ad = np.zeros((len(dts), 9, 9))
-    Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
-    # One batched product: each sample's [v]x R and [p]x R, the same 3x3 BLAS products.
-    Ad[:, 3:6, 0:3], Ad[:, 6:9, 0:3] = np.array([sv, sp]).reshape(2, -1, 3, 3) @ R
-    qb = config.q_diag()[::-1]  # (attitude, velocity, position), each block constant
-    Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
-    P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
+    X = np.array(moments).reshape(-1, 8)
+    G = (X * dts[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
+    qa, qv, S = config.q_att, config.q_vel, G[7][7]
+    u0, u1, u2, w0, w1, w2 = [qa * row[7] for row in G[:6]]  # q_att sum_k dt_k (u_k, w_k)
+    vv0, vv1, vv2 = _moment_block(G[0:3], 0, qa, qv * S)
+    vp0, vp1, vp2 = _moment_block(G[3:6], 0, qa, qv * G[6][7])
+    pv0, pv1, pv2 = zip(vp0, vp1, vp2)
+    pp0, pp1, pp2 = _moment_block(G[3:6], 3, qa, qv * G[6][6] + config.q_pos * S)
+    qS = qa * S
+    N = np.array([
+        qS, 0.0, 0.0, 0.0, u2, -u1, 0.0, w2, -w1,
+        0.0, qS, 0.0, -u2, 0.0, u0, -w2, 0.0, w0,
+        0.0, 0.0, qS, u1, -u0, 0.0, w1, -w0, 0.0,
+        0.0, -u2, u1, *vv0, *vp0,
+        u2, 0.0, -u0, *vv1, *vp1,
+        -u1, u0, 0.0, *vv2, *vp2,
+        0.0, -w2, w1, *pv0, *pp0,
+        w2, 0.0, -w0, *pv1, *pp1,
+        -w1, w0, 0.0, *pv2, *pp2,
+    ]).reshape(9, 9)
+    Phi = _EYE9 + a * config._A + b * config._A2  # a, b: T and T2 of the whole burst
+    P = _finish_cov(Phi.dot(state.cov).dot(Phi.T) + N, config, "inekf_predict")
     return InekfState(chain[-1], np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
+
+
+def _moment_block(rows, c, q, extra) -> tuple:
+    """q (tr Y I - Y) + extra I as three rows of floats, Y the 3x3 block at columns
+    c..c+2 of the three lists ``rows``; tr Y - Y_ii is the sum of the other two."""
+    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = [row[c:c + 3] for row in rows]
+    return ((q * (y11 + y22) + extra, -q * y01, -q * y02),
+            (-q * y10, q * (y00 + y22) + extra, -q * y12),
+            (-q * y20, -q * y21, q * (y00 + y11) + extra))
 
 
 def _inekf_measurement(state: InekfState, d, q):

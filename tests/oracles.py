@@ -65,10 +65,13 @@ on arrays, its quaternion normalized by ``rotation_to_quat`` and again by
 ``quat_normalize``.  The package's must equal them bit for bit.
 
 ``inekf_predict`` is the InEKF predict as it was on arrays, before its mean
-ran on Python floats: the burst unpacked once, the increments' rotations
-built in one batched call and chained in sample order, and ``cumsum`` giving
-the velocities and positions (``strapdown``).  The package's predict must
-equal it bit for bit, and raise and warn as it does.
+ran on Python floats and its covariance went to closed form: the burst
+unpacked once, the increments' rotations built in one batched call and
+chained in sample order, ``cumsum`` giving the velocities and positions
+(``strapdown``), and the F_k and Ad-mapped Q_k stacks stepped through
+P <- F_k P F_k^T + Q_k by ``_propagate_cov``.  The package's predict must
+equal its mean bit for bit, its covariance within 1e-12, and raise and warn
+as it does.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ from cipgnav.baselines import (
     _check_cov,
     _finish_cov,
     _gain,
-    _propagate_cov,
     _PSD_TOL,
 )
 from cipgnav.errors import (
@@ -711,6 +713,13 @@ def strapdown(p, v, R, dts, accel, g):
     np.multiply(dts[:, None], vs[:-1], out=ps[1:])
     np.cumsum(ps, axis=0, out=ps)
     return ps, vs
+
+
+def _propagate_cov(P, F, Q):
+    """P <- F[k] P F[k]^T + Q[k] for each sample k in turn."""
+    for Fk, Qk in zip(F, Q):
+        P = Fk.dot(P).dot(Fk.T) + Qk
+    return P
 
 
 def inekf_predict(state, burst, config, t_start):

@@ -279,17 +279,75 @@ class TestBatchedPredict:
         np.testing.assert_array_equal(out.orientation, nav_of(clean).orientation)
 
 
+class TestInekfCovarianceClosedForm:
+    """The closed form of inekf_predict's covariance: Phi = I + T A + T2 A^2 and
+    the noise from the moments of u_k = a_k g + v_k and w_k = b_k g + a_k v_k + p_k."""
+
+    def test_rotation_leaves_the_noise(self, rng):
+        # With the readings at the accel bias the specific force is 0 whatever R
+        # is, so v and p, and with them every moment, do not depend on R.  From
+        # P = 0 the result is the noise alone, whose last bits R R^T would move.
+        config = replace(random_config(rng), q_att=1.0, q_vel=1.0, q_pos=1.0)
+        nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+        state = replace(InekfState.start(nav, config), cov=np.zeros((9, 9)))
+        turned = replace(state, rotation=quat_to_rotation(random_unit_quat(rng)))
+        burst = random_burst(rng, 0.0, 20)
+        burst[:, 1:4] = config.biases.accel
+        out, out_turned = (inekf_predict(s, burst, config, 0.0) for s in (state, turned))
+        assert not np.array_equal(out.rotation, out_turned.rotation)
+        assert out.cov.tobytes() == out_turned.cov.tobytes()
+
+    def test_long_bursts_far_from_the_origin(self, rng):
+        # 100 samples (T up to 3 s) at positions of 1 km, where the q_att |w|^2
+        # noise terms reach 1e-2: within 1e-13 of the largest covariance entry.
+        for _ in range(20):
+            config = random_config(rng)
+            nav = NavState(rng.normal(scale=1000.0, size=3), rng.normal(size=3),
+                           random_unit_quat(rng))
+            state = replace(InekfState.start(nav, config), cov=random_cov(rng))
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, 100)
+            out = inekf_predict(state, burst, config, t0)
+            R, v, p, P = reference_inekf_predict(state, burst, config, t0)
+            np.testing.assert_allclose(out.rotation, R, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.velocity, v, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.position, p, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out.cov, P, rtol=0.0, atol=1e-13 * np.abs(P).max())
+
+
 def predict_outcome(predict, state, burst, config, t_start):
-    """What ``predict`` gives: its state's arrays as (shape, bytes), or the type and
-    text of the error it raises, and the large-spacing warnings it issues."""
+    """What ``predict`` gives: its state, or the type and text of the error it
+    raises, and the large-spacing warnings it issues."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = predict(state, burst, config, t_start)
-            result = [(a.shape, a.tobytes()) for a in vars(out).values()]
+            result = predict(state, burst, config, t_start)
         except (ValueError, RuntimeError) as exc:
             result = (type(exc), str(exc))
     return result, [str(w.message) for w in large_spacing_warnings(caught)]
+
+
+def assert_matches_array_oracle(state, burst, config, t_start):
+    """inekf_predict against ``oracles.inekf_predict``: the same error or the same
+    mean bytes, and the same warnings; a covariance within 1e-12 of the oracle's,
+    or, where the oracle's has a non-finite entry, one that has one too (the NaN
+    pattern of the closed form differs from the recursion's).  Returns the outcome."""
+    out, ref = (predict_outcome(predict, state, burst, config, t_start)
+                for predict in (inekf_predict, oracles.inekf_predict))
+    (result, large), (expected, expected_large) = out, ref
+    assert large == expected_large
+    if isinstance(expected, tuple):
+        assert result == expected
+        return out
+    for name in ("rotation", "velocity", "position"):
+        got, want = getattr(result, name), getattr(expected, name)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+    assert result.cov.shape == (9, 9)
+    if np.isfinite(expected.cov).all():
+        np.testing.assert_allclose(result.cov, expected.cov, rtol=0.0, atol=1e-12)
+    else:
+        assert not np.isfinite(result.cov).all()
+    return out
 
 
 def random_inekf_state(rng, config):
@@ -301,7 +359,8 @@ def random_inekf_state(rng, config):
 
 class TestInekfPredictAgainstArrayOracle:
     """inekf_predict against the array form it replaced, ``oracles.inekf_predict``:
-    byte for byte, and the same errors and warnings in the same order."""
+    the mean byte for byte, the covariance within 1e-12, and the same errors and
+    warnings in the same order."""
 
     @pytest.mark.parametrize("validate", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 25])
@@ -311,9 +370,8 @@ class TestInekfPredictAgainstArrayOracle:
             state = random_inekf_state(rng, config)
             t0 = float(rng.uniform(0.0, 100.0))
             burst = random_burst(rng, t0, n)
-            out, ref = (predict_outcome(predict, state, burst, config, t0)
-                        for predict in (inekf_predict, oracles.inekf_predict))
-            assert isinstance(out[0], list) and out == ref
+            result, _ = assert_matches_array_oracle(state, burst, config, t0)
+            assert isinstance(result, InekfState)
 
     # Each case edits a 6-row burst from t = 0 by (row, column, edit): NaN sets the
     # reading, a number is added to the time, "=2" repeats row 2's time and "=start"
@@ -344,10 +402,7 @@ class TestInekfPredictAgainstArrayOracle:
                 burst[row, column] = edit
             else:
                 burst[row, column] += edit
-        out, ref = (predict_outcome(predict, state, burst, config, t0)
-                    for predict in (inekf_predict, oracles.inekf_predict))
-        assert out == ref
-        result, large = out
+        result, large = assert_matches_array_oracle(state, burst, config, t0)
         if "zero" in case or "negative" in case:  # the spacing's refusal comes first
             assert result[0] is ValueError and large == []
         if case.endswith("large-spacing"):
@@ -877,6 +932,16 @@ class TestFilterConfig:
         with pytest.raises(ValueError) as exc_info:
             FilterConfig(**kwargs)
         assert str(exc_info.value).startswith(message)
+
+    @pytest.mark.parametrize("gravity", [(0.0, 0.0, 9.81), (0.3, -0.2, 9.8)])
+    def test_inekf_transition_powers(self, gravity):
+        # F_M ... F_1 = I + T A + T2 A^2 needs A^2 and A^3 = 0; A^2 is set by hand.
+        cfg = FilterConfig(gravity=GravityModel(np.array(gravity)))
+        np.testing.assert_array_equal(cfg._A2, cfg._A @ cfg._A)
+        np.testing.assert_array_equal(cfg._A @ cfg._A2, np.zeros((9, 9)))
+        for array in (cfg._A, cfg._A2):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
 
     def test_zero_noise_is_accepted(self):
         cfg = FilterConfig(p0_scale=0.0, q_pos=0.0, q_vel=0.0, q_att=0.0)
