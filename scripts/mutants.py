@@ -20,12 +20,14 @@ The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
 finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
-reruns their pass), of the filters (both predicts' float loops: their
-spacing refusal, gyro bias, strapdown order and error order, the EKF's
-attitude increment and error-transition blocks; the InEKF's closed-form
-covariance: its suffix sums of the spacings, its transition and a noise
-block; the measurement updates on Python floats, the InEKF's measurement
-rows, left Jacobian and ``nav()`` read-out, and the runners' reading check), of
+reruns their pass), of the filters (both predicts' strapdown loops: their
+gyro bias, strapdown order and error order, the shared spacing pass's
+refusal and the frame its warning names, the EKF's attitude increment and
+error-transition blocks, the InEKF's start quaternion; the InEKF's
+closed-form covariance: its suffix sums of the spacings, its moment row, its
+transition and a noise block; the measurement updates on Python floats, the
+InEKF's measurement rows, left Jacobian and ``nav()`` read-out, and the
+runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
@@ -77,13 +79,27 @@ class Mutant(NamedTuple):
         return self.tests or f"tests/test_{Path(self.file).stem}.py"
 
 
-# Text the two filters' predict loops share, which a row of either lengthens to one match.
-_LOOP_START = ("        for t, a0, a1, a2, w0, w1, w2 in rows:\n"
-               "            dt = t - t_prev\n            ")
-_UNPACK = "        unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)\n"
-_RERUN = ("    except DegenerateQuaternionError:\n"
-          "        # A later non-positive spacing, and the large-spacing warning, come first.\n"
-          + _UNPACK + "        raise")
+# Lines the two filters' strapdown loops share, which a row of either lengthens to
+# one match with text around them.
+_BIAS = ("        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, "
+         "w2 - c2\n")
+_ATTITUDE = ("        r00, r01, r02, r10, r11, r12, r20, r21, r22 = "
+             "rotation_entries(_unit((qw, qx, qy, qz)))\n")
+_FORCE = ("        f0 = r00 * a0 + r01 * a1 + r02 * a2\n"
+          "        f1 = r10 * a0 + r11 * a1 + r12 * a2\n"
+          "        f2 = r20 * a0 + r21 * a1 + r22 * a2\n")
+_STEP = ("        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2\n"
+         "        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)\n")
+_STEP_SWAPPED = "".join(reversed(_STEP.splitlines(keepends=True)))
+_MOMENTS = ("        moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,\n"
+            "                    bk * g0 + ak * v0 + p0, bk * g1 + ak * v1 + p1, "
+            "bk * g2 + ak * v2 + p2,\n"
+            "                    ak, 1.0)\n")
+_EKF_HEAD = "in zip(dts, rows):\n"
+# Each increment normalized before the spacings are checked: a NaN gyro reading
+# then raises before a later non-positive spacing and before the warning.
+_EARLY_PRODUCTS = "    [_unit((1.0, *row[4:])) for row in rows]\n"
+_SPACINGS = "    dts, dt_array = _spacings(rows, t_start)\n"
 _INEKF_ORACLE = "tests/test_baselines.py::TestInekfPredictAgainstArrayOracle"
 _INEKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_inekf_matches_per_sample_loop"
 _UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
@@ -149,29 +165,33 @@ MUTANTS = [
     # May survive: normalizing M_1 zeta once instead of twice moves the warm
     # start by at most an ulp, which no tolerance of ipg_step's comparison sees.
     Mutant("cascade.py", "_unit(_unit(warm))", "_unit(warm)", "warm-single-normalize", False),
-    # The filters: the EKF predict's float loop (its refusal, bias, strapdown order,
-    # attitude and transition blocks), the updates' float algebra and H.  Where
-    # the two predicts' loops share lines, a row takes enough text to match once.
+    # The filters: the EKF predict's float loop (its bias, strapdown order,
+    # attitude and transition blocks), the spacing pass, the updates' float
+    # algebra and H.  Where the two predicts' loops share lines, a row takes
+    # enough text to match once.
     Mutant("baselines.py", "ndt = -dt", "ndt = dt", "ekf-transition-sign", True),
     Mutant("baselines.py",
            "H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]",
            "H += [1.0, -(dt * w2), dt * w1, dt * w2, 1.0, -(dt * w0), -(dt * w1), dt * w0, 1.0]",
            "ekf-gyro-block-sign", True),
-    Mutant("baselines.py", "w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2", "ekf-gyro-bias-kept", True),
-    Mutant("baselines.py",
-           "p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2\n"
-           "            v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)",
-           "v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)\n"
-           "            p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2",
-           "ekf-position-end-velocity", True),
-    Mutant("baselines.py", "rotation_entries(\n                _unit((qw, qx, qy, qz)))",
-           "rotation_entries(\n                (qw, qx, qy, qz))", "ekf-unnormalized-attitude", True),
-    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2)", "(1.0, h * w1, h * w0, h * w2)",
-           "ekf-increment-rates-swapped", True),
-    Mutant("baselines.py", "row-major\n    try:\n" + _LOOP_START + "if dt <= 0.0:",
-           "row-major\n    try:\n" + _LOOP_START + "if dt < 0.0:", "ekf-zero-spacing-accepted", True),
-    Mutant("baselines.py", "orientation = _unit((qw, qx, qy, qz))\n" + _RERUN,
-           "orientation = _unit((qw, qx, qy, qz))\n" + _RERUN.replace(_UNPACK, ""),
+    Mutant("baselines.py", _EKF_HEAD + _BIAS,
+           _EKF_HEAD + _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
+           "ekf-gyro-bias-kept", True),
+    Mutant("baselines.py", "1.0]\n" + _STEP, "1.0]\n" + _STEP_SWAPPED, "ekf-position-end-velocity",
+           True),
+    Mutant("baselines.py", _EKF_HEAD + _BIAS + _ATTITUDE,
+           _EKF_HEAD + _BIAS + _ATTITUDE.replace("_unit((qw, qx, qy, qz))", "(qw, qx, qy, qz)"),
+           "ekf-unnormalized-attitude", True),
+    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2))\n    orientation",
+           "(1.0, h * w1, h * w0, h * w2))\n    orientation", "ekf-increment-rates-swapped", True),
+    # The spacing pass both predicts share: its refusal of a zero spacing, and the
+    # warning attributed to the predict's caller.
+    Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
+           "if dt < 0.0:\n            raise ValueError(", "ekf-zero-spacing-accepted", True),
+    Mutant("baselines.py", "stacklevel=4", "stacklevel=3", "spacing-warning-own-frame", True,
+           "tests/test_baselines.py::TestBatchedPredict::test_large_spacing_warns_once"),
+    Mutant("baselines.py", "nav.orientation.tolist()\n" + _SPACINGS,
+           "nav.orientation.tolist()\n" + _EARLY_PRODUCTS + _SPACINGS,
            "ekf-degenerate-before-spacing", True),
     Mutant("baselines.py", "q_meas = [-mw, -mx, -my, -mz]", "q_meas = [mw, mx, my, mz]",
            "ekf-no-hemisphere-flip", True),
@@ -183,27 +203,32 @@ MUTANTS = [
     Mutant("quat.py", "half = 0.5 * angle\n    s = math.sin(half)",
            "half = angle\n    s = math.sin(half)", "correction-full-angle", True,
            "tests/test_baselines.py"),
-    # The InEKF predict's float loop, against its array form in tests/oracles.py.
-    Mutant("baselines.py", "h * (w0 - c0), h * (w1 - c1),", "h * w0, h * w1,",
+    # The InEKF predict's strapdown loop, against its array form in tests/oracles.py:
+    # the gyro bias, the strapdown order, the spacing refusal and error order, and
+    # the chain started at the identity, not at the quaternion of the state's rotation.
+    Mutant("baselines.py", "ak, 1.0)\n" + _BIAS,
+           "ak, 1.0)\n" + _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
            "inekf-gyro-bias-kept", True, _INEKF_ORACLE),
-    Mutant("baselines.py",
-           "p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2\n"
-           "        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)",
-           "v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)\n"
-           "        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2",
-           "inekf-position-end-velocity", True, _INEKF_ORACLE),
-    Mutant("baselines.py", "increments = [], [], []\n    try:\n" + _LOOP_START + "if dt <= 0.0:",
-           "increments = [], [], []\n    try:\n" + _LOOP_START + "if dt < 0.0:",
-           "inekf-zero-spacing-accepted", True, _INEKF_ORACLE),
-    Mutant("baselines.py", "dts.append(dt)\n" + _RERUN,
-           "dts.append(dt)\n" + _RERUN.replace(_UNPACK, ""), "inekf-degenerate-before-spacing",
+    Mutant("baselines.py", _FORCE + _STEP, _FORCE + _STEP_SWAPPED, "inekf-position-end-velocity",
            True, _INEKF_ORACLE),
+    Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
+           "if dt < 0.0:\n            raise ValueError(", "inekf-zero-spacing-accepted", True,
+           _INEKF_ORACLE),
+    Mutant("baselines.py", _SPACINGS + "    qw, qx, qy, qz = shepperd_entries",
+           _EARLY_PRODUCTS + _SPACINGS + "    qw, qx, qy, qz = shepperd_entries",
+           "inekf-degenerate-before-spacing", True, _INEKF_ORACLE),
+    Mutant("baselines.py", "qw, qx, qy, qz = shepperd_entries(state.rotation.ravel().tolist())",
+           "qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0", "inekf-identity-start", True, _INEKF_ORACLE),
     # The InEKF predict's covariance in closed form, against the per-sample Ad
-    # recursion: a_k summing its own sample's spacing, Phi without its A^2 term,
-    # and one sign of the noise's -q_att [sum dt u]x block.
+    # recursion: a_k summing its own sample's spacing, the moment row taken from
+    # v and p after the sample's step, Phi without its A^2 term, and one sign of
+    # the noise's -q_att [sum dt u]x block.
     Mutant("baselines.py", "after.append((a, b))\n        a, b = a + dt, b + dt * a",
            "a, b = a + dt, b + dt * a\n        after.append((a, b))", "inekf-suffix-own-spacing",
            True, _INEKF_LOOP),
+    Mutant("baselines.py", _MOMENTS + _BIAS + _ATTITUDE + _FORCE + _STEP,
+           _BIAS + _ATTITUDE + _FORCE + _STEP + _MOMENTS, "inekf-moment-after-step", True,
+           _INEKF_LOOP),
     Mutant("baselines.py", "Phi = _EYE9 + a * config._A + b * config._A2",
            "Phi = _EYE9 + a * config._A", "inekf-transition-without-a2", True, _INEKF_LOOP),
     Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",

@@ -10,22 +10,23 @@ velocity, position) with a right-invariant error; its deterministic error
 propagation is state-independent, which makes the group-affine invariance
 checks exact up to floating point.
 
-Prediction works on a whole IMU burst at a time.  The EKF reads the burst
-once as Python floats and walks it in one loop that forms each sample's
-attitude, velocity and position and the two state-dependent blocks of its
-error transition F_k.  No BLAS call forms its predicted mean, which is
-therefore the same bits under every BLAS kernel (OpenBLAS picks one per CPU
-at run time).  It propagates its covariance in burst form, with BLAS
-products: one backward pass of suffix products F_M ... F_{k+1}, one 9x9
-product per sample, and one product for the whole noise sum.  The InEKF
-reads the burst as floats in two such loops around its chain of 3x3 BLAS
-rotation products, so its mean is its array form's bit for bit.  Its F_k =
-I + dt_k A do not depend on the state and A^3 = 0, so its covariance needs no
-per-sample matrix: the burst's transition is I + T A + T2 A^2, and its noise
-sum is formed from one 8x8 moment product (see ``inekf_predict``).  The EKF
-update uses that its measurements select error-state rows 3..8 and forms no
-product with H.  Each ``FilterConfig`` builds its matrices once: on 3- to
-9-element arrays a numpy call costs more than its arithmetic.
+Prediction works on a whole IMU burst at a time.  Both filters read the
+burst once as Python floats, check its spacings in one pass (``_spacings``)
+and walk it in one strapdown loop over a quaternion chain that forms each
+sample's attitude, velocity and position: the InEKF's mean is the EKF's
+started at the quaternion of its rotation.  No BLAS call forms either
+predicted mean, which is therefore the same bits under every BLAS kernel
+(OpenBLAS picks one per CPU at run time).  The EKF's loop also forms the two
+state-dependent blocks of its error transition F_k, and it propagates its
+covariance in burst form, with BLAS products: one backward pass of suffix
+products F_M ... F_{k+1}, one 9x9 product per sample, and one product for the
+whole noise sum.  The InEKF's F_k = I + dt_k A do not depend on the state and
+A^3 = 0, so its covariance needs no per-sample matrix: the burst's transition
+is I + T A + T2 A^2, and its noise sum is formed from one 8x8 moment product
+(see ``inekf_predict``).  The EKF update uses that its measurements select
+error-state rows 3..8 and forms no product with H.  Each ``FilterConfig``
+builds its matrices once: on 3- to 9-element arrays a numpy call costs more
+than its arithmetic.
 
 For the same reason both updates run their vector algebra on Python floats,
 with math's cos and sin (see ``quat``).  In the EKF that is everything but
@@ -53,13 +54,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError, NumericalError, _finite3, _one_of, _real
+from .errors import NumericalError, _finite3, _one_of, _real
 from .preintegration import (
     GravityModel,
     ImuBiases,
     NavState,
     _check_dt,
-    unpack_burst,
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
@@ -238,6 +238,25 @@ def _finish_cov(P: np.ndarray, config: FilterConfig, what: str) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def _spacings(rows, t_start) -> tuple:
+    """The spacings of a burst's rows (lists of 7 floats), the first measured from
+    ``t_start``, as a list and as an array, checked in ``unpack_burst``'s order: a
+    non-positive one raises ValueError naming its row's ``t``, then the largest
+    (NaN if any is NaN) warns once through ``_check_dt``, attributed to the
+    predict's caller."""
+    dts, t_prev = [], float(t_start)
+    for row in rows:
+        t = row[0]
+        dt = t - t_prev
+        if dt <= 0.0:
+            raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
+        dts.append(dt)
+        t_prev = t
+    array = np.array(dts)
+    _check_dt(array.max(), stacklevel=4)
+    return dts, array
+
+
 def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) -> EkfState:
     """Propagate mean and covariance through an IMU burst.
 
@@ -247,20 +266,19 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     F_k = [[I, dt I, 0], [0, I, -dt R [a]x], [0, 0, I - dt [w]x]], with
     diagonal process noise Q_k = diag(q) dt_k.
 
-    The burst is read once as Python floats and walked in one loop.  Per
-    sample it forms the spacing and the bias-corrected readings; the running
-    product by the increment (1, dt/2 w) (``product_entries``, as
-    ``running_product`` steps); the product so far over its norm (``_unit``:
-    the root of its ordered sum of squares) and its rotation
+    The burst is read once as Python floats.  ``_spacings`` forms and checks
+    its spacings first: a non-positive one raises ValueError naming its row's
+    ``t``, and the largest warns once through ``_check_dt``.  One loop then
+    forms per sample the bias-corrected readings; the product so far over its
+    norm (``_unit``: the root of its ordered sum of squares) and its rotation
     (``rotation_entries``); position and velocity as ``preintegrate_burst``
-    updates them, p with the velocity at the start of the sample; and the
-    blocks E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x of F_k, 9 floats
-    each.  No BLAS call forms the mean, so it is the same bits under every
-    BLAS kernel.  A non-positive spacing raises ValueError
-    naming its row's ``t``; after the loop the largest spacing warns once
-    through ``_check_dt``.  A degenerate product (from a NaN reading) is
-    reported in ``unpack_burst``'s order: after a later non-positive spacing
-    and after the warning.
+    updates them, p with the velocity at the start of the sample; the blocks
+    E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x of F_k, 9 floats each; and
+    the running product by the increment (1, dt/2 w) (``product_entries``, as
+    ``running_product`` steps).  No BLAS call forms the mean, so it is the
+    same bits under every BLAS kernel.  A degenerate product (from a NaN
+    reading) raises DegenerateQuaternionError after every spacing check and
+    the warning, in ``unpack_burst``'s order.
 
     The covariance is propagated in burst form, as preintegrated noise is
     (Forster et al., IEEE T-RO 33(1), 2017): one backward pass forms the
@@ -280,43 +298,30 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     p0, p1, p2 = nav.position.tolist()
     v0, v1, v2 = nav.velocity.tolist()
     qw, qx, qy, qz = nav.orientation.tolist()
-    t_prev = float(t_start)
-    dts, E, H = [], [], []  # E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x, row-major
-    try:
-        for t, a0, a1, a2, w0, w1, w2 in rows:
-            dt = t - t_prev
-            if dt <= 0.0:
-                raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
-            t_prev = t
-            a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
-            r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(
-                _unit((qw, qx, qy, qz)))
-            f0 = r00 * a0 + r01 * a1 + r02 * a2
-            f1 = r10 * a0 + r11 * a1 + r12 * a2
-            f2 = r20 * a0 + r21 * a1 + r22 * a2
-            ndt = -dt
-            E += [ndt * (r01 * a2 - r02 * a1), ndt * (r02 * a0 - r00 * a2),
-                  ndt * (r00 * a1 - r01 * a0), ndt * (r11 * a2 - r12 * a1),
-                  ndt * (r12 * a0 - r10 * a2), ndt * (r10 * a1 - r11 * a0),
-                  ndt * (r21 * a2 - r22 * a1), ndt * (r22 * a0 - r20 * a2),
-                  ndt * (r20 * a1 - r21 * a0)]
-            H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]
-            p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
-            v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
-            h = 0.5 * dt
-            qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
-            dts.append(dt)
-        orientation = _unit((qw, qx, qy, qz))
-    except DegenerateQuaternionError:
-        # A later non-positive spacing, and the large-spacing warning, come first.
-        unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
-        raise
-    dts = np.array(dts)
-    _check_dt(dts.max())
+    dts, dt_array = _spacings(rows, t_start)
+    E, H = [], []  # E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x, row-major
+    for dt, (_, a0, a1, a2, w0, w1, w2) in zip(dts, rows):
+        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(_unit((qw, qx, qy, qz)))
+        f0 = r00 * a0 + r01 * a1 + r02 * a2
+        f1 = r10 * a0 + r11 * a1 + r12 * a2
+        f2 = r20 * a0 + r21 * a1 + r22 * a2
+        ndt = -dt
+        E += [ndt * (r01 * a2 - r02 * a1), ndt * (r02 * a0 - r00 * a2),
+              ndt * (r00 * a1 - r01 * a0), ndt * (r11 * a2 - r12 * a1),
+              ndt * (r12 * a0 - r10 * a2), ndt * (r10 * a1 - r11 * a0),
+              ndt * (r21 * a2 - r22 * a1), ndt * (r22 * a0 - r20 * a2),
+              ndt * (r20 * a1 - r21 * a0)]
+        H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]
+        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
+        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
+        h = 0.5 * dt
+        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
+    orientation = _unit((qw, qx, qy, qz))
 
     F = np.empty((len(dts), 9, 9))
     F[:] = _EYE9
-    F[:, 0:3, 3:6] = dts[:, None, None] * _EYE3
+    F[:, 0:3, 3:6] = dt_array[:, None, None] * _EYE3
     F[:, 3:6, 6:9] = np.array(E).reshape(-1, 3, 3)
     F[:, 6:9, 6:9] = np.array(H).reshape(-1, 3, 3)
     phi = [_EYE9]  # phi[j] = F_{M-1} ... F_{M-j} (0-based F): the last j samples' transition
@@ -324,7 +329,7 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
         phi.append(phi[-1].dot(Fk))  # ndarray.dot: less call overhead than @ on 9x9
     # Sample k's noise reaches the burst end through phi[M-1-k]: side by side, in that order.
     B = np.concatenate(phi[:-1], axis=1)
-    noise = (B * (dts[::-1, None] * config._q).ravel()) @ B.T
+    noise = (B * (dt_array[::-1, None] * config._q).ravel()) @ B.T
     P = phi[-1].dot(state.cov).dot(phi[-1].T) + noise
     return EkfState(NavState.exact(np.array([p0, p1, p2]), np.array([v0, v1, v2]),
                                    np.array(orientation)),
@@ -441,12 +446,17 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     by the adjoint of the state at the start of the sample,
     Q_k = Ad_k Qb Ad_k^T dt (Hartley et al., IJRR 39(4), 2020).
 
-    The burst is read once as Python floats.  A first loop forms the spacings,
-    with ``ekf_predict``'s refusals, warning and error order, the readings and
-    each increment's rotation (``rotation_entries`` of its ``_unit``), chained
-    on by 3x3 BLAS products in sample order; a second forms R_k a_k in index
-    order and advances p with the velocity at the start of the sample, then v.
-    So the mean equals the array form bit for bit.
+    The burst is read once as Python floats, its spacings checked by
+    ``_spacings`` with ``ekf_predict``'s refusals, warning and error order.
+    The mean is ``ekf_predict``'s loop started at the quaternion
+    ``shepperd_entries`` of the state's rotation: per sample R_k is
+    ``rotation_entries`` of the product so far over its norm, R_k a_k is summed
+    in index order, p advances with the velocity at the start of the sample,
+    then v, and the quaternion by the increment (1, dt/2 w).  The rotation
+    returned is ``rotation_entries`` of the last product over its norm.  So
+    its velocity and position equal ``ekf_predict``'s bit for bit, and no BLAS
+    call forms them.  A state rotation that fails ``shepperd_entries``'s
+    orthogonality test raises its ValueError, after the spacing checks.
 
     The covariance takes closed forms (Forster et al., IEEE T-RO 33(1), 2017,
     propagate the noise of a burst in the same way).  A^3 = 0, so the F_k
@@ -462,9 +472,10 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     N_vp = q_att (tr X - X) + q_vel (sum dt a) I
     and N_pp = q_att (tr W - W) + (q_vel sum dt a^2 + q_pos S) I, where S is
     the sum of dt, U = sum dt u u^T, X = sum dt w u^T and W = sum dt w w^T.
-    The second loop appends each sample's (u_k, w_k, a_k, 1) to an (M, 8)
-    table x, one BLAS product gives every sum as sum_k dt_k x_k x_k^T, N's
-    entries are formed on floats, and P <- Phi P Phi^T + N.
+    A backward pass over the spacings gives a_k and b_k, the strapdown loop
+    appends each sample's (u_k, w_k, a_k, 1) to an (M, 8) table x, one BLAS
+    product gives every sum as sum_k dt_k x_k x_k^T, N's entries are formed on
+    floats, and P <- Phi P Phi^T + N.
     """
     rows = burst.tolist()
     if not rows:
@@ -472,28 +483,11 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
                           _finish_cov(state.cov, config, "inekf_predict"))
     b0, b1, b2 = config.biases.accel.tolist()
     c0, c1, c2 = config.biases.gyro.tolist()
-    t_prev = float(t_start)
-    dts, accel, increments = [], [], []
-    try:
-        for t, a0, a1, a2, w0, w1, w2 in rows:
-            dt = t - t_prev
-            if dt <= 0.0:
-                raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
-            t_prev = t
-            h = 0.5 * dt
-            increments += rotation_entries(_unit((1.0, h * (w0 - c0), h * (w1 - c1),
-                                                  h * (w2 - c2))))
-            accel.append((a0 - b0, a1 - b1, a2 - b2))
-            dts.append(dt)
-    except DegenerateQuaternionError:
-        # A later non-positive spacing, and the large-spacing warning, come first.
-        unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
-        raise
-    # Chained in sample order: the single product R0 * R(r_1 * ... * r_k)
-    # moved this filter's 100 s trajectories by 2e-12 m.
-    chain = [state.rotation]
-    for dR in np.array(increments).reshape(-1, 3, 3):
-        chain.append(chain[-1].dot(dR))
+    g0, g1, g2 = config.gravity.vector.tolist()
+    p0, p1, p2 = state.position.tolist()
+    v0, v1, v2 = state.velocity.tolist()
+    dts, dt_array = _spacings(rows, t_start)
+    qw, qx, qy, qz = shepperd_entries(state.rotation.ravel().tolist())
     # a_k, b_k: the first and second elementary symmetric sums of the spacings
     # after sample k, so that F_M ... F_{k+1} = I + a_k A + b_k A^2 (A^3 = 0).
     a = b = 0.0
@@ -502,25 +496,24 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
         after.append((a, b))
         a, b = a + dt, b + dt * a
     after.reverse()
-    g0, g1, g2 = config.gravity.vector.tolist()
-    p0, p1, p2 = state.position.tolist()
-    v0, v1, v2 = state.velocity.tolist()
     moments = []  # per sample (u_k, w_k, a_k, 1), from v and p at its start
-    for dt, (a0, a1, a2), (r00, r01, r02, r10, r11, r12, r20, r21, r22), (ak, bk) in zip(
-            dts, accel, np.array(chain[:-1]).reshape(-1, 9).tolist(), after):
+    for dt, (_, a0, a1, a2, w0, w1, w2), (ak, bk) in zip(dts, rows, after):
         moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,
                     bk * g0 + ak * v0 + p0, bk * g1 + ak * v1 + p1, bk * g2 + ak * v2 + p2,
                     ak, 1.0)
+        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(_unit((qw, qx, qy, qz)))
         f0 = r00 * a0 + r01 * a1 + r02 * a2
         f1 = r10 * a0 + r11 * a1 + r12 * a2
         f2 = r20 * a0 + r21 * a1 + r22 * a2
         p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
         v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
-    dts = np.array(dts)
-    _check_dt(dts.max())
+        h = 0.5 * dt
+        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
+    rotation = np.array(rotation_entries(_unit((qw, qx, qy, qz)))).reshape(3, 3)
 
     X = np.array(moments).reshape(-1, 8)
-    G = (X * dts[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
+    G = (X * dt_array[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
     qa, qv, S = config.q_att, config.q_vel, G[7][7]
     u0, u1, u2, w0, w1, w2 = [qa * row[7] for row in G[:6]]  # q_att sum_k dt_k (u_k, w_k)
     vv0, vv1, vv2 = _moment_block(G[0:3], 0, qa, qv * S)
@@ -541,7 +534,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     ]).reshape(9, 9)
     Phi = _EYE9 + a * config._A + b * config._A2  # a, b: T and T2 of the whole burst
     P = _finish_cov(Phi.dot(state.cov).dot(Phi.T) + N, config, "inekf_predict")
-    return InekfState(chain[-1], np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
+    return InekfState(rotation, np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
 
 
 def _moment_block(rows, c, q, extra) -> tuple:

@@ -129,13 +129,13 @@ class NavState:
         return NavState.exact(self.position.copy(), self.velocity.copy(), self.orientation.copy())
 
 
-def _check_dt(dt: float) -> float:
+def _check_dt(dt: float, stacklevel: int = 3) -> float:
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > _DT_WARN:
         warnings.warn(f"IMU step dt={dt:.3f} s is large; integration error grows with dt",
-                      stacklevel=3)
+                      stacklevel=stacklevel)
     return dt
 
 

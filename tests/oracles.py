@@ -70,8 +70,8 @@ unpacked once, the increments' rotations built in one batched call and
 chained in sample order, ``cumsum`` giving the velocities and positions
 (``strapdown``), and the F_k and Ad-mapped Q_k stacks stepped through
 P <- F_k P F_k^T + Q_k by ``_propagate_cov``.  The package's predict must
-equal its mean bit for bit, its covariance within 1e-12, and raise and warn
-as it does.
+equal its mean and its covariance within 1e-12, and raise and warn as it
+does.
 """
 
 from __future__ import annotations
