@@ -26,8 +26,8 @@ refusal and the frame its warning names, the EKF's attitude increment and
 error-transition blocks, the InEKF's start quaternion; the InEKF's
 closed-form covariance: its suffix sums of the spacings, its moment row, its
 transition and a noise block; the measurement updates on Python floats, the
-InEKF's measurement rows, left Jacobian and ``nav()`` read-out, and the
-runners' reading check), of
+InEKF's measurement rows, innovation frame, correction side, hemisphere
+and left Jacobian, and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
@@ -182,8 +182,9 @@ MUTANTS = [
     Mutant("baselines.py", _EKF_HEAD + _BIAS + _ATTITUDE,
            _EKF_HEAD + _BIAS + _ATTITUDE.replace("_unit((qw, qx, qy, qz))", "(qw, qx, qy, qz)"),
            "ekf-unnormalized-attitude", True),
-    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2))\n    orientation",
-           "(1.0, h * w1, h * w0, h * w2))\n    orientation", "ekf-increment-rates-swapped", True),
+    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2))\n    orientation = _unit",
+           "(1.0, h * w1, h * w0, h * w2))\n    orientation = _unit",
+           "ekf-increment-rates-swapped", True),
     # The spacing pass both predicts share: its refusal of a zero spacing, and the
     # warning attributed to the predict's caller.
     Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
@@ -214,10 +215,10 @@ MUTANTS = [
     Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
            "if dt < 0.0:\n            raise ValueError(", "inekf-zero-spacing-accepted", True,
            _INEKF_ORACLE),
-    Mutant("baselines.py", _SPACINGS + "    qw, qx, qy, qz = shepperd_entries",
-           _EARLY_PRODUCTS + _SPACINGS + "    qw, qx, qy, qz = shepperd_entries",
+    Mutant("baselines.py", _SPACINGS + "    qw, qx, qy, qz = state.orientation",
+           _EARLY_PRODUCTS + _SPACINGS + "    qw, qx, qy, qz = state.orientation",
            "inekf-degenerate-before-spacing", True, _INEKF_ORACLE),
-    Mutant("baselines.py", "qw, qx, qy, qz = shepperd_entries(state.rotation.ravel().tolist())",
+    Mutant("baselines.py", "qw, qx, qy, qz = state.orientation.tolist()",
            "qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0", "inekf-identity-start", True, _INEKF_ORACLE),
     # The InEKF predict's covariance in closed form, against the per-sample Ad
     # recursion: a_k summing its own sample's spacing, the moment row taken from
@@ -233,17 +234,28 @@ MUTANTS = [
            "Phi = _EYE9 + a * config._A", "inekf-transition-without-a2", True, _INEKF_LOOP),
     Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",
            "inekf-noise-cross-sign", True, _INEKF_LOOP),
-    # The InEKF update's float forms: one sign of H's [v]x block, the left
-    # Jacobian's first-order factor, nav()'s second normalization, and in quat
-    # the rotation vector's hemisphere flip and R R^T's entry (0, 1) summed as
-    # (R^T R)_01, which passes every rotation but misjudges perturbed ones.
+    # The InEKF update's float forms: one sign of H's [v]x block, the attitude
+    # innovation taken in the body frame (conj(q) (x) q_meas, where the
+    # right-invariant error lives in the navigation frame), the correction
+    # Exp(-dx) X applied on the right (q (x) q_c), the orientation left off the
+    # w >= 0 hemisphere after the update, the left Jacobian's first-order factor
+    # and the sign of its S S term; and in quat the rotation vector's hemisphere
+    # flip and R R^T's entry (0, 1) summed as (R^T R)_01, which passes every
+    # rotation but misjudges perturbed ones.
     Mutant("baselines.py", "= -v2, v1, v2, -v0, -v1, v0", "= -v2, v1, v2, v0, -v1, v0",
            "inekf-velocity-row-sign", True, _UPDATE_ORACLE),
-    Mutant("baselines.py", "J = [(e + 0.5 * a) + b / 6.0", "J = [(e + 1.0 * a) + b / 6.0",
+    Mutant("baselines.py", "product_entries(q, (w, -x, -y, -z))",
+           "product_entries((w, -x, -y, -z), q)", "inekf-innovation-body-frame", True,
+           _UPDATE_ORACLE),
+    Mutant("baselines.py", "product_entries(qc, state.orientation.tolist())",
+           "product_entries(state.orientation.tolist(), qc)", "inekf-correction-on-right", True,
+           _UPDATE_ORACLE),
+    Mutant("baselines.py", "n = -n if q[0] < 0.0 else n", "n = n", "inekf-hemisphere-not-kept",
+           True, "tests/test_baselines.py::TestOneStrapdown"),
+    Mutant("baselines.py", "c1, c2 = 0.5, 1.0 / 6.0", "c1, c2 = 1.0, 1.0 / 6.0",
            "se23-first-order-factor", True, "tests/test_baselines.py::TestSe23Exp"),
-    Mutant("baselines.py", "q = _unit(shepperd_entries(self.rotation.ravel().tolist()))",
-           "q = shepperd_entries(self.rotation.ravel().tolist())", "nav-single-normalize", True,
-           "tests/test_baselines.py::TestInekf::test_nav_against_array_form"),
+    Mutant("baselines.py", "(e + c1 * a) + c2 * b", "(e + c1 * a) - c2 * b", "se23-ss-sign",
+           True, "tests/test_baselines.py::TestSe23Exp"),
     # The rotation-vector map's float core against its rows and the array oracle:
     # the full angle in place of the half angle, and the first-order branch dropped.
     Mutant("quat.py", "half = 0.5 * angle\n    s = math.sin(half)",

@@ -6,15 +6,16 @@ epoch with Joseph-form covariance updates.
 
 The EKF tracks a 9-dim error state (position, velocity, body-frame attitude
 angle).  The InEKF keeps the state as a matrix Lie group element (rotation,
-velocity, position) with a right-invariant error; its deterministic error
-propagation is state-independent, which makes the group-affine invariance
-checks exact up to floating point.
+velocity, position) with a right-invariant error, its rotation held as a unit
+quaternion as ``NavState`` holds it; its deterministic error propagation is
+state-independent, which makes the group-affine invariance checks exact up to
+floating point.
 
 Prediction works on a whole IMU burst at a time.  Both filters read the
 burst once as Python floats, check its spacings in one pass (``_spacings``)
 and walk it in one strapdown loop over a quaternion chain that forms each
 sample's attitude, velocity and position: the InEKF's mean is the EKF's
-started at the quaternion of its rotation.  No BLAS call forms either
+started at its orientation, bit for bit.  No BLAS call forms either
 predicted mean, which is therefore the same bits under every BLAS kernel
 (OpenBLAS picks one per CPU at run time).  The EKF's loop also forms the two
 state-dependent blocks of its error transition F_k, and it propagates its
@@ -29,20 +30,16 @@ builds its matrices once: on 3- to 9-element arrays a numpy call costs more
 than its arithmetic.
 
 For the same reason both updates run their vector algebra on Python floats,
-with math's cos and sin (see ``quat``).  In the EKF that is everything but
-the gain solve, K y and the Joseph products: the innovation with its
+with math's cos and sin (see ``quat``): everything but the gain solve, K y
+and the Joseph products.  In the EKF that is the innovation with its
 hemisphere test and normalized Hamilton product, and the mean correction,
 whose rotation vector goes through ``from_rotvec_entries`` and whose product
-is normalized over ``_checked_norm``.  In the InEKF it is the measurement's
-rotation, Shepperd's method and the rotation vector through their float forms
-in ``quat``, H's [v]x block, and ``se23_exp``'s rotation (from the same
-``from_rotvec_entries``) and left Jacobian; the product R_meas R^T, the
-Joseph update (``kalman_update``, called through its module attribute) and the
-group product stay on numpy, and ``InekfState.nav`` reads its quaternion out
-on floats.  Elementwise float arithmetic rounds as numpy's does, and norms are
-summed in index order (``quat``), so each update's result equals its array
-form bit for bit (the InEKF amplifies a last-bit change about 10^4-fold over a
-run).  Both updates refuse a non-finite DVL or AHRS reading with
+is normalized over ``_checked_norm``; the EKF update equals its array form
+bit for bit.  In the InEKF it is the attitude innovation (the rotation vector
+of q_meas (x) conj(q), normalized once), H's [v]x block and the correction
+X <- Exp(-dx) X (``_se23_exp_entries``, which ``se23_exp`` wraps), so its mean
+forms no product on BLAS; ``kalman_update`` is called through its module
+attribute.  Both updates refuse a non-finite DVL or AHRS reading with
 NumericalError.
 """
 
@@ -68,10 +65,8 @@ from .quat import (
     _unit,
     from_rotvec_entries,
     product_entries,
-    quat_to_rotation,
     rotation_entries,
     rotvec_entries,
-    shepperd_entries,
 )
 from .sensors import initial_nav_from_epochs
 from .trajectory import TrajectoryPoint
@@ -168,29 +163,25 @@ class EkfState:
 
 @dataclass
 class InekfState:
-    """Group element (rotation, velocity, position) plus 9x9 right-invariant covariance.
+    """Group element (orientation, velocity, position) plus 9x9 right-invariant covariance.
 
-    The error ordering is (attitude, velocity, position).
+    The rotation is held as a unit quaternion, as ``NavState`` holds it; each
+    update leaves it on the w >= 0 hemisphere.  The error ordering is
+    (attitude, velocity, position).
     """
 
-    rotation: np.ndarray
+    orientation: np.ndarray
     velocity: np.ndarray
     position: np.ndarray
     cov: np.ndarray
 
     @classmethod
     def start(cls, nav: NavState, config: FilterConfig) -> "InekfState":
-        return cls(
-            quat_to_rotation(nav.orientation),
-            nav.velocity.copy(),
-            nav.position.copy(),
-            config.p0_scale * np.eye(9),
-        )
+        return cls(nav.orientation.copy(), nav.velocity.copy(), nav.position.copy(),
+                   config.p0_scale * np.eye(9))
 
     def nav(self) -> NavState:
-        # Normalized again after shepperd_entries: dropping it changes last bits.
-        q = _unit(shepperd_entries(self.rotation.ravel().tolist()))
-        return NavState.exact(self.position.copy(), self.velocity.copy(), np.array(q))
+        return NavState.exact(self.position.copy(), self.velocity.copy(), self.orientation.copy())
 
 
 def _check_cov(P: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -402,36 +393,44 @@ def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     return EkfState(NavState.exact(position, velocity, orientation), P)
 
 
-def _left_jacobian_so3(x, y, z, angle) -> np.ndarray:
-    """The SO(3) left Jacobian of theta = (x, y, z), given as floats with its norm
-    ``angle``: I + c1 S + c2 S S, S = [theta]x, its entries formed on floats around
-    the one BLAS product S S (as ``_EYE3 + c1 * S + c2 * (S @ S)`` rounds them)."""
-    s = [0.0, -z, y, z, 0.0, -x, -y, x, 0.0]
-    S = np.array(s).reshape(3, 3)
-    SS = (S @ S).ravel().tolist()
+def _apply(m, v) -> list:
+    """The 3x3 matrix ``m`` (9 floats, row-major) times the 3 floats ``v``, on floats,
+    each entry summed in index order."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    v0, v1, v2 = v
+    return [m00 * v0 + m01 * v1 + m02 * v2, m10 * v0 + m11 * v1 + m12 * v2,
+            m20 * v0 + m21 * v1 + m22 * v2]
+
+
+def _se23_exp_entries(xi) -> tuple:
+    """``se23_exp`` of 9 Python floats, on floats: the unit quaternion q_c of theta =
+    xi[0:3] (``from_rotvec_entries``) and J dv, J dp as 3 floats each.  J = I + c1 S +
+    c2 S S is the SO(3) left Jacobian, S = [theta]x, with S S = theta theta^T - |theta|^2 I
+    (diagonal -(y^2 + z^2), ...) and the series c1, c2 = 1/2, 1/6 below an angle of 1e-8."""
+    x, y, z = theta = xi[0:3]
+    q = from_rotvec_entries(theta)  # refuses a non-finite theta first
+    angle = _norm(theta)
     if angle < 1e-8:
-        J = [(e + 0.5 * a) + b / 6.0 for e, a, b in zip(_EYE3_ENTRIES, s, SS)]
+        c1, c2 = 0.5, 1.0 / 6.0
     else:
         a2 = angle * angle
         c1, c2 = (1.0 - math.cos(angle)) / a2, (angle - math.sin(angle)) / (a2 * angle)
-        J = [(e + c1 * a) + c2 * b for e, a, b in zip(_EYE3_ENTRIES, s, SS)]
-    return np.array(J).reshape(3, 3)
+    s = (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+    xy, xz, yz = x * y, x * z, y * z
+    ss = (-(y * y + z * z), xy, xz, xy, -(x * x + z * z), yz, xz, yz, -(x * x + y * y))
+    J = [(e + c1 * a) + c2 * b for e, a, b in zip(_EYE3_ENTRIES, s, ss)]
+    return q, _apply(J, xi[3:6]), _apply(J, xi[6:9])
 
 
 def se23_exp(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponential of a (attitude, velocity, position) tangent vector.
 
     Returns the group element blocks (rotation, velocity offset, position
-    offset) using the closed-form SO(3) exponential and left Jacobian.  The
-    rotation is ``quat_to_rotation(quat_from_rotvec(theta))`` formed on floats
-    (``rotation_entries`` of the ``_unit`` of ``from_rotvec_entries``), and the
-    left Jacobian J is formed on floats; J dv and J dp are BLAS products.
+    offset) using the closed-form SO(3) exponential and left Jacobian: the
+    arrays of ``_se23_exp_entries``, its quaternion as ``rotation_entries``.
     """
-    xi = np.asarray(xi, dtype=float)
-    x, y, z = xi[0:3].tolist()
-    R = np.array(rotation_entries(_unit(from_rotvec_entries((x, y, z))))).reshape(3, 3)
-    J = _left_jacobian_so3(x, y, z, _norm((x, y, z)))
-    return R, J @ xi[3:6], J @ xi[6:9]
+    q, dv, dp = _se23_exp_entries(np.asarray(xi, dtype=float).tolist())
+    return np.array(rotation_entries(q)).reshape(3, 3), np.array(dv), np.array(dp)
 
 
 def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float) -> InekfState:
@@ -448,15 +447,8 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
 
     The burst is read once as Python floats, its spacings checked by
     ``_spacings`` with ``ekf_predict``'s refusals, warning and error order.
-    The mean is ``ekf_predict``'s loop started at the quaternion
-    ``shepperd_entries`` of the state's rotation: per sample R_k is
-    ``rotation_entries`` of the product so far over its norm, R_k a_k is summed
-    in index order, p advances with the velocity at the start of the sample,
-    then v, and the quaternion by the increment (1, dt/2 w).  The rotation
-    returned is ``rotation_entries`` of the last product over its norm.  So
-    its velocity and position equal ``ekf_predict``'s bit for bit, and no BLAS
-    call forms them.  A state rotation that fails ``shepperd_entries``'s
-    orthogonality test raises its ValueError, after the spacing checks.
+    The mean is ``ekf_predict``'s loop started at the state's orientation, and
+    equals its mean bit for bit: no BLAS call forms it.
 
     The covariance takes closed forms (Forster et al., IEEE T-RO 33(1), 2017,
     propagate the noise of a burst in the same way).  A^3 = 0, so the F_k
@@ -479,7 +471,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     """
     rows = burst.tolist()
     if not rows:
-        return InekfState(state.rotation.copy(), state.velocity.copy(), state.position.copy(),
+        return InekfState(state.orientation.copy(), state.velocity.copy(), state.position.copy(),
                           _finish_cov(state.cov, config, "inekf_predict"))
     b0, b1, b2 = config.biases.accel.tolist()
     c0, c1, c2 = config.biases.gyro.tolist()
@@ -487,7 +479,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     p0, p1, p2 = state.position.tolist()
     v0, v1, v2 = state.velocity.tolist()
     dts, dt_array = _spacings(rows, t_start)
-    qw, qx, qy, qz = shepperd_entries(state.rotation.ravel().tolist())
+    qw, qx, qy, qz = state.orientation.tolist()
     # a_k, b_k: the first and second elementary symmetric sums of the spacings
     # after sample k, so that F_M ... F_{k+1} = I + a_k A + b_k A^2 (A^3 = 0).
     a = b = 0.0
@@ -510,7 +502,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
         v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
         h = 0.5 * dt
         qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
-    rotation = np.array(rotation_entries(_unit((qw, qx, qy, qz)))).reshape(3, 3)
+    orientation = np.array(_unit((qw, qx, qy, qz)))
 
     X = np.array(moments).reshape(-1, 8)
     G = (X * dt_array[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
@@ -534,7 +526,7 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     ]).reshape(9, 9)
     Phi = _EYE9 + a * config._A + b * config._A2  # a, b: T and T2 of the whole burst
     P = _finish_cov(Phi.dot(state.cov).dot(Phi.T) + N, config, "inekf_predict")
-    return InekfState(rotation, np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
+    return InekfState(orientation, np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
 
 
 def _moment_block(rows, c, q, extra) -> tuple:
@@ -549,14 +541,12 @@ def _moment_block(rows, c, q, extra) -> tuple:
 def _inekf_measurement(state: InekfState, d, q):
     """The InEKF's innovation y and measurement rows H for DVL floats ``d`` and AHRS
     floats ``q``: y = H xi to first order in the error xi (see ``inekf_update``).
-    R_meas is ``quat_to_rotation(q)`` on floats, with its refusal of a zero or
-    overflowing norm, and Log(R_meas R^T) is ``rotvec_entries`` of
-    ``shepperd_entries``: its quaternion is normalized in each, twice as in the
-    array form, so the InEKF keeps its bits."""
+    Log(R_meas R^T) is ``rotvec_entries`` of q (x) conj(orientation), which normalizes
+    the product once and refuses it as ``quat_normalize`` does (an AHRS reading of
+    zero or overflowing norm)."""
     (d0, d1, d2), (v0, v1, v2) = d, state.velocity.tolist()
-    norm = _checked_norm(q)
-    R_meas = np.array(rotation_entries([c / norm for c in q])).reshape(3, 3)
-    y_att = rotvec_entries(shepperd_entries((R_meas @ state.rotation.T).ravel().tolist()))
+    w, x, y, z = state.orientation.tolist()
+    y_att = rotvec_entries(product_entries(q, (w, -x, -y, -z)))
     H = _H_INEKF.copy()  # [v]x at H[0:3, 0:3], its zero diagonal already there
     H[0, 1], H[0, 2], H[1, 0], H[1, 2], H[2, 0], H[2, 1] = -v2, v1, v2, -v0, -v1, v0
     return np.array([d0 - v0, d1 - v1, d2 - v2, *y_att]), H
@@ -568,18 +558,22 @@ def inekf_update(state: InekfState, dvl, ahrs, config: FilterConfig) -> InekfSta
     With the right-invariant error Exp(xi) = X_est * X_true^-1, the
     linearized measurement rows are [ [v]x, -I, 0 ] for the velocity
     innovation z - v_est and [ -I, 0, 0 ] for the attitude innovation
-    Log(R_meas R_est^T); the correction applies as X <- Exp(-K y) * X.
-    A non-finite reading raises NumericalError.
+    Log(R_meas R_est^T); the correction applies as X <- Exp(-K y) * X, on
+    floats: q <- q_c (x) q over ``_checked_norm``, v <- R_c v + J dv and
+    p <- R_c p + J dp.  A non-finite reading raises NumericalError.
     """
     y, H = _inekf_measurement(state, *_readings("inekf_update", dvl, ahrs))
     dx, P = kalman_update(state.cov, H, config._r_matrix, y)
 
-    Rc, dv, dp = se23_exp(-dx)
-    rotation = Rc @ state.rotation
-    velocity = Rc @ state.velocity + dv
-    position = Rc @ state.position + dp
+    qc, dv, dp = _se23_exp_entries((-dx).tolist())
+    q = product_entries(qc, state.orientation.tolist())
+    n = _checked_norm(q)
+    n = -n if q[0] < 0.0 else n  # the orientation kept on the w >= 0 hemisphere
+    Rc = rotation_entries(qc)
+    velocity = [a + b for a, b in zip(_apply(Rc, state.velocity.tolist()), dv)]
+    position = [a + b for a, b in zip(_apply(Rc, state.position.tolist()), dp)]
     P = _check_cov(P, _PSD_TOL, "inekf_update") if config.validate else P  # as in ekf_update
-    return InekfState(rotation, velocity, position, P)
+    return InekfState(np.array([c / n for c in q]), np.array(velocity), np.array(position), P)
 
 
 def _run_filter(name, start, predict, update, nav_of, epochs, config, initial):

@@ -60,9 +60,12 @@ they were on numpy arrays, before their vector algebra ran on Python floats:
 the innovation, the Hamilton products and the rotation-vector maps on 3- and
 4-element arrays with numpy's cos and sin, H built from ``np.zeros``, the
 left Jacobian from ``np.eye`` and 3x3 array operations, and ``kalman_update``
-through ``np.atleast_2d`` and ``np.eye``.  ``inekf_nav`` is ``InekfState.nav``
-on arrays, its quaternion normalized by ``rotation_to_quat`` and again by
-``quat_normalize``.  The package's must equal them bit for bit.
+through ``np.atleast_2d`` and ``np.eye``.  The package's EKF update must
+equal its oracle bit for bit.  The InEKF's array forms keep the rotation as a
+3x3 matrix, formed by ``quat_to_rotation`` from the state's orientation and
+returned in an ``InekfArrays``; the package's InEKF update must equal its
+covariance bit for bit and its mean within 1e-12, its orientation compared
+through ``quat_to_rotation``.
 
 ``inekf_predict`` is the InEKF predict as it was on arrays, before its mean
 ran on Python floats and its covariance went to closed form: the burst
@@ -78,6 +81,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +98,6 @@ from cipgnav.adapters import (
 )
 from cipgnav.baselines import (
     EkfState,
-    InekfState,
     _check_cov,
     _finish_cov,
     _gain,
@@ -679,26 +682,32 @@ def ekf_update(state, dvl, ahrs, config):
     return EkfState(NavState.exact(position, velocity, orientation), P)
 
 
+@dataclass
+class InekfArrays:
+    """An InEKF state as the array forms below give it: its rotation a 3x3 matrix."""
+
+    rotation: np.ndarray
+    velocity: np.ndarray
+    position: np.ndarray
+    cov: np.ndarray
+
+
 def inekf_update(state, dvl, ahrs, config):
+    R = quat_to_rotation(state.orientation)
     R_meas = quat_to_rotation(ahrs)
     y_vel = np.asarray(dvl, dtype=float) - state.velocity
-    y_att = _quat_to_rotvec(rotation_to_quat(R_meas @ state.rotation.T))
+    y_att = _quat_to_rotvec(rotation_to_quat(R_meas @ R.T))
     y = np.concatenate([y_vel, y_att])
     H = np.zeros((6, 9))
     H[0:3, 0:3] = _skew(state.velocity)
     H[0:3, 3:6] = H[3:6, 0:3] = -np.eye(3)
     dx, P = _kalman_update(state.cov, H, config._r_matrix, y)
     Rc, dv, dp = _se23_exp(-dx)
-    rotation = Rc @ state.rotation
+    rotation = Rc @ R
     velocity = Rc @ state.velocity + dv
     position = Rc @ state.position + dp
     P = _check_cov(P, _PSD_TOL, "inekf_update") if config.validate else P
-    return InekfState(rotation, velocity, position, P)
-
-
-def inekf_nav(state):
-    return NavState.exact(state.position.copy(), state.velocity.copy(),
-                          quat_normalize(rotation_to_quat(state.rotation)))
+    return InekfArrays(rotation, velocity, position, P)
 
 
 def strapdown(p, v, R, dts, accel, g):
@@ -725,7 +734,7 @@ def _propagate_cov(P, F, Q):
 def inekf_predict(state, burst, config, t_start):
     dts, a, w = unpack_burst(burst, t_start, config.biases.gyro, config.biases.accel)
     increments = np.concatenate([np.ones((len(dts), 1)), 0.5 * dts[:, None] * w], axis=1)
-    chain = [state.rotation]
+    chain = [quat_to_rotation(state.orientation)]
     for dR in quat_to_rotation(increments):
         chain.append(chain[-1].dot(dR))
     rotations = np.array(chain)
@@ -743,4 +752,4 @@ def inekf_predict(state, burst, config, t_start):
     qb = config.q_diag()[::-1]
     Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
     P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
-    return InekfState(rotations[-1], vs[-1], ps[-1], P)
+    return InekfArrays(rotations[-1], vs[-1], ps[-1], P)

@@ -43,9 +43,6 @@ from cipgnav.quat import (
     quat_normalize,
     quat_product,
     quat_to_rotation,
-    rotation_entries,
-    rotation_to_quat,
-    shepperd_entries,
 )
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from tests import oracles
@@ -93,8 +90,9 @@ def reference_ekf_predict(state, burst, config, t_start):
 
 
 def reference_inekf_predict(state, burst, config, t_start):
-    """inekf_predict sample by sample: per-sample F, Ad-mapped noise and mean update."""
-    R, v, p, P = state.rotation, state.velocity, state.position, state.cov
+    """inekf_predict sample by sample: per-sample F, Ad-mapped noise and mean update,
+    on the rotation matrix of the state's orientation."""
+    R, v, p, P = quat_to_rotation(state.orientation), state.velocity, state.position, state.cov
     g = config.gravity.vector
     Qb = np.diag(np.concatenate([np.full(3, config.q_att), np.full(3, config.q_vel),
                                  np.full(3, config.q_pos)]))
@@ -180,7 +178,7 @@ class TestBatchedPredict:
             burst = random_burst(rng, t0, int(rng.integers(1, 26)))
             out = inekf_predict(state, burst, config, t0)
             R, v, p, P = reference_inekf_predict(state, burst, config, t0)
-            np.testing.assert_allclose(out.rotation, R, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(quat_to_rotation(out.orientation), R, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.velocity, v, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.position, p, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.cov, P, rtol=0.0, atol=1e-12)
@@ -293,11 +291,11 @@ class TestInekfCovarianceClosedForm:
         config = replace(random_config(rng), q_att=1.0, q_vel=1.0, q_pos=1.0)
         nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
         state = replace(InekfState.start(nav, config), cov=np.zeros((9, 9)))
-        turned = replace(state, rotation=quat_to_rotation(random_unit_quat(rng)))
+        turned = replace(state, orientation=random_unit_quat(rng))
         burst = random_burst(rng, 0.0, 20)
         burst[:, 1:4] = config.biases.accel
         out, out_turned = (inekf_predict(s, burst, config, 0.0) for s in (state, turned))
-        assert not np.array_equal(out.rotation, out_turned.rotation)
+        assert not np.array_equal(out.orientation, out_turned.orientation)
         assert out.cov.tobytes() == out_turned.cov.tobytes()
 
     def test_long_bursts_far_from_the_origin(self, rng):
@@ -312,7 +310,7 @@ class TestInekfCovarianceClosedForm:
             burst = random_burst(rng, t0, 100)
             out = inekf_predict(state, burst, config, t0)
             R, v, p, P = reference_inekf_predict(state, burst, config, t0)
-            np.testing.assert_allclose(out.rotation, R, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(quat_to_rotation(out.orientation), R, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.velocity, v, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.position, p, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(out.cov, P, rtol=0.0, atol=1e-13 * np.abs(P).max())
@@ -320,7 +318,7 @@ class TestInekfCovarianceClosedForm:
 
 class TestOneStrapdown:
     """Both predicts' means are one strapdown: inekf_predict's is ekf_predict's
-    started at the quaternion ``shepperd_entries`` of the state's rotation."""
+    started at the state's orientation."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 25])
     def test_inekf_mean_is_the_ekf_mean(self, rng, n):
@@ -329,25 +327,47 @@ class TestOneStrapdown:
             state = random_inekf_state(rng, config)
             t0 = float(rng.uniform(0.0, 100.0))
             burst = random_burst(rng, t0, n)
-            q0 = np.array(shepperd_entries(state.rotation.ravel().tolist()))
-            nav = NavState.exact(state.position.copy(), state.velocity.copy(), q0)
+            nav = NavState.exact(state.position.copy(), state.velocity.copy(),
+                                 state.orientation.copy())
             ekf = ekf_predict(EkfState(nav, state.cov), burst, config, t0).nav
             inekf = inekf_predict(state, burst, config, t0)
-            assert inekf.velocity.tobytes() == ekf.velocity.tobytes()
-            assert inekf.position.tobytes() == ekf.position.tobytes()
-            rotation = np.array(rotation_entries(ekf.orientation.tolist())).reshape(3, 3)
-            assert inekf.rotation.tobytes() == rotation.tobytes()
+            for name in ("orientation", "velocity", "position"):
+                assert getattr(inekf, name).tobytes() == getattr(ekf, name).tobytes(), name
 
-    def test_state_rotation_must_be_a_rotation(self, rng):
-        config = random_config(rng)
-        state = random_inekf_state(rng, config)
-        burst = random_burst(rng, 0.0, 5)
-        skewed = replace(state, rotation=state.rotation * [[1.0], [1.0], [1.0 + 1e-5]])
-        with pytest.raises(ValueError, match="not a rotation"):
-            inekf_predict(skewed, burst, config, 0.0)
-        burst[3, 0] = burst[2, 0]
-        with pytest.raises(ValueError, match="spacing"):  # the spacings are checked first
-            inekf_predict(skewed, burst, config, 0.0)
+    def test_each_step_returns_a_unit_quaternion(self, rng):
+        # Started on either hemisphere; the update keeps w >= 0.
+        for k in range(50):
+            config = random_config(rng)
+            q = random_unit_quat(rng)
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), -q if k % 2 else q)
+            state = replace(InekfState.start(nav, config), cov=random_cov(rng))
+            burst = random_burst(rng, 0.0, int(rng.integers(1, 26)))
+            predicted = inekf_predict(state, burst, config, 0.0)
+            ahrs = quat_product(predicted.orientation,
+                                quat_from_rotvec(rng.normal(scale=0.3, size=3)))
+            dvl = predicted.velocity + rng.normal(scale=0.5, size=3)
+            updated = inekf_update(predicted, dvl, ahrs, config)
+            for out in (state, predicted, updated):
+                assert abs(np.sqrt(np.sum(out.orientation ** 2)) - 1.0) <= 1e-15
+            assert updated.orientation[0] >= 0.0
+
+    def test_either_sign_of_the_orientation_is_one_state(self, rng):
+        # q and -q are one rotation: the predict negates its orientation and keeps
+        # its velocity, position and covariance, and the update gives the same bits.
+        for _ in range(50):
+            config = random_config(rng)
+            state = random_inekf_state(rng, config)
+            flipped = replace(state, orientation=-state.orientation)
+            burst = random_burst(rng, 0.0, int(rng.integers(1, 26)))
+            out, out_flipped = (inekf_predict(s, burst, config, 0.0) for s in (state, flipped))
+            assert (-out.orientation).tobytes() == out_flipped.orientation.tobytes()
+            for name in ("velocity", "position", "cov"):
+                assert getattr(out, name).tobytes() == getattr(out_flipped, name).tobytes()
+            ahrs = quat_product(state.orientation, quat_from_rotvec(rng.normal(scale=0.3, size=3)))
+            dvl = state.velocity + rng.normal(scale=0.5, size=3)
+            out, out_flipped = (inekf_update(s, dvl, ahrs, config) for s in (state, flipped))
+            for name in ("orientation", "velocity", "position", "cov"):
+                assert getattr(out, name).tobytes() == getattr(out_flipped, name).tobytes()
 
 
 def predict_outcome(predict, state, burst, config, t_start):
@@ -364,7 +384,8 @@ def predict_outcome(predict, state, burst, config, t_start):
 
 def assert_matches_array_oracle(state, burst, config, t_start):
     """inekf_predict against ``oracles.inekf_predict``: the same error or a mean
-    within 1e-12 of the oracle's (NaN where it has NaN), and the same warnings; a
+    within 1e-12 of the oracle's (NaN where it has NaN; the orientation through
+    ``quat_to_rotation`` against the oracle's rotation), and the same warnings; a
     covariance within 1e-12 of the oracle's, or, where the oracle's has a
     non-finite entry, one that has one too (the NaN pattern of the closed form
     differs from the recursion's).  Returns the outcome."""
@@ -375,10 +396,12 @@ def assert_matches_array_oracle(state, burst, config, t_start):
     if isinstance(expected, tuple):
         assert result == expected
         return out
-    for name in ("rotation", "velocity", "position"):
-        got, want = getattr(result, name), getattr(expected, name)
-        assert got.shape == want.shape, name
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
+    got = dict(rotation=quat_to_rotation(result.orientation), velocity=result.velocity,
+               position=result.position)
+    for name, value in got.items():
+        want = getattr(expected, name)
+        assert value.shape == want.shape, name
+        np.testing.assert_allclose(value, want, rtol=0.0, atol=1e-12, err_msg=name)
     assert result.cov.shape == (9, 9)
     if np.isfinite(expected.cov).all():
         np.testing.assert_allclose(result.cov, expected.cov, rtol=0.0, atol=1e-12)
@@ -451,7 +474,7 @@ class TestInekfPredictAgainstArrayOracle:
         out = inekf_predict(state, np.empty((0, 7)), config, 1.0)
         for got, given in zip(vars(out).values(), vars(state).values()):
             assert not np.shares_memory(got, given)
-        for name in ("rotation", "velocity", "position"):
+        for name in ("orientation", "velocity", "position"):
             assert getattr(out, name).tobytes() == getattr(state, name).tobytes()
         assert out.cov.tobytes() == (0.5 * (state.cov + state.cov.T)).tobytes()
 
@@ -638,7 +661,8 @@ class TestEkfUpdate:
 
 class TestUpdatesAgainstArrayOracles:
     """ekf_update and inekf_update on Python floats against their forms on numpy
-    arrays in ``oracles``, bit for bit."""
+    arrays in ``oracles``: the EKF's bit for bit, the InEKF's covariance bit for bit
+    and its mean within 1e-12 (its orientation through ``quat_to_rotation``)."""
 
     def draws(self, rng, validate):
         """Random 6-DOF states, covariances from 1e-6 to 1e2 and readings: a quarter exact,
@@ -676,9 +700,13 @@ class TestUpdatesAgainstArrayOracles:
             state = replace(InekfState.start(nav, config), cov=P)
             out = inekf_update(state, dvl, ahrs, config)
             ref = oracles.inekf_update(state, dvl, ahrs, config)
-            for name in ("rotation", "velocity", "position", "cov"):
-                assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
-            tiny += exact and np.abs(out.rotation - state.rotation).max() < 1e-12
+            assert out.cov.tobytes() == ref.cov.tobytes()
+            rotation = quat_to_rotation(out.orientation)
+            for got, want in [(rotation, ref.rotation), (out.velocity, ref.velocity),
+                              (out.position, ref.position)]:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            turn = np.abs(rotation - quat_to_rotation(state.orientation)).max()
+            tiny += exact and turn < 1e-12
         assert tiny == 75
 
 
@@ -710,13 +738,13 @@ class TestUpdateLinearization:
         # Exp(-K y), so the innovation of the moved state is +H xi to first order.
         for _ in range(20):
             state = InekfState.start(self.state(rng), FilterConfig())
-            dvl, ahrs = state.velocity.tolist(), rotation_to_quat(state.rotation).tolist()
+            dvl, ahrs = state.velocity.tolist(), state.orientation.tolist()
             _, H = _inekf_measurement(state, dvl, ahrs)
 
             def innovation(xi):
                 Rc, dv, dp = se23_exp(xi)
-                moved = InekfState(Rc @ state.rotation, Rc @ state.velocity + dv,
-                                   Rc @ state.position + dp, state.cov)
+                moved = InekfState(quat_multiply(quat_from_rotvec(xi[0:3]), state.orientation),
+                                   Rc @ state.velocity + dv, Rc @ state.position + dp, state.cov)
                 return _inekf_measurement(moved, dvl, ahrs)[0]
 
             J = central_difference(innovation, np.zeros(9))
@@ -759,14 +787,15 @@ class TestSe23Exp:
             np.testing.assert_allclose(p, M[:3, 4], atol=1e-9)
 
     @pytest.mark.parametrize("angle", [0.0, 1e-13, 5e-13, 1e-10, 5e-9, 1e-8, 1e-3, 1.0, 3.0])
-    def test_bitwise_against_array_form(self, rng, angle):
+    def test_against_array_form(self, rng, angle):
         # Below 1e-12 the rotation takes quat_from_rotvec's first-order branch and
-        # below 1e-8 the left Jacobian its series; each equals the array form's bits.
+        # below 1e-8 the left Jacobian its series; each is within 1e-12 of the array form.
         for _ in range(20):
             xi = rng.normal(size=9)
             xi[:3] *= angle / np.linalg.norm(xi[:3])
             for got, want in zip(se23_exp(xi), oracles._se23_exp(xi)):
-                assert got.tobytes() == want.tobytes()
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_zero_is_identity(self):
         R, v, p = se23_exp(np.zeros(9))
@@ -828,28 +857,15 @@ class TestInekf:
         assert np.linalg.norm(final.nav.position - truth[final.t].position) < 1e-2
         assert np.linalg.norm(final.nav.velocity - truth[final.t].velocity) < 1e-3
 
-    def test_state_matrix_round_trip(self, rng):
-        nav = NavState(rng.normal(size=3), rng.normal(size=3), quat_from_yaw(0.5))
+    def test_state_round_trip(self, rng):
+        # start keeps the orientation's bits; nav() wraps copies of the state's arrays.
+        nav = NavState(rng.normal(size=3), rng.normal(size=3), random_unit_quat(rng))
         state = InekfState.start(nav, FilterConfig())
-        np.testing.assert_allclose(state.rotation, quat_to_rotation(nav.orientation))
         back = state.nav()
-        np.testing.assert_allclose(back.position, nav.position)
-        np.testing.assert_allclose(back.velocity, nav.velocity)
-
-    def test_nav_against_array_form(self, rng):
-        # Random attitudes, products of three (off unit by a few ulps, as a run's
-        # rotations are) and turns near pi about each axis, where the quaternion
-        # comes from Shepperd's branches of trace <= 0.
-        rotations = [quat_to_rotation(random_unit_quat(rng)) for _ in range(300)]
-        rotations += [rotations[k] @ rotations[k + 1] @ rotations[k + 2] for k in range(0, 297, 3)]
-        rotations += [quat_to_rotation(quat_from_rotvec((np.pi - 0.01 * k) * np.eye(3)[axis]))
-                      for axis in range(3) for k in range(5)]
-        for R in rotations:
-            state = InekfState(R, rng.normal(size=3), rng.normal(size=3), np.eye(9))
-            got, want = state.nav(), oracles.inekf_nav(state)
-            for name in ("position", "velocity", "orientation"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert got.position is not state.position and got.velocity is not state.velocity
+        for name in ("position", "velocity", "orientation"):
+            assert getattr(back, name).tobytes() == getattr(nav, name).tobytes(), name
+            assert not np.shares_memory(getattr(back, name), getattr(state, name)), name
+            assert not np.shares_memory(getattr(state, name), getattr(nav, name)), name
 
 
 class TestNonFiniteMeasurement:

@@ -62,14 +62,11 @@ def test_inekf_update_calls_kalman_update_through_its_module_attribute(monkeypat
 
 
 # module -> functions whose products may run on BLAS: the filters' covariance
-# algebra, the gain solve and the InEKF update's rotation products, the generic
-# window solver, and the orthogonality test of a rotation matrix.  Every other
-# product goes through quat.ordered_matmul or Python floats, which round alike
-# under every BLAS kernel.
+# algebra and gain solve, and the generic window solver.  Every other product
+# goes through quat.ordered_matmul or Python floats, which round alike under
+# every BLAS kernel.
 BLAS_PRODUCTS = {
-    "baselines": {"kalman_update", "ekf_predict", "ekf_update",
-                  "_left_jacobian_so3", "se23_exp", "inekf_predict", "_inekf_measurement",
-                  "inekf_update"},
+    "baselines": {"kalman_update", "ekf_predict", "ekf_update", "inekf_predict"},
     "ipg": {"_stacked_jacobian_chain", "precondition_update", "iterate_update", "ipg_step"},
 }
 
