@@ -20,14 +20,14 @@ The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
 finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
-reruns their pass), of the filters (both predicts' strapdown loops: their
-gyro bias, strapdown order and error order, the shared spacing pass's
-refusal and the frame its warning names, the EKF's attitude increment and
-error-transition blocks, the InEKF's start quaternion; the InEKF's
-closed-form covariance: its suffix sums of the spacings, its moment row, its
-transition and a noise block; the measurement updates on Python floats, the
-InEKF's measurement rows, innovation frame, correction side, hemisphere
-and left Jacobian, and the runners' reading check), of
+reruns their pass), of the filters (the one strapdown loop both predicts
+run: its gyro bias, strapdown order, attitude, increment, error order and
+start, the spacing refusal and the frame its warning names; the moment rows'
+suffix sums, side of the step, origin and centering; the EKF's transition
+sign and frame maps, whose attitude block the linearization test must see,
+the InEKF's T2 term and a noise block; the measurement updates on Python
+floats, the InEKF's measurement rows, innovation frame, correction side,
+hemisphere and left Jacobian, and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a
 non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
@@ -79,28 +79,26 @@ class Mutant(NamedTuple):
         return self.tests or f"tests/test_{Path(self.file).stem}.py"
 
 
-# Lines the two filters' strapdown loops share, which a row of either lengthens to
-# one match with text around them.
+# Lines of the filters' one strapdown loop, in its order.
 _BIAS = ("        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, "
          "w2 - c2\n")
-_ATTITUDE = ("        r00, r01, r02, r10, r11, r12, r20, r21, r22 = "
-             "rotation_entries(_unit((qw, qx, qy, qz)))\n")
+_ATTITUDE = "        r00, r01, r02, r10, r11, r12, r20, r21, r22 = attitude\n"
 _FORCE = ("        f0 = r00 * a0 + r01 * a1 + r02 * a2\n"
           "        f1 = r10 * a0 + r11 * a1 + r12 * a2\n"
           "        f2 = r20 * a0 + r21 * a1 + r22 * a2\n")
 _STEP = ("        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2\n"
+         "        r0, r1, r2 = r0 + dt * v0, r1 + dt * v1, r2 + dt * v2\n"
          "        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)\n")
 _STEP_SWAPPED = "".join(reversed(_STEP.splitlines(keepends=True)))
 _MOMENTS = ("        moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,\n"
-            "                    bk * g0 + ak * v0 + p0, bk * g1 + ak * v1 + p1, "
-            "bk * g2 + ak * v2 + p2,\n"
+            "                    bk * g0 + ak * v0 + r0, bk * g1 + ak * v1 + r1, "
+            "bk * g2 + ak * v2 + r2,\n"
             "                    ak, 1.0)\n")
-_EKF_HEAD = "in zip(dts, rows):\n"
 # Each increment normalized before the spacings are checked: a NaN gyro reading
 # then raises before a later non-positive spacing and before the warning.
 _EARLY_PRODUCTS = "    [_unit((1.0, *row[4:])) for row in rows]\n"
 _SPACINGS = "    dts, dt_array = _spacings(rows, t_start)\n"
-_INEKF_ORACLE = "tests/test_baselines.py::TestInekfPredictAgainstArrayOracle"
+_EKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_ekf_matches_per_sample_loop"
 _INEKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_inekf_matches_per_sample_loop"
 _UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
 _TABLE = "tests/test_equivariance.py"
@@ -165,35 +163,58 @@ MUTANTS = [
     # May survive: normalizing M_1 zeta once instead of twice moves the warm
     # start by at most an ulp, which no tolerance of ipg_step's comparison sees.
     Mutant("cascade.py", "_unit(_unit(warm))", "_unit(warm)", "warm-single-normalize", False),
-    # The filters: the EKF predict's float loop (its bias, strapdown order,
-    # attitude and transition blocks), the spacing pass, the updates' float
-    # algebra and H.  Where the two predicts' loops share lines, a row takes
-    # enough text to match once.
-    Mutant("baselines.py", "ndt = -dt", "ndt = dt", "ekf-transition-sign", True),
-    Mutant("baselines.py",
-           "H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]",
-           "H += [1.0, -(dt * w2), dt * w1, dt * w2, 1.0, -(dt * w0), -(dt * w1), dt * w0, 1.0]",
-           "ekf-gyro-block-sign", True),
-    Mutant("baselines.py", _EKF_HEAD + _BIAS,
-           _EKF_HEAD + _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
-           "ekf-gyro-bias-kept", True),
-    Mutant("baselines.py", "1.0]\n" + _STEP, "1.0]\n" + _STEP_SWAPPED, "ekf-position-end-velocity",
-           True),
-    Mutant("baselines.py", _EKF_HEAD + _BIAS + _ATTITUDE,
-           _EKF_HEAD + _BIAS + _ATTITUDE.replace("_unit((qw, qx, qy, qz))", "(qw, qx, qy, qz)"),
-           "ekf-unnormalized-attitude", True),
-    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2))\n    orientation = _unit",
-           "(1.0, h * w1, h * w0, h * w2))\n    orientation = _unit",
-           "ekf-increment-rates-swapped", True),
-    # The spacing pass both predicts share: its refusal of a zero spacing, and the
-    # warning attributed to the predict's caller.
+    # The filters' one strapdown loop (``_strapdown``) and the spacing pass in it,
+    # which both predicts run, against both filters' tests: the gyro bias, the
+    # strapdown order, the attitude taken from the unnormalized product, the
+    # increment's rates, the spacing refusal, the frame the warning names, the
+    # error order and the chain's start.
+    Mutant("baselines.py", _BIAS, _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
+           "gyro-bias-kept", True),
+    Mutant("baselines.py", _STEP, _STEP_SWAPPED, "position-end-velocity", True),
+    Mutant("baselines.py", "        attitude = rotation_entries(unit)\n",
+           "        attitude = rotation_entries((qw, qx, qy, qz))\n", "unnormalized-attitude", True),
+    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2)", "(1.0, h * w1, h * w0, h * w2)",
+           "increment-rates-swapped", True),
     Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
-           "if dt < 0.0:\n            raise ValueError(", "ekf-zero-spacing-accepted", True),
-    Mutant("baselines.py", "stacklevel=4", "stacklevel=3", "spacing-warning-own-frame", True,
+           "if dt < 0.0:\n            raise ValueError(", "zero-spacing-accepted", True),
+    Mutant("baselines.py", "stacklevel=5", "stacklevel=4", "spacing-warning-own-frame", True,
            "tests/test_baselines.py::TestBatchedPredict::test_large_spacing_warns_once"),
-    Mutant("baselines.py", "nav.orientation.tolist()\n" + _SPACINGS,
-           "nav.orientation.tolist()\n" + _EARLY_PRODUCTS + _SPACINGS,
-           "ekf-degenerate-before-spacing", True),
+    Mutant("baselines.py", _SPACINGS, _EARLY_PRODUCTS + _SPACINGS, "degenerate-before-spacing", True),
+    Mutant("baselines.py", "qw, qx, qy, qz = orientation.tolist()",
+           "qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0", "identity-start", True),
+    # The moment rows: the InEKF's a_k summing its own sample's spacing, the EKF's
+    # rows taken before their step, every row taken after its step, the EKF's rows
+    # from absolute positions (exact but for rounding, which moving the burst 1 km
+    # shows) and its table left uncentered.
+    Mutant("baselines.py", "sums if after else sums[1:]", "sums", "inekf-suffix-own-spacing", True,
+           _INEKF_LOOP),
+    Mutant("baselines.py", "sums if after else sums[1:]", "sums[1:]", "ekf-rows-before-step", True,
+           _EKF_LOOP),
+    Mutant("baselines.py", _MOMENTS + _BIAS + _ATTITUDE + _FORCE + _STEP,
+           _BIAS + _ATTITUDE + _FORCE + _STEP + _MOMENTS, "moment-after-step", True),
+    Mutant("baselines.py", "(0.0, 0.0, 0.0) if after else (p0, p1, p2)", "(p0, p1, p2)",
+           "ekf-rows-absolute-position", True, "tests/test_baselines.py::TestOneTransition"),
+    Mutant("baselines.py", "reshape(-1, 8) - (v0, v1, v2, r0, r1, r2, 0.0, 0.0)", "reshape(-1, 8)",
+           "ekf-rows-uncentered", True, _EKF_LOOP),
+    # The transitions: the EKF's U with its sign flipped; its frame maps with R0 and
+    # R1 swapped, which turns the attitude block R1^T R0 the other way, and with R0
+    # twice, which makes it I, as a burst that does not turn (the linearization
+    # test must kill it); the InEKF's W = -T2 g left out (Phi without T2 A^2); and
+    # one sign of the noise's -q_att [sum dt u]x block.
+    Mutant("baselines.py", "(v0 - x0, v1 - x1, v2 - x2)", "(x0 - v0, x1 - v1, x2 - v2)",
+           "ekf-transition-sign", True, _EKF_LOOP),
+    Mutant("baselines.py", "maps.put(_FRAME_ROTATIONS, rotations)",
+           "maps.put(_FRAME_ROTATIONS, rotations[9:] + rotations[:9])", "ekf-gyro-block-sign", True,
+           _EKF_LOOP),
+    Mutant("baselines.py", "maps.put(_FRAME_ROTATIONS, rotations)",
+           "maps.put(_FRAME_ROTATIONS, rotations[:9] * 2)", "ekf-attitude-block-identity", True,
+           "tests/test_baselines.py::TestPredictLinearization::test_ekf"),
+    Mutant("baselines.py", "(-(T2 * g0), -(T2 * g1), -(T2 * g2))", "(0.0, 0.0, 0.0)",
+           "inekf-transition-without-a2", True, _INEKF_LOOP),
+    Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",
+           "noise-cross-sign", True, _INEKF_LOOP),
+    # The EKF update's float algebra: the hemisphere flip, the innovation's conjugate
+    # and the Joseph form's K R K^T; and the correction's rotation-vector map.
     Mutant("baselines.py", "q_meas = [-mw, -mx, -my, -mz]", "q_meas = [mw, mx, my, mz]",
            "ekf-no-hemisphere-flip", True),
     Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",
@@ -204,36 +225,6 @@ MUTANTS = [
     Mutant("quat.py", "half = 0.5 * angle\n    s = math.sin(half)",
            "half = angle\n    s = math.sin(half)", "correction-full-angle", True,
            "tests/test_baselines.py"),
-    # The InEKF predict's strapdown loop, against its array form in tests/oracles.py:
-    # the gyro bias, the strapdown order, the spacing refusal and error order, and
-    # the chain started at the identity, not at the quaternion of the state's rotation.
-    Mutant("baselines.py", "ak, 1.0)\n" + _BIAS,
-           "ak, 1.0)\n" + _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
-           "inekf-gyro-bias-kept", True, _INEKF_ORACLE),
-    Mutant("baselines.py", _FORCE + _STEP, _FORCE + _STEP_SWAPPED, "inekf-position-end-velocity",
-           True, _INEKF_ORACLE),
-    Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
-           "if dt < 0.0:\n            raise ValueError(", "inekf-zero-spacing-accepted", True,
-           _INEKF_ORACLE),
-    Mutant("baselines.py", _SPACINGS + "    qw, qx, qy, qz = state.orientation",
-           _EARLY_PRODUCTS + _SPACINGS + "    qw, qx, qy, qz = state.orientation",
-           "inekf-degenerate-before-spacing", True, _INEKF_ORACLE),
-    Mutant("baselines.py", "qw, qx, qy, qz = state.orientation.tolist()",
-           "qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0", "inekf-identity-start", True, _INEKF_ORACLE),
-    # The InEKF predict's covariance in closed form, against the per-sample Ad
-    # recursion: a_k summing its own sample's spacing, the moment row taken from
-    # v and p after the sample's step, Phi without its A^2 term, and one sign of
-    # the noise's -q_att [sum dt u]x block.
-    Mutant("baselines.py", "after.append((a, b))\n        a, b = a + dt, b + dt * a",
-           "a, b = a + dt, b + dt * a\n        after.append((a, b))", "inekf-suffix-own-spacing",
-           True, _INEKF_LOOP),
-    Mutant("baselines.py", _MOMENTS + _BIAS + _ATTITUDE + _FORCE + _STEP,
-           _BIAS + _ATTITUDE + _FORCE + _STEP + _MOMENTS, "inekf-moment-after-step", True,
-           _INEKF_LOOP),
-    Mutant("baselines.py", "Phi = _EYE9 + a * config._A + b * config._A2",
-           "Phi = _EYE9 + a * config._A", "inekf-transition-without-a2", True, _INEKF_LOOP),
-    Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",
-           "inekf-noise-cross-sign", True, _INEKF_LOOP),
     # The InEKF update's float forms: one sign of H's [v]x block, the attitude
     # innovation taken in the body frame (conj(q) (x) q_meas, where the
     # right-invariant error lives in the navigation frame), the correction

@@ -11,20 +11,18 @@ quaternion as ``NavState`` holds it; its deterministic error propagation is
 state-independent, which makes the group-affine invariance checks exact up to
 floating point.
 
-Prediction works on a whole IMU burst at a time.  Both filters read the
-burst once as Python floats, check its spacings in one pass (``_spacings``)
-and walk it in one strapdown loop over a quaternion chain that forms each
-sample's attitude, velocity and position: the InEKF's mean is the EKF's
-started at its orientation, bit for bit.  No BLAS call forms either
-predicted mean, which is therefore the same bits under every BLAS kernel
-(OpenBLAS picks one per CPU at run time).  The EKF's loop also forms the two
-state-dependent blocks of its error transition F_k, and it propagates its
-covariance in burst form, with BLAS products: one backward pass of suffix
-products F_M ... F_{k+1}, one 9x9 product per sample, and one product for the
-whole noise sum.  The InEKF's F_k = I + dt_k A do not depend on the state and
-A^3 = 0, so its covariance needs no per-sample matrix: the burst's transition
-is I + T A + T2 A^2, and its noise sum is formed from one 8x8 moment product
-(see ``inekf_predict``).  The EKF update uses that its measurements select
+Both predicts work on a whole IMU burst at a time, through one loop and one
+propagation function.  ``_strapdown`` reads the burst once as Python floats,
+checks its spacings (``_spacings``) and walks it in one strapdown loop over a
+quaternion chain, so the InEKF's mean is the EKF's started at its orientation,
+bit for bit, and no BLAS call forms either mean (OpenBLAS picks its kernel per
+CPU at run time).  The loop also forms one moment row per sample.
+``_propagate`` then forms Phi P Phi^T + N on the error (attitude, velocity,
+position) in the navigation frame, Phi = [[I, 0, 0], [-[U]x, I, 0], [-[W]x,
+T I, I]] and N from one 8x8 moment product of the rows: the InEKF's U = -T g
+and W = -T2 g do not depend on the state, the EKF's are sums of specific force
+and its body-frame attitude error goes in and out through the maps T(R0) and
+T(R1)^T (see ``ekf_predict``).  The EKF update uses that its measurements select
 error-state rows 3..8 and forms no product with H.  Each ``FilterConfig``
 builds its matrices once: on 3- to 9-element arrays a numpy call costs more
 than its arithmetic.
@@ -86,20 +84,23 @@ __all__ = [
 ]
 
 
-_EYE3 = np.eye(3)
-_EYE3_ENTRIES = _EYE3.ravel().tolist()
+_EYE3_ENTRIES = np.eye(3).ravel().tolist()
 _EYE9 = np.eye(9)
+# The flat indices of the entries of Phi that ``_propagate`` sets: the off-diagonal
+# entries of -[U]x and of -[W]x, row by row, then those of T I.
+_PHI_ENTRIES = np.ravel_multi_index(([3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 6, 7, 8],
+                                     [1, 2, 0, 2, 0, 1, 1, 2, 0, 2, 0, 1, 3, 4, 5]), (9, 9))
+# T(R), which maps the EKF's error (dp, dv, dtheta_body) to (dtheta_nav, dv, dp) for
+# a rotation R at [0:3, 6:9], twice: ``ekf_predict`` puts R0 and R1 at _FRAME_ROTATIONS.
+_FRAME_MAPS = np.zeros((2, 9, 9))
+_FRAME_MAPS[:, 3:6, 3:6] = _FRAME_MAPS[:, 6:9, 0:3] = np.eye(3)
+_FRAME_MAPS.setflags(write=False)
+_FRAME_ROTATIONS = np.arange(_FRAME_MAPS.size).reshape(_FRAME_MAPS.shape)[:, 0:3, 6:9].ravel()
 # The InEKF's measurement rows without their one state-dependent block, [v]x at H[0:3, 0:3].
 _H_INEKF = np.zeros((6, 9))
-_H_INEKF[0:3, 3:6] = _H_INEKF[3:6, 0:3] = -_EYE3
+_H_INEKF[0:3, 3:6] = _H_INEKF[3:6, 0:3] = -np.eye(3)
 _H_INEKF.setflags(write=False)
 _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
-
-
-def _skew(v) -> np.ndarray:
-    """[v]x of a 3-vector, its entries formed on Python floats."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,20 +134,10 @@ class FilterConfig:
         for name in ("r_vel", "r_att"):  # copies the caller cannot change
             object.__setattr__(self, name, _finite3(name, getattr(self, name), positive=True))
         _one_of("validate", self.validate, (False, True))
-        q = np.repeat([self.q_pos, self.q_vel, self.q_att], 3)
         r = np.concatenate([self.r_vel, self.r_att])
-        # The InEKF's error dynamics on (attitude, velocity, position): F_k = I + dt_k A,
-        # with A^2 = [g]x at rows 6..8, columns 0..2, and A^3 = 0.
-        A, A2 = np.zeros((9, 9)), np.zeros((9, 9))
-        A[3:6, 0:3] = A2[6:9, 0:3] = _skew(self.gravity.vector)
-        A[6:9, 3:6] = _EYE3
-        vars(self).update(_q=q, _A=A, _A2=A2, _r=r, _r_matrix=np.diag(r))
-        for value in (self.r_vel, self.r_att, self._q, self._A, self._A2, self._r,
-                      self._r_matrix):
+        vars(self).update(_r=r, _r_matrix=np.diag(r))
+        for value in (self.r_vel, self.r_att, self._r, self._r_matrix):
             value.setflags(write=False)
-
-    def q_diag(self) -> np.ndarray:
-        return self._q
 
 
 @dataclass
@@ -243,88 +234,167 @@ def _spacings(rows, t_start) -> tuple:
             raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
         dts.append(dt)
         t_prev = t
-    array = np.array(dts)
-    _check_dt(array.max(), stacklevel=4)
-    return dts, array
+    total = sum(dts)  # NaN if any spacing is: numpy's max is then NaN too
+    _check_dt(max(dts) if total == total else total, stacklevel=5)
+    return dts, np.array(dts)
+
+
+def _strapdown(rows, t_start, config: FilterConfig, orientation, velocity, position,
+               after: bool) -> tuple:
+    """Both predicts' pass over a burst's rows (lists of 7 floats) from the state
+    (``orientation``, ``velocity``, ``position``).  Returns the end orientation,
+    velocity and position as lists of floats, the burst's transition (U, W, T)
+    for ``_propagate``, its noise rows as an (M, 8) array, the spacings as an
+    array and the entries of its start and end rotations R0 and R1, 18 floats.
+
+    ``_spacings`` checks the spacings first; a backward pass forms (a_k, b_k),
+    the first and second elementary symmetric sums of the spacings after sample
+    k, and (T, T2) of the whole burst.  Each attitude is the rotation of the
+    normalized running product, so a degenerate product (from a NaN reading)
+    raises DegenerateQuaternionError after every spacing check and the warning,
+    in ``unpack_burst``'s order.
+
+    Before each step the loop appends the row (a g + v, b g + a v + r, a, 1),
+    r stepped as p is.  Without ``after`` (the InEKF) r is p and (a, b) =
+    (a_k, b_k): row k is sample k's, taken before its step, and (U, W) =
+    (-T g, -T2 g).  With ``after`` (the EKF) r starts at 0 and each row takes
+    the sums of the sample before, (T, T2) for the first: row k + 1 is sample
+    k's, taken after its step, and the end state's row, with (0, 0), closes the
+    table.  Less the end state's (v_M, r_M), row 0 is (-U, -W), with U = sum dt f
+    and W = sum a dt f, and row k + 1 is (-u_k, -w_k, a_k, 1), the same sums
+    over the samples after k; the noise rows are rows 1 to M.
+    """
+    dts, dt_array = _spacings(rows, t_start)
+    b0, b1, b2 = config.biases.accel.tolist()
+    c0, c1, c2 = config.biases.gyro.tolist()
+    g0, g1, g2 = config.gravity.vector.tolist()
+    qw, qx, qy, qz = orientation.tolist()
+    v0, v1, v2 = velocity.tolist()
+    p0, p1, p2 = position.tolist()
+    r0, r1, r2 = (0.0, 0.0, 0.0) if after else (p0, p1, p2)
+    a = b = 0.0
+    sums = [(a, b)]  # sums[k]: (a, b) of the samples from k on, (0, 0) from M on
+    for dt in reversed(dts):
+        a, b = a + dt, b + dt * a
+        sums.append((a, b))
+    sums.reverse()
+    unit = _unit((qw, qx, qy, qz))
+    first = attitude = rotation_entries(unit)
+    moments = []
+    for dt, (_, a0, a1, a2, w0, w1, w2), (ak, bk) in zip(dts, rows, sums if after else sums[1:]):
+        moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,
+                    bk * g0 + ak * v0 + r0, bk * g1 + ak * v1 + r1, bk * g2 + ak * v2 + r2,
+                    ak, 1.0)
+        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = attitude
+        f0 = r00 * a0 + r01 * a1 + r02 * a2
+        f1 = r10 * a0 + r11 * a1 + r12 * a2
+        f2 = r20 * a0 + r21 * a1 + r22 * a2
+        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
+        r0, r1, r2 = r0 + dt * v0, r1 + dt * v1, r2 + dt * v2
+        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
+        h = 0.5 * dt
+        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
+        unit = _unit((qw, qx, qy, qz))
+        attitude = rotation_entries(unit)
+    end, rotations = (unit, [v0, v1, v2], [p0, p1, p2]), first + attitude
+    T, T2 = sums[0]
+    if not after:
+        transition = (-(T * g0), -(T * g1), -(T * g2)), (-(T2 * g0), -(T2 * g1), -(T2 * g2)), T
+        return end, transition, np.fromiter(moments, float).reshape(-1, 8), dt_array, rotations
+    x0, x1, x2, x3, x4, x5 = moments[:6]  # row 0, less (v_M, r_M), is (-U, -W)
+    transition = (v0 - x0, v1 - x1, v2 - x2), (r0 - x3, r1 - x4, r2 - x5), T
+    del moments[:8]
+    moments += (v0, v1, v2, r0, r1, r2, 0.0, 1.0)
+    X = np.fromiter(moments, float).reshape(-1, 8) - (v0, v1, v2, r0, r1, r2, 0.0, 0.0)
+    return end, transition, X, dt_array, rotations
+
+
+def _propagate(P, U, W, T, X, dt_array, config: FilterConfig, into=None) -> np.ndarray:
+    """Phi P Phi^T + N over a burst on the error (attitude, velocity, position) in
+    the navigation frame, for both predicts: Phi = [[I, 0, 0], [-[U]x, I, 0],
+    [-[W]x, T I, I]], taken after the 9x9 map ``into`` when one is given, and N
+    the noise sum of the moment rows X (n, 8) with their spacings ``dt_array``.
+
+    Each block of a sample's noise is a multiple of I, so N depends on the
+    burst through one row per sample, x_k = (x_u, x_w, a_k, 1): sample k's
+    attitude noise n reaches the end as (n, [x_u]x n, [x_w]x n), its velocity
+    noise as (0, n, a_k n) and its position noise as (0, 0, n).  N's blocks are
+    N_thth = q_att S I, N_thv = -q_att [sum dt x_u]x, N_thp = -q_att [sum dt x_w]x,
+    N_vv = q_att (tr U - U) + q_vel S I, N_vp = q_att (tr X - X) + q_vel (sum dt a) I
+    and N_pp = q_att (tr W - W) + (q_vel sum dt a^2 + q_pos S) I, with S the sum
+    of dt, U = sum dt x_u x_u^T, X = sum dt x_w x_u^T and W = sum dt x_w x_w^T,
+    every sum from one BLAS product, sum_k dt_k x_k x_k^T.
+    """
+    G = (X * dt_array[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
+    qa, qv, S = config.q_att, config.q_vel, G[7][7]
+    u0, u1, u2, w0, w1, w2 = [qa * row[7] for row in G[:6]]  # q_att sum_k dt_k (x_u, x_w)
+    vv0, vv1, vv2 = _moment_block(G[0:3], 0, qa, qv * S)
+    vp0, vp1, vp2 = _moment_block(G[3:6], 0, qa, qv * G[6][7])
+    pv0, pv1, pv2 = zip(vp0, vp1, vp2)
+    pp0, pp1, pp2 = _moment_block(G[3:6], 3, qa, qv * G[6][6] + config.q_pos * S)
+    qS = qa * S
+    N = np.fromiter([
+        qS, 0.0, 0.0, 0.0, u2, -u1, 0.0, w2, -w1,
+        0.0, qS, 0.0, -u2, 0.0, u0, -w2, 0.0, w0,
+        0.0, 0.0, qS, u1, -u0, 0.0, w1, -w0, 0.0,
+        0.0, -u2, u1, *vv0, *vp0,
+        u2, 0.0, -u0, *vv1, *vp1,
+        -u1, u0, 0.0, *vv2, *vp2,
+        0.0, -w2, w1, *pv0, *pp0,
+        w2, 0.0, -w0, *pv1, *pp1,
+        -w1, w0, 0.0, *pv2, *pp2,
+    ], float).reshape(9, 9)
+    U0, U1, U2 = U
+    W0, W1, W2 = W
+    Phi = _EYE9.copy()
+    Phi.put(_PHI_ENTRIES, [U2, -U1, -U2, U0, U1, -U0, W2, -W1, -W2, W0, W1, -W0, T, T, T])
+    if into is not None:
+        Phi = Phi.dot(into)
+    return Phi.dot(P).dot(Phi.T) + N
+
+
+def _moment_block(rows, c, q, extra) -> tuple:
+    """q (tr Y I - Y) + extra I as three rows of floats, Y the 3x3 block at columns
+    c..c+2 of the three lists ``rows``; tr Y - Y_ii is the sum of the other two."""
+    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = [row[c:c + 3] for row in rows]
+    return ((q * (y11 + y22) + extra, -q * y01, -q * y02),
+            (-q * y10, q * (y00 + y22) + extra, -q * y12),
+            (-q * y20, -q * y21, q * (y00 + y11) + extra))
 
 
 def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) -> EkfState:
     """Propagate mean and covariance through an IMU burst.
 
-    The mean follows ``preintegrate_burst``: position, velocity and
-    orientation are each updated from the state at the start of the sample
-    interval.  The error transition of sample k, on (dp, dv, dtheta), is
-    F_k = [[I, dt I, 0], [0, I, -dt R [a]x], [0, 0, I - dt [w]x]], with
-    diagonal process noise Q_k = diag(q) dt_k.
+    The mean follows ``preintegrate_burst``, each sample updated from the state
+    at its start (``_strapdown``, which also refuses and warns).  An empty
+    burst leaves the state as it is and only symmetrizes P.
 
-    The burst is read once as Python floats.  ``_spacings`` forms and checks
-    its spacings first: a non-positive one raises ValueError naming its row's
-    ``t``, and the largest warns once through ``_check_dt``.  One loop then
-    forms per sample the bias-corrected readings; the product so far over its
-    norm (``_unit``: the root of its ordered sum of squares) and its rotation
-    (``rotation_entries``); position and velocity as ``preintegrate_burst``
-    updates them, p with the velocity at the start of the sample; the blocks
-    E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x of F_k, 9 floats each; and
-    the running product by the increment (1, dt/2 w) (``product_entries``, as
-    ``running_product`` steps).  No BLAS call forms the mean, so it is the
-    same bits under every BLAS kernel.  A degenerate product (from a NaN
-    reading) raises DegenerateQuaternionError after every spacing check and
-    the warning, in ``unpack_burst``'s order.
-
-    The covariance is propagated in burst form, as preintegrated noise is
-    (Forster et al., IEEE T-RO 33(1), 2017): one backward pass forms the
-    suffix products Phi_k = F_M ... F_{k+1}, one 9x9 product per sample, and
-    then P <- Phi_0 P Phi_0^T + sum_k Phi_k Q_k Phi_k^T, the sum as a single
-    (9, 9M) @ (9M, 9) product.  It equals the per-sample recursion
-    P <- F_k P F_k^T + Q_k up to rounding.  An empty burst leaves the state
-    as it is and only symmetrizes P.
+    The covariance is that of the exact linearization of this mean.  With the
+    attitude error in the navigation frame, dtheta_n = R dtheta_body, sample k
+    carries (dtheta_n, dv, dp) by [[I, 0, 0], [-dt [f_k]x, I, 0], [0, dt I, I]],
+    f_k = R_k a_k, where the body-frame error turns by R_{k+1}^T R_k, as the
+    mean does (Sola, arXiv:1711.02508, on local and global angular errors).
+    These compose into ``_propagate``'s Phi, and each sample's noise goes
+    through the same form over the samples after it (Forster et al., IEEE
+    T-RO 33(1), 2017), from ``_strapdown``'s rows with positions relative to
+    the burst start.  P goes in through T(R0), which maps (dp, dv, dtheta_body)
+    to (dtheta_n, dv, dp), and out through T(R1)^T: the result is the recursion
+    P <- F_k P F_k^T + Q_k with attitude blocks R_{k+1}^T R_k, up to rounding,
+    and does not depend on where the burst is.
     """
     nav = state.nav
     rows = burst.tolist()
     if not rows:
         return EkfState(nav.copy(), _finish_cov(state.cov, config, "ekf_predict"))
-    b0, b1, b2 = config.biases.accel.tolist()
-    c0, c1, c2 = config.biases.gyro.tolist()
-    g0, g1, g2 = config.gravity.vector.tolist()
-    p0, p1, p2 = nav.position.tolist()
-    v0, v1, v2 = nav.velocity.tolist()
-    qw, qx, qy, qz = nav.orientation.tolist()
-    dts, dt_array = _spacings(rows, t_start)
-    E, H = [], []  # E_k = -dt R_k [a_k]x and H_k = I - dt [w_k]x, row-major
-    for dt, (_, a0, a1, a2, w0, w1, w2) in zip(dts, rows):
-        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(_unit((qw, qx, qy, qz)))
-        f0 = r00 * a0 + r01 * a1 + r02 * a2
-        f1 = r10 * a0 + r11 * a1 + r12 * a2
-        f2 = r20 * a0 + r21 * a1 + r22 * a2
-        ndt = -dt
-        E += [ndt * (r01 * a2 - r02 * a1), ndt * (r02 * a0 - r00 * a2),
-              ndt * (r00 * a1 - r01 * a0), ndt * (r11 * a2 - r12 * a1),
-              ndt * (r12 * a0 - r10 * a2), ndt * (r10 * a1 - r11 * a0),
-              ndt * (r21 * a2 - r22 * a1), ndt * (r22 * a0 - r20 * a2),
-              ndt * (r20 * a1 - r21 * a0)]
-        H += [1.0, dt * w2, -(dt * w1), -(dt * w2), 1.0, dt * w0, dt * w1, -(dt * w0), 1.0]
-        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
-        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
-        h = 0.5 * dt
-        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
-    orientation = _unit((qw, qx, qy, qz))
-
-    F = np.empty((len(dts), 9, 9))
-    F[:] = _EYE9
-    F[:, 0:3, 3:6] = dt_array[:, None, None] * _EYE3
-    F[:, 3:6, 6:9] = np.array(E).reshape(-1, 3, 3)
-    F[:, 6:9, 6:9] = np.array(H).reshape(-1, 3, 3)
-    phi = [_EYE9]  # phi[j] = F_{M-1} ... F_{M-j} (0-based F): the last j samples' transition
-    for Fk in F[::-1]:
-        phi.append(phi[-1].dot(Fk))  # ndarray.dot: less call overhead than @ on 9x9
-    # Sample k's noise reaches the burst end through phi[M-1-k]: side by side, in that order.
-    B = np.concatenate(phi[:-1], axis=1)
-    noise = (B * (dt_array[::-1, None] * config._q).ravel()) @ B.T
-    P = phi[-1].dot(state.cov).dot(phi[-1].T) + noise
-    return EkfState(NavState.exact(np.array([p0, p1, p2]), np.array([v0, v1, v2]),
-                                   np.array(orientation)),
-                    _finish_cov(P, config, "ekf_predict"))
+    (q, v, p), transition, X, dt_array, rotations = _strapdown(
+        rows, t_start, config, nav.orientation, nav.velocity, nav.position, True)
+    maps = _FRAME_MAPS.copy()  # T(R0), T(R1)
+    maps.put(_FRAME_ROTATIONS, rotations)
+    P = _propagate(state.cov, *transition, X, dt_array, config, maps[0])
+    out = maps[1]
+    return EkfState(NavState.exact(np.array(p), np.array(v), np.array(q)),
+                    _finish_cov(out.T.dot(P).dot(out), config, "ekf_predict"))
 
 
 def _readings(what: str, dvl, ahrs):
@@ -445,97 +515,22 @@ def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float
     by the adjoint of the state at the start of the sample,
     Q_k = Ad_k Qb Ad_k^T dt (Hartley et al., IJRR 39(4), 2020).
 
-    The burst is read once as Python floats, its spacings checked by
-    ``_spacings`` with ``ekf_predict``'s refusals, warning and error order.
-    The mean is ``ekf_predict``'s loop started at the state's orientation, and
-    equals its mean bit for bit: no BLAS call forms it.
-
-    The covariance takes closed forms (Forster et al., IEEE T-RO 33(1), 2017,
-    propagate the noise of a burst in the same way).  A^3 = 0, so the F_k
-    commute and the samples after k carry the error by F_M ... F_{k+1} =
-    I + a_k A + b_k A^2, with a_k the sum of their spacings and b_k the sum of
-    their pairwise products; the whole burst by Phi = I + T A + T2 A^2
-    (``FilterConfig``'s A and A^2).  Each block of Qb is a multiple of I, so R
-    drops out of the noise, and with u_k = a_k g + v_k and w_k = b_k g +
-    a_k v_k + p_k (v_k, p_k at the start of sample k) the noise sum
-    N = sum_k (F_M ... F_{k+1}) Q_k (F_M ... F_{k+1})^T has the blocks
-    N_thth = q_att S I, N_thv = -q_att [sum dt u]x, N_thp = -q_att [sum dt w]x,
-    N_vv = q_att (tr U - U) + q_vel S I,
-    N_vp = q_att (tr X - X) + q_vel (sum dt a) I
-    and N_pp = q_att (tr W - W) + (q_vel sum dt a^2 + q_pos S) I, where S is
-    the sum of dt, U = sum dt u u^T, X = sum dt w u^T and W = sum dt w w^T.
-    A backward pass over the spacings gives a_k and b_k, the strapdown loop
-    appends each sample's (u_k, w_k, a_k, 1) to an (M, 8) table x, one BLAS
-    product gives every sum as sum_k dt_k x_k x_k^T, N's entries are formed on
-    floats, and P <- Phi P Phi^T + N.
+    The mean is ``ekf_predict``'s started at the state's orientation, bit for
+    bit (``_strapdown``).  A^3 = 0, so the samples after k carry the error by
+    I + a_k A + b_k A^2, a_k the sum of their spacings and b_k that of their
+    pairwise products, and the burst by I + T A + T2 A^2: ``_propagate``'s Phi
+    with U = -T g and W = -T2 g.  R drops out of the noise, whose rows are
+    (u_k, w_k, a_k, 1), u_k = a_k g + v_k and w_k = b_k g + a_k v_k + p_k with
+    v_k, p_k at the start of sample k: ``_strapdown``'s rows before each step.
     """
     rows = burst.tolist()
     if not rows:
         return InekfState(state.orientation.copy(), state.velocity.copy(), state.position.copy(),
                           _finish_cov(state.cov, config, "inekf_predict"))
-    b0, b1, b2 = config.biases.accel.tolist()
-    c0, c1, c2 = config.biases.gyro.tolist()
-    g0, g1, g2 = config.gravity.vector.tolist()
-    p0, p1, p2 = state.position.tolist()
-    v0, v1, v2 = state.velocity.tolist()
-    dts, dt_array = _spacings(rows, t_start)
-    qw, qx, qy, qz = state.orientation.tolist()
-    # a_k, b_k: the first and second elementary symmetric sums of the spacings
-    # after sample k, so that F_M ... F_{k+1} = I + a_k A + b_k A^2 (A^3 = 0).
-    a = b = 0.0
-    after = []
-    for dt in reversed(dts):
-        after.append((a, b))
-        a, b = a + dt, b + dt * a
-    after.reverse()
-    moments = []  # per sample (u_k, w_k, a_k, 1), from v and p at its start
-    for dt, (_, a0, a1, a2, w0, w1, w2), (ak, bk) in zip(dts, rows, after):
-        moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,
-                    bk * g0 + ak * v0 + p0, bk * g1 + ak * v1 + p1, bk * g2 + ak * v2 + p2,
-                    ak, 1.0)
-        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(_unit((qw, qx, qy, qz)))
-        f0 = r00 * a0 + r01 * a1 + r02 * a2
-        f1 = r10 * a0 + r11 * a1 + r12 * a2
-        f2 = r20 * a0 + r21 * a1 + r22 * a2
-        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
-        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
-        h = 0.5 * dt
-        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
-    orientation = np.array(_unit((qw, qx, qy, qz)))
-
-    X = np.array(moments).reshape(-1, 8)
-    G = (X * dt_array[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
-    qa, qv, S = config.q_att, config.q_vel, G[7][7]
-    u0, u1, u2, w0, w1, w2 = [qa * row[7] for row in G[:6]]  # q_att sum_k dt_k (u_k, w_k)
-    vv0, vv1, vv2 = _moment_block(G[0:3], 0, qa, qv * S)
-    vp0, vp1, vp2 = _moment_block(G[3:6], 0, qa, qv * G[6][7])
-    pv0, pv1, pv2 = zip(vp0, vp1, vp2)
-    pp0, pp1, pp2 = _moment_block(G[3:6], 3, qa, qv * G[6][6] + config.q_pos * S)
-    qS = qa * S
-    N = np.array([
-        qS, 0.0, 0.0, 0.0, u2, -u1, 0.0, w2, -w1,
-        0.0, qS, 0.0, -u2, 0.0, u0, -w2, 0.0, w0,
-        0.0, 0.0, qS, u1, -u0, 0.0, w1, -w0, 0.0,
-        0.0, -u2, u1, *vv0, *vp0,
-        u2, 0.0, -u0, *vv1, *vp1,
-        -u1, u0, 0.0, *vv2, *vp2,
-        0.0, -w2, w1, *pv0, *pp0,
-        w2, 0.0, -w0, *pv1, *pp1,
-        -w1, w0, 0.0, *pv2, *pp2,
-    ]).reshape(9, 9)
-    Phi = _EYE9 + a * config._A + b * config._A2  # a, b: T and T2 of the whole burst
-    P = _finish_cov(Phi.dot(state.cov).dot(Phi.T) + N, config, "inekf_predict")
-    return InekfState(orientation, np.array([v0, v1, v2]), np.array([p0, p1, p2]), P)
-
-
-def _moment_block(rows, c, q, extra) -> tuple:
-    """q (tr Y I - Y) + extra I as three rows of floats, Y the 3x3 block at columns
-    c..c+2 of the three lists ``rows``; tr Y - Y_ii is the sum of the other two."""
-    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = [row[c:c + 3] for row in rows]
-    return ((q * (y11 + y22) + extra, -q * y01, -q * y02),
-            (-q * y10, q * (y00 + y22) + extra, -q * y12),
-            (-q * y20, -q * y21, q * (y00 + y11) + extra))
+    (q, v, p), transition, X, dt_array, _ = _strapdown(
+        rows, t_start, config, state.orientation, state.velocity, state.position, False)
+    P = _propagate(state.cov, *transition, X, dt_array, config)
+    return InekfState(np.array(q), np.array(v), np.array(p), _finish_cov(P, config, "inekf_predict"))
 
 
 def _inekf_measurement(state: InekfState, d, q):

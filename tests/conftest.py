@@ -1,4 +1,4 @@
-"""Shared test helpers: random rotations, finite differences, tiny streams."""
+"""Shared test helpers: random rotations, skew matrices, finite differences, tiny streams."""
 
 from __future__ import annotations
 
@@ -10,6 +10,11 @@ def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit quaternion (scalar-first)."""
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def skew(v) -> np.ndarray:
+    """[v]x of a 3-vector: skew(v) @ u is the cross product v x u."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 def central_difference(fun, x, eps: float = 1e-6) -> np.ndarray:

@@ -749,7 +749,7 @@ def inekf_predict(state, burst, config, t_start):
     Ad[:, 0:3, 0:3] = Ad[:, 3:6, 3:6] = Ad[:, 6:9, 6:9] = R
     Ad[:, 3:6, 0:3] = _skew(vs[:-1]) @ R
     Ad[:, 6:9, 0:3] = _skew(ps[:-1]) @ R
-    qb = config.q_diag()[::-1]
+    qb = np.repeat([config.q_att, config.q_vel, config.q_pos], 3)
     Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
     P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
     return InekfArrays(rotations[-1], vs[-1], ps[-1], P)

@@ -37,22 +37,21 @@ from cipgnav.errors import DegenerateQuaternionError, NumericalError
 from cipgnav.preintegration import GravityModel, ImuBiases, NavState, preintegrate_burst
 from cipgnav.quat import (
     quat_angular_distance,
+    quat_conjugate,
     quat_from_rotvec,
     quat_from_yaw,
     quat_multiply,
     quat_normalize,
     quat_product,
     quat_to_rotation,
+    quat_to_rotvec,
 )
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from tests import oracles
-from tests.conftest import central_difference, random_unit_quat
+from tests.conftest import central_difference, random_unit_quat, skew
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
-
-
-def skew(v):
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0.0]])
+EPS = np.finfo(float).eps
 
 
 def r_matrix(config):
@@ -68,23 +67,25 @@ def circle_epochs(duration=20.0, noise=QUIET, seed=0, radius=10.0):
 
 
 def reference_ekf_predict(state, burst, config, t_start):
-    """ekf_predict sample by sample: per-sample F, noise and mean update."""
+    """ekf_predict sample by sample: per-sample F, noise and mean update.  F_k is the
+    Jacobian of the sample's mean step in (dp, dv, dtheta_body): its attitude block
+    is R_{k+1}^T R_k, the turn the mean applies."""
     p, v, q, P = state.nav.position, state.nav.velocity, state.nav.orientation, state.cov
     g = config.gravity.vector
-    Qc = np.diag(config.q_diag())
+    Qc = np.diag(np.repeat([config.q_pos, config.q_vel, config.q_att], 3))
     t_prev = t_start
     for row in burst:
         dt = row[0] - t_prev
         R = quat_to_rotation(q)
         a = row[1:4] - config.biases.accel
         w = row[4:7] - config.biases.gyro
+        inc = np.concatenate(([1.0], 0.5 * dt * w))
+        p, v, q = p + dt * v, v + dt * (R @ a + g), quat_normalize(quat_product(q, inc))
         F = np.eye(9)
         F[0:3, 3:6] = dt * np.eye(3)
         F[3:6, 6:9] = -dt * (R @ skew(a))
-        F[6:9, 6:9] = np.eye(3) - dt * skew(w)
+        F[6:9, 6:9] = quat_to_rotation(q).T @ R
         P = F @ P @ F.T + Qc * dt
-        inc = np.concatenate(([1.0], 0.5 * dt * w))
-        p, v, q = p + dt * v, v + dt * (R @ a + g), quat_normalize(quat_product(q, inc))
         t_prev = row[0]
     return p, v, q, 0.5 * (P + P.T)
 
@@ -368,6 +369,61 @@ class TestOneStrapdown:
             out, out_flipped = (inekf_update(s, dvl, ahrs, config) for s in (state, flipped))
             for name in ("orientation", "velocity", "position", "cov"):
                 assert getattr(out, name).tobytes() == getattr(out_flipped, name).tobytes()
+
+
+def error_map(nav):
+    """C(x): the EKF's error (dp, dv, dtheta_body) at the mean x to first order in the
+    right-invariant error (attitude, velocity, position): dtheta = R dtheta_body,
+    dv + [v]x dtheta and dp + [p]x dtheta."""
+    R = quat_to_rotation(nav.orientation)
+    C = np.zeros((9, 9))
+    C[0:3, 6:9] = R
+    C[3:6, 3:6] = C[6:9, 0:3] = np.eye(3)
+    C[3:6, 6:9] = skew(nav.velocity) @ R
+    C[6:9, 6:9] = skew(nav.position) @ R
+    return C
+
+
+def zero_noise(config):
+    return replace(config, q_pos=0.0, q_vel=0.0, q_att=0.0)
+
+
+class TestOneTransition:
+    """ekf_predict and inekf_predict propagate one error over a burst, in two sets of
+    coordinates: the EKF's transition is the InEKF's carried through C."""
+
+    def test_ekf_transition_is_the_inekf_one_through_c(self, rng):
+        # Phi_EKF = C(x_M)^-1 Phi_InEKF C(x_0), at zero noise: the EKF's predicted
+        # covariance of P is the InEKF's of C0 P C0^T carried back.  C and C^-1 scale
+        # entries by up to 1 + |p|, so the rounding of the InEKF's covariance comes
+        # back as some ulps times (1 + |p|)^2; the positions stay within 10 m.
+        for _ in range(50):
+            config = zero_noise(random_config(rng))
+            nav = NavState(rng.uniform(-1.0, 1.0, 3) * 10.0 / np.sqrt(3.0), rng.normal(size=3),
+                           random_unit_quat(rng))
+            P = random_cov(rng)
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, int(rng.integers(1, 26)))
+            ekf = ekf_predict(EkfState(nav, P), burst, config, t0)
+            C0, CM = error_map(nav), np.linalg.inv(error_map(ekf.nav))
+            start = replace(InekfState.start(nav, config), cov=C0 @ P @ C0.T)
+            inekf = inekf_predict(start, burst, config, t0)
+            np.testing.assert_allclose(ekf.cov, CM @ inekf.cov @ CM.T, rtol=0.0,
+                                       atol=100.0 * EPS * 11.0 ** 2 * np.abs(ekf.cov).max())
+
+    def test_ekf_covariance_is_the_same_1_km_away(self, rng):
+        # The EKF's transition and noise take positions from the burst start, so its
+        # predicted covariance does not depend on where the burst starts.
+        for _ in range(50):
+            config = random_config(rng)
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+            away, step = nav.copy(), rng.normal(size=3)
+            away.position = nav.position + 1000.0 * step / np.linalg.norm(step)
+            P = random_cov(rng)
+            t0 = float(rng.uniform(0.0, 100.0))
+            burst = random_burst(rng, t0, int(rng.integers(1, 26)))
+            near, far = (ekf_predict(EkfState(x, P), burst, config, t0) for x in (nav, away))
+            assert near.cov.tobytes() == far.cov.tobytes()
 
 
 def predict_outcome(predict, state, burst, config, t_start):
@@ -752,6 +808,82 @@ class TestUpdateLinearization:
             assert np.abs(H[0:3, 0:3]).max() > 1e-3  # the velocity's attitude block is tested
 
 
+def turning_burst(rng, t_start, n=20):
+    """(n, 7) IMU rows after t_start that turn at up to 1 rad/s about every axis."""
+    ts = t_start + np.cumsum(rng.uniform(0.001, 0.03, n))
+    return np.column_stack([ts, rng.normal([0.0, 0.0, -9.81], 2.0, size=(n, 3)),
+                            rng.uniform(-1.0, 1.0, size=(n, 3))])
+
+
+def se23_log(state, ref):
+    """Log(X ref^-1) of two InekfStates: the rotation vector theta of R R_ref^T, and
+    J^-1 (v - R R_ref^T v_ref) and J^-1 (p - R R_ref^T p_ref), J the left Jacobian
+    of theta (its columns from se23_exp)."""
+    turn = quat_product(state.orientation, quat_conjugate(ref.orientation))
+    theta, Rc = quat_to_rotvec(turn), quat_to_rotation(turn)
+    J = np.column_stack([se23_exp(np.concatenate([theta, e, np.zeros(3)]))[1] for e in np.eye(3)])
+    return np.concatenate([theta, np.linalg.solve(J, state.velocity - Rc @ ref.velocity),
+                           np.linalg.solve(J, state.position - Rc @ ref.position)])
+
+
+class TestPredictLinearization:
+    """Each predict's transition Phi against the central-difference Jacobian J of its
+    own mean over a burst, in its own error coordinates: body-frame for the EKF,
+    right-invariant for the InEKF.  At zero noise the covariance a predict gives from
+    P = I is Phi Phi^T, compared with J J^T.
+
+    A difference of two means of size m at step H is off by the rounding of m, some
+    ulps of m, over H: each entry of J by err = 100 eps m / H, and each entry of
+    J J^T, a sum of 9 products, by 2 * 9 |J| err.  With m of 10 m and H = 1e-6 that
+    is about 1e-5; the first-order attitude block I - dt [w]x is off by about 1e-2."""
+
+    H = 1e-6
+
+    def assert_matches(self, cov, J, mean):
+        err = 100.0 * EPS * max(np.abs(mean).max(), 1.0) / self.H
+        np.testing.assert_allclose(cov, J @ J.T, rtol=0.0, atol=18.0 * np.abs(J).max() * err)
+
+    def draws(self, rng):
+        for _ in range(10):
+            config = zero_noise(random_config(rng))
+            nav = NavState(rng.normal(scale=10.0, size=3), rng.normal(size=3), random_unit_quat(rng))
+            t0 = float(rng.uniform(0.0, 100.0))
+            yield config, nav, turning_burst(rng, t0), t0
+
+    def test_ekf(self, rng):
+        # x + dx = (p + dp, v + dv, q (x) Exp(dtheta)); the mean's error is read back
+        # the same way, its attitude as Log(q_end^-1 (x) q).
+        for config, nav, burst, t0 in self.draws(rng):
+            end = ekf_predict(EkfState(nav, np.eye(9)), burst, config, t0)
+
+            def mean(dx):
+                moved = NavState(nav.position + dx[0:3], nav.velocity + dx[3:6],
+                                 quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9])))
+                out = ekf_predict(EkfState(moved, np.eye(9)), burst, config, t0).nav
+                turn = quat_product(quat_conjugate(end.nav.orientation), out.orientation)
+                return np.concatenate([out.position - end.nav.position,
+                                       out.velocity - end.nav.velocity, quat_to_rotvec(turn)])
+
+            J = central_difference(mean, np.zeros(9), self.H)
+            self.assert_matches(end.cov, J, end.nav.position)
+
+    def test_inekf(self, rng):
+        # Exp(xi) X by se23_exp, as in TestUpdateLinearization; the mean's error is
+        # read back as Log(X_end' X_end^-1).
+        for config, nav, burst, t0 in self.draws(rng):
+            state = replace(InekfState.start(nav, config), cov=np.eye(9))
+            end = inekf_predict(state, burst, config, t0)
+
+            def mean(xi):
+                Rc, dv, dp = se23_exp(xi)
+                moved = InekfState(quat_multiply(quat_from_rotvec(xi[0:3]), state.orientation),
+                                   Rc @ state.velocity + dv, Rc @ state.position + dp, state.cov)
+                return se23_log(inekf_predict(moved, burst, config, t0), end)
+
+            J = central_difference(mean, np.zeros(9), self.H)
+            self.assert_matches(end.cov, J, end.position)
+
+
 class TestCovarianceGuard:
     def test_rejects_nonfinite(self):
         P = np.eye(2)
@@ -961,9 +1093,6 @@ class TestFilterConfig:
     def test_matrix_builders(self):
         cfg = FilterConfig(r_vel=np.array([0.1, 0.2, 0.3]), r_att=np.array([0.4, 0.5, 0.6]))
         np.testing.assert_array_equal(cfg._r_matrix, np.diag([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
-        q = cfg.q_diag()
-        assert q.shape == (9,)
-        np.testing.assert_allclose(q[3:6], 4e-6)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(p0_scale=-0.1), "p0_scale must be finite and >= 0, got -0.1"),
@@ -986,19 +1115,9 @@ class TestFilterConfig:
             FilterConfig(**kwargs)
         assert str(exc_info.value).startswith(message)
 
-    @pytest.mark.parametrize("gravity", [(0.0, 0.0, 9.81), (0.3, -0.2, 9.8)])
-    def test_inekf_transition_powers(self, gravity):
-        # F_M ... F_1 = I + T A + T2 A^2 needs A^2 and A^3 = 0; A^2 is set by hand.
-        cfg = FilterConfig(gravity=GravityModel(np.array(gravity)))
-        np.testing.assert_array_equal(cfg._A2, cfg._A @ cfg._A)
-        np.testing.assert_array_equal(cfg._A @ cfg._A2, np.zeros((9, 9)))
-        for array in (cfg._A, cfg._A2):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
-
     def test_zero_noise_is_accepted(self):
         cfg = FilterConfig(p0_scale=0.0, q_pos=0.0, q_vel=0.0, q_att=0.0)
-        np.testing.assert_array_equal(cfg.q_diag(), np.zeros(9))
+        assert (cfg.p0_scale, cfg.q_pos, cfg.q_vel, cfg.q_att) == (0.0, 0.0, 0.0, 0.0)
 
     def test_integer_values_are_accepted_as_floats(self):
         cfg = FilterConfig(q_pos=1, p0_scale=np.int64(2), r_vel=[1, 2, 3], r_att=np.ones(3, int))
@@ -1011,7 +1130,7 @@ class TestFilterConfig:
         copy, changed = replace(cfg), replace(cfg, q_att=1e-5)
         assert cfg == cfg and cfg != copy and cfg != changed and copy != changed
         assert hash(cfg) == hash(cfg) and len({cfg, copy, changed, cfg}) == 3
-        assert changed.q_att == 1e-5 and changed.q_diag()[8] == 1e-5
+        assert changed.q_att == 1e-5
         np.testing.assert_array_equal(r_matrix(copy), r_matrix(cfg))
         assert copy.biases is cfg.biases and copy.gravity is cfg.gravity
 
@@ -1022,7 +1141,7 @@ class TestFilterConfig:
         cfg = FilterConfig(r_vel=r_vel)
         r_vel[0] = 5.0
         assert cfg.r_vel[0] == 0.1 and cfg._r_matrix[0, 0] == 0.1
-        for array in (cfg.r_vel, cfg.r_att, cfg._r_matrix, cfg.q_diag()):
+        for array in (cfg.r_vel, cfg.r_att, cfg._r_matrix):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         changed = replace(cfg, r_att=np.full(3, 0.5))

@@ -74,7 +74,6 @@ from cipgnav.baselines import (
     FilterConfig,
     InekfState,
     _run_filter,
-    _skew,
     inekf_predict,
     inekf_update,
     run_ekf,
@@ -93,6 +92,7 @@ from cipgnav.quat import (
 )
 from cipgnav.sensors import synchronize
 from cipgnav.sim import benchmark_scenario, generate
+from tests.conftest import skew
 
 SEEDS = (0, 1, 2)
 YAW = 1.0  # rad about gravity
@@ -185,7 +185,7 @@ def rigid(seed, yaw, origin, adjoint=False) -> Case:
         R = quat_to_rotation(qg)
         Ad = np.zeros((9, 9))
         Ad[0:3, 0:3] = Ad[3:6, 3:6] = Ad[6:9, 6:9] = R
-        Ad[6:9, 0:3] = _skew(origin) @ R
+        Ad[6:9, 0:3] = skew(origin) @ R
     return Case((synchronize(run_.imu, dvl, ahrs), moved), back, rounding_bounds, Ad)
 
 

@@ -66,7 +66,7 @@ def test_inekf_update_calls_kalman_update_through_its_module_attribute(monkeypat
 # goes through quat.ordered_matmul or Python floats, which round alike under
 # every BLAS kernel.
 BLAS_PRODUCTS = {
-    "baselines": {"kalman_update", "ekf_predict", "ekf_update", "inekf_predict"},
+    "baselines": {"kalman_update", "_propagate", "ekf_predict", "ekf_update"},
     "ipg": {"_stacked_jacobian_chain", "precondition_update", "iterate_update", "ipg_step"},
 }
 
