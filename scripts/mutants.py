@@ -22,14 +22,15 @@ finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
 reruns their pass), of the filters (the one strapdown loop both predicts
 run: its gyro bias, strapdown order, attitude, increment, error order and
-start, the spacing refusal and the frame its warning names; the moment rows'
-suffix sums, side of the step, origin and centering; the EKF's transition
-sign and frame maps, whose attitude block the linearization test must see,
-the InEKF's T2 term and a noise block; the measurement updates on Python
-floats, the InEKF's measurement rows, innovation frame, correction side,
+start, the spacing refusal, of zero and of NaN, and the frame its warning
+names; the moment rows' suffix sums, side of the step, origin and centering;
+the EKF's transition sign and frame maps, whose attitude block the
+linearization test must see, the InEKF's T2 term and a noise block; the one
+Joseph form both updates call, the EKF's measurement rows and its float
+algebra, the InEKF's measurement rows, innovation frame, correction side,
 hemisphere and left Jacobian, and the runners' reading check), of
-the field rules in ``errors.py``, of the burst table's refusal of a
-non-finite reading, of the CLI's naming of a refused metadata value, of the
+the field rules in ``errors.py``, of the burst table's refusal of a NaN
+spacing and of a non-finite reading, of the CLI's naming of a refused metadata value, of the
 fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
 rotation entry's sign, the columns of rows of any leading shape, the rotation
 vector's hemisphere, the rotation-vector map's half angle and first-order
@@ -102,6 +103,7 @@ _EKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_ekf_matches_per_s
 _INEKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_inekf_matches_per_sample_loop"
 _UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
 _TABLE = "tests/test_equivariance.py"
+_NAN_TIME = "tests/test_baselines.py::TestBatchedPredict::test_nan_time_is_refused_as_a_spacing"
 
 MUTANTS = [
     # The reduced preconditioner update K' = c K + alpha (N-1) zeta (zeta^T K) + alpha I.
@@ -175,8 +177,11 @@ MUTANTS = [
            "        attitude = rotation_entries((qw, qx, qy, qz))\n", "unnormalized-attitude", True),
     Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2)", "(1.0, h * w1, h * w0, h * w2)",
            "increment-rates-swapped", True),
-    Mutant("baselines.py", "if dt <= 0.0:\n            raise ValueError(",
-           "if dt < 0.0:\n            raise ValueError(", "zero-spacing-accepted", True),
+    Mutant("baselines.py", "if not dt > 0.0:\n            raise ValueError(",
+           "if not dt >= 0.0:\n            raise ValueError(", "zero-spacing-accepted", True),
+    Mutant("baselines.py", "if not dt > 0.0:\n            raise ValueError(",
+           "if dt <= 0.0:\n            raise ValueError(", "nan-spacing-accepted", True,
+           _NAN_TIME),
     Mutant("baselines.py", "stacklevel=5", "stacklevel=4", "spacing-warning-own-frame", True,
            "tests/test_baselines.py::TestBatchedPredict::test_large_spacing_warns_once"),
     Mutant("baselines.py", _SPACINGS, _EARLY_PRODUCTS + _SPACINGS, "degenerate-before-spacing", True),
@@ -213,15 +218,18 @@ MUTANTS = [
            "inekf-transition-without-a2", True, _INEKF_LOOP),
     Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",
            "noise-cross-sign", True, _INEKF_LOOP),
-    # The EKF update's float algebra: the hemisphere flip, the innovation's conjugate
-    # and the Joseph form's K R K^T; and the correction's rotation-vector map.
+    # The one Joseph form both updates call, without its K R K^T; the EKF's
+    # measurement rows with the velocity's and the attitude's blocks swapped; the
+    # EKF update's float algebra: the hemisphere flip and the innovation's
+    # conjugate; and the correction's rotation-vector map.
+    Mutant("baselines.py", "P_post = IKH.dot(P).dot(IKH.T) + K.dot(R).dot(K.T)",
+           "P_post = IKH.dot(P).dot(IKH.T)", "joseph-no-krk", True),
+    Mutant("baselines.py", "_H_EKF[0:3, 3:6] = _H_EKF[3:6, 0:3] = np.eye(3)",
+           "_H_EKF[0:3, 0:3] = _H_EKF[3:6, 3:6] = np.eye(3)", "ekf-measurement-rows-swapped", True),
     Mutant("baselines.py", "q_meas = [-mw, -mx, -my, -mz]", "q_meas = [mw, mx, my, mz]",
            "ekf-no-hemisphere-flip", True),
     Mutant("baselines.py", "product_entries([w, -x, -y, -z], q_meas)",
            "product_entries([w, x, y, z], q_meas)", "ekf-innovation-conjugate", True),
-    Mutant("baselines.py", "P = IKH.dot(P).dot(IKH.T) + (K * config._r).dot(K.T)",
-           "P = IKH.dot(P).dot(IKH.T)",
-           "ekf-joseph-no-krk", True),
     Mutant("quat.py", "half = 0.5 * angle\n    s = math.sin(half)",
            "half = angle\n    s = math.sin(half)", "correction-full-angle", True,
            "tests/test_baselines.py"),
@@ -284,6 +292,10 @@ MUTANTS = [
            "count-accepts-float", True),
     Mutant("errors.py", "type(value) is type(option) and value == option", "value == option",
            "one-of-any-type", True),
+    # unpack_burst's spacing refusal with a NaN spacing let through: the burst
+    # table then raises about a NaN running product.
+    Mutant("preintegration.py", "bad = np.flatnonzero(~(dts > 0.0))",
+           "bad = np.flatnonzero(dts <= 0.0)", "burst-nan-spacing-accepted", True, _NAN_TIME),
     # The reading refusal of BurstInput.from_epochs: the raise, its gyro half, the
     # sensor it names, and the flag that sends a burst with a non-finite
     # accelerometer reading to it (a non-finite gyro one makes the norms NaN).

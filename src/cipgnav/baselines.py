@@ -4,12 +4,12 @@ Both filters propagate their mean with the strapdown expressions of
 ``preintegrate_burst`` and fuse the DVL velocity and AHRS attitude at every
 epoch with Joseph-form covariance updates.
 
-The EKF tracks a 9-dim error state (position, velocity, body-frame attitude
-angle).  The InEKF keeps the state as a matrix Lie group element (rotation,
-velocity, position) with a right-invariant error, its rotation held as a unit
-quaternion as ``NavState`` holds it; its deterministic error propagation is
-state-independent, which makes the group-affine invariance checks exact up to
-floating point.
+Both order their 9-dim error (attitude, velocity, position).  The EKF's
+attitude error is a body-frame angle.  The InEKF keeps the state as a matrix
+Lie group element (rotation, velocity, position) with a right-invariant error,
+its rotation held as a unit quaternion as ``NavState`` holds it; its
+deterministic error propagation is state-independent, which makes the
+group-affine invariance checks exact up to floating point.
 
 Both predicts work on a whole IMU burst at a time, through one loop and one
 propagation function.  ``_strapdown`` reads the burst once as Python floats,
@@ -22,23 +22,22 @@ position) in the navigation frame, Phi = [[I, 0, 0], [-[U]x, I, 0], [-[W]x,
 T I, I]] and N from one 8x8 moment product of the rows: the InEKF's U = -T g
 and W = -T2 g do not depend on the state, the EKF's are sums of specific force
 and its body-frame attitude error goes in and out through the maps T(R0) and
-T(R1)^T (see ``ekf_predict``).  The EKF update uses that its measurements select
-error-state rows 3..8 and forms no product with H.  Each ``FilterConfig``
+T(R1)^T, T(R) = diag(R, I, I) (see ``ekf_predict``).  Each ``FilterConfig``
 builds its matrices once: on 3- to 9-element arrays a numpy call costs more
 than its arithmetic.
 
-For the same reason both updates run their vector algebra on Python floats,
-with math's cos and sin (see ``quat``): everything but the gain solve, K y
-and the Joseph products.  In the EKF that is the innovation with its
+Both updates are one Joseph-form update, ``kalman_update``, called through its
+module attribute, with the measurement rows of the DVL velocity and the AHRS
+attitude: the EKF's H = [[0, I, 0], [I, 0, 0]], the InEKF's [[[v]x, -I, 0],
+[-I, 0, 0]].  Around it each runs its vector algebra on Python floats, with
+math's cos and sin (see ``quat``).  In the EKF that is the innovation with its
 hemisphere test and normalized Hamilton product, and the mean correction,
 whose rotation vector goes through ``from_rotvec_entries`` and whose product
-is normalized over ``_checked_norm``; the EKF update equals its array form
-bit for bit.  In the InEKF it is the attitude innovation (the rotation vector
-of q_meas (x) conj(q), normalized once), H's [v]x block and the correction
-X <- Exp(-dx) X (``_se23_exp_entries``, which ``se23_exp`` wraps), so its mean
-forms no product on BLAS; ``kalman_update`` is called through its module
-attribute.  Both updates refuse a non-finite DVL or AHRS reading with
-NumericalError.
+is normalized over ``_checked_norm``.  In the InEKF it is the attitude
+innovation (the rotation vector of q_meas (x) conj(q), normalized once), H's
+[v]x block and the correction X <- Exp(-dx) X (``_se23_exp_entries``, which
+``se23_exp`` wraps).  So neither mean forms a product on BLAS.  Both updates
+refuse a non-finite DVL or AHRS reading with NumericalError.
 """
 
 from __future__ import annotations
@@ -90,15 +89,18 @@ _EYE9 = np.eye(9)
 # entries of -[U]x and of -[W]x, row by row, then those of T I.
 _PHI_ENTRIES = np.ravel_multi_index(([3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 6, 7, 8],
                                      [1, 2, 0, 2, 0, 1, 1, 2, 0, 2, 0, 1, 3, 4, 5]), (9, 9))
-# T(R), which maps the EKF's error (dp, dv, dtheta_body) to (dtheta_nav, dv, dp) for
-# a rotation R at [0:3, 6:9], twice: ``ekf_predict`` puts R0 and R1 at _FRAME_ROTATIONS.
+# T(R) = diag(R, I, I), which maps the EKF's error (dtheta_body, dv, dp) to
+# (dtheta_nav, dv, dp), twice: ``ekf_predict`` puts R0 and R1 at _FRAME_ROTATIONS.
 _FRAME_MAPS = np.zeros((2, 9, 9))
-_FRAME_MAPS[:, 3:6, 3:6] = _FRAME_MAPS[:, 6:9, 0:3] = np.eye(3)
+_FRAME_MAPS[:, 3:9, 3:9] = np.eye(6)
 _FRAME_MAPS.setflags(write=False)
-_FRAME_ROTATIONS = np.arange(_FRAME_MAPS.size).reshape(_FRAME_MAPS.shape)[:, 0:3, 6:9].ravel()
-# The InEKF's measurement rows without their one state-dependent block, [v]x at H[0:3, 0:3].
-_H_INEKF = np.zeros((6, 9))
+_FRAME_ROTATIONS = np.arange(_FRAME_MAPS.size).reshape(_FRAME_MAPS.shape)[:, 0:3, 0:3].ravel()
+# The measurement rows of the DVL velocity and the AHRS attitude: the EKF's, and the
+# InEKF's without their one state-dependent block, [v]x at H[0:3, 0:3].
+_H_EKF, _H_INEKF = np.zeros((2, 6, 9))
+_H_EKF[0:3, 3:6] = _H_EKF[3:6, 0:3] = np.eye(3)
 _H_INEKF[0:3, 3:6] = _H_INEKF[3:6, 0:3] = -np.eye(3)
+_H_EKF.setflags(write=False)
 _H_INEKF.setflags(write=False)
 _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
 
@@ -134,15 +136,14 @@ class FilterConfig:
         for name in ("r_vel", "r_att"):  # copies the caller cannot change
             object.__setattr__(self, name, _finite3(name, getattr(self, name), positive=True))
         _one_of("validate", self.validate, (False, True))
-        r = np.concatenate([self.r_vel, self.r_att])
-        vars(self).update(_r=r, _r_matrix=np.diag(r))
-        for value in (self.r_vel, self.r_att, self._r, self._r_matrix):
+        vars(self).update(_r_matrix=np.diag(np.concatenate([self.r_vel, self.r_att])))
+        for value in (self.r_vel, self.r_att, self._r_matrix):
             value.setflags(write=False)
 
 
 @dataclass
 class EkfState:
-    """Mean NavState plus 9x9 covariance over (dp, dv, dtheta_body)."""
+    """Mean NavState plus 9x9 covariance over (dtheta_body, dv, dp)."""
 
     nav: NavState
     cov: np.ndarray
@@ -222,20 +223,19 @@ def _finish_cov(P: np.ndarray, config: FilterConfig, what: str) -> np.ndarray:
 
 def _spacings(rows, t_start) -> tuple:
     """The spacings of a burst's rows (lists of 7 floats), the first measured from
-    ``t_start``, as a list and as an array, checked in ``unpack_burst``'s order: a
-    non-positive one raises ValueError naming its row's ``t``, then the largest
-    (NaN if any is NaN) warns once through ``_check_dt``, attributed to the
-    predict's caller."""
+    ``t_start``, as a list and as an array, checked in ``unpack_burst``'s order: one
+    that is not positive (NaN included) raises ValueError naming its row's ``t``,
+    then the largest warns once through ``_check_dt``, attributed to the predict's
+    caller."""
     dts, t_prev = [], float(t_start)
     for row in rows:
         t = row[0]
         dt = t - t_prev
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError(f"non-positive IMU sample spacing at t={t!r}")
         dts.append(dt)
         t_prev = t
-    total = sum(dts)  # NaN if any spacing is: numpy's max is then NaN too
-    _check_dt(max(dts) if total == total else total, stacklevel=5)
+    _check_dt(max(dts), stacklevel=5)
     return dts, np.array(dts)
 
 
@@ -378,10 +378,10 @@ def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) ->
     These compose into ``_propagate``'s Phi, and each sample's noise goes
     through the same form over the samples after it (Forster et al., IEEE
     T-RO 33(1), 2017), from ``_strapdown``'s rows with positions relative to
-    the burst start.  P goes in through T(R0), which maps (dp, dv, dtheta_body)
-    to (dtheta_n, dv, dp), and out through T(R1)^T: the result is the recursion
-    P <- F_k P F_k^T + Q_k with attitude blocks R_{k+1}^T R_k, up to rounding,
-    and does not depend on where the burst is.
+    the burst start.  P goes in through T(R0) = diag(R0, I, I), which maps
+    (dtheta_body, dv, dp) to (dtheta_n, dv, dp), and out through T(R1)^T: the
+    result is the recursion P <- F_k P F_k^T + Q_k with attitude blocks
+    R_{k+1}^T R_k, up to rounding, and does not depend on where the burst is.
     """
     nav = state.nav
     rows = burst.tolist()
@@ -427,35 +427,26 @@ def _attitude_innovation(q_est, q_meas) -> list:
 def ekf_update(state: EkfState, dvl, ahrs, config: FilterConfig) -> EkfState:
     """Fuse a DVL velocity and an AHRS quaternion in one stacked update.
 
-    The measurement matrix H = [0 I] selects the velocity and attitude
-    errors, rows 3..8 of the error state, so the Joseph-form update of
-    ``kalman_update`` is written without it: H P = P[3:], S = P[3:, 3:] + R,
-    I - K H is the identity with K subtracted from columns 3..8, and, R
-    being diagonal, K R K^T = (K r) K^T.  Each of these equals its product
-    with H exactly, so the result is ``kalman_update(P, H, R, y)`` bit for
-    bit, with the same NumericalError on a singular S.  The innovation
-    (``_attitude_innovation``) and the mean correction are formed on Python
-    floats, the correction's rotation by ``from_rotvec_entries`` and its
-    product normalized over ``_checked_norm``: only the gain solve, K y and
-    the Joseph products are numpy calls.  A non-finite reading raises
+    The measurement rows H = [[0, I, 0], [I, 0, 0]] select the velocity and
+    the attitude error of (dtheta_body, dv, dp), and ``kalman_update`` forms
+    the Joseph-form update, raising NumericalError on a singular innovation
+    covariance.  The innovation (``_attitude_innovation``) and the mean
+    correction (p + dp, v + dv, q (x) Exp(dtheta)) are formed on Python floats,
+    the correction's rotation by ``from_rotvec_entries`` and its product
+    normalized over ``_checked_norm``.  A non-finite reading raises
     NumericalError.
     """
-    nav, P = state.nav, state.cov
+    nav = state.nav
     (d0, d1, d2), q_meas = _readings("ekf_update", dvl, ahrs)
     q_est = nav.orientation.tolist()
     v0, v1, v2 = nav.velocity.tolist()
-    y = np.array([d0 - v0, d1 - v1, d2 - v2, *_attitude_innovation(q_est, q_meas)])
-    K = _gain(P[3:, 3:] + config._r_matrix, P[3:])
-    dx = K.dot(y)  # ndarray.dot: less call overhead than @, the same bits
-    IKH = _EYE9.copy()
-    IKH[:, 3:] -= K
-    P = IKH.dot(P).dot(IKH.T) + (K * config._r).dot(K.T)
-    P = 0.5 * (P + P.T)
+    y = [d0 - v0, d1 - v1, d2 - v2, *_attitude_innovation(q_est, q_meas)]
+    dx, P = kalman_update(state.cov, _H_EKF, config._r_matrix, y)
     p0, p1, p2 = nav.position.tolist()
-    c0, c1, c2, c3, c4, c5, *theta = dx.tolist()
-    position = np.array([p0 + c0, p1 + c1, p2 + c2])
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = dx.tolist()
     velocity = np.array([v0 + c3, v1 + c4, v2 + c5])
-    q = product_entries(q_est, from_rotvec_entries(theta))
+    position = np.array([p0 + c6, p1 + c7, p2 + c8])
+    q = product_entries(q_est, from_rotvec_entries((c0, c1, c2)))
     n = _checked_norm(q)
     orientation = np.array([c / n for c in q])
     # The covariance is exactly symmetric: only a validating filter checks it.

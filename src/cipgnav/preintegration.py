@@ -131,7 +131,7 @@ class NavState:
 
 def _check_dt(dt: float, stacklevel: int = 3) -> float:
     dt = float(dt)
-    if dt <= 0.0:
+    if not dt > 0.0:  # also NaN
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > _DT_WARN:
         warnings.warn(f"IMU step dt={dt:.3f} s is large; integration error grows with dt",
@@ -144,11 +144,11 @@ def unpack_burst(burst, t_start: float, gyro_bias, accel_bias):
 
     Returns ``(dts, accel, gyro)`` with shapes (M,), (M, 3) and (M, 3); the
     first spacing is measured from ``t_start``.  Raises ValueError on a
-    non-positive spacing and warns once per burst, through ``_check_dt``,
-    when the largest spacing is large.
+    spacing that is not positive (NaN included) and warns once per burst,
+    through ``_check_dt``, when the largest spacing is large.
     """
     dts, accel, gyro = _columns(burst, [float(t_start)], gyro_bias, accel_bias)
-    bad = np.flatnonzero(dts <= 0.0)
+    bad = np.flatnonzero(~(dts > 0.0))
     if bad.size:
         raise ValueError(f"non-positive IMU sample spacing at t={float(burst[bad[0], 0])!r}")
     if dts.size:

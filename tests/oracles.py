@@ -60,8 +60,13 @@ they were on numpy arrays, before their vector algebra ran on Python floats:
 the innovation, the Hamilton products and the rotation-vector maps on 3- and
 4-element arrays with numpy's cos and sin, H built from ``np.zeros``, the
 left Jacobian from ``np.eye`` and 3x3 array operations, and ``kalman_update``
-through ``np.atleast_2d`` and ``np.eye``.  The package's EKF update must
-equal its oracle bit for bit.  The InEKF's array forms keep the rotation as a
+through ``np.atleast_2d`` and ``np.eye``.  The EKF's oracle writes its
+Joseph update without H = [[0, I, 0], [I, 0, 0]], by the rows H selects: H P
+is P's velocity rows over its attitude rows, S those rows' columns in the
+same order plus R, I - K H the identity with K's halves subtracted from the
+columns they select, and K R K^T = (K r) K^T for the diagonal r of R.  Each
+equals its product with H exactly, so the package's EKF update, which calls
+``kalman_update`` with H, must equal it bit for bit.  The InEKF's array forms keep the rotation as a
 3x3 matrix, formed by ``quat_to_rotation`` from the state's orientation and
 returned in an ``InekfArrays``; the package's InEKF update must equal its
 covariance bit for bit and its mean within 1e-12, its orientation compared
@@ -669,15 +674,17 @@ def ekf_update(state, dvl, ahrs, config):
     attitude = 2.0 * _quat_multiply(np.array([q_est[0], -q_est[1], -q_est[2], -q_est[3]]),
                                     q_meas)[1:]
     y = np.concatenate([np.asarray(dvl, dtype=float) - nav.velocity, attitude])
-    K = _gain(P[3:, 3:] + config._r_matrix, P[3:])
+    rows = [3, 4, 5, 0, 1, 2]  # (dv, dtheta) of (dtheta, dv, dp)
+    HP = P[rows]
+    K = _gain(HP[:, rows] + config._r_matrix, HP)
     dx = K @ y
     IKH = np.eye(9)
-    IKH[:, 3:] -= K
-    P = IKH @ P @ IKH.T + (K * config._r) @ K.T
+    IKH[:, rows] -= K
+    P = IKH @ P @ IKH.T + (K * np.concatenate([config.r_vel, config.r_att])) @ K.T
     P = 0.5 * (P + P.T)
-    position = nav.position + dx[0:3]
+    position = nav.position + dx[6:9]
     velocity = nav.velocity + dx[3:6]
-    orientation = _quat_multiply(nav.orientation, _rotvec_to_quat(dx[6:9]))
+    orientation = _quat_multiply(nav.orientation, _rotvec_to_quat(dx[0:3]))
     P = _check_cov(P, _PSD_TOL, "ekf_update") if config.validate else P
     return EkfState(NavState.exact(position, velocity, orientation), P)
 

@@ -34,7 +34,13 @@ from cipgnav.baselines import (
 from cipgnav.cascade import CascadeConfig, run_cascade
 from cipgnav.cli import hash_epochs
 from cipgnav.errors import DegenerateQuaternionError, NumericalError
-from cipgnav.preintegration import GravityModel, ImuBiases, NavState, preintegrate_burst
+from cipgnav.preintegration import (
+    BurstInput,
+    GravityModel,
+    ImuBiases,
+    NavState,
+    preintegrate_burst,
+)
 from cipgnav.quat import (
     quat_angular_distance,
     quat_conjugate,
@@ -46,6 +52,7 @@ from cipgnav.quat import (
     quat_to_rotation,
     quat_to_rotvec,
 )
+from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from tests import oracles
 from tests.conftest import central_difference, random_unit_quat, skew
@@ -68,11 +75,11 @@ def circle_epochs(duration=20.0, noise=QUIET, seed=0, radius=10.0):
 
 def reference_ekf_predict(state, burst, config, t_start):
     """ekf_predict sample by sample: per-sample F, noise and mean update.  F_k is the
-    Jacobian of the sample's mean step in (dp, dv, dtheta_body): its attitude block
+    Jacobian of the sample's mean step in (dtheta_body, dv, dp): its attitude block
     is R_{k+1}^T R_k, the turn the mean applies."""
     p, v, q, P = state.nav.position, state.nav.velocity, state.nav.orientation, state.cov
     g = config.gravity.vector
-    Qc = np.diag(np.repeat([config.q_pos, config.q_vel, config.q_att], 3))
+    Qc = np.diag(np.repeat([config.q_att, config.q_vel, config.q_pos], 3))
     t_prev = t_start
     for row in burst:
         dt = row[0] - t_prev
@@ -82,9 +89,9 @@ def reference_ekf_predict(state, burst, config, t_start):
         inc = np.concatenate(([1.0], 0.5 * dt * w))
         p, v, q = p + dt * v, v + dt * (R @ a + g), quat_normalize(quat_product(q, inc))
         F = np.eye(9)
-        F[0:3, 3:6] = dt * np.eye(3)
-        F[3:6, 6:9] = -dt * (R @ skew(a))
-        F[6:9, 6:9] = quat_to_rotation(q).T @ R
+        F[0:3, 0:3] = quat_to_rotation(q).T @ R
+        F[3:6, 0:3] = -dt * (R @ skew(a))
+        F[6:9, 3:6] = dt * np.eye(3)
         P = F @ P @ F.T + Qc * dt
         t_prev = row[0]
     return p, v, q, 0.5 * (P + P.T)
@@ -212,6 +219,19 @@ class TestBatchedPredict:
         burst[2, 0] = burst[1, 0]
         with pytest.raises(ValueError, match="spacing"):
             predict_from_rest(predict, burst)
+
+    def test_nan_time_is_refused_as_a_spacing(self, rng):
+        # A NaN spacing is not positive: both predicts and the burst table refuse
+        # it, naming the row's t, before the running product turns NaN.
+        burst = random_burst(rng, 0.0, 6)
+        burst[1, 0] = np.nan
+        epoch = SyncedEpoch(float(burst[-1, 0]), 0.0, burst, np.zeros(3), np.array([1.0, 0, 0, 0]))
+        for refuse in (lambda: predict_from_rest(ekf_predict, burst),
+                       lambda: predict_from_rest(inekf_predict, burst),
+                       lambda: BurstInput.from_epochs([epoch], ImuBiases())):
+            with pytest.raises(ValueError) as exc_info:
+                refuse()
+            assert str(exc_info.value) == "non-positive IMU sample spacing at t=nan"
 
     @pytest.mark.parametrize("predict", [ekf_predict, inekf_predict])
     def test_large_spacing_warns_once(self, rng, predict):
@@ -372,15 +392,15 @@ class TestOneStrapdown:
 
 
 def error_map(nav):
-    """C(x): the EKF's error (dp, dv, dtheta_body) at the mean x to first order in the
+    """C(x): the EKF's error (dtheta_body, dv, dp) at the mean x to first order in the
     right-invariant error (attitude, velocity, position): dtheta = R dtheta_body,
-    dv + [v]x dtheta and dp + [p]x dtheta."""
+    dv + [v]x dtheta and dp + [p]x dtheta, so C = [[R, 0, 0], [[v]x R, I, 0],
+    [[p]x R, 0, I]]."""
     R = quat_to_rotation(nav.orientation)
-    C = np.zeros((9, 9))
-    C[0:3, 6:9] = R
-    C[3:6, 3:6] = C[6:9, 0:3] = np.eye(3)
-    C[3:6, 6:9] = skew(nav.velocity) @ R
-    C[6:9, 6:9] = skew(nav.position) @ R
+    C = np.eye(9)
+    C[0:3, 0:3] = R
+    C[3:6, 0:3] = skew(nav.velocity) @ R
+    C[6:9, 0:3] = skew(nav.position) @ R
     return C
 
 
@@ -502,6 +522,7 @@ class TestInekfPredictAgainstArrayOracle:
         "nan-gyro-before-zero-spacing": [(1, 4, np.nan), (3, 0, "=2")],
         "nan-gyro-before-large-spacing": [(1, 4, np.nan), (slice(3, None), 0, 0.1)],
         "nan-accelerometer": [(2, 2, np.nan)],
+        "nan-time": [(1, 0, np.nan)],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -519,7 +540,7 @@ class TestInekfPredictAgainstArrayOracle:
             else:
                 burst[row, column] += edit
         result, large = assert_matches_array_oracle(state, burst, config, t0)
-        if "zero" in case or "negative" in case:  # the spacing's refusal comes first
+        if "zero" in case or "negative" in case or case == "nan-time":  # refused first
             assert result[0] is ValueError and large == []
         if case.endswith("large-spacing"):
             assert len(large) == 1
@@ -664,9 +685,10 @@ class TestKalmanUpdate:
 
 
 class TestEkfUpdate:
-    """ekf_update's row-selection form against kalman_update with H = [0 I]."""
+    """ekf_update against kalman_update with H = [[0, I, 0], [I, 0, 0]]."""
 
-    H = np.eye(9)[3:]
+    H = np.block([[np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))],
+                  [np.eye(3), np.zeros((3, 6))]])
 
     def random_inputs(self, rng, validate=False):
         config = FilterConfig(r_vel=rng.uniform(0.001, 1.0, 3), r_att=rng.uniform(0.001, 1.0, 3),
@@ -685,15 +707,14 @@ class TestEkfUpdate:
             y = np.concatenate([dvl - nav.velocity, _attitude_innovation(nav.orientation, ahrs)])
             dx, P_ref = kalman_update(P, self.H, r_matrix(config), y)
             assert out.cov.tobytes() == P_ref.tobytes()
-            assert out.nav.position.tobytes() == (nav.position + dx[0:3]).tobytes()
+            assert out.nav.position.tobytes() == (nav.position + dx[6:9]).tobytes()
             assert out.nav.velocity.tobytes() == (nav.velocity + dx[3:6]).tobytes()
             assert out.nav.orientation.tobytes() == quat_multiply(
-                nav.orientation, quat_from_rotvec(dx[6:9])).tobytes()
+                nav.orientation, quat_from_rotvec(dx[0:3])).tobytes()
 
     def test_singular_innovation_covariance_raises_as_kalman_update(self, rng):
         config, nav, dvl, ahrs = self.random_inputs(rng)
-        P = np.zeros((9, 9))
-        P[3:, 3:] = -r_matrix(config)  # S = P[3:, 3:] + R = 0
+        P = -self.H.T @ r_matrix(config) @ self.H  # S = H P H^T + R = 0
         with pytest.raises(NumericalError) as expected:
             kalman_update(P, self.H, r_matrix(config), np.zeros(6))
         with pytest.raises(NumericalError) as got:
@@ -705,12 +726,12 @@ class TestEkfUpdate:
     def test_validate_rejects_indefinite_covariance(self, rng, step):
         # A negative position variance is neither observed nor mixed by either step.
         config, nav, dvl, ahrs = self.random_inputs(rng, validate=True)
-        P = np.diag([-1.0] + [0.1] * 8)
+        P = np.diag([0.1] * 6 + [-1.0] + [0.1] * 2)
         if step == "predict":
             run = lambda cfg: ekf_predict(EkfState(nav, P), random_burst(rng, 0.0, 5), cfg, 0.0)
         else:
             run = lambda cfg: ekf_update(EkfState(nav, P), dvl, ahrs, cfg)
-        assert run(replace(config, validate=False)).cov[0, 0] < 0.0
+        assert run(replace(config, validate=False)).cov[6, 6] < 0.0
         with pytest.raises(NumericalError, match=f"ekf_{step}: covariance lost positive"):
             run(config)
 
@@ -775,15 +796,15 @@ class TestUpdateLinearization:
                         random_unit_quat(rng))
 
     def test_ekf(self, rng):
-        # X + dx = (p + dp, v + dv, q (x) Exp(dtheta)); measurements of the noise-free
+        # X + dx = (q (x) Exp(dtheta), v + dv, p + dp); measurements of the noise-free
         # state itself, so the innovation of the moved state is -H dx to first order.
-        H = np.eye(9)[3:]
+        H = TestEkfUpdate.H
         for _ in range(20):
             nav = self.state(rng)
             dvl, ahrs = nav.velocity, nav.orientation
 
             def innovation(dx):
-                q = quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9]))
+                q = quat_multiply(nav.orientation, quat_from_rotvec(dx[0:3]))
                 return [*(dvl - (nav.velocity + dx[3:6])), *_attitude_innovation(q, ahrs)]
 
             J = central_difference(innovation, np.zeros(9))
@@ -851,18 +872,18 @@ class TestPredictLinearization:
             yield config, nav, turning_burst(rng, t0), t0
 
     def test_ekf(self, rng):
-        # x + dx = (p + dp, v + dv, q (x) Exp(dtheta)); the mean's error is read back
+        # x + dx = (q (x) Exp(dtheta), v + dv, p + dp); the mean's error is read back
         # the same way, its attitude as Log(q_end^-1 (x) q).
         for config, nav, burst, t0 in self.draws(rng):
             end = ekf_predict(EkfState(nav, np.eye(9)), burst, config, t0)
 
             def mean(dx):
-                moved = NavState(nav.position + dx[0:3], nav.velocity + dx[3:6],
-                                 quat_multiply(nav.orientation, quat_from_rotvec(dx[6:9])))
+                moved = NavState(nav.position + dx[6:9], nav.velocity + dx[3:6],
+                                 quat_multiply(nav.orientation, quat_from_rotvec(dx[0:3])))
                 out = ekf_predict(EkfState(moved, np.eye(9)), burst, config, t0).nav
                 turn = quat_product(quat_conjugate(end.nav.orientation), out.orientation)
-                return np.concatenate([out.position - end.nav.position,
-                                       out.velocity - end.nav.velocity, quat_to_rotvec(turn)])
+                return np.concatenate([quat_to_rotvec(turn), out.velocity - end.nav.velocity,
+                                       out.position - end.nav.position])
 
             J = central_difference(mean, np.zeros(9), self.H)
             self.assert_matches(end.cov, J, end.nav.position)
@@ -1123,7 +1144,7 @@ class TestFilterConfig:
         cfg = FilterConfig(q_pos=1, p0_scale=np.int64(2), r_vel=[1, 2, 3], r_att=np.ones(3, int))
         assert (type(cfg.q_pos), type(cfg.p0_scale)) == (float, float)
         assert cfg.r_vel.dtype == cfg.r_att.dtype == float
-        np.testing.assert_array_equal(cfg._r, [1.0, 2.0, 3.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(cfg._r_matrix, np.diag([1.0, 2.0, 3.0, 1.0, 1.0, 1.0]))
 
     def test_compares_and_hashes_by_identity(self):
         cfg = FilterConfig()

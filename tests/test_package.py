@@ -1,6 +1,6 @@
 """Package surface: every name a module exports resolves, every module
 attribute the benchmark's tracer rebinds (``perfbench/workloads.py``) exists
-and the InEKF update reaches ``kalman_update`` through it, every product that
+and both filter updates reach ``kalman_update`` through it, every product that
 may run on BLAS sits in a function allowed to, and no norm is numpy's
 ``linalg.norm``."""
 
@@ -42,9 +42,10 @@ def test_traced_attributes_exist(name):
     assert not missing, f"cipgnav.{name} lacks attributes the benchmark tracer rebinds: {missing}"
 
 
-def test_inekf_update_calls_kalman_update_through_its_module_attribute(monkeypatch):
-    # The tracer's baselines.kalman_update span rebinds this attribute: an InEKF
-    # update that called its Joseph form any other way would leave the span at 0.
+@pytest.mark.parametrize("kind", ["ekf", "inekf"])
+def test_update_calls_kalman_update_through_its_module_attribute(monkeypatch, kind):
+    # The tracer's baselines.kalman_update span rebinds this attribute: an update
+    # that called its Joseph form any other way would leave its share of the span at 0.
     from cipgnav import baselines
 
     calls = []
@@ -56,8 +57,10 @@ def test_inekf_update_calls_kalman_update_through_its_module_attribute(monkeypat
 
     monkeypatch.setattr(baselines, "kalman_update", counting)
     config = baselines.FilterConfig()
-    state = baselines.InekfState.start(cipgnav.NavState(velocity=[1.0, 0.0, 0.0]), config)
-    baselines.inekf_update(state, [1.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], config)
+    start, update = ((baselines.EkfState.start, baselines.ekf_update) if kind == "ekf"
+                     else (baselines.InekfState.start, baselines.inekf_update))
+    state = start(cipgnav.NavState(velocity=[1.0, 0.0, 0.0]), config)
+    update(state, [1.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], config)
     assert len(calls) == 1
 
 
@@ -66,7 +69,7 @@ def test_inekf_update_calls_kalman_update_through_its_module_attribute(monkeypat
 # goes through quat.ordered_matmul or Python floats, which round alike under
 # every BLAS kernel.
 BLAS_PRODUCTS = {
-    "baselines": {"kalman_update", "_propagate", "ekf_predict", "ekf_update"},
+    "baselines": {"kalman_update", "_propagate", "ekf_predict"},
     "ipg": {"_stacked_jacobian_chain", "precondition_update", "iterate_update", "ipg_step"},
 }
 
