@@ -30,8 +30,8 @@ Joseph form both updates call, the EKF's measurement rows and its float
 algebra, the InEKF's measurement rows, innovation frame, correction side,
 hemisphere and left Jacobian, and the runners' reading check), of
 the field rules in ``errors.py``, of the burst table's refusal of a NaN
-spacing and of a non-finite reading, of the CLI's naming of a refused metadata value, of the
-fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
+spacing and of a non-finite reading, of the CLI's naming of a refused
+metadata value, of the fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
 rotation entry's sign, the columns of rows of any leading shape, the rotation
 vector's hemisphere, the rotation-vector map's half angle and first-order
 branch, and the orthogonality test of Shepperd's method) and the

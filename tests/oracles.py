@@ -66,11 +66,11 @@ is P's velocity rows over its attitude rows, S those rows' columns in the
 same order plus R, I - K H the identity with K's halves subtracted from the
 columns they select, and K R K^T = (K r) K^T for the diagonal r of R.  Each
 equals its product with H exactly, so the package's EKF update, which calls
-``kalman_update`` with H, must equal it bit for bit.  The InEKF's array forms keep the rotation as a
-3x3 matrix, formed by ``quat_to_rotation`` from the state's orientation and
-returned in an ``InekfArrays``; the package's InEKF update must equal its
-covariance bit for bit and its mean within 1e-12, its orientation compared
-through ``quat_to_rotation``.
+``kalman_update`` with H, must equal it bit for bit.  The InEKF's array forms
+keep the rotation as a 3x3 matrix, formed by ``quat_to_rotation`` from the
+state's orientation and returned in an ``InekfArrays``; the package's InEKF
+update must equal its covariance bit for bit and its mean within 1e-12, its
+orientation compared through ``quat_to_rotation``.
 
 ``inekf_predict`` is the InEKF predict as it was on arrays, before its mean
 ran on Python floats and its covariance went to closed form: the burst
