@@ -20,33 +20,34 @@ The table holds mutants of the cascade's per-epoch code (the reduced
 preconditioner update, the velocity stage's two-scalar composition, the
 finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
-reruns their pass), of the filters (the one strapdown loop both predicts
-run: its gyro bias, strapdown order, attitude, increment, error order and
-start, the spacing refusal, of zero and of NaN, and the frame its warning
-names; the moment rows' suffix sums, side of the step, origin and centering;
-the EKF's transition sign and frame maps, whose attitude block the
-linearization test must see, the InEKF's T2 term and a noise block; the one
-Joseph form both updates call, the EKF's measurement rows and its float
-algebra, the InEKF's measurement rows, innovation frame, correction side,
-hemisphere and left Jacobian, and the runners' reading check), of
-the field rules in ``errors.py``, of the burst table's refusal of a NaN
-spacing and of a non-finite reading, of the CLI's naming of a refused
-metadata value, of the fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a
-rotation entry's sign, the columns of rows of any leading shape, the rotation
-vector's hemisphere, the rotation-vector map's half angle and first-order
-branch, and the orthogonality test of Shepperd's method) and the
-running product's increment, of the two stages' closed-form fixed points
-(``tests/oracles.py``), of products put back on BLAS,
-of ``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order
-check), of the CSV loader's unit-norm rule through each parse path, of
-``truth_from_gt``'s end rows, of the simulator's navigation-to-body
-rotation, of the CLI's choice of the gt row for the initial state, and rows
-that the symmetry table ``tests/test_equivariance.py`` must kill (the EKF's
-attitude innovation in the navigation frame, body-frame DVL rotated by the
-conjugate, and the epoch period on float32 times).  A row that may survive
-says why.  Each mutant takes one pytest run of its target,
-about 10 s for ``tests/test_cascade.py``, 30 s for ``tests/test_cli.py``
-and 3 s for the others; none of this runs in tier-1.
+reruns their pass), of the filters (the one strapdown loop both predicts run:
+its gyro bias, strapdown order, attitude, increment, error order and start,
+the spacing refusal, of zero and of NaN, and the frame its warning names; its
+written-out step against the loop that called the quat float forms, bit for
+bit; the moment rows' suffix sums, side of the step, origin and centering; the
+EKF's transition sign and frame maps, whose attitude block the linearization
+test must see, the InEKF's T2 term, and the noise map's input blocks and
+densities; the one Joseph form both updates call, the EKF's measurement rows
+and its float algebra, the InEKF's measurement rows, innovation frame,
+correction side, hemisphere and left Jacobian, and the runners' reading
+check), of the field rules in ``errors.py``, of the burst table's refusal of a
+NaN spacing and of a non-finite reading, of the CLI's naming of a refused
+metadata value, of the fixed-order kernel ``quat.ordered_matmul``, of
+``quat``'s formulas (a rotation entry's sign, the columns of rows of any
+leading shape, the rotation vector's hemisphere, the rotation-vector map's
+half angle and first-order branch, and the orthogonality test of Shepperd's
+method) and the running product's increment, of the two stages' closed-form
+fixed points (``tests/oracles.py``), of products put back on BLAS, of
+``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order check), of
+the CSV loader's unit-norm rule through each parse path, of
+``truth_from_gt``'s end rows, of the simulator's navigation-to-body rotation,
+of the CLI's choice of the gt row for the initial state, and rows that the
+symmetry table ``tests/test_equivariance.py`` must kill (the EKF's attitude
+innovation in the navigation frame, body-frame DVL rotated by the conjugate,
+and the epoch period on float32 times).  A row that may survive says why.  Each
+mutant takes one pytest run of its target, about 10 s for
+``tests/test_cascade.py``, 30 s for ``tests/test_cli.py`` and 3 s for the
+others; none of this runs in tier-1.
 
 Example:
     python3 scripts/mutants.py
@@ -83,7 +84,6 @@ class Mutant(NamedTuple):
 # Lines of the filters' one strapdown loop, in its order.
 _BIAS = ("        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, "
          "w2 - c2\n")
-_ATTITUDE = "        r00, r01, r02, r10, r11, r12, r20, r21, r22 = attitude\n"
 _FORCE = ("        f0 = r00 * a0 + r01 * a1 + r02 * a2\n"
           "        f1 = r10 * a0 + r11 * a1 + r12 * a2\n"
           "        f2 = r20 * a0 + r21 * a1 + r22 * a2\n")
@@ -104,6 +104,8 @@ _INEKF_LOOP = "tests/test_baselines.py::TestBatchedPredict::test_inekf_matches_p
 _UPDATE_ORACLE = "tests/test_baselines.py::TestUpdatesAgainstArrayOracles::test_inekf_update"
 _TABLE = "tests/test_equivariance.py"
 _NAN_TIME = "tests/test_baselines.py::TestBatchedPredict::test_nan_time_is_refused_as_a_spacing"
+_STEP_ORACLE = "tests/test_baselines.py::TestStrapdownStep"
+_NOISE_ORACLE = "tests/test_baselines.py::TestNoiseMap"
 
 MUTANTS = [
     # The reduced preconditioner update K' = c K + alpha (N-1) zeta (zeta^T K) + alpha I.
@@ -173,9 +175,9 @@ MUTANTS = [
     Mutant("baselines.py", _BIAS, _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
            "gyro-bias-kept", True),
     Mutant("baselines.py", _STEP, _STEP_SWAPPED, "position-end-velocity", True),
-    Mutant("baselines.py", "        attitude = rotation_entries(unit)\n",
-           "        attitude = rotation_entries((qw, qx, qy, qz))\n", "unnormalized-attitude", True),
-    Mutant("baselines.py", "(1.0, h * w0, h * w1, h * w2)", "(1.0, h * w1, h * w0, h * w2)",
+    Mutant("baselines.py", "w, x, y, z = qw / norm, qx / norm, qy / norm, qz / norm",
+           "w, x, y, z = qw, qx, qy, qz", "unnormalized-attitude", True),
+    Mutant("baselines.py", "e0, e1, e2 = h * w0, h * w1, h * w2", "e0, e1, e2 = h * w1, h * w0, h * w2",
            "increment-rates-swapped", True),
     Mutant("baselines.py", "if not dt > 0.0:\n            raise ValueError(",
            "if not dt >= 0.0:\n            raise ValueError(", "zero-spacing-accepted", True),
@@ -187,6 +189,14 @@ MUTANTS = [
     Mutant("baselines.py", _SPACINGS, _EARLY_PRODUCTS + _SPACINGS, "degenerate-before-spacing", True),
     Mutant("baselines.py", "qw, qx, qy, qz = orientation.tolist()",
            "qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0", "identity-start", True),
+    # The step written out in the loop, against the loop that called the quat
+    # float forms, bit for bit: a rotation entry's sign, and the increment
+    # product's x component summed in another grouping (exact but for rounding).
+    Mutant("baselines.py", "r00, r01, r02 = 1.0 - (yy + zz), xy - wz, xz + wy",
+           "r00, r01, r02 = 1.0 - (yy + zz), xy + wz, xz + wy", "step-rotation-entry-sign", True,
+           _STEP_ORACLE),
+    Mutant("baselines.py", "qw * e0 + qx + qy * e2 - qz * e1", "qw * e0 + (qx + qy * e2) - qz * e1",
+           "step-product-order", True, _STEP_ORACLE),
     # The moment rows: the InEKF's a_k summing its own sample's spacing, the EKF's
     # rows taken before their step, every row taken after its step, the EKF's rows
     # from absolute positions (exact but for rounding, which moving the burst 1 km
@@ -195,8 +205,8 @@ MUTANTS = [
            _INEKF_LOOP),
     Mutant("baselines.py", "sums if after else sums[1:]", "sums[1:]", "ekf-rows-before-step", True,
            _EKF_LOOP),
-    Mutant("baselines.py", _MOMENTS + _BIAS + _ATTITUDE + _FORCE + _STEP,
-           _BIAS + _ATTITUDE + _FORCE + _STEP + _MOMENTS, "moment-after-step", True),
+    Mutant("baselines.py", _MOMENTS + _BIAS + _FORCE + _STEP,
+           _BIAS + _FORCE + _STEP + _MOMENTS, "moment-after-step", True),
     Mutant("baselines.py", "(0.0, 0.0, 0.0) if after else (p0, p1, p2)", "(p0, p1, p2)",
            "ekf-rows-absolute-position", True, "tests/test_baselines.py::TestOneTransition"),
     Mutant("baselines.py", "reshape(-1, 8) - (v0, v1, v2, r0, r1, r2, 0.0, 0.0)", "reshape(-1, 8)",
@@ -204,8 +214,7 @@ MUTANTS = [
     # The transitions: the EKF's U with its sign flipped; its frame maps with R0 and
     # R1 swapped, which turns the attitude block R1^T R0 the other way, and with R0
     # twice, which makes it I, as a burst that does not turn (the linearization
-    # test must kill it); the InEKF's W = -T2 g left out (Phi without T2 A^2); and
-    # one sign of the noise's -q_att [sum dt u]x block.
+    # test must kill it); and the InEKF's W = -T2 g left out (Phi without T2 A^2).
     Mutant("baselines.py", "(v0 - x0, v1 - x1, v2 - x2)", "(x0 - v0, x1 - v1, x2 - v2)",
            "ekf-transition-sign", True, _EKF_LOOP),
     Mutant("baselines.py", "maps.put(_FRAME_ROTATIONS, rotations)",
@@ -216,8 +225,16 @@ MUTANTS = [
            "tests/test_baselines.py::TestPredictLinearization::test_ekf"),
     Mutant("baselines.py", "(-(T2 * g0), -(T2 * g1), -(T2 * g2))", "(0.0, 0.0, 0.0)",
            "inekf-transition-without-a2", True, _INEKF_LOOP),
-    Mutant("baselines.py", "qS, 0.0, 0.0, 0.0, u2, -u1,", "qS, 0.0, 0.0, 0.0, -u2, u1,",
-           "noise-cross-sign", True, _INEKF_LOOP),
+    # The noise map: the input block [x_u]x of B(x) negated (which flips the
+    # noise's -q_att [sum dt u]x block), its a I block negated, and q_vel put on
+    # the position block.
+    Mutant("baselines.py", "_NOISE_INPUTS[0:3, 3:6, 0:3] = _SKEW_BASIS",
+           "_NOISE_INPUTS[0:3, 3:6, 0:3] = -_SKEW_BASIS", "noise-cross-sign", True, _INEKF_LOOP),
+    Mutant("baselines.py", "_NOISE_INPUTS[6, 6:9, 3:6] = np.eye(3)",
+           "_NOISE_INPUTS[6, 6:9, 3:6] = -np.eye(3)", "noise-lever-sign", True, _NOISE_ORACLE),
+    Mutant("baselines.py", "[self.q_att, self.q_vel, self.q_pos]",
+           "[self.q_att, self.q_vel, self.q_vel]", "noise-velocity-on-position", True,
+           _NOISE_ORACLE),
     # The one Joseph form both updates call, without its K R K^T; the EKF's
     # measurement rows with the velocity's and the attitude's blocks swapped; the
     # EKF update's float algebra: the hemisphere flip and the innovation's

@@ -14,17 +14,17 @@ group-affine invariance checks exact up to floating point.
 Both predicts work on a whole IMU burst at a time, through one loop and one
 propagation function.  ``_strapdown`` reads the burst once as Python floats,
 checks its spacings (``_spacings``) and walks it in one strapdown loop over a
-quaternion chain, so the InEKF's mean is the EKF's started at its orientation,
-bit for bit, and no BLAS call forms either mean (OpenBLAS picks its kernel per
-CPU at run time).  The loop also forms one moment row per sample.
-``_propagate`` then forms Phi P Phi^T + N on the error (attitude, velocity,
-position) in the navigation frame, Phi = [[I, 0, 0], [-[U]x, I, 0], [-[W]x,
-T I, I]] and N from one 8x8 moment product of the rows: the InEKF's U = -T g
-and W = -T2 g do not depend on the state, the EKF's are sums of specific force
-and its body-frame attitude error goes in and out through the maps T(R0) and
-T(R1)^T, T(R) = diag(R, I, I) (see ``ekf_predict``).  Each ``FilterConfig``
-builds its matrices once: on 3- to 9-element arrays a numpy call costs more
-than its arithmetic.
+quaternion chain, each step written out without a call, so the InEKF's mean is
+the EKF's started at its orientation, bit for bit, and no BLAS call forms
+either mean (OpenBLAS picks its kernel per CPU at run time).  The loop also
+forms one moment row per sample.  ``_propagate`` then forms Phi P Phi^T + N on
+the error (attitude, velocity, position) in the navigation frame, Phi = [[I, 0,
+0], [-[U]x, I, 0], [-[W]x, T I, I]] and N one per-config linear map of the 8x8
+moment product of the rows: the InEKF's U = -T g and W = -T2 g do not depend
+on the state, the EKF's are sums of specific force and its body-frame attitude
+error goes in and out through the maps T(R0) and T(R1)^T, T(R) = diag(R, I, I)
+(see ``ekf_predict``).  Each ``FilterConfig`` builds its matrices once: on 3- to
+9-element arrays a numpy call costs more than its arithmetic.
 
 Both updates are one Joseph-form update, ``kalman_update``, called through its
 module attribute, with the measurement rows of the DVL velocity and the AHRS
@@ -57,6 +57,7 @@ from .preintegration import (
 )
 from .preintegration import preintegrate_burst  # noqa: F401  kept as a module attribute: perfbench times it
 from .quat import (
+    _NORM_EPS,
     _checked_norm,
     _norm,
     _unit,
@@ -102,6 +103,15 @@ _H_EKF[0:3, 3:6] = _H_EKF[3:6, 0:3] = np.eye(3)
 _H_INEKF[0:3, 3:6] = _H_INEKF[3:6, 0:3] = -np.eye(3)
 _H_EKF.setflags(write=False)
 _H_INEKF.setflags(write=False)
+# B(x) = [[I, 0, 0], [[x_u]x, I, 0], [[x_w]x, a I, I]], which carries a sample's noise
+# to the burst end, is linear in its moment row x = (x_u, x_w, a, 1): B(x) = sum_i
+# x_i _NOISE_INPUTS[i].  [e_i]x is row i of _SKEW_BASIS (its row j is e_j x e_i).
+_SKEW_BASIS = np.cross(np.eye(3)[None], np.eye(3)[:, None])
+_NOISE_INPUTS = np.zeros((8, 9, 9))
+_NOISE_INPUTS[0:3, 3:6, 0:3] = _SKEW_BASIS
+_NOISE_INPUTS[3:6, 6:9, 0:3] = _SKEW_BASIS
+_NOISE_INPUTS[6, 6:9, 3:6] = np.eye(3)
+_NOISE_INPUTS[7] = _EYE9
 _PSD_TOL = 1e-9  # the most negative covariance eigenvalue a validating filter accepts
 
 
@@ -136,8 +146,14 @@ class FilterConfig:
         for name in ("r_vel", "r_att"):  # copies the caller cannot change
             object.__setattr__(self, name, _finite3(name, getattr(self, name), positive=True))
         _one_of("validate", self.validate, (False, True))
-        vars(self).update(_r_matrix=np.diag(np.concatenate([self.r_vel, self.r_att])))
-        for value in (self.r_vel, self.r_att, self._r_matrix):
+        # N = sum_k dt_k B(x_k) Q B(x_k)^T is linear in G = sum_k dt_k x_k x_k^T: its
+        # column (i, j) is vec(E_i Q E_j^T), each entry one +-q or 0 (an E_i row has at
+        # most one nonzero), so the map is exact.
+        q = np.repeat([self.q_att, self.q_vel, self.q_pos], 3)
+        noise_map = np.einsum("irk,k,jsk->rsij", _NOISE_INPUTS, q, _NOISE_INPUTS).reshape(81, 64)
+        vars(self).update(_r_matrix=np.diag(np.concatenate([self.r_vel, self.r_att])),
+                          _noise_map=noise_map)
+        for value in (self.r_vel, self.r_att, self._r_matrix, self._noise_map):
             value.setflags(write=False)
 
 
@@ -243,16 +259,21 @@ def _strapdown(rows, t_start, config: FilterConfig, orientation, velocity, posit
                after: bool) -> tuple:
     """Both predicts' pass over a burst's rows (lists of 7 floats) from the state
     (``orientation``, ``velocity``, ``position``).  Returns the end orientation,
-    velocity and position as lists of floats, the burst's transition (U, W, T)
-    for ``_propagate``, its noise rows as an (M, 8) array, the spacings as an
-    array and the entries of its start and end rotations R0 and R1, 18 floats.
+    velocity and position as floats, the burst's transition (U, W, T) for
+    ``_propagate``, its noise rows as an (M, 8) array, the spacings as an array
+    and, with ``after`` (None without), the entries of its start and end
+    rotations R0 and R1, 18 floats.
 
     ``_spacings`` checks the spacings first; a backward pass forms (a_k, b_k),
     the first and second elementary symmetric sums of the spacings after sample
-    k, and (T, T2) of the whole burst.  Each attitude is the rotation of the
-    normalized running product, so a degenerate product (from a NaN reading)
-    raises DegenerateQuaternionError after every spacing check and the warning,
-    in ``unpack_burst``'s order.
+    k, and (T, T2) of the whole burst.  Each step is written out in the loop,
+    without a call: the running product times the increment (1, dt w / 2),
+    ``product_entries`` less its four products by 1.0 (x 1.0 is x in IEEE
+    arithmetic), over its norm summed in ``_norm``'s order, and the attitude
+    ``rotation_entries`` of that unit quaternion, its expressions unchanged.  A
+    degenerate product (from a NaN reading) is refused by ``_unit`` with its
+    DegenerateQuaternionError, after every spacing check and the warning, in
+    ``unpack_burst``'s order.
 
     Before each step the loop appends the row (a g + v, b g + a v + r, a, 1),
     r stepped as p is.  Without ``after`` (the InEKF) r is p and (a, b) =
@@ -278,15 +299,13 @@ def _strapdown(rows, t_start, config: FilterConfig, orientation, velocity, posit
         a, b = a + dt, b + dt * a
         sums.append((a, b))
     sums.reverse()
-    unit = _unit((qw, qx, qy, qz))
-    first = attitude = rotation_entries(unit)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = first = rotation_entries(_unit((qw, qx, qy, qz)))
     moments = []
     for dt, (_, a0, a1, a2, w0, w1, w2), (ak, bk) in zip(dts, rows, sums if after else sums[1:]):
         moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,
                     bk * g0 + ak * v0 + r0, bk * g1 + ak * v1 + r1, bk * g2 + ak * v2 + r2,
                     ak, 1.0)
         a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = attitude
         f0 = r00 * a0 + r01 * a1 + r02 * a2
         f1 = r10 * a0 + r11 * a1 + r12 * a2
         f2 = r20 * a0 + r21 * a1 + r22 * a2
@@ -294,19 +313,30 @@ def _strapdown(rows, t_start, config: FilterConfig, orientation, velocity, posit
         r0, r1, r2 = r0 + dt * v0, r1 + dt * v1, r2 + dt * v2
         v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
         h = 0.5 * dt
-        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
-        unit = _unit((qw, qx, qy, qz))
-        attitude = rotation_entries(unit)
-    end, rotations = (unit, [v0, v1, v2], [p0, p1, p2]), first + attitude
+        e0, e1, e2 = h * w0, h * w1, h * w2  # q (x) (1, e), its products by 1.0 dropped
+        qw, qx, qy, qz = (qw - qx * e0 - qy * e1 - qz * e2, qw * e0 + qx + qy * e2 - qz * e1,
+                          qw * e1 - qx * e2 + qy + qz * e0, qw * e2 + qx * e1 - qy * e0 + qz)
+        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)  # _norm's order
+        if not norm > _NORM_EPS:
+            _unit((qw, qx, qy, qz))  # raises its DegenerateQuaternionError
+        w, x, y, z = qw / norm, qx / norm, qy / norm, qz / norm
+        w2, x2, y2, z2 = 2.0 * w, 2.0 * x, 2.0 * y, 2.0 * z  # rotation_entries
+        wx, wy, wz, xy, xz, yz = w2 * x, w2 * y, w2 * z, x2 * y, x2 * z, y2 * z
+        xx, yy, zz = x2 * x, y2 * y, z2 * z
+        r00, r01, r02 = 1.0 - (yy + zz), xy - wz, xz + wy
+        r10, r11, r12 = xy + wz, 1.0 - (xx + zz), yz - wx
+        r20, r21, r22 = xz - wy, yz + wx, 1.0 - (xx + yy)
+    end = (w, x, y, z), [v0, v1, v2], [p0, p1, p2]  # the rows are never empty
     T, T2 = sums[0]
     if not after:
         transition = (-(T * g0), -(T * g1), -(T * g2)), (-(T2 * g0), -(T2 * g1), -(T2 * g2)), T
-        return end, transition, np.fromiter(moments, float).reshape(-1, 8), dt_array, rotations
+        return end, transition, np.fromiter(moments, float).reshape(-1, 8), dt_array, None
     x0, x1, x2, x3, x4, x5 = moments[:6]  # row 0, less (v_M, r_M), is (-U, -W)
     transition = (v0 - x0, v1 - x1, v2 - x2), (r0 - x3, r1 - x4, r2 - x5), T
     del moments[:8]
     moments += (v0, v1, v2, r0, r1, r2, 0.0, 1.0)
     X = np.fromiter(moments, float).reshape(-1, 8) - (v0, v1, v2, r0, r1, r2, 0.0, 0.0)
+    rotations = first + [r00, r01, r02, r10, r11, r12, r20, r21, r22]
     return end, transition, X, dt_array, rotations
 
 
@@ -319,32 +349,14 @@ def _propagate(P, U, W, T, X, dt_array, config: FilterConfig, into=None) -> np.n
     Each block of a sample's noise is a multiple of I, so N depends on the
     burst through one row per sample, x_k = (x_u, x_w, a_k, 1): sample k's
     attitude noise n reaches the end as (n, [x_u]x n, [x_w]x n), its velocity
-    noise as (0, n, a_k n) and its position noise as (0, 0, n).  N's blocks are
-    N_thth = q_att S I, N_thv = -q_att [sum dt x_u]x, N_thp = -q_att [sum dt x_w]x,
-    N_vv = q_att (tr U - U) + q_vel S I, N_vp = q_att (tr X - X) + q_vel (sum dt a) I
-    and N_pp = q_att (tr W - W) + (q_vel sum dt a^2 + q_pos S) I, with S the sum
-    of dt, U = sum dt x_u x_u^T, X = sum dt x_w x_u^T and W = sum dt x_w x_w^T,
-    every sum from one BLAS product, sum_k dt_k x_k x_k^T.
+    noise as (0, n, a_k n) and its position noise as (0, 0, n), that is through
+    B(x_k) = [[I, 0, 0], [[x_u]x, I, 0], [[x_w]x, a_k I, I]], linear in x_k.  So
+    N = sum_k dt_k B(x_k) Q B(x_k)^T, Q = diag(q_att I, q_vel I, q_pos I), is one
+    linear map of the 8x8 moment product G = sum_k dt_k x_k x_k^T, built once per
+    config (``FilterConfig._noise_map``, 81 x 64): two BLAS products form N.
     """
-    G = (X * dt_array[:, None]).T.dot(X).tolist()  # sum_k dt_k x_k x_k^T
-    qa, qv, S = config.q_att, config.q_vel, G[7][7]
-    u0, u1, u2, w0, w1, w2 = [qa * row[7] for row in G[:6]]  # q_att sum_k dt_k (x_u, x_w)
-    vv0, vv1, vv2 = _moment_block(G[0:3], 0, qa, qv * S)
-    vp0, vp1, vp2 = _moment_block(G[3:6], 0, qa, qv * G[6][7])
-    pv0, pv1, pv2 = zip(vp0, vp1, vp2)
-    pp0, pp1, pp2 = _moment_block(G[3:6], 3, qa, qv * G[6][6] + config.q_pos * S)
-    qS = qa * S
-    N = np.fromiter([
-        qS, 0.0, 0.0, 0.0, u2, -u1, 0.0, w2, -w1,
-        0.0, qS, 0.0, -u2, 0.0, u0, -w2, 0.0, w0,
-        0.0, 0.0, qS, u1, -u0, 0.0, w1, -w0, 0.0,
-        0.0, -u2, u1, *vv0, *vp0,
-        u2, 0.0, -u0, *vv1, *vp1,
-        -u1, u0, 0.0, *vv2, *vp2,
-        0.0, -w2, w1, *pv0, *pp0,
-        w2, 0.0, -w0, *pv1, *pp1,
-        -w1, w0, 0.0, *pv2, *pp2,
-    ], float).reshape(9, 9)
+    G = (X * dt_array[:, None]).T.dot(X)  # sum_k dt_k x_k x_k^T
+    N = config._noise_map.dot(G.ravel()).reshape(9, 9)
     U0, U1, U2 = U
     W0, W1, W2 = W
     Phi = _EYE9.copy()
@@ -352,15 +364,6 @@ def _propagate(P, U, W, T, X, dt_array, config: FilterConfig, into=None) -> np.n
     if into is not None:
         Phi = Phi.dot(into)
     return Phi.dot(P).dot(Phi.T) + N
-
-
-def _moment_block(rows, c, q, extra) -> tuple:
-    """q (tr Y I - Y) + extra I as three rows of floats, Y the 3x3 block at columns
-    c..c+2 of the three lists ``rows``; tr Y - Y_ii is the sum of the other two."""
-    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = [row[c:c + 3] for row in rows]
-    return ((q * (y11 + y22) + extra, -q * y01, -q * y02),
-            (-q * y10, q * (y00 + y22) + extra, -q * y12),
-            (-q * y20, -q * y21, q * (y00 + y11) + extra))
 
 
 def ekf_predict(state: EkfState, burst, config: FilterConfig, t_start: float) -> EkfState:

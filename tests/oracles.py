@@ -80,6 +80,18 @@ chained in sample order, ``cumsum`` giving the velocities and positions
 P <- F_k P F_k^T + Q_k by ``_propagate_cov``.  The package's predict must
 equal its mean and its covariance within 1e-12, and raise and warn as it
 does.
+
+``strapdown_loop`` is ``baselines._strapdown`` as it was before its step was
+written out in the loop: each step calls ``product_entries`` with the
+increment (1, dt w / 2), ``_unit`` and ``rotation_entries``, and both sides
+form the start and end rotations.  The package's loop must give its end
+state, moment rows and rotations bit for bit, and raise as it does.
+
+``noise_sum`` is ``baselines._propagate``'s noise N as it was before it became
+one linear map of the moment product G: each block of N written out on
+Python floats from G's entries (``_moment_block`` for the blocks q_att (tr Y I -
+Y) + c I), 81 entries in one literal.  The map must give the same N to a few
+ulps of its largest entry.
 """
 
 from __future__ import annotations
@@ -107,6 +119,7 @@ from cipgnav.baselines import (
     _finish_cov,
     _gain,
     _PSD_TOL,
+    _spacings,
 )
 from cipgnav.errors import (
     DegenerateQuaternionError,
@@ -119,13 +132,16 @@ from cipgnav.ipg import IpgParams, WindowModel
 from cipgnav.preintegration import NavState, unpack_burst
 from cipgnav.quat import (
     _NORM_EPS,
+    _unit,
     hemisphere_align,
     ordered_matmul,
+    product_entries,
     quat_from_euler,
     quat_from_rotvec,
     quat_normalize,
     quat_product,
     quat_to_rotation,
+    rotation_entries,
     rotation_rows,
     unit_rows,
 )
@@ -760,3 +776,80 @@ def inekf_predict(state, burst, config, t_start):
     Q = (Ad * qb) @ Ad.transpose(0, 2, 1) * dt
     P = _finish_cov(_propagate_cov(state.cov, F, Q), config, "inekf_predict")
     return InekfArrays(rotations[-1], vs[-1], ps[-1], P)
+
+
+def strapdown_loop(rows, t_start, config, orientation, velocity, position, after):
+    dts, dt_array = _spacings(rows, t_start)
+    b0, b1, b2 = config.biases.accel.tolist()
+    c0, c1, c2 = config.biases.gyro.tolist()
+    g0, g1, g2 = config.gravity.vector.tolist()
+    qw, qx, qy, qz = orientation.tolist()
+    v0, v1, v2 = velocity.tolist()
+    p0, p1, p2 = position.tolist()
+    r0, r1, r2 = (0.0, 0.0, 0.0) if after else (p0, p1, p2)
+    a = b = 0.0
+    sums = [(a, b)]
+    for dt in reversed(dts):
+        a, b = a + dt, b + dt * a
+        sums.append((a, b))
+    sums.reverse()
+    unit = _unit((qw, qx, qy, qz))
+    first = attitude = rotation_entries(unit)
+    moments = []
+    for dt, (_, a0, a1, a2, w0, w1, w2), (ak, bk) in zip(dts, rows, sums if after else sums[1:]):
+        moments += (ak * g0 + v0, ak * g1 + v1, ak * g2 + v2,
+                    bk * g0 + ak * v0 + r0, bk * g1 + ak * v1 + r1, bk * g2 + ak * v2 + r2,
+                    ak, 1.0)
+        a0, a1, a2, w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2, w0 - c0, w1 - c1, w2 - c2
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = attitude
+        f0 = r00 * a0 + r01 * a1 + r02 * a2
+        f1 = r10 * a0 + r11 * a1 + r12 * a2
+        f2 = r20 * a0 + r21 * a1 + r22 * a2
+        p0, p1, p2 = p0 + dt * v0, p1 + dt * v1, p2 + dt * v2
+        r0, r1, r2 = r0 + dt * v0, r1 + dt * v1, r2 + dt * v2
+        v0, v1, v2 = v0 + dt * (f0 + g0), v1 + dt * (f1 + g1), v2 + dt * (f2 + g2)
+        h = 0.5 * dt
+        qw, qx, qy, qz = product_entries((qw, qx, qy, qz), (1.0, h * w0, h * w1, h * w2))
+        unit = _unit((qw, qx, qy, qz))
+        attitude = rotation_entries(unit)
+    end, rotations = (unit, [v0, v1, v2], [p0, p1, p2]), first + attitude
+    T, T2 = sums[0]
+    if not after:
+        transition = (-(T * g0), -(T * g1), -(T * g2)), (-(T2 * g0), -(T2 * g1), -(T2 * g2)), T
+        return end, transition, np.fromiter(moments, float).reshape(-1, 8), dt_array, rotations
+    x0, x1, x2, x3, x4, x5 = moments[:6]
+    transition = (v0 - x0, v1 - x1, v2 - x2), (r0 - x3, r1 - x4, r2 - x5), T
+    del moments[:8]
+    moments += (v0, v1, v2, r0, r1, r2, 0.0, 1.0)
+    X = np.fromiter(moments, float).reshape(-1, 8) - (v0, v1, v2, r0, r1, r2, 0.0, 0.0)
+    return end, transition, X, dt_array, rotations
+
+
+def _moment_block(rows, c, q, extra) -> tuple:
+    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = [row[c:c + 3] for row in rows]
+    return ((q * (y11 + y22) + extra, -q * y01, -q * y02),
+            (-q * y10, q * (y00 + y22) + extra, -q * y12),
+            (-q * y20, -q * y21, q * (y00 + y11) + extra))
+
+
+def noise_sum(G, q_att, q_vel, q_pos) -> np.ndarray:
+    """N of the 8x8 moment product G and the noise densities."""
+    G = np.asarray(G, dtype=float).tolist()
+    qa, qv, S = q_att, q_vel, G[7][7]
+    u0, u1, u2, w0, w1, w2 = [qa * row[7] for row in G[:6]]
+    vv0, vv1, vv2 = _moment_block(G[0:3], 0, qa, qv * S)
+    vp0, vp1, vp2 = _moment_block(G[3:6], 0, qa, qv * G[6][7])
+    pv0, pv1, pv2 = zip(vp0, vp1, vp2)
+    pp0, pp1, pp2 = _moment_block(G[3:6], 3, qa, qv * G[6][6] + q_pos * S)
+    qS = qa * S
+    return np.array([
+        qS, 0.0, 0.0, 0.0, u2, -u1, 0.0, w2, -w1,
+        0.0, qS, 0.0, -u2, 0.0, u0, -w2, 0.0, w0,
+        0.0, 0.0, qS, u1, -u0, 0.0, w1, -w0, 0.0,
+        0.0, -u2, u1, *vv0, *vp0,
+        u2, 0.0, -u0, *vv1, *vp1,
+        -u1, u0, 0.0, *vv2, *vp2,
+        0.0, -w2, w1, *pv0, *pp0,
+        w2, 0.0, -w0, *pv1, *pp1,
+        -w1, w0, 0.0, *pv2, *pp2,
+    ]).reshape(9, 9)

@@ -22,6 +22,8 @@ from cipgnav.baselines import (
     _attitude_innovation,
     _check_cov,
     _inekf_measurement,
+    _propagate,
+    _strapdown,
     ekf_predict,
     ekf_update,
     inekf_predict,
@@ -391,6 +393,101 @@ class TestOneStrapdown:
                 assert getattr(out, name).tobytes() == getattr(out_flipped, name).tobytes()
 
 
+class TestStrapdownStep:
+    """``_strapdown``'s written-out step against ``oracles.strapdown_loop``, the loop
+    that called ``product_entries``, ``_unit`` and ``rotation_entries``: the same
+    bytes, or the same error."""
+
+    @staticmethod
+    def both(rng, burst, t0, after):
+        config = random_config(rng)
+        state = (random_unit_quat(rng), rng.normal(size=3), rng.normal(scale=10.0, size=3))
+        return [predict_outcome(loop, burst.tolist(), t0, config, *state, after)
+                for loop in (_strapdown, oracles.strapdown_loop)]
+
+    @staticmethod
+    def assert_same_bytes(got, want, after):
+        (end, (U, W, T), X, dts, rotations), _ = got
+        (end_ref, (U_ref, W_ref, T_ref), X_ref, dts_ref, rotations_ref), _ = want
+        for a, b in [*zip(end, end_ref), (U, U_ref), (W, W_ref), (X, X_ref), (dts, dts_ref)]:
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+        assert np.float64(T).tobytes() == np.float64(T_ref).tobytes()
+        if after:
+            assert np.array(rotations).tobytes() == np.array(rotations_ref).tobytes()
+        else:
+            assert rotations is None
+
+    @pytest.mark.parametrize("after", [True, False], ids=["ekf", "inekf"])
+    def test_random_bursts(self, rng, after):
+        for n in list(range(1, 26)) * 8:
+            t0 = float(rng.uniform(0.0, 100.0))
+            got, want = self.both(rng, random_burst(rng, t0, n), t0, after)
+            self.assert_same_bytes(got, want, after)
+
+    @pytest.mark.parametrize("after", [True, False], ids=["ekf", "inekf"])
+    def test_overflowing_gyro_reading(self, rng, after):
+        # A norm that overflows to inf passes _unit's test: both loops go on to the
+        # same bytes.
+        burst = random_burst(rng, 0.0, 6)
+        burst[2, 4:7] = 1e300
+        got, want = self.both(rng, burst, 0.0, after)
+        self.assert_same_bytes(got, want, after)
+
+    @pytest.mark.parametrize("after", [True, False], ids=["ekf", "inekf"])
+    @pytest.mark.parametrize("sample", [0, 2, -1], ids=["first", "mid", "last"])
+    def test_nan_gyro_reading(self, rng, after, sample):
+        # _unit's error and message, after every spacing check and the warning.
+        burst = random_burst(rng, 0.0, 6)
+        burst[sample, 5] = np.nan
+        got, want = self.both(rng, burst, 0.0, after)
+        assert got == want == ((DegenerateQuaternionError,
+                                "cannot normalize quaternion with norm nan"), [])
+        late_zero = burst.copy()
+        late_zero[4, 0] = late_zero[3, 0]
+        got, want = self.both(rng, late_zero, 0.0, after)
+        message = f"non-positive IMU sample spacing at t={float(late_zero[4, 0])!r}"
+        assert got == want == ((ValueError, message), [])
+        burst[1:, 0] += 0.1
+        got, want = self.both(rng, burst, 0.0, after)
+        assert got[0] == want[0] == (DegenerateQuaternionError,
+                                     "cannot normalize quaternion with norm nan")
+        assert len(got[1]) == len(want[1]) == 1
+
+
+class TestNoiseMap:
+    """``_propagate``'s N, one per-config linear map of the moment product G,
+    against the float form it replaced, ``oracles.noise_sum``."""
+
+    @staticmethod
+    def noise(X, dts, config):
+        # From P = 0 and Phi = I, _propagate returns N alone.
+        return _propagate(np.zeros((9, 9)), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, X, dts, config)
+
+    def test_matches_float_form(self, rng):
+        # Each entry of N is a sum of at most three q G terms, none larger than
+        # max|N| (G is a Gram matrix): both forms round within a few ulps of it.
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(1, 26))
+            X = rng.normal(scale=rng.choice([1.0, 10.0, 1000.0]), size=(n, 8))
+            dts = rng.uniform(0.001, 0.05, n)
+            q = rng.uniform(0.0, 1.0, 3) * 10.0 ** rng.integers(-10, 1, 3) * (rng.random(3) > 0.25)
+            config = FilterConfig(q_att=q[0], q_vel=q[1], q_pos=q[2])
+            G = (X * dts[:, None]).T.dot(X)
+            want = oracles.noise_sum(G, *q)
+            got = self.noise(X, dts, config)
+            if want.any():
+                worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=4.0 * EPS * np.abs(want).max())
+        assert worst > 0.0  # the draws reach entries the two forms round differently
+
+    def test_zero_noise_gives_exactly_zero(self, rng):
+        config = FilterConfig(q_att=0.0, q_vel=0.0, q_pos=0.0)
+        for n in (1, 5, 25):
+            X = rng.normal(scale=100.0, size=(n, 8))
+            assert not self.noise(X, rng.uniform(0.001, 0.05, n), config).any()
+
+
 def error_map(nav):
     """C(x): the EKF's error (dtheta_body, dv, dp) at the mean x to first order in the
     right-invariant error (attitude, velocity, position): dtheta = R dtheta_body,
@@ -446,13 +543,13 @@ class TestOneTransition:
             assert near.cov.tobytes() == far.cov.tobytes()
 
 
-def predict_outcome(predict, state, burst, config, t_start):
-    """What ``predict`` gives: its state, or the type and text of the error it
-    raises, and the large-spacing warnings it issues."""
+def predict_outcome(predict, *args):
+    """What ``predict(*args)`` gives: its result, or the type and text of the error
+    it raises, and the large-spacing warnings it issues."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = predict(state, burst, config, t_start)
+            result = predict(*args)
         except (ValueError, RuntimeError) as exc:
             result = (type(exc), str(exc))
     return result, [str(w.message) for w in large_spacing_warnings(caught)]
@@ -1110,10 +1207,34 @@ class TestRunnersMatchTheirSteps:
                  p.nav.orientation.tobytes(), p.flag) for p in points] == expected
 
 
+def noise_input(x):
+    """B(x) = [[x_7 I, 0, 0], [[x_u]x, x_7 I, 0], [[x_w]x, a I, x_7 I]] of a moment row
+    x = (x_u, x_w, a, x_7): the map of a sample's noise to the burst end at x_7 = 1."""
+    B = x[7] * np.eye(9)
+    B[3:6, 0:3], B[6:9, 0:3], B[6:9, 3:6] = skew(x[0:3]), skew(x[3:6]), x[6] * np.eye(3)
+    return B
+
+
+def noise_map(q_att, q_vel, q_pos):
+    """The 81 x 64 map of vec(G) to vec(N): column (i, j) is vec(E_i Q E_j^T),
+    E_i = B(e_i)."""
+    Q = np.diag(np.repeat([q_att, q_vel, q_pos], 3))
+    E = [noise_input(e) for e in np.eye(8)]
+    return np.stack([(Ei @ Q @ Ej.T).ravel() for Ei in E for Ej in E], axis=1)
+
+
 class TestFilterConfig:
-    def test_matrix_builders(self):
-        cfg = FilterConfig(r_vel=np.array([0.1, 0.2, 0.3]), r_att=np.array([0.4, 0.5, 0.6]))
+    def test_matrix_builders(self, rng):
+        cfg = FilterConfig(r_vel=np.array([0.1, 0.2, 0.3]), r_att=np.array([0.4, 0.5, 0.6]),
+                           q_att=0.25, q_vel=3.0, q_pos=0.5)
         np.testing.assert_array_equal(cfg._r_matrix, np.diag([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
+        np.testing.assert_array_equal(cfg._noise_map, noise_map(0.25, 3.0, 0.5))
+        for _ in range(20):
+            x = np.append(rng.normal(size=7), 1.0)
+            B = noise_input(x)
+            np.testing.assert_allclose(cfg._noise_map.dot(np.outer(x, x).ravel()),
+                                       (B @ np.diag(np.repeat([0.25, 3.0, 0.5], 3)) @ B.T).ravel(),
+                                       rtol=0.0, atol=1e-13 * np.abs(x).max() ** 2)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(p0_scale=-0.1), "p0_scale must be finite and >= 0, got -0.1"),
@@ -1162,9 +1283,13 @@ class TestFilterConfig:
         cfg = FilterConfig(r_vel=r_vel)
         r_vel[0] = 5.0
         assert cfg.r_vel[0] == 0.1 and cfg._r_matrix[0, 0] == 0.1
-        for array in (cfg.r_vel, cfg.r_att, cfg._r_matrix):
+        for array in (cfg.r_vel, cfg.r_att, cfg._r_matrix, cfg._noise_map):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         changed = replace(cfg, r_att=np.full(3, 0.5))
         np.testing.assert_array_equal(changed._r_matrix, r_matrix(changed))
         np.testing.assert_array_equal(changed._r_matrix, np.diag([0.1, 0.2, 0.3, 0.5, 0.5, 0.5]))
+        noisier = replace(cfg, q_att=1e-3)
+        assert noisier._noise_map is not cfg._noise_map
+        np.testing.assert_array_equal(noisier._noise_map, noise_map(1e-3, cfg.q_vel, cfg.q_pos))
+        np.testing.assert_array_equal(cfg._noise_map, noise_map(cfg.q_att, cfg.q_vel, cfg.q_pos))
