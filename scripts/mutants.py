@@ -22,32 +22,31 @@ finiteness checks, the per-block lists of window terms and the conjugate in
 their rows, and the orientation stage's hemisphere signs and the test that
 reruns their pass), of the filters (the one strapdown loop both predicts run:
 its gyro bias, strapdown order, attitude, increment, error order and start,
-the spacing refusal, of zero and of NaN, and the frame its warning names; its
-written-out step against the loop that called the quat float forms, bit for
-bit; the moment rows' suffix sums, side of the step, origin and centering; the
-EKF's transition sign and frame maps, whose attitude block the linearization
-test must see, the InEKF's T2 term, and the noise map's input blocks and
-densities; the one Joseph form both updates call, the EKF's measurement rows
-and its float algebra, the InEKF's measurement rows, innovation frame,
-correction side, hemisphere and left Jacobian, and the runners' reading
-check), of the field rules in ``errors.py``, of the burst table's refusal of a
-NaN spacing and of a non-finite reading, of the CLI's naming of a refused
-metadata value, of the fixed-order kernel ``quat.ordered_matmul``, of
-``quat``'s formulas (a rotation entry's sign, the columns of rows of any
-leading shape, the rotation vector's hemisphere, the rotation-vector map's
-half angle and first-order branch, and the orthogonality test of Shepperd's
-method) and the running product's increment, of the two stages' closed-form
-fixed points (``tests/oracles.py``), of products put back on BLAS, of
-``synchronize`` (the epoch bounds, the nearest-AHRS rule, the order check), of
-the CSV loader's unit-norm rule through each parse path, of
-``truth_from_gt``'s end rows, of the simulator's navigation-to-body rotation,
-of the CLI's choice of the gt row for the initial state, and rows that the
-symmetry table ``tests/test_equivariance.py`` must kill (the EKF's attitude
-innovation in the navigation frame, body-frame DVL rotated by the conjugate,
-and the epoch period on float32 times).  A row that may survive says why.  Each
-mutant takes one pytest run of its target, about 10 s for
-``tests/test_cascade.py``, 30 s for ``tests/test_cli.py`` and 3 s for the
-others; none of this runs in tier-1.
+the spacing refusal, of zero and of NaN, the frame its warning names and the
+refusal of an overflowed norm; its written-out step against the loop that
+called the quat float forms, bit for bit; the moment rows' suffix sums, side
+of the step, origin and centering; the EKF's transition sign and frame maps,
+whose attitude block the linearization test must see, the InEKF's T2 term, and
+the noise map's input blocks and densities; the one Joseph form both updates
+call, the EKF's measurement rows and its float algebra, the InEKF's
+measurement rows, innovation frame, correction side, hemisphere and left
+Jacobian, and the runners' reading check), of the field rules in
+``errors.py``, of the burst table's refusal of a NaN spacing and of a
+non-finite reading, of the CLI's naming of a refused metadata value, of the
+fixed-order kernel ``quat.ordered_matmul``, of ``quat``'s formulas (a rotation
+entry's sign, the columns of rows of any leading shape, the rotation vector's
+hemisphere, the rotation-vector map's half angle and first-order branch) and
+the running product's increment, of the two stages' closed-form fixed points
+(``tests/oracles.py``), of products put back on BLAS, of ``synchronize`` (the
+epoch bounds, the nearest-AHRS rule, the order check), of the CSV loader's
+unit-norm rule through each parse path, of ``truth_from_gt``'s end rows, of
+the simulator's navigation-to-body rotation, of the CLI's choice of the gt row
+for the initial state, and rows that the symmetry table
+``tests/test_equivariance.py`` must kill (the EKF's attitude innovation in the
+navigation frame, body-frame DVL rotated by the conjugate, and the epoch
+period on float32 times).  A row that may survive says why.  Each mutant takes
+one pytest run of its target, about 10 s for ``tests/test_cascade.py``, 30 s
+for ``tests/test_cli.py`` and 3 s for the others; none of this runs in tier-1.
 
 Example:
     python3 scripts/mutants.py
@@ -171,7 +170,7 @@ MUTANTS = [
     # which both predicts run, against both filters' tests: the gyro bias, the
     # strapdown order, the attitude taken from the unnormalized product, the
     # increment's rates, the spacing refusal, the frame the warning names, the
-    # error order and the chain's start.
+    # error order, the chain's start and the refusal of a norm that overflowed.
     Mutant("baselines.py", _BIAS, _BIAS.replace("w0 - c0, w1 - c1, w2 - c2", "w0, w1, w2"),
            "gyro-bias-kept", True),
     Mutant("baselines.py", _STEP, _STEP_SWAPPED, "position-end-velocity", True),
@@ -187,6 +186,8 @@ MUTANTS = [
     Mutant("baselines.py", "stacklevel=5", "stacklevel=4", "spacing-warning-own-frame", True,
            "tests/test_baselines.py::TestBatchedPredict::test_large_spacing_warns_once"),
     Mutant("baselines.py", _SPACINGS, _EARLY_PRODUCTS + _SPACINGS, "degenerate-before-spacing", True),
+    Mutant("baselines.py", "    if norm == math.inf:\n", "    if False:\n", "overflowed-norm-accepted",
+           True, "tests/test_baselines.py::TestStrapdownStep::test_overflowing_gyro_reading"),
     Mutant("baselines.py", "qw, qx, qy, qz = orientation.tolist()",
            "qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0", "identity-start", True),
     # The step written out in the loop, against the loop that called the quat
@@ -256,8 +257,7 @@ MUTANTS = [
     # Exp(-dx) X applied on the right (q (x) q_c), the orientation left off the
     # w >= 0 hemisphere after the update, the left Jacobian's first-order factor
     # and the sign of its S S term; and in quat the rotation vector's hemisphere
-    # flip and R R^T's entry (0, 1) summed as (R^T R)_01, which passes every
-    # rotation but misjudges perturbed ones.
+    # flip.
     Mutant("baselines.py", "= -v2, v1, v2, -v0, -v1, v0", "= -v2, v1, v2, v0, -v1, v0",
            "inekf-velocity-row-sign", True, _UPDATE_ORACLE),
     Mutant("baselines.py", "product_entries(q, (w, -x, -y, -z))",
@@ -282,9 +282,6 @@ MUTANTS = [
     Mutant("quat.py", "if w < 0.0:\n        w, x, y, z = -w, -x, -y, -z",
            "if False:\n        w, x, y, z = -w, -x, -y, -z", "rotvec-hemisphere-flip-dropped", True,
            "tests/test_quat.py::TestRotvec"),
-    Mutant("quat.py", "abs(r00 * r10 + r01 * r11 + r02 * r12)", "abs(r00 * r01 + r10 * r11 + r20 * r21)",
-           "orthogonality-index-swapped", True,
-           "tests/test_quat.py::TestRotationToQuatOracle::test_refusal_table"),
     Mutant("baselines.py", '("ahrs", epoch.ahrs), *rows]', '("ahrs", epoch.ahrs)]',
            "filter-imu-readings-unchecked", True),
     # The field rules, through the table of tests/test_errors.py.

@@ -35,9 +35,9 @@ hemisphere test and normalized Hamilton product, and the mean correction,
 whose rotation vector goes through ``from_rotvec_entries`` and whose product
 is normalized over ``_checked_norm``.  In the InEKF it is the attitude
 innovation (the rotation vector of q_meas (x) conj(q), normalized once), H's
-[v]x block and the correction X <- Exp(-dx) X (``_se23_exp_entries``, which
-``se23_exp`` wraps).  So neither mean forms a product on BLAS.  Both updates
-refuse a non-finite DVL or AHRS reading with NumericalError.
+[v]x block and the correction X <- Exp(-dx) X (``_se23_exp_entries``).  So
+neither mean forms a product on BLAS.  Both updates refuse a non-finite DVL
+or AHRS reading with NumericalError.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "inekf_update",
     "run_ekf",
     "run_inekf",
-    "se23_exp",
 ]
 
 
@@ -273,7 +272,10 @@ def _strapdown(rows, t_start, config: FilterConfig, orientation, velocity, posit
     ``rotation_entries`` of that unit quaternion, its expressions unchanged.  A
     degenerate product (from a NaN reading) is refused by ``_unit`` with its
     DegenerateQuaternionError, after every spacing check and the warning, in
-    ``unpack_burst``'s order.
+    ``unpack_burst``'s order.  So is a product whose norm overflowed (a gyro
+    reading past about 3e156 rad/s at 100 Hz), tested once after the loop: a
+    step multiplies the norm by |(1, e)| >= 1, so an inf norm stays inf or
+    turns NaN, which the loop refuses.
 
     Before each step the loop appends the row (a g + v, b g + a v + r, a, 1),
     r stepped as p is.  Without ``after`` (the InEKF) r is p and (a, b) =
@@ -326,6 +328,8 @@ def _strapdown(rows, t_start, config: FilterConfig, orientation, velocity, posit
         r00, r01, r02 = 1.0 - (yy + zz), xy - wz, xz + wy
         r10, r11, r12 = xy + wz, 1.0 - (xx + zz), yz - wx
         r20, r21, r22 = xz - wy, yz + wx, 1.0 - (xx + yy)
+    if norm == math.inf:
+        _unit((qw, qx, qy, qz))  # raises its DegenerateQuaternionError
     end = (w, x, y, z), [v0, v1, v2], [p0, p1, p2]  # the rows are never empty
     T, T2 = sums[0]
     if not after:
@@ -467,9 +471,10 @@ def _apply(m, v) -> list:
 
 
 def _se23_exp_entries(xi) -> tuple:
-    """``se23_exp`` of 9 Python floats, on floats: the unit quaternion q_c of theta =
-    xi[0:3] (``from_rotvec_entries``) and J dv, J dp as 3 floats each.  J = I + c1 S +
-    c2 S S is the SO(3) left Jacobian, S = [theta]x, with S S = theta theta^T - |theta|^2 I
+    """Exp of an (attitude, velocity, position) tangent vector xi of 9 Python floats,
+    on floats: the unit quaternion q_c of theta = xi[0:3] (``from_rotvec_entries``)
+    and the offsets J dv, J dp as 3 floats each.  J = I + c1 S + c2 S S is the
+    SO(3) left Jacobian, S = [theta]x, with S S = theta theta^T - |theta|^2 I
     (diagonal -(y^2 + z^2), ...) and the series c1, c2 = 1/2, 1/6 below an angle of 1e-8."""
     x, y, z = theta = xi[0:3]
     q = from_rotvec_entries(theta)  # refuses a non-finite theta first
@@ -484,17 +489,6 @@ def _se23_exp_entries(xi) -> tuple:
     ss = (-(y * y + z * z), xy, xz, xy, -(x * x + z * z), yz, xz, yz, -(x * x + y * y))
     J = [(e + c1 * a) + c2 * b for e, a, b in zip(_EYE3_ENTRIES, s, ss)]
     return q, _apply(J, xi[3:6]), _apply(J, xi[6:9])
-
-
-def se23_exp(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponential of a (attitude, velocity, position) tangent vector.
-
-    Returns the group element blocks (rotation, velocity offset, position
-    offset) using the closed-form SO(3) exponential and left Jacobian: the
-    arrays of ``_se23_exp_entries``, its quaternion as ``rotation_entries``.
-    """
-    q, dv, dp = _se23_exp_entries(np.asarray(xi, dtype=float).tolist())
-    return np.array(rotation_entries(q)).reshape(3, 3), np.array(dv), np.array(dp)
 
 
 def inekf_predict(state: InekfState, burst, config: FilterConfig, t_start: float) -> InekfState:

@@ -23,13 +23,12 @@ elementwise multiply and add (``ordered_matmul``), which no BLAS kernel,
 memory layout or SIMD width rounds differently, and a norm of floats is
 ``_norm``, the same ordered sum; no norm of the package is numpy's
 linear-algebra norm, whose 1-D form is a BLAS dot; this module forms no product
-on BLAS.  ``quat_from_rotvec`` on one vector, ``rotation_to_quat`` and
-``quat_to_rotvec`` are thin array wrappers around their float forms,
-``from_rotvec_entries`` (the rotation-vector map with its first-order branch),
-``shepperd_entries`` (whose orthogonality test sums each entry of R R^T in index
-order) and ``rotvec_entries``.  No other module writes
-a quaternion formula out: the per-sample loops of ``running_product`` and the
-filters call the float forms.
+on BLAS.  ``quat_from_rotvec`` on one vector is a thin array wrapper around
+its float form ``from_rotvec_entries`` (the rotation-vector map with its
+first-order branch); its inverse ``rotvec_entries``, which the InEKF's
+innovation runs, has only the float form.  No other module writes a
+quaternion formula out but ``baselines._strapdown``, whose step gives the
+float forms' bits: the per-sample loop of ``running_product`` calls them.
 One rotation vector's cos and sin are math's, which matched numpy's on every
 one of 700,000 draws on an AVX-512 x86-64 host with numpy 2.4; arctan2 stays
 numpy's, as math's differed from it on about 1.5% of draws there.
@@ -50,36 +49,22 @@ __all__ = [
     "unit_rows",
     "quat_product",
     "product_entries",
-    "quat_multiply",
     "quat_conjugate",
     "quat_to_rotation",
     "rotation_rows",
     "rotation_entries",
-    "rotation_to_quat",
-    "shepperd_entries",
     "quat_angular_distance",
     "quat_from_rotvec",
     "from_rotvec_entries",
-    "quat_to_rotvec",
     "rotvec_entries",
     "quat_from_yaw",
     "quat_from_euler",
-    "euler_from_quat",
     "rotate_vector",
     "hemisphere_align",
 ]
 
 _NORM_EPS = 1e-12
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJUGATE is conj(q)
-# rotation_to_quat's bounds on |R R^T - I|, 1e-6 + 1e-5 I as np.allclose forms them.
-_OFF_DIAG_TOL, _DIAG_TOL = 1e-6, 1e-6 + 1e-5
-
-
-def _as_finite(q, name):
-    q = np.asarray(q, dtype=float)
-    if not np.isfinite(q).all():
-        raise ValueError(f"non-finite {name}: {q!r}")
-    return q
 
 
 def quat_normalize(q) -> np.ndarray:
@@ -186,13 +171,6 @@ def product_entries(a, b) -> list:
     ]
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product of two unit quaternions, renormalized."""
-    a = _as_finite(a, "left quaternion")
-    b = _as_finite(b, "right quaternion")
-    return quat_normalize(quat_product(a, b))
-
-
 def quat_conjugate(q) -> np.ndarray:
     """Conjugate (w, -x, -y, -z) of a quaternion, or of rows (..., 4)."""
     return np.asarray(q, dtype=float) * _CONJUGATE
@@ -214,9 +192,10 @@ def rotation_entries(q) -> list:
 
 def _unit(y) -> list:
     """A 4-vector of floats over its norm (``_norm``); a norm of at most
-    ``_NORM_EPS``, or NaN, raises DegenerateQuaternionError, as in ``unit_rows``."""
+    ``_NORM_EPS``, NaN or inf, the norms ``_checked_norm`` refuses, raises
+    DegenerateQuaternionError."""
     norm = _norm(y)
-    if not norm > _NORM_EPS:
+    if not _NORM_EPS < norm < math.inf:
         raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {norm:.3e}")
     y0, y1, y2, y3 = y
     return [y0 / norm, y1 / norm, y2 / norm, y3 / norm]
@@ -237,51 +216,6 @@ def quat_to_rotation(q) -> np.ndarray:
     first, or the (..., 3, 3) matrices of rows (..., 4)."""
     q = np.asarray(q, dtype=float)
     return rotation_rows(quat_normalize(q) if q.ndim == 1 else unit_rows(q)[0])
-
-
-def rotation_to_quat(R) -> np.ndarray:
-    """Unit quaternion of a rotation matrix (Shepperd's method, w >= 0): ``shepperd_entries``
-    of its 9 entries."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"expected 3x3 rotation matrix, got shape {R.shape}")
-    return np.array(shepperd_entries(R.ravel().tolist()))
-
-
-def shepperd_entries(r) -> list:
-    """The unit quaternion (Shepperd's method, w >= 0) of a rotation matrix given as
-    its 9 entries, row-major, as Python floats, on Python floats: ``rotation_to_quat``
-    of one matrix.  A matrix with |R R^T - I| > 1e-6 + 1e-5 I in an entry (NaN
-    included) or with det R < 0 raises ValueError."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-    # |R R^T - I| <= 1e-6 + 1e-5 |I| elementwise, as np.allclose tests it, each entry of
-    # R R^T summed in index order; R R^T is then exactly symmetric, so six sums cover
-    # it.  A matrix that passes has |det R| near 1, so the sign of the triple product
-    # is exact.
-    if not (abs(r00 * r00 + r01 * r01 + r02 * r02 - 1.0) <= _DIAG_TOL
-            and abs(r10 * r10 + r11 * r11 + r12 * r12 - 1.0) <= _DIAG_TOL
-            and abs(r20 * r20 + r21 * r21 + r22 * r22 - 1.0) <= _DIAG_TOL
-            and abs(r00 * r10 + r01 * r11 + r02 * r12) <= _OFF_DIAG_TOL
-            and abs(r00 * r20 + r01 * r21 + r02 * r22) <= _OFF_DIAG_TOL
-            and abs(r10 * r20 + r11 * r21 + r12 * r22) <= _OFF_DIAG_TOL) or (
-            r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
-            + r02 * (r10 * r21 - r11 * r20)) < 0.0:
-        raise ValueError("matrix is not a rotation: R @ R.T != I or det(R) < 0")
-    tr = r00 + r11 + r22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
-    elif r00 >= r11 and r00 >= r22:
-        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
-        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
-    elif r11 >= r22:
-        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
-        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
-        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
-    q = _unit(q)
-    return [-c for c in q] if q[0] < 0.0 else q
 
 
 def quat_angular_distance(a, b):
@@ -342,16 +276,10 @@ def from_rotvec_entries(v) -> list:
     return [math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)]
 
 
-def quat_to_rotvec(q) -> np.ndarray:
-    """Rotation vector of a unit quaternion (inverse of quat_from_rotvec): ``rotvec_entries``
-    of its 4 components."""
-    return np.array(rotvec_entries(np.asarray(q, dtype=float).tolist()))
-
-
 def rotvec_entries(q) -> list:
     """The rotation vector, as 3 Python floats, of a quaternion given as 4 Python floats,
     normalized (refused as ``quat_normalize`` refuses it) and taken on the w >= 0
-    hemisphere: ``quat_to_rotvec`` of one value.  arctan2 is numpy's."""
+    hemisphere: the inverse of ``from_rotvec_entries``.  arctan2 is numpy's."""
     n = _checked_norm(q)
     w, x, y, z = [c / n for c in q]
     s = _norm((x, y, z))
@@ -372,7 +300,7 @@ def quat_from_yaw(yaw) -> np.ndarray:
 
 def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
     """Quaternion from intrinsic roll/pitch/yaw (x-y-z, rad), or a row per angle
-    triple of equal-shape arrays; inverse of euler_from_quat."""
+    triple of equal-shape arrays."""
     hr, hp, hy = (0.5 * np.asarray(angle, dtype=float) for angle in (roll, pitch, yaw))
     cr, sr = np.cos(hr), np.sin(hr)
     cp, sp = np.cos(hp), np.sin(hp)
@@ -383,15 +311,6 @@ def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
         cr * sp * cy + sr * cp * sy,
         cr * cp * sy - sr * sp * cy,
     )
-
-
-def euler_from_quat(q) -> np.ndarray:
-    """Intrinsic roll/pitch/yaw (x-y-z, rad) of a unit quaternion."""
-    w, x, y, z = quat_normalize(q)
-    roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
-    pitch = np.arcsin(np.clip(2.0 * (w * y - z * x), -1.0, 1.0))
-    yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-    return np.array([roll, pitch, yaw])
 
 
 def rotate_vector(q, v) -> np.ndarray:

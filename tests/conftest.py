@@ -1,9 +1,13 @@
-"""Shared test helpers: random rotations, skew matrices, finite differences, tiny streams."""
+"""Shared test helpers: random rotations, skew matrices, the SE_2(3) exponential,
+finite differences, tiny streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from cipgnav.baselines import _se23_exp_entries
+from cipgnav.quat import rotation_rows
 
 
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
@@ -15,6 +19,13 @@ def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
 def skew(v) -> np.ndarray:
     """[v]x of a 3-vector: skew(v) @ u is the cross product v x u."""
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def se23_exp(xi) -> tuple:
+    """Exp(xi) of an (attitude, velocity, position) tangent vector as the InEKF's
+    correction forms it (``_se23_exp_entries``): the rotation matrix, J dv and J dp."""
+    q, dv, dp = _se23_exp_entries(np.asarray(xi, dtype=float).tolist())
+    return rotation_rows(q), np.array(dv), np.array(dp)
 
 
 def central_difference(fun, x, eps: float = 1e-6) -> np.ndarray:

@@ -48,12 +48,14 @@ floats in index order, written out on their own: the order in which
 ``quat.ordered_matmul`` sums, and so the reference for every row norm, dot and
 small stacked product the package forms through it.
 
-``rotation_to_quat`` is Shepperd's method as it was written on numpy scalars,
-with ``np.linalg.det``: the oracle of ``quat.shepperd_entries``, refusals
-included.  Its test |R R^T - I| <= 1e-6 + 1e-5 I forms R R^T by
-``float_matmul``, each entry summed in index order as the package sums it;
-on BLAS the kernel decided the last bit of each entry, and so the verdict of
-a matrix at the bound.
+``rotation_to_quat`` is Shepperd's method on numpy scalars, with
+``np.linalg.det``, which ``inekf_update`` below takes the attitude innovation
+through.  Its test |R R^T - I| <= 1e-6 + 1e-5 I forms R R^T by
+``float_matmul``, each entry summed in index order.  ``test_quat`` checks it
+against scipy's ``Rotation``.
+
+``euler_from_quat`` is the inverse of ``quat.quat_from_euler``: it checks
+that map's intrinsic x-y-z convention.
 
 ``ekf_update`` and ``inekf_update`` are the filters' measurement updates as
 they were on numpy arrays, before their vector algebra ran on Python floats:
@@ -630,6 +632,15 @@ def rotation_to_quat(R):
         )
     q = quat_normalize(q)
     return -q if q[0] < 0.0 else q
+
+
+def euler_from_quat(q) -> np.ndarray:
+    """Intrinsic roll/pitch/yaw (x-y-z, rad) of a unit quaternion."""
+    w, x, y, z = quat_normalize(q)
+    roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+    pitch = np.arcsin(np.clip(2.0 * (w * y - z * x), -1.0, 1.0))
+    yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return np.array([roll, pitch, yaw])
 
 
 def _quat_to_rotvec(q):

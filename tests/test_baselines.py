@@ -31,7 +31,6 @@ from cipgnav.baselines import (
     kalman_update,
     run_ekf,
     run_inekf,
-    se23_exp,
 )
 from cipgnav.cascade import CascadeConfig, run_cascade
 from cipgnav.cli import hash_epochs
@@ -44,20 +43,20 @@ from cipgnav.preintegration import (
     preintegrate_burst,
 )
 from cipgnav.quat import (
+    _norm,
     quat_angular_distance,
     quat_conjugate,
     quat_from_rotvec,
     quat_from_yaw,
-    quat_multiply,
     quat_normalize,
     quat_product,
     quat_to_rotation,
-    quat_to_rotvec,
+    rotvec_entries,
 )
 from cipgnav.sensors import SyncedEpoch
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from tests import oracles
-from tests.conftest import central_difference, random_unit_quat, skew
+from tests.conftest import central_difference, random_unit_quat, se23_exp, skew
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 EPS = np.finfo(float).eps
@@ -426,12 +425,31 @@ class TestStrapdownStep:
 
     @pytest.mark.parametrize("after", [True, False], ids=["ekf", "inekf"])
     def test_overflowing_gyro_reading(self, rng, after):
-        # A norm that overflows to inf passes _unit's test: both loops go on to the
-        # same bytes.
-        burst = random_burst(rng, 0.0, 6)
-        burst[2, 4:7] = 1e300
+        # A product whose norm overflows to inf is refused once the loop ends, where it
+        # once gave the orientation [0, 0, 0, 0]; the runners pass the error on, as its
+        # readings are finite.  A reading whose norm stays finite gives the oracle's bytes.
+        predict, start, run_filter = ((ekf_predict, EkfState.start, run_ekf) if after
+                                      else (inekf_predict, InekfState.start, run_inekf))
+        config = random_config(rng)
+        message = "^cannot normalize quaternion with norm inf$"
+        burst = random_burst(rng, 0.0, 5)
+        for rate in (1e160, 1e200, 1e300, 1e308):
+            for sample in range(5):
+                for axis in (4, 5, 6):
+                    bad = burst.copy()
+                    bad[sample, axis] = rate
+                    with pytest.raises(DegenerateQuaternionError, match=message):
+                        predict(start(NavState(), config), bad, config, 0.0)
+        run, epochs = circle_epochs(duration=5.0)
+        bad = epochs[10].imu_burst.copy()
+        bad[1, 5] = 1e300
+        epochs[10] = replace(epochs[10], imu_burst=bad)
+        with pytest.raises(DegenerateQuaternionError, match=message):
+            run_filter(epochs, config, initial=run.initial_nav())
+        burst[2, 4:7] = 1e155
         got, want = self.both(rng, burst, 0.0, after)
         self.assert_same_bytes(got, want, after)
+        assert abs(_norm(got[0][0][0]) - 1.0) <= 4 * EPS
 
     @pytest.mark.parametrize("after", [True, False], ids=["ekf", "inekf"])
     @pytest.mark.parametrize("sample", [0, 2, -1], ids=["first", "mid", "last"])
@@ -806,8 +824,8 @@ class TestEkfUpdate:
             assert out.cov.tobytes() == P_ref.tobytes()
             assert out.nav.position.tobytes() == (nav.position + dx[6:9]).tobytes()
             assert out.nav.velocity.tobytes() == (nav.velocity + dx[3:6]).tobytes()
-            assert out.nav.orientation.tobytes() == quat_multiply(
-                nav.orientation, quat_from_rotvec(dx[0:3])).tobytes()
+            assert out.nav.orientation.tobytes() == quat_normalize(quat_product(
+                nav.orientation, quat_from_rotvec(dx[0:3]))).tobytes()
 
     def test_singular_innovation_covariance_raises_as_kalman_update(self, rng):
         config, nav, dvl, ahrs = self.random_inputs(rng)
@@ -901,7 +919,7 @@ class TestUpdateLinearization:
             dvl, ahrs = nav.velocity, nav.orientation
 
             def innovation(dx):
-                q = quat_multiply(nav.orientation, quat_from_rotvec(dx[0:3]))
+                q = quat_normalize(quat_product(nav.orientation, quat_from_rotvec(dx[0:3])))
                 return [*(dvl - (nav.velocity + dx[3:6])), *_attitude_innovation(q, ahrs)]
 
             J = central_difference(innovation, np.zeros(9))
@@ -917,7 +935,8 @@ class TestUpdateLinearization:
 
             def innovation(xi):
                 Rc, dv, dp = se23_exp(xi)
-                moved = InekfState(quat_multiply(quat_from_rotvec(xi[0:3]), state.orientation),
+                moved = InekfState(quat_normalize(quat_product(quat_from_rotvec(xi[0:3]),
+                                                               state.orientation)),
                                    Rc @ state.velocity + dv, Rc @ state.position + dp, state.cov)
                 return _inekf_measurement(moved, dvl, ahrs)[0]
 
@@ -938,7 +957,7 @@ def se23_log(state, ref):
     J^-1 (v - R R_ref^T v_ref) and J^-1 (p - R R_ref^T p_ref), J the left Jacobian
     of theta (its columns from se23_exp)."""
     turn = quat_product(state.orientation, quat_conjugate(ref.orientation))
-    theta, Rc = quat_to_rotvec(turn), quat_to_rotation(turn)
+    theta, Rc = np.array(rotvec_entries(turn.tolist())), quat_to_rotation(turn)
     J = np.column_stack([se23_exp(np.concatenate([theta, e, np.zeros(3)]))[1] for e in np.eye(3)])
     return np.concatenate([theta, np.linalg.solve(J, state.velocity - Rc @ ref.velocity),
                            np.linalg.solve(J, state.position - Rc @ ref.position)])
@@ -976,10 +995,12 @@ class TestPredictLinearization:
 
             def mean(dx):
                 moved = NavState(nav.position + dx[6:9], nav.velocity + dx[3:6],
-                                 quat_multiply(nav.orientation, quat_from_rotvec(dx[0:3])))
+                                 quat_normalize(quat_product(nav.orientation,
+                                                             quat_from_rotvec(dx[0:3]))))
                 out = ekf_predict(EkfState(moved, np.eye(9)), burst, config, t0).nav
                 turn = quat_product(quat_conjugate(end.nav.orientation), out.orientation)
-                return np.concatenate([quat_to_rotvec(turn), out.velocity - end.nav.velocity,
+                return np.concatenate([rotvec_entries(turn.tolist()),
+                                       out.velocity - end.nav.velocity,
                                        out.position - end.nav.position])
 
             J = central_difference(mean, np.zeros(9), self.H)
@@ -994,7 +1015,8 @@ class TestPredictLinearization:
 
             def mean(xi):
                 Rc, dv, dp = se23_exp(xi)
-                moved = InekfState(quat_multiply(quat_from_rotvec(xi[0:3]), state.orientation),
+                moved = InekfState(quat_normalize(quat_product(quat_from_rotvec(xi[0:3]),
+                                                               state.orientation)),
                                    Rc @ state.velocity + dv, Rc @ state.position + dp, state.cov)
                 return se23_log(inekf_predict(moved, burst, config, t0), end)
 
@@ -1020,6 +1042,9 @@ class TestCovarianceGuard:
 
 
 class TestSe23Exp:
+    """``_se23_exp_entries``, the InEKF correction's Exp, against the matrix
+    exponential and the array form ``oracles._se23_exp``."""
+
     def embed(self, xi):
         A = np.zeros((5, 5))
         A[:3, :3] = skew(xi[:3])

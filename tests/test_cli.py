@@ -28,7 +28,7 @@ from cipgnav.errors import (
 from cipgnav.ipg import IpgParams
 from cipgnav.metrics import MetricsConfig, truth_from_gt
 from cipgnav.preintegration import GravityModel, ImuBiases, NavState
-from cipgnav.quat import quat_from_yaw, quat_multiply, quat_to_rotation
+from cipgnav.quat import quat_from_yaw, quat_normalize, quat_product, quat_to_rotation
 from cipgnav.sensors import load_stream, save_stream, synchronize
 from cipgnav.sim import NoiseSpec, ScenarioSpec, benchmark_scenario, generate
 from cipgnav.trajectory import TrajectoryPoint, read_trajectory, write_trajectory
@@ -746,7 +746,8 @@ class TestEvaluate:
         yaw, shift = 0.8, np.array([40.0, -25.0, 3.0])
         Rz, q_yaw = quat_to_rotation(quat_from_yaw(yaw)), quat_from_yaw(yaw)
         moved = [TrajectoryPoint(p.t, NavState(Rz @ p.nav.position + shift, Rz @ p.nav.velocity,
-                                               quat_multiply(q_yaw, p.nav.orientation)))
+                                               quat_normalize(quat_product(
+                                                   q_yaw, p.nav.orientation))))
                  for p in truth]
         reports = {}
         for name, points in (("copy", truth), ("moved", moved)):

@@ -27,7 +27,8 @@ from cipgnav.quat import (
     hemisphere_align,
     quat_angular_distance,
     quat_from_yaw,
-    quat_multiply,
+    quat_normalize,
+    quat_product,
     quat_to_rotation,
     unit_rows,
 )
@@ -236,7 +237,8 @@ class TestMatchesPerSampleStates:
         pair = pair_trajectories(est, gt, MetricsConfig(align=True))
         identity = quat_from_yaw(0.0)
         expected = [NavState(np.zeros(3), np.zeros(3),
-                             quat_multiply(identity, p.nav.orientation)).orientation for p in est]
+                             quat_normalize(quat_product(identity, p.nav.orientation))).orientation
+                    for p in est]
         assert np.array_equal(pair.est_orientation, expected)
         assert np.array_equal(pair.est_position, [p.nav.position for p in gt])
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from cipgnav.errors import DegenerateQuaternionError
 from cipgnav.preintegration import NavState
 from cipgnav.quat import (
     _norm,
     _unit,
-    euler_from_quat,
     from_rotvec_entries,
     hemisphere_align,
     ordered_matmul,
@@ -26,13 +26,10 @@ from cipgnav.quat import (
     quat_normalize,
     quat_product,
     quat_to_rotation,
-    quat_to_rotvec,
     rotate_vector,
     rotation_rows,
-    rotation_to_quat,
     rotvec_entries,
     row_norms,
-    shepperd_entries,
     unit_rows,
 )
 from tests.conftest import central_difference, random_unit_quat
@@ -116,6 +113,8 @@ class TestRotation:
             atol=1e-10,
         )
 
+    # oracles.rotation_to_quat takes inekf_update's attitude innovation; it
+    # inverts quat_to_rotation on every branch and refuses what is no rotation.
     def test_matrix_round_trip_all_branches(self, rng):
         # One quaternion dominated by each component exercises every branch
         # of the matrix-to-quaternion extraction.
@@ -128,12 +127,12 @@ class TestRotation:
         candidates += [random_unit_quat(rng) for _ in range(30)]
         for q in candidates:
             q = q / np.linalg.norm(q)
-            q2 = rotation_to_quat(quat_to_rotation(q))
+            q2 = oracles.rotation_to_quat(quat_to_rotation(q))
             assert quat_angular_distance(q, q2) < 1e-9
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
-            rotation_to_quat(2.0 * np.eye(3))
+            oracles.rotation_to_quat(2.0 * np.eye(3))
 
     @pytest.mark.parametrize("R", [
         np.full((3, 3), np.nan), np.diag([1.0, 1.0, -1.0]),
@@ -141,9 +140,8 @@ class TestRotation:
         -quat_to_rotation([0.8, 0.2, -0.5, 0.3]),
     ], ids=["nan", "reflection", "one-nan", "det-negative"])
     def test_rejects_nan_and_reflection(self, R):
-        for convert in (rotation_to_quat, lambda R: shepperd_entries(R.ravel().tolist())):
-            with pytest.raises(ValueError, match="not a rotation"):
-                convert(R)
+        with pytest.raises(ValueError, match="not a rotation"):
+            oracles.rotation_to_quat(R)
 
 
 def shepperd_branch(R) -> int:
@@ -152,20 +150,26 @@ def shepperd_branch(R) -> int:
     return 0 if d.sum() > 0.0 else 1 + int(np.argmax(d))
 
 
+def scipy_quat(R) -> np.ndarray:
+    """scipy's quaternion of R, scalar first."""
+    x, y, z, w = Rotation.from_matrix(R).as_quat()
+    return np.array([w, x, y, z])
+
+
 class TestRotationToQuatOracle:
-    """rotation_to_quat on Python floats against the numpy-scalar oracle, bit for bit."""
+    """oracles.rotation_to_quat, Shepperd's method, against scipy's Rotation."""
 
     @staticmethod
-    def assert_same_outcome(R):
+    def assert_same_outcome(R, atol=1e-12):
+        """The oracle refuses R as no rotation, or gives a unit quaternion with
+        w >= 0 within atol rad of scipy's."""
         try:
-            expected = oracles.rotation_to_quat(R)
-        except ValueError:
-            for convert in (rotation_to_quat, lambda R: shepperd_entries(R.ravel().tolist())):
-                with pytest.raises(ValueError, match="not a rotation"):
-                    convert(R)
+            q = oracles.rotation_to_quat(R)
+        except ValueError as err:
+            assert "not a rotation" in str(err)
             return "refused"
-        assert same_bits(rotation_to_quat(R), expected)
-        assert same_bits(shepperd_entries(R.ravel().tolist()), expected)
+        assert q[0] >= 0.0 and float_norm(q) == pytest.approx(1.0, abs=1e-15)
+        assert quat_angular_distance(q, scipy_quat(R)) <= atol
         return "accepted"
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -175,10 +179,12 @@ class TestRotationToQuatOracle:
         for angle in np.concatenate([[np.pi, np.pi - 1e-9], np.pi - rng.uniform(0.0, 0.1, 30)]):
             for tilt in (0.0, 0.01, 0.1):
                 direction = np.eye(3)[axis] + tilt * rng.normal(size=3)
-                R = quat_to_rotation(quat_from_rotvec(angle * direction / np.linalg.norm(direction)))
+                q = quat_from_rotvec(angle * direction / np.linalg.norm(direction))
+                R = quat_to_rotation(q)
                 assert np.trace(R) <= 0.0 and shepperd_branch(R) == axis + 1
                 assert self.assert_same_outcome(R) == "accepted"
                 assert self.assert_same_outcome(R.T) == "accepted"
+                assert quat_angular_distance(oracles.rotation_to_quat(R), q) < 1e-12
 
     @staticmethod
     def off_by(entry, e):
@@ -194,8 +200,8 @@ class TestRotationToQuatOracle:
         return E @ R
 
     # R R^T - I at half and twice the bounds, 1e-6 off the diagonal and 1.1e-5 on
-    # it, either sign, in each entry; the verdicts are the ones rotation_to_quat
-    # gave when it formed R R^T on BLAS.
+    # it, either sign, in each entry.  An accepted matrix is off a rotation by
+    # about its deviation, and so is its quaternion off scipy's nearest one.
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("factor, verdict", [(0.5, "accepted"), (2.0, "refused")])
@@ -204,8 +210,8 @@ class TestRotationToQuatOracle:
         R = self.off_by(entry, sign * factor * bound)
         deviation = float_matmul(R, R.T) - np.eye(3)
         assert abs(deviation[entry]) == pytest.approx(factor * bound, rel=1e-6)
-        assert self.assert_same_outcome(R) == verdict
-        self.assert_same_outcome(R.T)  # R^T R - I, spread over other entries
+        assert self.assert_same_outcome(R, atol=1e-5) == verdict
+        self.assert_same_outcome(R.T, atol=1e-5)  # R^T R - I, spread over other entries
 
     def test_every_branch(self, rng):
         # One quaternion dominated by each component, plus random ones; as
@@ -219,27 +225,31 @@ class TestRotationToQuatOracle:
                 branches.add(shepperd_branch(R))
                 assert self.assert_same_outcome(R) == "accepted"
                 assert self.assert_same_outcome(R.T) == "accepted"
+                assert quat_angular_distance(oracles.rotation_to_quat(R), q) < 1e-12
         assert branches == {0, 1, 2, 3}
 
     def test_signed_zeros(self):
         # Half and quarter turns about the axes, whose exact zeros reach the
         # quaternion through differences and sums, with every sign of zero.
-        matrices = [np.diag(d) for d in ([1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
-                                         [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
-        matrices += [quat_to_rotation(q) for q in ([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
-                                                   [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0])]
+        quats = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                 [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                 [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
         branches = set()
-        for R in matrices:
+        for q in quats:
+            R = quat_to_rotation(q)
             for zero in (0.0, -0.0):
                 signed = np.where(R == 0.0, zero, R)
                 branches.add(shepperd_branch(signed))
                 assert self.assert_same_outcome(signed) == "accepted"
                 assert self.assert_same_outcome(signed.T) == "accepted"
+                zeros = oracles.rotation_to_quat(signed) == 0.0
+                assert (zeros == (np.asarray(q) == 0.0)).all()
         assert branches == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("perturb", ["scale", "off-diagonal"])
     def test_orthogonality_tolerance_boundary(self, rng, perturb):
-        # The last perturbation the oracle accepts and the next float after it.
+        # The last perturbation the oracle accepts and the next float after it
+        # straddle its documented test |R R^T - I| <= 1e-6 + 1e-5 I.
         R0 = quat_to_rotation(random_unit_quat(rng))
 
         def perturbed(eps):
@@ -259,18 +269,28 @@ class TestRotationToQuatOracle:
                 lo = mid
             except ValueError:
                 hi = mid
-        assert self.assert_same_outcome(perturbed(lo)) == "accepted"
+        assert np.nextafter(lo, 1.0) == hi
+        bound = 1e-6 + 1e-5 * np.eye(3)
+        within = [(np.abs(float_matmul(R, R.T) - np.eye(3)) <= bound).all()
+                  for R in (perturbed(lo), perturbed(hi))]
+        assert within == [True, False]
+        assert self.assert_same_outcome(perturbed(lo), atol=1e-4) == "accepted"
         assert self.assert_same_outcome(perturbed(hi)) == "refused"
         # A reflection just inside the tolerance is refused for its determinant.
         assert self.assert_same_outcome(-perturbed(lo)) == "refused"
         assert self.assert_same_outcome(np.diag([1.0, 1.0, -1.0])) == "refused"
 
 
+def to_rotvec(q) -> np.ndarray:
+    """``rotvec_entries`` of a quaternion array, as an array."""
+    return np.array(rotvec_entries(np.asarray(q, dtype=float).tolist()))
+
+
 class TestRotvec:
     def test_round_trip(self, rng):
         for scale in (1e-12, 1e-6, 0.1, 1.0, 3.0):
             v = scale * (rng.normal(size=3) / np.linalg.norm(rng.normal(size=3)))
-            np.testing.assert_allclose(quat_to_rotvec(quat_from_rotvec(v)), v, atol=1e-9)
+            np.testing.assert_allclose(to_rotvec(quat_from_rotvec(v)), v, atol=1e-9)
 
     def test_known_half_turn(self):
         q = quat_from_rotvec([0.0, 0.0, np.pi / 2])
@@ -317,13 +337,12 @@ class TestRotvec:
             tiny = np.concatenate([q[:1], 1e-14 * q[1:]])
             for p in (q, tiny):
                 for signed in (p, -p):
-                    got = quat_to_rotvec(signed)
+                    got = to_rotvec(signed)
                     assert got.tobytes() == oracles._quat_to_rotvec(signed).tobytes()
-                    assert got.tobytes() == np.array(rotvec_entries(signed.tolist())).tobytes()
-                    assert got.tobytes() == quat_to_rotvec(-signed if signed[0] < 0.0
-                                                           else signed).tobytes()
+                    assert got.tobytes() == to_rotvec(-signed if signed[0] < 0.0
+                                                      else signed).tobytes()
             unit = quat_normalize(tiny)
-            assert same_bits(quat_to_rotvec(tiny), 2.0 * (unit[1:] if unit[0] > 0 else -unit[1:]))
+            assert same_bits(to_rotvec(tiny), 2.0 * (unit[1:] if unit[0] > 0 else -unit[1:]))
 
     def test_to_rotvec_on_floats_equals_array_form(self, rng):
         # Non-unit scales, both hemispheres, signed zeros, and vector parts below 1e-12.
@@ -332,14 +351,14 @@ class TestRotvec:
         Q[1::4, 0] = -0.0
         Q[2::4, 1:] = [-0.0, 0.0, -0.0]
         for q in Q:
-            assert quat_to_rotvec(q).tobytes() == oracles._quat_to_rotvec(q).tobytes()
+            assert to_rotvec(q).tobytes() == oracles._quat_to_rotvec(q).tobytes()
 
 
 class TestEuler:
     def test_round_trip(self, rng):
         for _ in range(50):
             roll, pitch, yaw = rng.uniform([-np.pi, -1.4, -np.pi], [np.pi, 1.4, np.pi])
-            angles = euler_from_quat(quat_from_euler(roll, pitch, yaw))
+            angles = oracles.euler_from_quat(quat_from_euler(roll, pitch, yaw))
             np.testing.assert_allclose(angles, [roll, pitch, yaw], atol=1e-12)
 
     def test_pure_yaw_matches_quat_from_yaw(self, rng):

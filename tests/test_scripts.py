@@ -5,6 +5,7 @@ and one run under another OpenBLAS kernel."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -79,12 +80,22 @@ def test_kernel_spread_under_another_kernel(kernel_spread, monkeypatch, capsys):
 
 
 def test_mutant_table_matches_the_source(mutants):
+    # A row's node (class, test, parametrize id stripped) is looked up in its file's
+    # syntax tree: a deleted one would otherwise show only when the unmutated copy
+    # fails it, in the full run.
     names = [m.name for m in mutants.MUTANTS]
     assert len(names) == len(set(names)) >= 10
     for m in mutants.MUTANTS:
         assert mutants.source(m).read_text(encoding="utf-8").count(m.old) == 1, m.name
         assert m.new != m.old, m.name
-        assert (mutants.ROOT / m.target.split("::")[0]).is_file(), m.name
+        path, *node = m.target.split("::")
+        assert (mutants.ROOT / path).is_file(), m.name
+        body = ast.parse((mutants.ROOT / path).read_text(encoding="utf-8")).body
+        for part in node:
+            name = part.split("[")[0]
+            body = next((n.body for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                         and n.name == name), None)
+            assert body is not None, f"{m.name}: no {part} in {m.target}"
 
 
 def test_must_kill_mutant_is_killed(mutants, capsys):

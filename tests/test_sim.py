@@ -19,7 +19,7 @@ from cipgnav.quat import (
     quat_angular_distance,
     quat_from_rotvec,
     quat_from_yaw,
-    quat_multiply,
+    quat_normalize,
     quat_product,
     quat_to_rotation,
     unit_rows,
@@ -407,8 +407,8 @@ def reference_run(spec):
         dvl_row[1:] = v_meas
         q_meas = q
         if spec.noise.ahrs_std > 0.0:
-            q_meas = quat_multiply(
-                q, quat_from_rotvec(spec.noise.ahrs_std * rng_ahrs.standard_normal(3)))
+            q_meas = quat_normalize(quat_product(
+                q, quat_from_rotvec(spec.noise.ahrs_std * rng_ahrs.standard_normal(3))))
         ahrs_row[1:] = q_meas
         truth.append((float(t), NavState(p, v, q)))
     truth = np.array([[t, *nav.position, *nav.velocity, *nav.orientation] for t, nav in truth])
@@ -469,7 +469,8 @@ class TestBlockGeneration:
         ])
         Q = quat_from_yaw(rng.uniform(-4.0, 4.0, len(E)))
         Q[::2] = rng.standard_normal((len(Q[::2]), 4))  # and general, non-unit quaternions
-        expected = np.array([quat_multiply(q, quat_from_rotvec(e)) for q, e in zip(Q, E)])
+        expected = np.array([quat_normalize(quat_product(q, quat_from_rotvec(e)))
+                             for q, e in zip(Q, E)])
         assert np.array_equal(unit_rows(quat_product(Q, quat_from_rotvec(E)))[0], expected)
 
 
